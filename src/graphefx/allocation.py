@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError, PreconditionError
@@ -54,12 +54,23 @@ class EnvyGraph:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+    _out: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _in: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        out: dict[int, list[int]] = {}
+        into: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            out.setdefault(a, []).append(b)
+            into.setdefault(b, []).append(a)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", into)
 
     def out_neighbours(self, u: int) -> list[int]:
-        return [w for (a, w) in self.edges if a == u]
+        return list(self._out.get(u, ()))
 
     def in_neighbours(self, w: int) -> list[int]:
-        return [a for (a, b) in self.edges if b == w]
+        return list(self._in.get(w, ()))
 
     def sources(self) -> list[int]:
         envied = {b for (_, b) in self.edges}
@@ -83,29 +94,44 @@ def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
                 raise InputError(f"allocation references unknown edge {g}")
 
 
+def _rivals(inst: "Instance", alloc: Allocation) -> list[list[int]]:
+    """Per agent u, the other agents holding a good incident to u, ascending.
+
+    Every valuation's support lies within the agent's incident edges, so a
+    bundle without such a good is worth v_u(empty set) <= v_u(own bundle) by
+    monotonicity: u can neither envy it nor violate EFX against it.
+    """
+    holder = {g: w for w, b in alloc.bundles.items() for g in b}
+    rivals = []
+    for u in range(inst.graph.vertex_count):
+        near = {holder[g] for g in inst.graph.incident_edges(u) if g in holder}
+        near.discard(u)
+        rivals.append(sorted(near))
+    return rivals
+
+
 def envy_graph(inst: "Instance", alloc: Allocation) -> EnvyGraph:
     """Exact envy relation, edges in lexicographic order."""
     validate_allocation(inst, alloc)
-    n = inst.graph.vertex_count
     edges = []
-    for u in range(n):
-        own = inst.valuations[u].value(alloc.bundle(u))
-        for w in range(n):
-            if w != u and own < inst.valuations[u].value(alloc.bundle(w)):
-                edges.append((u, w))
-    return EnvyGraph(vertex_count=n, edges=tuple(edges))
+    for u, rivals in enumerate(_rivals(inst, alloc)):
+        if not rivals:
+            continue
+        val = inst.valuations[u]
+        own = val.value(alloc.bundle(u))
+        edges.extend((u, w) for w in rivals if own < val.value(alloc.bundle(w)))
+    return EnvyGraph(vertex_count=inst.graph.vertex_count, edges=tuple(edges))
 
 
 def is_efx(inst: "Instance", alloc: Allocation) -> EfxVerdict:
-    """Exhaustive EFX check; first witness in (envier, envied, good) order."""
+    """Exact EFX check; first witness in (envier, envied, good) order."""
     validate_allocation(inst, alloc)
-    n = inst.graph.vertex_count
-    for u in range(n):
+    for u, rivals in enumerate(_rivals(inst, alloc)):
+        if not rivals:
+            continue
         val = inst.valuations[u]
         own = val.value(alloc.bundle(u))
-        for w in range(n):
-            if w == u:
-                continue
+        for w in rivals:
             other = alloc.bundle(w)
             if own >= val.value(other):
                 continue

@@ -41,27 +41,39 @@ class AuditReport:
         return all(not msgs for _, msgs in self.results.values())
 
 
-def _coloring_of(trace: list[TraceEvent]) -> Optional[ColoringUsed]:
-    for ev in trace:
-        if isinstance(ev, ColoringUsed):
-            return ev
-    return None
+def _merged_colors(trace: list[TraceEvent]) -> Optional[dict[int, int]]:
+    """Vertex colors over every ColoringUsed event, or None when there is none.
+
+    A component-wise solve emits one event per phase-based component; the
+    components have disjoint vertices, so their colorings merge.
+    """
+    events = [ev for ev in trace if isinstance(ev, ColoringUsed)]
+    if not events:
+        return None
+    colors: dict[int, int] = {}
+    for ev in events:
+        colors.update(ev.colors)
+    return colors
 
 
-def _allocated_distance(inst: "Instance", snapshot: dict[int, frozenset[int]], src: int) -> dict[int, int]:
-    """BFS hop distances from ``src`` using only edges assigned in the snapshot."""
-    allocated = set()
-    for b in snapshot.values():
-        allocated |= b
+def _allocated_adjacency(inst: "Instance", holder_of: dict[int, int]) -> dict[int, set[int]]:
+    """Skeleton adjacency restricted to the edges assigned in a snapshot."""
     adj: dict[int, set[int]] = {}
-    for g in allocated:
+    for g in holder_of:
         a, b = inst.graph.endpoints(g)
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def _distances_within(adj: dict[int, set[int]], src: int, depth: int) -> dict[int, int]:
+    """BFS hop distances from ``src``, for the vertices at most ``depth`` hops away."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
         x = queue.popleft()
+        if dist[x] >= depth:
+            continue
         for y in adj.get(x, ()):
             if y not in dist:
                 dist[y] = dist[x] + 1
@@ -70,16 +82,23 @@ def _allocated_distance(inst: "Instance", snapshot: dict[int, frozenset[int]], s
 
 
 def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
-    """Check every snapshot of a phase-based trace against all four families."""
-    coloring = _coloring_of(trace)
+    """Check every snapshot of a phase-based trace against all four families.
+
+    Envy is only checked between agents that share a good, which is exact
+    because every valuation's support lies within the agent's incident edges.
+    """
+    colors = _merged_colors(trace)
     structure_events = [
         (i, ev) for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)
     ]
-    applicable = coloring is not None and bool(structure_events)
+    applicable = colors is not None and bool(structure_events)
     if not applicable:
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
 
-    colors = coloring.colors  # 0-based color classes; claims use 1-based, so +1
+    # 0-based color classes; claims use 1-based, so +1.  No distance bound
+    # exceeds the largest class number, which is at most t.
+    depth = max(colors.values(), default=0) + 1
+    far = inst.graph.vertex_count + 1
     localized: list[str] = []
     movement: list[str] = []
     distance: list[str] = []
@@ -115,37 +134,43 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                 movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
             moved.add(g)
 
-        # distances along allocated edges
+        # distances along allocated edges; each BFS stops at ``depth``, beyond
+        # every bound, so a vertex it does not reach reads as ``far``
         holder_of = {g: w for w, b in ev.snapshot.items() for g in b}
+        adj = _allocated_adjacency(inst, holder_of)
         dist_cache: dict[int, dict[int, int]] = {}
 
         def dist_from(src: int) -> dict[int, int]:
             if src not in dist_cache:
-                dist_cache[src] = _allocated_distance(inst, ev.snapshot, src)
+                dist_cache[src] = _distances_within(adj, src, depth)
             return dist_cache[src]
 
         for g, w in sorted(holder_of.items()):
             a, b = inst.graph.endpoints(g)
             c_w = colors[w] + 1
             for z in (a, b):
-                if dist_from(z).get(w, inst.graph.vertex_count + 1) > c_w:
+                if dist_from(z).get(w, far) > c_w:
                     distance.append(
                         f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
                     )
             root = a if colors[a] < colors[b] else b
-            if dist_from(root).get(w, inst.graph.vertex_count + 1) > c_w - (colors[root] + 1):
+            if dist_from(root).get(w, far) > c_w - (colors[root] + 1):
                 distance.append(
                     f"event {idx}: structure root {root} of good {g} is farther than"
                     f" {c_w - (colors[root] + 1)} from holder {w}"
                 )
 
-        # unresolved union
-        unresolved = [z for z in range(inst.graph.vertex_count) if z not in resolved]
-        for z in unresolved:
-            rest: frozenset[int] = frozenset()
-            for w in unresolved:
-                if w != z:
-                    rest |= alloc.bundle(w)
+        # unresolved union: z values only its incident goods, so the union of
+        # the other unresolved bundles is worth what z's incident goods in it are
+        for z in range(inst.graph.vertex_count):
+            if z in resolved:
+                continue
+            rest = frozenset(
+                g for g in inst.graph.incident_edges(z)
+                if g in holder_of and holder_of[g] != z and holder_of[g] not in resolved
+            )
+            if not rest:
+                continue
             v_z = inst.valuations[z]
             if v_z.value(alloc.bundle(z)) < v_z.value(rest):
                 union.append(

@@ -158,6 +158,8 @@ def _solve_one(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.batch:
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         paths = sorted(Path(args.batch).glob("*.instance.json"))
         if not paths:
             raise InputError(f"no *.instance.json files in {args.batch}")

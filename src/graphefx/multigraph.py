@@ -108,8 +108,8 @@ class MultiGraph:
         return left, right
 
     def is_multitree(self) -> bool:
-        """True iff the simple skeleton is a forest."""
-        return self.girth() == INFINITE_GIRTH
+        """True iff the simple skeleton is a forest: its edge count is n - components."""
+        return len(self._by_pair) == self.vertex_count - len(self._components())
 
     def girth(self) -> float:
         """Length of the shortest skeleton cycle; math.inf on a forest."""
@@ -212,6 +212,10 @@ class MultiGraph:
 
     def connected_components(self) -> list[list[int]]:
         """Skeleton components as sorted vertex lists, ordered by minimum vertex."""
+        return [sorted(comp) for comp in self._components()]
+
+    def _components(self) -> list[list[int]]:
+        """Skeleton components in BFS order, ordered by minimum vertex."""
         seen = [False] * self.vertex_count
         comps = []
         for start in range(self.vertex_count):
@@ -227,7 +231,7 @@ class MultiGraph:
                         seen[y] = True
                         comp.append(y)
                         queue.append(y)
-            comps.append(sorted(comp))
+            comps.append(comp)
         return comps
 
     def __repr__(self) -> str:

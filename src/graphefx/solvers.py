@@ -9,6 +9,7 @@ solver attaches leaves recursively and repairs envy with cycle resolution.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .allocation import (
@@ -199,17 +200,24 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
     if not inst.graph.is_multitree():
         raise PreconditionError("tree_efx requires a multi-tree (acyclic skeleton)")
 
-    # Elimination order, computed iteratively to avoid deep recursion.
+    # Elimination order, computed iteratively to avoid deep recursion: always
+    # the highest-index current leaf.  A max-heap holds every vertex whose
+    # degree has dropped to 1; entries whose degree has since dropped to 0 are
+    # stale and skipped.  Degrees only fall, so each vertex is pushed at most once.
     degree = {v: set(inst.graph.neighbours(v)) for v in range(inst.graph.vertex_count)}
     order: list[tuple[int, int]] = []  # (leaf, parent)
-    active = {v for v in degree if degree[v]}
-    while active:
-        leaf = max(v for v in active if len(degree[v]) == 1)
+    leaves = [-v for v in degree if len(degree[v]) == 1]
+    heapq.heapify(leaves)
+    while leaves:
+        leaf = -heapq.heappop(leaves)
+        if not degree[leaf]:
+            continue
         (parent,) = degree[leaf]
         order.append((leaf, parent))
         degree[parent].discard(leaf)
         degree[leaf] = set()
-        active = {v for v in active if degree[v]}
+        if len(degree[parent]) == 1:
+            heapq.heappush(leaves, -parent)
 
     trace: list[TraceEvent] = []
     bundles: dict[int, set[int]] = {}

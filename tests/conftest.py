@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from graphefx import Additive, BudgetAdditive, Instance, MultiGraph, Table, UnitDemand
+from graphefx import Additive, Allocation, BudgetAdditive, Instance, MultiGraph, Table, UnitDemand
+from graphefx.generators import VALUATION_KINDS, _make_valuation
 
 
 @pytest.fixture
@@ -125,3 +126,60 @@ def naive_is_efx(inst, alloc):
                 if own < inst.valuations[u].value(other - {x}):
                     violations.append((u, w, x))
     return len(violations) == 0
+
+
+def reference_envy_edges(inst, alloc):
+    """All-pairs envy relation: every (u, w) with u != w, in lexicographic order."""
+    n = inst.graph.vertex_count
+    edges = []
+    for u in range(n):
+        own = inst.valuations[u].value(alloc.bundle(u))
+        for w in range(n):
+            if w != u and own < inst.valuations[u].value(alloc.bundle(w)):
+                edges.append((u, w))
+    return tuple(edges)
+
+
+def reference_efx_witness(inst, alloc):
+    """All-pairs EFX check: the first (envier, envied, good) violation, or None."""
+    n = inst.graph.vertex_count
+    for u in range(n):
+        val = inst.valuations[u]
+        own = val.value(alloc.bundle(u))
+        for w in range(n):
+            if w == u:
+                continue
+            other = alloc.bundle(w)
+            if own >= val.value(other):
+                continue
+            for x in sorted(other):
+                if own < val.value(other - {x}):
+                    return (u, w, x)
+    return None
+
+
+def random_mixed_instance(rng: random.Random, n_max=5, m_max=7, value_max=10):
+    """Small random instance mixing all four valuation families.
+
+    Each agent values a random subset of its incident goods, so some incident
+    goods are worth nothing to it; tables fall back to additive above four goods.
+    """
+    n = rng.randint(2, n_max)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, m_max))]
+    g = MultiGraph(n, pairs)
+    vals = {}
+    for u in range(n):
+        goods = [e for e in sorted(g.incident_edges(u)) if rng.random() < 0.8]
+        vals[u] = _make_valuation(rng, rng.choice(VALUATION_KINDS), goods, value_max)
+    return Instance(graph=g, valuations=vals)
+
+
+def random_allocation(rng: random.Random, inst):
+    """Random partial allocation: any agent may hold any good, some stay unassigned."""
+    n = inst.graph.vertex_count
+    bundles = {}
+    for g in range(inst.graph.edge_count):
+        holder = rng.randrange(n + 1)  # n leaves the good unassigned
+        if holder < n:
+            bundles.setdefault(holder, set()).add(g)
+    return Allocation(bundles={u: frozenset(b) for u, b in bundles.items()})

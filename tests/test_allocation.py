@@ -14,8 +14,17 @@ from graphefx import (
 )
 from graphefx.allocation import find_envy_cycle, find_source_with_path
 from graphefx.allocation import EnvyGraph
+from graphefx.solvers import tree_efx
+from graphefx.valuation import Valuation
 
-from .conftest import naive_is_efx, random_instance
+from .conftest import (
+    naive_is_efx,
+    random_allocation,
+    random_instance,
+    random_mixed_instance,
+    reference_efx_witness,
+    reference_envy_edges,
+)
 
 
 def _two_agent_instance(v0, v1):
@@ -119,13 +128,7 @@ def test_is_efx_agrees_with_naive_reimplementation():
     rng = random.Random(59)
     for _ in range(1000):
         inst = random_instance(rng)
-        n, m = inst.graph.vertex_count, inst.graph.edge_count
-        bundles = {}
-        for g in range(m):
-            holder = rng.randrange(n + 1)  # n leaves the good unassigned
-            if holder < n:
-                bundles.setdefault(holder, set()).add(g)
-        alloc = Allocation(bundles={u: frozenset(b) for u, b in bundles.items()})
+        alloc = random_allocation(rng, inst)
         assert is_efx(inst, alloc).ok == naive_is_efx(inst, alloc)
 
 
@@ -149,3 +152,69 @@ def test_find_source_with_path():
     assert find_source_with_path(single, 2) == (0, [0, 2])
     chain = EnvyGraph(vertex_count=3, edges=((0, 1), (1, 2)))
     assert find_source_with_path(chain, 2) == (0, [0, 1, 2])
+
+
+def test_local_checks_match_all_pairs_reference():
+    rng = random.Random(17)
+    families = set()
+    partial = empty_bundle = witnesses = 0
+    for _ in range(1200):
+        inst = random_mixed_instance(rng)
+        alloc = random_allocation(rng, inst)
+        n = inst.graph.vertex_count
+        families |= {type(v).__name__ for v in inst.valuations.values()}
+        partial += not alloc.is_complete(inst)
+        empty_bundle += len(alloc.bundles) < n
+        eg = envy_graph(inst, alloc)
+        assert eg.edges == reference_envy_edges(inst, alloc)
+        for v in range(n):
+            assert eg.out_neighbours(v) == [w for a, w in eg.edges if a == v]
+            assert eg.in_neighbours(v) == [a for a, w in eg.edges if w == v]
+        witness = reference_efx_witness(inst, alloc)
+        verdict = is_efx(inst, alloc)
+        assert (verdict.ok, verdict.witness) == (witness is None, witness)
+        witnesses += witness is not None
+    assert families == {"Additive", "UnitDemand", "BudgetAdditive", "Table"}
+    assert partial > 100 and empty_bundle > 100 and witnesses > 100
+
+
+class CountingValuation(Valuation):
+    """Delegates to ``inner`` and counts every value query in ``counter[0]``."""
+
+    def __init__(self, inner: Valuation, counter: list[int]):
+        self.inner = inner
+        self.counter = counter
+
+    def value(self, bundle):
+        self.counter[0] += 1
+        return self.inner.value(bundle)
+
+    @property
+    def support(self):
+        return self.inner.support
+
+
+def test_local_checks_query_count_is_linear():
+    # A 300-vertex path with 1-3 parallel goods per link and an EFX allocation,
+    # so is_efx scans every agent instead of stopping at a witness.
+    c = 4
+    rng = random.Random(7)
+    n = 300
+    pairs = [p for i in range(n - 1) for p in [(i, i + 1)] * rng.randint(1, 3)]
+    g = MultiGraph(n, pairs)
+    counter = [0]
+    inst = Instance(
+        graph=g,
+        valuations={
+            u: CountingValuation(
+                Additive(values={e: rng.randint(0, 100) for e in g.incident_edges(u)}), counter
+            )
+            for u in range(n)
+        },
+    )
+    alloc, _ = tree_efx(inst)
+    assert alloc.is_complete(inst)
+    counter[0] = 0
+    envy_graph(inst, alloc)
+    assert is_efx(inst, alloc).ok
+    assert 0 < counter[0] <= c * (n + g.edge_count)

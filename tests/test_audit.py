@@ -1,8 +1,12 @@
+import random
+
+from graphefx import Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace
 from graphefx.generators import gen_bipartite, gen_multitree, gen_petersen
 from graphefx.solvers import bipartite_efx, chromatic_efx, solve, tree_efx
+from graphefx.trace import ColoringUsed
 
-from .conftest import tamper_trace
+from .conftest import random_family_valuation, tamper_trace
 
 
 def test_bipartite_traces_pass(b1_instance):
@@ -55,3 +59,33 @@ def test_tampered_traces_fail_each_family():
         if found == set(FAMILIES):
             break
     assert found == set(FAMILIES)
+
+
+def _cycle_union(rng, lengths, kind):
+    """Disjoint multi-cycles of the given lengths, 1-3 parallel goods per link."""
+    pairs, start = [], 0
+    for length in lengths:
+        for i in range(length):
+            pairs += [(start + i, start + (i + 1) % length)] * rng.randint(1, 3)
+        start += length
+    g = MultiGraph(start, pairs)
+    vals = {
+        u: random_family_valuation(rng, kind, sorted(g.incident_edges(u)), 40)
+        for u in range(start)
+    }
+    return Instance(graph=g, valuations=vals)
+
+
+def test_unions_of_phase_based_components_pass():
+    rng = random.Random(13)
+    expected = {(4, 4): "bipartite", (4, 5): "componentwise(bipartite,chromatic)"}
+    for lengths, method in expected.items():
+        for kind in ("additive", "unit_demand", "budget_additive"):
+            for _ in range(4):
+                inst = _cycle_union(rng, lengths, kind)
+                _, used, trace = solve(inst)
+                assert used == method
+                assert sum(isinstance(ev, ColoringUsed) for ev in trace) == 2
+                report = audit_trace(inst, trace)
+                assert report.ok, (lengths, kind, report.results)
+                assert all(applicable for applicable, _ in report.results.values())

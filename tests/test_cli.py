@@ -188,6 +188,14 @@ def test_batch_empty_dir_exit_1(tmp_path):
     assert main(["solve", "--batch", str(tmp_path)]) == EXIT_INPUT
 
 
+def test_batch_bad_jobs_exit_1(b1_file, capsys):
+    for jobs in ("0", "-3"):
+        assert main(["solve", "--batch", str(b1_file.parent), "--jobs", jobs]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not list(b1_file.parent.glob("*.alloc.json"))
+
+
 def test_instance_json_round_trip(b1_instance, tmp_path):
     doc = instance_to_json(b1_instance, ["a", "b", "c"])
     inst2, names = instance_from_json(doc)

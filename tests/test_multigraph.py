@@ -160,6 +160,35 @@ def test_multitree_iff_infinite_girth():
         assert g.is_multitree() == (g.girth() == math.inf)
 
 
+def _random_forest_pairs(rng, vertices):
+    # each vertex after the first joins an earlier one, or stays a new root
+    pairs = []
+    for i in range(1, len(vertices)):
+        if rng.random() < 0.8:
+            pairs.extend([(rng.choice(vertices[:i]), vertices[i])] * rng.randint(1, 3))
+    return pairs
+
+
+def test_forest_test_matches_shortest_cycle():
+    # forests (with parallel edges and isolated vertices), unions of two, and
+    # the same with a few extra links that may close a cycle
+    rng = random.Random(41)
+    verdicts = []
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        vertices = rng.sample(range(n), n)
+        cut = rng.randint(0, n)
+        pairs = _random_forest_pairs(rng, vertices[:cut])
+        pairs += _random_forest_pairs(rng, vertices[cut:])
+        if n >= 2:
+            pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.choice((0, 2, 3, 4)))]
+        rng.shuffle(pairs)
+        g = MultiGraph(n, pairs)
+        verdicts.append(g.is_multitree())
+        assert verdicts[-1] == (g.shortest_cycle()[0] == math.inf)
+    assert 100 < sum(verdicts) < 300
+
+
 def test_find_coloring_is_proper_when_present():
     rng = random.Random(17)
     for _ in range(30):
