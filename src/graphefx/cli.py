@@ -31,7 +31,8 @@ from .jsonio import (
 )
 from .multigraph import Coloring
 from .oracle import brute_force_efx
-from .solvers import DISPATCH_T_MAX, Instance, solve
+from .solvers import DISPATCH_T_MAX, Instance, classify, solve
+from .trace import check_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,19 +92,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _analysis(inst: Instance) -> dict:
+    """Class facts of the whole instance and the solvers ``classify`` accepts for it."""
     g = inst.graph
     girth, _ = g.shortest_cycle()
     bipart = g.bipartition()
     col = g.find_coloring(DISPATCH_T_MAX)
-    eligible = []
-    if g.is_multitree():
-        eligible.append("tree")
-    if bipart is not None:
-        eligible.append("bipartite")
-    if col is not None and not g.is_multitree() and girth >= 2 * col.t - 1:
-        eligible.append("chromatic")
-    if not eligible:
-        eligible.append("brute_force")
     return {
         "agents": g.vertex_count,
         "goods": g.edge_count,
@@ -111,7 +104,7 @@ def _analysis(inst: Instance) -> dict:
         "bipartite": bipart is not None,
         "girth": None if girth == float("inf") else int(girth),
         "chromatic_number": None if col is None else col.t,
-        "eligible": eligible,
+        "eligible": [v.solver for v in classify(inst) if v.applies],
     }
 
 
@@ -120,7 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _analysis(inst)
     for key in ("agents", "goods", "multitree", "bipartite", "girth", "chromatic_number"):
         print(f"{key}: {report[key]}")
-    print("eligible: " + ", ".join(report["eligible"]))
+    print("eligible: " + (", ".join(report["eligible"]) or "none"))
     return EXIT_OK
 
 
@@ -133,7 +126,8 @@ def _solve_one(
     inst, names = load_instance(instance_path)
     hint = _load_coloring(coloring_path, names) if coloring_path else None
     start = time.monotonic_ns()
-    alloc, method, trace = solve(inst, hint)
+    verdicts: list = []
+    alloc, method, trace = solve(inst, hint, verdicts)
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
     verdict = is_efx(inst, alloc)
     audit = audit_trace(inst, trace)
@@ -143,6 +137,10 @@ def _solve_one(
         "efx": verdict.ok,
         "complete": alloc.is_complete(inst),
         "wall_time_ms": elapsed_ms,
+        "dispatch": [
+            [{"solver": v.solver, "result": v.reason or "applied"} for v in tried]
+            for tried in verdicts
+        ],
         "audit": {
             family: ("n/a" if not applicable else ("pass" if not msgs else "fail"))
             for family, (applicable, msgs) in audit.results.items()
@@ -208,6 +206,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.instance)
     trace = load_trace(args.trace)
+    check_trace(trace, inst.graph)
     report = audit_trace(inst, trace)
     ok = True
     for family in FAMILIES:

@@ -162,6 +162,6 @@ def load_trace(path: Union[str, Path]) -> list[TraceEvent]:
                 line = line.strip()
                 if line:
                     events.append(event_from_json(json.loads(line)))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     return events

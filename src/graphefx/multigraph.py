@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
@@ -56,6 +56,14 @@ class MultiGraph:
         self._by_pair = {p: frozenset(s) for p, s in by_pair.items()}
         self._incident = tuple(frozenset(s) for s in incident)
         self._adj = tuple(frozenset(s) for s in adj)
+        # The graph never changes, so structural queries are computed once.
+        # Cached values are immutable; callers get fresh copies of lists.
+        self._memo: dict[str, object] = {}
+
+    def _memoized(self, key: str, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def edge_count(self) -> int:
@@ -89,6 +97,9 @@ class MultiGraph:
 
         The lowest-indexed vertex of each connected component goes to L.
         """
+        return self._memoized("bipartition", self._bipartition)
+
+    def _bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         side = [-1] * self.vertex_count
         for start in range(self.vertex_count):
             if side[start] != -1:
@@ -122,6 +133,10 @@ class MultiGraph:
         BFS from every vertex on the skeleton; non-tree edges close candidate
         cycles and the overall minimum is exact.
         """
+        best, cycle = self._memoized("shortest_cycle", self._shortest_cycle)
+        return best, None if cycle is None else list(cycle)
+
+    def _shortest_cycle(self) -> tuple[float, Optional[tuple[int, ...]]]:
         best = INFINITE_GIRTH
         best_cycle: Optional[list[int]] = None
         for start in range(self.vertex_count):
@@ -144,7 +159,7 @@ class MultiGraph:
                             if cycle is not None and len(cycle) < best:
                                 best = len(cycle)
                                 best_cycle = cycle
-        return best, best_cycle
+        return best, None if best_cycle is None else tuple(best_cycle)
 
     @staticmethod
     def _path_to_root(x: int, parent: dict[int, int]) -> list[int]:
@@ -212,10 +227,13 @@ class MultiGraph:
 
     def connected_components(self) -> list[list[int]]:
         """Skeleton components as sorted vertex lists, ordered by minimum vertex."""
-        return [sorted(comp) for comp in self._components()]
+        return [list(comp) for comp in self._components()]
 
-    def _components(self) -> list[list[int]]:
-        """Skeleton components in BFS order, ordered by minimum vertex."""
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Skeleton components as sorted vertex tuples, ordered by minimum vertex."""
+        return self._memoized("components", self._find_components)
+
+    def _find_components(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.vertex_count
         comps = []
         for start in range(self.vertex_count):
@@ -231,8 +249,8 @@ class MultiGraph:
                         seen[y] = True
                         comp.append(y)
                         queue.append(y)
-            comps.append(comp)
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.vertex_count}, m={len(self.edges)})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterator, Optional, Union
 
 from .allocation import (
     Allocation,
@@ -20,7 +21,7 @@ from .allocation import (
     resolve_cycle,
 )
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
-from .multigraph import Coloring, MultiGraph
+from .multigraph import INFINITE_GIRTH, Coloring, MultiGraph
 from .oracle import BRUTE_FORCE_MAX, brute_force_efx
 from .partition import cac, cut_preferences
 from .trace import (
@@ -58,12 +59,17 @@ class Instance:
                 )
 
 
+def _table_agent(inst: Instance) -> Optional[int]:
+    """The lowest agent with a table valuation, or None."""
+    return next((u for u in sorted(inst.valuations) if isinstance(inst.valuations[u], Table)), None)
+
+
 def _require_cancellable_family(inst: Instance, solver: str) -> None:
-    for u, val in inst.valuations.items():
-        if isinstance(val, Table):
-            raise UnsupportedValuationError(
-                f"{solver} requires cancellable-family valuations; agent {u} has a table valuation"
-            )
+    table = _table_agent(inst)
+    if table is not None:
+        raise UnsupportedValuationError(
+            f"{solver} requires cancellable-family valuations; agent {table} has a table valuation"
+        )
 
 
 def _snapshot(bundles: dict[int, set[int]]) -> dict[int, frozenset[int]]:
@@ -327,56 +333,121 @@ def _compact_coloring(col: Coloring, comp: list[int], v_fwd: dict[int, int]) -> 
     return Coloring(colors={v_fwd[v]: relabel[col.colors[v]] for v in comp}, t=len(used))
 
 
-def _dispatch_connected(
-    inst: Instance, hint: Coloring | None
-) -> tuple[Allocation, str, list[TraceEvent]]:
-    g = inst.graph
-    failures = []
+@dataclass(frozen=True)
+class Verdict:
+    """Whether one solver applies to an instance, and why not when it does not."""
 
-    if g.is_multitree():
-        alloc, trace = tree_efx(inst)
-        return alloc, "tree", trace
-    failures.append("not a multi-tree")
+    solver: str  # tree | bipartite | chromatic | brute_force
+    reason: Optional[str] = None  # None: the solver applies
+    # What the solver runs on: the bipartition or the coloring.
+    structure: Union[tuple[frozenset[int], frozenset[int]], Coloring, None] = None
+
+    @property
+    def applies(self) -> bool:
+        return self.reason is None
+
+
+def _chromatic_verdict(
+    inst: Instance, hint: Optional[Coloring], bipartite: bool, table: Optional[int]
+) -> Verdict:
+    g = inst.graph
+    if table is not None:
+        return Verdict("chromatic", f"agent {table} has a table valuation")
+    girth = g.girth()
+    if hint is not None:
+        ok, edge = g.validate_coloring(hint)
+        if not ok:
+            return Verdict("chromatic", f"the coloring hint is not proper at edge {edge}")
+        if girth < 2 * hint.t - 1:
+            return Verdict("chromatic", f"girth {girth} < 2*{hint.t}-1 for the {hint.t}-coloring hint")
+        return Verdict("chromatic", structure=hint)
+    # girth >= 2t-1 bounds t by (girth+1)//2; a non-bipartite graph needs
+    # t >= 3, so below girth 5 no coloring can qualify and none is searched.
+    if not bipartite and girth < 5:
+        return Verdict("chromatic", f"girth {girth} < 5, and a non-bipartite graph needs t >= 3")
+    t_max = DISPATCH_T_MAX if girth == INFINITE_GIRTH else min(DISPATCH_T_MAX, (girth + 1) // 2)
+    col = g.find_coloring(t_max)
+    if col is None:
+        return Verdict("chromatic", f"no proper coloring with t <= {t_max} (girth {girth})")
+    return Verdict("chromatic", structure=col)
+
+
+def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdict]:
+    """Each solver's verdict on ``inst``, in dispatch order.
+
+    The order is multi-tree, bipartite, chromatic (the hint, or the smallest
+    coloring the girth allows, t <= min(DISPATCH_T_MAX, (girth+1)//2)), then
+    brute force within its size guard.  Verdicts are computed lazily, so a
+    caller that stops at the first applicable solver pays for no later test.
+    """
+    g = inst.graph
+    yield Verdict("tree") if g.is_multitree() else Verdict("tree", "not a multi-tree")
 
     bipart = g.bipartition()
-    if bipart is not None and not any(isinstance(v, Table) for v in inst.valuations.values()):
-        alloc, trace = bipartite_efx(inst, bipart)
-        return alloc, "bipartite", trace
-    failures.append("not bipartite (or table valuations present)")
+    table = _table_agent(inst)
+    if bipart is None:
+        yield Verdict("bipartite", "not bipartite")
+    elif table is not None:
+        yield Verdict("bipartite", f"agent {table} has a table valuation")
+    else:
+        yield Verdict("bipartite", structure=bipart)
 
-    col = hint if hint is not None else g.find_coloring(DISPATCH_T_MAX)
-    if col is not None and not any(isinstance(v, Table) for v in inst.valuations.values()):
-        ok, _ = g.validate_coloring(col)
-        if ok and g.girth() >= 2 * col.t - 1:
-            alloc, trace = chromatic_efx(inst, col)
-            return alloc, "chromatic", trace
-    failures.append(f"no proper coloring with t <= {DISPATCH_T_MAX} and girth >= 2t-1")
+    yield _chromatic_verdict(inst, hint, bipart is not None, table)
 
     n, m = g.vertex_count, g.edge_count
     if n <= BRUTE_FORCE_AGENT_MAX and m <= BRUTE_FORCE_GOOD_MAX and n ** m <= BRUTE_FORCE_MAX:
-        report = brute_force_efx(inst)
-        if report.sample is not None:
-            return report.sample, "brute_force", []
-        failures.append("exhaustive search found no EFX allocation")
+        yield Verdict("brute_force")
     else:
-        failures.append(
-            f"too large for brute force (needs <= {BRUTE_FORCE_AGENT_MAX} agents,"
-            f" <= {BRUTE_FORCE_GOOD_MAX} goods)"
+        yield Verdict(
+            "brute_force",
+            f"too large (needs <= {BRUTE_FORCE_AGENT_MAX} agents, <= {BRUTE_FORCE_GOOD_MAX} goods)",
         )
-    raise UnsupportedClassError("no solver applies: " + "; ".join(failures))
+
+
+def _dispatch_connected(
+    inst: Instance, hint: Optional[Coloring]
+) -> tuple[Allocation, str, list[TraceEvent], list[Verdict]]:
+    """Run the first solver ``classify`` accepts; also return the verdicts tried."""
+    tried: list[Verdict] = []
+    for verdict in classify(inst, hint):
+        tried.append(verdict)
+        if not verdict.applies:
+            continue
+        if verdict.solver == "tree":
+            alloc, trace = tree_efx(inst)
+        elif verdict.solver == "bipartite":
+            alloc, trace = bipartite_efx(inst, verdict.structure)
+        elif verdict.solver == "chromatic":
+            alloc, trace = chromatic_efx(inst, verdict.structure)
+        else:
+            report = brute_force_efx(inst)
+            if report.sample is None:
+                tried[-1] = Verdict("brute_force", "exhaustive search found no EFX allocation")
+                break
+            alloc, trace = report.sample, []
+        return alloc, verdict.solver, trace, tried
+    raise UnsupportedClassError(
+        "no solver applies: " + "; ".join(f"{v.solver}: {v.reason}" for v in tried)
+    )
 
 
 def solve(
-    inst: Instance, hint: Coloring | None = None
+    inst: Instance,
+    hint: Optional[Coloring] = None,
+    verdicts: Optional[list[list[Verdict]]] = None,
 ) -> tuple[Allocation, str, list[TraceEvent]]:
-    """Dispatch to the best applicable solver; disconnected inputs go component-wise.
+    """Dispatch to the first solver ``classify`` accepts; disconnected inputs go component-wise.
 
-    Order: multi-tree, bipartite, girth-qualified coloring (hint or exact
-    search up to t=4), then exhaustive search for tiny instances.
+    When ``verdicts`` is a list, one list per component is appended to it: the
+    verdicts of the solvers tried, in order, ending with the one that ran.
     """
+    if verdicts is None:
+        verdicts = []
     comps = inst.graph.connected_components()
     if len(comps) <= 1:
-        return _dispatch_connected(inst, hint)
+        alloc, method, trace, tried = _dispatch_connected(inst, hint)
+        verdicts.append(tried)
+        return alloc, method, trace
 
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
@@ -387,7 +458,8 @@ def solve(
         sub_hint = None
         if hint is not None:
             sub_hint = _compact_coloring(hint, comp, v_fwd)
-        alloc, method, sub_trace = _dispatch_connected(sub, sub_hint)
+        alloc, method, sub_trace, tried = _dispatch_connected(sub, sub_hint)
+        verdicts.append(tried)
         for u, b in alloc.bundles.items():
             bundles[v_back[u]] = frozenset(e_back[g] for g in b)
         trace.extend(_remap_event(ev, v_back, e_back) for ev in sub_trace)

@@ -7,9 +7,12 @@ sorted edge-id lists so files are byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from .multigraph import MultiGraph
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,52 @@ TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
 BRANCH_SAME_KEEP = "same_bundle_keep"
 BRANCH_SAME_LEFTOVERS = "same_bundle_leftovers"
 BRANCH_DIFFERENT = "different_bundles"
+
+
+def _ids(ev: TraceEvent) -> tuple[list, list, list]:
+    """The agent ids, good ids and other counts (colors, t, phase) an event names."""
+    if isinstance(ev, ColoringUsed):
+        return list(ev.colors), [], list(ev.colors.values()) + [ev.t]
+    agents = list(ev.snapshot)
+    goods = [g for bundle in ev.snapshot.values() for g in bundle]
+    counts = []
+    if isinstance(ev, StructureResolved):
+        agents += [ev.root] + ([] if ev.favourite is None else [ev.favourite])
+        for g, frm, to in ev.transfers:
+            agents += [frm, to]
+            goods.append(g)
+        counts.append(ev.phase)
+    elif isinstance(ev, LeafAttached):
+        agents += [ev.leaf, ev.parent, ev.leftover_to]
+        goods += list(ev.pieces[0]) + list(ev.pieces[1])
+    else:
+        agents += list(ev.cycle)
+    return agents, goods, counts
+
+
+def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
+    """Raise InputError unless ``trace`` can be audited against ``graph``.
+
+    Every agent id must be an integer in 0..n-1, every good id one in 0..m-1,
+    and colors, t and phases nonnegative integers.  When the trace colors
+    vertices, every holder in a structure snapshot and both endpoints of each
+    good it holds must have a color.
+    """
+    n, m = graph.vertex_count, graph.edge_count
+    colored = {v for ev in trace if isinstance(ev, ColoringUsed) for v in ev.colors}
+    for i, ev in enumerate(trace):
+        agents, goods, counts = _ids(ev)
+        for kind, ids, bound in (("agent", agents, n), ("good", goods, m), ("count", counts, None)):
+            for x in ids:
+                if (not isinstance(x, int) or isinstance(x, bool) or x < 0
+                        or (bound is not None and x >= bound)):
+                    where = "a nonnegative integer" if bound is None else f"in 0..{bound - 1}"
+                    raise InputError(f"trace event {i} names {kind} {x!r}, not {where}")
+        if colored and isinstance(ev, StructureResolved):
+            for w, bundle in ev.snapshot.items():
+                for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
+                    if v not in colored:
+                        raise InputError(f"trace event {i} involves agent {v}, which has no color")
 
 
 def _snapshot_to_json(snapshot: dict[int, frozenset[int]]) -> dict[str, list[int]]:

@@ -11,8 +11,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import CapacityError, InputError
 
 MONOTONE_CHECK_MAX = 20
@@ -61,7 +59,7 @@ class BudgetAdditive(Valuation):
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.values))
-        if not isinstance(self.cap, int) or self.cap < 0:
+        if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 0:
             raise InputError("cap must be a nonnegative integer")
 
     def value(self, bundle: Iterable[int]) -> int:
@@ -173,7 +171,7 @@ def is_cancellable_bruteforce(
     if k > CANCELLABLE_CHECK_MAX:
         raise CapacityError(f"cancellability check limited to {CANCELLABLE_CHECK_MAX} goods")
     vs = _value_table(val, goods)
-    if k >= 6 and _cancellable_fast_ok(vs, k):
+    if _cancellable_screen(vs, k):
         return True, None
     for s_mask in range(1 << k):
         vS = vs[s_mask]
@@ -193,16 +191,18 @@ def is_cancellable_bruteforce(
     return True, None
 
 
-def _cancellable_fast_ok(vs: list[int], k: int) -> bool:
-    # Vectorized all-pairs screen; integer dtype keeps arithmetic exact.
-    v = np.asarray(vs, dtype=np.int64)
-    masks = np.arange(1 << k)
+def _cancellable_screen(vs: list[int], k: int) -> bool:
+    """Exact cancellability test by sorting, without a witness.
+
+    For each good i, sort the subsets S without i by v(S).  Cancellability
+    holds iff v(S+i) never decreases along that order and is equal within
+    ties of v(S).  Sorting by the pair (v(S), v(S+i)) puts every tie in
+    ascending v(S+i), so comparing neighbours checks both conditions.
+    """
     for i in range(k):
         bit = 1 << i
-        free = masks[(masks & bit) == 0]
-        base = v[free]
-        bumped = v[free | bit]
-        holds = (base[:, None] < base[None, :]) | (bumped[:, None] >= bumped[None, :])
-        if not bool(holds.all()):
-            return False
+        pairs = sorted((vs[s], vs[s | bit]) for s in range(1 << k) if not s & bit)
+        for (v_s, up_s), (v_t, up_t) in zip(pairs, pairs[1:]):
+            if up_t < up_s or (v_t == v_s and up_t != up_s):
+                return False
     return True

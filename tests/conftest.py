@@ -183,3 +183,42 @@ def random_allocation(rng: random.Random, inst):
         if holder < n:
             bundles.setdefault(holder, set()).add(g)
     return Allocation(bundles={u: frozenset(b) for u, b in bundles.items()})
+
+
+def reference_chromatic(graph):
+    """The dispatcher's chromatic rule before girth-first classification.
+
+    The smallest coloring with t <= 4 by exact search, accepted only when the
+    girth is at least 2t-1.  Returns that coloring, or None.
+    """
+    col = graph.find_coloring(4)
+    if col is not None and graph.girth() >= 2 * col.t - 1:
+        return col
+    return None
+
+
+def mycielski_graph(steps):
+    """Mycielski's construction applied ``steps`` times to K2 (steps=3 gives M5)."""
+    pairs, n = [(0, 1)], 2
+    for _ in range(steps):
+        step = list(pairs)
+        for a, b in pairs:
+            step += [(a, n + b), (b, n + a)]
+        step += [(n + i, 2 * n) for i in range(n)]
+        pairs, n = step, 2 * n + 1
+    return MultiGraph(n, pairs)
+
+
+def gnp_graph(rng: random.Random, n, p, max_parallel=1):
+    """Erdos-Renyi G(n, p) on vertices 0..n-1; each chosen pair gets 1..max_parallel goods."""
+    pairs = []
+    for u in range(n):
+        for w in range(u + 1, n):
+            if rng.random() < p:
+                pairs += [(u, w)] * rng.randint(1, max_parallel)
+    return MultiGraph(n, pairs)
+
+
+def zero_instance(graph):
+    """The graph with additive valuations worth nothing: for structural tests."""
+    return Instance(graph=graph, valuations={u: Additive(values={}) for u in range(graph.vertex_count)})

@@ -1,10 +1,13 @@
+import dataclasses
 import random
 
-from graphefx import Instance, MultiGraph
+import pytest
+
+from graphefx import InputError, Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace
 from graphefx.generators import gen_bipartite, gen_multitree, gen_petersen
 from graphefx.solvers import bipartite_efx, chromatic_efx, solve, tree_efx
-from graphefx.trace import ColoringUsed
+from graphefx.trace import ColoringUsed, check_trace
 
 from .conftest import random_family_valuation, tamper_trace
 
@@ -89,3 +92,30 @@ def test_unions_of_phase_based_components_pass():
                 report = audit_trace(inst, trace)
                 assert report.ok, (lengths, kind, report.results)
                 assert all(applicable for applicable, _ in report.results.values())
+
+
+def test_check_trace_accepts_solver_traces():
+    rng = random.Random(3)
+    instances = [_cycle_union(rng, (4, 5), "additive"), _cycle_union(rng, (5, 5), "unit_demand"),
+                 gen_petersen(seed=1, parallel_copies=2)[0], gen_multitree(seed=2, n=7)[0]]
+    for inst in instances:
+        check_trace(solve(inst)[2], inst.graph)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ev: dataclasses.replace(ev, root=99), "agent 99"),
+    (lambda ev: dataclasses.replace(ev, favourite="a"), "agent 'a'"),
+    (lambda ev: dataclasses.replace(ev, snapshot={0: frozenset({"x"})}), "good 'x'"),
+    (lambda ev: dataclasses.replace(ev, transfers=((0, 1, -1),)), "agent -1"),
+    (lambda ev: dataclasses.replace(ev, phase=None), "count None"),
+])
+def test_check_trace_rejects_bad_ids(b1_instance, edit, message):
+    coloring, event = bipartite_efx(b1_instance, b1_instance.graph.bipartition())[1]
+    with pytest.raises(InputError, match=message):
+        check_trace([coloring, edit(event)], b1_instance.graph)
+
+
+def test_check_trace_rejects_uncolored_holders(b1_instance):
+    _, event = bipartite_efx(b1_instance, b1_instance.graph.bipartition())[1]
+    with pytest.raises(InputError, match="agent 2, which has no color"):
+        check_trace([ColoringUsed(colors={0: 0, 1: 1}, t=2), event], b1_instance.graph)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphefx import Additive, InputError, Instance, MultiGraph
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, EXIT_UNSUPPORTED, main
 from graphefx.jsonio import (
     allocation_from_json,
@@ -98,7 +99,7 @@ def test_malformed_json_exit_1(tmp_path):
     assert main(["analyze", str(bad)]) == EXIT_INPUT
 
 
-def test_unsupported_class_exit_2(tmp_path):
+def test_unsupported_class_exit_2(tmp_path, capsys):
     doc = {
         "version": "1",
         "agents": ["a", "b", "c"],
@@ -117,6 +118,10 @@ def test_unsupported_class_exit_2(tmp_path):
     path = tmp_path / "tri.instance.json"
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == EXIT_UNSUPPORTED
+    err = capsys.readouterr().err
+    assert err.startswith("error: no solver applies: ") and "girth 3 < 5" in err
+    assert main(["analyze", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "eligible: none"
 
 
 def test_oracle_command(b1_file, capsys):
@@ -227,3 +232,73 @@ def test_table_valuation_round_trip(noncancellable_table, tmp_path):
     doc = instance_to_json(inst, ["x", "y"])
     inst2, _ = instance_from_json(doc)
     assert inst2.valuations[0].entries == noncancellable_table.entries
+
+
+def test_budget_additive_bool_cap_rejected(b1_instance):
+    doc = instance_to_json(b1_instance, ["a", "b", "c"])
+    doc["valuations"]["b"] = {"type": "budget_additive", "values": {"0": 3, "1": 3}, "cap": True}
+    with pytest.raises(InputError, match="cap"):
+        instance_from_json(doc)
+
+
+def _hostile_audit(c4_file, tmp_path, capsys, edit):
+    trace_path = tmp_path / "c4.trace.jsonl"
+    assert main(["solve", str(c4_file), "--trace", str(trace_path)]) == EXIT_OK
+    lines = trace_path.read_text().splitlines()
+    trace_path.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["audit", str(c4_file), str(trace_path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def _edit_first_structure(lines, **fields):
+    out = []
+    for line in lines:
+        obj = json.loads(line)
+        if obj["type"] == "structure_resolved" and fields:
+            obj.update(fields)
+            fields = {}
+        out.append(json.dumps(obj))
+    return out
+
+
+def test_audit_short_transfer_exit_1(c4_file, tmp_path, capsys):
+    err = _hostile_audit(c4_file, tmp_path, capsys,
+                         lambda lines: _edit_first_structure(lines, transfers=[[1, 2]]))
+    assert "cannot read trace" in err
+
+
+def test_audit_non_object_line_exit_1(c4_file, tmp_path, capsys):
+    err = _hostile_audit(c4_file, tmp_path, capsys, lambda lines: lines + ["[1, 2]"])
+    assert "cannot read trace" in err
+
+
+def test_audit_agent_out_of_range_exit_1(c4_file, tmp_path, capsys):
+    err = _hostile_audit(c4_file, tmp_path, capsys,
+                         lambda lines: _edit_first_structure(lines, root=99))
+    assert "agent 99" in err
+
+
+def test_solve_reports_dispatch_verdicts(tmp_path, capsys):
+    # a star on 0..2 beside a 5-cycle on 3..7
+    pairs = [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)]
+    g = MultiGraph(8, pairs)
+    inst = Instance(graph=g, valuations={
+        u: Additive(values={e: 1 + (u + e) % 5 for e in g.incident_edges(u)}) for u in range(8)
+    })
+    path = tmp_path / "u.instance.json"
+    save_instance(inst, [f"a{i}" for i in range(8)], path)
+    assert main(["solve", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["method_used"] == "componentwise(tree,chromatic)"
+    assert report["dispatch"] == [
+        [{"solver": "tree", "result": "applied"}],
+        [
+            {"solver": "tree", "result": "not a multi-tree"},
+            {"solver": "bipartite", "result": "not bipartite"},
+            {"solver": "chromatic", "result": "applied"},
+        ],
+    ]

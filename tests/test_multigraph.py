@@ -202,3 +202,15 @@ def test_find_coloring_is_proper_when_present():
 def test_connected_components():
     g = MultiGraph(6, [(0, 1), (2, 3), (2, 3)])
     assert g.connected_components() == [[0, 1], [2, 3], [4], [5]]
+
+
+def test_cached_structure_cannot_be_corrupted_by_callers():
+    g = MultiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    girth, cycle = g.shortest_cycle()
+    comps = g.connected_components()
+    cycle.append(5)
+    comps[0].append(5)
+    comps.append([9])
+    assert g.shortest_cycle() == (girth, cycle[:-1]) and len(cycle) == 4
+    assert g.connected_components() == [[0, 1, 2], [3, 4], [5]]
+    assert g.girth() == 3 and g.bipartition() is None and not g.is_multitree()

@@ -19,10 +19,28 @@ from graphefx import (
     solve,
     tree_efx,
 )
-from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
+from graphefx.cli import _analysis
+from graphefx.generators import (
+    PETERSEN_EDGES,
+    gen_bipartite,
+    gen_multicycle,
+    gen_multitree,
+    gen_petersen,
+)
+from graphefx.solvers import (
+    BRUTE_FORCE_AGENT_MAX,
+    BRUTE_FORCE_GOOD_MAX,
+    classify,
+)
 from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, StructureResolved
 
-from .conftest import naive_is_efx
+from .conftest import (
+    gnp_graph,
+    mycielski_graph,
+    naive_is_efx,
+    reference_chromatic,
+    zero_instance,
+)
 
 
 def test_bipartite_b1_worked_example(b1_instance):
@@ -223,12 +241,8 @@ def test_dispatch_prefers_tree():
 
 def test_dispatch_unsupported_class():
     # multi-triangle with 9 goods: girth 3 blocks chromatic, too many goods for brute force
-    g = MultiGraph(3, [(0, 1)] * 3 + [(1, 2)] * 3 + [(2, 0)] * 3)
-    vals = {
-        u: Additive(values={e: 1 for e in g.incident_edges(u)}) for u in range(3)
-    }
     with pytest.raises(UnsupportedClassError, match="no solver applies"):
-        solve(Instance(graph=g, valuations=vals))
+        solve(_multi_triangle())
 
 
 def test_dispatch_disconnected_componentwise():
@@ -276,3 +290,120 @@ def test_solve_deterministic(b1_instance):
     assert first[0] == second[0]
     assert first[1] == second[1]
     assert first[2] == second[2]
+
+
+def _cycle(length, rng):
+    return [(i, (i + 1) % length) for i in range(length) for _ in range(rng.randint(1, 2))]
+
+
+def _classifier_graphs(rng):
+    """Small multigraphs across the chromatic rule's cases, several hundred in all."""
+    graphs = [gnp_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.35, 0.5, 0.8)), 2)
+              for _ in range(300)]
+    for _ in range(3):
+        for length in (3, 4, 5, 6, 7, 9, 11):
+            graphs.append(MultiGraph(length, _cycle(length, rng)))
+    for copies in (1, 2, 3):
+        graphs.append(MultiGraph(10, PETERSEN_EDGES * copies))
+    graphs += [
+        MultiGraph(10, PETERSEN_EDGES + [(0, 2)]),  # a chord: girth 3
+        MultiGraph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]),  # K4
+        MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)]),
+        MultiGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3: girth 4
+        MultiGraph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]),  # girth 4, odd cycle
+        mycielski_graph(2),  # Groetzsch: girth 4, chromatic number 4
+        MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 5)]),
+    ]
+    return graphs
+
+
+def test_classify_matches_coloring_first_reference():
+    rng = random.Random(2023)
+    graphs = _classifier_graphs(rng)
+    assert len(graphs) > 300
+    accepted = rejected_by_girth = 0
+    for g in graphs:
+        (verdict,) = [v for v in classify(zero_instance(g)) if v.solver == "chromatic"]
+        want = reference_chromatic(g)
+        assert (verdict.structure if verdict.applies else None) == want, g.edges
+        accepted += want is not None
+        if g.bipartition() is None and g.girth() < 5:
+            assert verdict.reason.startswith(f"girth {g.girth()} < 5")
+            rejected_by_girth += 1
+    assert accepted >= 50 and rejected_by_girth >= 50
+
+
+def test_out_of_class_graphs_rejected_before_any_coloring_search(monkeypatch):
+    def no_search(self, t_max):
+        raise AssertionError("find_coloring ran")
+
+    monkeypatch.setattr(MultiGraph, "find_coloring", no_search)
+    sparse = gnp_graph(random.Random(0), 80, 4.5 / 80)
+    assert len(sparse.connected_components()) == 1
+    for graph, girth in ((mycielski_graph(3), 4), (sparse, 3)):
+        with pytest.raises(UnsupportedClassError, match=f"^no solver applies: .*girth {girth} < 5"):
+            solve(zero_instance(graph))
+
+
+def test_classify_stops_at_a_multitree(monkeypatch):
+    for meth in ("bipartition", "shortest_cycle", "girth", "find_coloring"):
+        monkeypatch.setattr(MultiGraph, meth, lambda *a: pytest.fail("computed on a tree"))
+    inst, _ = gen_multitree(seed=4, n=8, max_parallel=2)
+    verdicts = []
+    assert solve(inst, verdicts=verdicts)[1] == "tree"
+    assert [[(v.solver, v.reason) for v in tried] for tried in verdicts] == [[("tree", None)]]
+
+
+def _accepted_by_solvers(inst):
+    """The solvers whose own preconditions and the dispatcher's size guard accept ``inst``."""
+    g = inst.graph
+
+    def accepts(solver, *structure):
+        if None in structure:
+            return False
+        try:
+            solver(inst, *structure)
+        except PreconditionError:
+            return False
+        return True
+
+    verdicts = {
+        "tree": accepts(tree_efx),
+        "bipartite": accepts(bipartite_efx, g.bipartition()),
+        "chromatic": accepts(chromatic_efx, g.find_coloring(4)),
+        "brute_force": g.vertex_count <= BRUTE_FORCE_AGENT_MAX
+        and g.edge_count <= BRUTE_FORCE_GOOD_MAX,
+    }
+    return [name for name, ok in verdicts.items() if ok]
+
+
+def _table_cycle(length):
+    g = MultiGraph(length, [(i, (i + 1) % length) for i in range(length)])
+    vals = {}
+    for u in range(length):
+        a, b = sorted(g.incident_edges(u))
+        vals[u] = Table(entries={frozenset(): 0, frozenset({a}): 2, frozenset({b}): 1,
+                                 frozenset({a, b}): 3})
+    return Instance(graph=g, valuations=vals)
+
+
+def _multi_triangle():
+    g = MultiGraph(3, [(0, 1)] * 3 + [(1, 2)] * 3 + [(2, 0)] * 3)
+    return Instance(graph=g, valuations={
+        u: Additive(values={e: 1 for e in g.incident_edges(u)}) for u in range(3)
+    })
+
+
+@pytest.mark.parametrize("make, eligible", [
+    (lambda: _table_cycle(4), ["brute_force"]),
+    (lambda: _table_cycle(6), []),
+    (_multi_triangle, []),
+])
+def test_analyze_lists_exactly_what_solve_accepts(make, eligible):
+    inst = make()
+    assert _analysis(inst)["eligible"] == eligible == _accepted_by_solvers(inst)
+    if eligible:
+        assert solve(inst)[1] == eligible[0]
+    else:
+        with pytest.raises(UnsupportedClassError, match="no solver applies"):
+            solve(inst)

@@ -111,7 +111,7 @@ def test_cancellable_agrees_with_naive_reimplementation():
 
 
 def test_cancellable_fast_screen_matches_slow_path(noncancellable_table):
-    # k >= 6 triggers the vectorized screen; cancellable families must pass it
+    # the sorting screen runs first; cancellable families must pass it
     rng = random.Random(9)
     goods = list(range(6))
     for kind in ("additive", "unit_demand", "budget_additive"):
@@ -154,3 +154,25 @@ def test_value_restricted_to_support():
         for extra in ({}, {0}, {0, 1, 3}):
             bundle = {2, 7} | set(extra)
             assert val.value(bundle) == val.value(bundle & val.support)
+
+
+def test_cancellable_exact_beyond_64_bits():
+    assert is_cancellable_bruteforce(Additive(values={g: 2**62 for g in range(6)}), range(6)) == (
+        True, None)
+
+
+def test_cancellable_screen_matches_naive_on_tables():
+    from graphefx.generators import _random_table
+    from graphefx.valuation import _cancellable_screen, _value_table
+
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(80):
+        goods = list(range(rng.randint(1, 4)))
+        table = _random_table(rng, goods, value_max=rng.choice((1, 3, 9)))
+        want = _naive_cancellable(table, goods)
+        assert _cancellable_screen(_value_table(table, goods), len(goods)) == want
+        ok, witness = is_cancellable_bruteforce(table, goods)
+        assert ok == want and (witness is None) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
