@@ -40,6 +40,11 @@ class AuditReport:
     def ok(self) -> bool:
         return all(not msgs for _, msgs in self.results.values())
 
+    def status(self, family: str) -> str:
+        """"n/a" when ``family`` does not apply to the trace, else "pass" or "fail"."""
+        applicable, msgs = self.results[family]
+        return "n/a" if not applicable else ("pass" if not msgs else "fail")
+
 
 def _merged_colors(trace: list[TraceEvent]) -> Optional[dict[int, int]]:
     """Vertex colors over every ColoringUsed event, or None when there is none.

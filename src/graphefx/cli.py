@@ -19,7 +19,7 @@ from typing import Optional
 from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
 from .errors import GraphEfxError, InputError, UnsupportedClassError
-from .generators import generate
+from .generators import VALUATION_KINDS, generate
 from .jsonio import (
     load_allocation,
     load_instance,
@@ -31,7 +31,7 @@ from .jsonio import (
 )
 from .multigraph import Coloring
 from .oracle import brute_force_efx
-from .solvers import DISPATCH_T_MAX, Instance, classify, solve
+from .solvers import Instance, classify, smallest_coloring, solve
 from .trace import check_trace
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _analysis(inst: Instance) -> dict:
     g = inst.graph
     girth, _ = g.shortest_cycle()
     bipart = g.bipartition()
-    col = g.find_coloring(DISPATCH_T_MAX)
+    col, _ = smallest_coloring(g)
     return {
         "agents": g.vertex_count,
         "goods": g.edge_count,
@@ -141,10 +141,7 @@ def _solve_one(
             [{"solver": v.solver, "result": v.reason or "applied"} for v in tried]
             for tried in verdicts
         ],
-        "audit": {
-            family: ("n/a" if not applicable else ("pass" if not msgs else "fail"))
-            for family, (applicable, msgs) in audit.results.items()
-        },
+        "audit": {family: audit.status(family) for family in audit.results},
     }
     if out_path:
         save_allocation(alloc, names, out_path)
@@ -208,15 +205,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     trace = load_trace(args.trace)
     check_trace(trace, inst.graph)
     report = audit_trace(inst, trace)
-    ok = True
     for family in FAMILIES:
-        applicable, msgs = report.results[family]
-        status = "n/a" if not applicable else ("pass" if not msgs else "fail")
-        print(f"{family}: {status}")
-        for msg in msgs:
+        print(f"{family}: {report.status(family)}")
+        for msg in report.results[family][1]:
             print(f"  {msg}")
-            ok = False
-    return EXIT_OK if ok else EXIT_NOT_EFX
+    return EXIT_OK if report.ok else EXIT_NOT_EFX
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("family", choices=["bipartite", "multitree", "multicycle", "petersen"])
     p_gen.add_argument("--seed", type=int, default=None,
                        help=f"64-bit seed (default: ${SEED_ENV_VAR} or 0)")
-    p_gen.add_argument("--valuations", default="additive",
-                       choices=["additive", "unit_demand", "budget_additive", "table"])
+    p_gen.add_argument("--valuations", default="additive", choices=VALUATION_KINDS)
     p_gen.add_argument("--n-left", type=int, default=3)
     p_gen.add_argument("--n-right", type=int, default=3)
     p_gen.add_argument("--edge-prob", default="1/2", help="integer rational P/Q")

@@ -13,9 +13,9 @@ from typing import Optional
 from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
-from .valuation import Additive, BudgetAdditive, Table, UnitDemand, Valuation
+from .valuation import KINDS, Additive, BudgetAdditive, Table, UnitDemand, Valuation
 
-VALUATION_KINDS = ("additive", "unit_demand", "budget_additive", "table")
+VALUATION_KINDS = tuple(KINDS)
 TABLE_SUPPORT_MAX = 4
 
 PETERSEN_EDGES = [

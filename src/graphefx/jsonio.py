@@ -7,6 +7,7 @@ stable name -> index mapping given by declaration order.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Union
 
@@ -15,43 +16,30 @@ from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
 from .trace import TraceEvent, event_from_json, event_to_json
-from .valuation import Additive, BudgetAdditive, Table, UnitDemand, Valuation
+from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
 
 
 def _valuation_to_json(val: Valuation) -> dict:
-    if isinstance(val, Additive):
-        return {"type": "additive", "values": {str(g): v for g, v in sorted(val.values.items())}}
-    if isinstance(val, BudgetAdditive):
-        return {
-            "type": "budget_additive",
-            "values": {str(g): v for g, v in sorted(val.values.items())},
-            "cap": val.cap,
-        }
-    if isinstance(val, UnitDemand):
-        return {"type": "unit_demand", "values": {str(g): v for g, v in sorted(val.values.items())}}
     if isinstance(val, Table):
         entries = sorted(((sorted(s), v) for s, v in val.entries.items()), key=lambda e: (len(e[0]), e[0]))
         return {"type": "table", "entries": [{"goods": s, "value": v} for s, v in entries]}
-    raise InputError(f"cannot serialize valuation {val!r}")
+    if getattr(val, "kind", None) not in KINDS:
+        raise InputError(f"cannot serialize valuation {val!r}")
+    values = {str(g): v for g, v in sorted(val.values.items())}
+    return {"type": val.kind, **vars(val), "values": values}
 
 
 def _valuation_from_json(obj: dict) -> Valuation:
     try:
-        kind = obj["type"]
-        if kind == "additive":
-            return Additive(values={int(g): v for g, v in obj["values"].items()})
-        if kind == "budget_additive":
-            return BudgetAdditive(
-                values={int(g): v for g, v in obj["values"].items()}, cap=obj["cap"]
-            )
-        if kind == "unit_demand":
-            return UnitDemand(values={int(g): v for g, v in obj["values"].items()})
-        if kind == "table":
-            return Table(
-                entries={frozenset(e["goods"]): e["value"] for e in obj["entries"]}
-            )
+        cls = KINDS.get(obj["type"])
+        if cls is Table:
+            return Table(entries={frozenset(e["goods"]): e["value"] for e in obj["entries"]})
+        if cls is not None:
+            values = {int(g): v for g, v in obj["values"].items()}
+            rest = {f.name: obj[f.name] for f in fields(cls) if f.name != "values"}
+            return cls(values=values, **rest)
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed valuation object: {exc}") from exc
     raise InputError(f"unknown valuation type {obj.get('type')!r}")

@@ -33,6 +33,7 @@ from .trace import (
     LeafAttached,
     StructureResolved,
     TraceEvent,
+    relabel,
 )
 from .valuation import Table, Valuation
 
@@ -250,22 +251,16 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
         leaf_piece, rest = cut.piece(s), cut.piece(3 - s)
         bundles.setdefault(leaf, set()).update(leaf_piece)
 
+        # the complement goes to the parent, or to an envy-graph source of it
         source = find_source_with_path(eg, parent)
-        if source is None:
-            recipient = parent
-            bundles.setdefault(parent, set()).update(rest)
-            trace.append(
-                LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                             leftover_to=recipient, snapshot=_snapshot(bundles))
-            )
-        else:
+        recipient = parent if source is None else source[0]
+        bundles.setdefault(recipient, set()).update(rest)
+        trace.append(
+            LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
+                         leftover_to=recipient, snapshot=_snapshot(bundles))
+        )
+        if source is not None:
             s_vertex, path = source
-            recipient = s_vertex
-            bundles.setdefault(s_vertex, set()).update(rest)
-            trace.append(
-                LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                             leftover_to=recipient, snapshot=_snapshot(bundles))
-            )
             v_p = inst.valuations[parent]
             if v_p.value(bundles.get(parent, set())) < v_p.value(bundles.get(s_vertex, set())):
                 cyc = [parent] + path[:-1]  # parent envies the source; close the loop
@@ -284,53 +279,15 @@ def _sub_instance(inst: Instance, comp: list[int]) -> tuple[Instance, dict[int, 
     e_back = {i: eid for eid, i in e_fwd.items()}
     pairs = [(v_fwd[inst.graph.edges[eid][0]], v_fwd[inst.graph.edges[eid][1]]) for eid in edge_ids]
     graph = MultiGraph(len(comp), pairs)
-    vals = {v_fwd[v]: _remap_valuation(inst.valuations[v], e_fwd) for v in comp}
+    vals = {v_fwd[v]: inst.valuations[v].relabel(e_fwd.__getitem__) for v in comp}
     return Instance(graph=graph, valuations=vals), v_back, e_back
 
 
-def _remap_valuation(val: Valuation, e_fwd: dict[int, int]) -> Valuation:
-    from .valuation import Additive, BudgetAdditive, Table, UnitDemand
-
-    if isinstance(val, Additive):
-        return Additive(values={e_fwd[g]: v for g, v in val.values.items()})
-    if isinstance(val, UnitDemand):
-        return UnitDemand(values={e_fwd[g]: v for g, v in val.values.items()})
-    if isinstance(val, BudgetAdditive):
-        return BudgetAdditive(values={e_fwd[g]: v for g, v in val.values.items()}, cap=val.cap)
-    if isinstance(val, Table):
-        return Table(entries={frozenset(e_fwd[g] for g in s): v for s, v in val.entries.items()})
-    raise InputError(f"cannot remap valuation {val!r}")
-
-
-def _remap_event(ev: TraceEvent, v_back: dict[int, int], e_back: dict[int, int]) -> TraceEvent:
-    def snap(s):
-        return {v_back[u]: frozenset(e_back[g] for g in b) for u, b in s.items()}
-
-    if isinstance(ev, ColoringUsed):
-        return ColoringUsed(colors={v_back[v]: c for v, c in ev.colors.items()}, t=ev.t)
-    if isinstance(ev, StructureResolved):
-        return StructureResolved(
-            phase=ev.phase, root=v_back[ev.root],
-            favourite=None if ev.favourite is None else v_back[ev.favourite],
-            branch=ev.branch, snapshot=snap(ev.snapshot),
-            transfers=tuple((e_back[g], v_back[a], v_back[b]) for g, a, b in ev.transfers),
-        )
-    if isinstance(ev, LeafAttached):
-        return LeafAttached(
-            leaf=v_back[ev.leaf], parent=v_back[ev.parent],
-            pieces=(frozenset(e_back[g] for g in ev.pieces[0]),
-                    frozenset(e_back[g] for g in ev.pieces[1])),
-            leftover_to=v_back[ev.leftover_to], snapshot=snap(ev.snapshot),
-        )
-    if isinstance(ev, CycleResolved):
-        return CycleResolved(cycle=tuple(v_back[v] for v in ev.cycle), snapshot=snap(ev.snapshot))
-    raise InputError(f"unknown trace event {ev!r}")
-
-
-def _compact_coloring(col: Coloring, comp: list[int], v_fwd: dict[int, int]) -> Coloring:
+def _compact_coloring(col: Coloring, comp: list[int]) -> Coloring:
+    """``col`` on the component, renumbered like ``_sub_instance``, with its colors made dense."""
     used = sorted({col.colors[v] for v in comp})
-    relabel = {c: i for i, c in enumerate(used)}
-    return Coloring(colors={v_fwd[v]: relabel[col.colors[v]] for v in comp}, t=len(used))
+    dense = {c: i for i, c in enumerate(used)}
+    return Coloring(colors={i: dense[col.colors[v]] for i, v in enumerate(comp)}, t=len(used))
 
 
 @dataclass(frozen=True)
@@ -347,29 +304,36 @@ class Verdict:
         return self.reason is None
 
 
-def _chromatic_verdict(
-    inst: Instance, hint: Optional[Coloring], bipartite: bool, table: Optional[int]
-) -> Verdict:
-    g = inst.graph
-    if table is not None:
-        return Verdict("chromatic", f"agent {table} has a table valuation")
+def smallest_coloring(g: MultiGraph) -> tuple[Optional[Coloring], Optional[str]]:
+    """The smallest proper coloring whose t the girth admits, or None and why not.
+
+    girth >= 2t-1 bounds t by (girth+1)//2, and t <= DISPATCH_T_MAX.  A
+    non-bipartite graph needs t >= 3, so below girth 5 none is searched.
+    """
     girth = g.girth()
-    if hint is not None:
-        ok, edge = g.validate_coloring(hint)
-        if not ok:
-            return Verdict("chromatic", f"the coloring hint is not proper at edge {edge}")
-        if girth < 2 * hint.t - 1:
-            return Verdict("chromatic", f"girth {girth} < 2*{hint.t}-1 for the {hint.t}-coloring hint")
-        return Verdict("chromatic", structure=hint)
-    # girth >= 2t-1 bounds t by (girth+1)//2; a non-bipartite graph needs
-    # t >= 3, so below girth 5 no coloring can qualify and none is searched.
-    if not bipartite and girth < 5:
-        return Verdict("chromatic", f"girth {girth} < 5, and a non-bipartite graph needs t >= 3")
+    if g.bipartition() is None and girth < 5:
+        return None, f"girth {girth} < 5, and a non-bipartite graph needs t >= 3"
     t_max = DISPATCH_T_MAX if girth == INFINITE_GIRTH else min(DISPATCH_T_MAX, (girth + 1) // 2)
     col = g.find_coloring(t_max)
     if col is None:
-        return Verdict("chromatic", f"no proper coloring with t <= {t_max} (girth {girth})")
-    return Verdict("chromatic", structure=col)
+        return None, f"no proper coloring with t <= {t_max} (girth {girth})"
+    return col, None
+
+
+def _chromatic_verdict(inst: Instance, hint: Optional[Coloring], table: Optional[int]) -> Verdict:
+    g = inst.graph
+    if table is not None:
+        return Verdict("chromatic", f"agent {table} has a table valuation")
+    if hint is None:
+        col, reason = smallest_coloring(g)
+        return Verdict("chromatic", reason, col)
+    ok, edge = g.validate_coloring(hint)
+    if not ok:
+        return Verdict("chromatic", f"the coloring hint is not proper at edge {edge}")
+    girth = g.girth()
+    if girth < 2 * hint.t - 1:
+        return Verdict("chromatic", f"girth {girth} < 2*{hint.t}-1 for the {hint.t}-coloring hint")
+    return Verdict("chromatic", structure=hint)
 
 
 def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdict]:
@@ -392,7 +356,7 @@ def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdic
     else:
         yield Verdict("bipartite", structure=bipart)
 
-    yield _chromatic_verdict(inst, hint, bipart is not None, table)
+    yield _chromatic_verdict(inst, hint, table)
 
     n, m = g.vertex_count, g.edge_count
     if n <= BRUTE_FORCE_AGENT_MAX and m <= BRUTE_FORCE_GOOD_MAX and n ** m <= BRUTE_FORCE_MAX:
@@ -449,20 +413,19 @@ def solve(
         verdicts.append(tried)
         return alloc, method, trace
 
+    if hint is not None:
+        inst.graph.validate_coloring(hint)  # every vertex colored within 0..t-1, or InputError
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
     methods: list[str] = []
     for comp in comps:
         sub, v_back, e_back = _sub_instance(inst, comp)
-        v_fwd = {v: i for i, v in v_back.items()}
-        sub_hint = None
-        if hint is not None:
-            sub_hint = _compact_coloring(hint, comp, v_fwd)
+        sub_hint = None if hint is None else _compact_coloring(hint, comp)
         alloc, method, sub_trace, tried = _dispatch_connected(sub, sub_hint)
         verdicts.append(tried)
         for u, b in alloc.bundles.items():
             bundles[v_back[u]] = frozenset(e_back[g] for g in b)
-        trace.extend(_remap_event(ev, v_back, e_back) for ev in sub_trace)
+        trace.extend(relabel(ev, v_back.__getitem__, e_back.__getitem__) for ev in sub_trace)
         methods.append(method)
     method = methods[0] if len(set(methods)) == 1 else "componentwise(" + ",".join(methods) + ")"
     return Allocation(bundles=bundles), method, trace

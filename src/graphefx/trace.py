@@ -1,26 +1,35 @@
 """Per-iteration solver trace events, used for step-by-step invariant auditing.
 
-Traces serialize to JSON-lines, one event per line; bundles are written as
-sorted edge-id lists so files are byte-stable.
+Traces serialize to JSON-lines, one event per line.  The field types below are
+the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
+marks colors, t and phases.  ``relabel``, ``check_trace`` and both directions
+of the JSON codec are generic over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from dataclasses import dataclass, is_dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, NewType, Optional, Union
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import InputError
 
 if TYPE_CHECKING:
     from .multigraph import MultiGraph
 
+Agent = NewType("Agent", int)
+Good = NewType("Good", int)
+Count = NewType("Count", int)
+
 
 @dataclass(frozen=True)
 class ColoringUsed:
     """First event of a phase-based run: the vertex coloring driving the phases."""
 
-    colors: dict[int, int]
-    t: int
+    kind = "coloring_used"
+    colors: dict[Agent, Count]
+    t: Count
 
 
 @dataclass(frozen=True)
@@ -33,31 +42,34 @@ class StructureResolved:
     unallocated right-neighbour edges.
     """
 
-    phase: int
-    root: int
-    favourite: Optional[int]
+    kind = "structure_resolved"
+    phase: Count
+    root: Agent
+    favourite: Optional[Agent]
     branch: Optional[str]  # same_bundle_keep | same_bundle_leftovers | different_bundles
-    snapshot: dict[int, frozenset[int]]
-    transfers: tuple[tuple[int, int, int], ...]
+    snapshot: dict[Agent, frozenset[Good]]
+    transfers: tuple[tuple[Good, Agent, Agent], ...]
 
 
 @dataclass(frozen=True)
 class LeafAttached:
     """Tree solver: a leaf took its piece of the leaf-parent edge loop."""
 
-    leaf: int
-    parent: int
-    pieces: tuple[frozenset[int], frozenset[int]]  # (leaf's piece, complement)
-    leftover_to: int
-    snapshot: dict[int, frozenset[int]]
+    kind = "leaf_attached"
+    leaf: Agent
+    parent: Agent
+    pieces: tuple[frozenset[Good], frozenset[Good]]  # (leaf's piece, complement)
+    leftover_to: Agent
+    snapshot: dict[Agent, frozenset[Good]]
 
 
 @dataclass(frozen=True)
 class CycleResolved:
     """Bundles were shifted one step along a directed envy cycle."""
 
-    cycle: tuple[int, ...]
-    snapshot: dict[int, frozenset[int]]
+    kind = "cycle_resolved"
+    cycle: tuple[Agent, ...]
+    snapshot: dict[Agent, frozenset[Good]]
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
@@ -67,25 +79,66 @@ BRANCH_SAME_LEFTOVERS = "same_bundle_leftovers"
 BRANCH_DIFFERENT = "different_bundles"
 
 
-def _ids(ev: TraceEvent) -> tuple[list, list, list]:
-    """The agent ids, good ids and other counts (colors, t, phase) an event names."""
-    if isinstance(ev, ColoringUsed):
-        return list(ev.colors), [], list(ev.colors.values()) + [ev.t]
-    agents = list(ev.snapshot)
-    goods = [g for bundle in ev.snapshot.values() for g in bundle]
-    counts = []
-    if isinstance(ev, StructureResolved):
-        agents += [ev.root] + ([] if ev.favourite is None else [ev.favourite])
-        for g, frm, to in ev.transfers:
-            agents += [frm, to]
-            goods.append(g)
-        counts.append(ev.phase)
-    elif isinstance(ev, LeafAttached):
-        agents += [ev.leaf, ev.parent, ev.leftover_to]
-        goods += list(ev.pieces[0]) + list(ev.pieces[1])
-    else:
-        agents += list(ev.cycle)
-    return agents, goods, counts
+# The ``type`` tag of each event on a trace line.
+EVENT_KINDS = {cls.kind: cls for cls in get_args(TraceEvent)}
+
+
+def _same(x):
+    return x
+
+
+@lru_cache(maxsize=None)
+def _shape(tp) -> tuple:
+    """(origin, args) of a field type: ("event", its fields and their types) for an
+    event class, and origin None for an id or a str."""
+    if is_dataclass(tp):
+        return "event", tuple(get_type_hints(tp).items())
+    return get_origin(tp), get_args(tp)
+
+
+def _rebuild(tp, x, fns: dict, key: Callable):
+    """``x`` rebuilt as a value of type ``tp``, each id of role r mapped by ``fns[r]``.
+
+    Ids of a role without a function are kept.  An event is read from a
+    mapping of its fields, dict keys pass through ``key`` first, and a
+    fixed-length tuple of the wrong length raises ValueError.
+    """
+    origin, args = _shape(tp)
+    if origin is None:
+        return fns[tp](x) if tp in fns else x
+    if origin == "event":
+        return tp(**{f: _rebuild(ft, x[f], fns, key) for f, ft in args})
+    if origin is Union:  # Optional[T]
+        return None if x is None else _rebuild(args[0], x, fns, key)
+    if origin is dict:
+        return {_rebuild(args[0], key(k), fns, key): _rebuild(args[1], v, fns, key)
+                for k, v in x.items()}
+    if origin is frozenset:  # a set of ids: map them without a call per id
+        return frozenset(map(fns.get(args[0], _same), x))
+    if args[-1] is Ellipsis:
+        return tuple(_rebuild(args[0], v, fns, key) for v in x)
+    if len(x) != len(args):
+        raise ValueError(f"expected {len(args)} items, got {len(x)}")
+    return tuple(_rebuild(a, v, fns, key) for a, v in zip(args, x))
+
+
+def relabel(ev: TraceEvent, agent: Callable, good: Callable, count: Callable = _same) -> TraceEvent:
+    """``ev`` with every agent id mapped by ``agent``, every good id by ``good``
+    and every color, t and phase by ``count``."""
+    return _rebuild(type(ev), vars(ev), {Agent: agent, Good: good, Count: count}, _same)
+
+
+def _id_check(i: int, kind: str, bound: Optional[int]) -> Callable[[int], int]:
+    """The identity on ids valid below ``bound``; raises InputError naming event ``i`` otherwise."""
+
+    def check(x):
+        if (not isinstance(x, int) or isinstance(x, bool) or x < 0
+                or (bound is not None and x >= bound)):
+            where = "a nonnegative integer" if bound is None else f"in 0..{bound - 1}"
+            raise InputError(f"trace event {i} names {kind} {x!r}, not {where}")
+        return x
+
+    return check
 
 
 def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
@@ -99,13 +152,7 @@ def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
     n, m = graph.vertex_count, graph.edge_count
     colored = {v for ev in trace if isinstance(ev, ColoringUsed) for v in ev.colors}
     for i, ev in enumerate(trace):
-        agents, goods, counts = _ids(ev)
-        for kind, ids, bound in (("agent", agents, n), ("good", goods, m), ("count", counts, None)):
-            for x in ids:
-                if (not isinstance(x, int) or isinstance(x, bool) or x < 0
-                        or (bound is not None and x >= bound)):
-                    where = "a nonnegative integer" if bound is None else f"in 0..{bound - 1}"
-                    raise InputError(f"trace event {i} names {kind} {x!r}, not {where}")
+        relabel(ev, _id_check(i, "agent", n), _id_check(i, "good", m), _id_check(i, "count", None))
         if colored and isinstance(ev, StructureResolved):
             for w, bundle in ev.snapshot.items():
                 for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
@@ -113,70 +160,25 @@ def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
                         raise InputError(f"trace event {i} involves agent {v}, which has no color")
 
 
-def _snapshot_to_json(snapshot: dict[int, frozenset[int]]) -> dict[str, list[int]]:
-    return {str(u): sorted(b) for u, b in sorted(snapshot.items()) if b}
-
-
-def _snapshot_from_json(obj: dict) -> dict[int, frozenset[int]]:
-    return {int(u): frozenset(b) for u, b in obj.items()}
+def _to_json(x):
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, dict):  # empty bundles are not written
+        return {str(k): _to_json(v) for k, v in sorted(x.items()) if v or not isinstance(v, frozenset)}
+    if isinstance(x, tuple):
+        return [_to_json(v) for v in x]
+    return x
 
 
 def event_to_json(ev: TraceEvent) -> dict:
-    if isinstance(ev, ColoringUsed):
-        return {
-            "type": "coloring_used",
-            "colors": {str(v): c for v, c in sorted(ev.colors.items())},
-            "t": ev.t,
-        }
-    if isinstance(ev, StructureResolved):
-        return {
-            "type": "structure_resolved",
-            "phase": ev.phase,
-            "root": ev.root,
-            "favourite": ev.favourite,
-            "branch": ev.branch,
-            "snapshot": _snapshot_to_json(ev.snapshot),
-            "transfers": [list(t) for t in ev.transfers],
-        }
-    if isinstance(ev, LeafAttached):
-        return {
-            "type": "leaf_attached",
-            "leaf": ev.leaf,
-            "parent": ev.parent,
-            "pieces": [sorted(ev.pieces[0]), sorted(ev.pieces[1])],
-            "leftover_to": ev.leftover_to,
-            "snapshot": _snapshot_to_json(ev.snapshot),
-        }
-    if isinstance(ev, CycleResolved):
-        return {
-            "type": "cycle_resolved",
-            "cycle": list(ev.cycle),
-            "snapshot": _snapshot_to_json(ev.snapshot),
-        }
-    raise InputError(f"unknown trace event {ev!r}")
+    """One trace line: a dict is written with string keys, a set or tuple as a list."""
+    return {"type": ev.kind, **{f: _to_json(v) for f, v in vars(ev).items()}}
 
 
 def event_from_json(obj: dict) -> TraceEvent:
+    """The event of one trace line; each field is read as its declared type."""
     kind = obj.get("type")
-    if kind == "coloring_used":
-        return ColoringUsed(colors={int(v): c for v, c in obj["colors"].items()}, t=obj["t"])
-    if kind == "structure_resolved":
-        return StructureResolved(
-            phase=obj["phase"],
-            root=obj["root"],
-            favourite=obj["favourite"],
-            branch=obj["branch"],
-            snapshot=_snapshot_from_json(obj["snapshot"]),
-            transfers=tuple((g, a, b) for g, a, b in obj["transfers"]),
-        )
-    if kind == "leaf_attached":
-        return LeafAttached(
-            leaf=obj["leaf"],
-            parent=obj["parent"],
-            pieces=(frozenset(obj["pieces"][0]), frozenset(obj["pieces"][1])),
-            leftover_to=obj["leftover_to"],
-            snapshot=_snapshot_from_json(obj["snapshot"]),
-        )
-    if kind == "cycle_resolved":
-        return CycleResolved(cycle=tuple(obj["cycle"]), snapshot=_snapshot_from_json(obj["snapshot"]))
-    raise InputError(f"unknown trace event type {kind!r}")
+    cls = EVENT_KINDS.get(kind)
+    if cls is None:
+        raise InputError(f"unknown trace event type {kind!r}")
+    return _rebuild(cls, obj, {}, int)

@@ -8,20 +8,13 @@ ignored, which is what lets solvers pass whole bundles around without filtering.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 from .errors import CapacityError, InputError
 
 MONOTONE_CHECK_MAX = 20
 CANCELLABLE_CHECK_MAX = 12
-
-
-def _check_values(values: dict[int, int]) -> dict[int, int]:
-    for eid, v in values.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise InputError(f"value for edge {eid} must be a nonnegative integer")
-    return dict(values)
 
 
 class Valuation(ABC):
@@ -38,51 +31,52 @@ class Valuation(ABC):
 
 
 @dataclass(frozen=True)
-class Additive(Valuation):
+class PerGood(Valuation):
+    """Base of the valuations given by one nonnegative value per good."""
+
     values: dict[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values))
-
-    def value(self, bundle: Iterable[int]) -> int:
-        return sum(self.values.get(g, 0) for g in bundle)
+        for eid, v in self.values.items():
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise InputError(f"value for edge {eid} must be a nonnegative integer")
+        object.__setattr__(self, "values", dict(self.values))
 
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.values)
 
+    def relabel(self, good: Callable[[int], int]) -> PerGood:
+        """The same valuation with every good id mapped by ``good``."""
+        return replace(self, values={good(g): v for g, v in self.values.items()})
+
+
+class Additive(PerGood):
+    kind = "additive"
+
+    def value(self, bundle: Iterable[int]) -> int:
+        return sum(self.values.get(g, 0) for g in bundle)
+
+
+class UnitDemand(PerGood):
+    kind = "unit_demand"
+
+    def value(self, bundle: Iterable[int]) -> int:
+        return max((self.values.get(g, 0) for g in bundle), default=0)
+
 
 @dataclass(frozen=True)
-class BudgetAdditive(Valuation):
-    values: dict[int, int]
+class BudgetAdditive(PerGood):
+    kind = "budget_additive"
     cap: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values))
+        super().__post_init__()
         if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 0:
             raise InputError("cap must be a nonnegative integer")
 
     def value(self, bundle: Iterable[int]) -> int:
         return min(self.cap, sum(self.values.get(g, 0) for g in bundle))
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-
-@dataclass(frozen=True)
-class UnitDemand(Valuation):
-    values: dict[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values))
-
-    def value(self, bundle: Iterable[int]) -> int:
-        return max((self.values.get(g, 0) for g in bundle), default=0)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.values)
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,7 @@ class Table(Valuation):
     downstream code may assume them.
     """
 
+    kind = "table"
     entries: dict[frozenset[int], int]
 
     def __post_init__(self):
@@ -122,6 +117,14 @@ class Table(Valuation):
     @property
     def support(self) -> frozenset[int]:
         return self._support
+
+    def relabel(self, good: Callable[[int], int]) -> Table:
+        """The same valuation with every good id mapped by ``good``."""
+        return Table(entries={frozenset(map(good, s)): v for s, v in self.entries.items()})
+
+
+# The ``type`` tag of each valuation in instance documents.
+KINDS = {cls.kind: cls for cls in (Additive, UnitDemand, BudgetAdditive, Table)}
 
 
 def _value_table(val: Valuation, goods: list[int]) -> list[int]:

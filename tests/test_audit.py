@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -7,7 +8,16 @@ from graphefx import InputError, Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace
 from graphefx.generators import gen_bipartite, gen_multitree, gen_petersen
 from graphefx.solvers import bipartite_efx, chromatic_efx, solve, tree_efx
-from graphefx.trace import ColoringUsed, check_trace
+from graphefx.trace import (
+    ColoringUsed,
+    CycleResolved,
+    LeafAttached,
+    StructureResolved,
+    check_trace,
+    event_from_json,
+    event_to_json,
+    relabel,
+)
 
 from .conftest import random_family_valuation, tamper_trace
 
@@ -119,3 +129,81 @@ def test_check_trace_rejects_uncolored_holders(b1_instance):
     _, event = bipartite_efx(b1_instance, b1_instance.graph.bipartition())[1]
     with pytest.raises(InputError, match="agent 2, which has no color"):
         check_trace([ColoringUsed(colors={0: 0, 1: 1}, t=2), event], b1_instance.graph)
+
+
+# Each event beside its trace line; the bundle of agent 5 is empty, so it is not written.
+EVENT_LINES = [
+    (ColoringUsed(colors={1: 0, 0: 2}, t=3),
+     {"type": "coloring_used", "colors": {"0": 2, "1": 0}, "t": 3}),
+    (StructureResolved(phase=2, root=1, favourite=3, branch="same_bundle_keep",
+                       snapshot={3: frozenset({2, 0}), 1: frozenset({4}), 5: frozenset()},
+                       transfers=((2, 1, 3), (0, 1, 3))),
+     {"type": "structure_resolved", "phase": 2, "root": 1, "favourite": 3,
+      "branch": "same_bundle_keep", "snapshot": {"1": [4], "3": [0, 2]},
+      "transfers": [[2, 1, 3], [0, 1, 3]]}),
+    (StructureResolved(phase=1, root=0, favourite=None, branch=None, snapshot={}, transfers=()),
+     {"type": "structure_resolved", "phase": 1, "root": 0, "favourite": None, "branch": None,
+      "snapshot": {}, "transfers": []}),
+    (LeafAttached(leaf=2, parent=0, pieces=(frozenset({3, 1}), frozenset()), leftover_to=0,
+                  snapshot={2: frozenset({1, 3})}),
+     {"type": "leaf_attached", "leaf": 2, "parent": 0, "pieces": [[1, 3], []],
+      "leftover_to": 0, "snapshot": {"2": [1, 3]}}),
+    (CycleResolved(cycle=(2, 0, 1), snapshot={0: frozenset({1})}),
+     {"type": "cycle_resolved", "cycle": [2, 0, 1], "snapshot": {"0": [1]}}),
+]
+
+
+@pytest.mark.parametrize("event, line", EVENT_LINES)
+def test_trace_line_format(event, line):
+    assert event_to_json(event) == line
+    assert event_to_json(event_from_json(line)) == line
+
+
+def _every_event_kind():
+    """A tree trace that resolves an envy cycle, then a Petersen trace in which
+    one root has no right neighbour and another passes its prior bundle on."""
+    tree = tree_efx(gen_multitree(seed=1, n=6, max_parallel=2)[0])[1]
+    petersen = solve(gen_petersen(seed=4, parallel_copies=2)[0])[2]
+    return tree + petersen
+
+
+def test_solver_events_round_trip_through_json():
+    trace = _every_event_kind()
+    assert {type(ev) for ev in trace} == {ColoringUsed, StructureResolved, LeafAttached,
+                                          CycleResolved}
+    structures = [ev for ev in trace if isinstance(ev, StructureResolved)]
+    assert any(ev.favourite is None for ev in structures)
+    assert any(ev.transfers for ev in structures)
+    for ev in trace:
+        assert event_from_json(json.loads(json.dumps(event_to_json(ev)))) == ev
+
+
+def test_relabel_identity_and_inverse():
+    trace = _every_event_kind()
+    rng = random.Random(7)
+    agents, goods = list(range(10)), list(range(40))
+    rng.shuffle(agents)
+    rng.shuffle(goods)
+    agent_back = {a: i for i, a in enumerate(agents)}
+    good_back = {g: i for i, g in enumerate(goods)}
+    moved = 0
+    for ev in trace:
+        assert relabel(ev, lambda a: a, lambda g: g) == ev
+        there = relabel(ev, agents.__getitem__, goods.__getitem__)
+        moved += there != ev
+        assert relabel(there, agent_back.__getitem__, good_back.__getitem__) == ev
+    assert moved == len(trace)
+
+
+@pytest.mark.parametrize("event, expected", [
+    (EVENT_LINES[0][0], ColoringUsed(colors={11: 0, 10: 2}, t=3)),
+    (EVENT_LINES[1][0], StructureResolved(
+        phase=2, root=11, favourite=13, branch="same_bundle_keep",
+        snapshot={13: frozenset({102, 100}), 11: frozenset({104}), 15: frozenset()},
+        transfers=((102, 11, 13), (100, 11, 13)))),
+    (EVENT_LINES[3][0], LeafAttached(leaf=12, parent=10, pieces=(frozenset({103, 101}), frozenset()),
+                                     leftover_to=10, snapshot={12: frozenset({101, 103})})),
+    (EVENT_LINES[4][0], CycleResolved(cycle=(12, 10, 11), snapshot={10: frozenset({101})})),
+])
+def test_relabel_maps_agents_and_goods_but_not_counts(event, expected):
+    assert relabel(event, lambda a: a + 10, lambda g: g + 100) == expected

@@ -1,8 +1,19 @@
 import json
+import random
 
 import pytest
 
-from graphefx import Additive, InputError, Instance, MultiGraph
+from graphefx import (
+    Additive,
+    BudgetAdditive,
+    Coloring,
+    InputError,
+    Instance,
+    MultiGraph,
+    Table,
+    UnitDemand,
+    solve,
+)
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, EXIT_UNSUPPORTED, main
 from graphefx.jsonio import (
     allocation_from_json,
@@ -13,6 +24,8 @@ from graphefx.jsonio import (
     load_trace,
     save_instance,
 )
+
+from .conftest import gnp_graph, zero_instance
 
 
 @pytest.fixture
@@ -121,7 +134,9 @@ def test_unsupported_class_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no solver applies: ") and "girth 3 < 5" in err
     assert main(["analyze", str(path)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[-1] == "eligible: none"
+    out = capsys.readouterr().out.splitlines()
+    assert "chromatic_number: None" in out  # girth 3: no coloring is searched
+    assert out[-1] == "eligible: none"
 
 
 def test_oracle_command(b1_file, capsys):
@@ -201,15 +216,40 @@ def test_batch_bad_jobs_exit_1(b1_file, capsys):
     assert not list(b1_file.parent.glob("*.alloc.json"))
 
 
+def _every_valuation_kind():
+    # a star on agent 0: one valuation of each kind, with a binding budget cap
+    g = MultiGraph(4, [(0, 1), (0, 1), (0, 2), (0, 2), (0, 3)])
+    return Instance(graph=g, valuations={
+        0: BudgetAdditive(values={0: 4, 1: 2, 2: 5, 3: 1, 4: 3}, cap=7),
+        1: UnitDemand(values={0: 3, 1: 6}),
+        2: Table(entries={frozenset(): 0, frozenset({2}): 2, frozenset({3}): 1,
+                          frozenset({2, 3}): 4}),
+        3: Additive(values={4: 9}),
+    })
+
+
 def test_instance_json_round_trip(b1_instance, tmp_path):
+    for inst in (b1_instance, _every_valuation_kind()):
+        names = [f"x{u}" for u in range(inst.graph.vertex_count)]
+        doc = instance_to_json(inst, names)
+        inst2, names2 = instance_from_json(json.loads(json.dumps(doc)))
+        assert names2 == names
+        assert inst2.valuations == inst.valuations
+        assert instance_to_json(inst2, names) == doc
+        path = tmp_path / "rt.instance.json"
+        save_instance(inst, names, path)
+        inst3, _ = load_instance(path)
+        assert instance_to_json(inst3, names) == doc
+    assert [v["type"] for v in doc["valuations"].values()] == [
+        "budget_additive", "unit_demand", "table", "additive"]
+    assert doc["valuations"]["x0"]["cap"] == 7
+
+
+def test_unknown_valuation_type_rejected(b1_instance):
     doc = instance_to_json(b1_instance, ["a", "b", "c"])
-    inst2, names = instance_from_json(doc)
-    assert names == ["a", "b", "c"]
-    assert instance_to_json(inst2, names) == doc
-    path = tmp_path / "rt.instance.json"
-    save_instance(b1_instance, ["a", "b", "c"], path)
-    inst3, _ = load_instance(path)
-    assert instance_to_json(inst3, names) == doc
+    doc["valuations"]["b"] = {"type": "xor", "values": {"0": 3}}
+    with pytest.raises(InputError, match="^unknown valuation type 'xor'$"):
+        instance_from_json(doc)
 
 
 def test_allocation_json_round_trip(b1_instance):
@@ -254,11 +294,11 @@ def _hostile_audit(c4_file, tmp_path, capsys, edit):
     return captured.err
 
 
-def _edit_first_structure(lines, **fields):
+def _edit_first_structure(lines, kind="structure_resolved", **fields):
     out = []
     for line in lines:
         obj = json.loads(line)
-        if obj["type"] == "structure_resolved" and fields:
+        if obj["type"] == kind and fields:
             obj.update(fields)
             fields = {}
         out.append(json.dumps(obj))
@@ -268,6 +308,13 @@ def _edit_first_structure(lines, **fields):
 def test_audit_short_transfer_exit_1(c4_file, tmp_path, capsys):
     err = _hostile_audit(c4_file, tmp_path, capsys,
                          lambda lines: _edit_first_structure(lines, transfers=[[1, 2]]))
+    assert "cannot read trace" in err
+
+
+def test_audit_short_pieces_exit_1(b1_file, tmp_path, capsys):
+    # b1 solves as a tree, so its trace attaches leaves
+    err = _hostile_audit(b1_file, tmp_path, capsys, lambda lines: _edit_first_structure(
+        lines, kind="leaf_attached", pieces=[[0]]))
     assert "cannot read trace" in err
 
 
@@ -282,8 +329,8 @@ def test_audit_agent_out_of_range_exit_1(c4_file, tmp_path, capsys):
     assert "agent 99" in err
 
 
-def test_solve_reports_dispatch_verdicts(tmp_path, capsys):
-    # a star on 0..2 beside a 5-cycle on 3..7
+def _star_and_five_cycle(tmp_path):
+    """A star on a0..a2 beside a 5-cycle on a3..a7, and its instance file."""
     pairs = [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)]
     g = MultiGraph(8, pairs)
     inst = Instance(graph=g, valuations={
@@ -291,6 +338,11 @@ def test_solve_reports_dispatch_verdicts(tmp_path, capsys):
     })
     path = tmp_path / "u.instance.json"
     save_instance(inst, [f"a{i}" for i in range(8)], path)
+    return inst, path
+
+
+def test_solve_reports_dispatch_verdicts(tmp_path, capsys):
+    _, path = _star_and_five_cycle(tmp_path)
     assert main(["solve", str(path)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["method_used"] == "componentwise(tree,chromatic)"
@@ -302,3 +354,44 @@ def test_solve_reports_dispatch_verdicts(tmp_path, capsys):
             {"solver": "chromatic", "result": "applied"},
         ],
     ]
+
+
+# a proper 3-coloring of the star and the 5-cycle, by agent index
+HINT = [0, 1, 1, 0, 1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("colors, message", [
+    (HINT[:7], "coloring is missing vertex 7"),
+    (HINT[:7] + [9], "vertex 7 has color outside 0..2"),
+])
+def test_bad_coloring_hint_on_disconnected_instance(tmp_path, capsys, colors, message):
+    inst, path = _star_and_five_cycle(tmp_path)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        solve(inst, Coloring(colors=dict(enumerate(colors)), t=3))
+    hint = tmp_path / "h.json"
+    hint.write_text(json.dumps({"colors": {f"a{i}": c for i, c in enumerate(colors)}, "t": 3}))
+    assert main(["solve", str(path), "--coloring", str(hint)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_valid_coloring_hint_on_disconnected_instance(tmp_path, capsys):
+    _, path = _star_and_five_cycle(tmp_path)
+    hint = tmp_path / "h.json"
+    hint.write_text(json.dumps({"colors": {f"a{i}": c for i, c in enumerate(HINT)}, "t": 3}))
+    with_hint, without = tmp_path / "hinted.alloc.json", tmp_path / "plain.alloc.json"
+    assert main(["solve", str(path), "--coloring", str(hint), "-o", str(with_hint)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["method_used"] == "componentwise(tree,chromatic)"
+    assert main(["solve", str(path), "-o", str(without)]) == EXIT_OK
+    assert with_hint.read_bytes() == without.read_bytes()
+
+
+def test_analyze_searches_no_coloring_outside_the_girth_bound(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gnp.instance.json"
+    graph = gnp_graph(random.Random(0), 80, 4.5 / 80)
+    save_instance(zero_instance(graph), [f"a{i}" for i in range(80)], path)
+    monkeypatch.setattr(MultiGraph, "find_coloring", lambda *a: pytest.fail("searched a coloring"))
+    assert main(["analyze", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert "girth: 3" in out and "chromatic_number: None" in out
+    assert out[-1] == "eligible: none"

@@ -345,6 +345,13 @@ def test_out_of_class_graphs_rejected_before_any_coloring_search(monkeypatch):
             solve(zero_instance(graph))
 
 
+def test_table_valuation_rejected_before_any_coloring_search(monkeypatch):
+    monkeypatch.setattr(MultiGraph, "find_coloring", lambda *a: pytest.fail("find_coloring ran"))
+    inst = _table_cycle(5)  # girth 5 and not bipartite: without the table, t <= 3 is searched
+    (verdict,) = [v for v in classify(inst) if v.solver == "chromatic"]
+    assert verdict.reason == "agent 0 has a table valuation"
+
+
 def test_classify_stops_at_a_multitree(monkeypatch):
     for meth in ("bipartition", "shortest_cycle", "girth", "find_coloring"):
         monkeypatch.setattr(MultiGraph, meth, lambda *a: pytest.fail("computed on a tree"))
