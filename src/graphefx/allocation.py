@@ -72,10 +72,6 @@ class EnvyGraph:
     def in_neighbours(self, w: int) -> list[int]:
         return list(self._in.get(w, ()))
 
-    def sources(self) -> list[int]:
-        envied = {b for (_, b) in self.edges}
-        return [v for v in range(self.vertex_count) if v not in envied]
-
 
 @dataclass(frozen=True)
 class EfxVerdict:
@@ -94,47 +90,43 @@ def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
                 raise InputError(f"allocation references unknown edge {g}")
 
 
-def _rivals(inst: "Instance", alloc: Allocation) -> list[list[int]]:
-    """Per agent u, the other agents holding a good incident to u, ascending.
-
-    Every valuation's support lies within the agent's incident edges, so a
-    bundle without such a good is worth v_u(empty set) <= v_u(own bundle) by
-    monotonicity: u can neither envy it nor violate EFX against it.
-    """
-    holder = {g: w for w, b in alloc.bundles.items() for g in b}
-    rivals = []
-    for u in range(inst.graph.vertex_count):
-        near = {holder[g] for g in inst.graph.incident_edges(u) if g in holder}
-        near.discard(u)
-        rivals.append(sorted(near))
-    return rivals
-
-
 def envy_graph(inst: "Instance", alloc: Allocation) -> EnvyGraph:
-    """Exact envy relation, edges in lexicographic order."""
+    """Exact envy relation, edges in lexicographic order.
+
+    Agent u is compared only with the other holders of goods incident to u.
+    Every valuation's support lies within the agent's incident edges, so any
+    other bundle is worth v_u(empty set) <= v_u(own bundle) by monotonicity:
+    u can neither envy it nor violate EFX against it.
+    """
     validate_allocation(inst, alloc)
+    holder = {g: w for w, b in alloc.bundles.items() for g in b}
     edges = []
-    for u, rivals in enumerate(_rivals(inst, alloc)):
+    for u in range(inst.graph.vertex_count):
+        rivals = {holder[g] for g in inst.graph.incident_edges(u) if g in holder} - {u}
         if not rivals:
             continue
         val = inst.valuations[u]
         own = val.value(alloc.bundle(u))
-        edges.extend((u, w) for w in rivals if own < val.value(alloc.bundle(w)))
+        edges.extend((u, w) for w in sorted(rivals) if own < val.value(alloc.bundle(w)))
     return EnvyGraph(vertex_count=inst.graph.vertex_count, edges=tuple(edges))
 
 
-def is_efx(inst: "Instance", alloc: Allocation) -> EfxVerdict:
-    """Exact EFX check; first witness in (envier, envied, good) order."""
-    validate_allocation(inst, alloc)
-    for u, rivals in enumerate(_rivals(inst, alloc)):
-        if not rivals:
+def is_efx(inst: "Instance", alloc: Allocation, envy: Optional[EnvyGraph] = None) -> EfxVerdict:
+    """Exact EFX check; first witness in (envier, envied, good) order.
+
+    Only envied bundles can fail, so the check walks the edges of ``envy``,
+    the allocation's envy graph, which is built here when not given.
+    """
+    if envy is None:
+        envy = envy_graph(inst, alloc)
+    for u in range(envy.vertex_count):
+        envied = envy.out_neighbours(u)
+        if not envied:
             continue
         val = inst.valuations[u]
         own = val.value(alloc.bundle(u))
-        for w in rivals:
+        for w in envied:
             other = alloc.bundle(w)
-            if own >= val.value(other):
-                continue
             for x in sorted(other):
                 if own < val.value(other - {x}):
                     return EfxVerdict(ok=False, witness=(u, w, x))

@@ -119,10 +119,11 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         alloc = Allocation(bundles=dict(ev.snapshot))
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
-        verdict = is_efx(inst, alloc)
+        envy = envy_graph(inst, alloc)
+        verdict = is_efx(inst, alloc, envy)
         if not verdict.ok:
             localized.append(f"event {idx}: snapshot is not EFX, witness {verdict.witness}")
-        for a, b in envy_graph(inst, alloc).edges:
+        for a, b in envy.edges:
             if b not in resolved or favourite_of.get(b) != a:
                 localized.append(
                     f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root"

@@ -31,7 +31,7 @@ from .jsonio import (
 )
 from .multigraph import Coloring
 from .oracle import brute_force_efx
-from .solvers import Instance, classify, smallest_coloring, solve
+from .solvers import Instance, classify, components, smallest_coloring, solve
 from .trace import check_trace
 
 EXIT_OK = 0
@@ -92,19 +92,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _analysis(inst: Instance) -> dict:
-    """Class facts of the whole instance and the solvers ``classify`` accepts for it."""
+    """Class facts of the whole instance, and per component the solvers ``classify`` accepts."""
     g = inst.graph
     girth, _ = g.shortest_cycle()
-    bipart = g.bipartition()
     col, _ = smallest_coloring(g)
     return {
         "agents": g.vertex_count,
         "goods": g.edge_count,
         "multitree": g.is_multitree(),
-        "bipartite": bipart is not None,
+        "bipartite": g.bipartition() is not None,
         "girth": None if girth == float("inf") else int(girth),
         "chromatic_number": None if col is None else col.t,
-        "eligible": [v.solver for v in classify(inst) if v.applies],
+        "eligible": [[v.solver for v in classify(sub) if v.applies] for sub, _, _ in components(inst)],
     }
 
 
@@ -113,7 +112,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _analysis(inst)
     for key in ("agents", "goods", "multitree", "bipartite", "girth", "chromatic_number"):
         print(f"{key}: {report[key]}")
-    print("eligible: " + (", ".join(report["eligible"]) or "none"))
+    lists = [", ".join(solvers) or "none" for solvers in report["eligible"]]
+    print("eligible: " + (lists[0] if len(lists) == 1 else f"componentwise({'; '.join(lists)})"))
     return EXIT_OK
 
 

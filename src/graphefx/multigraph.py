@@ -24,6 +24,11 @@ class Coloring:
     colors: dict[int, int]
     t: int
 
+    @staticmethod
+    def of_bipartition(left: frozenset[int], right: frozenset[int]) -> "Coloring":
+        """The 2-coloring that puts ``left`` at color 0 and ``right`` at color 1."""
+        return Coloring(colors={v: 0 if v in left else 1 for v in sorted(left | right)}, t=2)
+
 
 class MultiGraph:
     """Immutable multi-graph.  Edge ids are dense: edge i is ``edges[i]``.
@@ -193,14 +198,20 @@ class MultiGraph:
         return True, None
 
     def find_coloring(self, t_max: int) -> Optional[Coloring]:
-        """Smallest proper coloring with at most t_max colors, by exact search.
+        """Smallest proper coloring with at most t_max colors.
 
-        Deterministic: vertices in index order, colors in ascending order.
-        Intended for desk-scale graphs (n <= 20 or so).
+        t = 1 needs no edges and t = 2 is the bipartition's coloring.  Only
+        t >= 3 is an exact search, for desk-scale graphs (n <= 20 or so):
+        vertices in index order, colors ascending, which is deterministic.
         """
         if t_max < 1:
             raise InputError("t_max must be at least 1")
-        for t in range(1, t_max + 1):
+        if not self.edges:
+            return Coloring(colors=dict.fromkeys(range(self.vertex_count), 0), t=1)
+        bipart = self.bipartition()
+        if bipart is not None:
+            return Coloring.of_bipartition(*bipart) if t_max >= 2 else None
+        for t in range(3, t_max + 1):
             colors = self._try_color(t)
             if colors is not None:
                 return Coloring(colors=colors, t=t)

@@ -1,17 +1,18 @@
 """The three EFX solvers and the class-detecting dispatcher.
 
-All three algorithms are cut-and-choose based.  The bipartite and chromatic
-solvers share one structure-resolution core: the chromatic solver is the
-bipartite one run phase by phase over the color classes, with the root's prior
-bundle travelling to its favourite neighbour in the keep branch.  The tree
-solver attaches leaves recursively and repairs envy with cycle resolution.
+All three algorithms are cut-and-choose based.  The chromatic solver resolves
+one structure per root, phase by phase over the color classes, with the root's
+prior bundle travelling to its favourite neighbour in the keep branch.  A
+bipartition is a 2-coloring, so the bipartite solver is the chromatic one at
+t = 2.  The tree solver attaches leaves recursively and repairs envy with
+cycle resolution.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .allocation import (
     Allocation,
@@ -21,7 +22,7 @@ from .allocation import (
     resolve_cycle,
 )
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
-from .multigraph import INFINITE_GIRTH, Coloring, MultiGraph
+from .multigraph import Coloring, MultiGraph
 from .oracle import BRUTE_FORCE_MAX, brute_force_efx
 from .partition import cac, cut_preferences
 from .trace import (
@@ -63,14 +64,6 @@ class Instance:
 def _table_agent(inst: Instance) -> Optional[int]:
     """The lowest agent with a table valuation, or None."""
     return next((u for u in sorted(inst.valuations) if isinstance(inst.valuations[u], Table)), None)
-
-
-def _require_cancellable_family(inst: Instance, solver: str) -> None:
-    table = _table_agent(inst)
-    if table is not None:
-        raise UnsupportedValuationError(
-            f"{solver} requires cancellable-family valuations; agent {table} has a table valuation"
-        )
 
 
 def _snapshot(bundles: dict[int, set[int]]) -> dict[int, frozenset[int]]:
@@ -147,26 +140,15 @@ def bipartite_efx(
 ) -> tuple[Allocation, list[TraceEvent]]:
     """EFX allocation on a bipartite multi-graph: every right vertex cuts.
 
-    Roots in L are processed in ascending index order; each right neighbour
-    cuts its edge loop, ordinary neighbours keep their preferred piece and the
-    favourite loop is settled by who prefers what.
+    This is ``chromatic_efx`` on the 2-coloring L -> 0, R -> 1: roots in L
+    are processed in ascending index order, each right neighbour cuts its edge
+    loop, ordinary neighbours keep their preferred piece and the favourite
+    loop is settled by who prefers what.
     """
     left, right = frozenset(bipart[0]), frozenset(bipart[1])
-    n = inst.graph.vertex_count
-    if left | right != frozenset(range(n)) or left & right:
+    if left | right != frozenset(range(inst.graph.vertex_count)) or left & right:
         raise PreconditionError("bipartition must partition the vertex set")
-    for eid, (a, b) in enumerate(inst.graph.edges):
-        if (a in left) == (b in left):
-            raise PreconditionError(f"edge {eid} does not cross the bipartition")
-    _require_cancellable_family(inst, "bipartite_efx")
-
-    trace: list[TraceEvent] = [
-        ColoringUsed(colors={v: (0 if v in left else 1) for v in range(n)}, t=2)
-    ]
-    bundles: dict[int, set[int]] = {}
-    for u in sorted(left):
-        _resolve_structure(inst, bundles, u, sorted(inst.graph.neighbours(u)), 1, trace)
-    return Allocation(bundles=_snapshot(bundles)), trace
+    return chromatic_efx(inst, Coloring.of_bipartition(left, right))
 
 
 def chromatic_efx(inst: Instance, col: Coloring) -> tuple[Allocation, list[TraceEvent]]:
@@ -180,12 +162,17 @@ def chromatic_efx(inst: Instance, col: Coloring) -> tuple[Allocation, list[Trace
     if not ok:
         u, w = inst.graph.endpoints(bad_edge)
         raise PreconditionError(f"coloring is not proper: edge {bad_edge} joins {u} and {w}")
-    girth, cycle = inst.graph.shortest_cycle()
-    if girth < 2 * col.t - 1:
-        raise PreconditionError(
-            f"girth {girth:.0f} < 2*{col.t}-1; offending cycle {cycle}"
-        )
-    _require_cancellable_family(inst, "chromatic_efx")
+    # every skeleton cycle has length >= 3 = 2*2-1, so only t >= 3 needs the girth
+    if col.t >= 3:
+        girth, cycle = inst.graph.shortest_cycle()
+        if girth < 2 * col.t - 1:
+            raise PreconditionError(
+                f"girth {girth:.0f} < 2*{col.t}-1; offending cycle {cycle}"
+            )
+    table = _table_agent(inst)
+    if table is not None:
+        raise UnsupportedValuationError("chromatic_efx requires cancellable-family valuations;"
+                                        f" agent {table} has a table valuation")
 
     trace: list[TraceEvent] = [ColoringUsed(colors=dict(col.colors), t=col.t)]
     bundles: dict[int, set[int]] = {}
@@ -270,21 +257,29 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
     return current(), trace
 
 
-def _sub_instance(inst: Instance, comp: list[int]) -> tuple[Instance, dict[int, int], dict[int, int]]:
-    """Restrict ``inst`` to a component.  Returns (sub, vertex_back, edge_back)."""
-    v_fwd = {v: i for i, v in enumerate(comp)}
-    v_back = {i: v for v, i in v_fwd.items()}
-    edge_ids = [eid for eid, (a, b) in enumerate(inst.graph.edges) if a in v_fwd]
-    e_fwd = {eid: i for i, eid in enumerate(edge_ids)}
-    e_back = {i: eid for eid, i in e_fwd.items()}
-    pairs = [(v_fwd[inst.graph.edges[eid][0]], v_fwd[inst.graph.edges[eid][1]]) for eid in edge_ids]
-    graph = MultiGraph(len(comp), pairs)
-    vals = {v_fwd[v]: inst.valuations[v].relabel(e_fwd.__getitem__) for v in comp}
-    return Instance(graph=graph, valuations=vals), v_back, e_back
+def components(inst: Instance) -> list[tuple[Instance, list[int], list[int]]]:
+    """``inst`` split into the connected components that ``solve`` solves one by one.
+
+    Each part is (the component on agents 0..k-1 and its goods renumbered
+    densely, the global id of each local agent, the global id of each local
+    good).  A connected instance is its own one part.
+    """
+    comps = inst.graph.connected_components()
+    if len(comps) <= 1:
+        return [(inst, list(range(inst.graph.vertex_count)), list(range(inst.graph.edge_count)))]
+    parts = []
+    for comp in comps:
+        v_fwd = {v: i for i, v in enumerate(comp)}
+        goods = [eid for eid, (a, _) in enumerate(inst.graph.edges) if a in v_fwd]
+        e_fwd = {eid: i for i, eid in enumerate(goods)}
+        graph = MultiGraph(len(comp), [tuple(v_fwd[x] for x in inst.graph.edges[e]) for e in goods])
+        vals = {v_fwd[v]: inst.valuations[v].relabel(e_fwd.__getitem__) for v in comp}
+        parts.append((Instance(graph=graph, valuations=vals), comp, goods))
+    return parts
 
 
 def _compact_coloring(col: Coloring, comp: list[int]) -> Coloring:
-    """``col`` on the component, renumbered like ``_sub_instance``, with its colors made dense."""
+    """``col`` on the component, renumbered like ``components``, with its colors made dense."""
     used = sorted({col.colors[v] for v in comp})
     dense = {c: i for i, c in enumerate(used)}
     return Coloring(colors={i: dense[col.colors[v]] for i, v in enumerate(comp)}, t=len(used))
@@ -296,8 +291,8 @@ class Verdict:
 
     solver: str  # tree | bipartite | chromatic | brute_force
     reason: Optional[str] = None  # None: the solver applies
-    # What the solver runs on: the bipartition or the coloring.
-    structure: Union[tuple[frozenset[int], frozenset[int]], Coloring, None] = None
+    # The coloring a phase-based solver runs on: for bipartite, the bipartition's.
+    structure: Optional[Coloring] = None
 
     @property
     def applies(self) -> bool:
@@ -307,13 +302,16 @@ class Verdict:
 def smallest_coloring(g: MultiGraph) -> tuple[Optional[Coloring], Optional[str]]:
     """The smallest proper coloring whose t the girth admits, or None and why not.
 
-    girth >= 2t-1 bounds t by (girth+1)//2, and t <= DISPATCH_T_MAX.  A
-    non-bipartite graph needs t >= 3, so below girth 5 none is searched.
+    A bipartite graph has t <= 2, which every girth admits.  Otherwise t >= 3
+    needs girth >= 5, girth >= 2t-1 bounds t by (girth+1)//2, and
+    t <= DISPATCH_T_MAX.
     """
+    if g.bipartition() is not None:
+        return g.find_coloring(2), None
     girth = g.girth()
-    if g.bipartition() is None and girth < 5:
+    if girth < 5:
         return None, f"girth {girth} < 5, and a non-bipartite graph needs t >= 3"
-    t_max = DISPATCH_T_MAX if girth == INFINITE_GIRTH else min(DISPATCH_T_MAX, (girth + 1) // 2)
+    t_max = min(DISPATCH_T_MAX, (girth + 1) // 2)
     col = g.find_coloring(t_max)
     if col is None:
         return None, f"no proper coloring with t <= {t_max} (girth {girth})"
@@ -354,7 +352,7 @@ def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdic
     elif table is not None:
         yield Verdict("bipartite", f"agent {table} has a table valuation")
     else:
-        yield Verdict("bipartite", structure=bipart)
+        yield Verdict("bipartite", structure=Coloring.of_bipartition(*bipart))
 
     yield _chromatic_verdict(inst, hint, table)
 
@@ -379,9 +377,7 @@ def _dispatch_connected(
             continue
         if verdict.solver == "tree":
             alloc, trace = tree_efx(inst)
-        elif verdict.solver == "bipartite":
-            alloc, trace = bipartite_efx(inst, verdict.structure)
-        elif verdict.solver == "chromatic":
+        elif verdict.solver in ("bipartite", "chromatic"):
             alloc, trace = chromatic_efx(inst, verdict.structure)
         else:
             report = brute_force_efx(inst)
@@ -407,25 +403,24 @@ def solve(
     """
     if verdicts is None:
         verdicts = []
-    comps = inst.graph.connected_components()
-    if len(comps) <= 1:
+    if hint is not None:
+        inst.graph.validate_coloring(hint)  # every vertex colored within 0..t-1, or InputError
+    parts = components(inst)
+    if len(parts) == 1:
         alloc, method, trace, tried = _dispatch_connected(inst, hint)
         verdicts.append(tried)
         return alloc, method, trace
 
-    if hint is not None:
-        inst.graph.validate_coloring(hint)  # every vertex colored within 0..t-1, or InputError
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
     methods: list[str] = []
-    for comp in comps:
-        sub, v_back, e_back = _sub_instance(inst, comp)
-        sub_hint = None if hint is None else _compact_coloring(hint, comp)
+    for sub, agents, goods in parts:
+        sub_hint = None if hint is None else _compact_coloring(hint, agents)
         alloc, method, sub_trace, tried = _dispatch_connected(sub, sub_hint)
         verdicts.append(tried)
         for u, b in alloc.bundles.items():
-            bundles[v_back[u]] = frozenset(e_back[g] for g in b)
-        trace.extend(relabel(ev, v_back.__getitem__, e_back.__getitem__) for ev in sub_trace)
+            bundles[agents[u]] = frozenset(goods[g] for g in b)
+        trace.extend(relabel(ev, agents.__getitem__, goods.__getitem__) for ev in sub_trace)
         methods.append(method)
     method = methods[0] if len(set(methods)) == 1 else "componentwise(" + ",".join(methods) + ")"
     return Allocation(bundles=bundles), method, trace

@@ -2,8 +2,19 @@ import random
 
 import pytest
 
-from graphefx import Additive, Allocation, BudgetAdditive, Instance, MultiGraph, Table, UnitDemand
-from graphefx.generators import VALUATION_KINDS, _make_valuation
+from graphefx import (
+    Additive,
+    Allocation,
+    BudgetAdditive,
+    Coloring,
+    Instance,
+    MultiGraph,
+    PreconditionError,
+    Table,
+    UnitDemand,
+    UnsupportedValuationError,
+)
+from graphefx.generators import PETERSEN_EDGES, VALUATION_KINDS, _make_valuation
 
 
 @pytest.fixture
@@ -185,13 +196,68 @@ def random_allocation(rng: random.Random, inst):
     return Allocation(bundles={u: frozenset(b) for u, b in bundles.items()})
 
 
+def reference_find_coloring(graph, t_max):
+    """Smallest proper coloring with at most t_max colors, by exact search for every t.
+
+    Vertices in index order, colors ascending, a new color only one above the
+    largest used: the backtracking that ``MultiGraph.find_coloring`` runs for
+    t >= 3, here run for t = 1 and t = 2 as well.  Exponential; for small
+    graphs only.
+    """
+    for t in range(1, t_max + 1):
+        colors = {}
+
+        def backtrack(v):
+            if v == graph.vertex_count:
+                return True
+            used = max(colors.values(), default=-1)
+            for c in range(min(t, used + 2)):
+                if all(colors.get(w) != c for w in graph.neighbours(v)):
+                    colors[v] = c
+                    if backtrack(v + 1):
+                        return True
+                    del colors[v]
+            return False
+
+        if backtrack(0):
+            return Coloring(colors=dict(colors), t=t)
+    return None
+
+
+def reference_bipartite_efx(inst, bipart):
+    """The bipartite solver with its own root loop: roots in L in ascending order, one phase.
+
+    It shares the structure-resolution core with ``chromatic_efx`` but not the
+    phase loop, the coloring or the precondition checks.
+    """
+    from graphefx.solvers import _resolve_structure, _snapshot, _table_agent
+    from graphefx.trace import ColoringUsed
+
+    left, right = frozenset(bipart[0]), frozenset(bipart[1])
+    n = inst.graph.vertex_count
+    if left | right != frozenset(range(n)) or left & right:
+        raise PreconditionError("bipartition must partition the vertex set")
+    for eid, (a, b) in enumerate(inst.graph.edges):
+        if (a in left) == (b in left):
+            raise PreconditionError(f"edge {eid} does not cross the bipartition")
+    table = _table_agent(inst)
+    if table is not None:
+        raise UnsupportedValuationError("bipartite_efx requires cancellable-family valuations;"
+                                        f" agent {table} has a table valuation")
+    trace = [ColoringUsed(colors={v: (0 if v in left else 1) for v in range(n)}, t=2)]
+    bundles = {}
+    for u in sorted(left):
+        _resolve_structure(inst, bundles, u, sorted(inst.graph.neighbours(u)), 1, trace)
+    return Allocation(bundles=_snapshot(bundles)), trace
+
+
 def reference_chromatic(graph):
     """The dispatcher's chromatic rule before girth-first classification.
 
     The smallest coloring with t <= 4 by exact search, accepted only when the
     girth is at least 2t-1.  Returns that coloring, or None.
     """
-    col = graph.find_coloring(4)
+    col = reference_find_coloring(graph, 4)
     if col is not None and graph.girth() >= 2 * col.t - 1:
         return col
     return None
@@ -209,6 +275,32 @@ def mycielski_graph(steps):
     return MultiGraph(n, pairs)
 
 
+def cycle_pairs(length, rng):
+    """A cycle on 0..length-1 whose links carry one or two goods each."""
+    return [(i, (i + 1) % length) for i in range(length) for _ in range(rng.randint(1, 2))]
+
+
+def classifier_graphs(rng):
+    """Small multigraphs across the chromatic rule's cases, several hundred in all."""
+    graphs = [gnp_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.35, 0.5, 0.8)), 2)
+              for _ in range(300)]
+    for _ in range(3):
+        for length in (3, 4, 5, 6, 7, 9, 11):
+            graphs.append(MultiGraph(length, cycle_pairs(length, rng)))
+    for copies in (1, 2, 3):
+        graphs.append(MultiGraph(10, PETERSEN_EDGES * copies))
+    graphs += [
+        MultiGraph(10, PETERSEN_EDGES + [(0, 2)]),  # a chord: girth 3
+        MultiGraph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]),  # K4
+        MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)]),
+        MultiGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3: girth 4
+        MultiGraph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]),  # girth 4, odd cycle
+        mycielski_graph(2),  # Groetzsch: girth 4, chromatic number 4
+        MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 5)]),
+    ]
+    return graphs
+
+
 def gnp_graph(rng: random.Random, n, p, max_parallel=1):
     """Erdos-Renyi G(n, p) on vertices 0..n-1; each chosen pair gets 1..max_parallel goods."""
     pairs = []
@@ -222,3 +314,31 @@ def gnp_graph(rng: random.Random, n, p, max_parallel=1):
 def zero_instance(graph):
     """The graph with additive valuations worth nothing: for structural tests."""
     return Instance(graph=graph, valuations={u: Additive(values={}) for u in range(graph.vertex_count)})
+
+
+def star_graph(k, five_cycle=False):
+    """The multi-tree S_k, optionally with a 5-cycle through its centre.
+
+    S_k has agents 0..3k: legs b_i = i, d_i = k+i and a_i = 2k+i for i < k,
+    centre c = 3k, and goods b_i-a_i, a_i-c and d_i-c.  No leg vertex has a
+    lower-indexed neighbour, so an exact 2-coloring search in index order
+    colors every leg 0 and meets the conflict only at c, after which it
+    backtracks through all 2^k colorings of the legs.  The 5-cycle adds
+    agents 3k+1..3k+4; the graph then has girth 5 and is 3-colorable.
+    """
+    c = 3 * k
+    pairs = [(i, 2 * k + i) for i in range(k)]
+    pairs += [(2 * k + i, c) for i in range(k)] + [(k + i, c) for i in range(k)]
+    if not five_cycle:
+        return MultiGraph(c + 1, pairs)
+    cycle = [c, c + 1, c + 2, c + 3, c + 4]
+    return MultiGraph(c + 5, pairs + list(zip(cycle, cycle[1:] + cycle[:1])))
+
+
+def additive_instance(graph, seed=0, value_max=9):
+    """The graph with seeded random additive valuations on each agent's incident goods."""
+    rng = random.Random(seed)
+    return Instance(graph=graph, valuations={
+        u: Additive(values={e: rng.randint(0, value_max) for e in sorted(graph.incident_edges(u))})
+        for u in range(graph.vertex_count)
+    })

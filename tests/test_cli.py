@@ -25,7 +25,7 @@ from graphefx.jsonio import (
     save_instance,
 )
 
-from .conftest import gnp_graph, zero_instance
+from .conftest import additive_instance, gnp_graph, star_graph, zero_instance
 
 
 @pytest.fixture
@@ -375,6 +375,21 @@ def test_bad_coloring_hint_on_disconnected_instance(tmp_path, capsys, colors, me
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("colors, message", [
+    ({"a0": 0}, "coloring is missing vertex 1"),
+    ({"a0": 0, "a1": 1, "a2": 1, "a3": 1, "a4": 9}, "vertex 4 has color outside 0..2"),
+])
+def test_bad_coloring_hint_on_connected_instance(tmp_path, capsys, colors, message):
+    # the tree solver applies, so the hint would never reach the chromatic verdict
+    path, hint = tmp_path / "t.instance.json", tmp_path / "h.json"
+    assert main(["gen", "multitree", "--agents", "5", "-o", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    hint.write_text(json.dumps({"colors": colors, "t": 3}))
+    assert main(["solve", str(path), "--coloring", str(hint)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_valid_coloring_hint_on_disconnected_instance(tmp_path, capsys):
     _, path = _star_and_five_cycle(tmp_path)
     hint = tmp_path / "h.json"
@@ -395,3 +410,79 @@ def test_analyze_searches_no_coloring_outside_the_girth_bound(tmp_path, capsys, 
     out = capsys.readouterr().out.splitlines()
     assert "girth: 3" in out and "chromatic_number: None" in out
     assert out[-1] == "eligible: none"
+
+
+def _union_file(tmp_path, parts):
+    """An instance file of the disjoint union of ``parts``, each an (n, pairs) graph."""
+    pairs, n = [], 0
+    for size, part in parts:
+        pairs += [(a + n, b + n) for a, b in part]
+        n += size
+    path = tmp_path / "u.instance.json"
+    inst = additive_instance(MultiGraph(n, pairs), seed=n)
+    save_instance(inst, [f"a{i}" for i in range(n)], path)
+    return path
+
+
+C4 = (4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+C5 = (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+STAR = (3, [(0, 1), (0, 2)])
+MULTI_TRIANGLE = (3, [(0, 1), (1, 2), (2, 0)] * 3)
+
+
+@pytest.mark.parametrize("parts, eligible", [
+    ([C4, C5], "componentwise(bipartite, chromatic, brute_force; chromatic)"),
+    ([STAR, C5], "componentwise(tree, bipartite, chromatic, brute_force; chromatic)"),
+    ([C5, C4, STAR], "componentwise(chromatic; bipartite, chromatic, brute_force;"
+                     " tree, bipartite, chromatic, brute_force)"),
+])
+def test_analyze_lists_solvers_per_component(tmp_path, capsys, parts, eligible):
+    path = _union_file(tmp_path, parts)
+    assert main(["analyze", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"eligible: {eligible}"
+    assert main(["solve", str(path)]) == EXIT_OK
+    applied = [[v["solver"] for v in tried if v["result"] == "applied"]
+               for tried in json.loads(capsys.readouterr().out)["dispatch"]]
+    lists = eligible[len("componentwise("):-1].split("; ")
+    assert applied == [[solvers.split(", ")[0]] for solvers in lists]
+
+
+def test_analyze_prints_none_for_a_component_no_solver_accepts(tmp_path, capsys):
+    path = _union_file(tmp_path, [STAR, MULTI_TRIANGLE])
+    assert main(["analyze", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "eligible: componentwise(tree, bipartite, chromatic, brute_force; none)"
+    assert main(["solve", str(path)]) == EXIT_UNSUPPORTED
+
+
+def _no_coloring_search_below_three(monkeypatch):
+    try_color = MultiGraph._try_color
+
+    def searched(self, t):
+        if t < 3:
+            pytest.fail(f"searched for a {t}-coloring")
+        return try_color(self, t)
+
+    monkeypatch.setattr(MultiGraph, "_try_color", searched)
+
+
+def test_analyze_multi_tree_without_two_coloring_search(tmp_path, capsys, monkeypatch):
+    # S_20: an exact 2-coloring search in index order backtracks 2^20 times
+    _no_coloring_search_below_three(monkeypatch)
+    path = tmp_path / "s20.instance.json"
+    save_instance(additive_instance(star_graph(20)), [f"a{i}" for i in range(61)], path)
+    assert main(["analyze", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert "chromatic_number: 2" in out
+    assert out[-1] == "eligible: tree, bipartite, chromatic"
+
+
+def test_solve_girth_five_graph_without_two_coloring_search(tmp_path, capsys, monkeypatch):
+    # S_10 plus a 5-cycle through its centre: t = 2 fails, t = 3 is searched
+    _no_coloring_search_below_three(monkeypatch)
+    path = tmp_path / "s10c5.instance.json"
+    save_instance(additive_instance(star_graph(10, five_cycle=True)),
+                  [f"a{i}" for i in range(35)], path)
+    assert main(["solve", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["method_used"] == "chromatic" and report["efx"] and report["complete"]

@@ -7,6 +7,8 @@ import pytest
 from graphefx import Coloring, InputError, MultiGraph
 from graphefx.generators import PETERSEN_EDGES
 
+from .conftest import classifier_graphs, reference_find_coloring
+
 
 def test_parallel_edges_doubled_triangle():
     g = MultiGraph(3, [(0, 1), (0, 1), (0, 2), (1, 2)])
@@ -197,6 +199,24 @@ def test_find_coloring_is_proper_when_present():
         if col is not None:
             ok, _ = g.validate_coloring(col)
             assert ok
+
+
+def test_find_coloring_matches_exact_search_reference():
+    # t = 1 and t = 2 no longer search, yet give the search's first coloring:
+    # in index order it puts each component's lowest vertex at 0, as the
+    # bipartition does.  Relabelling moves which vertex that is.
+    rng = random.Random(2024)
+    graphs = classifier_graphs(rng)
+    for g in list(graphs):
+        perm = rng.sample(range(g.vertex_count), g.vertex_count)
+        graphs.append(MultiGraph(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges]))
+    found = set()
+    for g in graphs:
+        for t in range(1, 5):
+            col = g.find_coloring(t)
+            assert col == reference_find_coloring(g, t), (g.vertex_count, g.edges, t)
+            found.add(None if col is None else col.t)
+    assert found == {None, 1, 2, 3, 4}
 
 
 def test_connected_components():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphefx import (
     Additive,
@@ -21,7 +23,6 @@ from graphefx import (
 )
 from graphefx.cli import _analysis
 from graphefx.generators import (
-    PETERSEN_EDGES,
     gen_bipartite,
     gen_multicycle,
     gen_multitree,
@@ -35,12 +36,17 @@ from graphefx.solvers import (
 from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, StructureResolved
 
 from .conftest import (
+    classifier_graphs,
     gnp_graph,
     mycielski_graph,
     naive_is_efx,
+    random_family_valuation,
+    reference_bipartite_efx,
     reference_chromatic,
     zero_instance,
 )
+
+CANCELLABLE_KINDS = ("additive", "unit_demand", "budget_additive")
 
 
 def test_bipartite_b1_worked_example(b1_instance):
@@ -73,10 +79,27 @@ def test_bipartite_edgeless():
 
 
 def test_bipartite_rejects_bad_bipartition(b1_instance):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^coloring is not proper: edge 0 joins 0 and 1$"):
         bipartite_efx(b1_instance, (frozenset({0, 1}), frozenset({2})))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^bipartition must partition the vertex set$"):
         bipartite_efx(b1_instance, (frozenset({0}), frozenset({1})))
+
+
+def test_bipartite_efx_matches_reference_root_loop():
+    # the phase loop at t = 2 reproduces the bipartite solver's own root
+    # loop, with either side of the bipartition as the roots
+    for kind in CANCELLABLE_KINDS:
+        matched = 0
+        for seed in range(40):
+            inst, _ = gen_bipartite(seed=seed, n_left=3, n_right=4, max_parallel=3,
+                                    value_max=30, valuation_kind=kind)
+            left, right = inst.graph.bipartition()
+            for bipart in ((left, right), (right, left)):
+                alloc, trace = bipartite_efx(inst, bipart)
+                assert (alloc, trace) == reference_bipartite_efx(inst, bipart)
+                assert len(trace) > 1
+                matched += 1
+        assert matched == 80
 
 
 def test_bipartite_rejects_table_valuations():
@@ -292,34 +315,9 @@ def test_solve_deterministic(b1_instance):
     assert first[2] == second[2]
 
 
-def _cycle(length, rng):
-    return [(i, (i + 1) % length) for i in range(length) for _ in range(rng.randint(1, 2))]
-
-
-def _classifier_graphs(rng):
-    """Small multigraphs across the chromatic rule's cases, several hundred in all."""
-    graphs = [gnp_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.35, 0.5, 0.8)), 2)
-              for _ in range(300)]
-    for _ in range(3):
-        for length in (3, 4, 5, 6, 7, 9, 11):
-            graphs.append(MultiGraph(length, _cycle(length, rng)))
-    for copies in (1, 2, 3):
-        graphs.append(MultiGraph(10, PETERSEN_EDGES * copies))
-    graphs += [
-        MultiGraph(10, PETERSEN_EDGES + [(0, 2)]),  # a chord: girth 3
-        MultiGraph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]),  # K4
-        MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)]),
-        MultiGraph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3: girth 4
-        MultiGraph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]),  # girth 4, odd cycle
-        mycielski_graph(2),  # Groetzsch: girth 4, chromatic number 4
-        MultiGraph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 5)]),
-    ]
-    return graphs
-
-
 def test_classify_matches_coloring_first_reference():
     rng = random.Random(2023)
-    graphs = _classifier_graphs(rng)
+    graphs = classifier_graphs(rng)
     assert len(graphs) > 300
     accepted = rejected_by_girth = 0
     for g in graphs:
@@ -408,9 +406,40 @@ def _multi_triangle():
 ])
 def test_analyze_lists_exactly_what_solve_accepts(make, eligible):
     inst = make()
-    assert _analysis(inst)["eligible"] == eligible == _accepted_by_solvers(inst)
+    assert _analysis(inst)["eligible"] == [eligible]  # one component
+    assert eligible == _accepted_by_solvers(inst)
     if eligible:
         assert solve(inst)[1] == eligible[0]
     else:
         with pytest.raises(UnsupportedClassError, match="no solver applies"):
             solve(inst)
+
+
+@st.composite
+def _cancellable_instances(draw):
+    """A bipartite multi-graph (up to 3 x 3) or a multi-cycle (length 3..7),
+    each agent with one cancellable-family valuation on its incident goods."""
+    if draw(st.booleans()):
+        n_left, n_right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n = n_left + n_right
+        links = [(u, w) for u in range(n_left) for w in range(n_left, n)]
+        copies = draw(st.lists(st.integers(0, 2), min_size=len(links), max_size=len(links)))
+    else:
+        n = draw(st.integers(3, 7))
+        links = [(i, (i + 1) % n) for i in range(n)]
+        copies = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    g = MultiGraph(n, [link for link, k in zip(links, copies) for _ in range(k)])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(CANCELLABLE_KINDS), min_size=n, max_size=n))
+    return Instance(graph=g, valuations={
+        u: random_family_valuation(rng, kinds[u], sorted(g.incident_edges(u)))
+        for u in range(n)
+    })
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_cancellable_instances())
+def test_solve_is_complete_and_efx_on_cancellable_families(inst):
+    alloc, method, _ = solve(inst)
+    assert alloc.is_complete(inst)
+    assert naive_is_efx(inst, alloc), method
