@@ -10,7 +10,7 @@ from .errors import (
     UnsupportedValuationError,
 )
 from .multigraph import Coloring, MultiGraph
-from .oracle import OracleReport, brute_force_efx, contains
+from .oracle import OracleReport, brute_force_efx
 from .partition import CutResult, cac, cut_and_choose
 from .solvers import Instance, Verdict, bipartite_efx, chromatic_efx, classify, solve, tree_efx
 from .valuation import (
@@ -20,7 +20,6 @@ from .valuation import (
     UnitDemand,
     Valuation,
     is_cancellable_bruteforce,
-    is_monotone_bruteforce,
 )
 
 __all__ = [
@@ -49,12 +48,10 @@ __all__ = [
     "cac",
     "chromatic_efx",
     "classify",
-    "contains",
     "cut_and_choose",
     "envy_graph",
     "is_cancellable_bruteforce",
     "is_efx",
-    "is_monotone_bruteforce",
     "resolve_cycle",
     "solve",
     "tree_efx",

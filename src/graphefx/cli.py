@@ -92,28 +92,36 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _analysis(inst: Instance) -> dict:
-    """Class facts of the whole instance, and per component the solvers ``classify`` accepts."""
+    """Class facts of the whole instance, and per component its chromatic number
+    and the solvers ``classify`` accepts."""
     g = inst.graph
     girth, _ = g.shortest_cycle()
-    col, _ = smallest_coloring(g)
+    parts = [sub for sub, _, _ in components(inst)]
+    colorings = [smallest_coloring(sub.graph)[0] for sub in parts]
     return {
         "agents": g.vertex_count,
         "goods": g.edge_count,
         "multitree": g.is_multitree(),
         "bipartite": g.bipartition() is not None,
         "girth": None if girth == float("inf") else int(girth),
-        "chromatic_number": None if col is None else col.t,
-        "eligible": [[v.solver for v in classify(sub) if v.applies] for sub, _, _ in components(inst)],
+        "chromatic_number": [None if col is None else col.t for col in colorings],
+        "eligible": [[v.solver for v in classify(sub) if v.applies] for sub in parts],
     }
+
+
+def _per_component(items: list) -> str:
+    """One item as itself; one item per component as componentwise(a; b; ...)."""
+    return str(items[0]) if len(items) == 1 else f"componentwise({'; '.join(map(str, items))})"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.instance)
     report = _analysis(inst)
-    for key in ("agents", "goods", "multitree", "bipartite", "girth", "chromatic_number"):
+    for key in ("agents", "goods", "multitree", "bipartite", "girth"):
         print(f"{key}: {report[key]}")
+    print("chromatic_number: " + _per_component(report["chromatic_number"]))
     lists = [", ".join(solvers) or "none" for solvers in report["eligible"]]
-    print("eligible: " + (lists[0] if len(lists) == 1 else f"componentwise({'; '.join(lists)})"))
+    print("eligible: " + _per_component(lists))
     return EXIT_OK
 
 

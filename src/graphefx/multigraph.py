@@ -14,8 +14,6 @@ from typing import Optional
 
 from .errors import InputError
 
-INFINITE_GIRTH = math.inf
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -142,7 +140,7 @@ class MultiGraph:
         return best, None if cycle is None else list(cycle)
 
     def _shortest_cycle(self) -> tuple[float, Optional[tuple[int, ...]]]:
-        best = INFINITE_GIRTH
+        best = math.inf
         best_cycle: Optional[list[int]] = None
         for start in range(self.vertex_count):
             dist = {start: 0}
@@ -218,23 +216,25 @@ class MultiGraph:
         return None
 
     def _try_color(self, t: int) -> Optional[dict[int, int]]:
-        colors: dict[int, int] = {}
-
-        def backtrack(v: int) -> bool:
-            if v == self.vertex_count:
-                return True
-            used = max(colors.values(), default=-1)
-            for c in range(min(t, used + 2)):  # new colors in ascending order
-                if all(colors.get(w) != c for w in self._adj[v]):
-                    colors[v] = c
-                    if backtrack(v + 1):
-                        return True
-                    del colors[v]
-            return False
-
-        if backtrack(0):
-            return dict(colors)
-        return None
+        # Backtracking with an explicit stack: ``colors[v]`` is the color of
+        # vertex v < len(colors), and ``c`` the next color to try at the
+        # first uncolored vertex.  A new color is at most one above the
+        # largest used, and colors are tried in ascending order.
+        colors: list[int] = []
+        c = 0
+        while len(colors) < self.vertex_count:
+            v = len(colors)
+            limit = min(t, max(colors, default=-1) + 2)
+            while c < limit and any(w < v and colors[w] == c for w in self._adj[v]):
+                c += 1
+            if c < limit:
+                colors.append(c)
+                c = 0
+            elif colors:
+                c = colors.pop() + 1
+            else:
+                return None
+        return dict(enumerate(colors))
 
     def connected_components(self) -> list[list[int]]:
         """Skeleton components as sorted vertex lists, ordered by minimum vertex."""

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Optional
 
-from .allocation import Allocation, is_efx
-from .errors import CapacityError, InputError
+from .allocation import Allocation
+from .errors import CapacityError
 
 if TYPE_CHECKING:
     from .solvers import Instance
@@ -91,10 +91,3 @@ def brute_force_efx(inst: "Instance") -> OracleReport:
                 }
                 sample = Allocation(bundles=bundles)
     return OracleReport(efx_count=count, sample=sample, searched=searched)
-
-
-def contains(inst: "Instance", alloc: Allocation) -> bool:
-    """True iff the complete allocation ``alloc`` is EFX for ``inst``."""
-    if not alloc.is_complete(inst):
-        raise InputError("oracle membership requires a complete allocation")
-    return is_efx(inst, alloc).ok

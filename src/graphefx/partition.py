@@ -98,39 +98,23 @@ def cac(cutter_val: Valuation, bundle: Iterable[int]) -> CutResult:
     )
 
 
-def cut_preferences(
+def cut_and_choose(
     cutter_val: Valuation, chooser_val: Valuation, bundle: Iterable[int]
-) -> tuple[CutResult, int, int]:
-    """Cut ``bundle`` and report each side's preferred piece index.
+) -> tuple[frozenset[int], frozenset[int], bool]:
+    """Two-agent cut-and-choose: the cutter runs ``cac``, the chooser picks first.
 
-    Returns (cut, s, t) where s is the chooser's preferred piece and t the
-    cutter's.  On indifference ties are broken so that s != t: an indifferent
-    chooser takes the piece the cutter does not prefer, an indifferent cutter
-    is assigned the complement of the chooser's pick, and under double
+    Returns (chooser_piece, cutter_piece, same_pref), where same_pref says
+    that both agents strictly prefer the chooser's piece.  An indifferent
+    chooser takes the piece the cutter prefers less, and under double
     indifference the chooser takes piece2.
     """
-    cut = cac(cutter_val, frozenset(bundle))
-    vc1 = chooser_val.value(cut.piece1)
-    vc2 = chooser_val.value(cut.piece2)
-    if vc1 > vc2:
-        s = 1
-    elif vc2 > vc1:
-        s = 2
+    cut = cac(cutter_val, bundle)
+    vc1, vc2 = chooser_val.value(cut.piece1), chooser_val.value(cut.piece2)
+    if vc1 != vc2:
+        s = 1 if vc1 > vc2 else 2
     elif not cut.cutter_indifferent:
         s = 3 - cut.cutter_pref
     else:
         s = 2
-    t = cut.cutter_pref if not cut.cutter_indifferent else 3 - s
-    return cut, s, t
-
-
-def cut_and_choose(
-    cutter_val: Valuation, chooser_val: Valuation, bundle: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int], bool]:
-    """Two-agent cut-and-choose: the chooser picks first.
-
-    Returns (chooser_piece, cutter_piece, same_pref) where same_pref reports
-    whether both agents' preferred pieces coincide after tie-breaking.
-    """
-    cut, s, t = cut_preferences(cutter_val, chooser_val, frozenset(bundle))
-    return cut.piece(s), cut.piece(3 - s), s == t
+    same_pref = not cut.cutter_indifferent and s == cut.cutter_pref
+    return cut.piece(s), cut.piece(3 - s), same_pref

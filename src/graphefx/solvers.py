@@ -24,7 +24,7 @@ from .allocation import (
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
 from .multigraph import Coloring, MultiGraph
 from .oracle import BRUTE_FORCE_MAX, brute_force_efx
-from .partition import cac, cut_preferences
+from .partition import cut_and_choose
 from .trace import (
     BRANCH_DIFFERENT,
     BRANCH_SAME_KEEP,
@@ -66,73 +66,55 @@ def _table_agent(inst: Instance) -> Optional[int]:
     return next((u for u in sorted(inst.valuations) if isinstance(inst.valuations[u], Table)), None)
 
 
-def _snapshot(bundles: dict[int, set[int]]) -> dict[int, frozenset[int]]:
-    return {u: frozenset(b) for u, b in bundles.items() if b}
-
-
 def _resolve_structure(
-    inst: Instance,
-    bundles: dict[int, set[int]],
-    u: int,
-    right: list[int],
-    phase: int,
-    trace: list[TraceEvent],
-) -> None:
-    """Resolve the structure rooted at ``u`` over its right neighbours.
+    inst: Instance, alloc: Allocation, u: int, right: list[int], phase: int
+) -> tuple[Allocation, StructureResolved]:
+    """Resolve the structure rooted at ``u`` over its right neighbours (ascending).
 
-    Mutates ``bundles`` and appends one StructureResolved event.
+    Each right neighbour w cuts its edge loop with u and u chooses.  Returns
+    the allocation after the step and its StructureResolved event.
     """
-    v_u = inst.valuations[u]
-    right = [w for w in right if inst.graph.parallel_edges(u, w)]
     if not right:
-        trace.append(
-            StructureResolved(
-                phase=phase, root=u, favourite=None, branch=None,
-                snapshot=_snapshot(bundles), transfers=(),
-            )
-        )
-        return
+        return alloc, StructureResolved(phase=phase, root=u, favourite=None, branch=None,
+                                        snapshot=dict(alloc.bundles), transfers=())
 
-    pieces = {}  # w -> (loop, S piece, T piece, same_pref)
-    for w in sorted(right):
-        loop = inst.graph.parallel_edges(u, w)
-        cut, s, t = cut_preferences(inst.valuations[w], v_u, loop)
-        pieces[w] = (loop, cut.piece(s), cut.piece(t), s == t)
+    v_u = inst.valuations[u]
+    cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
+            for w in right}
+    fav = max(right, key=lambda w: (v_u.value(cuts[w][0]), -w))
+    bundles = dict(alloc.bundles)
 
-    fav = max(sorted(pieces), key=lambda w: (v_u.value(pieces[w][1]), -w))
-    leftover: set[int] = set()
-    for w in sorted(pieces):
-        if w == fav:
-            continue
-        loop, _, t_piece, _ = pieces[w]
-        bundles.setdefault(w, set()).update(t_piece)
-        leftover |= loop - t_piece
+    def give(v: int, goods: frozenset[int]) -> None:
+        bundles[v] = bundles.get(v, frozenset()) | goods
 
-    loop, s_piece, t_piece, same_pref = pieces[fav]
-    prior = set(bundles.get(u, set()))
+    leftover: frozenset[int] = frozenset()
+    for w in right:
+        if w != fav:
+            s_piece, rest, same_pref = cuts[w]
+            w_piece, left = (s_piece, rest) if same_pref else (rest, s_piece)
+            give(w, w_piece)
+            leftover |= left
+
+    s_piece, rest, same_pref = cuts[fav]
+    prior = alloc.bundle(u)
     transfers: tuple[tuple[int, int, int], ...] = ()
-    if same_pref:
-        rest = prior | (loop - s_piece) | leftover
-        if v_u.value(s_piece) > v_u.value(rest):
-            branch = BRANCH_SAME_KEEP
-            bundles.setdefault(fav, set()).update(rest)
-            bundles[u] = set(s_piece)
-            transfers = tuple((g, u, fav) for g in sorted(prior))
-        else:
-            branch = BRANCH_SAME_LEFTOVERS
-            bundles.setdefault(u, set()).update((loop - s_piece) | leftover)
-            bundles.setdefault(fav, set()).update(s_piece)
-    else:
+    if not same_pref:
         branch = BRANCH_DIFFERENT
-        bundles.setdefault(u, set()).update(s_piece | leftover)
-        bundles.setdefault(fav, set()).update(t_piece)
+        give(u, s_piece | leftover)
+        give(fav, rest)
+    elif v_u.value(s_piece) > v_u.value(prior | rest | leftover):
+        branch = BRANCH_SAME_KEEP
+        give(fav, prior | rest | leftover)
+        bundles[u] = s_piece
+        transfers = tuple((g, u, fav) for g in sorted(prior))
+    else:
+        branch = BRANCH_SAME_LEFTOVERS
+        give(u, rest | leftover)
+        give(fav, s_piece)
 
-    trace.append(
-        StructureResolved(
-            phase=phase, root=u, favourite=fav, branch=branch,
-            snapshot=_snapshot(bundles), transfers=transfers,
-        )
-    )
+    alloc = Allocation(bundles=bundles)
+    return alloc, StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
+                                    snapshot=dict(alloc.bundles), transfers=transfers)
 
 
 def bipartite_efx(
@@ -175,13 +157,14 @@ def chromatic_efx(inst: Instance, col: Coloring) -> tuple[Allocation, list[Trace
                                         f" agent {table} has a table valuation")
 
     trace: list[TraceEvent] = [ColoringUsed(colors=dict(col.colors), t=col.t)]
-    bundles: dict[int, set[int]] = {}
+    alloc = Allocation.empty()
     for phase in range(1, col.t):
         roots = sorted(v for v in range(inst.graph.vertex_count) if col.colors[v] == phase - 1)
         for u in roots:
-            right = [w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u]]
-            _resolve_structure(inst, bundles, u, sorted(right), phase, trace)
-    return Allocation(bundles=_snapshot(bundles)), trace
+            right = sorted(w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u])
+            alloc, event = _resolve_structure(inst, alloc, u, right, phase)
+            trace.append(event)
+    return alloc, trace
 
 
 def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
@@ -214,47 +197,38 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
             heapq.heappush(leaves, -parent)
 
     trace: list[TraceEvent] = []
-    bundles: dict[int, set[int]] = {}
-
-    def current() -> Allocation:
-        return Allocation(bundles=_snapshot(bundles))
-
-    def apply(alloc: Allocation) -> None:
-        bundles.clear()
-        for v, b in alloc.bundles.items():
-            bundles[v] = set(b)
-
+    alloc = Allocation.empty()
     for leaf, parent in reversed(order):
-        eg = envy_graph(inst, current())
+        eg = envy_graph(inst, alloc)
         cycle = find_envy_cycle(eg)
         while cycle is not None:
-            apply(resolve_cycle(current(), cycle))
-            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=_snapshot(bundles)))
-            eg = envy_graph(inst, current())
+            alloc = resolve_cycle(alloc, cycle)
+            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=dict(alloc.bundles)))
+            eg = envy_graph(inst, alloc)
             cycle = find_envy_cycle(eg)
 
         loop = inst.graph.parallel_edges(leaf, parent)
-        cut, s, _ = cut_preferences(inst.valuations[parent], inst.valuations[leaf], loop)
-        leaf_piece, rest = cut.piece(s), cut.piece(3 - s)
-        bundles.setdefault(leaf, set()).update(leaf_piece)
-
-        # the complement goes to the parent, or to an envy-graph source of it
+        leaf_piece, rest, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf], loop)
+        # The complement goes to the parent, or to an envy-graph source of it.
+        # None of the leaf's goods is allocated yet, so the leaf holds nothing,
+        # envies no one and is never that source.
         source = find_source_with_path(eg, parent)
         recipient = parent if source is None else source[0]
-        bundles.setdefault(recipient, set()).update(rest)
+        alloc = Allocation(bundles={**alloc.bundles, leaf: leaf_piece,
+                                    recipient: alloc.bundle(recipient) | rest})
         trace.append(
             LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                         leftover_to=recipient, snapshot=_snapshot(bundles))
+                         leftover_to=recipient, snapshot=dict(alloc.bundles))
         )
         if source is not None:
             s_vertex, path = source
             v_p = inst.valuations[parent]
-            if v_p.value(bundles.get(parent, set())) < v_p.value(bundles.get(s_vertex, set())):
+            if v_p.value(alloc.bundle(parent)) < v_p.value(alloc.bundle(s_vertex)):
                 cyc = [parent] + path[:-1]  # parent envies the source; close the loop
-                apply(resolve_cycle(current(), cyc))
-                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=_snapshot(bundles)))
+                alloc = resolve_cycle(alloc, cyc)
+                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=dict(alloc.bundles)))
 
-    return current(), trace
+    return alloc, trace
 
 
 def components(inst: Instance) -> list[tuple[Instance, list[int], list[int]]]:

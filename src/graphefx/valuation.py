@@ -1,4 +1,4 @@
-"""Monotone valuation oracles over incident edges, plus brute-force property checks.
+"""Monotone valuation oracles over incident edges, plus a brute-force cancellability check.
 
 All values are nonnegative integers; arithmetic is exact throughout.  Goods the
 valuation knows nothing about contribute zero marginal value and are silently
@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Optional
 
 from .errors import CapacityError, InputError
 
-MONOTONE_CHECK_MAX = 20
 CANCELLABLE_CHECK_MAX = 12
 
 
@@ -137,28 +136,6 @@ def _value_table(val: Valuation, goods: list[int]) -> list[int]:
 
 def _mask_to_set(mask: int, goods: list[int]) -> frozenset[int]:
     return frozenset(g for i, g in enumerate(goods) if mask >> i & 1)
-
-
-def is_monotone_bruteforce(
-    val: Valuation, incident: Iterable[int]
-) -> tuple[bool, Optional[tuple[frozenset[int], int]]]:
-    """Exhaustive monotonicity check over all (S, g) pairs.
-
-    Returns (True, None) or (False, (S, g)) with the first violation in
-    deterministic order: S by ascending bitmask over sorted goods, then g
-    ascending.
-    """
-    goods = sorted(incident)
-    if len(goods) > MONOTONE_CHECK_MAX:
-        raise CapacityError(f"monotonicity check limited to {MONOTONE_CHECK_MAX} goods")
-    vs = _value_table(val, goods)
-    for mask in range(1 << len(goods)):
-        for i, g in enumerate(goods):
-            if mask >> i & 1:
-                continue
-            if vs[mask | (1 << i)] < vs[mask]:
-                return False, (_mask_to_set(mask, goods), g)
-    return True, None
 
 
 def is_cancellable_bruteforce(

@@ -224,13 +224,103 @@ def reference_find_coloring(graph, t_max):
     return None
 
 
+def reference_cut_preferences(cutter_val, chooser_val, bundle):
+    """Cut ``bundle`` with ``cac``; (cut, s, t) with s the chooser's and t the cutter's piece index.
+
+    Ties: an indifferent chooser takes the piece the cutter does not prefer,
+    an indifferent cutter is given the complement of the chooser's pick, and
+    under double indifference the chooser takes piece2.
+    """
+    from graphefx import cac
+
+    cut = cac(cutter_val, frozenset(bundle))
+    vc1, vc2 = chooser_val.value(cut.piece1), chooser_val.value(cut.piece2)
+    if vc1 > vc2:
+        s = 1
+    elif vc2 > vc1:
+        s = 2
+    elif not cut.cutter_indifferent:
+        s = 3 - cut.cutter_pref
+    else:
+        s = 2
+    t = cut.cutter_pref if not cut.cutter_indifferent else 3 - s
+    return cut, s, t
+
+
+def _reference_snapshot(bundles):
+    return {u: frozenset(b) for u, b in bundles.items() if b}
+
+
+def _reference_resolve_structure(inst, bundles, u, right, phase, trace):
+    """Resolve the structure rooted at ``u``: mutates the set dict ``bundles``
+    and appends one StructureResolved event to ``trace``."""
+    from graphefx.trace import (
+        BRANCH_DIFFERENT,
+        BRANCH_SAME_KEEP,
+        BRANCH_SAME_LEFTOVERS,
+        StructureResolved,
+    )
+
+    v_u = inst.valuations[u]
+    right = [w for w in right if inst.graph.parallel_edges(u, w)]
+    if not right:
+        trace.append(StructureResolved(phase=phase, root=u, favourite=None, branch=None,
+                                       snapshot=_reference_snapshot(bundles), transfers=()))
+        return
+    pieces = {}  # w -> (loop, S piece, T piece, same_pref)
+    for w in sorted(right):
+        loop = inst.graph.parallel_edges(u, w)
+        cut, s, t = reference_cut_preferences(inst.valuations[w], v_u, loop)
+        pieces[w] = (loop, cut.piece(s), cut.piece(t), s == t)
+    fav = max(sorted(pieces), key=lambda w: (v_u.value(pieces[w][1]), -w))
+    leftover = set()
+    for w in sorted(pieces):
+        if w == fav:
+            continue
+        loop, _, t_piece, _ = pieces[w]
+        bundles.setdefault(w, set()).update(t_piece)
+        leftover |= loop - t_piece
+    loop, s_piece, t_piece, same_pref = pieces[fav]
+    prior = set(bundles.get(u, set()))
+    transfers = ()
+    if same_pref:
+        rest = prior | (loop - s_piece) | leftover
+        if v_u.value(s_piece) > v_u.value(rest):
+            branch = BRANCH_SAME_KEEP
+            bundles.setdefault(fav, set()).update(rest)
+            bundles[u] = set(s_piece)
+            transfers = tuple((g, u, fav) for g in sorted(prior))
+        else:
+            branch = BRANCH_SAME_LEFTOVERS
+            bundles.setdefault(u, set()).update((loop - s_piece) | leftover)
+            bundles.setdefault(fav, set()).update(s_piece)
+    else:
+        branch = BRANCH_DIFFERENT
+        bundles.setdefault(u, set()).update(s_piece | leftover)
+        bundles.setdefault(fav, set()).update(t_piece)
+    trace.append(StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
+                                   snapshot=_reference_snapshot(bundles), transfers=transfers))
+
+
+def reference_chromatic_efx(inst, col):
+    """The chromatic solver's phase loop over a mutable set dict, without precondition checks."""
+    from graphefx.trace import ColoringUsed
+
+    trace = [ColoringUsed(colors=dict(col.colors), t=col.t)]
+    bundles = {}
+    for phase in range(1, col.t):
+        for u in sorted(v for v in range(inst.graph.vertex_count) if col.colors[v] == phase - 1):
+            right = [w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u]]
+            _reference_resolve_structure(inst, bundles, u, sorted(right), phase, trace)
+    return Allocation(bundles=_reference_snapshot(bundles)), trace
+
+
 def reference_bipartite_efx(inst, bipart):
     """The bipartite solver with its own root loop: roots in L in ascending order, one phase.
 
-    It shares the structure-resolution core with ``chromatic_efx`` but not the
-    phase loop, the coloring or the precondition checks.
+    It runs the reference structure resolution above, with its own
+    precondition checks and no coloring.
     """
-    from graphefx.solvers import _resolve_structure, _snapshot, _table_agent
     from graphefx.trace import ColoringUsed
 
     left, right = frozenset(bipart[0]), frozenset(bipart[1])
@@ -240,15 +330,76 @@ def reference_bipartite_efx(inst, bipart):
     for eid, (a, b) in enumerate(inst.graph.edges):
         if (a in left) == (b in left):
             raise PreconditionError(f"edge {eid} does not cross the bipartition")
-    table = _table_agent(inst)
+    table = next((u for u in sorted(inst.valuations) if isinstance(inst.valuations[u], Table)), None)
     if table is not None:
         raise UnsupportedValuationError("bipartite_efx requires cancellable-family valuations;"
                                         f" agent {table} has a table valuation")
     trace = [ColoringUsed(colors={v: (0 if v in left else 1) for v in range(n)}, t=2)]
     bundles = {}
     for u in sorted(left):
-        _resolve_structure(inst, bundles, u, sorted(inst.graph.neighbours(u)), 1, trace)
-    return Allocation(bundles=_snapshot(bundles)), trace
+        _reference_resolve_structure(inst, bundles, u, sorted(inst.graph.neighbours(u)), 1, trace)
+    return Allocation(bundles=_reference_snapshot(bundles)), trace
+
+
+def reference_tree_efx(inst):
+    """The tree solver over a mutable set dict, converted to an ``Allocation``
+    around every envy-graph build and cycle shift."""
+    import heapq
+
+    from graphefx.allocation import envy_graph, find_envy_cycle, find_source_with_path, resolve_cycle
+    from graphefx.trace import CycleResolved, LeafAttached
+
+    degree = {v: set(inst.graph.neighbours(v)) for v in range(inst.graph.vertex_count)}
+    order = []  # (leaf, parent), always the highest-index current leaf
+    leaves = [-v for v in degree if len(degree[v]) == 1]
+    heapq.heapify(leaves)
+    while leaves:
+        leaf = -heapq.heappop(leaves)
+        if not degree[leaf]:
+            continue
+        (parent,) = degree[leaf]
+        order.append((leaf, parent))
+        degree[parent].discard(leaf)
+        degree[leaf] = set()
+        if len(degree[parent]) == 1:
+            heapq.heappush(leaves, -parent)
+
+    trace = []
+    bundles = {}
+
+    def current():
+        return Allocation(bundles=_reference_snapshot(bundles))
+
+    def apply(alloc):
+        bundles.clear()
+        for v, b in alloc.bundles.items():
+            bundles[v] = set(b)
+
+    for leaf, parent in reversed(order):
+        eg = envy_graph(inst, current())
+        cycle = find_envy_cycle(eg)
+        while cycle is not None:
+            apply(resolve_cycle(current(), cycle))
+            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=_reference_snapshot(bundles)))
+            eg = envy_graph(inst, current())
+            cycle = find_envy_cycle(eg)
+        loop = inst.graph.parallel_edges(leaf, parent)
+        cut, s, _ = reference_cut_preferences(inst.valuations[parent], inst.valuations[leaf], loop)
+        leaf_piece, rest = cut.piece(s), cut.piece(3 - s)
+        bundles.setdefault(leaf, set()).update(leaf_piece)
+        source = find_source_with_path(eg, parent)
+        recipient = parent if source is None else source[0]
+        bundles.setdefault(recipient, set()).update(rest)
+        trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
+                                  leftover_to=recipient, snapshot=_reference_snapshot(bundles)))
+        if source is not None:
+            s_vertex, path = source
+            v_p = inst.valuations[parent]
+            if v_p.value(bundles.get(parent, set())) < v_p.value(bundles.get(s_vertex, set())):
+                cyc = [parent] + path[:-1]
+                apply(resolve_cycle(current(), cyc))
+                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=_reference_snapshot(bundles)))
+    return current(), trace
 
 
 def reference_chromatic(graph):

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphefx
 from graphefx import (
     Additive,
     BudgetAdditive,
@@ -24,6 +29,7 @@ from graphefx.jsonio import (
     load_trace,
     save_instance,
 )
+from graphefx.trace import ColoringUsed
 
 from .conftest import additive_instance, gnp_graph, star_graph, zero_instance
 
@@ -447,6 +453,19 @@ def test_analyze_lists_solvers_per_component(tmp_path, capsys, parts, eligible):
     assert applied == [[solvers.split(", ")[0]] for solvers in lists]
 
 
+def test_analyze_prints_chromatic_number_per_component(tmp_path, capsys):
+    # a 4-cycle beside a 5-cycle: solve colors them with t = 2 and t = 3
+    path = _union_file(tmp_path, [C4, C5])
+    assert main(["analyze", str(path)]) == EXIT_OK
+    assert "chromatic_number: componentwise(2; 3)" in capsys.readouterr().out.splitlines()
+    assert main(["solve", str(path), "--trace", str(tmp_path / "u.trace.jsonl")]) == EXIT_OK
+    trace = load_trace(tmp_path / "u.trace.jsonl")
+    assert [ev.t for ev in trace if isinstance(ev, ColoringUsed)] == [2, 3]
+    path = _union_file(tmp_path, [C5, MULTI_TRIANGLE])
+    assert main(["analyze", str(path)]) == EXIT_OK
+    assert "chromatic_number: componentwise(3; None)" in capsys.readouterr().out.splitlines()
+
+
 def test_analyze_prints_none_for_a_component_no_solver_accepts(tmp_path, capsys):
     path = _union_file(tmp_path, [STAR, MULTI_TRIANGLE])
     assert main(["analyze", str(path)]) == EXIT_OK
@@ -486,3 +505,24 @@ def test_solve_girth_five_graph_without_two_coloring_search(tmp_path, capsys, mo
     assert main(["solve", str(path)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["method_used"] == "chromatic" and report["efx"] and report["complete"]
+
+
+@pytest.mark.parametrize("family, args", [
+    ("multitree", ["--valuations", "table", "--agents", "12", "--seed", "0"]),
+    ("petersen", ["--parallel-copies", "2", "--seed", "3"]),
+])
+def test_solve_output_does_not_depend_on_the_hash_seed(tmp_path, family, args):
+    inst = tmp_path / "x.instance.json"
+    assert main(["gen", family, *args, "-o", str(inst)]) == EXIT_OK
+    src = str(Path(graphefx.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        alloc, trace = tmp_path / f"{hash_seed}.alloc.json", tmp_path / f"{hash_seed}.trace.jsonl"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "graphefx.cli", "solve", str(inst),
+                               "-o", str(alloc), "--trace", str(trace)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append((alloc.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -109,6 +109,16 @@ def test_find_coloring_cycles():
     assert tri.find_coloring(2) is None
 
 
+def test_find_coloring_long_odd_cycle_without_recursion():
+    # the search walks 1,001 vertices deep; a recursive one overflows the stack
+    n = 1001
+    g = MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    col = g.find_coloring(3)
+    assert col.t == 3
+    assert col.colors == {**{i: i % 2 for i in range(n - 1)}, n - 1: 2}
+    assert g.validate_coloring(col) == (True, None)
+
+
 def test_find_coloring_petersen():
     g = MultiGraph(10, PETERSEN_EDGES)
     col = g.find_coloring(4)

@@ -7,11 +7,10 @@ from graphefx import (
     Additive,
     Allocation,
     CapacityError,
-    InputError,
     Instance,
     MultiGraph,
     brute_force_efx,
-    contains,
+    is_efx,
     solve,
 )
 
@@ -40,7 +39,7 @@ def test_b1_census_contains_solver_output(b1_instance):
     assert report.searched == 81
     assert report.efx_count >= 1
     alloc, _, _ = solve(b1_instance)
-    assert contains(b1_instance, alloc)
+    assert alloc.is_complete(b1_instance) and is_efx(b1_instance, alloc).ok
 
 
 def test_capacity_guard():
@@ -48,15 +47,6 @@ def test_capacity_guard():
     vals = {u: Additive(values={e: 1 for e in g.incident_edges(u)}) for u in range(10)}
     with pytest.raises(CapacityError):
         brute_force_efx(Instance(graph=g, valuations=vals))
-
-
-def test_contains_requires_complete():
-    inst = Instance(
-        graph=MultiGraph(2, [(0, 1)]),
-        valuations={0: Additive(values={0: 1}), 1: Additive(values={0: 1})},
-    )
-    with pytest.raises(InputError):
-        contains(inst, Allocation.empty())
 
 
 def test_sample_is_lexicographically_first():

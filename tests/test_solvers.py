@@ -23,6 +23,7 @@ from graphefx import (
 )
 from graphefx.cli import _analysis
 from graphefx.generators import (
+    VALUATION_KINDS,
     gen_bipartite,
     gen_multicycle,
     gen_multitree,
@@ -33,7 +34,7 @@ from graphefx.solvers import (
     BRUTE_FORCE_GOOD_MAX,
     classify,
 )
-from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, StructureResolved
+from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved
 
 from .conftest import (
     classifier_graphs,
@@ -43,6 +44,8 @@ from .conftest import (
     random_family_valuation,
     reference_bipartite_efx,
     reference_chromatic,
+    reference_chromatic_efx,
+    reference_tree_efx,
     zero_instance,
 )
 
@@ -246,9 +249,46 @@ def test_chromatic_t2_matches_bipartite_traces():
     assert matched == 50
 
 
+def test_tree_efx_matches_set_dict_reference():
+    # event by event, cycle resolutions included; no event aliases the
+    # returned allocation
+    cycles = dict.fromkeys(VALUATION_KINDS, 0)
+    for kind in VALUATION_KINDS:
+        for seed in range(15):
+            inst, _ = gen_multitree(seed=seed, n=12, max_parallel=3, value_max=20,
+                                    valuation_kind=kind)
+            alloc, trace = tree_efx(inst)
+            expected = reference_tree_efx(inst)
+            assert (alloc, trace) == expected
+            alloc.bundles.clear()
+            assert trace == expected[1]
+            cycles[kind] += sum(isinstance(ev, CycleResolved) for ev in trace)
+    assert all(cycles.values()), cycles
+
+
+def test_chromatic_efx_matches_set_dict_reference():
+    instances = []
+    for kind in CANCELLABLE_KINDS:
+        for seed in range(4):
+            for copies in (1, 2, 3):
+                instances.append(gen_petersen(seed=seed, parallel_copies=copies, value_max=30,
+                                              valuation_kind=kind)[0])
+            for length in (5, 7, 9):
+                instances.append(gen_multicycle(seed=seed, length=length, max_parallel=3,
+                                                value_max=30, valuation_kind=kind)[0])
+    for inst in instances:
+        col = inst.graph.find_coloring(3)
+        alloc, trace = chromatic_efx(inst, col)
+        expected = reference_chromatic_efx(inst, col)
+        assert (alloc, trace) == expected
+        alloc.bundles.clear()
+        assert trace == expected[1]
+
+
 def test_dispatch_multicycles():
+    # 1,001 agents: the coloring search must not recurse once per vertex
     for length, expected in [(3, "brute_force"), (4, "bipartite"), (5, "chromatic"),
-                             (7, "chromatic"), (9, "chromatic")]:
+                             (7, "chromatic"), (9, "chromatic"), (1001, "chromatic")]:
         inst, _ = gen_multicycle(seed=length, length=length, max_parallel=2, value_max=9)
         alloc, method, _ = solve(inst)
         assert method == expected

@@ -11,7 +11,6 @@ from graphefx import (
     Table,
     UnitDemand,
     is_cancellable_bruteforce,
-    is_monotone_bruteforce,
 )
 
 from .conftest import random_family_valuation
@@ -49,18 +48,6 @@ def test_table_validation():
     with pytest.raises(InputError):
         Table(entries={frozenset(): 0, frozenset({0}): 2, frozenset({1}): 0,
                        frozenset({0, 1}): 1})
-
-
-def test_monotone_bruteforce_additive_and_table(noncancellable_table):
-    ok, witness = is_monotone_bruteforce(Additive(values={0: 1, 1: 2}), {0, 1})
-    assert ok and witness is None
-    ok, witness = is_monotone_bruteforce(noncancellable_table, {0, 1, 2})
-    assert ok and witness is None
-
-
-def test_monotone_bruteforce_capacity():
-    with pytest.raises(CapacityError):
-        is_monotone_bruteforce(Additive(values={}), range(21))
 
 
 def test_cancellable_additive_and_unit_demand():
