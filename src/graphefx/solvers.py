@@ -14,10 +14,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .allocation import (
+# envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
+from .allocation import (  # noqa: F401
     Allocation,
+    EnvyTracker,
     envy_graph,
-    find_envy_cycle,
     find_source_with_path,
     resolve_cycle,
 )
@@ -76,13 +77,13 @@ def _resolve_structure(
     """
     if not right:
         return alloc, StructureResolved(phase=phase, root=u, favourite=None, branch=None,
-                                        snapshot=dict(alloc.bundles), transfers=())
+                                        snapshot=alloc.bundles.copy(), transfers=())
 
     v_u = inst.valuations[u]
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
             for w in right}
     fav = max(right, key=lambda w: (v_u.value(cuts[w][0]), -w))
-    bundles = dict(alloc.bundles)
+    bundles = alloc.bundles.copy()
 
     def give(v: int, goods: frozenset[int]) -> None:
         bundles[v] = bundles.get(v, frozenset()) | goods
@@ -114,7 +115,7 @@ def _resolve_structure(
 
     alloc = Allocation(bundles=bundles)
     return alloc, StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
-                                    snapshot=dict(alloc.bundles), transfers=transfers)
+                                    snapshot=alloc.bundles.copy(), transfers=transfers)
 
 
 def bipartite_efx(
@@ -173,6 +174,8 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
     Leaves are detached (highest index first), the rest is solved recursively,
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
+    One ``EnvyTracker`` keeps the envy graph, updated from the bundles each
+    step changes.
     """
     if not inst.graph.is_multitree():
         raise PreconditionError("tree_efx requires a multi-tree (acyclic skeleton)")
@@ -197,38 +200,36 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
             heapq.heappush(leaves, -parent)
 
     trace: list[TraceEvent] = []
-    alloc = Allocation.empty()
+    envy = EnvyTracker(inst, Allocation.empty())
     for leaf, parent in reversed(order):
-        eg = envy_graph(inst, alloc)
-        cycle = find_envy_cycle(eg)
+        cycle = envy.find_cycle()
         while cycle is not None:
-            alloc = resolve_cycle(alloc, cycle)
-            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=dict(alloc.bundles)))
-            eg = envy_graph(inst, alloc)
-            cycle = find_envy_cycle(eg)
+            envy.update(resolve_cycle(envy.alloc, cycle), cycle)
+            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=envy.alloc.bundles.copy()))
+            cycle = envy.find_cycle()
 
         loop = inst.graph.parallel_edges(leaf, parent)
         leaf_piece, rest, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf], loop)
         # The complement goes to the parent, or to an envy-graph source of it.
         # None of the leaf's goods is allocated yet, so the leaf holds nothing,
         # envies no one and is never that source.
-        source = find_source_with_path(eg, parent)
+        source = find_source_with_path(envy, parent)
         recipient = parent if source is None else source[0]
-        alloc = Allocation(bundles={**alloc.bundles, leaf: leaf_piece,
-                                    recipient: alloc.bundle(recipient) | rest})
+        alloc = envy.alloc
+        envy.update(Allocation(bundles=alloc.bundles.copy() | {
+            leaf: leaf_piece, recipient: alloc.bundle(recipient) | rest}), (leaf, recipient))
         trace.append(
             LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                         leftover_to=recipient, snapshot=dict(alloc.bundles))
+                         leftover_to=recipient, snapshot=envy.alloc.bundles.copy())
         )
         if source is not None:
             s_vertex, path = source
-            v_p = inst.valuations[parent]
-            if v_p.value(alloc.bundle(parent)) < v_p.value(alloc.bundle(s_vertex)):
+            if envy.envies(parent, s_vertex):
                 cyc = [parent] + path[:-1]  # parent envies the source; close the loop
-                alloc = resolve_cycle(alloc, cyc)
-                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=dict(alloc.bundles)))
+                envy.update(resolve_cycle(envy.alloc, cyc), cyc)
+                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=envy.alloc.bundles.copy()))
 
-    return alloc, trace
+    return envy.alloc, trace
 
 
 def components(inst: Instance) -> list[tuple[Instance, list[int], list[int]]]:

@@ -13,6 +13,7 @@ from graphefx import (
     Table,
     UnitDemand,
     UnsupportedValuationError,
+    Valuation,
 )
 from graphefx.generators import PETERSEN_EDGES, VALUATION_KINDS, _make_valuation
 
@@ -166,6 +167,49 @@ def reference_efx_witness(inst, alloc):
             for x in sorted(other):
                 if own < val.value(other - {x}):
                     return (u, w, x)
+    return None
+
+
+class CountingValuation(Valuation):
+    """Delegates to ``inner`` and counts every value query in ``counter[0]``."""
+
+    def __init__(self, inner: Valuation, counter: list[int]):
+        self.inner = inner
+        self.counter = counter
+
+    def value(self, bundle):
+        self.counter[0] += 1
+        return self.inner.value(bundle)
+
+    @property
+    def support(self):
+        return self.inner.support
+
+
+def reference_find_envy_cycle(eg):
+    """The recursive DFS for an envy cycle: roots 0..n-1, successors ascending."""
+    color = {}  # 0 visiting, 1 done
+    stack_path = []
+
+    def dfs(v):
+        color[v] = 0
+        stack_path.append(v)
+        for w in sorted(eg.out_neighbours(v)):
+            if w not in color:
+                found = dfs(w)
+                if found is not None:
+                    return found
+            elif color[w] == 0:
+                return stack_path[stack_path.index(w):]
+        stack_path.pop()
+        color[v] = 1
+        return None
+
+    for v in range(eg.vertex_count):
+        if v not in color:
+            found = dfs(v)
+            if found is not None:
+                return list(found)
     return None
 
 
@@ -343,10 +387,11 @@ def reference_bipartite_efx(inst, bipart):
 
 def reference_tree_efx(inst):
     """The tree solver over a mutable set dict, converted to an ``Allocation``
-    around every envy-graph build and cycle shift."""
+    around every envy-graph build and cycle shift.  The envy graph is built
+    from scratch for every leaf and searched with the recursive DFS."""
     import heapq
 
-    from graphefx.allocation import envy_graph, find_envy_cycle, find_source_with_path, resolve_cycle
+    from graphefx.allocation import envy_graph, find_source_with_path, resolve_cycle
     from graphefx.trace import CycleResolved, LeafAttached
 
     degree = {v: set(inst.graph.neighbours(v)) for v in range(inst.graph.vertex_count)}
@@ -377,12 +422,12 @@ def reference_tree_efx(inst):
 
     for leaf, parent in reversed(order):
         eg = envy_graph(inst, current())
-        cycle = find_envy_cycle(eg)
+        cycle = reference_find_envy_cycle(eg)
         while cycle is not None:
             apply(resolve_cycle(current(), cycle))
             trace.append(CycleResolved(cycle=tuple(cycle), snapshot=_reference_snapshot(bundles)))
             eg = envy_graph(inst, current())
-            cycle = find_envy_cycle(eg)
+            cycle = reference_find_envy_cycle(eg)
         loop = inst.graph.parallel_edges(leaf, parent)
         cut, s, _ = reference_cut_preferences(inst.valuations[parent], inst.valuations[leaf], loop)
         leaf_piece, rest = cut.piece(s), cut.piece(3 - s)

@@ -1,4 +1,6 @@
+import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,18 +14,21 @@ from graphefx import (
     is_efx,
     resolve_cycle,
 )
-from graphefx.allocation import find_envy_cycle, find_source_with_path
-from graphefx.allocation import EnvyGraph
+from graphefx.allocation import EnvyGraph, EnvyTracker, find_envy_cycle, find_source_with_path
+from graphefx.errors import PreconditionError
+from graphefx.generators import VALUATION_KINDS, gen_multitree
 from graphefx.solvers import tree_efx
-from graphefx.valuation import Valuation
 
 from .conftest import (
+    CountingValuation,
     naive_is_efx,
     random_allocation,
     random_instance,
     random_mixed_instance,
     reference_efx_witness,
     reference_envy_edges,
+    reference_find_envy_cycle,
+    reference_tree_efx,
 )
 
 
@@ -179,22 +184,6 @@ def test_local_checks_match_all_pairs_reference():
     assert partial > 100 and empty_bundle > 100 and witnesses > 100
 
 
-class CountingValuation(Valuation):
-    """Delegates to ``inner`` and counts every value query in ``counter[0]``."""
-
-    def __init__(self, inner: Valuation, counter: list[int]):
-        self.inner = inner
-        self.counter = counter
-
-    def value(self, bundle):
-        self.counter[0] += 1
-        return self.inner.value(bundle)
-
-    @property
-    def support(self):
-        return self.inner.support
-
-
 def test_local_checks_query_count_is_linear():
     # A 300-vertex path with 1-3 parallel goods per link and an EFX allocation,
     # so is_efx scans every agent instead of stopping at a witness.
@@ -219,3 +208,145 @@ def test_local_checks_query_count_is_linear():
     envy_graph(inst, alloc)
     assert is_efx(inst, alloc).ok
     assert 0 < counter[0] <= c * (n + g.edge_count)
+
+
+def test_allocation_bundles_are_read_only():
+    alloc = Allocation(bundles={0: {1}, 1: frozenset(), 2: [0, 2]})
+    assert alloc == Allocation(bundles={0: frozenset({1}), 2: frozenset({0, 2})})
+    assert alloc != Allocation(bundles={0: frozenset({1})})
+    assert dict(alloc.bundles) == {0: {1}, 2: {0, 2}}
+    with pytest.raises(TypeError):
+        alloc.bundles[1] = frozenset({1})
+    with pytest.raises(TypeError):
+        del alloc.bundles[0]
+    with pytest.raises(InputError, match="not disjoint at agent 2"):
+        Allocation(bundles={0: {1}, 1: {2}, 2: {3, 1}})
+
+
+def test_allocation_pickle_round_trip():
+    alloc = Allocation(bundles={0: frozenset({1}), 3: frozenset({0, 2})})
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(alloc, protocol))
+        assert copy == alloc and copy.bundles is not alloc.bundles
+        with pytest.raises(TypeError):
+            copy.bundles[0] = frozenset()
+
+
+def test_find_envy_cycle_without_recursion():
+    n = 3000
+    path = EnvyGraph(vertex_count=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+    assert find_envy_cycle(path) is None
+    cycle = EnvyGraph(vertex_count=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+    assert find_envy_cycle(cycle) == list(range(n))
+
+
+def test_find_envy_cycle_matches_recursive_reference():
+    rng = random.Random(23)
+    found = 0
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        edges = [(u, w) for u in range(n) for w in range(n) if u != w and rng.random() < p]
+        rng.shuffle(edges)
+        eg = EnvyGraph(vertex_count=n, edges=tuple(edges))
+        expected = reference_find_envy_cycle(eg)
+        assert find_envy_cycle(eg) == expected
+        found += expected is not None
+    assert 100 < found < 500
+
+
+def _random_update(rng, inst, alloc):
+    """One bundle change of a kind the tree solver makes, or a harder one.
+
+    Returns (kind, new allocation, the agents whose bundles changed).
+    """
+    n, m = inst.graph.vertex_count, inst.graph.edge_count
+    holder = {g: w for w, b in alloc.bundles.items() for g in b}
+    kind = rng.choice(("leaf", "cycle", "hand", "withdraw"))
+    bundles = dict(alloc.bundles)
+    if kind == "leaf" or not holder:
+        # up to two agents take unallocated goods incident to them
+        kind, changed = "leaf", rng.sample(range(n), min(n, 2))
+        for u in changed:
+            free = sorted(g for g in inst.graph.incident_edges(u) if g not in holder)
+            take = frozenset(g for g in free if rng.random() < 0.5)
+            holder.update(dict.fromkeys(take, u))
+            bundles[u] = alloc.bundle(u) | take
+        return kind, Allocation(bundles=bundles), changed
+    if kind == "cycle":
+        changed = rng.sample(range(n), rng.randint(2, min(n, 5)))
+        return kind, resolve_cycle(alloc, changed), changed
+    g = rng.choice(sorted(holder))
+    h = holder[g]
+    bundles[h] = alloc.bundle(h) - {g}
+    if kind == "withdraw":
+        return kind, Allocation(bundles=bundles), [h]
+    # hand g to an agent that is not one of its endpoints when there is one
+    others = [z for z in range(n) if z not in inst.graph.endpoints(g)] or [
+        z for z in range(n) if z != h]
+    z = rng.choice(others)
+    bundles[z] = alloc.bundle(z) | {g}
+    return kind, Allocation(bundles=bundles), [h, z]
+
+
+def test_envy_tracker_matches_from_scratch_after_every_update():
+    rng = random.Random(31)
+    ops = Counter()
+    families = set()
+    instances = [gen_multitree(seed=seed, n=rng.randint(3, 12), max_parallel=3, value_max=20,
+                               valuation_kind=kind)[0]
+                 for kind in VALUATION_KINDS for seed in range(8)]
+    instances += [random_mixed_instance(rng) for _ in range(60)]
+    for inst in instances:
+        n = inst.graph.vertex_count
+        families |= {type(v).__name__ for v in inst.valuations.values()}
+        alloc = random_allocation(rng, inst) if rng.random() < 0.3 else Allocation.empty()
+        tracker = EnvyTracker(inst, alloc)
+        for _ in range(25):
+            kind, alloc, changed = _random_update(rng, inst, alloc)
+            ops[kind] += 1
+            tracker.update(alloc, changed)
+            assert tracker.alloc == alloc
+            edges = reference_envy_edges(inst, alloc)
+            assert tracker.edges == edges
+            for v in range(n):
+                assert tracker.out_neighbours(v) == [w for a, w in edges if a == v]
+                assert tracker.in_neighbours(v) == [a for a, w in edges if w == v]
+                assert tracker.envies(v, (v + 1) % n) == ((v, (v + 1) % n) in edges)
+            eg = envy_graph(inst, alloc)
+            assert tracker.find_cycle() == find_envy_cycle(eg)
+            target = rng.randrange(n)
+            try:
+                expected = find_source_with_path(eg, target)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    find_source_with_path(tracker, target)
+            else:
+                assert find_source_with_path(tracker, target) == expected
+    assert families == {"Additive", "UnitDemand", "BudgetAdditive", "Table"}
+    assert min(ops.values()) > 200, ops
+
+
+def test_envy_tracker_validates_changed_bundles():
+    inst = _two_agent_instance({0: 5}, {0: 1})
+    tracker = EnvyTracker(inst, Allocation.empty())
+    with pytest.raises(InputError, match="allocation references unknown edge 9"):
+        tracker.update(Allocation(bundles={0: frozenset({9})}), [0])
+    with pytest.raises(InputError, match="allocation references unknown agent 4"):
+        tracker.update(Allocation(bundles={4: frozenset({0})}), [4])
+    with pytest.raises(InputError, match="allocation references unknown edge 9"):
+        EnvyTracker(inst, Allocation(bundles={1: frozenset({9})}))
+
+
+def test_tree_efx_query_count_is_linear():
+    # The tracker values a rival only when a changed bundle can affect the
+    # pair: about 4.8 (n + m) queries here.  Rebuilding the envy graph for
+    # every leaf took about 336 (n + m) on this instance, and grows with n.
+    n = 800
+    plain, _ = gen_multitree(seed=8, n=n, max_parallel=3, value_max=100)
+    counter = [0]
+    inst = Instance(graph=plain.graph, valuations={
+        u: CountingValuation(v, counter) for u, v in plain.valuations.items()})
+    alloc, trace = tree_efx(inst)
+    assert 0 < counter[0] <= 8 * (n + plain.graph.edge_count)
+    assert (alloc, trace) == reference_tree_efx(plain)
