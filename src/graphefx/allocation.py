@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .errors import InputError, PreconditionError
 
@@ -49,10 +49,7 @@ class Allocation:
 
     @property
     def assigned_edges(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.bundles.values():
-            out |= b
-        return out
+        return frozenset().union(*self.bundles.values())
 
     def is_complete(self, inst: "Instance") -> bool:
         return self.assigned_edges == frozenset(range(inst.graph.edge_count))
@@ -60,35 +57,6 @@ class Allocation:
     @staticmethod
     def empty() -> "Allocation":
         return Allocation(bundles={})
-
-
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Directed envy relation: (u, w) present iff u strictly prefers w's bundle."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    _out: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _in: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        out: dict[int, list[int]] = {}
-        into: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            out.setdefault(a, []).append(b)
-            into.setdefault(b, []).append(a)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", into)
-
-    def out_neighbours(self, u: int) -> list[int]:
-        return list(self._out.get(u, ()))
-
-    def in_neighbours(self, w: int) -> list[int]:
-        return list(self._in.get(w, ()))
-
-    def envious(self) -> list[int]:
-        """The agents with an out-edge, ascending."""
-        return sorted(self._out)
 
 
 @dataclass(frozen=True)
@@ -111,13 +79,14 @@ def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
     _validate_bundles(inst, alloc.bundles.items())
 
 
-# The envy rule, shared by ``envy_graph`` and ``EnvyTracker``.  Agent u is
-# compared only with its rivals, the other holders of goods incident to u, and
-# values only the part of a rival's bundle among those goods.  Both are exact
-# because every valuation's support lies within the agent's incident edges:
-# the rest of a bundle is worth nothing to u, and any other bundle is worth
-# v_u(empty set) <= v_u(own bundle) by monotonicity, so u can neither envy it
-# nor violate EFX against it.  Callers look up u's incident goods once.
+# The envy rule of ``EnvyGraph``, both when it is built and when it is
+# updated.  Agent u is compared only with its rivals, the other holders of
+# goods incident to u, and values only the part of a rival's bundle among
+# those goods.  Both are exact because every valuation's support lies within
+# the agent's incident edges: the rest of a bundle is worth nothing to u, and
+# any other bundle is worth v_u(empty set) <= v_u(own bundle) by
+# monotonicity, so u can neither envy it nor violate EFX against it.  Callers
+# look up u's incident goods once.
 
 def _rivals(holder: Mapping[int, int], u: int, incident: frozenset[int]) -> set[int]:
     return {holder[g] for g in incident if g in holder} - {u}
@@ -130,24 +99,11 @@ def _envied(alloc: Allocation, val: "Valuation", incident: frozenset[int], own: 
     return [w for w in others if own < val.value(alloc.bundle(w) & incident)]
 
 
-def envy_graph(inst: "Instance", alloc: Allocation) -> EnvyGraph:
-    """Exact envy relation, edges in lexicographic order."""
-    validate_allocation(inst, alloc)
-    holder = {g: w for w, b in alloc.bundles.items() for g in b}
-    edges = []
-    for u in range(inst.graph.vertex_count):
-        incident = inst.graph.incident_edges(u)
-        rivals = _rivals(holder, u, incident)
-        if rivals:
-            val = inst.valuations[u]
-            own = val.value(alloc.bundle(u))
-            edges.extend((u, w) for w in _envied(alloc, val, incident, own, sorted(rivals)))
-    return EnvyGraph(vertex_count=inst.graph.vertex_count, edges=tuple(edges))
+class EnvyGraph:
+    """Directed envy relation of an allocation: (u, w) present iff u strictly
+    prefers w's bundle.
 
-
-class EnvyTracker:
-    """The envy graph of an allocation that changes a few bundles at a time.
-
+    ``EnvyGraph(inst, alloc)`` decides every rival pair once.  After that,
     ``update(alloc, changed)`` moves to a new allocation in which only the
     agents in ``changed`` hold different bundles, and re-decides only the
     pairs that change can affect: every rival of a changed agent, and
@@ -156,35 +112,46 @@ class EnvyTracker:
     y's bundles among its incident edges nor a new bundle of its own, so its
     verdict on y stays "no envy".
 
-    It answers the reads of ``EnvyGraph``, so ``find_envy_cycle`` and
-    ``find_source_with_path`` run on it as they are.  ``find_cycle`` skips
-    the search while no envy edge has appeared since a search found none: a
-    subgraph of an acyclic graph is acyclic.
+    ``find_cycle`` skips the search while no envy edge has appeared since a
+    search found none: a subgraph of an acyclic graph is acyclic.
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
         validate_allocation(inst, alloc)
         self.inst = inst
         self.alloc = alloc
-        self._holder = {g: w for w, b in alloc.bundles.items() for g in b}
+        self._holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
         self._acyclic = False
         for u in range(inst.graph.vertex_count):
-            self._redecide_rivals(u)
+            incident = inst.graph.incident_edges(u)
+            rivals = _rivals(holder, u, incident)
+            if rivals:
+                val = inst.valuations[u]
+                own = self._own[u] = val.value(alloc.bundle(u))
+                envied = _envied(alloc, val, incident, own, rivals)
+                if envied:
+                    self._out[u] = set(envied)
+                    for w in envied:
+                        self._in.setdefault(w, set()).add(u)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every envy edge, in lexicographic order."""
         return tuple((u, w) for u in sorted(self._out) for w in sorted(self._out[u]))
 
     def out_neighbours(self, u: int) -> list[int]:
+        """The agents ``u`` envies, ascending."""
         return sorted(self._out.get(u, ()))
 
     def in_neighbours(self, w: int) -> list[int]:
+        """The agents that envy ``w``, ascending."""
         return sorted(self._in.get(w, ()))
 
     def envious(self) -> list[int]:
+        """The agents with an out-edge, ascending."""
         return sorted(self._out)
 
     def envies(self, u: int, w: int) -> bool:
@@ -253,24 +220,31 @@ class EnvyTracker:
                     del adj[a]
 
 
-EnvyView = Union[EnvyGraph, EnvyTracker]
+def envy_graph(inst: "Instance", alloc: Allocation) -> EnvyGraph:
+    """Exact envy relation of ``alloc``, built from scratch."""
+    return EnvyGraph(inst, alloc)
 
 
 def is_efx(inst: "Instance", alloc: Allocation, envy: Optional[EnvyGraph] = None) -> EfxVerdict:
     """Exact EFX check; first witness in (envier, envied, good) order.
 
     Only envied bundles can fail, so the check walks the edges of ``envy``,
-    the allocation's envy graph, which is built here when not given.
+    the allocation's envy graph, which is built here when not given.  Like
+    the envy rule, it values only the part ``seen`` of a rival's bundle among
+    u's incident goods: removing a good outside ``seen`` leaves u's envy
+    intact, so that good is a witness without a query.
     """
     if envy is None:
         envy = envy_graph(inst, alloc)
     for u in envy.envious():
         val = inst.valuations[u]
         own = val.value(alloc.bundle(u))
+        incident = inst.graph.incident_edges(u)
         for w in envy.out_neighbours(u):
             other = alloc.bundle(w)
+            seen = other & incident
             for x in sorted(other):
-                if own < val.value(other - {x}):
+                if x not in seen or own < val.value(seen - {x}):
                     return EfxVerdict(ok=False, witness=(u, w, x))
     return EfxVerdict(ok=True, witness=None)
 
@@ -294,7 +268,7 @@ def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
     return Allocation(bundles=bundles)
 
 
-def find_envy_cycle(eg: EnvyView) -> Optional[list[int]]:
+def find_envy_cycle(eg: EnvyGraph) -> Optional[list[int]]:
     """One directed cycle in the envy graph, or None.
 
     Deterministic DFS with an explicit stack: roots in ascending order,
@@ -309,7 +283,7 @@ def find_envy_cycle(eg: EnvyView) -> Optional[list[int]]:
             continue
         path = [root]
         on_path[root] = 0
-        stack = [iter(sorted(eg.out_neighbours(root)))]
+        stack = [iter(eg.out_neighbours(root))]
         while stack:
             for w in stack[-1]:
                 if w in on_path:
@@ -317,7 +291,7 @@ def find_envy_cycle(eg: EnvyView) -> Optional[list[int]]:
                 if w not in done:
                     on_path[w] = len(path)
                     path.append(w)
-                    stack.append(iter(sorted(eg.out_neighbours(w))))
+                    stack.append(iter(eg.out_neighbours(w)))
                     break
             else:
                 stack.pop()
@@ -327,7 +301,7 @@ def find_envy_cycle(eg: EnvyView) -> Optional[list[int]]:
     return None
 
 
-def find_source_with_path(eg: EnvyView, target: int) -> Optional[tuple[int, list[int]]]:
+def find_source_with_path(eg: EnvyGraph, target: int) -> Optional[tuple[int, list[int]]]:
     """A source of the envy graph with a directed path to ``target``.
 
     Returns None when the target is itself a source.  Deterministic: BFS
@@ -341,7 +315,7 @@ def find_source_with_path(eg: EnvyView, target: int) -> Optional[tuple[int, list
     queue = deque([target])
     while queue:
         v = queue.popleft()
-        preds = sorted(eg.in_neighbours(v))
+        preds = eg.in_neighbours(v)
         if not preds and v != target:
             path = [v]
             while succ_on_path[path[-1]] is not None:

@@ -56,7 +56,7 @@ def _load_coloring(path: str, names: list[str]) -> Coloring:
         index = {name: i for i, name in enumerate(names)}
         colors = {index[name]: int(c) for name, c in obj["colors"].items()}
         return Coloring(colors=colors, t=int(obj["t"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed coloring file {path}: {exc}") from exc
 
 

@@ -102,7 +102,7 @@ def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
                 raise InputError(f"allocation references unknown agent {name!r}")
             bundles[index[name]] = frozenset(int(g) for g in goods)
         return Allocation(bundles=bundles)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed allocation document: {exc}") from exc
 
 

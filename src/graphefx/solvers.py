@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import (  # noqa: F401
     Allocation,
-    EnvyTracker,
+    EnvyGraph,
     envy_graph,
     find_source_with_path,
     resolve_cycle,
@@ -174,8 +174,7 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
     Leaves are detached (highest index first), the rest is solved recursively,
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
-    One ``EnvyTracker`` keeps the envy graph, updated from the bundles each
-    step changes.
+    One ``EnvyGraph`` is kept and updated from the bundles each step changes.
     """
     if not inst.graph.is_multitree():
         raise PreconditionError("tree_efx requires a multi-tree (acyclic skeleton)")
@@ -200,7 +199,7 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
             heapq.heappush(leaves, -parent)
 
     trace: list[TraceEvent] = []
-    envy = EnvyTracker(inst, Allocation.empty())
+    envy = EnvyGraph(inst, Allocation.empty())
     for leaf, parent in reversed(order):
         cycle = envy.find_cycle()
         while cycle is not None:

@@ -186,8 +186,34 @@ class CountingValuation(Valuation):
         return self.inner.support
 
 
-def reference_find_envy_cycle(eg):
-    """The recursive DFS for an envy cycle: roots 0..n-1, successors ascending."""
+class Digraph:
+    """A fixed digraph on agents 0..n-1 that answers the reads the envy-graph
+    searches make of ``EnvyGraph``, each list ascending."""
+
+    def __init__(self, n, edges):
+        self._out = {}
+        self._in = {}
+        for u, w in edges:
+            assert 0 <= u < n and 0 <= w < n and u != w, (u, w)
+            self._out.setdefault(u, []).append(w)
+            self._in.setdefault(w, []).append(u)
+        for adj in (self._out, self._in):
+            for v in adj:
+                adj[v].sort()
+
+    def envious(self):
+        return sorted(self._out)
+
+    def out_neighbours(self, u):
+        return list(self._out.get(u, ()))
+
+    def in_neighbours(self, w):
+        return list(self._in.get(w, ()))
+
+
+def reference_find_envy_cycle(eg, n):
+    """The recursive DFS for an envy cycle in ``eg`` on agents 0..n-1: roots
+    0..n-1, successors ascending."""
     color = {}  # 0 visiting, 1 done
     stack_path = []
 
@@ -205,7 +231,7 @@ def reference_find_envy_cycle(eg):
         color[v] = 1
         return None
 
-    for v in range(eg.vertex_count):
+    for v in range(n):
         if v not in color:
             found = dfs(v)
             if found is not None:
@@ -422,12 +448,12 @@ def reference_tree_efx(inst):
 
     for leaf, parent in reversed(order):
         eg = envy_graph(inst, current())
-        cycle = reference_find_envy_cycle(eg)
+        cycle = reference_find_envy_cycle(eg, inst.graph.vertex_count)
         while cycle is not None:
             apply(resolve_cycle(current(), cycle))
             trace.append(CycleResolved(cycle=tuple(cycle), snapshot=_reference_snapshot(bundles)))
             eg = envy_graph(inst, current())
-            cycle = reference_find_envy_cycle(eg)
+            cycle = reference_find_envy_cycle(eg, inst.graph.vertex_count)
         loop = inst.graph.parallel_edges(leaf, parent)
         cut, s, _ = reference_cut_preferences(inst.valuations[parent], inst.valuations[leaf], loop)
         leaf_piece, rest = cut.piece(s), cut.piece(3 - s)

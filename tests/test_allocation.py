@@ -14,13 +14,14 @@ from graphefx import (
     is_efx,
     resolve_cycle,
 )
-from graphefx.allocation import EnvyGraph, EnvyTracker, find_envy_cycle, find_source_with_path
+from graphefx.allocation import EnvyGraph, find_envy_cycle, find_source_with_path
 from graphefx.errors import PreconditionError
 from graphefx.generators import VALUATION_KINDS, gen_multitree
 from graphefx.solvers import tree_efx
 
 from .conftest import (
     CountingValuation,
+    Digraph,
     naive_is_efx,
     random_allocation,
     random_instance,
@@ -151,11 +152,11 @@ def test_ef_implies_efx():
 
 
 def test_find_source_with_path():
-    edgeless = EnvyGraph(vertex_count=3, edges=())
+    edgeless = Digraph(3, ())
     assert find_source_with_path(edgeless, 1) is None
-    single = EnvyGraph(vertex_count=3, edges=((0, 2),))
+    single = Digraph(3, ((0, 2),))
     assert find_source_with_path(single, 2) == (0, [0, 2])
-    chain = EnvyGraph(vertex_count=3, edges=((0, 1), (1, 2)))
+    chain = Digraph(3, ((0, 1), (1, 2)))
     assert find_source_with_path(chain, 2) == (0, [0, 1, 2])
 
 
@@ -204,8 +205,13 @@ def test_local_checks_query_count_is_linear():
     )
     alloc, _ = tree_efx(inst)
     assert alloc.is_complete(inst)
+    # Building the envy graph values each agent's own bundle once and each
+    # rival's bundle once, and skips agents without rivals.
+    holder = {x: w for w, b in alloc.bundles.items() for x in b}
+    rivals = [{holder[x] for x in g.incident_edges(u)} - {u} for u in range(n)]
     counter[0] = 0
     envy_graph(inst, alloc)
+    assert counter[0] == sum(1 + len(r) for r in rivals if r)
     assert is_efx(inst, alloc).ok
     assert 0 < counter[0] <= c * (n + g.edge_count)
 
@@ -234,9 +240,9 @@ def test_allocation_pickle_round_trip():
 
 def test_find_envy_cycle_without_recursion():
     n = 3000
-    path = EnvyGraph(vertex_count=n, edges=tuple((i, i + 1) for i in range(n - 1)))
+    path = Digraph(n, [(i, i + 1) for i in range(n - 1)])
     assert find_envy_cycle(path) is None
-    cycle = EnvyGraph(vertex_count=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+    cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
     assert find_envy_cycle(cycle) == list(range(n))
 
 
@@ -248,8 +254,8 @@ def test_find_envy_cycle_matches_recursive_reference():
         p = rng.choice((0.05, 0.1, 0.2, 0.4))
         edges = [(u, w) for u in range(n) for w in range(n) if u != w and rng.random() < p]
         rng.shuffle(edges)
-        eg = EnvyGraph(vertex_count=n, edges=tuple(edges))
-        expected = reference_find_envy_cycle(eg)
+        eg = Digraph(n, edges)
+        expected = reference_find_envy_cycle(eg, n)
         assert find_envy_cycle(eg) == expected
         found += expected is not None
     assert 100 < found < 500
@@ -289,7 +295,7 @@ def _random_update(rng, inst, alloc):
     return kind, Allocation(bundles=bundles), [h, z]
 
 
-def test_envy_tracker_matches_from_scratch_after_every_update():
+def test_envy_graph_matches_from_scratch_after_every_update():
     rng = random.Random(31)
     ops = Counter()
     families = set()
@@ -301,41 +307,41 @@ def test_envy_tracker_matches_from_scratch_after_every_update():
         n = inst.graph.vertex_count
         families |= {type(v).__name__ for v in inst.valuations.values()}
         alloc = random_allocation(rng, inst) if rng.random() < 0.3 else Allocation.empty()
-        tracker = EnvyTracker(inst, alloc)
+        envy = EnvyGraph(inst, alloc)
         for _ in range(25):
             kind, alloc, changed = _random_update(rng, inst, alloc)
             ops[kind] += 1
-            tracker.update(alloc, changed)
-            assert tracker.alloc == alloc
+            envy.update(alloc, changed)
+            assert envy.alloc == alloc
             edges = reference_envy_edges(inst, alloc)
-            assert tracker.edges == edges
+            assert envy.edges == edges
             for v in range(n):
-                assert tracker.out_neighbours(v) == [w for a, w in edges if a == v]
-                assert tracker.in_neighbours(v) == [a for a, w in edges if w == v]
-                assert tracker.envies(v, (v + 1) % n) == ((v, (v + 1) % n) in edges)
-            eg = envy_graph(inst, alloc)
-            assert tracker.find_cycle() == find_envy_cycle(eg)
+                assert envy.out_neighbours(v) == [w for a, w in edges if a == v]
+                assert envy.in_neighbours(v) == [a for a, w in edges if w == v]
+                assert envy.envies(v, (v + 1) % n) == ((v, (v + 1) % n) in edges)
+            reference = Digraph(n, edges)
+            assert envy.find_cycle() == reference_find_envy_cycle(reference, n)
             target = rng.randrange(n)
             try:
-                expected = find_source_with_path(eg, target)
+                expected = find_source_with_path(reference, target)
             except PreconditionError:
                 with pytest.raises(PreconditionError):
-                    find_source_with_path(tracker, target)
+                    find_source_with_path(envy, target)
             else:
-                assert find_source_with_path(tracker, target) == expected
+                assert find_source_with_path(envy, target) == expected
     assert families == {"Additive", "UnitDemand", "BudgetAdditive", "Table"}
     assert min(ops.values()) > 200, ops
 
 
-def test_envy_tracker_validates_changed_bundles():
+def test_envy_graph_update_validates_changed_bundles():
     inst = _two_agent_instance({0: 5}, {0: 1})
-    tracker = EnvyTracker(inst, Allocation.empty())
+    envy = EnvyGraph(inst, Allocation.empty())
     with pytest.raises(InputError, match="allocation references unknown edge 9"):
-        tracker.update(Allocation(bundles={0: frozenset({9})}), [0])
+        envy.update(Allocation(bundles={0: frozenset({9})}), [0])
     with pytest.raises(InputError, match="allocation references unknown agent 4"):
-        tracker.update(Allocation(bundles={4: frozenset({0})}), [4])
+        envy.update(Allocation(bundles={4: frozenset({0})}), [4])
     with pytest.raises(InputError, match="allocation references unknown edge 9"):
-        EnvyTracker(inst, Allocation(bundles={1: frozenset({9})}))
+        EnvyGraph(inst, Allocation(bundles={1: frozenset({9})}))
 
 
 def test_tree_efx_query_count_is_linear():

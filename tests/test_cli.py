@@ -111,6 +111,38 @@ def test_verify_partial_allocation(b1_file, tmp_path):
     assert main(["verify", str(b1_file), str(partial)]) == EXIT_OK
 
 
+def _run_cli(*args, env=None):
+    """``graphefx`` in a fresh interpreter, so that a traceback reaches stderr."""
+    src = str(Path(graphefx.__file__).resolve().parent.parent)
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "graphefx.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def _assert_one_error_line(done):
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_verify_bundles_list_exit_1(b1_file, tmp_path):
+    bad = tmp_path / "list.alloc.json"
+    bad.write_text(json.dumps({"bundles": [1, 2]}))
+    done = _run_cli("verify", b1_file, bad)
+    _assert_one_error_line(done)
+    assert "malformed allocation document" in done.stderr
+
+
+def test_solve_colors_list_exit_1(b1_file, tmp_path):
+    bad = tmp_path / "list.coloring.json"
+    bad.write_text(json.dumps({"colors": [0, 1], "t": 3}))
+    done = _run_cli("solve", b1_file, "--coloring", bad)
+    _assert_one_error_line(done)
+    assert "malformed coloring file" in done.stderr
+
+
 def test_malformed_json_exit_1(tmp_path):
     bad = tmp_path / "bad.instance.json"
     bad.write_text("{not json")
@@ -514,15 +546,11 @@ def test_solve_girth_five_graph_without_two_coloring_search(tmp_path, capsys, mo
 def test_solve_output_does_not_depend_on_the_hash_seed(tmp_path, family, args):
     inst = tmp_path / "x.instance.json"
     assert main(["gen", family, *args, "-o", str(inst)]) == EXIT_OK
-    src = str(Path(graphefx.__file__).resolve().parent.parent)
     outputs = []
     for hash_seed in ("0", "1"):
         alloc, trace = tmp_path / f"{hash_seed}.alloc.json", tmp_path / f"{hash_seed}.trace.jsonl"
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "graphefx.cli", "solve", str(inst),
-                               "-o", str(alloc), "--trace", str(trace)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = _run_cli("solve", inst, "-o", alloc, "--trace", trace,
+                        env={"PYTHONHASHSEED": hash_seed})
         assert done.returncode == EXIT_OK, done.stderr
         outputs.append((alloc.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1]
