@@ -106,11 +106,16 @@ class EnvyGraph:
     ``EnvyGraph(inst, alloc)`` decides every rival pair once.  After that,
     ``update(alloc, changed)`` moves to a new allocation in which only the
     agents in ``changed`` hold different bundles, and re-decides only the
-    pairs that change can affect: every rival of a changed agent, and
-    (z, y) for each changed y and each unchanged z that is an endpoint of a
-    good y held before or after.  Any other unchanged z has neither goods of
-    y's bundles among its incident edges nor a new bundle of its own, so its
-    verdict on y stays "no envy".
+    pairs that change can affect:
+
+    * (z, y) for each changed y and each unchanged z that is an endpoint of
+      a good y gained or lost.  Any other unchanged z keeps its own value
+      and sees the same part of y's bundle among its incident goods, where
+      its whole support lies, so its verdict on y stands.
+    * (y, w) for each changed y and each rival w of y.  When y's bundle only
+      grew, just its current out-edges and its changed rivals: valuations
+      are monotone, so y's own value did not fall, and its envy of a rival
+      with the same bundle can only have vanished.
 
     ``find_cycle`` skips the search while no envy edge has appeared since a
     search found none: a subgraph of an acyclic graph is acyclic.
@@ -120,7 +125,8 @@ class EnvyGraph:
         validate_allocation(inst, alloc)
         self.inst = inst
         self.alloc = alloc
-        self._holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
+        # good -> the agent holding it; read-only outside the class
+        self.holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
@@ -172,16 +178,17 @@ class EnvyGraph:
         _validate_bundles(inst, [(y, alloc.bundle(y)) for y in changed])  # before any state changes
         for y in changed:
             for g in old.bundle(y):
-                del self._holder[g]
+                del self.holder[g]
         for y in changed:
-            self._holder.update(dict.fromkeys(alloc.bundle(y), y))
+            self.holder.update(dict.fromkeys(alloc.bundle(y), y))
             self._own.pop(y, None)
         self.alloc = alloc
 
         outside: dict[int, set[int]] = {}  # unchanged z -> the changed agents to re-decide
         for y in changed:
-            self._redecide_rivals(y)
-            for g in old.bundle(y) | alloc.bundle(y):
+            before, after = old.bundle(y), alloc.bundle(y)
+            self._redecide_rivals(y, changed if before <= after else None)
+            for g in before ^ after:
                 for z in inst.graph.endpoints(g):
                     if z not in changed:
                         outside.setdefault(z, set()).add(y)
@@ -194,10 +201,15 @@ class EnvyGraph:
             own = self._own[u] = self.inst.valuations[u].value(self.alloc.bundle(u))
         return own
 
-    def _redecide_rivals(self, u: int) -> None:
-        rivals = _rivals(self._holder, u, self.inst.graph.incident_edges(u))
-        for w in self._out.get(u, set()) - rivals:
+    def _redecide_rivals(self, u: int, grown_among: Optional[set[int]]) -> None:
+        """Re-decide u against its rivals; when u's bundle only grew, against
+        those it envied and those in ``grown_among``, the changed agents."""
+        out = self._out.get(u, set())
+        rivals = _rivals(self.holder, u, self.inst.graph.incident_edges(u))
+        for w in out - rivals:
             self._set(u, w, False)
+        if grown_among is not None:
+            rivals &= out | grown_among
         if rivals:
             self._redecide(u, rivals)
 
@@ -206,6 +218,23 @@ class EnvyGraph:
                              self._own_value(u), others))
         for w in others:
             self._set(u, w, w in envied)
+
+    def efx_witness(self, u: int, w: int) -> Optional[int]:
+        """For an envy edge (u, w): the least good of w's bundle whose removal
+        leaves u envious, or None when every removal ends the envy.
+
+        Like the envy rule, it values only the part ``seen`` of w's bundle
+        among u's incident goods: removing a good outside ``seen`` leaves the
+        envy intact, so that good is a witness without a query.
+        """
+        val = self.inst.valuations[u]
+        own = self._own_value(u)
+        other = self.alloc.bundle(w)
+        seen = other & self.inst.graph.incident_edges(u)
+        for x in sorted(other):
+            if x not in seen or own < val.value(seen - {x}):
+                return x
+        return None
 
     def _set(self, u: int, w: int, envy: bool) -> None:
         out = self._out.get(u, ())
@@ -229,23 +258,15 @@ def is_efx(inst: "Instance", alloc: Allocation, envy: Optional[EnvyGraph] = None
     """Exact EFX check; first witness in (envier, envied, good) order.
 
     Only envied bundles can fail, so the check walks the edges of ``envy``,
-    the allocation's envy graph, which is built here when not given.  Like
-    the envy rule, it values only the part ``seen`` of a rival's bundle among
-    u's incident goods: removing a good outside ``seen`` leaves u's envy
-    intact, so that good is a witness without a query.
+    the allocation's envy graph, which is built here when not given, and
+    asks each for its ``efx_witness``.
     """
     if envy is None:
         envy = envy_graph(inst, alloc)
-    for u in envy.envious():
-        val = inst.valuations[u]
-        own = val.value(alloc.bundle(u))
-        incident = inst.graph.incident_edges(u)
-        for w in envy.out_neighbours(u):
-            other = alloc.bundle(w)
-            seen = other & incident
-            for x in sorted(other):
-                if x not in seen or own < val.value(seen - {x}):
-                    return EfxVerdict(ok=False, witness=(u, w, x))
+    for u, w in envy.edges:
+        x = envy.efx_witness(u, w)
+        if x is not None:
+            return EfxVerdict(ok=False, witness=(u, w, x))
     return EfxVerdict(ok=True, witness=None)
 
 

@@ -18,11 +18,10 @@ applicable on them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .allocation import Allocation, envy_graph, is_efx
+from .allocation import Allocation, EnvyGraph
 from .trace import ColoringUsed, StructureResolved, TraceEvent
 
 if TYPE_CHECKING:
@@ -61,29 +60,22 @@ def _merged_colors(trace: list[TraceEvent]) -> Optional[dict[int, int]]:
     return colors
 
 
-def _allocated_adjacency(inst: "Instance", holder_of: dict[int, int]) -> dict[int, set[int]]:
-    """Skeleton adjacency restricted to the edges assigned in a snapshot."""
-    adj: dict[int, set[int]] = {}
-    for g in holder_of:
-        a, b = inst.graph.endpoints(g)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
+def _connect(adj: dict[int, set[int]], a: int, b: int) -> None:
+    adj.setdefault(a, set()).add(b)
+    adj.setdefault(b, set()).add(a)
 
 
-def _distances_within(adj: dict[int, set[int]], src: int, depth: int) -> dict[int, int]:
-    """BFS hop distances from ``src``, for the vertices at most ``depth`` hops away."""
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        if dist[x] >= depth:
-            continue
-        for y in adj.get(x, ()):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+def _within(adj: dict[int, set[int]], src: int, dst: int, depth: int) -> bool:
+    """Whether ``dst`` is at most ``depth`` hops from ``src`` along ``adj``."""
+    if src == dst:
+        return depth >= 0
+    seen = frontier = {src}
+    for _ in range(depth):
+        frontier = set().union(*(adj.get(x, ()) for x in frontier)) - seen
+        if dst in frontier:
+            return True
+        seen = seen | frontier
+    return False
 
 
 def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
@@ -91,6 +83,20 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
 
     Envy is only checked between agents that share a good, which is exact
     because every valuation's support lies within the agent's incident edges.
+
+    The audit steps one ``EnvyGraph`` from snapshot to snapshot and rechecks
+    only what the agents whose bundles changed can affect; the report equals
+    that of checking every snapshot from scratch:
+
+    * an envy edge's EFX witness depends on its two bundles only;
+    * while no good is withdrawn, the allocated edges only grow, so an
+      allocated distance only shrinks and a distance check that passed stays
+      passed while its good keeps its holder.  A withdrawal rechecks every good;
+    * an unresolved agent z values only its incident goods, so its union
+      check depends only on their holders and on which holders are resolved.
+      Resolving one more root can only shrink the union, so a check that
+      passed can fail only when one of those goods changed holder.
+    Checks that failed at the previous snapshot are always made again.
     """
     colors = _merged_colors(trace)
     structure_events = [
@@ -100,10 +106,6 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     if not applicable:
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
 
-    # 0-based color classes; claims use 1-based, so +1.  No distance bound
-    # exceeds the largest class number, which is at most t.
-    depth = max(colors.values(), default=0) + 1
-    far = inst.graph.vertex_count + 1
     localized: list[str] = []
     movement: list[str] = []
     distance: list[str] = []
@@ -112,17 +114,33 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     favourite_of: dict[int, Optional[int]] = {}
     resolved: set[int] = set()
     phase_moved: dict[int, set[int]] = {}
+    envy = EnvyGraph(inst, Allocation.empty())
+    holder = envy.holder
+    unfair: dict[tuple[int, int], int] = {}  # envy edge -> its EFX witness, where it has one
+    adj: dict[int, set[int]] = {}  # skeleton adjacency along the allocated edges
+    far_goods: set[int] = set()  # goods whose distance checks failed at the previous snapshot
+    union_enviers: set[int] = set()  # agents whose union check failed at the previous snapshot
 
     for idx, ev in structure_events:
         resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
-        alloc = Allocation(bundles=dict(ev.snapshot))
+        old, alloc = envy.alloc, Allocation(bundles=ev.snapshot)
+        changed = {u for u in old.bundles.keys() | alloc.bundles.keys()
+                   if old.bundle(u) != alloc.bundle(u)}
+        moved = frozenset().union(*(old.bundle(y) ^ alloc.bundle(y) for y in changed))
+        envy.update(alloc, changed)
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
-        envy = envy_graph(inst, alloc)
-        verdict = is_efx(inst, alloc, envy)
-        if not verdict.ok:
-            localized.append(f"event {idx}: snapshot is not EFX, witness {verdict.witness}")
+        unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
+        touched = {(y, w) for y in changed for w in envy.out_neighbours(y)}
+        touched.update((u, y) for y in changed for u in envy.in_neighbours(y))
+        for u, w in touched:
+            x = envy.efx_witness(u, w)
+            if x is not None:
+                unfair[u, w] = x
+        if unfair:
+            first = min(unfair)
+            localized.append(f"event {idx}: snapshot is not EFX, witness {(*first, unfair[first])}")
         for a, b in envy.edges:
             if b not in resolved or favourite_of.get(b) != a:
                 localized.append(
@@ -130,55 +148,62 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                 )
 
         # good movement: only root -> favourite, at most once per phase
-        moved = phase_moved.setdefault(ev.phase, set())
+        moved_in_phase = phase_moved.setdefault(ev.phase, set())
         for g, frm, to in ev.transfers:
             if frm != ev.root or to != ev.favourite:
                 movement.append(
                     f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"
                 )
-            if g in moved:
+            if g in moved_in_phase:
                 movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
-            moved.add(g)
+            moved_in_phase.add(g)
 
-        # distances along allocated edges; each BFS stops at ``depth``, beyond
-        # every bound, so a vertex it does not reach reads as ``far``
-        holder_of = {g: w for w, b in ev.snapshot.items() for g in b}
-        adj = _allocated_adjacency(inst, holder_of)
-        dist_cache: dict[int, dict[int, int]] = {}
-
-        def dist_from(src: int) -> dict[int, int]:
-            if src not in dist_cache:
-                dist_cache[src] = _distances_within(adj, src, depth)
-            return dist_cache[src]
-
-        for g, w in sorted(holder_of.items()):
+        # distances along allocated edges
+        if any(g not in holder for g in moved):
+            adj = {}
+            for g in holder:
+                _connect(adj, *inst.graph.endpoints(g))
+            recheck = set(holder)
+        else:
+            for g in moved:
+                _connect(adj, *inst.graph.endpoints(g))
+            recheck = moved | far_goods
+        far_goods = set()
+        for g in sorted(recheck):
+            w = holder[g]
             a, b = inst.graph.endpoints(g)
             c_w = colors[w] + 1
             for z in (a, b):
-                if dist_from(z).get(w, far) > c_w:
+                if not _within(adj, z, w, c_w):
+                    far_goods.add(g)
                     distance.append(
                         f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
                     )
             root = a if colors[a] < colors[b] else b
-            if dist_from(root).get(w, far) > c_w - (colors[root] + 1):
+            bound = c_w - (colors[root] + 1)
+            if not _within(adj, root, w, bound):
+                far_goods.add(g)
                 distance.append(
                     f"event {idx}: structure root {root} of good {g} is farther than"
-                    f" {c_w - (colors[root] + 1)} from holder {w}"
+                    f" {bound} from holder {w}"
                 )
 
         # unresolved union: z values only its incident goods, so the union of
         # the other unresolved bundles is worth what z's incident goods in it are
-        for z in range(inst.graph.vertex_count):
-            if z in resolved:
-                continue
+        suspects = set(union_enviers)
+        for g in moved:
+            suspects.update(inst.graph.endpoints(g))
+        union_enviers = set()
+        for z in sorted(suspects - resolved):
             rest = frozenset(
                 g for g in inst.graph.incident_edges(z)
-                if g in holder_of and holder_of[g] != z and holder_of[g] not in resolved
+                if g in holder and holder[g] != z and holder[g] not in resolved
             )
             if not rest:
                 continue
             v_z = inst.valuations[z]
             if v_z.value(alloc.bundle(z)) < v_z.value(rest):
+                union_enviers.add(z)
                 union.append(
                     f"event {idx}: unresolved agent {z} envies the union of unresolved bundles"
                 )

@@ -65,6 +65,8 @@ def _make_valuation(
 def _finish(
     rng: random.Random, n: int, pairs: list[tuple[int, int]], kind: str, value_max: int
 ) -> tuple[Instance, list[str]]:
+    if value_max < 0:
+        raise InputError(f"value_max must be >= 0, got {value_max}")
     graph = MultiGraph(n, pairs)
     vals = {
         u: _make_valuation(rng, kind, sorted(graph.incident_edges(u)), value_max)

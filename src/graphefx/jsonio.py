@@ -100,7 +100,9 @@ def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
         for name, goods in obj["bundles"].items():
             if name not in index:
                 raise InputError(f"allocation references unknown agent {name!r}")
-            bundles[index[name]] = frozenset(int(g) for g in goods)
+            if not all(isinstance(g, int) and not isinstance(g, bool) for g in goods):
+                raise TypeError(f"good ids of agent {name!r} are not all integers: {goods!r}")
+            bundles[index[name]] = frozenset(goods)
         return Allocation(bundles=bundles)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed allocation document: {exc}") from exc

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -120,6 +121,141 @@ def tamper_trace(inst, trace, family):
                     if fails(candidate):
                         return candidate
     return None
+
+
+def _reference_allocated_adjacency(inst, holder_of):
+    """Skeleton adjacency restricted to the edges assigned in a snapshot."""
+    adj: dict[int, set[int]] = {}
+    for g in holder_of:
+        a, b = inst.graph.endpoints(g)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def _reference_distances_within(adj, src, depth):
+    """BFS hop distances from ``src``, for the vertices at most ``depth`` hops away."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        if dist[x] >= depth:
+            continue
+        for y in adj.get(x, ()):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def reference_audit_trace(inst, trace):
+    """The audit that checks every snapshot from scratch: one envy graph,
+    one ``is_efx``, one allocated adjacency with a BFS per valuer and one
+    union check per agent for each snapshot.
+
+    Envy is only checked between agents that share a good, which is exact
+    because every valuation's support lies within the agent's incident edges.
+    """
+    from graphefx.allocation import envy_graph, is_efx
+    from graphefx.audit import FAMILIES, AuditReport, _merged_colors
+    from graphefx.trace import StructureResolved
+
+    colors = _merged_colors(trace)
+    structure_events = [
+        (i, ev) for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)
+    ]
+    applicable = colors is not None and bool(structure_events)
+    if not applicable:
+        return AuditReport(results={f: (False, ()) for f in FAMILIES})
+
+    # 0-based color classes; claims use 1-based, so +1.  No distance bound
+    # exceeds the largest class number, which is at most t.
+    depth = max(colors.values(), default=0) + 1
+    far = inst.graph.vertex_count + 1
+    localized, movement, distance, union = [], [], [], []
+
+    favourite_of = {}
+    resolved = set()
+    phase_moved = {}
+
+    for idx, ev in structure_events:
+        resolved.add(ev.root)
+        favourite_of[ev.root] = ev.favourite
+        alloc = Allocation(bundles=dict(ev.snapshot))
+
+        # localized envy: snapshot EFX, envy only favourite -> resolved root
+        envy = envy_graph(inst, alloc)
+        verdict = is_efx(inst, alloc, envy)
+        if not verdict.ok:
+            localized.append(f"event {idx}: snapshot is not EFX, witness {verdict.witness}")
+        for a, b in envy.edges:
+            if b not in resolved or favourite_of.get(b) != a:
+                localized.append(
+                    f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root"
+                )
+
+        # good movement: only root -> favourite, at most once per phase
+        moved = phase_moved.setdefault(ev.phase, set())
+        for g, frm, to in ev.transfers:
+            if frm != ev.root or to != ev.favourite:
+                movement.append(
+                    f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"
+                )
+            if g in moved:
+                movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
+            moved.add(g)
+
+        # distances along allocated edges; each BFS stops at ``depth``, beyond
+        # every bound, so a vertex it does not reach reads as ``far``
+        holder_of = {g: w for w, b in ev.snapshot.items() for g in b}
+        adj = _reference_allocated_adjacency(inst, holder_of)
+        dist_cache = {}
+
+        def dist_from(src):
+            if src not in dist_cache:
+                dist_cache[src] = _reference_distances_within(adj, src, depth)
+            return dist_cache[src]
+
+        for g, w in sorted(holder_of.items()):
+            a, b = inst.graph.endpoints(g)
+            c_w = colors[w] + 1
+            for z in (a, b):
+                if dist_from(z).get(w, far) > c_w:
+                    distance.append(
+                        f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
+                    )
+            root = a if colors[a] < colors[b] else b
+            if dist_from(root).get(w, far) > c_w - (colors[root] + 1):
+                distance.append(
+                    f"event {idx}: structure root {root} of good {g} is farther than"
+                    f" {c_w - (colors[root] + 1)} from holder {w}"
+                )
+
+        # unresolved union: z values only its incident goods, so the union of
+        # the other unresolved bundles is worth what z's incident goods in it are
+        for z in range(inst.graph.vertex_count):
+            if z in resolved:
+                continue
+            rest = frozenset(
+                g for g in inst.graph.incident_edges(z)
+                if g in holder_of and holder_of[g] != z and holder_of[g] not in resolved
+            )
+            if not rest:
+                continue
+            v_z = inst.valuations[z]
+            if v_z.value(alloc.bundle(z)) < v_z.value(rest):
+                union.append(
+                    f"event {idx}: unresolved agent {z} envies the union of unresolved bundles"
+                )
+
+    return AuditReport(
+        results={
+            "localized_envy": (True, tuple(localized)),
+            "good_movement": (True, tuple(movement)),
+            "distance": (True, tuple(distance)),
+            "unresolved_union": (True, tuple(union)),
+        }
+    )
 
 
 def naive_is_efx(inst, alloc):

@@ -345,8 +345,8 @@ def test_envy_graph_update_validates_changed_bundles():
 
 
 def test_tree_efx_query_count_is_linear():
-    # The tracker values a rival only when a changed bundle can affect the
-    # pair: about 4.8 (n + m) queries here.  Rebuilding the envy graph for
+    # The stepped envy graph values a rival only when a changed bundle can
+    # affect the pair: about 3.7 (n + m) queries here.  Rebuilding the envy graph for
     # every leaf took about 336 (n + m) on this instance, and grows with n.
     n = 800
     plain, _ = gen_multitree(seed=8, n=n, max_parallel=3, value_max=100)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from graphefx import InputError, Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace
-from graphefx.generators import gen_bipartite, gen_multitree, gen_petersen
+from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
 from graphefx.solvers import bipartite_efx, chromatic_efx, solve, tree_efx
 from graphefx.trace import (
     ColoringUsed,
@@ -19,7 +20,12 @@ from graphefx.trace import (
     relabel,
 )
 
-from .conftest import random_family_valuation, tamper_trace
+from .conftest import (
+    CountingValuation,
+    random_family_valuation,
+    reference_audit_trace,
+    tamper_trace,
+)
 
 
 def test_bipartite_traces_pass(b1_instance):
@@ -207,3 +213,93 @@ def test_relabel_identity_and_inverse():
 ])
 def test_relabel_maps_agents_and_goods_but_not_counts(event, expected):
     assert relabel(event, lambda a: a + 10, lambda g: g + 100) == expected
+
+
+def _phase_based_traces():
+    """Seeded solver traces of every phase-based shape: (instance, trace)."""
+    rng = random.Random(11)
+    instances = [gen_bipartite(seed=seed, n_left=24, n_right=24, valuation_kind=kind)[0]
+                 for seed, kind in enumerate(("additive", "unit_demand", "budget_additive"))]
+    instances += [gen_petersen(seed=seed, parallel_copies=copies)[0]
+                  for seed, copies in enumerate((1, 2, 3, 2))]
+    instances += [gen_multicycle(seed=seed, length=length, value_max=40)[0]
+                  for seed, length in enumerate((7, 8, 11, 12, 31))]
+    instances += [_cycle_union(rng, lengths, kind)
+                  for lengths in ((4, 4), (4, 5), (5, 7))
+                  for kind in ("additive", "unit_demand", "budget_additive")]
+    return [(inst, solve(inst)[2]) for inst in instances]
+
+
+def _tampered(rng, inst, trace):
+    """A copy of ``trace`` with one to three random edits.
+
+    An edit moves one held good to its other endpoint, hands it to an agent
+    that is not an endpoint, withdraws it, or names another root.  A good's
+    edit holds in one event or in that event and all later ones.  Returns
+    the copy and the kinds of its edits.
+    """
+    trace = list(trace)
+    structures = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
+    n = inst.graph.vertex_count
+    kinds = []
+    for _ in range(rng.randint(1, 3)):
+        i = rng.choice(structures)
+        held = {g: u for u, b in trace[i].snapshot.items() for g in b}
+        kind = rng.choice(("move", "hand", "withdraw", "root")) if held else "root"
+        kinds.append(kind)
+        if kind == "root":
+            trace[i] = dataclasses.replace(trace[i], root=rng.randrange(n))
+            continue
+        g = rng.choice(sorted(held))
+        ends = inst.graph.endpoints(g)
+        to = {"move": next((e for e in ends if e != held[g]), ends[0]),
+              "hand": rng.choice([u for u in range(n) if u not in ends]),
+              "withdraw": None}[kind]
+        last = i if rng.random() < 0.5 else structures[-1]
+        for j in structures:
+            if i <= j <= last:
+                snapshot = {u: b - {g} for u, b in trace[j].snapshot.items()}
+                if to is not None:
+                    snapshot[to] = snapshot.get(to, frozenset()) | {g}
+                trace[j] = dataclasses.replace(trace[j], snapshot=snapshot)
+    return trace, kinds
+
+
+def test_audit_matches_from_scratch_reference():
+    traces = _phase_based_traces()
+    for inst, trace in traces:
+        report = audit_trace(inst, trace)
+        assert report.ok
+        assert report == reference_audit_trace(inst, trace)
+
+    rng = random.Random(5)
+    small = [(inst, trace) for inst, trace in traces if inst.graph.vertex_count <= 12]
+    edits, failing = Counter(), Counter()
+    for _ in range(1200):
+        inst, trace = rng.choice(small)
+        bad, kinds = _tampered(rng, inst, trace)
+        check_trace(bad, inst.graph)
+        report = audit_trace(inst, bad)
+        assert report == reference_audit_trace(inst, bad), kinds
+        edits.update(kinds)
+        failing.update(f for f in FAMILIES if report.status(f) == "fail")
+        failing["any"] += not report.ok
+    assert min(edits.values()) > 300, edits
+    assert failing["any"] > 900, failing
+    stepped = ("localized_envy", "distance", "unresolved_union")
+    assert min(failing[f] for f in stepped) > 300, failing
+
+
+def test_audit_query_count_is_linear():
+    # Rechecking only what each event changed takes about 1.2 (n + m) queries
+    # on both traces.  Checking every snapshot from scratch took 26 (n + m) on
+    # the bipartite trace and 291 (n + m) on the cycle.
+    for plain, method in ((gen_bipartite(seed=3, n_left=60, n_right=60)[0], "bipartite"),
+                          (gen_multicycle(seed=3, length=401)[0], "chromatic")):
+        _, used, trace = solve(plain)
+        assert used == method
+        counter = [0]
+        inst = Instance(graph=plain.graph, valuations={
+            u: CountingValuation(v, counter) for u, v in plain.valuations.items()})
+        assert audit_trace(inst, trace).ok
+        assert 0 < counter[0] <= 3 * (plain.graph.vertex_count + plain.graph.edge_count)

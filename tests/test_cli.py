@@ -135,6 +135,22 @@ def test_verify_bundles_list_exit_1(b1_file, tmp_path):
     assert "malformed allocation document" in done.stderr
 
 
+@pytest.mark.parametrize("good", [1.5, True, None, "1"])
+def test_verify_non_integer_good_exit_1(b1_file, tmp_path, capsys, good):
+    bad = tmp_path / "float.alloc.json"
+    bad.write_text(json.dumps({"version": "1", "bundles": {"b": [good]}}))
+    assert main(["verify", str(b1_file), str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed allocation document") and err.count("\n") == 1
+
+
+def test_gen_negative_value_max_exit_1(tmp_path):
+    done = _run_cli("gen", "bipartite", "--value-max", "-5", "-o", tmp_path / "x.json")
+    _assert_one_error_line(done)
+    assert "value_max must be >= 0" in done.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_solve_colors_list_exit_1(b1_file, tmp_path):
     bad = tmp_path / "list.coloring.json"
     bad.write_text(json.dumps({"colors": [0, 1], "t": 3}))
