@@ -10,7 +10,7 @@ from .errors import (
     UnsupportedValuationError,
 )
 from .multigraph import Coloring, MultiGraph
-from .oracle import OracleReport, brute_force_efx
+from .oracle import OracleReport, brute_force_efx, first_efx_allocation
 from .partition import CutResult, cac, cut_and_choose
 from .solvers import Instance, Verdict, bipartite_efx, chromatic_efx, classify, solve, tree_efx
 from .valuation import (
@@ -50,6 +50,7 @@ __all__ = [
     "classify",
     "cut_and_choose",
     "envy_graph",
+    "first_efx_allocation",
     "is_cancellable_bruteforce",
     "is_efx",
     "resolve_cycle",

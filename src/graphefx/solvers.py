@@ -24,7 +24,7 @@ from .allocation import (  # noqa: F401
 )
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
 from .multigraph import Coloring, MultiGraph
-from .oracle import BRUTE_FORCE_MAX, brute_force_efx
+from .oracle import BRUTE_FORCE_MAX, first_efx_allocation
 from .partition import cut_and_choose
 from .trace import (
     BRANCH_DIFFERENT,
@@ -354,11 +354,11 @@ def _dispatch_connected(
         elif verdict.solver in ("bipartite", "chromatic"):
             alloc, trace = chromatic_efx(inst, verdict.structure)
         else:
-            report = brute_force_efx(inst)
-            if report.sample is None:
+            sample = first_efx_allocation(inst)
+            if sample is None:
                 tried[-1] = Verdict("brute_force", "exhaustive search found no EFX allocation")
                 break
-            alloc, trace = report.sample, []
+            alloc, trace = sample, []
         return alloc, verdict.solver, trace, tried
     raise UnsupportedClassError(
         "no solver applies: " + "; ".join(f"{v.solver}: {v.reason}" for v in tried)

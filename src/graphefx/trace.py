@@ -36,10 +36,11 @@ class ColoringUsed:
 class StructureResolved:
     """One root's star of right-neighbour edge loops was fully assigned.
 
-    ``snapshot`` is the complete partial allocation after the iteration;
-    ``transfers`` lists goods that moved from an existing bundle, as
-    (good, from_agent, to_agent).  ``favourite`` is None for a root with no
-    unallocated right-neighbour edges.
+    ``snapshot`` is the partial allocation of the component being solved
+    after the iteration: every bundle of a connected instance, but only this
+    component's bundles in a component-wise solve.  ``transfers`` lists goods
+    that moved from an existing bundle, as (good, from_agent, to_agent).
+    ``favourite`` is None for a root with no unallocated right-neighbour edges.
     """
 
     kind = "structure_resolved"

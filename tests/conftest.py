@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from graphefx import (
     Additive,
     Allocation,
     BudgetAdditive,
+    CapacityError,
     Coloring,
     Instance,
     MultiGraph,
@@ -17,6 +19,7 @@ from graphefx import (
     Valuation,
 )
 from graphefx.generators import PETERSEN_EDGES, VALUATION_KINDS, _make_valuation
+from graphefx.oracle import BRUTE_FORCE_MAX, OracleReport
 
 
 @pytest.fixture
@@ -274,6 +277,76 @@ def naive_is_efx(inst, alloc):
                 if own < inst.valuations[u].value(other - {x}):
                     violations.append((u, w, x))
     return len(violations) == 0
+
+
+def reference_brute_force_efx(inst):
+    """The census that enumerates all n^m allocations in ``product`` order.
+
+    Every assignment is checked in full with the incident-holder pair rule
+    and the masked value cache of ``brute_force_efx``; nothing is pruned.
+    """
+    n = inst.graph.vertex_count
+    m = inst.graph.edge_count
+    searched = n ** m if n > 0 or m == 0 else 0
+    if searched > BRUTE_FORCE_MAX:
+        raise CapacityError(f"{n}^{m} allocations exceed the {BRUTE_FORCE_MAX} capacity guard")
+    if m == 0:
+        empty = Allocation.empty()
+        return OracleReport(efx_count=1, sample=empty, searched=1)
+    if n == 0:
+        return OracleReport(efx_count=0, sample=None, searched=0)
+
+    inc_mask = [0] * n
+    for v in range(n):
+        for g in inst.graph.incident_edges(v):
+            inc_mask[v] |= 1 << g
+    # (holder-relative) value cache per agent, keyed by bundle-mask & incident
+    caches: list[dict[int, int]] = [{0: 0} for _ in range(n)]
+    vals = [inst.valuations[v] for v in range(n)]
+
+    def value_of(u: int, mask: int) -> int:
+        key = mask & inc_mask[u]
+        cache = caches[u]
+        got = cache.get(key)
+        if got is None:
+            got = vals[u].value(g for g in range(m) if key >> g & 1)
+            cache[key] = got
+        return got
+
+    endpoints = [inst.graph.endpoints(g) for g in range(m)]
+    count = 0
+    sample = None
+
+    for assign in product(range(n), repeat=m):
+        masks = [0] * n
+        for g, holder in enumerate(assign):
+            masks[holder] |= 1 << g
+        ok = True
+        for g, holder in enumerate(assign):
+            for u in endpoints[g]:
+                if u == holder:
+                    continue
+                own = value_of(u, masks[u])
+                held = masks[holder]
+                if own >= value_of(u, held):
+                    continue
+                # u envies the holder: removal of every single good must cure it
+                for x in range(m):
+                    if held >> x & 1 and own < value_of(u, held & ~(1 << x)):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            count += 1
+            if sample is None:
+                bundles = {
+                    v: frozenset(g for g in range(m) if masks[v] >> g & 1) for v in range(n)
+                }
+                sample = Allocation(bundles=bundles)
+    return OracleReport(efx_count=count, sample=sample, searched=searched)
 
 
 def reference_envy_edges(inst, alloc):
@@ -667,6 +740,11 @@ def gnp_graph(rng: random.Random, n, p, max_parallel=1):
             if rng.random() < p:
                 pairs += [(u, w)] * rng.randint(1, max_parallel)
     return MultiGraph(n, pairs)
+
+
+# K4 with a second copy of two opposite edges: 4 agents, 8 goods, girth 3.
+# Its solves reach the brute-force fallback.
+K4_PLUS_TWO = MultiGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1), (2, 3)])
 
 
 def zero_instance(graph):

@@ -31,7 +31,7 @@ from graphefx.jsonio import (
 )
 from graphefx.trace import ColoringUsed
 
-from .conftest import additive_instance, gnp_graph, star_graph, zero_instance
+from .conftest import K4_PLUS_TWO, additive_instance, gnp_graph, star_graph, zero_instance
 
 
 @pytest.fixture
@@ -570,3 +570,15 @@ def test_solve_output_does_not_depend_on_the_hash_seed(tmp_path, family, args):
         assert done.returncode == EXIT_OK, done.stderr
         outputs.append((alloc.read_bytes(), trace.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_solve_exhaustive_search_without_efx_allocation_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k4plus2.instance.json"
+    save_instance(additive_instance(K4_PLUS_TWO), list("abcd"), path)
+    monkeypatch.setattr(graphefx.solvers, "first_efx_allocation", lambda inst: None)
+    assert main(["solve", str(path)]) == EXIT_UNSUPPORTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no solver applies: ") and captured.err.count("\n") == 1
+    assert "brute_force: exhaustive search found no EFX allocation" in captured.err
+    assert "Traceback" not in captured.err

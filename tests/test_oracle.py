@@ -10,11 +10,21 @@ from graphefx import (
     Instance,
     MultiGraph,
     brute_force_efx,
+    first_efx_allocation,
     is_efx,
     solve,
 )
 
-from .conftest import naive_is_efx, random_instance
+from .conftest import (
+    K4_PLUS_TWO,
+    additive_instance,
+    naive_is_efx,
+    random_instance,
+    random_mixed_instance,
+    reference_brute_force_efx,
+)
+
+DOUBLED_TRIANGLE = MultiGraph(3, [(0, 1), (1, 2), (0, 2)] * 2)
 
 
 def test_shared_good_both_holders_efx():
@@ -47,6 +57,8 @@ def test_capacity_guard():
     vals = {u: Additive(values={e: 1 for e in g.incident_edges(u)}) for u in range(10)}
     with pytest.raises(CapacityError):
         brute_force_efx(Instance(graph=g, valuations=vals))
+    with pytest.raises(CapacityError):
+        first_efx_allocation(Instance(graph=g, valuations=vals))
 
 
 def test_sample_is_lexicographically_first():
@@ -108,3 +120,61 @@ def test_existence_on_seeded_families():
             if inst.graph.vertex_count ** inst.graph.edge_count > 10 ** 5:
                 continue
             assert brute_force_efx(inst).efx_count >= 1
+
+
+def _product_index(inst, alloc):
+    """Position of a complete allocation in ``product(range(n), repeat=m)``."""
+    holder = {g: u for u, b in alloc.bundles.items() for g in b}
+    index = 0
+    for g in range(inst.graph.edge_count):
+        index = index * inst.graph.vertex_count + holder[g]
+    return index
+
+
+def _seeded(make, seed, count):
+    rng = random.Random(seed)
+    return [make(rng) for _ in range(count)]
+
+
+def _isolated_agents(rng):
+    # agents 2 and 3 (of 5) have no incident goods, but may still hold goods
+    pairs = [rng.choice([(0, 1), (1, 4), (0, 4)]) for _ in range(rng.randint(1, 5))]
+    g = MultiGraph(5, pairs)
+    return additive_instance(g, seed=rng.randrange(10 ** 6))
+
+
+PARITY_CASES = {
+    "additive": lambda: _seeded(lambda r: random_instance(r, n_max=4, m_max=6), 101, 150),
+    "mixed_families": lambda: _seeded(
+        lambda r: random_mixed_instance(r, n_max=4, m_max=6), 103, 150),
+    "k4plus2": lambda: [additive_instance(K4_PLUS_TWO, seed=s) for s in (0, 1)],
+    "doubled_triangle": lambda: [additive_instance(DOUBLED_TRIANGLE, seed=s) for s in range(8)],
+    "isolated_agents": lambda: _seeded(_isolated_agents, 107, 20),
+    "no_goods": lambda: [Instance(graph=MultiGraph(n, []), valuations={
+        u: Additive(values={}) for u in range(n)}) for n in (0, 1, 3)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(PARITY_CASES))
+def test_census_and_first_allocation_match_full_enumeration(family):
+    for inst in PARITY_CASES[family]():
+        expected = reference_brute_force_efx(inst)
+        assert brute_force_efx(inst) == expected
+        assert first_efx_allocation(inst) == expected.sample
+
+
+def test_first_allocation_found_late_in_product_order():
+    # seed 46 puts the first EFX allocation of K4+2 at index 24,768 of 65,536
+    inst = additive_instance(K4_PLUS_TWO, seed=46)
+    expected = reference_brute_force_efx(inst)
+    assert _product_index(inst, expected.sample) > 10 ** 4
+    assert brute_force_efx(inst) == expected
+    assert first_efx_allocation(inst) == expected.sample
+
+
+@pytest.mark.parametrize("graph, seed", [(K4_PLUS_TWO, 0), (K4_PLUS_TWO, 46), (DOUBLED_TRIANGLE, 3)])
+def test_solve_falls_back_to_first_allocation_in_product_order(graph, seed):
+    inst = additive_instance(graph, seed=seed)
+    alloc, method, trace = solve(inst)
+    assert (method, trace) == ("brute_force", [])
+    assert alloc == reference_brute_force_efx(inst).sample
