@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
@@ -14,6 +15,16 @@ if TYPE_CHECKING:
     from .valuation import Valuation
 
 _NOTHING: frozenset[int] = frozenset()  # the empty bundle, shared
+
+
+def _raise_overlap(bundles: Mapping[int, frozenset[int]]) -> None:
+    """Raise InputError naming the first agent, in mapping order, whose bundle
+    meets an earlier one; return when there is none."""
+    seen: set[int] = set()
+    for u, b in bundles.items():
+        if seen & b:
+            raise InputError(f"bundles are not disjoint at agent {u}")
+        seen |= b
 
 
 @dataclass(frozen=True)
@@ -28,18 +39,44 @@ class Allocation:
     bundles: Mapping[int, frozenset[int]]
 
     def __post_init__(self):
-        # Solvers build one allocation per step, so the common case runs in
-        # C-level loops; the per-agent loop only names the first overlap.
+        # The full check runs in C-level loops; ``with_bundles`` checks a step.
         clean = dict(zip(self.bundles.keys(), map(frozenset, self.bundles.values())))
         if not all(clean.values()):
             clean = {u: b for u, b in clean.items() if b}
         if len(frozenset().union(*clean.values())) != sum(map(len, clean.values())):
-            seen: set[int] = set()
-            for u, b in clean.items():
-                if seen & b:
-                    raise InputError(f"bundles are not disjoint at agent {u}")
-                seen |= b
+            _raise_overlap(clean)
         object.__setattr__(self, "bundles", MappingProxyType(clean))
+
+    def with_bundles(self, changes: Mapping[int, Iterable[int]],
+                     holder: Optional[Mapping[int, int]] = None) -> "Allocation":
+        """This allocation with the bundles of the agents in ``changes`` replaced.
+
+        It equals ``Allocation(bundles={**self.bundles, **changes})``, but
+        checks disjointness on the goods that changed hands only: no two
+        replaced agents gain the same good, and a gained good that no
+        replaced agent gave up is held by no one.  ``holder``, the agent of
+        each good of this allocation (``EnvyGraph.holder``), answers that per
+        good; without it such goods are looked for in every bundle.  An
+        overlap raises what the full constructor raises on the merged mapping.
+        """
+        new = dict(zip(changes.keys(), map(frozenset, changes.values())))
+        gained = [b - self.bundle(u) for u, b in new.items()]
+        lost = [self.bundle(u) - b for u, b in new.items()]
+        got = frozenset().union(*gained)
+        fresh = got.difference(*lost)  # gained goods that no replaced agent gave up
+        bundles = self.bundles.copy()  # a dict: copied without a lookup per key
+        bundles.update(new)
+        clash = len(got) != sum(map(len, gained))
+        if fresh and not clash:
+            clash = (any(map(holder.__contains__, fresh)) if holder is not None
+                     else not fresh.isdisjoint(chain.from_iterable(self.bundles.values())))
+        if clash:
+            _raise_overlap(bundles)
+        for u in [u for u, b in new.items() if not b]:
+            del bundles[u]
+        alloc = object.__new__(Allocation)
+        object.__setattr__(alloc, "bundles", MappingProxyType(bundles))
+        return alloc
 
     def __reduce__(self):
         return Allocation, (self.bundles.copy(),)
@@ -70,9 +107,10 @@ def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[in
     for u, bundle in bundles:
         if not (0 <= u < n):
             raise InputError(f"allocation references unknown agent {u}")
-        for g in bundle:
-            if not (0 <= g < m):
-                raise InputError(f"allocation references unknown edge {g}")
+        if bundle and not (0 <= min(bundle) and max(bundle) < m):  # a C-level screen first
+            for g in bundle:
+                if not (0 <= g < m):
+                    raise InputError(f"allocation references unknown edge {g}")
 
 
 def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
@@ -89,7 +127,7 @@ def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
 # look up u's incident goods once.
 
 def _rivals(holder: Mapping[int, int], u: int, incident: frozenset[int]) -> set[int]:
-    return {holder[g] for g in incident if g in holder} - {u}
+    return set(map(holder.get, incident)) - {None, u}
 
 
 def _envied(alloc: Allocation, val: "Valuation", incident: frozenset[int], own: int,
@@ -171,29 +209,30 @@ class EnvyGraph:
         self._acyclic = cycle is None
         return cycle
 
-    def update(self, alloc: Allocation, changed: Iterable[int]) -> None:
-        """Move to ``alloc``, in which only the agents in ``changed`` hold new bundles."""
+    def update(self, alloc: Allocation, changed: Iterable[int]) -> frozenset[int]:
+        """Move to ``alloc``, in which only the agents in ``changed`` hold new
+        bundles; return the goods that changed hands."""
         inst, old = self.inst, self.alloc
         changed = set(changed)
         _validate_bundles(inst, [(y, alloc.bundle(y)) for y in changed])  # before any state changes
+        lost = {y: old.bundle(y) - alloc.bundle(y) for y in changed}
+        for g in chain.from_iterable(lost.values()):
+            del self.holder[g]
+        gained = {y: alloc.bundle(y) - old.bundle(y) for y in changed}
         for y in changed:
-            for g in old.bundle(y):
-                del self.holder[g]
-        for y in changed:
-            self.holder.update(dict.fromkeys(alloc.bundle(y), y))
+            self.holder.update(dict.fromkeys(gained[y], y))
             self._own.pop(y, None)
         self.alloc = alloc
 
         outside: dict[int, set[int]] = {}  # unchanged z -> the changed agents to re-decide
         for y in changed:
-            before, after = old.bundle(y), alloc.bundle(y)
-            self._redecide_rivals(y, changed if before <= after else None)
-            for g in before ^ after:
-                for z in inst.graph.endpoints(g):
-                    if z not in changed:
-                        outside.setdefault(z, set()).add(y)
+            self._redecide_rivals(y, None if lost[y] else changed)
+            moved = map(inst.graph.edges.__getitem__, lost[y] | gained[y])
+            for z in set(chain.from_iterable(moved)) - changed:
+                outside.setdefault(z, set()).add(y)
         for z, ys in outside.items():
             self._redecide(z, ys)
+        return frozenset().union(*lost.values(), *gained.values())
 
     def _own_value(self, u: int) -> int:
         own = self._own.get(u)
@@ -276,17 +315,8 @@ def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
         raise InputError("cycle must contain at least 2 agents")
     if len(set(cycle)) != len(cycle):
         raise InputError("cycle must not repeat agents")
-    bundles = alloc.bundles.copy()
-    shifted = {}
-    for i, u in enumerate(cycle):
-        succ = cycle[(i + 1) % len(cycle)]
-        shifted[u] = alloc.bundle(succ)
-    for u, b in shifted.items():
-        if b:
-            bundles[u] = b
-        else:
-            bundles.pop(u, None)
-    return Allocation(bundles=bundles)
+    return alloc.with_bundles({u: alloc.bundle(cycle[(i + 1) % len(cycle)])
+                               for i, u in enumerate(cycle)})
 
 
 def find_envy_cycle(eg: EnvyGraph) -> Optional[list[int]]:

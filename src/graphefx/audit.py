@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .allocation import Allocation, EnvyGraph
+from .errors import InputError
 from .trace import ColoringUsed, StructureResolved, TraceEvent
 
 if TYPE_CHECKING:
@@ -78,6 +79,21 @@ def _within(adj: dict[int, set[int]], src: int, dst: int, depth: int) -> bool:
     return False
 
 
+def _step(old: Allocation, snapshot: dict[int, frozenset[int]], changed: set[int],
+          holder: dict[int, int]) -> Allocation:
+    """``snapshot`` as an allocation, stepped from ``old``, from which it
+    differs at the agents in ``changed`` only.
+
+    On an overlap the error names the agent that checking the snapshot from
+    scratch names: the first in the snapshot's own order.
+    """
+    try:
+        return old.with_bundles({u: snapshot.get(u, frozenset()) for u in changed}, holder)
+    except InputError:
+        Allocation(bundles=snapshot)
+        raise
+
+
 def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     """Check every snapshot of a phase-based trace against all four families.
 
@@ -124,11 +140,12 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     for idx, ev in structure_events:
         resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
-        old, alloc = envy.alloc, Allocation(bundles=ev.snapshot)
-        changed = {u for u in old.bundles.keys() | alloc.bundles.keys()
-                   if old.bundle(u) != alloc.bundle(u)}
-        moved = frozenset().union(*(old.bundle(y) ^ alloc.bundle(y) for y in changed))
-        envy.update(alloc, changed)
+        # An allocation holds no empty bundle, so a pair with an empty one
+        # comes from the snapshot and differs only when the agent held goods.
+        old = envy.alloc
+        changed = {u for u, b in old.bundles.items() ^ ev.snapshot.items() if b}
+        alloc = _step(old, ev.snapshot, changed, holder)
+        moved = envy.update(alloc, changed)
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
         unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
@@ -195,12 +212,11 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             suspects.update(inst.graph.endpoints(g))
         union_enviers = set()
         for z in sorted(suspects - resolved):
-            rest = frozenset(
-                g for g in inst.graph.incident_edges(z)
-                if g in holder and holder[g] != z and holder[g] not in resolved
-            )
-            if not rest:
+            incident = inst.graph.incident_edges(z)
+            others = set(map(holder.get, incident)) - resolved - {None, z}
+            if not others:
                 continue
+            rest = frozenset().union(*(alloc.bundle(w) & incident for w in others))
             v_z = inst.valuations[z]
             if v_z.value(alloc.bundle(z)) < v_z.value(rest):
                 union_enviers.add(z)

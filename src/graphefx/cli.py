@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input/validation error, 2 unsupported instance class,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,7 +221,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_NOT_EFX
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and ``main`` looks each command's function up when it runs it."""
     parser = argparse.ArgumentParser(
         prog="graphefx", description="EFX allocation toolkit for multi-graph fair division"
     )
@@ -240,11 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--max-parallel", type=int, default=3)
     p_gen.add_argument("--value-max", type=int, default=100)
     p_gen.add_argument("-o", "--out", required=True)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_an = sub.add_parser("analyze", help="report instance class and eligible solvers")
     p_an.add_argument("instance")
-    p_an.set_defaults(func=cmd_analyze)
 
     p_solve = sub.add_parser("solve", help="solve an instance and verify the result")
     p_solve.add_argument("instance", nargs="?")
@@ -253,21 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None, help="trace output path (JSON-lines)")
     p_solve.add_argument("--batch", default=None, help="solve every *.instance.json in a directory")
     p_solve.add_argument("--jobs", type=int, default=4)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_ver = sub.add_parser("verify", help="check an allocation file for EFX")
     p_ver.add_argument("instance")
     p_ver.add_argument("allocation")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_or = sub.add_parser("oracle", help="exhaustive EFX census of a tiny instance")
     p_or.add_argument("instance")
-    p_or.set_defaults(func=cmd_oracle)
 
     p_aud = sub.add_parser("audit", help="replay a trace against the solver invariants")
     p_aud.add_argument("instance")
     p_aud.add_argument("trace")
-    p_aud.set_defaults(func=cmd_audit)
 
     return parser
 
@@ -279,8 +277,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("solve needs an instance path or --batch")
     if args.command == "solve" and args.trace and args.batch:
         args.trace = True  # batch mode derives per-instance trace paths
+    command = {"gen": cmd_gen, "analyze": cmd_analyze, "solve": cmd_solve,
+               "verify": cmd_verify, "oracle": cmd_oracle, "audit": cmd_audit}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except UnsupportedClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -15,7 +15,7 @@ from .allocation import Allocation
 from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
-from .trace import TraceEvent, event_from_json, event_to_json
+from .trace import TraceEvent, event_from_json, event_line
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
@@ -117,9 +117,9 @@ def load_json(path: Union[str, Path]) -> dict:
 
 
 def dump_json(obj: dict, path: Union[str, Path]) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_instance(path: Union[str, Path]) -> tuple[Instance, list[str]]:
@@ -139,9 +139,10 @@ def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path])
 
 
 def save_trace(trace: list[TraceEvent], path: Union[str, Path]) -> None:
+    fragments: dict = {}  # (agent, bundle) -> its encoded text, shared by every snapshot
     with open(path, "w", encoding="utf-8") as fh:
         for ev in trace:
-            fh.write(json.dumps(event_to_json(ev), sort_keys=True) + "\n")
+            fh.write(event_line(ev, fragments) + "\n")
 
 
 def load_trace(path: Union[str, Path]) -> list[TraceEvent]:

@@ -68,12 +68,13 @@ def _table_agent(inst: Instance) -> Optional[int]:
 
 
 def _resolve_structure(
-    inst: Instance, alloc: Allocation, u: int, right: list[int], phase: int
+    inst: Instance, alloc: Allocation, holder: dict[int, int], u: int, right: list[int], phase: int
 ) -> tuple[Allocation, StructureResolved]:
     """Resolve the structure rooted at ``u`` over its right neighbours (ascending).
 
     Each right neighbour w cuts its edge loop with u and u chooses.  Returns
-    the allocation after the step and its StructureResolved event.
+    the allocation after the step and its StructureResolved event, and
+    updates ``holder``, the agent of each good of ``alloc``, to the new one.
     """
     if not right:
         return alloc, StructureResolved(phase=phase, root=u, favourite=None, branch=None,
@@ -83,10 +84,10 @@ def _resolve_structure(
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
             for w in right}
     fav = max(right, key=lambda w: (v_u.value(cuts[w][0]), -w))
-    bundles = alloc.bundles.copy()
+    changes: dict[int, frozenset[int]] = {}
 
     def give(v: int, goods: frozenset[int]) -> None:
-        bundles[v] = bundles.get(v, frozenset()) | goods
+        changes[v] = changes.get(v, alloc.bundle(v)) | goods
 
     leftover: frozenset[int] = frozenset()
     for w in right:
@@ -106,14 +107,16 @@ def _resolve_structure(
     elif v_u.value(s_piece) > v_u.value(prior | rest | leftover):
         branch = BRANCH_SAME_KEEP
         give(fav, prior | rest | leftover)
-        bundles[u] = s_piece
+        changes[u] = s_piece
         transfers = tuple((g, u, fav) for g in sorted(prior))
     else:
         branch = BRANCH_SAME_LEFTOVERS
         give(u, rest | leftover)
         give(fav, s_piece)
 
-    alloc = Allocation(bundles=bundles)
+    alloc = alloc.with_bundles(changes, holder)
+    for v, b in changes.items():  # goods change hands, but none leaves the allocation
+        holder.update(dict.fromkeys(b, v))
     return alloc, StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
                                     snapshot=alloc.bundles.copy(), transfers=transfers)
 
@@ -159,11 +162,12 @@ def chromatic_efx(inst: Instance, col: Coloring) -> tuple[Allocation, list[Trace
 
     trace: list[TraceEvent] = [ColoringUsed(colors=dict(col.colors), t=col.t)]
     alloc = Allocation.empty()
+    holder: dict[int, int] = {}
     for phase in range(1, col.t):
         roots = sorted(v for v in range(inst.graph.vertex_count) if col.colors[v] == phase - 1)
         for u in roots:
             right = sorted(w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u])
-            alloc, event = _resolve_structure(inst, alloc, u, right, phase)
+            alloc, event = _resolve_structure(inst, alloc, holder, u, right, phase)
             trace.append(event)
     return alloc, trace
 
@@ -215,8 +219,8 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
         source = find_source_with_path(envy, parent)
         recipient = parent if source is None else source[0]
         alloc = envy.alloc
-        envy.update(Allocation(bundles=alloc.bundles.copy() | {
-            leaf: leaf_piece, recipient: alloc.bundle(recipient) | rest}), (leaf, recipient))
+        changes = {leaf: leaf_piece, recipient: alloc.bundle(recipient) | rest}
+        envy.update(alloc.with_bundles(changes, envy.holder), changes)
         trace.append(
             LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
                          leftover_to=recipient, snapshot=envy.alloc.bundles.copy())

@@ -2,14 +2,16 @@
 
 Traces serialize to JSON-lines, one event per line.  The field types below are
 the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
-marks colors, t and phases.  ``relabel``, ``check_trace`` and both directions
-of the JSON codec are generic over them.
+marks colors, t and phases.  ``relabel``, ``check_trace`` and the JSON reader
+are generic over them.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Callable, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
 
@@ -164,16 +166,40 @@ def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
 def _to_json(x):
     if isinstance(x, frozenset):
         return sorted(x)
-    if isinstance(x, dict):  # empty bundles are not written
-        return {str(k): _to_json(v) for k, v in sorted(x.items()) if v or not isinstance(v, frozenset)}
+    if isinstance(x, dict):
+        return {str(k): _to_json(v) for k, v in x.items()}
     if isinstance(x, tuple):
         return [_to_json(v) for v in x]
     return x
 
 
-def event_to_json(ev: TraceEvent) -> dict:
-    """One trace line: a dict is written with string keys, a set or tuple as a list."""
-    return {"type": ev.kind, **{f: _to_json(v) for f, v in vars(ev).items()}}
+def _snapshot_text(snapshot: dict, fragments: dict) -> str:
+    """``snapshot`` as a JSON object in string-sorted agent order, empty bundles left out.
+
+    Each bundle's ``"agent": [goods]`` text is looked up in ``fragments`` by
+    (agent, bundle) and encoded only on a miss.  A '"' sorts before every
+    digit, so sorting the texts sorts them by their agent strings.
+    """
+    items = snapshot.items()
+    for u, b in filterfalse(fragments.__contains__, items):
+        fragments[u, b] = f'"{u}": {json.dumps(sorted(b))}' if b else ""
+    return "{" + ", ".join(sorted(filter(None, map(fragments.__getitem__, items)))) + "}"
+
+
+def event_line(ev: TraceEvent, fragments: dict) -> str:
+    """One trace line: the event as a JSON object with sorted keys, its ``type``
+    tag beside its fields, a dict with string keys, a set as a sorted list, a
+    tuple as a list, and an empty snapshot bundle left out.
+
+    ``fragments`` caches the text of each snapshot bundle.  A writer passes
+    one dict for a whole trace: a bundle a step left alone is the same object
+    in the next snapshot, so it is encoded once.
+    """
+    texts = {"type": json.dumps(ev.kind)}
+    for f, v in vars(ev).items():
+        texts[f] = (_snapshot_text(v, fragments) if f == "snapshot"
+                    else json.dumps(_to_json(v), sort_keys=True))
+    return "{" + ", ".join(f'"{f}": {text}' for f, text in sorted(texts.items())) + "}"
 
 
 def event_from_json(obj: dict) -> TraceEvent:

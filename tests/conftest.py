@@ -526,6 +526,25 @@ def reference_cut_preferences(cutter_val, chooser_val, bundle):
     return cut, s, t
 
 
+def _reference_to_json(x):
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, dict):  # empty bundles are not written
+        return {str(k): _reference_to_json(v) for k, v in sorted(x.items())
+                if v or not isinstance(v, frozenset)}
+    if isinstance(x, tuple):
+        return [_reference_to_json(v) for v in x]
+    return x
+
+
+def reference_event_to_json(ev):
+    """One trace line as a dict: string keys, a set or tuple as a list, no empty bundle.
+
+    ``json.dumps(reference_event_to_json(ev), sort_keys=True)`` is the line
+    ``trace.event_line`` must write."""
+    return {"type": ev.kind, **{f: _reference_to_json(v) for f, v in vars(ev).items()}}
+
+
 def _reference_snapshot(bundles):
     return {u: frozenset(b) for u, b in bundles.items() if b}
 

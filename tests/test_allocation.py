@@ -229,6 +229,44 @@ def test_allocation_bundles_are_read_only():
         Allocation(bundles={0: {1}, 1: {2}, 2: {3, 1}})
 
 
+def _outcome(build):
+    """The mapping ``build()`` returns, in order, or the message of the InputError it raises."""
+    try:
+        return list(build().bundles.items())
+    except InputError as exc:
+        return str(exc)
+
+
+def test_with_bundles_matches_full_constructor():
+    rng = random.Random(23)
+    kinds = Counter()
+    for _ in range(800):
+        n, m = rng.randint(2, 12), rng.randint(1, 14)
+        owner = {g: rng.randrange(n + 2) for g in range(m)}  # agents n and n+1: unheld goods
+        old = Allocation(bundles={u: {g for g in owner if owner[g] == u} for u in range(n)})
+        holder = {g: u for g, u in owner.items() if u < n}
+        changed = rng.sample(range(n + 2), rng.randint(1, n))  # n, n+1 held nothing before
+        # Hand the goods the changed agents gave up, and the unheld ones, back out at random.
+        pool = [g for g in range(m) if owner[g] in changed or owner[g] >= n]
+        changes = {u: set() for u in changed}
+        for g in pool:
+            if rng.random() < 0.8:
+                changes[rng.choice(changed)].add(g)
+        if rng.random() < 0.5:  # one good handed out twice, or taken from an unchanged agent
+            changes[rng.choice(changed)].add(rng.randrange(m))
+        want = _outcome(lambda: Allocation(bundles={**old.bundles, **changes}))
+        assert _outcome(lambda: old.with_bundles(changes, holder)) == want
+        assert _outcome(lambda: old.with_bundles(changes)) == want
+        if isinstance(want, str):
+            named = int(want.rsplit(" ", 1)[1])
+            kinds["overlap"] += 1
+            kinds["overlap at an agent that held nothing"] += not old.bundle(named)
+        else:
+            kinds["ok"] += 1
+            kinds["dropped empty bundle"] += any(not b for b in changes.values())
+    assert min(kinds.values()) > 40, kinds
+
+
 def test_allocation_pickle_round_trip():
     alloc = Allocation(bundles={0: frozenset({1}), 3: frozenset({0, 2})})
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -4,10 +4,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphefx import InputError, Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace
+from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
+from graphefx.jsonio import load_trace, save_instance, save_trace
 from graphefx.solvers import bipartite_efx, chromatic_efx, solve, tree_efx
 from graphefx.trace import (
     ColoringUsed,
@@ -16,7 +20,7 @@ from graphefx.trace import (
     StructureResolved,
     check_trace,
     event_from_json,
-    event_to_json,
+    event_line,
     relabel,
 )
 
@@ -24,6 +28,7 @@ from .conftest import (
     CountingValuation,
     random_family_valuation,
     reference_audit_trace,
+    reference_event_to_json,
     tamper_trace,
 )
 
@@ -161,8 +166,9 @@ EVENT_LINES = [
 
 @pytest.mark.parametrize("event, line", EVENT_LINES)
 def test_trace_line_format(event, line):
-    assert event_to_json(event) == line
-    assert event_to_json(event_from_json(line)) == line
+    text = json.dumps(line, sort_keys=True)
+    assert event_line(event, {}) == text
+    assert event_line(event_from_json(line), {}) == text
 
 
 def _every_event_kind():
@@ -180,8 +186,51 @@ def test_solver_events_round_trip_through_json():
     structures = [ev for ev in trace if isinstance(ev, StructureResolved)]
     assert any(ev.favourite is None for ev in structures)
     assert any(ev.transfers for ev in structures)
+    fragments = {}
     for ev in trace:
-        assert event_from_json(json.loads(json.dumps(event_to_json(ev)))) == ev
+        assert event_from_json(json.loads(event_line(ev, fragments))) == ev
+
+
+def _written(trace):
+    """The writer's line for each event, with one bundle cache for the whole trace."""
+    fragments = {}
+    return [event_line(ev, fragments) for ev in trace]
+
+
+def _reference_lines(trace):
+    return [json.dumps(reference_event_to_json(ev), sort_keys=True) for ev in trace]
+
+
+def test_writer_matches_reference_encoder(tmp_path):
+    tree = tree_efx(gen_multitree(seed=1, n=6, max_parallel=2)[0])[1]
+    bipartite = solve(gen_bipartite(seed=3, n_left=8, n_right=8)[0])[2]
+    chromatic = solve(gen_petersen(seed=4, parallel_copies=2)[0])[2]
+    union = solve(_cycle_union(random.Random(17), (5, 7), "additive"))[2]
+    # The union's snapshots again, with an empty bundle for every agent that holds nothing.
+    nothing = {u: frozenset() for u in range(12)}
+    padded = [dataclasses.replace(ev, snapshot={**nothing, **ev.snapshot})
+              for ev in union if isinstance(ev, StructureResolved)]
+    assert any(isinstance(ev, CycleResolved) for ev in tree)
+    assert any(ev.snapshot.keys() >= {9, 10} for ev in padded)  # "10" is written before "9"
+    for trace in (tree, bipartite, chromatic, union, padded):
+        assert _written(trace) == _reference_lines(trace)
+    path = tmp_path / "all.trace.jsonl"
+    everything = tree + bipartite + chromatic + union + padded
+    save_trace(everything, path)
+    want = "".join(line + "\n" for line in _reference_lines(everything))
+    assert path.read_text(encoding="utf-8") == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.frozensets(st.integers(0, 30), max_size=4), min_size=1, max_size=4),
+       st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=9),
+                min_size=1, max_size=6))
+def test_writer_caches_a_bundle_per_agent(pool, steps):
+    # Snapshots take their bundles from a few frozenset objects, so one object
+    # is held by several agents in one snapshot and across snapshots.
+    trace = [CycleResolved(cycle=(0, 1), snapshot={u: pool[i % len(pool)] for u, i in step})
+             for step in steps]
+    assert _written(trace) == _reference_lines(trace)
 
 
 def test_relabel_identity_and_inverse():
@@ -303,3 +352,52 @@ def test_audit_query_count_is_linear():
             u: CountingValuation(v, counter) for u, v in plain.valuations.items()})
         assert audit_trace(inst, trace).ok
         assert 0 < counter[0] <= 3 * (plain.graph.vertex_count + plain.graph.edge_count)
+
+
+def _audit_output(report):
+    """What ``graphefx audit`` prints for ``report``."""
+    lines = []
+    for family in FAMILIES:
+        lines.append(f"{family}: {report.status(family)}")
+        lines.extend(f"  {msg}" for msg in report.results[family][1])
+    return "".join(line + "\n" for line in lines)
+
+
+def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
+    # Loaded bundles are equal to the solver's but distinct objects.
+    inst, names = gen_bipartite(seed=3, n_left=60, n_right=60)
+    instance_path = tmp_path / "b60.instance.json"
+    save_instance(inst, names, instance_path)
+    trace = solve(inst)[2]
+    rng = random.Random(8)
+    while True:  # a tampered copy that fails the audit
+        tampered, _ = _tampered(rng, inst, trace)
+        if not audit_trace(inst, tampered).ok:
+            break
+    for i, events in enumerate((trace, tampered)):
+        path = tmp_path / f"{i}.trace.jsonl"
+        save_trace(events, path)
+        assert load_trace(path) == events
+        report = audit_trace(inst, events)
+        capsys.readouterr()
+        code = main(["audit", str(instance_path), str(path)])
+        assert code == (EXIT_OK if report.ok else EXIT_NOT_EFX)
+        assert capsys.readouterr().out == _audit_output(report)
+
+
+def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys):
+    # A snapshot gives one good of agent 9 to agent 10 as well.  The file
+    # lists agent "10" before "9", so checking that snapshot names agent 9.
+    inst, names = gen_bipartite(seed=2, n_left=6, n_right=6)
+    instance_path = tmp_path / "b6.instance.json"
+    save_instance(inst, names, instance_path)
+    trace = solve(inst)[2]
+    i = next(i for i, ev in enumerate(trace)
+             if isinstance(ev, StructureResolved) and ev.snapshot.get(9) and ev.snapshot.get(10))
+    snapshot = dict(trace[i].snapshot)
+    snapshot[10] = snapshot[10] | {min(snapshot[9])}
+    path = tmp_path / "overlap.trace.jsonl"
+    save_trace(trace[:i] + [dataclasses.replace(trace[i], snapshot=snapshot)] + trace[i + 1:], path)
+    capsys.readouterr()
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: bundles are not disjoint at agent 9\n")

@@ -120,6 +120,30 @@ def _run_cli(*args, env=None):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def test_successive_main_calls_match_fresh_processes(b1_file, tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process; no call may see an earlier call's state.
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    calls = [
+        ["gen", "multitree", "--agents", "4", "--seed", "2", "-o", tmp_path / "t.instance.json"],
+        ["analyze", b1_file],
+        ["solve"],
+        ["oracle", b1_file],
+        ["verify", "--help"],
+        ["gen", "petersen", "--value-max", "-1", "-o", tmp_path / "p.instance.json"],
+        ["audit", b1_file],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(list(map(str, argv)))
+        except SystemExit as exc:  # argparse exits on --help and on usage errors
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    for argv, seen in zip(calls, in_process):
+        done = _run_cli(*argv)
+        assert seen == (done.returncode, done.stdout, done.stderr), argv
+
+
 def _assert_one_error_line(done):
     assert done.returncode == EXIT_INPUT, done.stderr
     assert done.stdout == ""
