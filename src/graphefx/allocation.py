@@ -169,7 +169,8 @@ class EnvyGraph:
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
         self._acyclic = False
-        for u in range(inst.graph.vertex_count):
+        # Only an endpoint of a held good can have a rival.
+        for u in set(chain.from_iterable(map(inst.graph.edges.__getitem__, holder))):
             incident = inst.graph.incident_edges(u)
             rivals = _rivals(holder, u, incident)
             if rivals:

@@ -32,7 +32,7 @@ from .jsonio import (
 )
 from .multigraph import Coloring
 from .oracle import brute_force_efx
-from .solvers import Instance, classify, components, smallest_coloring, solve
+from .solvers import Instance, classify, smallest_coloring, solve
 from .trace import check_trace
 
 EXIT_OK = 0
@@ -97,8 +97,8 @@ def _analysis(inst: Instance) -> dict:
     and the solvers ``classify`` accepts."""
     g = inst.graph
     girth, _ = g.shortest_cycle()
-    parts = [sub for sub, _, _ in components(inst)]
-    colorings = [smallest_coloring(sub.graph)[0] for sub in parts]
+    comps = g.connected_components() or [None]  # a graph without vertices is one part
+    colorings = [smallest_coloring(g, comp)[0] for comp in comps]
     return {
         "agents": g.vertex_count,
         "goods": g.edge_count,
@@ -106,7 +106,7 @@ def _analysis(inst: Instance) -> dict:
         "bipartite": g.bipartition() is not None,
         "girth": None if girth == float("inf") else int(girth),
         "chromatic_number": [None if col is None else col.t for col in colorings],
-        "eligible": [[v.solver for v in classify(sub) if v.applies] for sub in parts],
+        "eligible": [[v.solver for v in classify(inst, None, comp) if v.applies] for comp in comps],
     }
 
 

@@ -152,7 +152,7 @@ def load_trace(path: Union[str, Path]) -> list[TraceEvent]:
             for line in fh:
                 line = line.strip()
                 if line:
-                    events.append(event_from_json(json.loads(line)))
+                    events.append(event_from_json(json.loads(line), len(events)))
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     return events

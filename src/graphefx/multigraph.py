@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError
+
+# One connected component's sorted vertex list; None stands for every vertex.
+Component = Optional[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,8 @@ class MultiGraph:
     """Immutable multi-graph.  Edge ids are dense: edge i is ``edges[i]``.
 
     Self-loops are rejected: every good must have two distinct endpoint agents.
+    The structural queries take an optional ``component`` and then answer
+    for that component alone, on the graph's own ids.
     """
 
     def __init__(self, vertex_count: int, edges: list[tuple[int, int]]):
@@ -61,11 +66,18 @@ class MultiGraph:
         self._adj = tuple(frozenset(s) for s in adj)
         # The graph never changes, so structural queries are computed once.
         # Cached values are immutable; callers get fresh copies of lists.
-        self._memo: dict[str, object] = {}
+        self._memo: dict[object, object] = {}
 
-    def _memoized(self, key: str, compute):
+    def vertices(self, component: Component = None) -> Sequence[int]:
+        """The vertices of ``component``; every vertex when it is None."""
+        return range(self.vertex_count) if component is None else component
+
+    def _memoized(self, key: str, component: Component, compute):
+        vertices = self.vertices(component)
+        if len(vertices) != self.vertex_count:  # a component that is not the whole graph
+            key = (key, tuple(vertices))
         if key not in self._memo:
-            self._memo[key] = compute()
+            self._memo[key] = compute(vertices)
         return self._memo[key]
 
     @property
@@ -95,54 +107,61 @@ class MultiGraph:
         self._check_vertex(u)
         return self._incident[u]
 
-    def bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    def edges_of(self, component: Component = None) -> Sequence[int]:
+        """Ids of the edges with an endpoint in ``component``, ascending."""
+        if len(self.vertices(component)) == self.vertex_count:
+            return range(len(self.edges))
+        return sorted(frozenset().union(*map(self._incident.__getitem__, component)))
+
+    def bipartition(self, component: Component = None) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         """Proper 2-coloring of the skeleton, or None.
 
         The lowest-indexed vertex of each connected component goes to L.
         """
-        return self._memoized("bipartition", self._bipartition)
+        return self._memoized("bipartition", component, self._bipartition)
 
-    def _bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-        side = [-1] * self.vertex_count
-        for start in range(self.vertex_count):
-            if side[start] != -1:
+    def _bipartition(self, vertices: Sequence[int]) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+        side: dict[int, int] = {}
+        for start in vertices:
+            if start in side:
                 continue
             side[start] = 0
             queue = deque([start])
             while queue:
                 x = queue.popleft()
                 for y in sorted(self._adj[x]):
-                    if side[y] == -1:
+                    if y not in side:
                         side[y] = 1 - side[x]
                         queue.append(y)
                     elif side[y] == side[x]:
                         return None
-        left = frozenset(v for v in range(self.vertex_count) if side[v] == 0)
-        right = frozenset(v for v in range(self.vertex_count) if side[v] == 1)
-        return left, right
+        left = frozenset(v for v, s in side.items() if s == 0)
+        return left, frozenset(side) - left
 
-    def is_multitree(self) -> bool:
-        """True iff the simple skeleton is a forest: its edge count is n - components."""
-        return len(self._by_pair) == self.vertex_count - len(self._components())
+    def is_multitree(self, component: Component = None) -> bool:
+        """True iff the simple skeleton is a forest: each component has one
+        vertex more than its skeleton edges."""
+        parts = self._components() if component is None else (component,)
+        return all(sum(map(len, map(self._adj.__getitem__, p))) == 2 * len(p) - 2 for p in parts)
 
-    def girth(self) -> float:
+    def girth(self, component: Component = None) -> float:
         """Length of the shortest skeleton cycle; math.inf on a forest."""
-        length, _ = self.shortest_cycle()
+        length, _ = self.shortest_cycle(component)
         return length
 
-    def shortest_cycle(self) -> tuple[float, Optional[list[int]]]:
+    def shortest_cycle(self, component: Component = None) -> tuple[float, Optional[list[int]]]:
         """(girth, one shortest cycle as a vertex list), (inf, None) on forests.
 
         BFS from every vertex on the skeleton; non-tree edges close candidate
         cycles and the overall minimum is exact.
         """
-        best, cycle = self._memoized("shortest_cycle", self._shortest_cycle)
+        best, cycle = self._memoized("shortest_cycle", component, self._shortest_cycle)
         return best, None if cycle is None else list(cycle)
 
-    def _shortest_cycle(self) -> tuple[float, Optional[tuple[int, ...]]]:
+    def _shortest_cycle(self, vertices: Sequence[int]) -> tuple[float, Optional[tuple[int, ...]]]:
         best = math.inf
         best_cycle: Optional[list[int]] = None
-        for start in range(self.vertex_count):
+        for start in vertices:
             dist = {start: 0}
             parent = {start: -1}
             queue = deque([start])
@@ -183,19 +202,20 @@ class MultiGraph:
             return None
         return cycle
 
-    def validate_coloring(self, col: Coloring) -> tuple[bool, Optional[int]]:
+    def validate_coloring(self, col: Coloring, component: Component = None) -> tuple[bool, Optional[int]]:
         """(True, None) if proper, else (False, lowest violating edge id)."""
-        for v in range(self.vertex_count):
+        for v in self.vertices(component):
             if v not in col.colors:
                 raise InputError(f"coloring is missing vertex {v}")
             if not (0 <= col.colors[v] < col.t):
                 raise InputError(f"vertex {v} has color outside 0..{col.t - 1}")
-        for eid, (u, w) in enumerate(self.edges):
+        for eid in self.edges_of(component):
+            u, w = self.edges[eid]
             if col.colors[u] == col.colors[w]:
                 return False, eid
         return True, None
 
-    def find_coloring(self, t_max: int) -> Optional[Coloring]:
+    def find_coloring(self, t_max: int, component: Component = None) -> Optional[Coloring]:
         """Smallest proper coloring with at most t_max colors.
 
         t = 1 needs no edges and t = 2 is the bipartition's coloring.  Only
@@ -204,37 +224,38 @@ class MultiGraph:
         """
         if t_max < 1:
             raise InputError("t_max must be at least 1")
-        if not self.edges:
-            return Coloring(colors=dict.fromkeys(range(self.vertex_count), 0), t=1)
-        bipart = self.bipartition()
+        vertices = self.vertices(component)
+        if not any(map(self._adj.__getitem__, vertices)):
+            return Coloring(colors=dict.fromkeys(vertices, 0), t=1)
+        bipart = self.bipartition(component)
         if bipart is not None:
             return Coloring.of_bipartition(*bipart) if t_max >= 2 else None
         for t in range(3, t_max + 1):
-            colors = self._try_color(t)
+            colors = self._try_color(t, vertices)
             if colors is not None:
                 return Coloring(colors=colors, t=t)
         return None
 
-    def _try_color(self, t: int) -> Optional[dict[int, int]]:
-        # Backtracking with an explicit stack: ``colors[v]`` is the color of
-        # vertex v < len(colors), and ``c`` the next color to try at the
-        # first uncolored vertex.  A new color is at most one above the
-        # largest used, and colors are tried in ascending order.
-        colors: list[int] = []
+    def _try_color(self, t: int, vertices: Sequence[int]) -> Optional[dict[int, int]]:
+        # Backtracking with an explicit stack: ``colors`` maps the leading
+        # vertices, in order, to their colors, and ``c`` is the next color to
+        # try at the first uncolored vertex.  A new color is at most one above
+        # the largest used, and colors are tried in ascending order.
+        colors: dict[int, int] = {}
         c = 0
-        while len(colors) < self.vertex_count:
-            v = len(colors)
-            limit = min(t, max(colors, default=-1) + 2)
-            while c < limit and any(w < v and colors[w] == c for w in self._adj[v]):
+        while len(colors) < len(vertices):
+            v = vertices[len(colors)]
+            limit = min(t, max(colors.values(), default=-1) + 2)
+            while c < limit and any(colors.get(w) == c for w in self._adj[v]):
                 c += 1
             if c < limit:
-                colors.append(c)
+                colors[v] = c
                 c = 0
             elif colors:
-                c = colors.pop() + 1
+                c = colors.popitem()[1] + 1
             else:
                 return None
-        return dict(enumerate(colors))
+        return colors
 
     def connected_components(self) -> list[list[int]]:
         """Skeleton components as sorted vertex lists, ordered by minimum vertex."""
@@ -242,12 +263,12 @@ class MultiGraph:
 
     def _components(self) -> tuple[tuple[int, ...], ...]:
         """Skeleton components as sorted vertex tuples, ordered by minimum vertex."""
-        return self._memoized("components", self._find_components)
+        return self._memoized("components", None, self._find_components)
 
-    def _find_components(self) -> tuple[tuple[int, ...], ...]:
+    def _find_components(self, vertices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.vertex_count
         comps = []
-        for start in range(self.vertex_count):
+        for start in vertices:
             if seen[start]:
                 continue
             seen[start] = True

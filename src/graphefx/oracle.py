@@ -8,10 +8,11 @@ orientation-only search would be wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .allocation import Allocation
 from .errors import CapacityError
+from .multigraph import Component
 
 if TYPE_CHECKING:
     from .solvers import Instance
@@ -26,22 +27,16 @@ class OracleReport:
     searched: int  # n^m, the size of the space
 
 
-def _space(inst: "Instance") -> int:
-    """n^m, the number of complete allocations, or CapacityError above the guard."""
-    n = inst.graph.vertex_count
-    m = inst.graph.edge_count
-    if n ** m > BRUTE_FORCE_MAX:
-        raise CapacityError(f"{n}^{m} allocations exceed the {BRUTE_FORCE_MAX} capacity guard")
-    return n ** m
+def _efx_masks(inst: "Instance", agents: Sequence[int], goods: Sequence[int]) -> Iterator[list[int]]:
+    """The bundle masks of every EFX assignment of ``goods``, the edges of
+    the component ``agents``, to its agents.
 
-
-def _efx_masks(inst: "Instance") -> Iterator[list[int]]:
-    """The bundle masks (bit g: holds good g) of every EFX assignment of ``inst``.
-
-    Assignments come in ``itertools.product(range(n), repeat=m)`` order, the
-    last good varying fastest: a depth-first search gives goods 0..m-1 to
-    agents in index order.  The yielded list is updated in place; copy it to
-    keep it.
+    Agent and good i are ``agents[i]`` and ``goods[i]``: mask i has bit j
+    when agent i holds good j.  Assignments come in
+    ``itertools.product(range(n), repeat=m)`` order, the last good varying
+    fastest: a depth-first search gives goods 0..m-1 to agents in index
+    order.  The yielded list is updated in place; copy it to keep it.  Above
+    the capacity guard, the first step raises CapacityError.
 
     An agent u is checked only against a rival that holds a good incident to
     u, with the bundle valued through u's incident goods.  Once all of u's
@@ -58,22 +53,24 @@ def _efx_masks(inst: "Instance") -> Iterator[list[int]]:
     Each agent is checked once, when it closes; by (b) no bundle it envies
     changes afterwards, so every assignment that reaches the last good is EFX.
     """
-    n = inst.graph.vertex_count
-    m = inst.graph.edge_count
-    inc_goods = [sorted(inst.graph.incident_edges(u)) for u in range(n)]
-    inc_mask = [sum(1 << g for g in goods) for goods in inc_goods]
-    closes: list[list[int]] = [[] for _ in range(m)]  # agents whose last incident good is g
-    for u, goods in enumerate(inc_goods):
-        if goods:
-            closes[goods[-1]].append(u)
+    n, m = len(agents), len(goods)
+    if n ** m > BRUTE_FORCE_MAX:
+        raise CapacityError(f"{n}^{m} allocations exceed the {BRUTE_FORCE_MAX} capacity guard")
+    index = {g: j for j, g in enumerate(goods)}
+    inc_goods = [sorted(map(index.__getitem__, inst.graph.incident_edges(u))) for u in agents]
+    inc_mask = [sum(1 << j for j in js) for js in inc_goods]
+    closes: list[list[int]] = [[] for _ in range(m)]  # agents whose last incident good is j
+    for u, js in enumerate(inc_goods):
+        if js:
+            closes[js[-1]].append(u)
     # Value cache per agent, keyed by bundle mask & incident mask.
     caches: list[dict[int, int]] = [{0: 0} for _ in range(n)]
-    vals = [inst.valuations[u] for u in range(n)]
+    vals = [inst.valuations[u] for u in agents]
 
     def value_of(u: int, key: int) -> int:
         got = caches[u].get(key)
         if got is None:
-            got = vals[u].value(g for g in inc_goods[u] if key >> g & 1)
+            got = vals[u].value(goods[j] for j in inc_goods[u] if key >> j & 1)
             caches[u][key] = got
         return got
 
@@ -123,26 +120,26 @@ def _efx_masks(inst: "Instance") -> Iterator[list[int]]:
         h = 0
 
 
-def _allocation(masks: list[int]) -> Allocation:
+def _allocation(masks: list[int], agents: Sequence[int], goods: Sequence[int]) -> Allocation:
     return Allocation(bundles={
-        u: frozenset(g for g in range(mask.bit_length()) if mask >> g & 1)
-        for u, mask in enumerate(masks)
+        agents[i]: frozenset(goods[j] for j in range(mask.bit_length()) if mask >> j & 1)
+        for i, mask in enumerate(masks)
     })
 
 
 def brute_force_efx(inst: "Instance") -> OracleReport:
     """Count the EFX allocations of ``inst`` with the pruned search of ``_efx_masks``."""
-    searched = _space(inst)
-    found = _efx_masks(inst)
+    agents, goods = inst.graph.vertices(), inst.graph.edges_of()
+    found = _efx_masks(inst, agents, goods)
     first = next(found, None)
-    if first is None:
-        return OracleReport(efx_count=0, sample=None, searched=searched)
-    sample = _allocation(first)
-    return OracleReport(efx_count=1 + sum(1 for _ in found), sample=sample, searched=searched)
+    sample = None if first is None else _allocation(first, agents, goods)  # before ``found`` moves on
+    efx_count = (first is not None) + sum(1 for _ in found)
+    return OracleReport(efx_count=efx_count, sample=sample, searched=len(agents) ** len(goods))
 
 
-def first_efx_allocation(inst: "Instance") -> Optional[Allocation]:
-    """``brute_force_efx(inst).sample``, without counting the rest."""
-    _space(inst)
-    first = next(_efx_masks(inst), None)
-    return None if first is None else _allocation(first)
+def first_efx_allocation(inst: "Instance", component: Component = None) -> Optional[Allocation]:
+    """``brute_force_efx(inst).sample``, without counting the rest; given a
+    component, the same for that component alone."""
+    agents, goods = inst.graph.vertices(component), inst.graph.edges_of(component)
+    first = next(_efx_masks(inst, agents, goods), None)
+    return None if first is None else _allocation(first, agents, goods)

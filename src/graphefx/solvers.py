@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import (  # noqa: F401
@@ -23,7 +23,7 @@ from .allocation import (  # noqa: F401
     resolve_cycle,
 )
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
-from .multigraph import Coloring, MultiGraph
+from .multigraph import Coloring, Component, MultiGraph
 from .oracle import BRUTE_FORCE_MAX, first_efx_allocation
 from .partition import cut_and_choose
 from .trace import (
@@ -35,7 +35,6 @@ from .trace import (
     LeafAttached,
     StructureResolved,
     TraceEvent,
-    relabel,
 )
 from .valuation import Table, Valuation
 
@@ -62,9 +61,9 @@ class Instance:
                 )
 
 
-def _table_agent(inst: Instance) -> Optional[int]:
-    """The lowest agent with a table valuation, or None."""
-    return next((u for u in sorted(inst.valuations) if isinstance(inst.valuations[u], Table)), None)
+def _table_agent(inst: Instance, agents: Sequence[int]) -> Optional[int]:
+    """The first agent of ``agents`` with a table valuation, or None."""
+    return next((u for u in agents if isinstance(inst.valuations[u], Table)), None)
 
 
 def _resolve_structure(
@@ -137,25 +136,28 @@ def bipartite_efx(
     return chromatic_efx(inst, Coloring.of_bipartition(left, right))
 
 
-def chromatic_efx(inst: Instance, col: Coloring) -> tuple[Allocation, list[TraceEvent]]:
+def chromatic_efx(inst: Instance, col: Coloring,
+                  component: Component = None) -> tuple[Allocation, list[TraceEvent]]:
     """EFX allocation on a t-chromatic multi-graph with girth >= 2t-1.
 
     Phase i roots the color-i vertices and pairs them against all strictly
     higher colors; a root that keeps its favourite piece passes its prior
-    bundle to the favourite neighbour.
+    bundle to the favourite neighbour.  Given a component, it solves that
+    component alone.
     """
-    ok, bad_edge = inst.graph.validate_coloring(col)
+    agents = inst.graph.vertices(component)
+    ok, bad_edge = inst.graph.validate_coloring(col, component)
     if not ok:
         u, w = inst.graph.endpoints(bad_edge)
         raise PreconditionError(f"coloring is not proper: edge {bad_edge} joins {u} and {w}")
     # every skeleton cycle has length >= 3 = 2*2-1, so only t >= 3 needs the girth
     if col.t >= 3:
-        girth, cycle = inst.graph.shortest_cycle()
+        girth, cycle = inst.graph.shortest_cycle(component)
         if girth < 2 * col.t - 1:
             raise PreconditionError(
                 f"girth {girth:.0f} < 2*{col.t}-1; offending cycle {cycle}"
             )
-    table = _table_agent(inst)
+    table = _table_agent(inst, agents)
     if table is not None:
         raise UnsupportedValuationError("chromatic_efx requires cancellable-family valuations;"
                                         f" agent {table} has a table valuation")
@@ -164,30 +166,30 @@ def chromatic_efx(inst: Instance, col: Coloring) -> tuple[Allocation, list[Trace
     alloc = Allocation.empty()
     holder: dict[int, int] = {}
     for phase in range(1, col.t):
-        roots = sorted(v for v in range(inst.graph.vertex_count) if col.colors[v] == phase - 1)
-        for u in roots:
+        for u in (v for v in agents if col.colors[v] == phase - 1):
             right = sorted(w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u])
             alloc, event = _resolve_structure(inst, alloc, holder, u, right, phase)
             trace.append(event)
     return alloc, trace
 
 
-def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
+def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, list[TraceEvent]]:
     """EFX allocation on a multi-tree, any monotone valuations.
 
     Leaves are detached (highest index first), the rest is solved recursively,
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
     One ``EnvyGraph`` is kept and updated from the bundles each step changes.
+    Given a component, it solves that component alone.
     """
-    if not inst.graph.is_multitree():
+    if not inst.graph.is_multitree(component):
         raise PreconditionError("tree_efx requires a multi-tree (acyclic skeleton)")
 
     # Elimination order, computed iteratively to avoid deep recursion: always
     # the highest-index current leaf.  A max-heap holds every vertex whose
     # degree has dropped to 1; entries whose degree has since dropped to 0 are
     # stale and skipped.  Degrees only fall, so each vertex is pushed at most once.
-    degree = {v: set(inst.graph.neighbours(v)) for v in range(inst.graph.vertex_count)}
+    degree = {v: set(inst.graph.neighbours(v)) for v in inst.graph.vertices(component)}
     order: list[tuple[int, int]] = []  # (leaf, parent)
     leaves = [-v for v in degree if len(degree[v]) == 1]
     heapq.heapify(leaves)
@@ -235,32 +237,10 @@ def tree_efx(inst: Instance) -> tuple[Allocation, list[TraceEvent]]:
     return envy.alloc, trace
 
 
-def components(inst: Instance) -> list[tuple[Instance, list[int], list[int]]]:
-    """``inst`` split into the connected components that ``solve`` solves one by one.
-
-    Each part is (the component on agents 0..k-1 and its goods renumbered
-    densely, the global id of each local agent, the global id of each local
-    good).  A connected instance is its own one part.
-    """
-    comps = inst.graph.connected_components()
-    if len(comps) <= 1:
-        return [(inst, list(range(inst.graph.vertex_count)), list(range(inst.graph.edge_count)))]
-    parts = []
-    for comp in comps:
-        v_fwd = {v: i for i, v in enumerate(comp)}
-        goods = [eid for eid, (a, _) in enumerate(inst.graph.edges) if a in v_fwd]
-        e_fwd = {eid: i for i, eid in enumerate(goods)}
-        graph = MultiGraph(len(comp), [tuple(v_fwd[x] for x in inst.graph.edges[e]) for e in goods])
-        vals = {v_fwd[v]: inst.valuations[v].relabel(e_fwd.__getitem__) for v in comp}
-        parts.append((Instance(graph=graph, valuations=vals), comp, goods))
-    return parts
-
-
-def _compact_coloring(col: Coloring, comp: list[int]) -> Coloring:
-    """``col`` on the component, renumbered like ``components``, with its colors made dense."""
-    used = sorted({col.colors[v] for v in comp})
-    dense = {c: i for i, c in enumerate(used)}
-    return Coloring(colors={i: dense[col.colors[v]] for i, v in enumerate(comp)}, t=len(used))
+def _component_hint(hint: Coloring, component: Sequence[int]) -> Coloring:
+    """``hint`` on ``component``, renumbered densely: t is the number of colors it uses."""
+    dense = {c: i for i, c in enumerate(sorted({hint.colors[v] for v in component}))}
+    return Coloring(colors={v: dense[hint.colors[v]] for v in component}, t=len(dense))
 
 
 @dataclass(frozen=True)
@@ -277,43 +257,46 @@ class Verdict:
         return self.reason is None
 
 
-def smallest_coloring(g: MultiGraph) -> tuple[Optional[Coloring], Optional[str]]:
+def smallest_coloring(g: MultiGraph,
+                      component: Component = None) -> tuple[Optional[Coloring], Optional[str]]:
     """The smallest proper coloring whose t the girth admits, or None and why not.
 
     A bipartite graph has t <= 2, which every girth admits.  Otherwise t >= 3
     needs girth >= 5, girth >= 2t-1 bounds t by (girth+1)//2, and
     t <= DISPATCH_T_MAX.
     """
-    if g.bipartition() is not None:
-        return g.find_coloring(2), None
-    girth = g.girth()
+    if g.bipartition(component) is not None:
+        return g.find_coloring(2, component), None
+    girth = g.girth(component)
     if girth < 5:
         return None, f"girth {girth} < 5, and a non-bipartite graph needs t >= 3"
     t_max = min(DISPATCH_T_MAX, (girth + 1) // 2)
-    col = g.find_coloring(t_max)
+    col = g.find_coloring(t_max, component)
     if col is None:
         return None, f"no proper coloring with t <= {t_max} (girth {girth})"
     return col, None
 
 
-def _chromatic_verdict(inst: Instance, hint: Optional[Coloring], table: Optional[int]) -> Verdict:
+def _chromatic_verdict(inst: Instance, hint: Optional[Coloring], table: Optional[int],
+                       component: Component) -> Verdict:
     g = inst.graph
     if table is not None:
         return Verdict("chromatic", f"agent {table} has a table valuation")
     if hint is None:
-        col, reason = smallest_coloring(g)
+        col, reason = smallest_coloring(g, component)
         return Verdict("chromatic", reason, col)
-    ok, edge = g.validate_coloring(hint)
+    ok, edge = g.validate_coloring(hint, component)
     if not ok:
         return Verdict("chromatic", f"the coloring hint is not proper at edge {edge}")
-    girth = g.girth()
+    girth = g.girth(component)
     if girth < 2 * hint.t - 1:
         return Verdict("chromatic", f"girth {girth} < 2*{hint.t}-1 for the {hint.t}-coloring hint")
     return Verdict("chromatic", structure=hint)
 
 
-def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdict]:
-    """Each solver's verdict on ``inst``, in dispatch order.
+def classify(inst: Instance, hint: Optional[Coloring] = None,
+             component: Component = None) -> Iterator[Verdict]:
+    """Each solver's verdict on ``inst``, or on its ``component``, in dispatch order.
 
     The order is multi-tree, bipartite, chromatic (the hint, or the smallest
     coloring the girth allows, t <= min(DISPATCH_T_MAX, (girth+1)//2)), then
@@ -321,10 +304,11 @@ def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdic
     caller that stops at the first applicable solver pays for no later test.
     """
     g = inst.graph
-    yield Verdict("tree") if g.is_multitree() else Verdict("tree", "not a multi-tree")
+    agents = g.vertices(component)
+    yield Verdict("tree") if g.is_multitree(component) else Verdict("tree", "not a multi-tree")
 
-    bipart = g.bipartition()
-    table = _table_agent(inst)
+    bipart = g.bipartition(component)
+    table = _table_agent(inst, agents)
     if bipart is None:
         yield Verdict("bipartite", "not bipartite")
     elif table is not None:
@@ -332,9 +316,9 @@ def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdic
     else:
         yield Verdict("bipartite", structure=Coloring.of_bipartition(*bipart))
 
-    yield _chromatic_verdict(inst, hint, table)
+    yield _chromatic_verdict(inst, hint, table, component)
 
-    n, m = g.vertex_count, g.edge_count
+    n, m = len(agents), len(g.edges_of(component))
     if n <= BRUTE_FORCE_AGENT_MAX and m <= BRUTE_FORCE_GOOD_MAX and n ** m <= BRUTE_FORCE_MAX:
         yield Verdict("brute_force")
     else:
@@ -344,21 +328,21 @@ def classify(inst: Instance, hint: Optional[Coloring] = None) -> Iterator[Verdic
         )
 
 
-def _dispatch_connected(
-    inst: Instance, hint: Optional[Coloring]
+def _dispatch_component(
+    inst: Instance, hint: Optional[Coloring], component: Component
 ) -> tuple[Allocation, str, list[TraceEvent], list[Verdict]]:
-    """Run the first solver ``classify`` accepts; also return the verdicts tried."""
+    """Run the first solver ``classify`` accepts on a component; also return the verdicts tried."""
     tried: list[Verdict] = []
-    for verdict in classify(inst, hint):
+    for verdict in classify(inst, hint, component):
         tried.append(verdict)
         if not verdict.applies:
             continue
         if verdict.solver == "tree":
-            alloc, trace = tree_efx(inst)
+            alloc, trace = tree_efx(inst, component)
         elif verdict.solver in ("bipartite", "chromatic"):
-            alloc, trace = chromatic_efx(inst, verdict.structure)
+            alloc, trace = chromatic_efx(inst, verdict.structure, component)
         else:
-            sample = first_efx_allocation(inst)
+            sample = first_efx_allocation(inst, component)
             if sample is None:
                 tried[-1] = Verdict("brute_force", "exhaustive search found no EFX allocation")
                 break
@@ -374,31 +358,30 @@ def solve(
     hint: Optional[Coloring] = None,
     verdicts: Optional[list[list[Verdict]]] = None,
 ) -> tuple[Allocation, str, list[TraceEvent]]:
-    """Dispatch to the first solver ``classify`` accepts; disconnected inputs go component-wise.
+    """Dispatch to the first solver ``classify`` accepts, one connected component at a time.
 
-    When ``verdicts`` is a list, one list per component is appended to it: the
-    verdicts of the solvers tried, in order, ending with the one that ran.
+    Agents value only their incident goods, so the union of EFX allocations
+    of the components is EFX.  Each component is solved on the instance's
+    own ids, starting from an empty allocation, and its trace follows the
+    previous component's.  On a disconnected instance each component takes
+    its part of the hint, with its colors made dense.  When ``verdicts`` is
+    a list, one list per component is appended to it: the verdicts of the
+    solvers tried, in order, ending with the one that ran.
     """
     if verdicts is None:
         verdicts = []
     if hint is not None:
         inst.graph.validate_coloring(hint)  # every vertex colored within 0..t-1, or InputError
-    parts = components(inst)
-    if len(parts) == 1:
-        alloc, method, trace, tried = _dispatch_connected(inst, hint)
-        verdicts.append(tried)
-        return alloc, method, trace
-
+    comps = inst.graph.connected_components() or [None]  # a graph without vertices is one part
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
     methods: list[str] = []
-    for sub, agents, goods in parts:
-        sub_hint = None if hint is None else _compact_coloring(hint, agents)
-        alloc, method, sub_trace, tried = _dispatch_connected(sub, sub_hint)
+    for comp in comps:
+        sub_hint = hint if hint is None or len(comps) == 1 else _component_hint(hint, comp)
+        alloc, method, sub_trace, tried = _dispatch_component(inst, sub_hint, comp)
         verdicts.append(tried)
-        for u, b in alloc.bundles.items():
-            bundles[agents[u]] = frozenset(goods[g] for g in b)
-        trace.extend(relabel(ev, agents.__getitem__, goods.__getitem__) for ev in sub_trace)
+        bundles.update(alloc.bundles)
+        trace += sub_trace
         methods.append(method)
     method = methods[0] if len(set(methods)) == 1 else "componentwise(" + ",".join(methods) + ")"
     return Allocation(bundles=bundles), method, trace

@@ -2,8 +2,8 @@
 
 Traces serialize to JSON-lines, one event per line.  The field types below are
 the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
-marks colors, t and phases.  ``relabel``, ``check_trace`` and the JSON reader
-are generic over them.
+marks colors, t and phases.  The JSON reader and ``check_trace`` (through
+``relabel``) are generic over them.
 """
 
 from __future__ import annotations
@@ -202,10 +202,12 @@ def event_line(ev: TraceEvent, fragments: dict) -> str:
     return "{" + ", ".join(f'"{f}": {text}' for f, text in sorted(texts.items())) + "}"
 
 
-def event_from_json(obj: dict) -> TraceEvent:
-    """The event of one trace line; each field is read as its declared type."""
+def event_from_json(obj: dict, i: int) -> TraceEvent:
+    """Event ``i`` of a trace, from its line; each field is read as its declared
+    type, and each id must be a nonnegative integer."""
     kind = obj.get("type")
     cls = EVENT_KINDS.get(kind)
     if cls is None:
         raise InputError(f"unknown trace event type {kind!r}")
-    return _rebuild(cls, obj, {}, int)
+    checks = {role: _id_check(i, role.__name__.lower(), None) for role in (Agent, Good, Count)}
+    return _rebuild(cls, obj, checks, int)

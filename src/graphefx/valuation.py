@@ -8,8 +8,8 @@ ignored, which is what lets solvers pass whole bundles around without filtering.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError
 
@@ -44,10 +44,6 @@ class PerGood(Valuation):
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.values)
-
-    def relabel(self, good: Callable[[int], int]) -> PerGood:
-        """The same valuation with every good id mapped by ``good``."""
-        return replace(self, values={good(g): v for g, v in self.values.items()})
 
 
 class Additive(PerGood):
@@ -116,10 +112,6 @@ class Table(Valuation):
     @property
     def support(self) -> frozenset[int]:
         return self._support
-
-    def relabel(self, good: Callable[[int], int]) -> Table:
-        """The same valuation with every good id mapped by ``good``."""
-        return Table(entries={frozenset(map(good, s)): v for s, v in self.entries.items()})
 
 
 # The ``type`` tag of each valuation in instance documents.

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 from itertools import product
@@ -797,3 +798,43 @@ def additive_instance(graph, seed=0, value_max=9):
         u: Additive(values={e: rng.randint(0, value_max) for e in sorted(graph.incident_edges(u))})
         for u in range(graph.vertex_count)
     })
+
+
+def _moved_valuation(val, good):
+    """``val`` with every good id mapped by ``good``."""
+    if isinstance(val, Table):
+        return Table(entries={frozenset(map(good, s)): v for s, v in val.entries.items()})
+    return dataclasses.replace(val, values={good(g): v for g, v in val.values.items()})
+
+
+def interleaved_union(rng: random.Random, parts):
+    """The disjoint union of the instances ``parts``, with their agents and
+    their goods interleaved at random.
+
+    Returns (the union, the union id of each part's agents, the union id of
+    each part's goods).  Within a part both maps are increasing, so the
+    union keeps the order of each part's agent ids and of its good ids.
+    """
+    agent_of = [p for p, part in enumerate(parts) for _ in range(part.graph.vertex_count)]
+    good_of = [p for p, part in enumerate(parts) for _ in range(part.graph.edge_count)]
+    rng.shuffle(agent_of)
+    rng.shuffle(good_of)
+    agents = [[v for v, q in enumerate(agent_of) if q == p] for p in range(len(parts))]
+    goods = [[e for e, q in enumerate(good_of) if q == p] for p in range(len(parts))]
+    edges = [None] * len(good_of)
+    vals = {}
+    for part, vmap, emap in zip(parts, agents, goods):
+        for e, (a, b) in enumerate(part.graph.edges):
+            edges[emap[e]] = (vmap[a], vmap[b])
+        for u, val in part.valuations.items():
+            vals[vmap[u]] = _moved_valuation(val, emap.__getitem__)
+    return Instance(graph=MultiGraph(len(agent_of), edges), valuations=vals), agents, goods
+
+
+def c5_path_and_isolated_agent():
+    """A 5-cycle on agents 0, 2, 4, 6, 8, a multi-path on agents 1, 3, 5 and
+    the isolated agent 7, with the goods of the cycle and the path interleaved."""
+    cycle = [(0, 2), (2, 4), (4, 6), (6, 8), (8, 0)]
+    path = [(1, 3), (1, 3), (3, 5), (3, 5)]
+    pairs = [pair for both in zip(cycle, path) for pair in both] + cycle[len(path):]
+    return additive_instance(MultiGraph(9, pairs), seed=9)

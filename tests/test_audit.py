@@ -168,7 +168,7 @@ EVENT_LINES = [
 def test_trace_line_format(event, line):
     text = json.dumps(line, sort_keys=True)
     assert event_line(event, {}) == text
-    assert event_line(event_from_json(line), {}) == text
+    assert event_line(event_from_json(line, 0), {}) == text
 
 
 def _every_event_kind():
@@ -188,7 +188,7 @@ def test_solver_events_round_trip_through_json():
     assert any(ev.transfers for ev in structures)
     fragments = {}
     for ev in trace:
-        assert event_from_json(json.loads(event_line(ev, fragments))) == ev
+        assert event_from_json(json.loads(event_line(ev, fragments)), 0) == ev
 
 
 def _written(trace):

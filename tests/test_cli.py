@@ -20,6 +20,7 @@ from graphefx import (
     solve,
 )
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, EXIT_UNSUPPORTED, main
+from graphefx.generators import gen_multicycle, gen_multitree
 from graphefx.jsonio import (
     allocation_from_json,
     allocation_to_json,
@@ -31,7 +32,15 @@ from graphefx.jsonio import (
 )
 from graphefx.trace import ColoringUsed
 
-from .conftest import K4_PLUS_TWO, additive_instance, gnp_graph, star_graph, zero_instance
+from .conftest import (
+    K4_PLUS_TWO,
+    additive_instance,
+    c5_path_and_isolated_agent,
+    gnp_graph,
+    interleaved_union,
+    star_graph,
+    zero_instance,
+)
 
 
 @pytest.fixture
@@ -479,6 +488,15 @@ def test_valid_coloring_hint_on_disconnected_instance(tmp_path, capsys):
     assert with_hint.read_bytes() == without.read_bytes()
 
 
+def test_improper_hint_reason_names_the_instance_edge(tmp_path, capsys):
+    _, path = _star_and_five_cycle(tmp_path)
+    hint = tmp_path / "h.json"
+    colors = [0, 1, 1, 0, 0, 1, 0, 1]  # a3 and a4 share a color, and edge 2 joins them
+    hint.write_text(json.dumps({"colors": {f"a{i}": c for i, c in enumerate(colors)}, "t": 2}))
+    assert main(["solve", str(path), "--coloring", str(hint)]) == EXIT_UNSUPPORTED
+    assert "; chromatic: the coloring hint is not proper at edge 2;" in capsys.readouterr().err
+
+
 def test_analyze_searches_no_coloring_outside_the_girth_bound(tmp_path, capsys, monkeypatch):
     path = tmp_path / "gnp.instance.json"
     graph = gnp_graph(random.Random(0), 80, 4.5 / 80)
@@ -538,6 +556,18 @@ def test_analyze_prints_chromatic_number_per_component(tmp_path, capsys):
     assert "chromatic_number: componentwise(3; None)" in capsys.readouterr().out.splitlines()
 
 
+def test_analyze_interleaved_components(tmp_path, capsys):
+    path = tmp_path / "u.instance.json"
+    save_instance(c5_path_and_isolated_agent(), [f"a{i}" for i in range(9)], path)
+    assert main(["analyze", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "chromatic_number: componentwise(3; 2; 1)",
+        "eligible: componentwise(chromatic; tree, bipartite, chromatic, brute_force;"
+        " tree, bipartite, chromatic, brute_force)",
+    ]
+
+
 def test_analyze_prints_none_for_a_component_no_solver_accepts(tmp_path, capsys):
     path = _union_file(tmp_path, [STAR, MULTI_TRIANGLE])
     assert main(["analyze", str(path)]) == EXIT_OK
@@ -549,10 +579,10 @@ def test_analyze_prints_none_for_a_component_no_solver_accepts(tmp_path, capsys)
 def _no_coloring_search_below_three(monkeypatch):
     try_color = MultiGraph._try_color
 
-    def searched(self, t):
+    def searched(self, t, vertices):
         if t < 3:
             pytest.fail(f"searched for a {t}-coloring")
-        return try_color(self, t)
+        return try_color(self, t, vertices)
 
     monkeypatch.setattr(MultiGraph, "_try_color", searched)
 
@@ -582,10 +612,17 @@ def test_solve_girth_five_graph_without_two_coloring_search(tmp_path, capsys, mo
 @pytest.mark.parametrize("family, args", [
     ("multitree", ["--valuations", "table", "--agents", "12", "--seed", "0"]),
     ("petersen", ["--parallel-copies", "2", "--seed", "3"]),
+    ("union", []),  # a table multi-tree, a 5-cycle and an isolated agent, interleaved
 ])
 def test_solve_output_does_not_depend_on_the_hash_seed(tmp_path, family, args):
     inst = tmp_path / "x.instance.json"
-    assert main(["gen", family, *args, "-o", str(inst)]) == EXIT_OK
+    if family == "union":
+        parts = [gen_multitree(seed=4, n=8, max_parallel=2, valuation_kind="table")[0],
+                 gen_multicycle(seed=4, length=5, max_parallel=2)[0], zero_instance(MultiGraph(1, []))]
+        union, _, _ = interleaved_union(random.Random(4), parts)
+        save_instance(union, [f"a{i}" for i in range(union.graph.vertex_count)], inst)
+    else:
+        assert main(["gen", family, *args, "-o", str(inst)]) == EXIT_OK
     outputs = []
     for hash_seed in ("0", "1"):
         alloc, trace = tmp_path / f"{hash_seed}.alloc.json", tmp_path / f"{hash_seed}.trace.jsonl"
@@ -599,7 +636,7 @@ def test_solve_output_does_not_depend_on_the_hash_seed(tmp_path, family, args):
 def test_solve_exhaustive_search_without_efx_allocation_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "k4plus2.instance.json"
     save_instance(additive_instance(K4_PLUS_TWO), list("abcd"), path)
-    monkeypatch.setattr(graphefx.solvers, "first_efx_allocation", lambda inst: None)
+    monkeypatch.setattr(graphefx.solvers, "first_efx_allocation", lambda inst, component: None)
     assert main(["solve", str(path)]) == EXIT_UNSUPPORTED
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,0 +1,119 @@
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from graphefx import InputError, Instance, MultiGraph, Table, UnitDemand, solve
+from graphefx.generators import gen_multitree
+from graphefx.jsonio import (
+    allocation_to_json,
+    instance_to_json,
+    load_allocation,
+    load_instance,
+    load_trace,
+    save_allocation,
+    save_instance,
+    save_trace,
+)
+from graphefx.trace import event_line
+
+from .conftest import additive_instance
+
+# Small ints hit real agent and good ids; the rest are any other JSON values.
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 12), st.integers(),
+                        st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=6)
+
+
+def _slots(value):
+    """Every (container, key) of a nested JSON value, outermost first."""
+    slots, todo = [], [value]
+    while todo:
+        container = todo.pop()
+        keys = range(len(container)) if isinstance(container, list) else list(container)
+        for key in keys:
+            slots.append((container, key))
+            if isinstance(container[key], (list, dict)):
+                todo.append(container[key])
+    return slots
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` after one to three random edits: replace a value with any JSON
+    value or with a copy of another value of the document, delete it, or
+    insert a new one beside it."""
+    root = [copy.deepcopy(doc)]
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(_slots(root)))
+        edit = draw(st.sampled_from(["replace", "copy", "delete", "insert"]))
+        if edit == "replace" or (edit == "delete" and container is root):
+            container[key] = draw(JSON_VALUES)
+        elif edit == "copy":
+            other, other_key = draw(st.sampled_from(_slots(root)))
+            container[key] = copy.deepcopy(other[other_key])
+        elif edit == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, draw(JSON_VALUES))
+        else:
+            container[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+    return root[0]
+
+
+def _instance():
+    """A tree of additive, unit-demand and table agents beside a 4-cycle."""
+    tree, _ = gen_multitree(seed=1, n=4, max_parallel=2, value_max=9, valuation_kind="table")
+    n = tree.graph.vertex_count
+    cycle = [(n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n + 3, n)]
+    graph = MultiGraph(n + 4, list(tree.graph.edges) + cycle)
+    vals = dict(additive_instance(graph).valuations)
+    vals.update(tree.valuations)
+    vals[n + 1] = UnitDemand(values=dict(vals[n + 1].values))
+    assert any(isinstance(v, Table) for v in vals.values())
+    return Instance(graph=graph, valuations=vals), [f"a{i}" for i in range(graph.vertex_count)]
+
+
+INSTANCE, NAMES = _instance()
+ALLOCATION, _, TRACE = solve(INSTANCE)
+DOCS = {
+    "instance": instance_to_json(INSTANCE, NAMES),
+    "allocation": allocation_to_json(ALLOCATION, NAMES),
+    "trace": [json.loads(event_line(ev, {})) for ev in TRACE],
+}
+# Per document: how to load a file, how to save what was read, and its
+# encoding.  What is read, saved and read again must encode the same.
+LOADERS = {
+    "instance": (load_instance, lambda got, path: save_instance(*got, path),
+                 lambda got: instance_to_json(*got)),
+    "allocation": (lambda path: load_allocation(path, NAMES),
+                   lambda got, path: save_allocation(got, NAMES, path),
+                   lambda got: allocation_to_json(got, NAMES)),
+    "trace": (load_trace, save_trace, lambda got: [event_line(ev, {}) for ev in got]),
+}
+
+
+def test_the_documents_cover_every_event_kind():
+    assert {ev["type"] for ev in DOCS["trace"]} == {
+        "coloring_used", "structure_resolved", "leaf_attached", "cycle_resolved"}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_mutated_document_round_trips_or_raises_input_error(tmp_path_factory, kind, data):
+    doc = data.draw(mutated(DOCS[kind]))
+    load, save, key = LOADERS[kind]
+    folder = tmp_path_factory.mktemp(kind)
+    path, again = folder / "doc", folder / "again"
+    lines = doc if kind == "trace" and isinstance(doc, list) else [doc]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    try:
+        got = load(path)
+    except InputError:
+        return
+    save(got, again)
+    assert key(load(again)) == key(got)

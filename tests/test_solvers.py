@@ -34,11 +34,14 @@ from graphefx.solvers import (
     BRUTE_FORCE_GOOD_MAX,
     classify,
 )
-from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved
+from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved, relabel
 
 from .conftest import (
+    K4_PLUS_TWO,
+    additive_instance,
     classifier_graphs,
     gnp_graph,
+    interleaved_union,
     mycielski_graph,
     naive_is_efx,
     random_family_valuation,
@@ -324,6 +327,68 @@ def test_dispatch_disconnected_componentwise():
     assert alloc.is_complete(inst)
     assert is_efx(inst, alloc).ok
     assert any(isinstance(ev, ColoringUsed) for ev in trace)
+
+
+def test_dispatch_reasons_name_the_instance_ids():
+    # a tree on agents 0-2 beside a 4-cycle on agents 3-6, where agent 5 has a table valuation
+    g = MultiGraph(7, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+    vals = dict(additive_instance(g).valuations)
+    vals[5] = Table(entries={frozenset(): 0, frozenset({3}): 2, frozenset({4}): 1, frozenset({3, 4}): 3})
+    verdicts = []
+    solve(Instance(graph=g, valuations=vals), verdicts=verdicts)
+    assert [(v.solver, v.reason) for v in verdicts[1]][1:3] == [
+        ("bipartite", "agent 5 has a table valuation"),
+        ("chromatic", "agent 5 has a table valuation"),
+    ]
+
+
+# One connected instance of each kind of component, by seed.
+UNION_PARTS = {
+    "tree": lambda seed: gen_multitree(seed=seed, n=7, max_parallel=3, value_max=20)[0],
+    "table tree": lambda seed: gen_multitree(seed=seed, n=5, max_parallel=2, value_max=20,
+                                             valuation_kind="table")[0],
+    "bipartite": lambda seed: gen_bipartite(seed=seed, n_left=2, n_right=3, edge_prob=(1, 1),
+                                            max_parallel=2, value_max=20)[0],
+    "odd multi-cycle": lambda seed: gen_multicycle(seed=seed, length=7, max_parallel=2, value_max=20)[0],
+    "petersen": lambda seed: gen_petersen(seed=seed, parallel_copies=1, value_max=20)[0],
+    "k4+2": lambda seed: additive_instance(K4_PLUS_TWO, seed=seed),
+    "doubled triangle": lambda seed: additive_instance(MultiGraph(3, [(0, 1), (1, 2), (2, 0)] * 2), seed),
+    "isolated agent": lambda seed: zero_instance(MultiGraph(1, [])),
+}
+
+
+def _parts_solved_and_mapped(parts, agents, goods, hints):
+    """``solve``'s result on the union of ``parts``, from each part solved alone
+    and mapped into the union, in the order of the parts' lowest agents."""
+    bundles, trace, methods, verdicts = {}, [], [], []
+    for p in sorted(range(len(parts)), key=lambda p: agents[p][0]):
+        tried = []
+        alloc, method, events = solve(parts[p], hints[p], tried)
+        bundles.update({agents[p][u]: frozenset(goods[p][g] for g in b) for u, b in alloc.bundles.items()})
+        trace += [relabel(ev, agents[p].__getitem__, goods[p].__getitem__) for ev in events]
+        methods.append(method)
+        verdicts.append([(v.solver, v.reason) for v in tried[0]])
+    method = methods[0] if len(set(methods)) == 1 else f"componentwise({','.join(methods)})"
+    return Allocation(bundles=bundles), method, trace, verdicts
+
+
+@pytest.mark.parametrize("hinted", [False, True])
+def test_interleaved_union_solves_like_its_parts(hinted):
+    rng = random.Random(12)
+    for trial in range(16):
+        kinds = sorted(UNION_PARTS) if trial == 0 else rng.sample(sorted(UNION_PARTS), rng.randint(2, 4))
+        parts = [UNION_PARTS[kind](rng.randrange(100)) for kind in kinds]
+        union, agents, goods = interleaved_union(rng, parts)
+        hints = [part.graph.find_coloring(4) if hinted else None for part in parts]
+        hint = None
+        if hinted:  # each part's colors c spread to 2c + (p % 2): not dense within a part
+            hint = Coloring(colors={agents[p][v]: 2 * c + p % 2 for p, col in enumerate(hints)
+                                    for v, c in col.colors.items()}, t=8)
+        verdicts = []
+        alloc, method, trace = solve(union, hint, verdicts)
+        got = alloc, method, trace, [[(v.solver, v.reason) for v in tried] for tried in verdicts]
+        assert got == _parts_solved_and_mapped(parts, agents, goods, hints), kinds
+        assert is_efx(union, alloc).ok and alloc.is_complete(union)
 
 
 def test_solve_outputs_in_oracle_set():

@@ -164,14 +164,3 @@ def test_cancellable_screen_matches_naive_on_tables():
         verdicts.add(want)
     assert verdicts == {True, False}
 
-
-def test_relabel_equals_building_on_the_new_ids(noncancellable_table):
-    good = {0: 7, 1: 3, 2: 5}.__getitem__
-    assert Additive(values={0: 1, 2: 4}).relabel(good) == Additive(values={7: 1, 5: 4})
-    assert UnitDemand(values={1: 2}).relabel(good) == UnitDemand(values={3: 2})
-    assert (BudgetAdditive(values={0: 6, 1: 7}, cap=10).relabel(good)
-            == BudgetAdditive(values={7: 6, 3: 7}, cap=10))
-    moved = noncancellable_table.relabel(good)
-    assert moved == Table(entries={frozenset(map(good, s)): v
-                                   for s, v in noncancellable_table.entries.items()})
-    assert moved.value({7, 3}) == noncancellable_table.value({0, 1}) == 3
