@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
 from .errors import InputError, PreconditionError
 
@@ -59,14 +59,19 @@ class Allocation:
         good; without it such goods are looked for in every bundle.  An
         overlap raises what the full constructor raises on the merged mapping.
         """
+        return self._replaced(changes, holder)[0]
+
+    def _replaced(self, changes: Mapping[int, Iterable[int]], holder: Optional[Mapping[int, int]]
+                  ) -> tuple["Allocation", dict[int, frozenset[int]], dict[int, frozenset[int]]]:
+        """``with_bundles``, and each replaced agent's gained and lost goods."""
         new = dict(zip(changes.keys(), map(frozenset, changes.values())))
-        gained = [b - self.bundle(u) for u, b in new.items()]
-        lost = [self.bundle(u) - b for u, b in new.items()]
-        got = frozenset().union(*gained)
-        fresh = got.difference(*lost)  # gained goods that no replaced agent gave up
+        gained = {u: b - self.bundle(u) for u, b in new.items()}
+        lost = {u: self.bundle(u) - b for u, b in new.items()}
+        got = frozenset().union(*gained.values())
+        fresh = got.difference(*lost.values())  # gained goods that no replaced agent gave up
         bundles = self.bundles.copy()  # a dict: copied without a lookup per key
         bundles.update(new)
-        clash = len(got) != sum(map(len, gained))
+        clash = len(got) != sum(map(len, gained.values()))
         if fresh and not clash:
             clash = (any(map(holder.__contains__, fresh)) if holder is not None
                      else not fresh.isdisjoint(chain.from_iterable(self.bundles.values())))
@@ -76,7 +81,7 @@ class Allocation:
             del bundles[u]
         alloc = object.__new__(Allocation)
         object.__setattr__(alloc, "bundles", MappingProxyType(bundles))
-        return alloc
+        return alloc, gained, lost
 
     def __reduce__(self):
         return Allocation, (self.bundles.copy(),)
@@ -118,17 +123,12 @@ def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
 
 
 # The envy rule of ``EnvyGraph``, both when it is built and when it is
-# updated.  Agent u is compared only with its rivals, the other holders of
+# stepped.  Agent u is compared only with its rivals, the other holders of
 # goods incident to u, and values only the part of a rival's bundle among
 # those goods.  Both are exact because every valuation's support lies within
 # the agent's incident edges: the rest of a bundle is worth nothing to u, and
 # any other bundle is worth v_u(empty set) <= v_u(own bundle) by
-# monotonicity, so u can neither envy it nor violate EFX against it.  Callers
-# look up u's incident goods once.
-
-def _rivals(holder: Mapping[int, int], u: int, incident: frozenset[int]) -> set[int]:
-    return set(map(holder.get, incident)) - {None, u}
-
+# monotonicity, so u can neither envy it nor violate EFX against it.
 
 def _envied(alloc: Allocation, val: "Valuation", incident: frozenset[int], own: int,
             others: Iterable[int]) -> list[int]:
@@ -142,9 +142,9 @@ class EnvyGraph:
     prefers w's bundle.
 
     ``EnvyGraph(inst, alloc)`` decides every rival pair once.  After that,
-    ``update(alloc, changed)`` moves to a new allocation in which only the
-    agents in ``changed`` hold different bundles, and re-decides only the
-    pairs that change can affect:
+    ``step(changes)`` replaces the bundles of the agents in ``changes``,
+    computing each one's gained and lost goods once, and re-decides only the
+    pairs that the step can affect:
 
     * (z, y) for each changed y and each unchanged z that is an endpoint of
       a good y gained or lost.  Any other unchanged z keeps its own value
@@ -155,8 +155,10 @@ class EnvyGraph:
       are monotone, so y's own value did not fall, and its envy of a rival
       with the same bundle can only have vanished.
 
-    ``find_cycle`` skips the search while no envy edge has appeared since a
-    search found none: a subgraph of an acyclic graph is acyclic.
+    Each agent's rival set is kept until a good incident to it moves; the
+    agent is one of that good's two endpoints.  ``find_cycle`` skips the
+    search while no envy edge has appeared since a search found none: a
+    subgraph of an acyclic graph is acyclic.
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
@@ -166,17 +168,17 @@ class EnvyGraph:
         # good -> the agent holding it; read-only outside the class
         self.holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
+        self._rivals: dict[int, frozenset[int]] = {}  # agent -> its rivals, filled on demand
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
         self._acyclic = False
         # Only an endpoint of a held good can have a rival.
         for u in set(chain.from_iterable(map(inst.graph.edges.__getitem__, holder))):
-            incident = inst.graph.incident_edges(u)
-            rivals = _rivals(holder, u, incident)
+            rivals = self.rivals(u)
             if rivals:
                 val = inst.valuations[u]
                 own = self._own[u] = val.value(alloc.bundle(u))
-                envied = _envied(alloc, val, incident, own, rivals)
+                envied = _envied(alloc, val, inst.graph.incident_edges(u), own, rivals)
                 if envied:
                     self._out[u] = set(envied)
                     for w in envied:
@@ -202,6 +204,14 @@ class EnvyGraph:
     def envies(self, u: int, w: int) -> bool:
         return w in self._out.get(u, ())
 
+    def rivals(self, u: int) -> frozenset[int]:
+        """The agents other than ``u`` that hold a good incident to ``u``."""
+        rivals = self._rivals.get(u)
+        if rivals is None:
+            incident = self.inst.graph.incident_edges(u)
+            rivals = self._rivals[u] = frozenset(map(self.holder.get, incident)) - {None, u}
+        return rivals
+
     def find_cycle(self) -> Optional[list[int]]:
         """``find_envy_cycle`` on the current envy graph."""
         if self._acyclic:
@@ -210,29 +220,36 @@ class EnvyGraph:
         self._acyclic = cycle is None
         return cycle
 
-    def update(self, alloc: Allocation, changed: Iterable[int]) -> frozenset[int]:
-        """Move to ``alloc``, in which only the agents in ``changed`` hold new
-        bundles; return the goods that changed hands."""
-        inst, old = self.inst, self.alloc
-        changed = set(changed)
-        _validate_bundles(inst, [(y, alloc.bundle(y)) for y in changed])  # before any state changes
-        lost = {y: old.bundle(y) - alloc.bundle(y) for y in changed}
+    def step(self, changes: Mapping[int, Iterable[int]]) -> frozenset[int]:
+        """Move to ``self.alloc.with_bundles(changes, self.holder)``; return the
+        goods that changed hands.
+
+        An overlap raises what that call raises, and an unknown agent or good
+        raises InputError, before any state changes.
+        """
+        inst = self.inst
+        alloc, gained, lost = self.alloc._replaced(changes, self.holder)
+        _validate_bundles(inst, [(y, alloc.bundle(y)) for y in gained])
+        changed = set(gained)
         for g in chain.from_iterable(lost.values()):
             del self.holder[g]
-        gained = {y: alloc.bundle(y) - old.bundle(y) for y in changed}
         for y in changed:
             self.holder.update(dict.fromkeys(gained[y], y))
             self._own.pop(y, None)
         self.alloc = alloc
 
-        outside: dict[int, set[int]] = {}  # unchanged z -> the changed agents to re-decide
+        edges = inst.graph.edges
+        touched: dict[int, set[int]] = {}  # endpoint of a moved good -> the changed agents it sees
+        for y in changed:
+            for z in set(chain.from_iterable(map(edges.__getitem__, lost[y] | gained[y]))):
+                touched.setdefault(z, set()).add(y)
+        for z in touched:
+            self._rivals.pop(z, None)
         for y in changed:
             self._redecide_rivals(y, None if lost[y] else changed)
-            moved = map(inst.graph.edges.__getitem__, lost[y] | gained[y])
-            for z in set(chain.from_iterable(moved)) - changed:
-                outside.setdefault(z, set()).add(y)
-        for z, ys in outside.items():
-            self._redecide(z, ys)
+        for z, ys in touched.items():
+            if z not in changed:
+                self._redecide(z, ys)
         return frozenset().union(*lost.values(), *gained.values())
 
     def _own_value(self, u: int) -> int:
@@ -245,19 +262,23 @@ class EnvyGraph:
         """Re-decide u against its rivals; when u's bundle only grew, against
         those it envied and those in ``grown_among``, the changed agents."""
         out = self._out.get(u, set())
-        rivals = _rivals(self.holder, u, self.inst.graph.incident_edges(u))
+        rivals = self.rivals(u)
         for w in out - rivals:
             self._set(u, w, False)
         if grown_among is not None:
-            rivals &= out | grown_among
+            rivals = rivals & (out | grown_among)
         if rivals:
             self._redecide(u, rivals)
 
-    def _redecide(self, u: int, others: set[int]) -> None:
+    def _redecide(self, u: int, others: AbstractSet[int]) -> None:
+        """Re-decide u against ``others``, touching only the pairs whose verdict flips."""
         envied = set(_envied(self.alloc, self.inst.valuations[u], self.inst.graph.incident_edges(u),
                              self._own_value(u), others))
-        for w in others:
-            self._set(u, w, w in envied)
+        out = self._out.get(u, set())
+        for w in envied - out:
+            self._set(u, w, True)
+        for w in out.intersection(others) - envied:
+            self._set(u, w, False)
 
     def efx_witness(self, u: int, w: int) -> Optional[int]:
         """For an envy edge (u, w): the least good of w's bundle whose removal

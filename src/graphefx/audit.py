@@ -70,6 +70,8 @@ def _within(adj: dict[int, set[int]], src: int, dst: int, depth: int) -> bool:
     """Whether ``dst`` is at most ``depth`` hops from ``src`` along ``adj``."""
     if src == dst:
         return depth >= 0
+    if dst in adj.get(src, ()):
+        return depth >= 1
     seen = frontier = {src}
     for _ in range(depth):
         frontier = set().union(*(adj.get(x, ()) for x in frontier)) - seen
@@ -77,21 +79,6 @@ def _within(adj: dict[int, set[int]], src: int, dst: int, depth: int) -> bool:
             return True
         seen = seen | frontier
     return False
-
-
-def _step(old: Allocation, snapshot: dict[int, frozenset[int]], changed: set[int],
-          holder: dict[int, int]) -> Allocation:
-    """``snapshot`` as an allocation, stepped from ``old``, from which it
-    differs at the agents in ``changed`` only.
-
-    On an overlap the error names the agent that checking the snapshot from
-    scratch names: the first in the snapshot's own order.
-    """
-    try:
-        return old.with_bundles({u: snapshot.get(u, frozenset()) for u in changed}, holder)
-    except InputError:
-        Allocation(bundles=snapshot)
-        raise
 
 
 def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
@@ -142,10 +129,15 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         favourite_of[ev.root] = ev.favourite
         # An allocation holds no empty bundle, so a pair with an empty one
         # comes from the snapshot and differs only when the agent held goods.
-        old = envy.alloc
-        changed = {u for u, b in old.bundles.items() ^ ev.snapshot.items() if b}
-        alloc = _step(old, ev.snapshot, changed, holder)
-        moved = envy.update(alloc, changed)
+        changed = {u for u, b in envy.alloc.bundles.items() ^ ev.snapshot.items() if b}
+        try:
+            moved = envy.step({u: ev.snapshot.get(u, frozenset()) for u in changed})
+        except InputError:
+            # name the agent that checking the snapshot from scratch names:
+            # the first in the snapshot's own order
+            Allocation(bundles=ev.snapshot)
+            raise
+        alloc = envy.alloc
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
         unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
@@ -190,15 +182,18 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             w = holder[g]
             a, b = inst.graph.endpoints(g)
             c_w = colors[w] + 1
+            root = a if colors[a] < colors[b] else b
+            bound = c_w - (colors[root] + 1)
+            # A good its endpoint holds is allocated, so each endpoint is 0 or 1
+            # hop from the holder, and only the colours decide.
+            at_end = w == a or w == b
             for z in (a, b):
-                if not _within(adj, z, w, c_w):
+                if not (c_w >= (z != w) if at_end else _within(adj, z, w, c_w)):
                     far_goods.add(g)
                     distance.append(
                         f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
                     )
-            root = a if colors[a] < colors[b] else b
-            bound = c_w - (colors[root] + 1)
-            if not _within(adj, root, w, bound):
+            if not (bound >= (root != w) if at_end else _within(adj, root, w, bound)):
                 far_goods.add(g)
                 distance.append(
                     f"event {idx}: structure root {root} of good {g} is farther than"
@@ -213,7 +208,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         union_enviers = set()
         for z in sorted(suspects - resolved):
             incident = inst.graph.incident_edges(z)
-            others = set(map(holder.get, incident)) - resolved - {None, z}
+            others = envy.rivals(z) - resolved
             if not others:
                 continue
             rest = frozenset().union(*(alloc.bundle(w) & incident for w in others))

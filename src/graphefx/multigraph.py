@@ -44,24 +44,24 @@ class MultiGraph:
             raise InputError("vertex_count must be nonnegative")
         self.vertex_count = vertex_count
         pairs = []
+        by_pair: dict[tuple[int, int], set[int]] = {}
+        incident: list[set[int]] = [set() for _ in range(vertex_count)]
+        adj: list[set[int]] = [set() for _ in range(vertex_count)]
         for eid, (u, w) in enumerate(edges):
             if not (0 <= u < vertex_count) or not (0 <= w < vertex_count):
                 raise InputError(f"edge {eid} has endpoint outside 0..{vertex_count - 1}")
             if u == w:
                 raise InputError(f"edge {eid} is a self-loop at vertex {u}")
-            pairs.append((min(u, w), max(u, w)))
-        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
-        self._by_pair: dict[tuple[int, int], frozenset[int]] = {}
-        by_pair: dict[tuple[int, int], set[int]] = {}
-        incident: list[set[int]] = [set() for _ in range(vertex_count)]
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
-        for eid, (u, w) in enumerate(self.edges):
-            by_pair.setdefault((u, w), set()).add(eid)
+            pair = (u, w) if u < w else (w, u)
+            pairs.append(pair)
+            by_pair.setdefault(pair, set()).add(eid)
             incident[u].add(eid)
             incident[w].add(eid)
             adj[u].add(w)
             adj[w].add(u)
-        self._by_pair = {p: frozenset(s) for p, s in by_pair.items()}
+        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
+        self._by_pair: dict[tuple[int, int], frozenset[int]] = {
+            p: frozenset(s) for p, s in by_pair.items()}
         self._incident = tuple(frozenset(s) for s in incident)
         self._adj = tuple(frozenset(s) for s in adj)
         # The graph never changes, so structural queries are computed once.

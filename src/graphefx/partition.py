@@ -10,7 +10,7 @@ and under double indifference the chooser takes piece2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import CapacityError
 from .valuation import Table, Valuation
@@ -32,16 +32,18 @@ class CutResult:
 def _is_efx_pair(val: Valuation, a: frozenset[int], b: frozenset[int]) -> bool:
     """EFX between two identical agents with valuation ``val``."""
     va, vb = val.value(a), val.value(b)
-    if va < vb and any(va < val.value(b - {x}) for x in b):
+    if va < vb and any(va < val.value(b - {x}) for x in sorted(b)):
         return False
-    if vb < va and any(vb < val.value(a - {x}) for x in a):
+    if vb < va and any(vb < val.value(a - {x}) for x in sorted(a)):
         return False
     return True
 
 
-def _cac_greedy(cutter_val: Valuation, bundle: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+def _cac_greedy(cutter_val: Valuation, bundle: frozenset[int]
+                ) -> tuple[frozenset[int], frozenset[int], Optional[int], Optional[int]]:
     # The poorer piece repeatedly receives the remaining good of maximum
-    # marginal value.  Correct for cancellable valuations.
+    # marginal value.  Correct for cancellable valuations.  Each piece comes
+    # with the value queried when it was last extended, or None when it never was.
     p1: set[int] = set()
     p2: set[int] = set()
     v1 = v2 = 0
@@ -61,7 +63,7 @@ def _cac_greedy(cutter_val: Valuation, bundle: frozenset[int]) -> tuple[frozense
             v1 = base + best_marginal
         else:
             v2 = base + best_marginal
-    return frozenset(p1), frozenset(p2)
+    return frozenset(p1), frozenset(p2), v1 if p1 else None, v2 if p2 else None
 
 
 def _cac_exhaustive(cutter_val: Valuation, bundle: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -81,15 +83,20 @@ def _cac_exhaustive(cutter_val: Valuation, bundle: frozenset[int]) -> tuple[froz
 def cac(cutter_val: Valuation, bundle: Iterable[int]) -> CutResult:
     """Split ``bundle`` into two pieces, both EFX-feasible for the cutter.
 
-    Cancellable families use the greedy construction; table valuations fall
-    back to exhaustive search over all bipartitions.
+    Cancellable families use the greedy construction, whose running piece
+    values are reused; table valuations fall back to exhaustive search over
+    all bipartitions, and their pieces are valued afterwards.
     """
     bundle = frozenset(bundle)
     if isinstance(cutter_val, Table):
         p1, p2 = _cac_exhaustive(cutter_val, bundle)
+        v1 = v2 = None
     else:
-        p1, p2 = _cac_greedy(cutter_val, bundle)
-    v1, v2 = cutter_val.value(p1), cutter_val.value(p2)
+        p1, p2, v1, v2 = _cac_greedy(cutter_val, bundle)
+    if v1 is None:
+        v1 = cutter_val.value(p1)
+    if v2 is None:
+        v2 = cutter_val.value(p2)
     return CutResult(
         piece1=p1,
         piece2=p2,
@@ -100,11 +107,12 @@ def cac(cutter_val: Valuation, bundle: Iterable[int]) -> CutResult:
 
 def cut_and_choose(
     cutter_val: Valuation, chooser_val: Valuation, bundle: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int], bool]:
+) -> tuple[frozenset[int], frozenset[int], bool, int]:
     """Two-agent cut-and-choose: the cutter runs ``cac``, the chooser picks first.
 
-    Returns (chooser_piece, cutter_piece, same_pref), where same_pref says
-    that both agents strictly prefer the chooser's piece.  An indifferent
+    Returns (chooser_piece, cutter_piece, same_pref, chooser_value), where
+    same_pref says that both agents strictly prefer the chooser's piece and
+    chooser_value is the chooser's value of its piece.  An indifferent
     chooser takes the piece the cutter prefers less, and under double
     indifference the chooser takes piece2.
     """
@@ -117,4 +125,4 @@ def cut_and_choose(
     else:
         s = 2
     same_pref = not cut.cutter_indifferent and s == cut.cutter_pref
-    return cut.piece(s), cut.piece(3 - s), same_pref
+    return cut.piece(s), cut.piece(3 - s), same_pref, vc1 if s == 1 else vc2

@@ -82,7 +82,7 @@ def _resolve_structure(
     v_u = inst.valuations[u]
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
             for w in right}
-    fav = max(right, key=lambda w: (v_u.value(cuts[w][0]), -w))
+    fav = max(right, key=lambda w: (cuts[w][3], -w))  # u's value of its piece, from the cut
     changes: dict[int, frozenset[int]] = {}
 
     def give(v: int, goods: frozenset[int]) -> None:
@@ -91,19 +91,19 @@ def _resolve_structure(
     leftover: frozenset[int] = frozenset()
     for w in right:
         if w != fav:
-            s_piece, rest, same_pref = cuts[w]
+            s_piece, rest, same_pref, _ = cuts[w]
             w_piece, left = (s_piece, rest) if same_pref else (rest, s_piece)
             give(w, w_piece)
             leftover |= left
 
-    s_piece, rest, same_pref = cuts[fav]
+    s_piece, rest, same_pref, s_value = cuts[fav]
     prior = alloc.bundle(u)
     transfers: tuple[tuple[int, int, int], ...] = ()
     if not same_pref:
         branch = BRANCH_DIFFERENT
         give(u, s_piece | leftover)
         give(fav, rest)
-    elif v_u.value(s_piece) > v_u.value(prior | rest | leftover):
+    elif s_value > v_u.value(prior | rest | leftover):
         branch = BRANCH_SAME_KEEP
         give(fav, prior | rest | leftover)
         changes[u] = s_piece
@@ -179,7 +179,7 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     Leaves are detached (highest index first), the rest is solved recursively,
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
-    One ``EnvyGraph`` is kept and updated from the bundles each step changes.
+    One ``EnvyGraph`` is kept and stepped with the bundles each step changes.
     Given a component, it solves that component alone.
     """
     if not inst.graph.is_multitree(component):
@@ -206,23 +206,27 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
 
     trace: list[TraceEvent] = []
     envy = EnvyGraph(inst, Allocation.empty())
+
+    def shift(cycle: list[int]) -> None:
+        shifted = resolve_cycle(envy.alloc, cycle)
+        envy.step({u: shifted.bundle(u) for u in cycle})
+        trace.append(CycleResolved(cycle=tuple(cycle), snapshot=envy.alloc.bundles.copy()))
+
     for leaf, parent in reversed(order):
         cycle = envy.find_cycle()
         while cycle is not None:
-            envy.update(resolve_cycle(envy.alloc, cycle), cycle)
-            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=envy.alloc.bundles.copy()))
+            shift(cycle)
             cycle = envy.find_cycle()
 
         loop = inst.graph.parallel_edges(leaf, parent)
-        leaf_piece, rest, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf], loop)
+        leaf_piece, rest, _, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf],
+                                                loop)
         # The complement goes to the parent, or to an envy-graph source of it.
         # None of the leaf's goods is allocated yet, so the leaf holds nothing,
         # envies no one and is never that source.
         source = find_source_with_path(envy, parent)
         recipient = parent if source is None else source[0]
-        alloc = envy.alloc
-        changes = {leaf: leaf_piece, recipient: alloc.bundle(recipient) | rest}
-        envy.update(alloc.with_bundles(changes, envy.holder), changes)
+        envy.step({leaf: leaf_piece, recipient: envy.alloc.bundle(recipient) | rest})
         trace.append(
             LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
                          leftover_to=recipient, snapshot=envy.alloc.bundles.copy())
@@ -230,9 +234,7 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         if source is not None:
             s_vertex, path = source
             if envy.envies(parent, s_vertex):
-                cyc = [parent] + path[:-1]  # parent envies the source; close the loop
-                envy.update(resolve_cycle(envy.alloc, cyc), cyc)
-                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=envy.alloc.bundles.copy()))
+                shift([parent] + path[:-1])  # parent envies the source; close the loop
 
     return envy.alloc, trace
 

@@ -182,7 +182,7 @@ def _snapshot_text(snapshot: dict, fragments: dict) -> str:
     """
     items = snapshot.items()
     for u, b in filterfalse(fragments.__contains__, items):
-        fragments[u, b] = f'"{u}": {json.dumps(sorted(b))}' if b else ""
+        fragments[u, b] = f'"{u}": [{", ".join(map(str, sorted(b)))}]' if b else ""
     return "{" + ", ".join(sorted(filter(None, map(fragments.__getitem__, items)))) + "}"
 
 

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphefx import (
     Additive,
@@ -349,7 +351,7 @@ def test_envy_graph_matches_from_scratch_after_every_update():
         for _ in range(25):
             kind, alloc, changed = _random_update(rng, inst, alloc)
             ops[kind] += 1
-            envy.update(alloc, changed)
+            envy.step({u: alloc.bundle(u) for u in changed})
             assert envy.alloc == alloc
             edges = reference_envy_edges(inst, alloc)
             assert envy.edges == edges
@@ -371,13 +373,52 @@ def test_envy_graph_matches_from_scratch_after_every_update():
     assert min(ops.values()) > 200, ops
 
 
+def _state(envy):
+    n = envy.inst.graph.vertex_count
+    return envy.alloc, envy.edges, dict(envy.holder), [envy.rivals(u) for u in range(n)]
+
+
+def _overlapping_step(rng, inst, alloc):
+    """Changes that hand one good to two agents, or to an agent beside its holder."""
+    n, m = inst.graph.vertex_count, inst.graph.edge_count
+    g = rng.randrange(m)
+    holder = [u for u, b in alloc.bundles.items() if g in b]
+    takers = rng.sample([u for u in range(n) if u not in holder], 1 if holder else 2)
+    return {u: alloc.bundle(u) | {g} for u in takers}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_envy_graph_step_matches_from_scratch(seed):
+    rng = random.Random(seed)
+    inst = random_mixed_instance(rng, n_max=6, m_max=9)
+    alloc = random_allocation(rng, inst) if rng.random() < 0.3 else Allocation.empty()
+    envy = EnvyGraph(inst, alloc)
+    for _ in range(12):
+        if inst.graph.edge_count and rng.random() < 0.25:
+            changes = _overlapping_step(rng, inst, envy.alloc)
+            with pytest.raises(InputError) as want:
+                Allocation(bundles={**envy.alloc.bundles, **changes})
+            before = _state(envy)
+            with pytest.raises(InputError, match=f"^{want.value}$"):
+                envy.step(changes)
+            assert _state(envy) == before
+            continue
+        _, alloc, changed = _random_update(rng, inst, envy.alloc)
+        held = dict(envy.holder)
+        moved = envy.step({u: alloc.bundle(u) for u in changed})
+        assert _state(envy) == _state(EnvyGraph(inst, alloc))
+        assert moved == {g for g in range(inst.graph.edge_count)
+                         if envy.holder.get(g) != held.get(g)}
+
+
 def test_envy_graph_update_validates_changed_bundles():
     inst = _two_agent_instance({0: 5}, {0: 1})
     envy = EnvyGraph(inst, Allocation.empty())
     with pytest.raises(InputError, match="allocation references unknown edge 9"):
-        envy.update(Allocation(bundles={0: frozenset({9})}), [0])
+        envy.step({0: {9}})
     with pytest.raises(InputError, match="allocation references unknown agent 4"):
-        envy.update(Allocation(bundles={4: frozenset({0})}), [4])
+        envy.step({4: {0}})
     with pytest.raises(InputError, match="allocation references unknown edge 9"):
         EnvyGraph(inst, Allocation(bundles={1: frozenset({9})}))
 

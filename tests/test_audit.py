@@ -339,6 +339,27 @@ def test_audit_matches_from_scratch_reference():
     assert min(failing[f] for f in stepped) > 300, failing
 
 
+def test_audit_distances_match_the_reference_under_any_coloring():
+    # A trace read from a file may carry an improper coloring.  A good its
+    # endpoint holds is then still settled from the colours alone, and must be
+    # settled as a search would: with equal colours at both ends, the other
+    # endpoint of a good its root does not hold is one hop away, beyond a
+    # bound of 0.
+    rng = random.Random(17)
+    small = [(inst, trace) for inst, trace in _phase_based_traces()
+             if inst.graph.vertex_count <= 12]
+    far = 0
+    for _ in range(300):
+        inst, trace = rng.choice(small)
+        colors = {v: rng.randrange(3) for v in range(inst.graph.vertex_count)}
+        recolored = [dataclasses.replace(ev, colors=colors) if isinstance(ev, ColoringUsed) else ev
+                     for ev in trace]
+        report = audit_trace(inst, recolored)
+        assert report == reference_audit_trace(inst, recolored)
+        far += report.status("distance") == "fail"
+    assert 50 < far < 300, far
+
+
 def test_audit_query_count_is_linear():
     # Rechecking only what each event changed takes about 1.2 (n + m) queries
     # on both traces.  Checking every snapshot from scratch took 26 (n + m) on

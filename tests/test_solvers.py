@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +33,14 @@ from graphefx.generators import (
 from graphefx.solvers import (
     BRUTE_FORCE_AGENT_MAX,
     BRUTE_FORCE_GOOD_MAX,
+    _resolve_structure,
     classify,
 )
 from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved, relabel
 
 from .conftest import (
     K4_PLUS_TWO,
+    CountingValuation,
     additive_instance,
     classifier_graphs,
     gnp_graph,
@@ -550,3 +553,27 @@ def test_solve_is_complete_and_efx_on_cancellable_families(inst):
     alloc, method, _ = solve(inst)
     assert alloc.is_complete(inst)
     assert naive_is_efx(inst, alloc), method
+
+
+def test_resolve_structure_takes_the_roots_values_from_its_cuts():
+    # The root chooses in every cut, which values both pieces once.  Its
+    # favourite and its side of the keep test are read from those values, so
+    # its one other query is the keep test's prior | rest | leftover.
+    branches = Counter()
+    for kind in ("additive", "unit_demand", "budget_additive"):
+        for seed in range(4):
+            plain, _ = gen_bipartite(seed=seed, n_left=7, n_right=7, valuation_kind=kind)
+            counters = {u: [0] for u in plain.valuations}
+            inst = Instance(graph=plain.graph, valuations={
+                u: CountingValuation(v, counters[u]) for u, v in plain.valuations.items()})
+            alloc, holder = Allocation.empty(), {}
+            for u in range(7):
+                right = sorted(inst.graph.neighbours(u))
+                counters[u][0] = 0
+                alloc, ev = _resolve_structure(inst, alloc, holder, u, right, 1)
+                keep_test = ev.branch not in (None, BRANCH_DIFFERENT)
+                assert counters[u][0] == 2 * len(right) + keep_test
+                branches[ev.branch] += 1
+            left, right_side = frozenset(range(7)), frozenset(range(7, 14))
+            assert alloc == bipartite_efx(plain, (left, right_side))[0]
+    assert len(branches) == 3, branches  # keep, leftovers and different
