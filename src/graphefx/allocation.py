@@ -271,14 +271,10 @@ class EnvyGraph:
             self._redecide(u, rivals)
 
     def _redecide(self, u: int, others: AbstractSet[int]) -> None:
-        """Re-decide u against ``others``, touching only the pairs whose verdict flips."""
         envied = set(_envied(self.alloc, self.inst.valuations[u], self.inst.graph.incident_edges(u),
                              self._own_value(u), others))
-        out = self._out.get(u, set())
-        for w in envied - out:
-            self._set(u, w, True)
-        for w in out.intersection(others) - envied:
-            self._set(u, w, False)
+        for w in others:
+            self._set(u, w, w in envied)
 
     def efx_witness(self, u: int, w: int) -> Optional[int]:
         """For an envy edge (u, w): the least good of w's bundle whose removal

@@ -182,18 +182,15 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             w = holder[g]
             a, b = inst.graph.endpoints(g)
             c_w = colors[w] + 1
-            root = a if colors[a] < colors[b] else b
-            bound = c_w - (colors[root] + 1)
-            # A good its endpoint holds is allocated, so each endpoint is 0 or 1
-            # hop from the holder, and only the colours decide.
-            at_end = w == a or w == b
             for z in (a, b):
-                if not (c_w >= (z != w) if at_end else _within(adj, z, w, c_w)):
+                if not _within(adj, z, w, c_w):
                     far_goods.add(g)
                     distance.append(
                         f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
                     )
-            if not (bound >= (root != w) if at_end else _within(adj, root, w, bound)):
+            root = a if colors[a] < colors[b] else b
+            bound = c_w - (colors[root] + 1)
+            if not _within(adj, root, w, bound):
                 far_goods.add(g)
                 distance.append(
                     f"event {idx}: structure root {root} of good {g} is farther than"

@@ -340,11 +340,11 @@ def test_audit_matches_from_scratch_reference():
 
 
 def test_audit_distances_match_the_reference_under_any_coloring():
-    # A trace read from a file may carry an improper coloring.  A good its
-    # endpoint holds is then still settled from the colours alone, and must be
-    # settled as a search would: with equal colours at both ends, the other
-    # endpoint of a good its root does not hold is one hop away, beyond a
-    # bound of 0.
+    # A trace read from a file may carry an improper coloring, under which a
+    # structure-root bound can be 0 or negative.  The distance checks must
+    # still answer as the reference search does: with equal colours at both
+    # ends, the other endpoint of a good its root does not hold is one hop
+    # away, beyond a bound of 0.
     rng = random.Random(17)
     small = [(inst, trace) for inst, trace in _phase_based_traces()
              if inst.graph.vertex_count <= 12]
