@@ -12,7 +12,7 @@ from .errors import (
 from .multigraph import Coloring, MultiGraph
 from .oracle import OracleReport, brute_force_efx, first_efx_allocation
 from .partition import CutResult, cac, cut_and_choose
-from .solvers import Instance, Verdict, bipartite_efx, chromatic_efx, classify, solve, tree_efx
+from .solvers import Instance, Verdict, chromatic_efx, classify, solve, tree_efx
 from .valuation import (
     Additive,
     BudgetAdditive,
@@ -43,7 +43,6 @@ __all__ = [
     "UnsupportedValuationError",
     "Valuation",
     "Verdict",
-    "bipartite_efx",
     "brute_force_efx",
     "cac",
     "chromatic_efx",

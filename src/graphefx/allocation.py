@@ -311,15 +311,13 @@ def envy_graph(inst: "Instance", alloc: Allocation) -> EnvyGraph:
     return EnvyGraph(inst, alloc)
 
 
-def is_efx(inst: "Instance", alloc: Allocation, envy: Optional[EnvyGraph] = None) -> EfxVerdict:
+def is_efx(inst: "Instance", alloc: Allocation) -> EfxVerdict:
     """Exact EFX check; first witness in (envier, envied, good) order.
 
-    Only envied bundles can fail, so the check walks the edges of ``envy``,
-    the allocation's envy graph, which is built here when not given, and
-    asks each for its ``efx_witness``.
+    Only envied bundles can fail, so the check builds the allocation's envy
+    graph and asks each of its edges for its ``efx_witness``.
     """
-    if envy is None:
-        envy = envy_graph(inst, alloc)
+    envy = envy_graph(inst, alloc)
     for u, w in envy.edges:
         x = envy.efx_witness(u, w)
         if x is not None:

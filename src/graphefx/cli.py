@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
@@ -41,6 +41,10 @@ EXIT_UNSUPPORTED = 2
 EXIT_NOT_EFX = 3
 
 SEED_ENV_VAR = "GRAPHEFX_SEED"
+
+
+def _exit_code(exc: GraphEfxError) -> int:
+    return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedClassError) else EXIT_INPUT
 
 
 def _default_seed() -> int:
@@ -168,16 +172,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if not paths:
             raise InputError(f"no *.instance.json files in {args.batch}")
 
-        def run(path: Path):
+        def run(path: Path) -> tuple[str, int, TextIO]:
+            # An instance that fails is reported on its own line; the others still run.
             stem = path.name[: -len(".instance.json")]
             out = path.with_name(stem + ".alloc.json")
             trace = path.with_name(stem + ".trace.jsonl") if args.trace else None
-            return _solve_one(str(path), args.coloring, str(out), str(trace) if trace else None)
+            try:
+                report, code = _solve_one(str(path), args.coloring, str(out),
+                                          str(trace) if trace else None)
+            except GraphEfxError as exc:
+                return f"error: {path}: {exc}", _exit_code(exc), sys.stderr
+            return json.dumps(report, sort_keys=True), code, sys.stdout
 
         worst = EXIT_OK
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for report, code in pool.map(run, paths):
-                print(json.dumps(report, sort_keys=True))
+            for line, code, stream in pool.map(run, paths):
+                print(line, file=stream)
                 worst = max(worst, code)
         return worst
 
@@ -281,12 +291,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                "verify": cmd_verify, "oracle": cmd_oracle, "audit": cmd_audit}[args.command]
     try:
         return command(args)
-    except UnsupportedClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except GraphEfxError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

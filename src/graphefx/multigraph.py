@@ -25,11 +25,6 @@ class Coloring:
     colors: dict[int, int]
     t: int
 
-    @staticmethod
-    def of_bipartition(left: frozenset[int], right: frozenset[int]) -> "Coloring":
-        """The 2-coloring that puts ``left`` at color 0 and ``right`` at color 1."""
-        return Coloring(colors={v: 0 if v in left else 1 for v in sorted(left | right)}, t=2)
-
 
 class MultiGraph:
     """Immutable multi-graph.  Edge ids are dense: edge i is ``edges[i]``.
@@ -65,7 +60,7 @@ class MultiGraph:
         self._incident = tuple(frozenset(s) for s in incident)
         self._adj = tuple(frozenset(s) for s in adj)
         # The graph never changes, so structural queries are computed once.
-        # Cached values are immutable; callers get fresh copies of lists.
+        # Cached values are immutable; callers get fresh lists and colorings.
         self._memo: dict[object, object] = {}
 
     def vertices(self, component: Component = None) -> Sequence[int]:
@@ -113,14 +108,17 @@ class MultiGraph:
             return range(len(self.edges))
         return sorted(frozenset().union(*map(self._incident.__getitem__, component)))
 
-    def bipartition(self, component: Component = None) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    def bipartition(self, component: Component = None) -> Optional[Coloring]:
         """Proper 2-coloring of the skeleton, or None.
 
-        The lowest-indexed vertex of each connected component goes to L.
+        The lowest-indexed vertex of each connected component gets color 0,
+        and the colors are keyed in ascending vertex order.  Each call returns
+        a new ``Coloring``, so a caller cannot change the cached one.
         """
-        return self._memoized("bipartition", component, self._bipartition)
+        colors = self._memoized("bipartition", component, self._bipartition)
+        return None if colors is None else Coloring(colors=dict(colors), t=2)
 
-    def _bipartition(self, vertices: Sequence[int]) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    def _bipartition(self, vertices: Sequence[int]) -> Optional[tuple[tuple[int, int], ...]]:
         side: dict[int, int] = {}
         for start in vertices:
             if start in side:
@@ -135,8 +133,7 @@ class MultiGraph:
                         queue.append(y)
                     elif side[y] == side[x]:
                         return None
-        left = frozenset(v for v, s in side.items() if s == 0)
-        return left, frozenset(side) - left
+        return tuple((v, side[v]) for v in vertices)
 
     def is_multitree(self, component: Component = None) -> bool:
         """True iff the simple skeleton is a forest: each component has one
@@ -227,9 +224,9 @@ class MultiGraph:
         vertices = self.vertices(component)
         if not any(map(self._adj.__getitem__, vertices)):
             return Coloring(colors=dict.fromkeys(vertices, 0), t=1)
-        bipart = self.bipartition(component)
-        if bipart is not None:
-            return Coloring.of_bipartition(*bipart) if t_max >= 2 else None
+        col = self.bipartition(component)
+        if col is not None:
+            return col if t_max >= 2 else None
         for t in range(3, t_max + 1):
             colors = self._try_color(t, vertices)
             if colors is not None:

@@ -1,11 +1,11 @@
-"""The three EFX solvers and the class-detecting dispatcher.
+"""The EFX solvers and the class-detecting dispatcher.
 
-All three algorithms are cut-and-choose based.  The chromatic solver resolves
-one structure per root, phase by phase over the color classes, with the root's
+Both algorithms are cut-and-choose based.  The chromatic solver resolves one
+structure per root, phase by phase over the color classes, with the root's
 prior bundle travelling to its favourite neighbour in the keep branch.  A
-bipartition is a 2-coloring, so the bipartite solver is the chromatic one at
-t = 2.  The tree solver attaches leaves recursively and repairs envy with
-cycle resolution.
+bipartition is a 2-coloring, so the paper's bipartite case is the chromatic
+solver at t = 2.  The tree solver attaches leaves recursively and repairs
+envy with cycle resolution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .allocation import (  # noqa: F401
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
 from .multigraph import Coloring, Component, MultiGraph
 from .oracle import BRUTE_FORCE_MAX, first_efx_allocation
-from .partition import cut_and_choose
+from .partition import TABLE_CUT_MAX, cut_and_choose
 from .trace import (
     BRANCH_DIFFERENT,
     BRANCH_SAME_KEEP,
@@ -120,22 +120,6 @@ def _resolve_structure(
                                     snapshot=alloc.bundles.copy(), transfers=transfers)
 
 
-def bipartite_efx(
-    inst: Instance, bipart: tuple[frozenset[int], frozenset[int]]
-) -> tuple[Allocation, list[TraceEvent]]:
-    """EFX allocation on a bipartite multi-graph: every right vertex cuts.
-
-    This is ``chromatic_efx`` on the 2-coloring L -> 0, R -> 1: roots in L
-    are processed in ascending index order, each right neighbour cuts its edge
-    loop, ordinary neighbours keep their preferred piece and the favourite
-    loop is settled by who prefers what.
-    """
-    left, right = frozenset(bipart[0]), frozenset(bipart[1])
-    if left | right != frozenset(range(inst.graph.vertex_count)) or left & right:
-        raise PreconditionError("bipartition must partition the vertex set")
-    return chromatic_efx(inst, Coloring.of_bipartition(left, right))
-
-
 def chromatic_efx(inst: Instance, col: Coloring,
                   component: Component = None) -> tuple[Allocation, list[TraceEvent]]:
     """EFX allocation on a t-chromatic multi-graph with girth >= 2t-1.
@@ -185,25 +169,6 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     if not inst.graph.is_multitree(component):
         raise PreconditionError("tree_efx requires a multi-tree (acyclic skeleton)")
 
-    # Elimination order, computed iteratively to avoid deep recursion: always
-    # the highest-index current leaf.  A max-heap holds every vertex whose
-    # degree has dropped to 1; entries whose degree has since dropped to 0 are
-    # stale and skipped.  Degrees only fall, so each vertex is pushed at most once.
-    degree = {v: set(inst.graph.neighbours(v)) for v in inst.graph.vertices(component)}
-    order: list[tuple[int, int]] = []  # (leaf, parent)
-    leaves = [-v for v in degree if len(degree[v]) == 1]
-    heapq.heapify(leaves)
-    while leaves:
-        leaf = -heapq.heappop(leaves)
-        if not degree[leaf]:
-            continue
-        (parent,) = degree[leaf]
-        order.append((leaf, parent))
-        degree[parent].discard(leaf)
-        degree[leaf] = set()
-        if len(degree[parent]) == 1:
-            heapq.heappush(leaves, -parent)
-
     trace: list[TraceEvent] = []
     envy = EnvyGraph(inst, Allocation.empty())
 
@@ -212,7 +177,7 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         envy.step({u: shifted.bundle(u) for u in cycle})
         trace.append(CycleResolved(cycle=tuple(cycle), snapshot=envy.alloc.bundles.copy()))
 
-    for leaf, parent in reversed(order):
+    for leaf, parent in _attach_order(inst.graph, component):
         cycle = envy.find_cycle()
         while cycle is not None:
             shift(cycle)
@@ -237,6 +202,32 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
                 shift([parent] + path[:-1])  # parent envies the source; close the loop
 
     return envy.alloc, trace
+
+
+def _attach_order(g: MultiGraph, component: Component) -> list[tuple[int, int]]:
+    """The (leaf, parent) pairs of a multi-tree in the order ``tree_efx`` attaches them.
+
+    That is the elimination order reversed, computed iteratively to avoid
+    deep recursion: always detach the highest-index current leaf.  A max-heap
+    holds every vertex whose degree has dropped to 1; entries whose degree
+    has since dropped to 0 are stale and skipped.  Degrees only fall, so each
+    vertex is pushed at most once.
+    """
+    degree = {v: set(g.neighbours(v)) for v in g.vertices(component)}
+    order: list[tuple[int, int]] = []
+    leaves = [-v for v in degree if len(degree[v]) == 1]
+    heapq.heapify(leaves)
+    while leaves:
+        leaf = -heapq.heappop(leaves)
+        if not degree[leaf]:
+            continue
+        (parent,) = degree[leaf]
+        order.append((leaf, parent))
+        degree[parent].discard(leaf)
+        degree[leaf] = set()
+        if len(degree[parent]) == 1:
+            heapq.heappush(leaves, -parent)
+    return order[::-1]
 
 
 def _component_hint(hint: Coloring, component: Sequence[int]) -> Coloring:
@@ -279,6 +270,22 @@ def smallest_coloring(g: MultiGraph,
     return col, None
 
 
+def _tree_verdict(inst: Instance, component: Component) -> Verdict:
+    g = inst.graph
+    if not g.is_multitree(component):
+        return Verdict("tree", "not a multi-tree")
+    tables = [u for u in g.vertices(component) if isinstance(inst.valuations[u], Table)]
+    if any(len(g.parallel_edges(u, w)) > TABLE_CUT_MAX for u in tables for w in g.neighbours(u)):
+        # the parent cuts each leaf's loop, so only a table parent meets the bound
+        for leaf, parent in _attach_order(g, component):
+            loop = len(g.parallel_edges(leaf, parent))
+            if loop > TABLE_CUT_MAX and isinstance(inst.valuations[parent], Table):
+                return Verdict("tree", f"agent {parent} has a table valuation and cuts a loop of"
+                                       f" {loop} goods; the exhaustive cut takes at most"
+                                       f" {TABLE_CUT_MAX}")
+    return Verdict("tree")
+
+
 def _chromatic_verdict(inst: Instance, hint: Optional[Coloring], table: Optional[int],
                        component: Component) -> Verdict:
     g = inst.graph
@@ -307,7 +314,7 @@ def classify(inst: Instance, hint: Optional[Coloring] = None,
     """
     g = inst.graph
     agents = g.vertices(component)
-    yield Verdict("tree") if g.is_multitree(component) else Verdict("tree", "not a multi-tree")
+    yield _tree_verdict(inst, component)
 
     bipart = g.bipartition(component)
     table = _table_agent(inst, agents)
@@ -316,7 +323,7 @@ def classify(inst: Instance, hint: Optional[Coloring] = None,
     elif table is not None:
         yield Verdict("bipartite", f"agent {table} has a table valuation")
     else:
-        yield Verdict("bipartite", structure=Coloring.of_bipartition(*bipart))
+        yield Verdict("bipartite", structure=bipart)
 
     yield _chromatic_verdict(inst, hint, table, component)
 

@@ -189,7 +189,7 @@ def reference_audit_trace(inst, trace):
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
         envy = envy_graph(inst, alloc)
-        verdict = is_efx(inst, alloc, envy)
+        verdict = is_efx(inst, alloc)
         if not verdict.ok:
             localized.append(f"event {idx}: snapshot is not EFX, witness {verdict.witness}")
         for a, b in envy.edges:

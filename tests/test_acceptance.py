@@ -12,7 +12,6 @@ import pytest
 
 from graphefx import (
     Coloring,
-    bipartite_efx,
     brute_force_efx,
     cac,
     chromatic_efx,
@@ -47,8 +46,7 @@ def bipartite_runs():
             max_parallel=4,
             value_max=100,
         )
-        bipart = inst.graph.bipartition()
-        alloc, trace = bipartite_efx(inst, bipart)
+        alloc, trace = chromatic_efx(inst, inst.graph.bipartition())
         runs.append((inst, alloc, trace))
     return runs, time.monotonic() - start
 

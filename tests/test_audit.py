@@ -12,7 +12,7 @@ from graphefx.audit import FAMILIES, audit_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
 from graphefx.jsonio import load_trace, save_instance, save_trace
-from graphefx.solvers import bipartite_efx, chromatic_efx, solve, tree_efx
+from graphefx.solvers import chromatic_efx, solve, tree_efx
 from graphefx.trace import (
     ColoringUsed,
     CycleResolved,
@@ -34,8 +34,7 @@ from .conftest import (
 
 
 def test_bipartite_traces_pass(b1_instance):
-    bipart = b1_instance.graph.bipartition()
-    _, trace = bipartite_efx(b1_instance, bipart)
+    _, trace = chromatic_efx(b1_instance, b1_instance.graph.bipartition())
     report = audit_trace(b1_instance, trace)
     assert report.ok
     assert all(applicable for applicable, _ in report.results.values())
@@ -131,13 +130,13 @@ def test_check_trace_accepts_solver_traces():
     (lambda ev: dataclasses.replace(ev, phase=None), "count None"),
 ])
 def test_check_trace_rejects_bad_ids(b1_instance, edit, message):
-    coloring, event = bipartite_efx(b1_instance, b1_instance.graph.bipartition())[1]
+    coloring, event = chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]
     with pytest.raises(InputError, match=message):
         check_trace([coloring, edit(event)], b1_instance.graph)
 
 
 def test_check_trace_rejects_uncolored_holders(b1_instance):
-    _, event = bipartite_efx(b1_instance, b1_instance.graph.bipartition())[1]
+    _, event = chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]
     with pytest.raises(InputError, match="agent 2, which has no color"):
         check_trace([ColoringUsed(colors={0: 0, 1: 1}, t=2), event], b1_instance.graph)
 

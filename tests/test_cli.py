@@ -20,7 +20,7 @@ from graphefx import (
     solve,
 )
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, EXIT_UNSUPPORTED, main
-from graphefx.generators import gen_multicycle, gen_multitree
+from graphefx.generators import gen_multicycle, gen_multitree, gen_petersen
 from graphefx.jsonio import (
     allocation_from_json,
     allocation_to_json,
@@ -30,6 +30,7 @@ from graphefx.jsonio import (
     load_trace,
     save_instance,
 )
+from graphefx.partition import TABLE_CUT_MAX
 from graphefx.trace import ColoringUsed
 
 from .conftest import (
@@ -226,6 +227,29 @@ def test_unsupported_class_exit_2(tmp_path, capsys):
     assert out[-1] == "eligible: none"
 
 
+@pytest.mark.parametrize("table_agent", [0, 1])
+def test_table_cutter_on_a_loop_over_the_cut_limit_exits_2(tmp_path, capsys, table_agent):
+    # agent 0 is the parent, so it cuts the loop and agent 1 chooses
+    g = MultiGraph(2, [(0, 1)] * (TABLE_CUT_MAX + 1))
+    vals = {u: Additive(values={e: e + 1 for e in range(g.edge_count)}) for u in range(2)}
+    vals[table_agent] = Table(entries={frozenset(): 0, frozenset({0}): 5})
+    path = tmp_path / "loop.instance.json"
+    save_instance(Instance(graph=g, valuations=vals), ["p", "c"], path)
+    code = main(["solve", str(path)])
+    out, err = capsys.readouterr()
+    if table_agent == 1:
+        assert (code, json.loads(out)["method_used"], err) == (EXIT_OK, "tree", "")
+        return
+    assert code == EXIT_UNSUPPORTED and out == ""
+    assert err == (
+        "error: no solver applies: tree: agent 0 has a table valuation and cuts a loop of 17"
+        " goods; the exhaustive cut takes at most 16; bipartite: agent 0 has a table valuation;"
+        " chromatic: agent 0 has a table valuation; brute_force: too large (needs <= 4 agents,"
+        " <= 8 goods)\n")
+    assert main(["analyze", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "eligible: none"
+
+
 def test_oracle_command(b1_file, capsys):
     assert main(["oracle", str(b1_file)]) == EXIT_OK
     out = capsys.readouterr().out
@@ -289,6 +313,28 @@ def test_batch_mode(tmp_path, capsys):
     for seed in range(3):
         assert (tmp_path / f"t{seed}.alloc.json").exists()
         assert (tmp_path / f"t{seed}.trace.jsonl").exists()
+
+
+def test_batch_reports_a_failing_instance_and_solves_the_others(tmp_path, capsys):
+    # "a", first in path order, is a tripled K4: girth 3 and 18 goods, so no solver applies
+    k4 = MultiGraph(4, [(u, w) for u in range(4) for w in range(u + 1, 4) for _ in range(3)])
+    instances = {"a": (additive_instance(k4), ["a0", "a1", "a2", "a3"]),
+                 "b": gen_petersen(seed=1), "c": gen_multitree(seed=2, n=6)}
+    written = []
+    for jobs in ("1", "2"):
+        run_dir = tmp_path / jobs
+        run_dir.mkdir()
+        for stem, (inst, names) in instances.items():
+            save_instance(inst, names, run_dir / f"{stem}.instance.json")
+        assert main(["solve", "--batch", str(run_dir), "--jobs", jobs]) == EXIT_UNSUPPORTED
+        out, err = capsys.readouterr()
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["instance"] for r in reports] == [str(run_dir / f"{s}.instance.json") for s in "bc"]
+        assert all(r["efx"] and r["complete"] for r in reports)
+        assert err.startswith(f"error: {run_dir / 'a.instance.json'}: no solver applies: tree: ")
+        assert err.count("\n") == 1
+        written.append({p.name: p.read_bytes() for p in sorted(run_dir.glob("*.alloc.json"))})
+    assert list(written[0]) == ["b.alloc.json", "c.alloc.json"] and written[0] == written[1]
 
 
 def test_batch_empty_dir_exit_1(tmp_path):

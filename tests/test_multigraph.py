@@ -41,7 +41,7 @@ def test_neighbours():
 
 def test_bipartition_even_cycle():
     g = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert g.bipartition() == ({0, 2}, {1, 3})
+    assert g.bipartition() == Coloring(colors={0: 0, 1: 1, 2: 0, 3: 1}, t=2)
 
 
 def test_bipartition_odd_cycle_absent():
@@ -51,7 +51,7 @@ def test_bipartition_odd_cycle_absent():
 
 def test_bipartition_ignores_parallel_edges():
     g = MultiGraph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
-    assert g.bipartition() == ({0, 2}, {1})
+    assert g.bipartition() == Coloring(colors={0: 0, 1: 1, 2: 0}, t=2)
 
 
 def test_is_multitree():
@@ -244,3 +244,12 @@ def test_cached_structure_cannot_be_corrupted_by_callers():
     assert g.shortest_cycle() == (girth, cycle[:-1]) and len(cycle) == 4
     assert g.connected_components() == [[0, 1, 2], [3, 4], [5]]
     assert g.girth() == 3 and g.bipartition() is None and not g.is_multitree()
+
+    forest = MultiGraph(5, [(3, 1), (1, 0), (4, 2)])
+    col = forest.bipartition()
+    col.colors[0] = 1
+    col.colors[9] = 0
+    want = Coloring(colors={0: 0, 1: 1, 2: 0, 3: 0, 4: 1}, t=2)
+    for part in (forest.bipartition(), forest.find_coloring(2)):
+        assert part == want and list(part.colors) == [0, 1, 2, 3, 4]
+    assert forest.bipartition() is not forest.bipartition()

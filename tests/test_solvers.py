@@ -9,13 +9,13 @@ from graphefx import (
     Additive,
     Allocation,
     Coloring,
+    InputError,
     Instance,
     MultiGraph,
     PreconditionError,
     Table,
     UnsupportedClassError,
     UnsupportedValuationError,
-    bipartite_efx,
     brute_force_efx,
     chromatic_efx,
     is_efx,
@@ -59,7 +59,7 @@ CANCELLABLE_KINDS = ("additive", "unit_demand", "budget_additive")
 
 
 def test_bipartite_b1_worked_example(b1_instance):
-    alloc, trace = bipartite_efx(b1_instance, (frozenset({0}), frozenset({1, 2})))
+    alloc, trace = chromatic_efx(b1_instance, b1_instance.graph.bipartition())
     assert alloc.bundles == {0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2})}
     assert is_efx(b1_instance, alloc).ok
     events = [ev for ev in trace if isinstance(ev, StructureResolved)]
@@ -72,7 +72,7 @@ def test_bipartite_single_edge():
         graph=MultiGraph(2, [(0, 1)]),
         valuations={0: Additive(values={0: 7}), 1: Additive(values={0: 2})},
     )
-    alloc, _ = bipartite_efx(inst, (frozenset({0}), frozenset({1})))
+    alloc, _ = chromatic_efx(inst, inst.graph.bipartition())
     assert alloc.is_complete(inst)
     assert is_efx(inst, alloc).ok
 
@@ -82,16 +82,16 @@ def test_bipartite_edgeless():
         graph=MultiGraph(3, []),
         valuations={u: Additive(values={}) for u in range(3)},
     )
-    alloc, _ = bipartite_efx(inst, (frozenset({0, 1, 2}), frozenset()))
+    alloc, _ = chromatic_efx(inst, inst.graph.bipartition())
     assert alloc.bundles == {}
     assert is_efx(inst, alloc).ok
 
 
 def test_bipartite_rejects_bad_bipartition(b1_instance):
     with pytest.raises(PreconditionError, match="^coloring is not proper: edge 0 joins 0 and 1$"):
-        bipartite_efx(b1_instance, (frozenset({0, 1}), frozenset({2})))
-    with pytest.raises(PreconditionError, match="^bipartition must partition the vertex set$"):
-        bipartite_efx(b1_instance, (frozenset({0}), frozenset({1})))
+        chromatic_efx(b1_instance, Coloring(colors={0: 0, 1: 0, 2: 1}, t=2))
+    with pytest.raises(InputError, match="^coloring is missing vertex 2$"):
+        chromatic_efx(b1_instance, Coloring(colors={0: 0, 1: 1}, t=2))
 
 
 def test_bipartite_efx_matches_reference_root_loop():
@@ -102,10 +102,13 @@ def test_bipartite_efx_matches_reference_root_loop():
         for seed in range(40):
             inst, _ = gen_bipartite(seed=seed, n_left=3, n_right=4, max_parallel=3,
                                     value_max=30, valuation_kind=kind)
-            left, right = inst.graph.bipartition()
-            for bipart in ((left, right), (right, left)):
-                alloc, trace = bipartite_efx(inst, bipart)
-                assert (alloc, trace) == reference_bipartite_efx(inst, bipart)
+            col = inst.graph.bipartition()
+            swapped = Coloring(colors={v: 1 - c for v, c in col.colors.items()}, t=2)
+            for coloring in (col, swapped):
+                left = frozenset(v for v, c in coloring.colors.items() if c == 0)
+                right = frozenset(coloring.colors) - left
+                alloc, trace = chromatic_efx(inst, coloring)
+                assert (alloc, trace) == reference_bipartite_efx(inst, (left, right))
                 assert len(trace) > 1
                 matched += 1
         assert matched == 80
@@ -120,7 +123,7 @@ def test_bipartite_rejects_table_valuations():
         },
     )
     with pytest.raises(UnsupportedValuationError):
-        bipartite_efx(inst, (frozenset({0}), frozenset({1})))
+        chromatic_efx(inst, inst.graph.bipartition())
 
 
 def test_tree_two_agent_example():
@@ -231,28 +234,6 @@ def test_chromatic_improper_coloring():
     inst = Instance(graph=g, valuations={0: Additive(values={0: 1}), 1: Additive(values={0: 1})})
     with pytest.raises(PreconditionError, match="not proper"):
         chromatic_efx(inst, Coloring(colors={0: 0, 1: 0}, t=2))
-
-
-def test_chromatic_t2_matches_bipartite_traces():
-    # a 2-coloring run must reproduce the bipartite solver exactly
-    matched = 0
-    for seed in range(200):
-        inst, _ = gen_bipartite(seed=seed, n_left=3, n_right=3, max_parallel=3, value_max=30)
-        bipart = inst.graph.bipartition()
-        if bipart is None or inst.graph.edge_count == 0:
-            continue
-        left, _right = bipart
-        col = Coloring(
-            colors={v: (0 if v in left else 1) for v in range(inst.graph.vertex_count)}, t=2
-        )
-        alloc_b, trace_b = bipartite_efx(inst, bipart)
-        alloc_c, trace_c = chromatic_efx(inst, col)
-        assert alloc_b == alloc_c
-        assert trace_b == trace_c
-        matched += 1
-        if matched == 50:
-            break
-    assert matched == 50
 
 
 def test_tree_efx_matches_set_dict_reference():
@@ -484,7 +465,7 @@ def _accepted_by_solvers(inst):
 
     verdicts = {
         "tree": accepts(tree_efx),
-        "bipartite": accepts(bipartite_efx, g.bipartition()),
+        "bipartite": accepts(chromatic_efx, g.bipartition()),
         "chromatic": accepts(chromatic_efx, g.find_coloring(4)),
         "brute_force": g.vertex_count <= BRUTE_FORCE_AGENT_MAX
         and g.edge_count <= BRUTE_FORCE_GOOD_MAX,
@@ -574,6 +555,6 @@ def test_resolve_structure_takes_the_roots_values_from_its_cuts():
                 keep_test = ev.branch not in (None, BRANCH_DIFFERENT)
                 assert counters[u][0] == 2 * len(right) + keep_test
                 branches[ev.branch] += 1
-            left, right_side = frozenset(range(7)), frozenset(range(7, 14))
-            assert alloc == bipartite_efx(plain, (left, right_side))[0]
+            sides = Coloring(colors={v: int(v >= 7) for v in range(14)}, t=2)
+            assert alloc == chromatic_efx(plain, sides)[0]
     assert len(branches) == 3, branches  # keep, leftovers and different
