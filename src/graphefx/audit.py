@@ -26,6 +26,7 @@ from .errors import InputError
 from .trace import ColoringUsed, StructureResolved, TraceEvent
 
 if TYPE_CHECKING:
+    from .multigraph import MultiGraph
     from .solvers import Instance
 
 FAMILIES = ("localized_envy", "good_movement", "distance", "unresolved_union")
@@ -52,13 +53,22 @@ def _merged_colors(trace: list[TraceEvent]) -> Optional[dict[int, int]]:
     A component-wise solve emits one event per phase-based component; the
     components have disjoint vertices, so their colorings merge.
     """
-    events = [ev for ev in trace if isinstance(ev, ColoringUsed)]
-    if not events:
-        return None
-    colors: dict[int, int] = {}
-    for ev in events:
-        colors.update(ev.colors)
-    return colors
+    colorings = [ev.colors for ev in trace if isinstance(ev, ColoringUsed)]
+    return {v: c for colors in colorings for v, c in colors.items()} if colorings else None
+
+
+def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
+    """Raise InputError unless, when ``trace`` colors vertices, every holder in a
+    structure snapshot and both endpoints of each good it holds have a color."""
+    colors = _merged_colors(trace)
+    if colors is None:
+        return
+    for i, ev in enumerate(trace):
+        if isinstance(ev, StructureResolved):
+            for w, bundle in ev.snapshot.items():
+                for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
+                    if v not in colors:
+                        raise InputError(f"trace event {i} involves agent {v}, which has no color")
 
 
 def _connect(adj: dict[int, set[int]], a: int, b: int) -> None:

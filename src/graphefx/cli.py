@@ -33,7 +33,6 @@ from .jsonio import (
 from .multigraph import Coloring
 from .oracle import brute_force_efx
 from .solvers import Instance, classify, smallest_coloring, solve
-from .trace import check_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -221,8 +220,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     inst, _ = load_instance(args.instance)
-    trace = load_trace(args.trace)
-    check_trace(trace, inst.graph)
+    trace = load_trace(args.trace, inst.graph)
     report = audit_trace(inst, trace)
     for family in FAMILIES:
         print(f"{family}: {report.status(family)}")

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Union
 
 from .allocation import Allocation
+from .audit import check_trace
 from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
@@ -116,10 +117,16 @@ def load_json(path: Union[str, Path]) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: Union[str, Path], chunks) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def dump_json(obj: dict, path: Union[str, Path]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def load_instance(path: Union[str, Path]) -> tuple[Instance, list[str]]:
@@ -140,19 +147,18 @@ def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path])
 
 def save_trace(trace: list[TraceEvent], path: Union[str, Path]) -> None:
     fragments: dict = {}  # (agent, bundle) -> its encoded text, shared by every snapshot
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in trace:
-            fh.write(event_line(ev, fragments) + "\n")
+    _write(path, (event_line(ev, fragments) + "\n" for ev in trace))
 
 
-def load_trace(path: Union[str, Path]) -> list[TraceEvent]:
+def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
     events = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
-                    events.append(event_from_json(json.loads(line), len(events)))
+                    events.append(event_from_json(json.loads(line), len(events), graph))
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
+    check_trace(events, graph)
     return events

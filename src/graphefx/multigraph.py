@@ -175,7 +175,7 @@ class MultiGraph:
                             path_x = self._path_to_root(x, parent)
                             path_y = self._path_to_root(y, parent)
                             cycle = self._merge_cycle(path_x, path_y)
-                            if cycle is not None and len(cycle) < best:
+                            if len(cycle) < best:
                                 best = len(cycle)
                                 best_cycle = cycle
         return best, None if best_cycle is None else tuple(best_cycle)
@@ -188,16 +188,15 @@ class MultiGraph:
         return path
 
     @staticmethod
-    def _merge_cycle(path_x: list[int], path_y: list[int]) -> Optional[list[int]]:
-        # Drop the shared tail (towards the BFS root); the closed walk is a
-        # simple cycle only when the paths meet nowhere but that tail.
+    def _merge_cycle(path_x: list[int], path_y: list[int]) -> list[int]:
+        # Drop the shared tail (towards the BFS root).  A candidate edge never
+        # joins a vertex to its BFS parent or child, so the two paths then leave
+        # their lowest common ancestor through different children, share no
+        # other vertex, and close a simple cycle of length >= 3.
         while len(path_x) > 1 and len(path_y) > 1 and path_x[-2] == path_y[-2]:
             path_x = path_x[:-1]
             path_y = path_y[:-1]
-        cycle = path_x[:-1] + list(reversed(path_y))
-        if len(set(cycle)) != len(cycle):
-            return None
-        return cycle
+        return path_x[:-1] + list(reversed(path_y))
 
     def validate_coloring(self, col: Coloring, component: Component = None) -> tuple[bool, Optional[int]]:
         """(True, None) if proper, else (False, lowest violating edge id)."""

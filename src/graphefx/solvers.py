@@ -24,7 +24,7 @@ from .allocation import (  # noqa: F401
 )
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
 from .multigraph import Coloring, Component, MultiGraph
-from .oracle import BRUTE_FORCE_MAX, first_efx_allocation
+from .oracle import first_efx_allocation
 from .partition import TABLE_CUT_MAX, cut_and_choose
 from .trace import (
     BRANCH_DIFFERENT,
@@ -40,7 +40,7 @@ from .valuation import Table, Valuation
 
 DISPATCH_T_MAX = 4
 BRUTE_FORCE_AGENT_MAX = 4
-BRUTE_FORCE_GOOD_MAX = 8
+BRUTE_FORCE_GOOD_MAX = 8  # 4 ** 8 = 65,536 allocations, within oracle.BRUTE_FORCE_MAX
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def classify(inst: Instance, hint: Optional[Coloring] = None,
     yield _chromatic_verdict(inst, hint, table, component)
 
     n, m = len(agents), len(g.edges_of(component))
-    if n <= BRUTE_FORCE_AGENT_MAX and m <= BRUTE_FORCE_GOOD_MAX and n ** m <= BRUTE_FORCE_MAX:
+    if n <= BRUTE_FORCE_AGENT_MAX and m <= BRUTE_FORCE_GOOD_MAX:
         yield Verdict("brute_force")
     else:
         yield Verdict(

@@ -2,8 +2,8 @@
 
 Traces serialize to JSON-lines, one event per line.  The field types below are
 the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
-marks colors, t and phases.  The JSON reader and ``check_trace`` (through
-``relabel``) are generic over them.
+marks colors, t and phases.  The JSON reader is generic over them, and checks
+each id where it reads it.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ BRANCH_DIFFERENT = "different_bundles"
 EVENT_KINDS = {cls.kind: cls for cls in get_args(TraceEvent)}
 
 
-def _same(x):
-    return x
-
-
 @lru_cache(maxsize=None)
 def _shape(tp) -> tuple:
     """(origin, args) of a field type: ("event", its fields and their types) for an
@@ -99,68 +95,43 @@ def _shape(tp) -> tuple:
     return get_origin(tp), get_args(tp)
 
 
-def _rebuild(tp, x, fns: dict, key: Callable):
-    """``x`` rebuilt as a value of type ``tp``, each id of role r mapped by ``fns[r]``.
+def _read(tp, x, checks: dict):
+    """``x``, a value read from JSON, as a value of type ``tp``, each id of role r
+    passed through ``checks[r]``.
 
-    Ids of a role without a function are kept.  An event is read from a
-    mapping of its fields, dict keys pass through ``key`` first, and a
-    fixed-length tuple of the wrong length raises ValueError.
+    An event is read from a mapping of its fields, a dict key is read as an
+    int, and a fixed-length tuple of the wrong length raises ValueError.
     """
     origin, args = _shape(tp)
-    if origin is None:
-        return fns[tp](x) if tp in fns else x
+    if origin is None:  # an id, checked by its role, or a str, kept as read
+        return checks[tp](x) if tp in checks else x
     if origin == "event":
-        return tp(**{f: _rebuild(ft, x[f], fns, key) for f, ft in args})
+        return tp(**{f: _read(ft, x[f], checks) for f, ft in args})
     if origin is Union:  # Optional[T]
-        return None if x is None else _rebuild(args[0], x, fns, key)
+        return None if x is None else _read(args[0], x, checks)
     if origin is dict:
-        return {_rebuild(args[0], key(k), fns, key): _rebuild(args[1], v, fns, key)
-                for k, v in x.items()}
-    if origin is frozenset:  # a set of ids: map them without a call per id
-        return frozenset(map(fns.get(args[0], _same), x))
+        return {_read(args[0], int(k), checks): _read(args[1], v, checks) for k, v in x.items()}
+    if origin is frozenset:  # a set of ids: check them without a recursive call per id
+        return frozenset(map(checks[args[0]], x))
     if args[-1] is Ellipsis:
-        return tuple(_rebuild(args[0], v, fns, key) for v in x)
+        return tuple(_read(args[0], v, checks) for v in x)
     if len(x) != len(args):
         raise ValueError(f"expected {len(args)} items, got {len(x)}")
-    return tuple(_rebuild(a, v, fns, key) for a, v in zip(args, x))
-
-
-def relabel(ev: TraceEvent, agent: Callable, good: Callable, count: Callable = _same) -> TraceEvent:
-    """``ev`` with every agent id mapped by ``agent``, every good id by ``good``
-    and every color, t and phase by ``count``."""
-    return _rebuild(type(ev), vars(ev), {Agent: agent, Good: good, Count: count}, _same)
+    return tuple(_read(a, v, checks) for a, v in zip(args, x))
 
 
 def _id_check(i: int, kind: str, bound: Optional[int]) -> Callable[[int], int]:
-    """The identity on ids valid below ``bound``; raises InputError naming event ``i`` otherwise."""
+    """The identity on ids in 0..bound-1 (any nonnegative integer when ``bound``
+    is None); raises InputError naming event ``i`` otherwise."""
 
     def check(x):
-        if (not isinstance(x, int) or isinstance(x, bool) or x < 0
-                or (bound is not None and x >= bound)):
-            where = "a nonnegative integer" if bound is None else f"in 0..{bound - 1}"
-            raise InputError(f"trace event {i} names {kind} {x!r}, not {where}")
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            raise InputError(f"trace event {i} names {kind} {x!r}, not a nonnegative integer")
+        if bound is not None and x >= bound:
+            raise InputError(f"trace event {i} names {kind} {x!r}, not in 0..{bound - 1}")
         return x
 
     return check
-
-
-def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
-    """Raise InputError unless ``trace`` can be audited against ``graph``.
-
-    Every agent id must be an integer in 0..n-1, every good id one in 0..m-1,
-    and colors, t and phases nonnegative integers.  When the trace colors
-    vertices, every holder in a structure snapshot and both endpoints of each
-    good it holds must have a color.
-    """
-    n, m = graph.vertex_count, graph.edge_count
-    colored = {v for ev in trace if isinstance(ev, ColoringUsed) for v in ev.colors}
-    for i, ev in enumerate(trace):
-        relabel(ev, _id_check(i, "agent", n), _id_check(i, "good", m), _id_check(i, "count", None))
-        if colored and isinstance(ev, StructureResolved):
-            for w, bundle in ev.snapshot.items():
-                for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
-                    if v not in colored:
-                        raise InputError(f"trace event {i} involves agent {v}, which has no color")
 
 
 def _to_json(x):
@@ -202,12 +173,15 @@ def event_line(ev: TraceEvent, fragments: dict) -> str:
     return "{" + ", ".join(f'"{f}": {text}' for f, text in sorted(texts.items())) + "}"
 
 
-def event_from_json(obj: dict, i: int) -> TraceEvent:
-    """Event ``i`` of a trace, from its line; each field is read as its declared
-    type, and each id must be a nonnegative integer."""
+def event_from_json(obj: dict, i: int, graph: "MultiGraph") -> TraceEvent:
+    """Event ``i`` of a trace on ``graph``, from its line; each field is read as
+    its declared type, each agent id must be in 0..n-1, each good id in 0..m-1,
+    and each color, t and phase a nonnegative integer."""
     kind = obj.get("type")
     cls = EVENT_KINDS.get(kind)
     if cls is None:
         raise InputError(f"unknown trace event type {kind!r}")
-    checks = {role: _id_check(i, role.__name__.lower(), None) for role in (Agent, Good, Count)}
-    return _rebuild(cls, obj, checks, int)
+    checks = {Agent: _id_check(i, "agent", graph.vertex_count),
+              Good: _id_check(i, "good", graph.edge_count),
+              Count: _id_check(i, "count", None)}
+    return _read(cls, obj, checks)

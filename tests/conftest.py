@@ -726,6 +726,21 @@ def mycielski_graph(steps):
     return MultiGraph(n, pairs)
 
 
+# The higher neighbours of each vertex of a 4-regular graph on 21 vertices with
+# girth 5 and chromatic number 4, the Brinkmann graph's parameters.
+GIRTH5_CHROMATIC4 = {
+    0: [2, 5, 7, 13], 1: [3, 6, 7, 8], 2: [4, 8, 9], 3: [5, 9, 10], 4: [6, 10, 11],
+    5: [11, 12], 6: [12, 13], 7: [15, 20], 8: [14, 16], 9: [15, 17], 10: [16, 18],
+    11: [17, 19], 12: [18, 20], 13: [14, 19], 14: [17, 18], 15: [18, 19], 16: [19, 20],
+    17: [20],
+}
+
+
+def girth5_chromatic4_graph():
+    """A girth-5 graph that needs 4 colors, so girth >= 2t-1 admits no coloring."""
+    return MultiGraph(21, [(u, w) for u, higher in GIRTH5_CHROMATIC4.items() for w in higher])
+
+
 def cycle_pairs(length, rng):
     """A cycle on 0..length-1 whose links carry one or two goods each."""
     return [(i, (i + 1) % length) for i in range(length) for _ in range(rng.randint(1, 2))]
@@ -805,6 +820,29 @@ def _moved_valuation(val, good):
     if isinstance(val, Table):
         return Table(entries={frozenset(map(good, s)): v for s, v in val.entries.items()})
     return dataclasses.replace(val, values={good(g): v for g, v in val.values.items()})
+
+
+def moved_event(ev, agent, good):
+    """The trace event ``ev`` with every agent id mapped by ``agent`` and every
+    good id by ``good``; colors, t and phases are kept."""
+    from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
+
+    def bundles(snapshot):
+        return {agent(u): frozenset(map(good, b)) for u, b in snapshot.items()}
+
+    if isinstance(ev, ColoringUsed):
+        return ColoringUsed(colors={agent(u): c for u, c in ev.colors.items()}, t=ev.t)
+    if isinstance(ev, StructureResolved):
+        return dataclasses.replace(
+            ev, root=agent(ev.root), snapshot=bundles(ev.snapshot),
+            favourite=None if ev.favourite is None else agent(ev.favourite),
+            transfers=tuple((good(g), agent(a), agent(b)) for g, a, b in ev.transfers))
+    if isinstance(ev, LeafAttached):
+        return LeafAttached(leaf=agent(ev.leaf), parent=agent(ev.parent),
+                            pieces=tuple(frozenset(map(good, p)) for p in ev.pieces),
+                            leftover_to=agent(ev.leftover_to), snapshot=bundles(ev.snapshot))
+    assert isinstance(ev, CycleResolved)
+    return CycleResolved(cycle=tuple(map(agent, ev.cycle)), snapshot=bundles(ev.snapshot))
 
 
 def interleaved_union(rng: random.Random, parts):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphefx import InputError, Instance, MultiGraph
-from graphefx.audit import FAMILIES, audit_trace
+from graphefx.audit import FAMILIES, audit_trace, check_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
 from graphefx.jsonio import load_trace, save_instance, save_trace
@@ -18,10 +18,8 @@ from graphefx.trace import (
     CycleResolved,
     LeafAttached,
     StructureResolved,
-    check_trace,
     event_from_json,
     event_line,
-    relabel,
 )
 
 from .conftest import (
@@ -114,31 +112,50 @@ def test_unions_of_phase_based_components_pass():
                 assert all(applicable for applicable, _ in report.results.values())
 
 
+def _read_back(trace, graph):
+    """``trace`` written line by line and read back as ``load_trace`` reads a
+    file on ``graph``."""
+    fragments = {}
+    events = [event_from_json(json.loads(event_line(ev, fragments)), i, graph)
+              for i, ev in enumerate(trace)]
+    check_trace(events, graph)
+    return events
+
+
 def test_check_trace_accepts_solver_traces():
     rng = random.Random(3)
     instances = [_cycle_union(rng, (4, 5), "additive"), _cycle_union(rng, (5, 5), "unit_demand"),
                  gen_petersen(seed=1, parallel_copies=2)[0], gen_multitree(seed=2, n=7)[0]]
     for inst in instances:
-        check_trace(solve(inst)[2], inst.graph)
+        trace = solve(inst)[2]
+        assert _read_back(trace, inst.graph) == trace
 
 
+# Each edit is made to the second line of a trace, as read from JSON.
 @pytest.mark.parametrize("edit, message", [
-    (lambda ev: dataclasses.replace(ev, root=99), "agent 99"),
-    (lambda ev: dataclasses.replace(ev, favourite="a"), "agent 'a'"),
-    (lambda ev: dataclasses.replace(ev, snapshot={0: frozenset({"x"})}), "good 'x'"),
-    (lambda ev: dataclasses.replace(ev, transfers=((0, 1, -1),)), "agent -1"),
-    (lambda ev: dataclasses.replace(ev, phase=None), "count None"),
+    (lambda line: {**line, "root": 99}, "agent 99"),
+    (lambda line: {**line, "favourite": "a"}, "agent 'a'"),
+    (lambda line: {**line, "snapshot": {"0": ["x"]}}, "good 'x'"),
+    (lambda line: {**line, "transfers": [[0, 1, -1]]}, "agent -1"),
+    (lambda line: {**line, "phase": None}, "count None"),
 ])
 def test_check_trace_rejects_bad_ids(b1_instance, edit, message):
-    coloring, event = chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]
-    with pytest.raises(InputError, match=message):
-        check_trace([coloring, edit(event)], b1_instance.graph)
+    lines = [json.loads(event_line(ev, {}))
+             for ev in chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]]
+    lines[1] = edit(lines[1])
+    with pytest.raises(InputError, match=f"trace event 1 names {message}, not ") as err:
+        [event_from_json(line, i, b1_instance.graph) for i, line in enumerate(lines)]
+    # only an id too large for the graph is out of range; the others are not ids at all
+    assert str(err.value).endswith("not in 0..2" if message == "agent 99" else "not a nonnegative integer")
 
 
 def test_check_trace_rejects_uncolored_holders(b1_instance):
     _, event = chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]
-    with pytest.raises(InputError, match="agent 2, which has no color"):
-        check_trace([ColoringUsed(colors={0: 0, 1: 1}, t=2), event], b1_instance.graph)
+    with pytest.raises(InputError, match="trace event 1 involves agent 2, which has no color"):
+        _read_back([ColoringUsed(colors={0: 0, 1: 1}, t=2), event], b1_instance.graph)
+    # an empty coloring colors no agent; the audit would look the holders' colors up
+    with pytest.raises(InputError, match="trace event 1 involves agent 0, which has no color"):
+        _read_back([ColoringUsed(colors={}, t=2), event], b1_instance.graph)
 
 
 # Each event beside its trace line; the bundle of agent 5 is empty, so it is not written.
@@ -167,27 +184,24 @@ EVENT_LINES = [
 def test_trace_line_format(event, line):
     text = json.dumps(line, sort_keys=True)
     assert event_line(event, {}) == text
-    assert event_line(event_from_json(line, 0), {}) == text
-
-
-def _every_event_kind():
-    """A tree trace that resolves an envy cycle, then a Petersen trace in which
-    one root has no right neighbour and another passes its prior bundle on."""
-    tree = tree_efx(gen_multitree(seed=1, n=6, max_parallel=2)[0])[1]
-    petersen = solve(gen_petersen(seed=4, parallel_copies=2)[0])[2]
-    return tree + petersen
+    # the lines name agents up to 5 and goods up to 4
+    assert event_line(event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5)), {}) == text
 
 
 def test_solver_events_round_trip_through_json():
-    trace = _every_event_kind()
+    # A tree trace that resolves an envy cycle, then a Petersen trace in which
+    # one root has no right neighbour and another passes its prior bundle on.
+    tree = gen_multitree(seed=1, n=6, max_parallel=2)[0]
+    petersen = gen_petersen(seed=4, parallel_copies=2)[0]
+    traces = [(tree.graph, tree_efx(tree)[1]), (petersen.graph, solve(petersen)[2])]
+    trace = [ev for _, events in traces for ev in events]
     assert {type(ev) for ev in trace} == {ColoringUsed, StructureResolved, LeafAttached,
                                           CycleResolved}
     structures = [ev for ev in trace if isinstance(ev, StructureResolved)]
     assert any(ev.favourite is None for ev in structures)
     assert any(ev.transfers for ev in structures)
-    fragments = {}
-    for ev in trace:
-        assert event_from_json(json.loads(event_line(ev, fragments)), 0) == ev
+    for graph, events in traces:
+        assert _read_back(events, graph) == events
 
 
 def _written(trace):
@@ -230,37 +244,6 @@ def test_writer_caches_a_bundle_per_agent(pool, steps):
     trace = [CycleResolved(cycle=(0, 1), snapshot={u: pool[i % len(pool)] for u, i in step})
              for step in steps]
     assert _written(trace) == _reference_lines(trace)
-
-
-def test_relabel_identity_and_inverse():
-    trace = _every_event_kind()
-    rng = random.Random(7)
-    agents, goods = list(range(10)), list(range(40))
-    rng.shuffle(agents)
-    rng.shuffle(goods)
-    agent_back = {a: i for i, a in enumerate(agents)}
-    good_back = {g: i for i, g in enumerate(goods)}
-    moved = 0
-    for ev in trace:
-        assert relabel(ev, lambda a: a, lambda g: g) == ev
-        there = relabel(ev, agents.__getitem__, goods.__getitem__)
-        moved += there != ev
-        assert relabel(there, agent_back.__getitem__, good_back.__getitem__) == ev
-    assert moved == len(trace)
-
-
-@pytest.mark.parametrize("event, expected", [
-    (EVENT_LINES[0][0], ColoringUsed(colors={11: 0, 10: 2}, t=3)),
-    (EVENT_LINES[1][0], StructureResolved(
-        phase=2, root=11, favourite=13, branch="same_bundle_keep",
-        snapshot={13: frozenset({102, 100}), 11: frozenset({104}), 15: frozenset()},
-        transfers=((102, 11, 13), (100, 11, 13)))),
-    (EVENT_LINES[3][0], LeafAttached(leaf=12, parent=10, pieces=(frozenset({103, 101}), frozenset()),
-                                     leftover_to=10, snapshot={12: frozenset({101, 103})})),
-    (EVENT_LINES[4][0], CycleResolved(cycle=(12, 10, 11), snapshot={10: frozenset({101})})),
-])
-def test_relabel_maps_agents_and_goods_but_not_counts(event, expected):
-    assert relabel(event, lambda a: a + 10, lambda g: g + 100) == expected
 
 
 def _phase_based_traces():
@@ -326,7 +309,7 @@ def test_audit_matches_from_scratch_reference():
     for _ in range(1200):
         inst, trace = rng.choice(small)
         bad, kinds = _tampered(rng, inst, trace)
-        check_trace(bad, inst.graph)
+        _read_back(bad, inst.graph)
         report = audit_trace(inst, bad)
         assert report == reference_audit_trace(inst, bad), kinds
         edits.update(kinds)
@@ -397,7 +380,7 @@ def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
     for i, events in enumerate((trace, tampered)):
         path = tmp_path / f"{i}.trace.jsonl"
         save_trace(events, path)
-        assert load_trace(path) == events
+        assert load_trace(path, inst.graph) == events
         report = audit_trace(inst, events)
         capsys.readouterr()
         code = main(["audit", str(instance_path), str(path)])

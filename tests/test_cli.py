@@ -17,6 +17,7 @@ from graphefx import (
     MultiGraph,
     Table,
     UnitDemand,
+    classify,
     solve,
 )
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, EXIT_UNSUPPORTED, main
@@ -37,6 +38,7 @@ from .conftest import (
     K4_PLUS_TWO,
     additive_instance,
     c5_path_and_isolated_agent,
+    girth5_chromatic4_graph,
     gnp_graph,
     interleaved_union,
     star_graph,
@@ -101,7 +103,7 @@ def test_solve_b1(b1_file, tmp_path, capsys):
     assert report["efx"] is True and report["complete"] is True
     alloc = allocation_from_json(json.loads(alloc_path.read_text()), ["a", "b", "c"])
     assert alloc.assigned_edges == {0, 1, 2, 3}
-    assert len(load_trace(trace_path)) >= 1
+    assert len(load_trace(trace_path, load_instance(b1_file)[0].graph)) >= 1
 
 
 def test_verify_pipeline(b1_file, tmp_path, capsys):
@@ -191,6 +193,79 @@ def test_solve_colors_list_exit_1(b1_file, tmp_path):
     done = _run_cli("solve", b1_file, "--coloring", bad)
     _assert_one_error_line(done)
     assert "malformed coloring file" in done.stderr
+
+
+@pytest.mark.parametrize("where", ["solve -o", "solve --trace", "gen -o", "solve -o dir", "gen -o dir"])
+def test_unwritable_output_exit_1(b1_file, tmp_path, where):
+    # a path in a missing directory, or a directory itself
+    target = tmp_path if where.endswith("dir") else tmp_path / "missing" / "out.json"
+    command, option = where.split()[:2]
+    source = ["multitree"] if command == "gen" else [b1_file]
+    done = _run_cli(command, *source, option, target)
+    _assert_one_error_line(done)
+    assert done.stderr.startswith(f"error: cannot write {target}: ")
+
+
+def test_batch_reports_an_unwritable_output_on_its_own_line(b1_instance, tmp_path):
+    for stem in "ab":
+        save_instance(b1_instance, ["a", "b", "c"], tmp_path / f"{stem}.instance.json")
+    (tmp_path / "a.alloc.json").mkdir()
+    done = _run_cli("solve", "--batch", tmp_path, "--jobs", "1")
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith(f"error: {tmp_path / 'a.instance.json'}: cannot write ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert [json.loads(line)["instance"] for line in done.stdout.splitlines()] == [
+        str(tmp_path / "b.instance.json")]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(agents=["a", "b", "a"]), "agent names must be unique"),
+    (lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # good 0 joins a and b
+     "valuation of agent 2 supports non-incident edges [0]"),
+])
+def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
+    doc = instance_to_json(b1_instance, ["a", "b", "c"])
+    edit(doc)
+    path = tmp_path / "bad.instance.json"
+    path.write_text(json.dumps(doc))
+    done = _run_cli("solve", path)
+    _assert_one_error_line(done)
+    assert message in done.stderr
+
+
+@pytest.mark.parametrize("colors", [{"a": 0, "b": "x", "c": 1}, {"z": 0}])
+def test_bad_coloring_file_exit_1(b1_file, tmp_path, colors):
+    path = tmp_path / "bad.coloring.json"
+    path.write_text(json.dumps({"colors": colors, "t": 2}))
+    done = _run_cli("solve", b1_file, "--coloring", path)
+    _assert_one_error_line(done)
+    assert "malformed coloring file" in done.stderr
+
+
+@pytest.mark.parametrize("option, env, message", [
+    ([], {"GRAPHEFX_SEED": "abc"}, "GRAPHEFX_SEED must be an integer, got 'abc'"),
+    (["--edge-prob", "a/b"], None, "edge probability must look like P/Q, got 'a/b'"),
+])
+def test_bad_gen_setting_exit_1(tmp_path, option, env, message):
+    done = _run_cli("gen", "bipartite", *option, "-o", tmp_path / "x.json", env=env)
+    _assert_one_error_line(done)
+    assert message in done.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_girth5_graph_without_a_3_coloring_exit_2(tmp_path, capsys):
+    # girth 5 admits t <= 3, and this 4-regular graph needs 4 colors
+    inst = additive_instance(girth5_chromatic4_graph(), seed=1)
+    assert {len(inst.graph.neighbours(u)) for u in range(21)} == {4} and inst.graph.girth() == 5
+    reasons = {v.solver: v.reason for v in classify(inst)}
+    assert reasons["chromatic"] == "no proper coloring with t <= 3 (girth 5)"
+    path = tmp_path / "g5.instance.json"
+    save_instance(inst, [f"a{u}" for u in range(21)], path)
+    assert main(["solve", str(path)]) == EXIT_UNSUPPORTED
+    assert capsys.readouterr().err == (
+        "error: no solver applies: tree: not a multi-tree; bipartite: not bipartite;"
+        " chromatic: no proper coloring with t <= 3 (girth 5); brute_force: too large"
+        " (needs <= 4 agents, <= 8 goods)\n")
 
 
 def test_malformed_json_exit_1(tmp_path):
@@ -595,7 +670,7 @@ def test_analyze_prints_chromatic_number_per_component(tmp_path, capsys):
     assert main(["analyze", str(path)]) == EXIT_OK
     assert "chromatic_number: componentwise(2; 3)" in capsys.readouterr().out.splitlines()
     assert main(["solve", str(path), "--trace", str(tmp_path / "u.trace.jsonl")]) == EXIT_OK
-    trace = load_trace(tmp_path / "u.trace.jsonl")
+    trace = load_trace(tmp_path / "u.trace.jsonl", load_instance(path)[0].graph)
     assert [ev.t for ev in trace if isinstance(ev, ColoringUsed)] == [2, 3]
     path = _union_file(tmp_path, [C5, MULTI_TRIANGLE])
     assert main(["analyze", str(path)]) == EXIT_OK

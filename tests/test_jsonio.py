@@ -92,7 +92,7 @@ LOADERS = {
     "allocation": (lambda path: load_allocation(path, NAMES),
                    lambda got, path: save_allocation(got, NAMES, path),
                    lambda got: allocation_to_json(got, NAMES)),
-    "trace": (load_trace, save_trace, lambda got: [event_line(ev, {}) for ev in got]),
+    "trace": (lambda path: load_trace(path, INSTANCE.graph), save_trace, lambda got: [event_line(ev, {}) for ev in got]),
 }
 
 

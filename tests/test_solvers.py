@@ -36,7 +36,7 @@ from graphefx.solvers import (
     _resolve_structure,
     classify,
 )
-from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved, relabel
+from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved
 
 from .conftest import (
     K4_PLUS_TWO,
@@ -45,6 +45,7 @@ from .conftest import (
     classifier_graphs,
     gnp_graph,
     interleaved_union,
+    moved_event,
     mycielski_graph,
     naive_is_efx,
     random_family_valuation,
@@ -349,7 +350,7 @@ def _parts_solved_and_mapped(parts, agents, goods, hints):
         tried = []
         alloc, method, events = solve(parts[p], hints[p], tried)
         bundles.update({agents[p][u]: frozenset(goods[p][g] for g in b) for u, b in alloc.bundles.items()})
-        trace += [relabel(ev, agents[p].__getitem__, goods[p].__getitem__) for ev in events]
+        trace += [moved_event(ev, agents[p].__getitem__, goods[p].__getitem__) for ev in events]
         methods.append(method)
         verdicts.append([(v.solver, v.reason) for v in tried[0]])
     method = methods[0] if len(set(methods)) == 1 else f"componentwise({','.join(methods)})"
