@@ -3,8 +3,9 @@
 Four invariant families are audited on phase-based (bipartite / chromatic)
 traces:
 
-* localized envy      -- every snapshot is EFX and any envy edge points from a
-                         resolved root's favourite neighbour to that root;
+* localized envy      -- every allocation a structure event leaves is EFX, and
+                         any envy edge points from a resolved root's favourite
+                         neighbour to that root;
 * good movement       -- goods only ever move from a structure's root to its
                          favourite, and at most once per phase;
 * allocated distances -- an agent valuing a held good is within color-bounded
@@ -19,7 +20,7 @@ applicable on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .allocation import Allocation, EnvyGraph
 from .errors import InputError
@@ -57,15 +58,33 @@ def _merged_colors(trace: list[TraceEvent]) -> Optional[dict[int, int]]:
     return {v: c for colors in colorings for v, c in colors.items()} if colorings else None
 
 
+def _structure_steps(trace: list[TraceEvent]
+                     ) -> Iterator[tuple[int, StructureResolved, dict[int, frozenset[int]]]]:
+    """(index, event, changes) for each StructureResolved event of ``trace``.
+
+    The changes are the event's own on top of those of the tree events since
+    the previous structure event, which the audit does not read: from one
+    structure event's allocation to the next.
+    """
+    changes: dict[int, frozenset[int]] = {}
+    for i, ev in enumerate(trace):
+        if not isinstance(ev, ColoringUsed):
+            changes.update(ev.changes)
+            if isinstance(ev, StructureResolved):
+                yield i, ev, changes
+                changes = {}
+
+
 def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
-    """Raise InputError unless, when ``trace`` colors vertices, every holder in a
-    structure snapshot and both endpoints of each good it holds have a color."""
+    """Raise InputError unless, when ``trace`` colors vertices, every holder of a
+    bundle that a structure event changes and both endpoints of each good it
+    holds have a color."""
     colors = _merged_colors(trace)
     if colors is None:
         return
-    for i, ev in enumerate(trace):
-        if isinstance(ev, StructureResolved):
-            for w, bundle in ev.snapshot.items():
+    for i, _, changes in _structure_steps(trace):
+        for w, bundle in changes.items():
+            if bundle:
                 for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
                     if v not in colors:
                         raise InputError(f"trace event {i} involves agent {v}, which has no color")
@@ -92,14 +111,15 @@ def _within(adj: dict[int, set[int]], src: int, dst: int, depth: int) -> bool:
 
 
 def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
-    """Check every snapshot of a phase-based trace against all four families.
+    """Check the allocation after every structure event of a phase-based trace
+    against all four families.
 
     Envy is only checked between agents that share a good, which is exact
     because every valuation's support lies within the agent's incident edges.
 
-    The audit steps one ``EnvyGraph`` from snapshot to snapshot and rechecks
-    only what the agents whose bundles changed can affect; the report equals
-    that of checking every snapshot from scratch:
+    The audit steps one ``EnvyGraph`` by each structure event's changes and
+    rechecks only what the agents whose bundles changed can affect; the
+    report equals that of checking every such allocation from scratch:
 
     * an envy edge's EFX witness depends on its two bundles only;
     * while no good is withdrawn, the allocated edges only grow, so an
@@ -109,13 +129,10 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
       check depends only on their holders and on which holders are resolved.
       Resolving one more root can only shrink the union, so a check that
       passed can fail only when one of those goods changed holder.
-    Checks that failed at the previous snapshot are always made again.
+    Checks that failed at the previous structure event are always made again.
     """
     colors = _merged_colors(trace)
-    structure_events = [
-        (i, ev) for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)
-    ]
-    applicable = colors is not None and bool(structure_events)
+    applicable = colors is not None and any(isinstance(ev, StructureResolved) for ev in trace)
     if not applicable:
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
 
@@ -131,25 +148,17 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     holder = envy.holder
     unfair: dict[tuple[int, int], int] = {}  # envy edge -> its EFX witness, where it has one
     adj: dict[int, set[int]] = {}  # skeleton adjacency along the allocated edges
-    far_goods: set[int] = set()  # goods whose distance checks failed at the previous snapshot
-    union_enviers: set[int] = set()  # agents whose union check failed at the previous snapshot
+    far_goods: set[int] = set()  # goods whose distance checks failed at the previous event
+    union_enviers: set[int] = set()  # agents whose union check failed at the previous event
 
-    for idx, ev in structure_events:
+    for idx, ev, changes in _structure_steps(trace):
         resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
-        # An allocation holds no empty bundle, so a pair with an empty one
-        # comes from the snapshot and differs only when the agent held goods.
-        changed = {u for u, b in envy.alloc.bundles.items() ^ ev.snapshot.items() if b}
-        try:
-            moved = envy.step({u: ev.snapshot.get(u, frozenset()) for u in changed})
-        except InputError:
-            # name the agent that checking the snapshot from scratch names:
-            # the first in the snapshot's own order
-            Allocation(bundles=ev.snapshot)
-            raise
+        moved = envy.step(changes)
+        changed = changes.keys()
         alloc = envy.alloc
 
-        # localized envy: snapshot EFX, envy only favourite -> resolved root
+        # localized envy: the allocation is EFX, envy only favourite -> resolved root
         unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
         touched = {(y, w) for y in changed for w in envy.out_neighbours(y)}
         touched.update((u, y) for y in changed for u in envy.in_neighbours(y))

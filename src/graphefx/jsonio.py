@@ -146,18 +146,19 @@ def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path])
 
 
 def save_trace(trace: list[TraceEvent], path: Union[str, Path]) -> None:
-    fragments: dict = {}  # (agent, bundle) -> its encoded text, shared by every snapshot
-    _write(path, (event_line(ev, fragments) + "\n" for ev in trace))
+    held: dict = {}  # agent -> its bundle's text in the running snapshot
+    _write(path, (event_line(ev, held) + "\n" for ev in trace))
 
 
 def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
     events = []
+    held: dict = {}  # agent -> its bundle in the running snapshot
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
-                    events.append(event_from_json(json.loads(line), len(events), graph))
+                    events.append(event_from_json(json.loads(line), len(events), graph, held))
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     check_trace(events, graph)

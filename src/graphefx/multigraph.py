@@ -217,20 +217,26 @@ class MultiGraph:
         t = 1 needs no edges and t = 2 is the bipartition's coloring.  Only
         t >= 3 is an exact search, for desk-scale graphs (n <= 20 or so):
         vertices in index order, colors ascending, which is deterministic.
+        It runs once per t_max and component.  Each call returns a new
+        ``Coloring``, so a caller cannot change the cached one.
         """
         if t_max < 1:
             raise InputError("t_max must be at least 1")
-        vertices = self.vertices(component)
-        if not any(map(self._adj.__getitem__, vertices)):
-            return Coloring(colors=dict.fromkeys(vertices, 0), t=1)
-        col = self.bipartition(component)
-        if col is not None:
-            return col if t_max >= 2 else None
-        for t in range(3, t_max + 1):
-            colors = self._try_color(t, vertices)
-            if colors is not None:
-                return Coloring(colors=colors, t=t)
-        return None
+
+        def search(vertices: Sequence[int]) -> Optional[tuple[tuple[tuple[int, int], ...], int]]:
+            if not any(map(self._adj.__getitem__, vertices)):
+                return tuple((v, 0) for v in vertices), 1
+            col = self.bipartition(component)
+            if col is not None:
+                return (tuple(col.colors.items()), 2) if t_max >= 2 else None
+            for t in range(3, t_max + 1):
+                colors = self._try_color(t, vertices)
+                if colors is not None:
+                    return tuple(colors.items()), t
+            return None
+
+        found = self._memoized(("find_coloring", t_max), component, search)
+        return None if found is None else Coloring(colors=dict(found[0]), t=found[1])
 
     def _try_color(self, t: int, vertices: Sequence[int]) -> Optional[dict[int, int]]:
         # Backtracking with an explicit stack: ``colors`` maps the leading

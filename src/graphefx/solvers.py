@@ -11,8 +11,8 @@ envy with cycle resolution.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Optional, Sequence
 
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import (  # noqa: F401
@@ -66,6 +66,11 @@ def _table_agent(inst: Instance, agents: Sequence[int]) -> Optional[int]:
     return next((u for u in agents if isinstance(inst.valuations[u], Table)), None)
 
 
+def _changed(alloc: Allocation, changes: Mapping[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+    """The entries of ``changes`` that give an agent another bundle than it holds in ``alloc``."""
+    return {u: b for u, b in changes.items() if b != alloc.bundle(u)}
+
+
 def _resolve_structure(
     inst: Instance, alloc: Allocation, holder: dict[int, int], u: int, right: list[int], phase: int
 ) -> tuple[Allocation, StructureResolved]:
@@ -77,7 +82,7 @@ def _resolve_structure(
     """
     if not right:
         return alloc, StructureResolved(phase=phase, root=u, favourite=None, branch=None,
-                                        snapshot=alloc.bundles.copy(), transfers=())
+                                        changes={}, transfers=())
 
     v_u = inst.valuations[u]
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
@@ -113,11 +118,12 @@ def _resolve_structure(
         give(u, rest | leftover)
         give(fav, s_piece)
 
+    changes = _changed(alloc, changes)
     alloc = alloc.with_bundles(changes, holder)
     for v, b in changes.items():  # goods change hands, but none leaves the allocation
         holder.update(dict.fromkeys(b, v))
     return alloc, StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
-                                    snapshot=alloc.bundles.copy(), transfers=transfers)
+                                    changes=changes, transfers=transfers)
 
 
 def chromatic_efx(inst: Instance, col: Coloring,
@@ -174,8 +180,9 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
 
     def shift(cycle: list[int]) -> None:
         shifted = resolve_cycle(envy.alloc, cycle)
-        envy.step({u: shifted.bundle(u) for u in cycle})
-        trace.append(CycleResolved(cycle=tuple(cycle), snapshot=envy.alloc.bundles.copy()))
+        changes = _changed(envy.alloc, {u: shifted.bundle(u) for u in cycle})
+        envy.step(changes)
+        trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
 
     for leaf, parent in _attach_order(inst.graph, component):
         cycle = envy.find_cycle()
@@ -191,11 +198,11 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         # envies no one and is never that source.
         source = find_source_with_path(envy, parent)
         recipient = parent if source is None else source[0]
-        envy.step({leaf: leaf_piece, recipient: envy.alloc.bundle(recipient) | rest})
-        trace.append(
-            LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                         leftover_to=recipient, snapshot=envy.alloc.bundles.copy())
-        )
+        changes = _changed(envy.alloc, {leaf: leaf_piece,
+                                        recipient: envy.alloc.bundle(recipient) | rest})
+        envy.step(changes)
+        trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
+                                  leftover_to=recipient, changes=changes))
         if source is not None:
             s_vertex, path = source
             if envy.envies(parent, s_vertex):
@@ -372,7 +379,10 @@ def solve(
     Agents value only their incident goods, so the union of EFX allocations
     of the components is EFX.  Each component is solved on the instance's
     own ids, starting from an empty allocation, and its trace follows the
-    previous component's.  On a disconnected instance each component takes
+    previous component's.  So that the bundles held after each event are
+    those of the component being solved, the first step event of each later
+    component also empties every bundle the trace has given so far.  On a
+    disconnected instance each component takes
     its part of the hint, with its colors made dense.  When ``verdicts`` is
     a list, one list per component is appended to it: the verdicts of the
     solvers tried, in order, ending with the one that ran.
@@ -385,11 +395,18 @@ def solve(
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
     methods: list[str] = []
+    held: set[int] = set()  # the agents that hold goods after the trace so far
     for comp in comps:
         sub_hint = hint if hint is None or len(comps) == 1 else _component_hint(hint, comp)
         alloc, method, sub_trace, tried = _dispatch_component(inst, sub_hint, comp)
         verdicts.append(tried)
         bundles.update(alloc.bundles)
+        first = next((i for i, ev in enumerate(sub_trace) if not isinstance(ev, ColoringUsed)), None)
+        if first is not None:
+            withdrawn = dict.fromkeys(sorted(held), frozenset())
+            sub_trace[first] = replace(sub_trace[first],
+                                       changes={**withdrawn, **sub_trace[first].changes})
+            held = set(alloc.bundles)  # the component's last step leaves its allocation
         trace += sub_trace
         methods.append(method)
     method = methods[0] if len(set(methods)) == 1 else "componentwise(" + ",".join(methods) + ")"

@@ -2,19 +2,25 @@
 
 Traces serialize to JSON-lines, one event per line.  The field types below are
 the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
-marks colors, t and phases.  The JSON reader is generic over them, and checks
-each id where it reads it.
+marks colors, t and phases, and ``Branch`` a branch name.  The JSON reader is
+generic over them, and checks each id and name where it reads it.
+
+A step event (all but ``ColoringUsed``) holds ``changes``, the bundles its
+step changed, as ``StructureResolved`` describes.  Its line holds ``snapshot``
+instead, every bundle after the step: the writer folds the events' changes
+into a running snapshot, and the reader diffs each snapshot line against the
+one before it.  This module is the only one that knows the file's form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse
 from typing import TYPE_CHECKING, Callable, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
 
+from .allocation import Allocation
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -23,6 +29,12 @@ if TYPE_CHECKING:
 Agent = NewType("Agent", int)
 Good = NewType("Good", int)
 Count = NewType("Count", int)
+Branch = NewType("Branch", str)
+
+BRANCH_SAME_KEEP = "same_bundle_keep"
+BRANCH_SAME_LEFTOVERS = "same_bundle_leftovers"
+BRANCH_DIFFERENT = "different_bundles"
+BRANCHES = (BRANCH_SAME_KEEP, BRANCH_SAME_LEFTOVERS, BRANCH_DIFFERENT)
 
 
 @dataclass(frozen=True)
@@ -38,19 +50,21 @@ class ColoringUsed:
 class StructureResolved:
     """One root's star of right-neighbour edge loops was fully assigned.
 
-    ``snapshot`` is the partial allocation of the component being solved
-    after the iteration: every bundle of a connected instance, but only this
-    component's bundles in a component-wise solve.  ``transfers`` lists goods
-    that moved from an existing bundle, as (good, from_agent, to_agent).
-    ``favourite`` is None for a root with no unallocated right-neighbour edges.
+    ``changes`` maps each agent whose bundle the step changed to its new
+    bundle, empty for a bundle that was emptied.  The first step event of a
+    later component in a component-wise solve also empties every bundle of
+    the earlier ones, so the bundles held after an event are those of the
+    component being solved.  ``transfers`` lists goods that moved from an
+    existing bundle, as (good, from_agent, to_agent).  ``favourite`` is None
+    for a root with no unallocated right-neighbour edges.
     """
 
     kind = "structure_resolved"
     phase: Count
     root: Agent
     favourite: Optional[Agent]
-    branch: Optional[str]  # same_bundle_keep | same_bundle_leftovers | different_bundles
-    snapshot: dict[Agent, frozenset[Good]]
+    branch: Optional[Branch]  # one of BRANCHES
+    changes: dict[Agent, frozenset[Good]]
     transfers: tuple[tuple[Good, Agent, Agent], ...]
 
 
@@ -63,7 +77,7 @@ class LeafAttached:
     parent: Agent
     pieces: tuple[frozenset[Good], frozenset[Good]]  # (leaf's piece, complement)
     leftover_to: Agent
-    snapshot: dict[Agent, frozenset[Good]]
+    changes: dict[Agent, frozenset[Good]]
 
 
 @dataclass(frozen=True)
@@ -72,45 +86,46 @@ class CycleResolved:
 
     kind = "cycle_resolved"
     cycle: tuple[Agent, ...]
-    snapshot: dict[Agent, frozenset[Good]]
+    changes: dict[Agent, frozenset[Good]]
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
 
-BRANCH_SAME_KEEP = "same_bundle_keep"
-BRANCH_SAME_LEFTOVERS = "same_bundle_leftovers"
-BRANCH_DIFFERENT = "different_bundles"
-
-
-# The ``type`` tag of each event on a trace line.
+# The ``type`` tag of each event on a trace line, and each event's fields and their types.
 EVENT_KINDS = {cls.kind: cls for cls in get_args(TraceEvent)}
+_FIELDS = {cls: tuple(get_type_hints(cls).items()) for cls in EVENT_KINDS.values()}
 
 
 @lru_cache(maxsize=None)
 def _shape(tp) -> tuple:
-    """(origin, args) of a field type: ("event", its fields and their types) for an
-    event class, and origin None for an id or a str."""
-    if is_dataclass(tp):
-        return "event", tuple(get_type_hints(tp).items())
+    """(origin, args) of a field type; origin None for an id or a name."""
     return get_origin(tp), get_args(tp)
 
 
-def _read(tp, x, checks: dict):
-    """``x``, a value read from JSON, as a value of type ``tp``, each id of role r
-    passed through ``checks[r]``.
+def _key(k: str) -> Union[int, str]:
+    """A JSON object key as the integer it spells, when it is that integer's own
+    text; otherwise the key itself, which no id check accepts."""
+    try:
+        n = int(k)
+    except ValueError:
+        return k
+    return n if str(n) == k else k
 
-    An event is read from a mapping of its fields, a dict key is read as an
-    int, and a fixed-length tuple of the wrong length raises ValueError.
+
+def _read(tp, x, checks: dict):
+    """``x``, a value read from JSON, as a value of type ``tp``, each id or name
+    of role r passed through ``checks[r]``.
+
+    A dict key is read as an int, and a fixed-length tuple of the wrong
+    length raises ValueError.
     """
     origin, args = _shape(tp)
-    if origin is None:  # an id, checked by its role, or a str, kept as read
-        return checks[tp](x) if tp in checks else x
-    if origin == "event":
-        return tp(**{f: _read(ft, x[f], checks) for f, ft in args})
+    if origin is None:  # an id or a name, checked by its role
+        return checks[tp](x)
     if origin is Union:  # Optional[T]
         return None if x is None else _read(args[0], x, checks)
     if origin is dict:
-        return {_read(args[0], int(k), checks): _read(args[1], v, checks) for k, v in x.items()}
+        return {_read(args[0], _key(k), checks): _read(args[1], v, checks) for k, v in x.items()}
     if origin is frozenset:  # a set of ids: check them without a recursive call per id
         return frozenset(map(checks[args[0]], x))
     if args[-1] is Ellipsis:
@@ -134,6 +149,18 @@ def _id_check(i: int, kind: str, bound: Optional[int]) -> Callable[[int], int]:
     return check
 
 
+def _branch_check(i: int) -> Callable[[str], str]:
+    """The identity on the names in BRANCHES; raises InputError naming event ``i`` otherwise."""
+
+    def check(x):
+        if x not in BRANCHES:
+            raise InputError(f"trace event {i} names branch {x!r}, not {', '.join(BRANCHES)}"
+                             " or null")
+        return x
+
+    return check
+
+
 def _to_json(x):
     if isinstance(x, frozenset):
         return sorted(x)
@@ -144,44 +171,59 @@ def _to_json(x):
     return x
 
 
-def _snapshot_text(snapshot: dict, fragments: dict) -> str:
-    """``snapshot`` as a JSON object in string-sorted agent order, empty bundles left out.
-
-    Each bundle's ``"agent": [goods]`` text is looked up in ``fragments`` by
-    (agent, bundle) and encoded only on a miss.  A '"' sorts before every
-    digit, so sorting the texts sorts them by their agent strings.
-    """
-    items = snapshot.items()
-    for u, b in filterfalse(fragments.__contains__, items):
-        fragments[u, b] = f'"{u}": [{", ".join(map(str, sorted(b)))}]' if b else ""
-    return "{" + ", ".join(sorted(filter(None, map(fragments.__getitem__, items)))) + "}"
-
-
-def event_line(ev: TraceEvent, fragments: dict) -> str:
+def event_line(ev: TraceEvent, held: dict) -> str:
     """One trace line: the event as a JSON object with sorted keys, its ``type``
-    tag beside its fields, a dict with string keys, a set as a sorted list, a
-    tuple as a list, and an empty snapshot bundle left out.
+    tag beside its fields, a dict with string keys, a set as a sorted list and
+    a tuple as a list.
 
-    ``fragments`` caches the text of each snapshot bundle.  A writer passes
-    one dict for a whole trace: a bundle a step left alone is the same object
-    in the next snapshot, so it is encoded once.
+    A step event's ``changes`` are written as its ``snapshot``, every
+    non-empty bundle after the step.  ``held`` maps each agent holding goods
+    before the event to its bundle's text, ``"agent": [goods]``: a writer
+    passes one dict for a whole trace, and each call applies the event's
+    changes to it.  A '"' sorts before every digit, so sorting the texts
+    sorts them by their agent strings.
     """
     texts = {"type": json.dumps(ev.kind)}
     for f, v in vars(ev).items():
-        texts[f] = (_snapshot_text(v, fragments) if f == "snapshot"
-                    else json.dumps(_to_json(v), sort_keys=True))
+        if f == "changes":
+            for u, b in v.items():
+                if b:
+                    held[u] = f'"{u}": [{", ".join(map(str, sorted(b)))}]'
+                else:
+                    held.pop(u, None)
+            texts["snapshot"] = "{" + ", ".join(sorted(held.values())) + "}"
+        else:
+            texts[f] = json.dumps(_to_json(v), sort_keys=True)
     return "{" + ", ".join(f'"{f}": {text}' for f, text in sorted(texts.items())) + "}"
 
 
-def event_from_json(obj: dict, i: int, graph: "MultiGraph") -> TraceEvent:
-    """Event ``i`` of a trace on ``graph``, from its line; each field is read as
-    its declared type, each agent id must be in 0..n-1, each good id in 0..m-1,
-    and each color, t and phase a nonnegative integer."""
+def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:
+    """Event ``i`` of a trace on ``graph``, from its line.
+
+    Each field is read as its declared type: each agent id must be in
+    0..n-1, each good id in 0..m-1, each color, t and phase a nonnegative
+    integer, and a branch one of BRANCHES or null.  ``held`` is the snapshot
+    before the event, agent -> bundle: a reader passes one dict for a whole
+    trace, and it becomes the snapshot on a step event's line.  That event's
+    ``changes`` are the agents whose bundle differs between the two, in the
+    line's order, then the agents the line leaves out.  Two bundles of a
+    snapshot that meet raise what ``Allocation`` raises on the line.
+    """
     kind = obj.get("type")
     cls = EVENT_KINDS.get(kind)
     if cls is None:
         raise InputError(f"unknown trace event type {kind!r}")
     checks = {Agent: _id_check(i, "agent", graph.vertex_count),
               Good: _id_check(i, "good", graph.edge_count),
-              Count: _id_check(i, "count", None)}
-    return _read(cls, obj, checks)
+              Count: _id_check(i, "count", None),
+              Branch: _branch_check(i)}
+    fields = {f: _read(ft, obj["snapshot" if f == "changes" else f], checks)
+              for f, ft in _FIELDS[cls]}
+    if "changes" in fields:
+        snapshot = Allocation(bundles=fields["changes"]).bundles
+        changes = {u: b for u, b in snapshot.items() if held.get(u) != b}
+        changes.update((u, frozenset()) for u in held if u not in snapshot)
+        held.clear()
+        held.update(snapshot)
+        fields["changes"] = changes
+    return cls(**fields)

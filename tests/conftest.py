@@ -100,6 +100,7 @@ def tamper_trace(inst, trace, family):
         applicable, msgs = audit_trace(inst, candidate).results[family]
         return applicable and msgs
 
+    events = folded(trace)
     indices = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
     for i in indices:
         ev = trace[i]
@@ -109,22 +110,57 @@ def tamper_trace(inst, trace, family):
             if fails(candidate):
                 return candidate
             continue
-        holders = sorted(ev.snapshot)
+        snapshot = events[i]["snapshot"]
+        holders = sorted(snapshot)
         for holder in holders:
-            for g in sorted(ev.snapshot[holder]):
+            for g in sorted(snapshot[holder]):
                 for target in range(inst.graph.vertex_count):
                     if target == holder:
                         continue
-                    snap = {u: set(b) for u, b in ev.snapshot.items()}
+                    snap = {u: set(b) for u, b in snapshot.items()}
                     snap[holder].discard(g)
                     snap.setdefault(target, set()).add(g)
-                    bad = dataclasses.replace(
-                        ev, snapshot={u: frozenset(b) for u, b in snap.items() if b}
-                    )
-                    candidate = trace[:i] + [bad] + trace[i + 1:]
+                    bad = {**events[i], "snapshot": {u: frozenset(b) for u, b in snap.items() if b}}
+                    candidate = unfolded(events[:i] + [bad] + events[i + 1:])
                     if fails(candidate):
                         return candidate
     return None
+
+
+def folded(trace):
+    """Each event of ``trace`` as a dict of its ``type`` and its fields, where a
+    step event's ``changes`` are folded into its ``snapshot``: the non-empty
+    bundles held after it, from the start of the trace."""
+    held, events = {}, []
+    for ev in trace:
+        fields = {"type": ev.kind, **vars(ev)}
+        changes = fields.pop("changes", None)
+        if changes is not None:
+            held = {**held, **changes}
+            held = {u: b for u, b in held.items() if b}
+            fields["snapshot"] = held
+        events.append(fields)
+    return events
+
+
+def unfolded(events):
+    """The trace whose ``folded`` form is ``events``: each step event changes
+    exactly the bundles that differ from the snapshot before it."""
+    from graphefx.trace import EVENT_KINDS
+
+    held, trace = {}, []
+    for fields in events:
+        fields = dict(fields)
+        cls = EVENT_KINDS[fields.pop("type")]
+        snapshot = fields.pop("snapshot", None)
+        if snapshot is not None:
+            snapshot = {u: frozenset(b) for u, b in snapshot.items() if b}
+            changes = {u: b for u, b in snapshot.items() if held.get(u) != b}
+            changes.update((u, frozenset()) for u in held if u not in snapshot)
+            fields["changes"] = changes
+            held = snapshot
+        trace.append(cls(**fields))
+    return trace
 
 
 def _reference_allocated_adjacency(inst, holder_of):
@@ -181,11 +217,13 @@ def reference_audit_trace(inst, trace):
     favourite_of = {}
     resolved = set()
     phase_moved = {}
+    events = folded(trace)
 
     for idx, ev in structure_events:
         resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
-        alloc = Allocation(bundles=dict(ev.snapshot))
+        snapshot = events[idx]["snapshot"]
+        alloc = Allocation(bundles=dict(snapshot))
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
         envy = envy_graph(inst, alloc)
@@ -211,7 +249,7 @@ def reference_audit_trace(inst, trace):
 
         # distances along allocated edges; each BFS stops at ``depth``, beyond
         # every bound, so a vertex it does not reach reads as ``far``
-        holder_of = {g: w for w, b in ev.snapshot.items() for g in b}
+        holder_of = {g: w for w, b in snapshot.items() for g in b}
         adj = _reference_allocated_adjacency(inst, holder_of)
         dist_cache = {}
 
@@ -538,16 +576,21 @@ def _reference_to_json(x):
     return x
 
 
-def reference_event_to_json(ev):
+def reference_event_to_json(event):
     """One trace line as a dict: string keys, a set or tuple as a list, no empty bundle.
 
-    ``json.dumps(reference_event_to_json(ev), sort_keys=True)`` is the line
-    ``trace.event_line`` must write."""
-    return {"type": ev.kind, **{f: _reference_to_json(v) for f, v in vars(ev).items()}}
+    ``event`` is an event in ``folded`` form.  ``json.dumps(reference_event_to_json(event),
+    sort_keys=True)`` is the line ``trace.event_line`` must write."""
+    return {f: _reference_to_json(v) for f, v in event.items()}
 
 
 def _reference_snapshot(bundles):
     return {u: frozenset(b) for u, b in bundles.items() if b}
+
+
+def _reference_event(cls, **fields):
+    """An event of class ``cls`` in ``folded`` form."""
+    return {"type": cls.kind, **fields}
 
 
 def _reference_resolve_structure(inst, bundles, u, right, phase, trace):
@@ -563,8 +606,9 @@ def _reference_resolve_structure(inst, bundles, u, right, phase, trace):
     v_u = inst.valuations[u]
     right = [w for w in right if inst.graph.parallel_edges(u, w)]
     if not right:
-        trace.append(StructureResolved(phase=phase, root=u, favourite=None, branch=None,
-                                       snapshot=_reference_snapshot(bundles), transfers=()))
+        trace.append(_reference_event(StructureResolved, phase=phase, root=u, favourite=None,
+                                      branch=None, snapshot=_reference_snapshot(bundles),
+                                      transfers=()))
         return
     pieces = {}  # w -> (loop, S piece, T piece, same_pref)
     for w in sorted(right):
@@ -597,15 +641,16 @@ def _reference_resolve_structure(inst, bundles, u, right, phase, trace):
         branch = BRANCH_DIFFERENT
         bundles.setdefault(u, set()).update(s_piece | leftover)
         bundles.setdefault(fav, set()).update(t_piece)
-    trace.append(StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
-                                   snapshot=_reference_snapshot(bundles), transfers=transfers))
+    trace.append(_reference_event(StructureResolved, phase=phase, root=u, favourite=fav,
+                                  branch=branch, snapshot=_reference_snapshot(bundles),
+                                  transfers=transfers))
 
 
 def reference_chromatic_efx(inst, col):
     """The chromatic solver's phase loop over a mutable set dict, without precondition checks."""
     from graphefx.trace import ColoringUsed
 
-    trace = [ColoringUsed(colors=dict(col.colors), t=col.t)]
+    trace = [_reference_event(ColoringUsed, colors=dict(col.colors), t=col.t)]
     bundles = {}
     for phase in range(1, col.t):
         for u in sorted(v for v in range(inst.graph.vertex_count) if col.colors[v] == phase - 1):
@@ -633,7 +678,8 @@ def reference_bipartite_efx(inst, bipart):
     if table is not None:
         raise UnsupportedValuationError("bipartite_efx requires cancellable-family valuations;"
                                         f" agent {table} has a table valuation")
-    trace = [ColoringUsed(colors={v: (0 if v in left else 1) for v in range(n)}, t=2)]
+    trace = [_reference_event(ColoringUsed, colors={v: (0 if v in left else 1) for v in range(n)},
+                              t=2)]
     bundles = {}
     for u in sorted(left):
         _reference_resolve_structure(inst, bundles, u, sorted(inst.graph.neighbours(u)), 1, trace)
@@ -680,7 +726,8 @@ def reference_tree_efx(inst):
         cycle = reference_find_envy_cycle(eg, inst.graph.vertex_count)
         while cycle is not None:
             apply(resolve_cycle(current(), cycle))
-            trace.append(CycleResolved(cycle=tuple(cycle), snapshot=_reference_snapshot(bundles)))
+            trace.append(_reference_event(CycleResolved, cycle=tuple(cycle),
+                                          snapshot=_reference_snapshot(bundles)))
             eg = envy_graph(inst, current())
             cycle = reference_find_envy_cycle(eg, inst.graph.vertex_count)
         loop = inst.graph.parallel_edges(leaf, parent)
@@ -690,15 +737,17 @@ def reference_tree_efx(inst):
         source = find_source_with_path(eg, parent)
         recipient = parent if source is None else source[0]
         bundles.setdefault(recipient, set()).update(rest)
-        trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                                  leftover_to=recipient, snapshot=_reference_snapshot(bundles)))
+        trace.append(_reference_event(LeafAttached, leaf=leaf, parent=parent,
+                                      pieces=(leaf_piece, rest), leftover_to=recipient,
+                                      snapshot=_reference_snapshot(bundles)))
         if source is not None:
             s_vertex, path = source
             v_p = inst.valuations[parent]
             if v_p.value(bundles.get(parent, set())) < v_p.value(bundles.get(s_vertex, set())):
                 cyc = [parent] + path[:-1]
                 apply(resolve_cycle(current(), cyc))
-                trace.append(CycleResolved(cycle=tuple(cyc), snapshot=_reference_snapshot(bundles)))
+                trace.append(_reference_event(CycleResolved, cycle=tuple(cyc),
+                                              snapshot=_reference_snapshot(bundles)))
     return current(), trace
 
 
@@ -827,22 +876,22 @@ def moved_event(ev, agent, good):
     good id by ``good``; colors, t and phases are kept."""
     from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
 
-    def bundles(snapshot):
-        return {agent(u): frozenset(map(good, b)) for u, b in snapshot.items()}
+    def bundles(changes):
+        return {agent(u): frozenset(map(good, b)) for u, b in changes.items()}
 
     if isinstance(ev, ColoringUsed):
         return ColoringUsed(colors={agent(u): c for u, c in ev.colors.items()}, t=ev.t)
     if isinstance(ev, StructureResolved):
         return dataclasses.replace(
-            ev, root=agent(ev.root), snapshot=bundles(ev.snapshot),
+            ev, root=agent(ev.root), changes=bundles(ev.changes),
             favourite=None if ev.favourite is None else agent(ev.favourite),
             transfers=tuple((good(g), agent(a), agent(b)) for g, a, b in ev.transfers))
     if isinstance(ev, LeafAttached):
         return LeafAttached(leaf=agent(ev.leaf), parent=agent(ev.parent),
                             pieces=tuple(frozenset(map(good, p)) for p in ev.pieces),
-                            leftover_to=agent(ev.leftover_to), snapshot=bundles(ev.snapshot))
+                            leftover_to=agent(ev.leftover_to), changes=bundles(ev.changes))
     assert isinstance(ev, CycleResolved)
-    return CycleResolved(cycle=tuple(map(agent, ev.cycle)), snapshot=bundles(ev.snapshot))
+    return CycleResolved(cycle=tuple(map(agent, ev.cycle)), changes=bundles(ev.changes))
 
 
 def interleaved_union(rng: random.Random, parts):

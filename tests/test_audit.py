@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -24,10 +25,12 @@ from graphefx.trace import (
 
 from .conftest import (
     CountingValuation,
+    folded,
     random_family_valuation,
     reference_audit_trace,
     reference_event_to_json,
     tamper_trace,
+    unfolded,
 )
 
 
@@ -112,11 +115,25 @@ def test_unions_of_phase_based_components_pass():
                 assert all(applicable for applicable, _ in report.results.values())
 
 
+def _phase_tree_phase_union(rng, kind):
+    """A multi-cycle of length 5, a multi-tree and a 4-cycle, on agents in that
+    order, so that ``solve`` traces the tree between two phase-based components."""
+    tree = gen_multitree(seed=rng.randrange(100), n=6, max_parallel=3)[0].graph
+    cycles = _cycle_union(rng, (5, 4), kind).graph
+    shift = {v: v if v < 5 else v + 6 for v in range(9)}
+    pairs = [(shift[a], shift[b]) for a, b in cycles.edges]
+    pairs += [(a + 5, b + 5) for a, b in tree.edges]
+    g = MultiGraph(15, pairs)
+    vals = {u: random_family_valuation(rng, kind, sorted(g.incident_edges(u)), 40)
+            for u in range(15)}
+    return Instance(graph=g, valuations=vals)
+
+
 def _read_back(trace, graph):
     """``trace`` written line by line and read back as ``load_trace`` reads a
     file on ``graph``."""
-    fragments = {}
-    events = [event_from_json(json.loads(event_line(ev, fragments)), i, graph)
+    texts, held = {}, {}
+    events = [event_from_json(json.loads(event_line(ev, texts)), i, graph, held)
               for i, ev in enumerate(trace)]
     check_trace(events, graph)
     return events
@@ -138,15 +155,25 @@ def test_check_trace_accepts_solver_traces():
     (lambda line: {**line, "snapshot": {"0": ["x"]}}, "good 'x'"),
     (lambda line: {**line, "transfers": [[0, 1, -1]]}, "agent -1"),
     (lambda line: {**line, "phase": None}, "count None"),
+    # a dict key is an id only when it is the text of that integer
+    (lambda line: {**line, "snapshot": {" 1 ": [0]}}, "agent ' 1 '"),
+    (lambda line: {**line, "snapshot": {"01": [0]}}, "agent '01'"),
+    (lambda line: {**line, "snapshot": {"-2": [0]}}, "agent -2"),
+    (lambda line: {**line, "branch": [5, {"x": 1}]}, "branch [5, {'x': 1}]"),
+    (lambda line: {**line, "branch": "keep"}, "branch 'keep'"),
 ])
 def test_check_trace_rejects_bad_ids(b1_instance, edit, message):
-    lines = [json.loads(event_line(ev, {}))
+    texts = {}
+    lines = [json.loads(event_line(ev, texts))
              for ev in chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]]
     lines[1] = edit(lines[1])
-    with pytest.raises(InputError, match=f"trace event 1 names {message}, not ") as err:
-        [event_from_json(line, i, b1_instance.graph) for i, line in enumerate(lines)]
+    with pytest.raises(InputError, match=re.escape(f"trace event 1 names {message}, not ")) as err:
+        held = {}
+        [event_from_json(line, i, b1_instance.graph, held) for i, line in enumerate(lines)]
     # only an id too large for the graph is out of range; the others are not ids at all
-    assert str(err.value).endswith("not in 0..2" if message == "agent 99" else "not a nonnegative integer")
+    assert str(err.value).endswith(
+        "not in 0..2" if message == "agent 99"
+        else " or null" if message.startswith("branch") else "not a nonnegative integer")
 
 
 def test_check_trace_rejects_uncolored_holders(b1_instance):
@@ -163,19 +190,19 @@ EVENT_LINES = [
     (ColoringUsed(colors={1: 0, 0: 2}, t=3),
      {"type": "coloring_used", "colors": {"0": 2, "1": 0}, "t": 3}),
     (StructureResolved(phase=2, root=1, favourite=3, branch="same_bundle_keep",
-                       snapshot={3: frozenset({2, 0}), 1: frozenset({4}), 5: frozenset()},
+                       changes={3: frozenset({2, 0}), 1: frozenset({4}), 5: frozenset()},
                        transfers=((2, 1, 3), (0, 1, 3))),
      {"type": "structure_resolved", "phase": 2, "root": 1, "favourite": 3,
       "branch": "same_bundle_keep", "snapshot": {"1": [4], "3": [0, 2]},
       "transfers": [[2, 1, 3], [0, 1, 3]]}),
-    (StructureResolved(phase=1, root=0, favourite=None, branch=None, snapshot={}, transfers=()),
+    (StructureResolved(phase=1, root=0, favourite=None, branch=None, changes={}, transfers=()),
      {"type": "structure_resolved", "phase": 1, "root": 0, "favourite": None, "branch": None,
       "snapshot": {}, "transfers": []}),
     (LeafAttached(leaf=2, parent=0, pieces=(frozenset({3, 1}), frozenset()), leftover_to=0,
-                  snapshot={2: frozenset({1, 3})}),
+                  changes={2: frozenset({1, 3})}),
      {"type": "leaf_attached", "leaf": 2, "parent": 0, "pieces": [[1, 3], []],
       "leftover_to": 0, "snapshot": {"2": [1, 3]}}),
-    (CycleResolved(cycle=(2, 0, 1), snapshot={0: frozenset({1})}),
+    (CycleResolved(cycle=(2, 0, 1), changes={0: frozenset({1})}),
      {"type": "cycle_resolved", "cycle": [2, 0, 1], "snapshot": {"0": [1]}}),
 ]
 
@@ -185,7 +212,7 @@ def test_trace_line_format(event, line):
     text = json.dumps(line, sort_keys=True)
     assert event_line(event, {}) == text
     # the lines name agents up to 5 and goods up to 4
-    assert event_line(event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5)), {}) == text
+    assert event_line(event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5), {}), {}) == text
 
 
 def test_solver_events_round_trip_through_json():
@@ -204,14 +231,33 @@ def test_solver_events_round_trip_through_json():
         assert _read_back(events, graph) == events
 
 
+def test_a_tree_between_phase_based_components_writes_reads_and_audits(tmp_path):
+    rng = random.Random(19)
+    for kind in ("additive", "unit_demand", "budget_additive"):
+        for _ in range(3):
+            inst = _phase_tree_phase_union(rng, kind)
+            _, method, trace = solve(inst)
+            assert method == "componentwise(chromatic,tree,bipartite)"
+            leaves = [i for i, ev in enumerate(trace) if isinstance(ev, LeafAttached)]
+            structures = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
+            assert structures[0] < leaves[0] and leaves[-1] < structures[-1]
+            path = tmp_path / "u.trace.jsonl"
+            save_trace(trace, path)
+            want = "".join(line + "\n" for line in _reference_lines(trace))
+            assert path.read_text(encoding="utf-8") == want
+            assert load_trace(path, inst.graph) == trace
+            report = audit_trace(inst, trace)
+            assert report.ok and report == reference_audit_trace(inst, trace)
+
+
 def _written(trace):
-    """The writer's line for each event, with one bundle cache for the whole trace."""
-    fragments = {}
-    return [event_line(ev, fragments) for ev in trace]
+    """The writer's line for each event, with one running snapshot for the whole trace."""
+    texts = {}
+    return [event_line(ev, texts) for ev in trace]
 
 
 def _reference_lines(trace):
-    return [json.dumps(reference_event_to_json(ev), sort_keys=True) for ev in trace]
+    return [json.dumps(reference_event_to_json(ev), sort_keys=True) for ev in folded(trace)]
 
 
 def test_writer_matches_reference_encoder(tmp_path):
@@ -219,14 +265,19 @@ def test_writer_matches_reference_encoder(tmp_path):
     bipartite = solve(gen_bipartite(seed=3, n_left=8, n_right=8)[0])[2]
     chromatic = solve(gen_petersen(seed=4, parallel_copies=2)[0])[2]
     union = solve(_cycle_union(random.Random(17), (5, 7), "additive"))[2]
-    # The union's snapshots again, with an empty bundle for every agent that holds nothing.
-    nothing = {u: frozenset() for u in range(12)}
-    padded = [dataclasses.replace(ev, snapshot={**nothing, **ev.snapshot})
-              for ev in union if isinstance(ev, StructureResolved)]
+    # The union's structure events again, each also emptying every bundle
+    # that is empty before and after it.
+    structures = [ev for ev in union if isinstance(ev, StructureResolved)]
+    padded = [dataclasses.replace(ev, changes={**{u: frozenset() for u in range(12)
+                                                  if not snapshot["snapshot"].get(u)},
+                                               **ev.changes})
+              for ev, snapshot in zip(structures, folded(structures))]
     assert any(isinstance(ev, CycleResolved) for ev in tree)
-    assert any(ev.snapshot.keys() >= {9, 10} for ev in padded)  # "10" is written before "9"
+    # "10" is written before "9"
+    assert any(ev["snapshot"].keys() >= {9, 10} for ev in folded(padded))
     for trace in (tree, bipartite, chromatic, union, padded):
         assert _written(trace) == _reference_lines(trace)
+    assert _written(padded) == _written(structures)
     path = tmp_path / "all.trace.jsonl"
     everything = tree + bipartite + chromatic + union + padded
     save_trace(everything, path)
@@ -238,10 +289,11 @@ def test_writer_matches_reference_encoder(tmp_path):
 @given(st.lists(st.frozensets(st.integers(0, 30), max_size=4), min_size=1, max_size=4),
        st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=9),
                 min_size=1, max_size=6))
-def test_writer_caches_a_bundle_per_agent(pool, steps):
-    # Snapshots take their bundles from a few frozenset objects, so one object
-    # is held by several agents in one snapshot and across snapshots.
-    trace = [CycleResolved(cycle=(0, 1), snapshot={u: pool[i % len(pool)] for u, i in step})
+def test_writer_folds_any_changes(pool, steps):
+    # Changes take their bundles from a few frozenset objects, so one object
+    # is held by several agents in one snapshot and across snapshots, and a
+    # change may empty a bundle that is already empty or leave one as it is.
+    trace = [CycleResolved(cycle=(0, 1), changes={u: pool[i % len(pool)] for u, i in step})
              for step in steps]
     assert _written(trace) == _reference_lines(trace)
 
@@ -269,17 +321,17 @@ def _tampered(rng, inst, trace):
     edit holds in one event or in that event and all later ones.  Returns
     the copy and the kinds of its edits.
     """
-    trace = list(trace)
-    structures = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
+    trace = folded(trace)
+    structures = [i for i, ev in enumerate(trace) if ev["type"] == StructureResolved.kind]
     n = inst.graph.vertex_count
     kinds = []
     for _ in range(rng.randint(1, 3)):
         i = rng.choice(structures)
-        held = {g: u for u, b in trace[i].snapshot.items() for g in b}
+        held = {g: u for u, b in trace[i]["snapshot"].items() for g in b}
         kind = rng.choice(("move", "hand", "withdraw", "root")) if held else "root"
         kinds.append(kind)
         if kind == "root":
-            trace[i] = dataclasses.replace(trace[i], root=rng.randrange(n))
+            trace[i] = {**trace[i], "root": rng.randrange(n)}
             continue
         g = rng.choice(sorted(held))
         ends = inst.graph.endpoints(g)
@@ -289,11 +341,11 @@ def _tampered(rng, inst, trace):
         last = i if rng.random() < 0.5 else structures[-1]
         for j in structures:
             if i <= j <= last:
-                snapshot = {u: b - {g} for u, b in trace[j].snapshot.items()}
+                snapshot = {u: b - {g} for u, b in trace[j]["snapshot"].items()}
                 if to is not None:
                     snapshot[to] = snapshot.get(to, frozenset()) | {g}
-                trace[j] = dataclasses.replace(trace[j], snapshot=snapshot)
-    return trace, kinds
+                trace[j] = {**trace[j], "snapshot": snapshot}
+    return unfolded(trace), kinds
 
 
 def test_audit_matches_from_scratch_reference():
@@ -388,6 +440,29 @@ def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
         assert capsys.readouterr().out == _audit_output(report)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda line: {**line, "branch": [5, {"x": 1}]},
+     "names branch [5, {'x': 1}], not same_bundle_keep, same_bundle_leftovers,"
+     " different_bundles or null"),
+    (lambda line: {**line, "snapshot": {(" 3 " if k == "3" else k): b
+                                        for k, b in line["snapshot"].items()}},
+     "names agent ' 3 ', not a nonnegative integer"),
+])
+def test_audit_rejects_a_branch_or_key_that_is_not_one(tmp_path, capsys, edit, message):
+    inst, names = gen_petersen(seed=4, parallel_copies=2)
+    instance_path = tmp_path / "p.instance.json"
+    save_instance(inst, names, instance_path)
+    path = tmp_path / "p.trace.jsonl"
+    save_trace(solve(inst)[2], path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    i = next(i for i, line in enumerate(lines) if "3" in line.get("snapshot", ()))
+    lines[i] = edit(lines[i])
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: trace event {i} {message}\n")
+
+
 def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys):
     # A snapshot gives one good of agent 9 to agent 10 as well.  The file
     # lists agent "10" before "9", so checking that snapshot names agent 9.
@@ -395,12 +470,13 @@ def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys)
     instance_path = tmp_path / "b6.instance.json"
     save_instance(inst, names, instance_path)
     trace = solve(inst)[2]
-    i = next(i for i, ev in enumerate(trace)
-             if isinstance(ev, StructureResolved) and ev.snapshot.get(9) and ev.snapshot.get(10))
-    snapshot = dict(trace[i].snapshot)
+    events = folded(trace)
+    i = next(i for i, ev in enumerate(events) if ev["type"] == StructureResolved.kind
+             and ev["snapshot"].get(9) and ev["snapshot"].get(10))
+    snapshot = dict(events[i]["snapshot"])
     snapshot[10] = snapshot[10] | {min(snapshot[9])}
     path = tmp_path / "overlap.trace.jsonl"
-    save_trace(trace[:i] + [dataclasses.replace(trace[i], snapshot=snapshot)] + trace[i + 1:], path)
+    save_trace(unfolded(events[:i] + [{**events[i], "snapshot": snapshot}] + events[i + 1:]), path)
     capsys.readouterr()
     assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
     assert capsys.readouterr() == ("", "error: bundles are not disjoint at agent 9\n")

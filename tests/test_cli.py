@@ -708,6 +708,29 @@ def _no_coloring_search_below_three(monkeypatch):
     monkeypatch.setattr(MultiGraph, "_try_color", searched)
 
 
+def test_analyze_searches_each_component_coloring_once(tmp_path, capsys, monkeypatch):
+    # analyze reports each component's smallest coloring, and classify needs
+    # it again for the chromatic verdict: one t = 3 search per Petersen copy
+    try_color = MultiGraph._try_color
+    searched = []
+
+    def counted(self, t, vertices):
+        searched.append(t)
+        return try_color(self, t, vertices)
+
+    monkeypatch.setattr(MultiGraph, "_try_color", counted)
+    for copies, want in ((1, [3]), (2, [3, 3])):
+        petersen = gen_petersen(seed=4, parallel_copies=2)[0]
+        union, _, _ = interleaved_union(random.Random(copies), [petersen] * copies)
+        path = tmp_path / f"{copies}.instance.json"
+        save_instance(union, [f"a{i}" for i in range(union.graph.vertex_count)], path)
+        searched.clear()
+        assert main(["analyze", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-2] == "chromatic_number: " + (
+            "3" if copies == 1 else "componentwise(3; 3)")
+        assert searched == want
+
+
 def test_analyze_multi_tree_without_two_coloring_search(tmp_path, capsys, monkeypatch):
     # S_20: an exact 2-coloring search in index order backtracks 2^20 times
     _no_coloring_search_below_three(monkeypatch)

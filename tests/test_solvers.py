@@ -43,6 +43,7 @@ from .conftest import (
     CountingValuation,
     additive_instance,
     classifier_graphs,
+    folded,
     gnp_graph,
     interleaved_union,
     moved_event,
@@ -53,6 +54,7 @@ from .conftest import (
     reference_chromatic,
     reference_chromatic_efx,
     reference_tree_efx,
+    unfolded,
     zero_instance,
 )
 
@@ -109,7 +111,7 @@ def test_bipartite_efx_matches_reference_root_loop():
                 left = frozenset(v for v, c in coloring.colors.items() if c == 0)
                 right = frozenset(coloring.colors) - left
                 alloc, trace = chromatic_efx(inst, coloring)
-                assert (alloc, trace) == reference_bipartite_efx(inst, (left, right))
+                assert (alloc, folded(trace)) == reference_bipartite_efx(inst, (left, right))
                 assert len(trace) > 1
                 matched += 1
         assert matched == 80
@@ -193,9 +195,9 @@ def test_tree_own_value_never_decreases():
         inst, _ = gen_multitree(seed=seed, n=7, max_parallel=3, value_max=20)
         _, trace = tree_efx(inst)
         last = {u: 0 for u in range(inst.graph.vertex_count)}
-        for ev in trace:
+        for ev in folded(trace):
             for u in last:
-                now = inst.valuations[u].value(ev.snapshot.get(u, frozenset()))
+                now = inst.valuations[u].value(ev["snapshot"].get(u, frozenset()))
                 assert now >= last[u]
                 last[u] = now
 
@@ -247,10 +249,10 @@ def test_tree_efx_matches_set_dict_reference():
                                     valuation_kind=kind)
             alloc, trace = tree_efx(inst)
             expected = reference_tree_efx(inst)
-            assert (alloc, trace) == expected
+            assert (alloc, folded(trace)) == expected
             with pytest.raises(TypeError):
                 alloc.bundles[0] = frozenset()
-            assert trace == expected[1]
+            assert trace == unfolded(expected[1])
             cycles[kind] += sum(isinstance(ev, CycleResolved) for ev in trace)
     assert all(cycles.values()), cycles
 
@@ -269,10 +271,19 @@ def test_chromatic_efx_matches_set_dict_reference():
         col = inst.graph.find_coloring(3)
         alloc, trace = chromatic_efx(inst, col)
         expected = reference_chromatic_efx(inst, col)
-        assert (alloc, trace) == expected
+        assert (alloc, folded(trace)) == expected
         with pytest.raises(TypeError):
             alloc.bundles[0] = frozenset()
-        assert trace == expected[1]
+        assert trace == unfolded(expected[1])
+
+
+def test_trace_changes_are_linear_in_the_instance():
+    # Each event holds only the bundles its step changed.  A copy of every
+    # bundle per event held about 1.3 million entries on this multi-tree.
+    for inst in (gen_multitree(seed=3, n=1600)[0], gen_bipartite(seed=3, n_left=60, n_right=60)[0]):
+        trace = solve(inst)[2]
+        entries = sum(len(ev.changes) for ev in trace if not isinstance(ev, ColoringUsed))
+        assert 0 < entries <= 2 * (inst.graph.vertex_count + inst.graph.edge_count)
 
 
 def test_dispatch_multicycles():
@@ -350,7 +361,8 @@ def _parts_solved_and_mapped(parts, agents, goods, hints):
         tried = []
         alloc, method, events = solve(parts[p], hints[p], tried)
         bundles.update({agents[p][u]: frozenset(goods[p][g] for g in b) for u, b in alloc.bundles.items()})
-        trace += [moved_event(ev, agents[p].__getitem__, goods[p].__getitem__) for ev in events]
+        trace += folded([moved_event(ev, agents[p].__getitem__, goods[p].__getitem__)
+                         for ev in events])
         methods.append(method)
         verdicts.append([(v.solver, v.reason) for v in tried[0]])
     method = methods[0] if len(set(methods)) == 1 else f"componentwise({','.join(methods)})"
@@ -371,7 +383,8 @@ def test_interleaved_union_solves_like_its_parts(hinted):
                                     for v, c in col.colors.items()}, t=8)
         verdicts = []
         alloc, method, trace = solve(union, hint, verdicts)
-        got = alloc, method, trace, [[(v.solver, v.reason) for v in tried] for tried in verdicts]
+        got = (alloc, method, folded(trace),
+               [[(v.solver, v.reason) for v in tried] for tried in verdicts])
         assert got == _parts_solved_and_mapped(parts, agents, goods, hints), kinds
         assert is_efx(union, alloc).ok and alloc.is_complete(union)
 
