@@ -67,10 +67,14 @@ class MultiGraph:
         """The vertices of ``component``; every vertex when it is None."""
         return range(self.vertex_count) if component is None else component
 
-    def _memoized(self, key: str, component: Component, compute):
-        vertices = self.vertices(component)
+    def _memo_key(self, key: object, vertices: Sequence[int]) -> object:
         if len(vertices) != self.vertex_count:  # a component that is not the whole graph
-            key = (key, tuple(vertices))
+            return key, tuple(vertices)
+        return key
+
+    def _memoized(self, key: object, component: Component, compute):
+        vertices = self.vertices(component)
+        key = self._memo_key(key, vertices)
         if key not in self._memo:
             self._memo[key] = compute(vertices)
         return self._memo[key]
@@ -141,43 +145,82 @@ class MultiGraph:
         parts = self._components() if component is None else (component,)
         return all(sum(map(len, map(self._adj.__getitem__, p))) == 2 * len(p) - 2 for p in parts)
 
-    def girth(self, component: Component = None) -> float:
-        """Length of the shortest skeleton cycle; math.inf on a forest."""
-        length, _ = self.shortest_cycle(component)
+    def girth(self, component: Component = None, limit: Optional[int] = None) -> float:
+        """Length of the shortest skeleton cycle; math.inf on a forest.
+
+        With a ``limit``, math.inf also when the girth exceeds it.
+        """
+        length, _ = self.shortest_cycle(component, limit)
         return length
 
-    def shortest_cycle(self, component: Component = None) -> tuple[float, Optional[list[int]]]:
+    def shortest_cycle(self, component: Component = None,
+                       limit: Optional[int] = None) -> tuple[float, Optional[list[int]]]:
         """(girth, one shortest cycle as a vertex list), (inf, None) on forests.
 
         BFS from every vertex on the skeleton; non-tree edges close candidate
-        cycles and the overall minimum is exact.
+        cycles and the overall minimum is exact.  With a ``limit``, each BFS
+        stops at depth limit // 2 and the answer is (inf, None) when the girth
+        exceeds the limit.  The cycle is then the first one found through its
+        BFS root, the same at every limit it fits in, though it may differ
+        from the cycle found without a limit.  That search costs
+        O(n * maxdeg^(limit//2 + 1)) instead of O(n * m), and one search
+        answers every smaller limit.
         """
-        best, cycle = self._memoized("shortest_cycle", component, self._shortest_cycle)
+        if limit is None:
+            best, cycle = self._memoized("shortest_cycle", component, self._shortest_cycle)
+        elif limit < 3:  # no skeleton cycle is shorter than 3
+            return math.inf, None
+        else:
+            vertices = self.vertices(component)
+            key = self._memo_key("bounded_cycle", vertices)
+            searched, best, cycle = self._memo.get(key, (0, math.inf, None))
+            if best == math.inf and searched < limit:
+                best, cycle = self._shortest_cycle(vertices, limit)
+                self._memo[key] = limit, best, cycle
+            if best > limit:
+                return math.inf, None
         return best, None if cycle is None else list(cycle)
 
-    def _shortest_cycle(self, vertices: Sequence[int]) -> tuple[float, Optional[tuple[int, ...]]]:
+    def _shortest_cycle(self, vertices: Sequence[int],
+                        limit: float = math.inf) -> tuple[float, Optional[tuple[int, ...]]]:
+        # A non-tree edge (x, y) of a BFS closes a walk of dist[x] + dist[y] + 1
+        # edges through the root, and an edge from depth k closes at least 2k.
+        # Only walks shorter than ``bound``, the best cycle so far or else
+        # limit + 1, can improve the answer, so a BFS stops at the depth k
+        # where 2k reaches it, and from depth k it discovers no vertex when
+        # 2k + 2 does.  The answer is the same as without these stops.
+        # Without a limit, a walk whose paths share a tail counts as the
+        # shorter cycle that is left; with one, only a cycle through the root
+        # counts, and it is found at every limit it fits in.
         best = math.inf
         best_cycle: Optional[list[int]] = None
+        bound = limit + 1
         for start in vertices:
             dist = {start: 0}
             parent = {start: -1}
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in sorted(self._adj[x]):
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        queue.append(y)
-                    elif parent[x] != y:
-                        cand = dist[x] + dist[y] + 1
-                        if cand < best:
-                            path_x = self._path_to_root(x, parent)
-                            path_y = self._path_to_root(y, parent)
-                            cycle = self._merge_cycle(path_x, path_y)
-                            if len(cycle) < best:
-                                best = len(cycle)
-                                best_cycle = cycle
+            level = [start]
+            depth = 0
+            while level and 2 * depth < bound:
+                grow = 2 * depth + 2 < bound
+                below = []
+                for x in level:
+                    for y in sorted(self._adj[x]):
+                        if y not in dist:
+                            if grow:
+                                dist[y] = depth + 1
+                                parent[y] = x
+                                below.append(y)
+                        elif parent[x] != y:
+                            cand = depth + dist[y] + 1
+                            if cand < bound:
+                                path_x = self._path_to_root(x, parent)
+                                path_y = self._path_to_root(y, parent)
+                                cycle = self._merge_cycle(path_x, path_y)
+                                if len(cycle) < best and (limit == math.inf or len(cycle) == cand):
+                                    best = bound = len(cycle)
+                                    best_cycle = cycle
+                level = below
+                depth += 1
         return best, None if best_cycle is None else tuple(best_cycle)
 
     @staticmethod

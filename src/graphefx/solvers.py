@@ -39,6 +39,7 @@ from .trace import (
 from .valuation import Table, Valuation
 
 DISPATCH_T_MAX = 4
+GIRTH_LIMIT = 2 * DISPATCH_T_MAX - 1  # girth >= 2t-1 for every t <= DISPATCH_T_MAX
 BRUTE_FORCE_AGENT_MAX = 4
 BRUTE_FORCE_GOOD_MAX = 8  # 4 ** 8 = 65,536 allocations, within oracle.BRUTE_FORCE_MAX
 
@@ -140,13 +141,11 @@ def chromatic_efx(inst: Instance, col: Coloring,
     if not ok:
         u, w = inst.graph.endpoints(bad_edge)
         raise PreconditionError(f"coloring is not proper: edge {bad_edge} joins {u} and {w}")
-    # every skeleton cycle has length >= 3 = 2*2-1, so only t >= 3 needs the girth
-    if col.t >= 3:
+    # every skeleton cycle has length >= 3 = 2*2-1, so only t >= 3 needs the girth, and
+    # only up to 2t-2; the message names the exact search's cycle
+    if col.t >= 3 and inst.graph.girth(component, 2 * col.t - 2) < 2 * col.t - 1:
         girth, cycle = inst.graph.shortest_cycle(component)
-        if girth < 2 * col.t - 1:
-            raise PreconditionError(
-                f"girth {girth:.0f} < 2*{col.t}-1; offending cycle {cycle}"
-            )
+        raise PreconditionError(f"girth {girth:.0f} < 2*{col.t}-1; offending cycle {cycle}")
     table = _table_agent(inst, agents)
     if table is not None:
         raise UnsupportedValuationError("chromatic_efx requires cancellable-family valuations;"
@@ -263,17 +262,17 @@ def smallest_coloring(g: MultiGraph,
 
     A bipartite graph has t <= 2, which every girth admits.  Otherwise t >= 3
     needs girth >= 5, girth >= 2t-1 bounds t by (girth+1)//2, and
-    t <= DISPATCH_T_MAX.
+    t <= DISPATCH_T_MAX.  So the girth matters only up to GIRTH_LIMIT.
     """
     if g.bipartition(component) is not None:
         return g.find_coloring(2, component), None
-    girth = g.girth(component)
+    girth = g.girth(component, GIRTH_LIMIT)
     if girth < 5:
         return None, f"girth {girth} < 5, and a non-bipartite graph needs t >= 3"
-    t_max = min(DISPATCH_T_MAX, (girth + 1) // 2)
+    t_max = (min(girth, GIRTH_LIMIT) + 1) // 2
     col = g.find_coloring(t_max, component)
     if col is None:
-        return None, f"no proper coloring with t <= {t_max} (girth {girth})"
+        return None, f"no proper coloring with t <= {t_max} (girth {g.girth(component)})"
     return col, None
 
 
@@ -304,7 +303,7 @@ def _chromatic_verdict(inst: Instance, hint: Optional[Coloring], table: Optional
     ok, edge = g.validate_coloring(hint, component)
     if not ok:
         return Verdict("chromatic", f"the coloring hint is not proper at edge {edge}")
-    girth = g.girth(component)
+    girth = g.girth(component, 2 * hint.t - 2)
     if girth < 2 * hint.t - 1:
         return Verdict("chromatic", f"girth {girth} < 2*{hint.t}-1 for the {hint.t}-coloring hint")
     return Verdict("chromatic", structure=hint)

@@ -15,6 +15,7 @@ one before it.  This module is the only one that knows the file's form.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NewType, Optional, Union
@@ -161,14 +162,20 @@ def _branch_check(i: int) -> Callable[[str], str]:
     return check
 
 
-def _to_json(x):
+def _text(x) -> str:
+    """``x`` as JSON: an id, null, a branch name, a set of ids as a sorted list,
+    a tuple of these as a list, and a dict with string keys sorted."""
+    if x is None:
+        return "null"
+    if isinstance(x, int):
+        return str(x)
     if isinstance(x, frozenset):
-        return sorted(x)
-    if isinstance(x, dict):
-        return {str(k): _to_json(v) for k, v in x.items()}
+        return "[" + ", ".join(map(str, sorted(x))) + "]"
     if isinstance(x, tuple):
-        return [_to_json(v) for v in x]
-    return x
+        return "[" + ", ".join(map(_text, x)) + "]"
+    if isinstance(x, dict):  # ColoringUsed.colors
+        return json.dumps({str(k): v for k, v in x.items()}, sort_keys=True)
+    return json.dumps(x)
 
 
 def event_line(ev: TraceEvent, held: dict) -> str:
@@ -177,23 +184,28 @@ def event_line(ev: TraceEvent, held: dict) -> str:
     a tuple as a list.
 
     A step event's ``changes`` are written as its ``snapshot``, every
-    non-empty bundle after the step.  ``held`` maps each agent holding goods
-    before the event to its bundle's text, ``"agent": [goods]``: a writer
-    passes one dict for a whole trace, and each call applies the event's
-    changes to it.  A '"' sorts before every digit, so sorting the texts
+    non-empty bundle after the step.  ``held`` is that running snapshot: a
+    writer passes one empty dict for a whole trace, and each call applies
+    the event's changes to it.  It maps each agent holding goods to its
+    bundle's text, ``"agent": [goods]``, and None to the list of those texts
+    in sorted order, which is kept with one removal and one insertion per
+    changed agent.  A '"' sorts before every digit, so sorting the texts
     sorts them by their agent strings.
     """
-    texts = {"type": json.dumps(ev.kind)}
+    texts = {"type": f'"{ev.kind}"'}
     for f, v in vars(ev).items():
         if f == "changes":
+            snapshot = held.setdefault(None, [])
             for u, b in v.items():
+                old = held.pop(u, None)
+                if old is not None:
+                    del snapshot[bisect_left(snapshot, old)]
                 if b:
-                    held[u] = f'"{u}": [{", ".join(map(str, sorted(b)))}]'
-                else:
-                    held.pop(u, None)
-            texts["snapshot"] = "{" + ", ".join(sorted(held.values())) + "}"
+                    held[u] = new = f'"{u}": [{", ".join(map(str, sorted(b)))}]'
+                    insort(snapshot, new)
+            texts["snapshot"] = "{" + ", ".join(snapshot) + "}"
         else:
-            texts[f] = json.dumps(_to_json(v), sort_keys=True)
+            texts[f] = _text(v)
     return "{" + ", ".join(f'"{f}": {text}' for f, text in sorted(texts.items())) + "}"
 
 

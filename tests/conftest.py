@@ -542,6 +542,39 @@ def reference_find_coloring(graph, t_max):
     return None
 
 
+def reference_shortest_cycle(graph, component=None):
+    """(girth, one shortest cycle) by a BFS to the end from every vertex of
+    ``component`` (every vertex when None); (inf, None) on a forest.
+
+    The exact search without its depth bounds: a non-tree edge (x, y) closes
+    the tree paths from x and y, less the tail they share, and the first
+    cycle shorter than every earlier one is kept.
+    """
+    best, best_cycle = float("inf"), None
+    for start in graph.vertices(component):
+        dist, parent = {start: 0}, {start: None}
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in sorted(graph.neighbours(x)):
+                if y not in dist:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+                elif parent[x] != y and dist[x] + dist[y] + 1 < best:
+                    paths = []
+                    for v in (x, y):
+                        paths.append([v])
+                        while parent[paths[-1][-1]] is not None:
+                            paths[-1].append(parent[paths[-1][-1]])
+                    path_x, path_y = paths
+                    while len(path_x) > 1 and len(path_y) > 1 and path_x[-2] == path_y[-2]:
+                        path_x, path_y = path_x[:-1], path_y[:-1]
+                    cycle = path_x[:-1] + path_y[::-1]
+                    if len(cycle) < best:
+                        best, best_cycle = len(cycle), cycle
+    return best, best_cycle
+
+
 def reference_cut_preferences(cutter_val, chooser_val, bundle):
     """Cut ``bundle`` with ``cac``; (cut, s, t) with s the chooser's and t the cutter's piece index.
 

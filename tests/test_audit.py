@@ -15,6 +15,7 @@ from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, ge
 from graphefx.jsonio import load_trace, save_instance, save_trace
 from graphefx.solvers import chromatic_efx, solve, tree_efx
 from graphefx.trace import (
+    BRANCHES,
     ColoringUsed,
     CycleResolved,
     LeafAttached,
@@ -295,6 +296,41 @@ def test_writer_folds_any_changes(pool, steps):
     # change may empty a bundle that is already empty or leave one as it is.
     trace = [CycleResolved(cycle=(0, 1), changes={u: pool[i % len(pool)] for u, i in step})
              for step in steps]
+    assert _written(trace) == _reference_lines(trace)
+
+
+# Agents up to 25, so that "10".."25" sort before "3".."9" in a snapshot;
+# a bundle of up to four goods, or an emptied one.
+_AGENTS = st.integers(0, 25)
+_GOODS = st.frozensets(st.integers(0, 40), max_size=4)
+_CHANGES = st.dictionaries(_AGENTS, st.just(frozenset()) | _GOODS, max_size=6)
+_EVENTS = st.one_of(
+    st.builds(ColoringUsed, colors=st.dictionaries(_AGENTS, st.integers(0, 12), max_size=14),
+              t=st.integers(0, 13)),
+    st.builds(StructureResolved, phase=st.integers(0, 12), root=_AGENTS,
+              favourite=st.none() | _AGENTS, branch=st.none() | st.sampled_from(BRANCHES),
+              changes=_CHANGES,
+              transfers=st.lists(st.tuples(st.integers(0, 40), _AGENTS, _AGENTS),
+                                 max_size=3).map(tuple)),
+    st.builds(LeafAttached, leaf=_AGENTS, parent=_AGENTS, pieces=st.tuples(_GOODS, _GOODS),
+              leftover_to=_AGENTS, changes=_CHANGES),
+    st.builds(CycleResolved, cycle=st.lists(_AGENTS, max_size=5).map(tuple), changes=_CHANGES),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(_EVENTS, st.booleans()), max_size=14))
+def test_writer_matches_reference_for_every_event_kind(steps):
+    # A step event marked True also empties every bundle held before it, as
+    # the first step event of a later component in a component-wise solve does.
+    trace, held = [], {}
+    for ev, withdraws in steps:
+        if not isinstance(ev, ColoringUsed):
+            if withdraws:
+                ev = dataclasses.replace(ev, changes={**dict.fromkeys(held, frozenset()),
+                                                      **ev.changes})
+            held = {u: b for u, b in {**held, **ev.changes}.items() if b}
+        trace.append(ev)
     assert _written(trace) == _reference_lines(trace)
 
 

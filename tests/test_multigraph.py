@@ -3,11 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphefx import Coloring, InputError, MultiGraph
 from graphefx.generators import PETERSEN_EDGES
 
-from .conftest import classifier_graphs, reference_find_coloring
+from .conftest import classifier_graphs, reference_find_coloring, reference_shortest_cycle
 
 
 def test_parallel_edges_doubled_triangle():
@@ -77,6 +79,50 @@ def test_shortest_cycle_witness_is_a_cycle():
     assert length == 4 and len(cycle) == 4
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert b in g.neighbours(a)
+
+
+def _check_bounded_girth(g):
+    """On ``g`` and on each of its components: the exact search equals the
+    reference BFS, and at every limit 3..9 the bounded search gives the exact
+    girth when it is at most the limit and inf otherwise, with a cycle of
+    that length that is the same at every limit.  Each limit is asked of a
+    fresh graph and of one graph that is asked every limit up, then down."""
+    for comp in [None] + g.connected_components():
+        exact = g.shortest_cycle(comp)
+        assert exact == reference_shortest_cycle(g, comp)
+        warm = MultiGraph(g.vertex_count, list(g.edges))
+        cycles = set()
+        for limit in [*range(3, 10), *range(9, 2, -1)]:
+            fresh = MultiGraph(g.vertex_count, list(g.edges))
+            length, cycle = fresh.shortest_cycle(comp, limit)
+            assert warm.shortest_cycle(comp, limit) == (length, cycle)
+            assert length == fresh.girth(comp, limit) == (
+                exact[0] if exact[0] <= limit else math.inf)
+            if cycle is not None:
+                assert len(set(cycle)) == len(cycle) == length
+                assert all(b in g.neighbours(a) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                cycles.add(tuple(cycle))
+        assert len(cycles) <= 1
+
+
+def test_bounded_girth_on_classifier_graphs():
+    for g in classifier_graphs(random.Random(7)):
+        _check_bounded_girth(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 16).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+    max_size=22).map(lambda links: MultiGraph(n, [(u, w) for u, w, copies in links if u != w
+                                                  for _ in range(copies)]))))
+def test_bounded_girth_on_random_multigraphs(g):
+    _check_bounded_girth(g)
+
+
+def test_bounded_girth_below_three_searches_nothing(monkeypatch):
+    g = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
+    monkeypatch.setattr(MultiGraph, "_shortest_cycle", lambda *a: pytest.fail("searched"))
+    assert [g.girth(None, limit) for limit in (0, 1, 2)] == [math.inf] * 3
 
 
 def test_validate_coloring():

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -35,6 +36,7 @@ from graphefx.solvers import (
     BRUTE_FORCE_GOOD_MAX,
     _resolve_structure,
     classify,
+    smallest_coloring,
 )
 from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved
 
@@ -43,7 +45,9 @@ from .conftest import (
     CountingValuation,
     additive_instance,
     classifier_graphs,
+    cycle_pairs,
     folded,
+    girth5_chromatic4_graph,
     gnp_graph,
     interleaved_union,
     moved_event,
@@ -456,12 +460,87 @@ def test_table_valuation_rejected_before_any_coloring_search(monkeypatch):
 
 
 def test_classify_stops_at_a_multitree(monkeypatch):
-    for meth in ("bipartition", "shortest_cycle", "girth", "find_coloring"):
+    for meth in ("bipartition", "shortest_cycle", "_shortest_cycle", "girth", "find_coloring"):
         monkeypatch.setattr(MultiGraph, meth, lambda *a: pytest.fail("computed on a tree"))
     inst, _ = gen_multitree(seed=4, n=8, max_parallel=2)
     verdicts = []
     assert solve(inst, verdicts=verdicts)[1] == "tree"
     assert [[(v.solver, v.reason) for v in tried] for tried in verdicts] == [[("tree", None)]]
+
+
+def test_bounded_girth_decides_as_the_exact_girth(monkeypatch):
+    # Each graph alone, with no hint, with its smallest colorings and with
+    # every vertex its own color, and each component of it with no hint.
+    rng = random.Random(13)
+    graphs = classifier_graphs(rng) + [girth5_chromatic4_graph()]
+    graphs += [MultiGraph(n, cycle_pairs(n, rng)) for n in (8, 9, 10, 13, 15, 16, 17)]
+    cases = []
+    for g in graphs:
+        hints = [None, Coloring(colors={v: v for v in range(g.vertex_count)}, t=g.vertex_count)]
+        hints += [g.find_coloring(t) for t in range(1, 5) if g.find_coloring(t) is not None]
+        cases += [(g, hint, None) for hint in hints]
+        cases += [(g, None, comp) for comp in g.connected_components()]
+
+    def outcomes(g, hint, comp):
+        """The verdicts, and given a hint, what chromatic_efx says of it."""
+        inst = zero_instance(MultiGraph(g.vertex_count, list(g.edges)))  # nothing cached yet
+        said = [(v.solver, v.reason, v.structure) for v in classify(inst, hint, comp)]
+        if hint is not None:
+            try:
+                said.append(chromatic_efx(inst, hint)[1][0])
+            except PreconditionError as err:
+                said.append(str(err))
+        return said
+
+    bounded = [outcomes(*case) for case in cases]
+    exact = MultiGraph.shortest_cycle
+    monkeypatch.setattr(MultiGraph, "shortest_cycle",
+                        lambda self, component=None, limit=None: exact(self, component))
+    assert [outcomes(*case) for case in cases] == bounded
+    said = repr(bounded)
+    for text in ("for the 5-coloring hint", "no proper coloring with t <= 3 (girth 5)",
+                 "girth 3 < 5", "girth 4 < 5", "girth 5 < 2*4-1; offending cycle"):
+        assert text in said
+
+
+def test_long_odd_cycle_solves_without_the_exact_girth_search(monkeypatch):
+    want = solve(gen_multicycle(seed=41, length=41, max_parallel=2, value_max=9)[0])
+    search = MultiGraph._shortest_cycle
+
+    def bounded_only(self, vertices, limit=math.inf):
+        assert limit < math.inf, "the exact girth search ran"
+        return search(self, vertices, limit)
+
+    monkeypatch.setattr(MultiGraph, "_shortest_cycle", bounded_only)
+    inst = gen_multicycle(seed=41, length=41, max_parallel=2, value_max=9)[0]
+    assert solve(inst) == want and want[1] == "chromatic"
+    with pytest.raises(AssertionError, match="the exact girth search ran"):
+        inst.graph.girth()
+
+
+def test_girth_rejections_keep_their_text(monkeypatch):
+    def chromatic_reason(graph, hint=None):
+        (verdict,) = [v for v in classify(zero_instance(graph), hint) if v.solver == "chromatic"]
+        return verdict.reason
+
+    assert chromatic_reason(mycielski_graph(2)) == (
+        "girth 4 < 5, and a non-bipartite graph needs t >= 3")
+    assert chromatic_reason(girth5_chromatic4_graph()) == "no proper coloring with t <= 3 (girth 5)"
+    c5 = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert chromatic_reason(c5, Coloring(colors={v: v for v in range(5)}, t=5)) == (
+        "girth 5 < 2*5-1 for the 5-coloring hint")
+    # A triangle hangs off agent 0.  The exact search meets it first from
+    # agent 0, the bounded one from agent 3, and the message names the former.
+    g = MultiGraph(6, [(0, 5), (3, 4), (4, 5), (5, 3), (1, 2), (0, 1)])
+    assert g.shortest_cycle(None, 4) == (3, [4, 3, 5])
+    with pytest.raises(PreconditionError) as err:
+        chromatic_efx(zero_instance(g), Coloring(colors={0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 2}, t=3))
+    assert str(err.value) == "girth 3 < 2*3-1; offending cycle [3, 5, 4]"
+    # the exact girth, beyond the bound of the search that decides, when no coloring is found
+    monkeypatch.setattr(MultiGraph, "find_coloring", lambda self, t_max, component=None: None)
+    c9 = MultiGraph(9, [(i, (i + 1) % 9) for i in range(9)])
+    assert c9.girth(None, 7) == math.inf
+    assert smallest_coloring(c9) == (None, "no proper coloring with t <= 4 (girth 9)")
 
 
 def _accepted_by_solvers(inst):
