@@ -47,41 +47,27 @@ class Allocation:
             _raise_overlap(clean)
         object.__setattr__(self, "bundles", MappingProxyType(clean))
 
-    def with_bundles(self, changes: Mapping[int, Iterable[int]],
-                     holder: Optional[Mapping[int, int]] = None) -> "Allocation":
+    def with_bundles(self, changes: Mapping[int, Iterable[int]]) -> "Allocation":
         """This allocation with the bundles of the agents in ``changes`` replaced.
 
         It equals ``Allocation(bundles={**self.bundles, **changes})``, but
         checks disjointness on the goods that changed hands only: no two
         replaced agents gain the same good, and a gained good that no
-        replaced agent gave up is held by no one.  ``holder``, the agent of
-        each good of this allocation (``EnvyGraph.holder``), answers that per
-        good; without it such goods are looked for in every bundle.  An
-        overlap raises what the full constructor raises on the merged mapping.
+        replaced agent gave up is held by no one.  An overlap raises what the
+        full constructor raises on the merged mapping.
         """
-        return self._replaced(changes, holder)[0]
-
-    def _replaced(self, changes: Mapping[int, Iterable[int]], holder: Optional[Mapping[int, int]]
-                  ) -> tuple["Allocation", dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-        """``with_bundles``, and each replaced agent's gained and lost goods."""
         new = dict(zip(changes.keys(), map(frozenset, changes.values())))
-        gained = {u: b - self.bundle(u) for u, b in new.items()}
-        lost = {u: self.bundle(u) - b for u, b in new.items()}
-        got = frozenset().union(*gained.values())
-        fresh = got.difference(*lost.values())  # gained goods that no replaced agent gave up
+        gained = [b - self.bundle(u) for u, b in new.items()]
+        got = frozenset().union(*gained)
+        fresh = got.difference(*(self.bundle(u) - b for u, b in new.items()))
         bundles = self.bundles.copy()  # a dict: copied without a lookup per key
         bundles.update(new)
-        clash = len(got) != sum(map(len, gained.values()))
-        if fresh and not clash:
-            clash = (any(map(holder.__contains__, fresh)) if holder is not None
-                     else not fresh.isdisjoint(chain.from_iterable(self.bundles.values())))
-        if clash:
+        if len(got) != sum(map(len, gained)) or (
+                fresh and not fresh.isdisjoint(chain.from_iterable(self.bundles.values()))):
             _raise_overlap(bundles)
         for u in [u for u, b in new.items() if not b]:
             del bundles[u]
-        alloc = object.__new__(Allocation)
-        object.__setattr__(alloc, "bundles", MappingProxyType(bundles))
-        return alloc, gained, lost
+        return _trusted(bundles)
 
     def __reduce__(self):
         return Allocation, (self.bundles.copy(),)
@@ -99,6 +85,13 @@ class Allocation:
     @staticmethod
     def empty() -> "Allocation":
         return Allocation(bundles={})
+
+
+def _trusted(bundles: dict[int, frozenset[int]]) -> Allocation:
+    """The Allocation of ``bundles``, nonempty and disjoint, without checking it again."""
+    alloc = object.__new__(Allocation)
+    object.__setattr__(alloc, "bundles", MappingProxyType(bundles))
+    return alloc
 
 
 @dataclass(frozen=True)
@@ -130,21 +123,24 @@ def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
 # any other bundle is worth v_u(empty set) <= v_u(own bundle) by
 # monotonicity, so u can neither envy it nor violate EFX against it.
 
-def _envied(alloc: Allocation, val: "Valuation", incident: frozenset[int], own: int,
-            others: Iterable[int]) -> list[int]:
+def _envied(bundles: Mapping[int, frozenset[int]], val: "Valuation", incident: frozenset[int],
+            own: int, others: Iterable[int]) -> list[int]:
     """The agents in ``others``, in their order, that an agent with valuation
-    ``val``, incident goods ``incident`` and own value ``own`` envies."""
-    return [w for w in others if own < val.value(alloc.bundle(w) & incident)]
+    ``val``, incident goods ``incident`` and own value ``own`` envies, where
+    ``bundles`` maps each agent that holds goods to its bundle."""
+    return [w for w in others if own < val.value(bundles.get(w, _NOTHING) & incident)]
 
 
 class EnvyGraph:
     """Directed envy relation of an allocation: (u, w) present iff u strictly
     prefers w's bundle.
 
-    ``EnvyGraph(inst, alloc)`` decides every rival pair once.  After that,
-    ``step(changes)`` replaces the bundles of the agents in ``changes``,
-    computing each one's gained and lost goods once, and re-decides only the
-    pairs that the step can affect:
+    The graph owns the running allocation: a map from each agent that holds
+    goods to its bundle (``bundle(u)`` reads it) and ``holder``, the agent of
+    each held good.  ``EnvyGraph(inst, alloc)`` decides every rival pair
+    once.  After that, ``step(changes)`` replaces the bundles of the agents
+    in ``changes`` in place, computing each one's gained and lost goods once,
+    and re-decides only the pairs that the step can affect:
 
     * (z, y) for each changed y and each unchanged z that is an endpoint of
       a good y gained or lost.  Any other unchanged z keeps its own value
@@ -155,34 +151,49 @@ class EnvyGraph:
       are monotone, so y's own value did not fall, and its envy of a rival
       with the same bundle can only have vanished.
 
-    Each agent's rival set is kept until a good incident to it moves; the
-    agent is one of that good's two endpoints.  ``find_cycle`` skips the
-    search while no envy edge has appeared since a search found none: a
-    subgraph of an acyclic graph is acyclic.
+    ``alloc`` is an immutable ``Allocation`` of the map, built when asked and
+    kept until the next step; it is never a live view of the map.  Each
+    agent's rival set is kept until a good incident to it moves; the agent is
+    one of that good's two endpoints.  Every id in the map has been checked,
+    so the graph's edge and incidence tables are read without range checks.
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
         validate_allocation(inst, alloc)
         self.inst = inst
-        self.alloc = alloc
+        self._incident = inst.graph._incident  # agent -> its incident goods
+        self._bundles = dict(alloc.bundles)  # agent -> its bundle, nonempty only
+        self._alloc: Optional[Allocation] = alloc  # the Allocation of _bundles, once built
         # good -> the agent holding it; read-only outside the class
         self.holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
         self._rivals: dict[int, frozenset[int]] = {}  # agent -> its rivals, filled on demand
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
-        self._acyclic = False
+        # The envy edges added since a search last found no cycle; None before one has.
+        self._fresh: Optional[list[tuple[int, int]]] = None
         # Only an endpoint of a held good can have a rival.
         for u in set(chain.from_iterable(map(inst.graph.edges.__getitem__, holder))):
             rivals = self.rivals(u)
             if rivals:
                 val = inst.valuations[u]
-                own = self._own[u] = val.value(alloc.bundle(u))
-                envied = _envied(alloc, val, inst.graph.incident_edges(u), own, rivals)
+                own = self._own[u] = val.value(self.bundle(u))
+                envied = _envied(self._bundles, val, self._incident[u], own, rivals)
                 if envied:
                     self._out[u] = set(envied)
                     for w in envied:
                         self._in.setdefault(w, set()).add(u)
+
+    def bundle(self, u: int) -> frozenset[int]:
+        """The bundle ``u`` holds now."""
+        return self._bundles.get(u, _NOTHING)
+
+    @property
+    def alloc(self) -> Allocation:
+        """The current allocation, built on demand and kept until the next step."""
+        if self._alloc is None:
+            self._alloc = _trusted(self._bundles.copy())
+        return self._alloc
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -208,54 +219,99 @@ class EnvyGraph:
         """The agents other than ``u`` that hold a good incident to ``u``."""
         rivals = self._rivals.get(u)
         if rivals is None:
-            incident = self.inst.graph.incident_edges(u)
-            rivals = self._rivals[u] = frozenset(map(self.holder.get, incident)) - {None, u}
+            held_by = frozenset(map(self.holder.get, self._incident[u]))
+            rivals = self._rivals[u] = held_by - {None, u}
         return rivals
 
     def find_cycle(self) -> Optional[list[int]]:
-        """``find_envy_cycle`` on the current envy graph."""
-        if self._acyclic:
+        """``find_envy_cycle`` on the current envy graph.
+
+        Once a search has found no cycle, the graph is a subgraph of that
+        acyclic graph plus the envy edges added since, so a cycle must use
+        one of those edges (u, w) and a path from w back to u.  While no
+        added edge closes such a path, the graph is still acyclic and no
+        search runs; otherwise the full search runs and finds a cycle.
+        """
+        if self._fresh is not None and not self._closes_path():
+            self._fresh = []
             return None
         cycle = find_envy_cycle(self)
-        self._acyclic = cycle is None
+        if cycle is None:
+            self._fresh = []
         return cycle
 
+    def _closes_path(self) -> bool:
+        """Whether a present envy edge of ``_fresh`` has a path from its head
+        back to its tail: a search over out-edges from each head."""
+        tails: dict[int, set[int]] = {}  # head -> the tails of its fresh edges
+        for u, w in self._fresh:
+            if self.envies(u, w):
+                tails.setdefault(w, set()).add(u)
+        out = self._out
+        for head, ends in tails.items():
+            seen = {head}
+            stack = [head]
+            while stack:
+                for x in out.get(stack.pop(), ()):
+                    if x in ends:
+                        return True
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+        return False
+
     def step(self, changes: Mapping[int, Iterable[int]]) -> frozenset[int]:
-        """Move to ``self.alloc.with_bundles(changes, self.holder)``; return the
-        goods that changed hands.
+        """Give each agent in ``changes`` its new bundle; return the goods that
+        changed hands.
 
-        An overlap raises what that call raises, and an unknown agent or good
-        raises InputError, before any state changes.
+        Only the goods an agent gains are checked.  An overlap raises what
+        ``Allocation(bundles={**self.alloc.bundles, **changes})`` raises, and
+        an unknown agent or good raises InputError, before any state changes.
         """
-        inst = self.inst
-        alloc, gained, lost = self.alloc._replaced(changes, self.holder)
-        _validate_bundles(inst, [(y, alloc.bundle(y)) for y in gained])
-        changed = set(gained)
-        for g in chain.from_iterable(lost.values()):
-            del self.holder[g]
-        for y in changed:
-            self.holder.update(dict.fromkeys(gained[y], y))
-            self._own.pop(y, None)
-        self.alloc = alloc
+        bundles, holder = self._bundles, self.holder
+        new = dict(zip(changes.keys(), map(frozenset, changes.values())))
+        gained = {y: b - bundles.get(y, _NOTHING) for y, b in new.items()}
+        lost = {y: bundles.get(y, _NOTHING) - b for y, b in new.items()}
+        got = frozenset().union(*gained.values())
+        # a good gained twice, or gained while an agent that keeps it holds it
+        if len(got) != sum(map(len, gained.values())) or any(
+                map(holder.__contains__, got.difference(*lost.values()))):
+            _raise_overlap({**bundles, **new})
+        n, m = self.inst.graph.vertex_count, self.inst.graph.edge_count
+        if (new and not (0 <= min(new) and max(new) < n)
+                or got and not (0 <= min(got) and max(got) < m)):
+            _validate_bundles(self.inst, new.items())
 
-        edges = inst.graph.edges
+        for g in chain.from_iterable(lost.values()):
+            del holder[g]
+        for y, b in gained.items():
+            holder.update(dict.fromkeys(b, y))
+        bundles.update(new)
+        for y, b in new.items():
+            if not b:
+                del bundles[y]
+            self._own.pop(y, None)
+        self._alloc = None
+
+        ends = self.inst.graph.edges
         touched: dict[int, set[int]] = {}  # endpoint of a moved good -> the changed agents it sees
-        for y in changed:
-            for z in set(chain.from_iterable(map(edges.__getitem__, lost[y] | gained[y]))):
+        for y in new:
+            for z in set(chain.from_iterable(map(ends.__getitem__, lost[y] | gained[y]))):
                 touched.setdefault(z, set()).add(y)
         for z in touched:
             self._rivals.pop(z, None)
-        for y in changed:
+        changed = set(new)
+        for y in new:
             self._redecide_rivals(y, None if lost[y] else changed)
         for z, ys in touched.items():
             if z not in changed:
                 self._redecide(z, ys)
-        return frozenset().union(*lost.values(), *gained.values())
+        return got.union(*lost.values())
 
     def _own_value(self, u: int) -> int:
         own = self._own.get(u)
         if own is None:
-            own = self._own[u] = self.inst.valuations[u].value(self.alloc.bundle(u))
+            own = self._own[u] = self.inst.valuations[u].value(self.bundle(u))
         return own
 
     def _redecide_rivals(self, u: int, grown_among: Optional[set[int]]) -> None:
@@ -271,7 +327,7 @@ class EnvyGraph:
             self._redecide(u, rivals)
 
     def _redecide(self, u: int, others: AbstractSet[int]) -> None:
-        envied = set(_envied(self.alloc, self.inst.valuations[u], self.inst.graph.incident_edges(u),
+        envied = set(_envied(self._bundles, self.inst.valuations[u], self._incident[u],
                              self._own_value(u), others))
         for w in others:
             self._set(u, w, w in envied)
@@ -286,8 +342,8 @@ class EnvyGraph:
         """
         val = self.inst.valuations[u]
         own = self._own_value(u)
-        other = self.alloc.bundle(w)
-        seen = other & self.inst.graph.incident_edges(u)
+        other = self.bundle(w)
+        seen = other & self._incident[u]
         for x in sorted(other):
             if x not in seen or own < val.value(seen - {x}):
                 return x
@@ -298,7 +354,8 @@ class EnvyGraph:
         if envy and w not in out:
             self._out.setdefault(u, set()).add(w)
             self._in.setdefault(w, set()).add(u)
-            self._acyclic = False
+            if self._fresh is not None:
+                self._fresh.append((u, w))
         elif not envy and w in out:
             for adj, a, b in ((self._out, u, w), (self._in, w, u)):
                 adj[a].discard(b)

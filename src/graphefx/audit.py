@@ -117,14 +117,20 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     Envy is only checked between agents that share a good, which is exact
     because every valuation's support lies within the agent's incident edges.
 
-    The audit steps one ``EnvyGraph`` by each structure event's changes and
-    rechecks only what the agents whose bundles changed can affect; the
-    report equals that of checking every such allocation from scratch:
+    The audit steps one ``EnvyGraph`` in place by each structure event's
+    changes, reads the bundles from it, and rechecks only what the agents
+    whose bundles changed can affect; the report equals that of checking
+    every such allocation from scratch:
 
     * an envy edge's EFX witness depends on its two bundles only;
     * while no good is withdrawn, the allocated edges only grow, so an
       allocated distance only shrinks and a distance check that passed stays
-      passed while its good keeps its holder.  A withdrawal rechecks every good;
+      passed while its good keeps its holder.  A withdrawal rechecks every good.
+      A good held by one of its endpoints that is the good's root or colored
+      higher passes all three checks without a search: the good is itself
+      an allocated edge joining its endpoints, so the holder is 0 hops from
+      itself and 1 from the other endpoint, within the valuers' bounds of
+      color + 1 >= 1 and the root's bound of color(holder) - color(root);
     * an unresolved agent z values only its incident goods, so its union
       check depends only on their holders and on which holders are resolved.
       Resolving one more root can only shrink the union, so a check that
@@ -146,6 +152,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     phase_moved: dict[int, set[int]] = {}
     envy = EnvyGraph(inst, Allocation.empty())
     holder = envy.holder
+    ends = inst.graph.edges  # good -> endpoints; every good the audit reads is checked
     unfair: dict[tuple[int, int], int] = {}  # envy edge -> its EFX witness, where it has one
     adj: dict[int, set[int]] = {}  # skeleton adjacency along the allocated edges
     far_goods: set[int] = set()  # goods whose distance checks failed at the previous event
@@ -156,7 +163,6 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         favourite_of[ev.root] = ev.favourite
         moved = envy.step(changes)
         changed = changes.keys()
-        alloc = envy.alloc
 
         # localized envy: the allocation is EFX, envy only favourite -> resolved root
         unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
@@ -186,20 +192,24 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                 movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
             moved_in_phase.add(g)
 
-        # distances along allocated edges
+        # distances along allocated edges; a good held by one of its endpoints
+        # that is its root or colored higher passes all three checks (see above)
         if any(g not in holder for g in moved):
             adj = {}
             for g in holder:
-                _connect(adj, *inst.graph.endpoints(g))
+                _connect(adj, *ends[g])
             recheck = set(holder)
         else:
             for g in moved:
-                _connect(adj, *inst.graph.endpoints(g))
+                _connect(adj, *ends[g])
             recheck = moved | far_goods
         far_goods = set()
         for g in sorted(recheck):
             w = holder[g]
-            a, b = inst.graph.endpoints(g)
+            a, b = ends[g]
+            root = a if colors[a] < colors[b] else b
+            if (w == a or w == b) and (w == root or colors[w] > colors[root]):
+                continue
             c_w = colors[w] + 1
             for z in (a, b):
                 if not _within(adj, z, w, c_w):
@@ -207,7 +217,6 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                     distance.append(
                         f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
                     )
-            root = a if colors[a] < colors[b] else b
             bound = c_w - (colors[root] + 1)
             if not _within(adj, root, w, bound):
                 far_goods.add(g)
@@ -220,16 +229,16 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         # the other unresolved bundles is worth what z's incident goods in it are
         suspects = set(union_enviers)
         for g in moved:
-            suspects.update(inst.graph.endpoints(g))
+            suspects.update(ends[g])
         union_enviers = set()
         for z in sorted(suspects - resolved):
             incident = inst.graph.incident_edges(z)
             others = envy.rivals(z) - resolved
             if not others:
                 continue
-            rest = frozenset().union(*(alloc.bundle(w) & incident for w in others))
+            rest = frozenset().union(*(envy.bundle(w) & incident for w in others))
             v_z = inst.valuations[z]
-            if v_z.value(alloc.bundle(z)) < v_z.value(rest):
+            if v_z.value(envy.bundle(z)) < v_z.value(rest):
                 union_enviers.add(z)
                 union.append(
                     f"event {idx}: unresolved agent {z} envies the union of unresolved bundles"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import (  # noqa: F401
@@ -67,23 +67,28 @@ def _table_agent(inst: Instance, agents: Sequence[int]) -> Optional[int]:
     return next((u for u in agents if isinstance(inst.valuations[u], Table)), None)
 
 
-def _changed(alloc: Allocation, changes: Mapping[int, frozenset[int]]) -> dict[int, frozenset[int]]:
-    """The entries of ``changes`` that give an agent another bundle than it holds in ``alloc``."""
-    return {u: b for u, b in changes.items() if b != alloc.bundle(u)}
+def _changed(bundle: Callable[[int], frozenset[int]],
+             changes: Mapping[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+    """The entries of ``changes`` that give an agent another bundle than ``bundle`` says it holds."""
+    return {u: b for u, b in changes.items() if b != bundle(u)}
 
 
 def _resolve_structure(
-    inst: Instance, alloc: Allocation, holder: dict[int, int], u: int, right: list[int], phase: int
-) -> tuple[Allocation, StructureResolved]:
+    inst: Instance, bundles: dict[int, frozenset[int]], u: int, right: list[int], phase: int
+) -> StructureResolved:
     """Resolve the structure rooted at ``u`` over its right neighbours (ascending).
 
-    Each right neighbour w cuts its edge loop with u and u chooses.  Returns
-    the allocation after the step and its StructureResolved event, and
-    updates ``holder``, the agent of each good of ``alloc``, to the new one.
+    Each right neighbour w cuts its edge loop with u and u chooses.
+    ``bundles`` maps agents to the bundles they hold (absent: none) and is
+    updated in place to the allocation after the step.  Returns the step's
+    StructureResolved event.
     """
     if not right:
-        return alloc, StructureResolved(phase=phase, root=u, favourite=None, branch=None,
-                                        changes={}, transfers=())
+        return StructureResolved(phase=phase, root=u, favourite=None, branch=None,
+                                 changes={}, transfers=())
+
+    def held(v: int) -> frozenset[int]:
+        return bundles.get(v, frozenset())
 
     v_u = inst.valuations[u]
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
@@ -92,7 +97,7 @@ def _resolve_structure(
     changes: dict[int, frozenset[int]] = {}
 
     def give(v: int, goods: frozenset[int]) -> None:
-        changes[v] = changes.get(v, alloc.bundle(v)) | goods
+        changes[v] = changes.get(v, held(v)) | goods
 
     leftover: frozenset[int] = frozenset()
     for w in right:
@@ -103,7 +108,7 @@ def _resolve_structure(
             leftover |= left
 
     s_piece, rest, same_pref, s_value = cuts[fav]
-    prior = alloc.bundle(u)
+    prior = held(u)
     transfers: tuple[tuple[int, int, int], ...] = ()
     if not same_pref:
         branch = BRANCH_DIFFERENT
@@ -119,12 +124,10 @@ def _resolve_structure(
         give(u, rest | leftover)
         give(fav, s_piece)
 
-    changes = _changed(alloc, changes)
-    alloc = alloc.with_bundles(changes, holder)
-    for v, b in changes.items():  # goods change hands, but none leaves the allocation
-        holder.update(dict.fromkeys(b, v))
-    return alloc, StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
-                                    changes=changes, transfers=transfers)
+    changes = _changed(held, changes)
+    bundles.update(changes)
+    return StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
+                             changes=changes, transfers=transfers)
 
 
 def chromatic_efx(inst: Instance, col: Coloring,
@@ -152,14 +155,12 @@ def chromatic_efx(inst: Instance, col: Coloring,
                                         f" agent {table} has a table valuation")
 
     trace: list[TraceEvent] = [ColoringUsed(colors=dict(col.colors), t=col.t)]
-    alloc = Allocation.empty()
-    holder: dict[int, int] = {}
+    bundles: dict[int, frozenset[int]] = {}
     for phase in range(1, col.t):
         for u in (v for v in agents if col.colors[v] == phase - 1):
             right = sorted(w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u])
-            alloc, event = _resolve_structure(inst, alloc, holder, u, right, phase)
-            trace.append(event)
-    return alloc, trace
+            trace.append(_resolve_structure(inst, bundles, u, right, phase))
+    return Allocation(bundles=bundles), trace
 
 
 def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, list[TraceEvent]]:
@@ -168,7 +169,9 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     Leaves are detached (highest index first), the rest is solved recursively,
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
-    One ``EnvyGraph`` is kept and stepped with the bundles each step changes.
+    One ``EnvyGraph`` holds the allocation and is stepped in place with the
+    bundles each step changes; its ``find_cycle`` searches only when a new
+    envy edge closes a cycle.
     Given a component, it solves that component alone.
     """
     if not inst.graph.is_multitree(component):
@@ -179,7 +182,7 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
 
     def shift(cycle: list[int]) -> None:
         shifted = resolve_cycle(envy.alloc, cycle)
-        changes = _changed(envy.alloc, {u: shifted.bundle(u) for u in cycle})
+        changes = _changed(envy.bundle, {u: shifted.bundle(u) for u in cycle})
         envy.step(changes)
         trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
 
@@ -197,8 +200,8 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         # envies no one and is never that source.
         source = find_source_with_path(envy, parent)
         recipient = parent if source is None else source[0]
-        changes = _changed(envy.alloc, {leaf: leaf_piece,
-                                        recipient: envy.alloc.bundle(recipient) | rest})
+        changes = _changed(envy.bundle, {leaf: leaf_piece,
+                                         recipient: envy.bundle(recipient) | rest})
         envy.step(changes)
         trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
                                   leftover_to=recipient, changes=changes))

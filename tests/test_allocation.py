@@ -16,6 +16,7 @@ from graphefx import (
     is_efx,
     resolve_cycle,
 )
+from graphefx import allocation
 from graphefx.allocation import EnvyGraph, find_envy_cycle, find_source_with_path
 from graphefx.errors import PreconditionError
 from graphefx.generators import VALUATION_KINDS, gen_multitree
@@ -246,7 +247,6 @@ def test_with_bundles_matches_full_constructor():
         n, m = rng.randint(2, 12), rng.randint(1, 14)
         owner = {g: rng.randrange(n + 2) for g in range(m)}  # agents n and n+1: unheld goods
         old = Allocation(bundles={u: {g for g in owner if owner[g] == u} for u in range(n)})
-        holder = {g: u for g, u in owner.items() if u < n}
         changed = rng.sample(range(n + 2), rng.randint(1, n))  # n, n+1 held nothing before
         # Hand the goods the changed agents gave up, and the unheld ones, back out at random.
         pool = [g for g in range(m) if owner[g] in changed or owner[g] >= n]
@@ -257,7 +257,6 @@ def test_with_bundles_matches_full_constructor():
         if rng.random() < 0.5:  # one good handed out twice, or taken from an unchanged agent
             changes[rng.choice(changed)].add(rng.randrange(m))
         want = _outcome(lambda: Allocation(bundles={**old.bundles, **changes}))
-        assert _outcome(lambda: old.with_bundles(changes, holder)) == want
         assert _outcome(lambda: old.with_bundles(changes)) == want
         if isinstance(want, str):
             named = int(want.rsplit(" ", 1)[1])
@@ -348,7 +347,9 @@ def test_envy_graph_matches_from_scratch_after_every_update():
         families |= {type(v).__name__ for v in inst.valuations.values()}
         alloc = random_allocation(rng, inst) if rng.random() < 0.3 else Allocation.empty()
         envy = EnvyGraph(inst, alloc)
+        reads = []  # (envy.alloc read before a step, the allocation it was)
         for _ in range(25):
+            reads.append((envy.alloc, alloc))
             kind, alloc, changed = _random_update(rng, inst, alloc)
             ops[kind] += 1
             envy.step({u: alloc.bundle(u) for u in changed})
@@ -369,6 +370,7 @@ def test_envy_graph_matches_from_scratch_after_every_update():
                     find_source_with_path(envy, target)
             else:
                 assert find_source_with_path(envy, target) == expected
+        assert all(read == was for read, was in reads)  # never a live view of the stepped map
     assert families == {"Additive", "UnitDemand", "BudgetAdditive", "Table"}
     assert min(ops.values()) > 200, ops
 
@@ -376,6 +378,17 @@ def test_envy_graph_matches_from_scratch_after_every_update():
 def _state(envy):
     n = envy.inst.graph.vertex_count
     return envy.alloc, envy.edges, dict(envy.holder), [envy.rivals(u) for u in range(n)]
+
+
+def _unknown_id_step(rng, inst, envy):
+    """Changes naming an agent or a good the instance does not have, and the
+    message's end."""
+    n, m = inst.graph.vertex_count, inst.graph.edge_count
+    u = rng.randrange(n)
+    return rng.choice((({n: set()}, f"unknown agent {n}"),
+                       ({u: set(), -1: envy.bundle(u)}, "unknown agent -1"),
+                       ({u: envy.bundle(u) | {m}}, f"unknown edge {m}"),
+                       ({u: {-2}}, "unknown edge -2")))
 
 
 def _overlapping_step(rng, inst, alloc):
@@ -404,6 +417,13 @@ def test_envy_graph_step_matches_from_scratch(seed):
                 envy.step(changes)
             assert _state(envy) == before
             continue
+        if rng.random() < 0.15:
+            changes, message = _unknown_id_step(rng, inst, envy)
+            before = _state(envy)
+            with pytest.raises(InputError, match=f"^allocation references {message}$"):
+                envy.step(changes)
+            assert _state(envy) == before
+            continue
         _, alloc, changed = _random_update(rng, inst, envy.alloc)
         held = dict(envy.holder)
         moved = envy.step({u: alloc.bundle(u) for u in changed})
@@ -421,6 +441,29 @@ def test_envy_graph_update_validates_changed_bundles():
         envy.step({4: {0}})
     with pytest.raises(InputError, match="allocation references unknown edge 9"):
         EnvyGraph(inst, Allocation(bundles={1: frozenset({9})}))
+
+
+def test_tree_efx_searches_for_a_cycle_only_when_one_exists(monkeypatch):
+    # After a search finds no cycle, the graph stays acyclic until an added
+    # envy edge closes a path back to its tail, and only then does
+    # ``find_cycle`` search again.
+    counts = Counter()
+
+    def counted(eg):
+        cycle = find_envy_cycle(eg)
+        counts["searches"] += 1
+        counts["cycles"] += cycle is not None
+        return cycle
+
+    monkeypatch.setattr(allocation, "find_envy_cycle", counted)
+    for kind in VALUATION_KINDS:
+        for seed in range(2):
+            inst, _ = gen_multitree(seed=seed, n=200, max_parallel=3, value_max=10,
+                                    valuation_kind=kind)
+            counts.clear()
+            alloc, _ = tree_efx(inst)
+            assert alloc.is_complete(inst)
+            assert 0 < counts["searches"] <= counts["cycles"] + 1, (kind, seed, counts)
 
 
 def test_tree_efx_query_count_is_linear():

@@ -430,6 +430,21 @@ def test_audit_distances_match_the_reference_under_any_coloring():
     assert 50 < far < 300, far
 
 
+def test_audit_names_an_improperly_colored_good_its_holder_shares(b1_instance):
+    # The distance family skips a good held by one of its endpoints only when
+    # the holder is the good's root or colored higher.  Here agent 0 holds
+    # good 0, whose other endpoint, agent 1, has agent 0's color.  That makes
+    # agent 1 the root, one hop from the holder, beyond a bound of 0.
+    _, trace = chromatic_efx(b1_instance, b1_instance.graph.bipartition())
+    assert 0 in trace[-1].changes[0]
+    same = [dataclasses.replace(ev, colors={0: 0, 1: 0, 2: 1}) if isinstance(ev, ColoringUsed)
+            else ev for ev in trace]
+    report = audit_trace(b1_instance, same)
+    assert report.results["distance"] == (
+        True, ("event 1: structure root 1 of good 0 is farther than 0 from holder 0",))
+    assert report == reference_audit_trace(b1_instance, same)
+
+
 def test_audit_query_count_is_linear():
     # Rechecking only what each event changed takes about 1.2 (n + m) queries
     # on both traces.  Checking every snapshot from scratch took 26 (n + m) on

@@ -640,14 +640,14 @@ def test_resolve_structure_takes_the_roots_values_from_its_cuts():
             counters = {u: [0] for u in plain.valuations}
             inst = Instance(graph=plain.graph, valuations={
                 u: CountingValuation(v, counters[u]) for u, v in plain.valuations.items()})
-            alloc, holder = Allocation.empty(), {}
+            bundles = {}
             for u in range(7):
                 right = sorted(inst.graph.neighbours(u))
                 counters[u][0] = 0
-                alloc, ev = _resolve_structure(inst, alloc, holder, u, right, 1)
+                ev = _resolve_structure(inst, bundles, u, right, 1)
                 keep_test = ev.branch not in (None, BRANCH_DIFFERENT)
                 assert counters[u][0] == 2 * len(right) + keep_test
                 branches[ev.branch] += 1
             sides = Coloring(colors={v: int(v >= 7) for v in range(14)}, t=2)
-            assert alloc == chromatic_efx(plain, sides)[0]
+            assert Allocation(bundles=bundles) == chromatic_efx(plain, sides)[0]
     assert len(branches) == 3, branches  # keep, leftovers and different
