@@ -11,7 +11,7 @@ from .errors import (
 )
 from .multigraph import Coloring, MultiGraph
 from .oracle import OracleReport, brute_force_efx, first_efx_allocation
-from .partition import CutResult, cac, cut_and_choose
+from .partition import cut_and_choose
 from .solvers import Instance, Verdict, chromatic_efx, classify, solve, tree_efx
 from .valuation import (
     Additive,
@@ -28,7 +28,6 @@ __all__ = [
     "BudgetAdditive",
     "CapacityError",
     "Coloring",
-    "CutResult",
     "EfxVerdict",
     "EnvyGraph",
     "GraphEfxError",
@@ -44,7 +43,6 @@ __all__ = [
     "Valuation",
     "Verdict",
     "brute_force_efx",
-    "cac",
     "chromatic_efx",
     "classify",
     "cut_and_choose",

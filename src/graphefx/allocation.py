@@ -39,35 +39,13 @@ class Allocation:
     bundles: Mapping[int, frozenset[int]]
 
     def __post_init__(self):
-        # The full check runs in C-level loops; ``with_bundles`` checks a step.
+        # The full check runs in C-level loops.
         clean = dict(zip(self.bundles.keys(), map(frozenset, self.bundles.values())))
         if not all(clean.values()):
             clean = {u: b for u, b in clean.items() if b}
         if len(frozenset().union(*clean.values())) != sum(map(len, clean.values())):
             _raise_overlap(clean)
         object.__setattr__(self, "bundles", MappingProxyType(clean))
-
-    def with_bundles(self, changes: Mapping[int, Iterable[int]]) -> "Allocation":
-        """This allocation with the bundles of the agents in ``changes`` replaced.
-
-        It equals ``Allocation(bundles={**self.bundles, **changes})``, but
-        checks disjointness on the goods that changed hands only: no two
-        replaced agents gain the same good, and a gained good that no
-        replaced agent gave up is held by no one.  An overlap raises what the
-        full constructor raises on the merged mapping.
-        """
-        new = dict(zip(changes.keys(), map(frozenset, changes.values())))
-        gained = [b - self.bundle(u) for u, b in new.items()]
-        got = frozenset().union(*gained)
-        fresh = got.difference(*(self.bundle(u) - b for u, b in new.items()))
-        bundles = self.bundles.copy()  # a dict: copied without a lookup per key
-        bundles.update(new)
-        if len(got) != sum(map(len, gained)) or (
-                fresh and not fresh.isdisjoint(chain.from_iterable(self.bundles.values()))):
-            _raise_overlap(bundles)
-        for u in [u for u, b in new.items() if not b]:
-            del bundles[u]
-        return _trusted(bundles)
 
     def __reduce__(self):
         return Allocation, (self.bundles.copy(),)
@@ -109,10 +87,6 @@ def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[in
             for g in bundle:
                 if not (0 <= g < m):
                     raise InputError(f"allocation references unknown edge {g}")
-
-
-def validate_allocation(inst: "Instance", alloc: Allocation) -> None:
-    _validate_bundles(inst, alloc.bundles.items())
 
 
 # The envy rule of ``EnvyGraph``, both when it is built and when it is
@@ -159,7 +133,7 @@ class EnvyGraph:
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
-        validate_allocation(inst, alloc)
+        _validate_bundles(inst, alloc.bundles.items())
         self.inst = inst
         self._incident = inst.graph._incident  # agent -> its incident goods
         self._bundles = dict(alloc.bundles)  # agent -> its bundle, nonempty only
@@ -388,8 +362,15 @@ def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
         raise InputError("cycle must contain at least 2 agents")
     if len(set(cycle)) != len(cycle):
         raise InputError("cycle must not repeat agents")
-    return alloc.with_bundles({u: alloc.bundle(cycle[(i + 1) % len(cycle)])
-                               for i, u in enumerate(cycle)})
+    # A shift of distinct agents permutes disjoint bundles, so it needs no check.
+    bundles = alloc.bundles.copy()
+    for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+        b = alloc.bundle(w)
+        if b:
+            bundles[u] = b
+        else:
+            bundles.pop(u, None)
+    return _trusted(bundles)
 
 
 def find_envy_cycle(eg: EnvyGraph) -> Optional[list[int]]:

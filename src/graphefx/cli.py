@@ -58,8 +58,15 @@ def _load_coloring(path: str, names: list[str]) -> Coloring:
     obj = load_json(path)
     try:
         index = {name: i for i, name in enumerate(names)}
-        colors = {index[name]: int(c) for name, c in obj["colors"].items()}
-        return Coloring(colors=colors, t=int(obj["t"]))
+        colors, t = obj["colors"], obj["t"]
+        # Each color and t must be a JSON integer; a bool is not one.
+        bad = next((name for name, c in colors.items() if type(c) is not int), None)
+        if bad is not None:
+            raise TypeError(f"the color of agent {bad!r} is {json.dumps(colors[bad])},"
+                            " not an integer")
+        if type(t) is not int:
+            raise TypeError(f"t is {json.dumps(t)}, not an integer")
+        return Coloring(colors={index[name]: c for name, c in colors.items()}, t=t)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed coloring file {path}: {exc}") from exc
 

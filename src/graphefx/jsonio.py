@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -16,7 +17,7 @@ from .audit import check_trace
 from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
-from .trace import TraceEvent, event_from_json, event_line
+from .trace import TraceEvent, _key, event_from_json, event_line
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
@@ -32,13 +33,30 @@ def _valuation_to_json(val: Valuation) -> dict:
     return {"type": val.kind, **vars(val), "values": values}
 
 
-def _valuation_from_json(obj: dict) -> Valuation:
+def _non_ints(xs: list) -> list:
+    """The items of ``xs`` that are not JSON integers (a bool is not one), after a C-level screen."""
+    return [] if set(map(type, xs)) <= {int} else [x for x in xs if type(x) is not int]
+
+
+def _valuation_from_json(obj: dict, agent: str) -> Valuation:
     try:
         cls = KINDS.get(obj["type"])
         if cls is Table:
-            return Table(entries={frozenset(e["goods"]): e["value"] for e in obj["entries"]})
+            sets = [e["goods"] for e in obj["entries"]]
+            bad = _non_ints(list(chain.from_iterable(sets)))
+            if bad:
+                raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad[0])},"
+                                 " not an integer")
+            return Table(entries={frozenset(g): e["value"] for g, e in zip(sets, obj["entries"])})
         if cls is not None:
-            values = {int(g): v for g, v in obj["values"].items()}
+            try:
+                values = {int(g): v for g, v in obj["values"].items()}
+            except ValueError:
+                values = None
+            if values is None or list(map(str, values)) != list(obj["values"]):
+                bad = next(k for k in obj["values"] if _key(k) == k)
+                raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad)},"
+                                 " not an integer's own text")
             rest = {f.name: obj[f.name] for f in fields(cls) if f.name != "values"}
             return cls(values=values, **rest)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -67,6 +85,9 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
         if len(set(names)) != len(names):
             raise InputError("agent names must be unique")
         index = {name: i for i, name in enumerate(names)}
+        bad = _non_ints([e["id"] for e in obj["edges"]])
+        if bad:
+            raise InputError(f"edge id {json.dumps(bad[0])} is not an integer")
         edge_objs = sorted(obj["edges"], key=lambda e: e["id"])
         if [e["id"] for e in edge_objs] != list(range(len(edge_objs))):
             raise InputError("edge ids must be dense 0..m-1")
@@ -81,7 +102,7 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
         for name in names:
             if name not in obj["valuations"]:
                 raise InputError(f"missing valuation for agent {name!r}")
-            vals[index[name]] = _valuation_from_json(obj["valuations"][name])
+            vals[index[name]] = _valuation_from_json(obj["valuations"][name], name)
         return Instance(graph=graph, valuations=vals), names
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
@@ -113,7 +134,7 @@ def load_json(path: Union[str, Path]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

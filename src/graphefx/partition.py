@@ -1,32 +1,22 @@
-"""Cut-and-choose primitives.
+"""Two-agent cut-and-choose, the one entry point of the partition layer.
 
-``cac`` splits a bundle into two pieces that are both EFX-feasible under the
-cutter's own valuation; ``cut_and_choose`` lets a second agent pick first.
-Tie-breaking is fully pinned down so every downstream solver is deterministic:
-the poorer piece on a value tie is piece1, goods tie to the lowest edge id,
-and under double indifference the chooser takes piece2.
+``cut_and_choose`` has the cutter split a bundle into two pieces that are both
+EFX-feasible under its own valuation, greedily for the cancellable families
+(``_cac_greedy``) and by exhaustive search for a table (``_cac_exhaustive``),
+and lets a second agent pick first.  Tie-breaking is fully pinned down so
+every downstream solver is deterministic: the poorer piece on a value tie is
+piece1, goods tie to the lowest edge id, and under double indifference the
+chooser takes piece2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import CapacityError
 from .valuation import Table, Valuation
 
 TABLE_CUT_MAX = 16
-
-
-@dataclass(frozen=True)
-class CutResult:
-    piece1: frozenset[int]
-    piece2: frozenset[int]
-    cutter_pref: int  # 1 or 2, the cutter's weakly preferred piece (ties -> 1)
-    cutter_indifferent: bool
-
-    def piece(self, idx: int) -> frozenset[int]:
-        return self.piece1 if idx == 1 else self.piece2
 
 
 def _is_efx_pair(val: Valuation, a: frozenset[int], b: frozenset[int]) -> bool:
@@ -40,10 +30,11 @@ def _is_efx_pair(val: Valuation, a: frozenset[int], b: frozenset[int]) -> bool:
 
 
 def _cac_greedy(cutter_val: Valuation, bundle: frozenset[int]
-                ) -> tuple[frozenset[int], frozenset[int], Optional[int], Optional[int]]:
+                ) -> tuple[frozenset[int], frozenset[int], int, int]:
     # The poorer piece repeatedly receives the remaining good of maximum
     # marginal value.  Correct for cancellable valuations.  Each piece comes
-    # with the value queried when it was last extended, or None when it never was.
+    # with the value queried when it was last extended; a piece never
+    # extended is empty and is valued once at the end.
     p1: set[int] = set()
     p2: set[int] = set()
     v1 = v2 = 0
@@ -63,7 +54,9 @@ def _cac_greedy(cutter_val: Valuation, bundle: frozenset[int]
             v1 = base + best_marginal
         else:
             v2 = base + best_marginal
-    return frozenset(p1), frozenset(p2), v1 if p1 else None, v2 if p2 else None
+    piece1, piece2 = frozenset(p1), frozenset(p2)
+    return (piece1, piece2, v1 if p1 else cutter_val.value(piece1),
+            v2 if p2 else cutter_val.value(piece2))
 
 
 def _cac_exhaustive(cutter_val: Valuation, bundle: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -80,49 +73,29 @@ def _cac_exhaustive(cutter_val: Valuation, bundle: frozenset[int]) -> tuple[froz
     raise AssertionError("an EFX bipartition always exists for monotone valuations")
 
 
-def cac(cutter_val: Valuation, bundle: Iterable[int]) -> CutResult:
-    """Split ``bundle`` into two pieces, both EFX-feasible for the cutter.
+def cut_and_choose(
+    cutter_val: Valuation, chooser_val: Valuation, bundle: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int], bool, int]:
+    """Two-agent cut-and-choose: the cutter splits ``bundle`` into two pieces
+    that are both EFX-feasible under its own valuation, and the chooser picks first.
 
     Cancellable families use the greedy construction, whose running piece
     values are reused; table valuations fall back to exhaustive search over
     all bipartitions, and their pieces are valued afterwards.
+
+    Returns (chooser_piece, cutter_piece, same_pref, chooser_value), where
+    same_pref says that both agents strictly prefer the chooser's piece and
+    chooser_value is the chooser's value of its piece.  The chooser takes the
+    piece it strictly prefers, else the piece the cutter strictly prefers
+    less, and under double indifference piece2.
     """
     bundle = frozenset(bundle)
     if isinstance(cutter_val, Table):
         p1, p2 = _cac_exhaustive(cutter_val, bundle)
-        v1 = v2 = None
+        v1, v2 = cutter_val.value(p1), cutter_val.value(p2)
     else:
         p1, p2, v1, v2 = _cac_greedy(cutter_val, bundle)
-    if v1 is None:
-        v1 = cutter_val.value(p1)
-    if v2 is None:
-        v2 = cutter_val.value(p2)
-    return CutResult(
-        piece1=p1,
-        piece2=p2,
-        cutter_pref=1 if v1 >= v2 else 2,
-        cutter_indifferent=v1 == v2,
-    )
-
-
-def cut_and_choose(
-    cutter_val: Valuation, chooser_val: Valuation, bundle: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int], bool, int]:
-    """Two-agent cut-and-choose: the cutter runs ``cac``, the chooser picks first.
-
-    Returns (chooser_piece, cutter_piece, same_pref, chooser_value), where
-    same_pref says that both agents strictly prefer the chooser's piece and
-    chooser_value is the chooser's value of its piece.  An indifferent
-    chooser takes the piece the cutter prefers less, and under double
-    indifference the chooser takes piece2.
-    """
-    cut = cac(cutter_val, bundle)
-    vc1, vc2 = chooser_val.value(cut.piece1), chooser_val.value(cut.piece2)
-    if vc1 != vc2:
-        s = 1 if vc1 > vc2 else 2
-    elif not cut.cutter_indifferent:
-        s = 3 - cut.cutter_pref
-    else:
-        s = 2
-    same_pref = not cut.cutter_indifferent and s == cut.cutter_pref
-    return cut.piece(s), cut.piece(3 - s), same_pref, vc1 if s == 1 else vc2
+    vc1, vc2 = chooser_val.value(p1), chooser_val.value(p2)
+    if vc1 > vc2 or vc1 == vc2 and v1 < v2:
+        return p1, p2, v1 > v2, vc1
+    return p2, p1, v2 > v1, vc2

@@ -576,26 +576,33 @@ def reference_shortest_cycle(graph, component=None):
 
 
 def reference_cut_preferences(cutter_val, chooser_val, bundle):
-    """Cut ``bundle`` with ``cac``; (cut, s, t) with s the chooser's and t the cutter's piece index.
+    """Cut ``bundle`` as the partition layer's cutter does; (pieces, s, t) with
+    ``pieces`` the pair (piece1, piece2), s the chooser's and t the cutter's piece index.
 
     Ties: an indifferent chooser takes the piece the cutter does not prefer,
     an indifferent cutter is given the complement of the chooser's pick, and
     under double indifference the chooser takes piece2.
     """
-    from graphefx import cac
+    from graphefx.partition import _cac_exhaustive, _cac_greedy
 
-    cut = cac(cutter_val, frozenset(bundle))
-    vc1, vc2 = chooser_val.value(cut.piece1), chooser_val.value(cut.piece2)
+    bundle = frozenset(bundle)
+    if isinstance(cutter_val, Table):
+        pieces = _cac_exhaustive(cutter_val, bundle)
+    else:
+        pieces = _cac_greedy(cutter_val, bundle)[:2]
+    v1, v2 = map(cutter_val.value, pieces)
+    vc1, vc2 = map(chooser_val.value, pieces)
+    cutter_pref = 1 if v1 >= v2 else 2
     if vc1 > vc2:
         s = 1
     elif vc2 > vc1:
         s = 2
-    elif not cut.cutter_indifferent:
-        s = 3 - cut.cutter_pref
+    elif v1 != v2:
+        s = 3 - cutter_pref
     else:
         s = 2
-    t = cut.cutter_pref if not cut.cutter_indifferent else 3 - s
-    return cut, s, t
+    t = cutter_pref if v1 != v2 else 3 - s
+    return pieces, s, t
 
 
 def _reference_to_json(x):
@@ -646,8 +653,8 @@ def _reference_resolve_structure(inst, bundles, u, right, phase, trace):
     pieces = {}  # w -> (loop, S piece, T piece, same_pref)
     for w in sorted(right):
         loop = inst.graph.parallel_edges(u, w)
-        cut, s, t = reference_cut_preferences(inst.valuations[w], v_u, loop)
-        pieces[w] = (loop, cut.piece(s), cut.piece(t), s == t)
+        halves, s, t = reference_cut_preferences(inst.valuations[w], v_u, loop)
+        pieces[w] = (loop, halves[s - 1], halves[t - 1], s == t)
     fav = max(sorted(pieces), key=lambda w: (v_u.value(pieces[w][1]), -w))
     leftover = set()
     for w in sorted(pieces):
@@ -764,8 +771,9 @@ def reference_tree_efx(inst):
             eg = envy_graph(inst, current())
             cycle = reference_find_envy_cycle(eg, inst.graph.vertex_count)
         loop = inst.graph.parallel_edges(leaf, parent)
-        cut, s, _ = reference_cut_preferences(inst.valuations[parent], inst.valuations[leaf], loop)
-        leaf_piece, rest = cut.piece(s), cut.piece(3 - s)
+        halves, s, _ = reference_cut_preferences(inst.valuations[parent], inst.valuations[leaf],
+                                                 loop)
+        leaf_piece, rest = halves[s - 1], halves[2 - s]
         bundles.setdefault(leaf, set()).update(leaf_piece)
         source = find_source_with_path(eg, parent)
         recipient = parent if source is None else source[0]

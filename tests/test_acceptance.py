@@ -13,8 +13,8 @@ import pytest
 from graphefx import (
     Coloring,
     brute_force_efx,
-    cac,
     chromatic_efx,
+    cut_and_choose,
     is_cancellable_bruteforce,
     is_efx,
     solve,
@@ -161,12 +161,12 @@ def test_criterion_5_cac_validity():
         for _ in range(500):
             goods = rng.sample(range(24), rng.randint(0, 8))
             val = random_family_valuation(rng, kind, goods, value_max=50)
-            cut = cac(val, goods)
+            piece1, piece2, _, _ = cut_and_choose(val, val, goods)
             trials += 1
-            if cut.piece1 | cut.piece2 != frozenset(goods) or cut.piece1 & cut.piece2:
+            if piece1 | piece2 != frozenset(goods) or piece1 & piece2:
                 failures += 1
                 continue
-            if not _is_efx_pair(val, cut.piece1, cut.piece2):
+            if not _is_efx_pair(val, piece1, piece2):
                 failures += 1
                 continue
             # exhaustive cross-check: the EFX bipartition set is nonempty and
@@ -177,7 +177,7 @@ def test_criterion_5_cac_validity():
                 p2 = frozenset(goods) - p1
                 if _is_efx_pair(val, p1, p2):
                     efx_set.add(frozenset((p1, p2)))
-            if not efx_set or frozenset((cut.piece1, cut.piece2)) not in efx_set:
+            if not efx_set or frozenset((piece1, piece2)) not in efx_set:
                 failures += 1
     ok = failures == 0 and trials == 1500
     _report("criterion 5: cut-and-choose validity, 500 bundles per family",

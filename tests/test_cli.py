@@ -218,10 +218,28 @@ def test_batch_reports_an_unwritable_output_on_its_own_line(b1_instance, tmp_pat
         str(tmp_path / "b.instance.json")]
 
 
+def _respell_good(doc, spelling):
+    values = doc["valuations"]["b"]["values"]
+    values[spelling] = values.pop("1")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(agents=["a", "b", "a"]), "agent names must be unique"),
     (lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # good 0 joins a and b
      "valuation of agent 2 supports non-incident edges [0]"),
+    # Ids are read as strictly as a trace's: JSON integers, and a key is its integer's own text.
+    (lambda doc: doc["edges"][1].update(id=1.0), "edge id 1.0 is not an integer"),
+    (lambda doc: doc["edges"][1].update(id=True), "edge id true is not an integer"),
+    (lambda doc: _respell_good(doc, " 1 "),
+     "valuation of agent 'b' names good \" 1 \", not an integer's own text"),
+    (lambda doc: _respell_good(doc, "1_0"),
+     "valuation of agent 'b' names good \"1_0\", not an integer's own text"),
+    (lambda doc: _respell_good(doc, "01"),
+     "valuation of agent 'b' names good \"01\", not an integer's own text"),
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": [], "value": 0}, {"goods": [0], "value": 3}, {"goods": [True], "value": 3},
+        {"goods": [0, 1], "value": 6}]}),
+     "valuation of agent 'b' names good true, not an integer"),
 ])
 def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
     doc = instance_to_json(b1_instance, ["a", "b", "c"])
@@ -240,6 +258,52 @@ def test_bad_coloring_file_exit_1(b1_file, tmp_path, colors):
     done = _run_cli("solve", b1_file, "--coloring", path)
     _assert_one_error_line(done)
     assert "malformed coloring file" in done.stderr
+
+
+@pytest.mark.parametrize("colors, t, named", [
+    ({"a": 0.9, "b": 1.2, "c": 1.7}, 2, "the color of agent 'a' is 0.9"),
+    ({"a": 0, "b": 1, "c": 1}, 2.5, "t is 2.5"),
+    ({"a": 0, "b": 1.0, "c": 1}, 2, "the color of agent 'b' is 1.0"),
+    ({"a": True, "b": False, "c": False}, 2, "the color of agent 'a' is true"),
+    ({"a": 0, "b": 1, "c": "1"}, 2, "the color of agent 'c' is \"1\""),
+    ({"a": 0, "b": 1, "c": 1}, "2", "t is \"2\""),
+    ({"a": 0, "b": 1, "c": 1}, True, "t is true"),
+])
+def test_non_integer_coloring_exit_1(b1_file, tmp_path, capsys, colors, t, named):
+    # b1 is a tree, so a coloring the reader truncated would go unused and the solve succeed.
+    path = tmp_path / "bad.coloring.json"
+    path.write_text(json.dumps({"colors": colors, "t": t}))
+    assert main(["solve", str(b1_file), "--coloring", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: malformed coloring file {path}: {named}, not an integer\n")
+
+
+def _non_utf8(path):
+    path.write_bytes(b"\xff{}")
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "solve --coloring"])
+def test_non_utf8_file_exit_1(b1_file, tmp_path, capsys, command):
+    bad = _non_utf8(tmp_path / "bad.json")
+    argv = {"solve": ["solve", bad], "verify": ["verify", b1_file, bad],
+            "solve --coloring": ["solve", b1_file, "--coloring", bad]}[command]
+    assert main(list(map(str, argv))) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_batch_reports_a_non_utf8_instance_and_solves_the_others(b1_instance, tmp_path, capsys):
+    for stem in "ac":
+        save_instance(b1_instance, ["a", "b", "c"], tmp_path / f"{stem}.instance.json")
+    bad = _non_utf8(tmp_path / "b.instance.json")
+    assert main(["solve", "--batch", str(tmp_path), "--jobs", "2"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["instance"] for line in out.splitlines()] == [
+        str(tmp_path / f"{stem}.instance.json") for stem in "ac"]
+    assert err.startswith(f"error: {bad}: cannot read {bad}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("option, env, message", [

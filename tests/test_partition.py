@@ -1,43 +1,42 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from graphefx import Additive, CapacityError, Table, cac, cut_and_choose
-from graphefx.partition import _is_efx_pair
+from graphefx import Additive, CapacityError, Table, cut_and_choose
+from graphefx.partition import _cac_exhaustive, _cac_greedy, _is_efx_pair
 
-from .conftest import CountingValuation, random_family_valuation
+from .conftest import CountingValuation, random_family_valuation, reference_cut_preferences
 
 
 def test_cac_greedy_example():
     val = Additive(values={0: 5, 1: 4, 2: 3, 3: 2, 4: 1})
-    cut = cac(val, {0, 1, 2, 3, 4})
-    assert cut.piece1 == {0, 3, 4}
-    assert cut.piece2 == {1, 2}
-    assert val.value(cut.piece1) == 8 and val.value(cut.piece2) == 7
-    assert cut.cutter_pref == 1 and not cut.cutter_indifferent
+    p1, p2, v1, v2 = _cac_greedy(val, frozenset({0, 1, 2, 3, 4}))
+    assert p1 == {0, 3, 4} and p2 == {1, 2}
+    assert (v1, v2) == (8, 7) == (val.value(p1), val.value(p2))
 
 
 def test_cac_singleton_and_empty():
     val = Additive(values={0: 3})
-    cut = cac(val, {0})
-    assert (cut.piece1, cut.piece2) == (frozenset({0}), frozenset())
-    cut = cac(val, set())
-    assert (cut.piece1, cut.piece2) == (frozenset(), frozenset())
-    assert cut.cutter_indifferent
+    assert _cac_greedy(val, frozenset({0})) == (frozenset({0}), frozenset(), 3, 0)
+    assert _cac_greedy(val, frozenset()) == (frozenset(), frozenset(), 0, 0)
 
 
 def test_cac_table_exhaustive(noncancellable_table):
-    cut = cac(noncancellable_table, {0, 1, 2})
-    assert cut.piece1 | cut.piece2 == {0, 1, 2}
-    assert not (cut.piece1 & cut.piece2)
-    assert _is_efx_pair(noncancellable_table, cut.piece1, cut.piece2)
+    p1, p2 = _cac_exhaustive(noncancellable_table, frozenset({0, 1, 2}))
+    assert p1 | p2 == {0, 1, 2}
+    assert not (p1 & p2)
+    assert _is_efx_pair(noncancellable_table, p1, p2)
+    chooser_piece, cutter_piece, _, _ = cut_and_choose(noncancellable_table, noncancellable_table,
+                                                       {0, 1, 2})
+    assert {chooser_piece, cutter_piece} == {p1, p2}
 
 
 def test_cac_table_capacity():
     big = Table(entries={frozenset(): 0, frozenset({0}): 1})
     with pytest.raises(CapacityError):
-        cac(big, range(17))
+        cut_and_choose(big, big, range(17))
 
 
 def test_cut_and_choose_indifferent_cutter():
@@ -69,9 +68,9 @@ def test_cac_pieces_efx_feasible_vs_exhaustive():
         kind = rng.choice(["additive", "unit_demand", "budget_additive"])
         goods = rng.sample(range(20), rng.randint(0, 8))
         val = random_family_valuation(rng, kind, goods)
-        cut = cac(val, goods)
-        assert cut.piece1 | cut.piece2 == frozenset(goods)
-        assert not (cut.piece1 & cut.piece2)
+        chooser_piece, cutter_piece, _, _ = cut_and_choose(val, val, goods)
+        assert chooser_piece | cutter_piece == frozenset(goods)
+        assert not (chooser_piece & cutter_piece)
         efx_pairs = []
         for mask in range(1 << len(goods)):
             p1 = frozenset(g for i, g in enumerate(goods) if mask >> i & 1)
@@ -79,7 +78,7 @@ def test_cac_pieces_efx_feasible_vs_exhaustive():
             if _is_efx_pair(val, p1, p2):
                 efx_pairs.append((p1, p2))
         assert efx_pairs
-        assert (cut.piece1, cut.piece2) in efx_pairs or (cut.piece2, cut.piece1) in efx_pairs
+        assert (chooser_piece, cutter_piece) in efx_pairs or (cutter_piece, chooser_piece) in efx_pairs
 
 
 def test_cut_and_choose_chooser_ef_cutter_efx():
@@ -99,8 +98,9 @@ def test_determinism():
     for _ in range(50):
         goods = rng.sample(range(12), rng.randint(1, 8))
         val = random_family_valuation(rng, "additive", goods)
-        first = cac(val, goods)
-        assert cac(val, set(goods)) == first
+        chooser = random_family_valuation(rng, "additive", goods)
+        first = cut_and_choose(val, chooser, goods)
+        assert cut_and_choose(val, chooser, set(goods)) == first
 
 
 def test_cac_greedy_reuses_its_running_piece_values():
@@ -113,14 +113,49 @@ def test_cac_greedy_reuses_its_running_piece_values():
         kind = rng.choice(["additive", "unit_demand", "budget_additive"])
         goods = rng.sample(range(20), rng.randint(0, 8))
         val = random_family_valuation(rng, kind, goods, value_max=rng.choice((0, 3, 20)))
+        chooser = random_family_valuation(rng, kind, goods)
         counter = [0]
-        cut = cac(CountingValuation(val, counter), goods)
-        assert cut == cac(val, goods)
+        cut = cut_and_choose(CountingValuation(val, counter), chooser, goods)
+        assert cut == cut_and_choose(val, chooser, goods)
         k = len(goods)
-        empty = (not cut.piece1) + (not cut.piece2)
+        empty = (not cut[0]) + (not cut[1])
         assert counter[0] == k * (k + 1) // 2 + empty
         empties[k > 0, empty] += 1
     assert empties[True, 0] and empties[True, 1] and empties[False, 2], empties
+
+
+# Each cutter splits {0, 1, 2} into piece1 {0} and piece2 {1, 2}, greedily and
+# exhaustively, and values them as named; each chooser compares piece1 with piece2 as named.
+_CUTTERS = {">": {0: 4, 1: 2, 2: 1}, "<": {0: 3, 1: 2, 2: 2}, "=": {0: 2, 1: 1, 2: 1}}
+_CHOOSERS = {">": {0: 5, 1: 1, 2: 1}, "<": {0: 1, 1: 1, 2: 1}, "=": {0: 2, 1: 1, 2: 1}}
+# (chooser, cutter) -> (the chooser's piece index, same_pref)
+_PICKS = {(">", ">"): (1, True), (">", "<"): (1, False), (">", "="): (1, False),
+          ("<", ">"): (2, False), ("<", "<"): (2, True), ("<", "="): (2, False),
+          ("=", ">"): (2, False), ("=", "<"): (1, False), ("=", "="): (2, False)}
+
+
+def _as_table(values):
+    goods = sorted(values)
+    return Table(entries={frozenset(g for i, g in enumerate(goods) if mask >> i & 1):
+                          sum(values[g] for i, g in enumerate(goods) if mask >> i & 1)
+                          for mask in range(1 << len(goods))})
+
+
+@pytest.mark.parametrize("family", ["additive", "table"])
+@pytest.mark.parametrize("chooser_cmp, cutter_cmp", sorted(product("><=", repeat=2)))
+def test_cut_and_choose_tie_table(family, chooser_cmp, cutter_cmp):
+    cutter = Additive(values=_CUTTERS[cutter_cmp])
+    if family == "table":
+        cutter = _as_table(_CUTTERS[cutter_cmp])
+    chooser = Additive(values=_CHOOSERS[chooser_cmp])
+    pieces = (frozenset({0}), frozenset({1, 2}))
+    s, same = _PICKS[chooser_cmp, cutter_cmp]
+    chooser_piece, cutter_piece, same_pref, value = cut_and_choose(cutter, chooser, {0, 1, 2})
+    assert (chooser_piece, cutter_piece) == (pieces[s - 1], pieces[2 - s])
+    assert same_pref is same and value == chooser.value(chooser_piece)
+    halves, ref_s, ref_t = reference_cut_preferences(cutter, chooser, {0, 1, 2})
+    assert halves == pieces and ref_s == s
+    assert same_pref == (ref_s == ref_t)
 
 
 def _monotone_table(rng, goods):
@@ -150,15 +185,18 @@ def test_table_cut_query_count_does_not_depend_on_the_good_ids(monkeypatch):
     for _ in range(150):
         k = rng.randint(0, 6)
         vs = _monotone_table(rng, list(range(k)))
+        weights = [rng.randint(0, 3) for _ in range(k)]
         relabelled = sorted(rng.sample(ids, k))
         counts, cuts = [], []
         for goods in (list(range(k)), relabelled):
             table = Table(entries={frozenset(g for i, g in enumerate(goods) if mask >> i & 1): v
                                    for mask, v in enumerate(vs)})
+            chooser = Additive(values={g: w for g, w in zip(goods, weights)})
             counter[0] = 0
-            cut = cac(table, goods)
+            chooser_piece, cutter_piece, same_pref, value = cut_and_choose(table, chooser, goods)
             counts.append(counter[0])
-            cuts.append([sorted(goods.index(g) for g in p) for p in (cut.piece1, cut.piece2)]
-                        + [cut.cutter_pref, cut.cutter_indifferent])
+            piece1 = _cac_exhaustive(table, frozenset(goods))[0]
+            cuts.append([sorted(goods.index(g) for g in p)
+                         for p in (piece1, chooser_piece, cutter_piece)] + [same_pref, value])
         assert counts[0] == counts[1]
         assert cuts[0] == cuts[1]
