@@ -125,9 +125,9 @@ class EnvyGraph:
       are monotone, so y's own value did not fall, and its envy of a rival
       with the same bundle can only have vanished.
 
-    ``alloc`` is an immutable ``Allocation`` of the map, built when asked and
-    kept until the next step; it is never a live view of the map.  Each
-    agent's rival set is kept until a good incident to it moves; the agent is
+    ``alloc`` is an immutable ``Allocation`` of a copy of the map, built each
+    time it is asked for; it is never a live view of the map.  Each agent's
+    rival set is kept until a good incident to it moves; the agent is
     one of that good's two endpoints.  Every id in the map has been checked,
     so the graph's edge and incidence tables are read without range checks.
     """
@@ -137,15 +137,12 @@ class EnvyGraph:
         self.inst = inst
         self._incident = inst.graph._incident  # agent -> its incident goods
         self._bundles = dict(alloc.bundles)  # agent -> its bundle, nonempty only
-        self._alloc: Optional[Allocation] = alloc  # the Allocation of _bundles, once built
         # good -> the agent holding it; read-only outside the class
         self.holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
         self._rivals: dict[int, frozenset[int]] = {}  # agent -> its rivals, filled on demand
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
-        # The envy edges added since a search last found no cycle; None before one has.
-        self._fresh: Optional[list[tuple[int, int]]] = None
         # Only an endpoint of a held good can have a rival.
         for u in set(chain.from_iterable(map(inst.graph.edges.__getitem__, holder))):
             rivals = self.rivals(u)
@@ -164,10 +161,8 @@ class EnvyGraph:
 
     @property
     def alloc(self) -> Allocation:
-        """The current allocation, built on demand and kept until the next step."""
-        if self._alloc is None:
-            self._alloc = _trusted(self._bundles.copy())
-        return self._alloc
+        """The current allocation, built from a copy of the bundle map."""
+        return _trusted(self._bundles.copy())
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -196,43 +191,6 @@ class EnvyGraph:
             held_by = frozenset(map(self.holder.get, self._incident[u]))
             rivals = self._rivals[u] = held_by - {None, u}
         return rivals
-
-    def find_cycle(self) -> Optional[list[int]]:
-        """``find_envy_cycle`` on the current envy graph.
-
-        Once a search has found no cycle, the graph is a subgraph of that
-        acyclic graph plus the envy edges added since, so a cycle must use
-        one of those edges (u, w) and a path from w back to u.  While no
-        added edge closes such a path, the graph is still acyclic and no
-        search runs; otherwise the full search runs and finds a cycle.
-        """
-        if self._fresh is not None and not self._closes_path():
-            self._fresh = []
-            return None
-        cycle = find_envy_cycle(self)
-        if cycle is None:
-            self._fresh = []
-        return cycle
-
-    def _closes_path(self) -> bool:
-        """Whether a present envy edge of ``_fresh`` has a path from its head
-        back to its tail: a search over out-edges from each head."""
-        tails: dict[int, set[int]] = {}  # head -> the tails of its fresh edges
-        for u, w in self._fresh:
-            if self.envies(u, w):
-                tails.setdefault(w, set()).add(u)
-        out = self._out
-        for head, ends in tails.items():
-            seen = {head}
-            stack = [head]
-            while stack:
-                for x in out.get(stack.pop(), ()):
-                    if x in ends:
-                        return True
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-        return False
 
     def step(self, changes: Mapping[int, Iterable[int]]) -> frozenset[int]:
         """Give each agent in ``changes`` its new bundle; return the goods that
@@ -265,7 +223,6 @@ class EnvyGraph:
             if not b:
                 del bundles[y]
             self._own.pop(y, None)
-        self._alloc = None
 
         ends = self.inst.graph.edges
         touched: dict[int, set[int]] = {}  # endpoint of a moved good -> the changed agents it sees
@@ -328,8 +285,6 @@ class EnvyGraph:
         if envy and w not in out:
             self._out.setdefault(u, set()).add(w)
             self._in.setdefault(w, set()).add(u)
-            if self._fresh is not None:
-                self._fresh.append((u, w))
         elif not envy and w in out:
             for adj, a, b in ((self._out, u, w), (self._in, w, u)):
                 adj[a].discard(b)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, analyze, solve, verify, oracle, audit.
-Exit codes: 0 success, 1 input/validation error, 2 unsupported instance class,
-3 EFX violation.
+Exit codes: 0 success, 1 usage, input or validation error, 2 unsupported
+instance class, 3 EFX violation.
 """
 
 from __future__ import annotations
@@ -236,11 +236,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_NOT_EFX
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise InputError, which ``main`` reports
+    in one line with exit code 1."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged, and ``main`` looks each command's function up when it runs it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphefx", description="EFX allocation toolkit for multi-graph fair division"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,15 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve" and not args.batch and not args.instance:
-        parser.error("solve needs an instance path or --batch")
-    if args.command == "solve" and args.trace and args.batch:
-        args.trace = True  # batch mode derives per-instance trace paths
-    command = {"gen": cmd_gen, "analyze": cmd_analyze, "solve": cmd_solve,
-               "verify": cmd_verify, "oracle": cmd_oracle, "audit": cmd_audit}[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "solve" and not args.batch and not args.instance:
+            raise InputError("solve needs an instance path or --batch")
+        if args.command == "solve" and args.trace and args.batch:
+            args.trace = True  # batch mode derives per-instance trace paths
+        command = {"gen": cmd_gen, "analyze": cmd_analyze, "solve": cmd_solve,
+                   "verify": cmd_verify, "oracle": cmd_oracle, "audit": cmd_audit}[args.command]
         return command(args)
     except GraphEfxError as exc:
         print(f"error: {exc}", file=sys.stderr)

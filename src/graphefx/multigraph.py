@@ -286,17 +286,21 @@ class MultiGraph:
         # vertices, in order, to their colors, and ``c`` is the next color to
         # try at the first uncolored vertex.  A new color is at most one above
         # the largest used, and colors are tried in ascending order.
+        # ``highest[i]`` is the largest color of the first i vertices.
         colors: dict[int, int] = {}
+        highest = [-1]
         c = 0
         while len(colors) < len(vertices):
             v = vertices[len(colors)]
-            limit = min(t, max(colors.values(), default=-1) + 2)
+            limit = min(t, highest[-1] + 2)
             while c < limit and any(colors.get(w) == c for w in self._adj[v]):
                 c += 1
             if c < limit:
                 colors[v] = c
+                highest.append(max(highest[-1], c))
                 c = 0
             elif colors:
+                highest.pop()
                 c = colors.popitem()[1] + 1
             else:
                 return None

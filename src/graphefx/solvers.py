@@ -19,6 +19,7 @@ from .allocation import (  # noqa: F401
     Allocation,
     EnvyGraph,
     envy_graph,
+    find_envy_cycle,
     find_source_with_path,
     resolve_cycle,
 )
@@ -170,8 +171,15 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
     One ``EnvyGraph`` holds the allocation and is stepped in place with the
-    bundles each step changes; its ``find_cycle`` searches only when a new
-    envy edge closes a cycle.
+    bundles each step changes.
+
+    The envy graph is acyclic before every attachment, and an attachment
+    that does not end in a shift keeps it so.  The leaf envies no one, and
+    only the leaf and the parent value the loop, so the only envy edges an
+    attachment can add leave the parent: one to the leaf, a sink, and one to
+    the source that took the complement, which is what the shift resolves.
+    So ``find_envy_cycle`` searches only after a shift, and each cycle it
+    finds is shifted until none is left.
     Given a component, it solves that component alone.
     """
     if not inst.graph.is_multitree(component):
@@ -181,16 +189,17 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     envy = EnvyGraph(inst, Allocation.empty())
 
     def shift(cycle: list[int]) -> None:
-        shifted = resolve_cycle(envy.alloc, cycle)
-        changes = _changed(envy.bundle, {u: shifted.bundle(u) for u in cycle})
+        after = resolve_cycle(envy.alloc, cycle)
+        changes = _changed(envy.bundle, {u: after.bundle(u) for u in cycle})
         envy.step(changes)
         trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
 
+    shifted = False  # whether the last attachment ended in a shift
     for leaf, parent in _attach_order(inst.graph, component):
-        cycle = envy.find_cycle()
+        cycle = find_envy_cycle(envy) if shifted else None
         while cycle is not None:
             shift(cycle)
-            cycle = envy.find_cycle()
+            cycle = find_envy_cycle(envy)
 
         loop = inst.graph.parallel_edges(leaf, parent)
         leaf_piece, rest, _, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf],
@@ -205,10 +214,9 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         envy.step(changes)
         trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
                                   leftover_to=recipient, changes=changes))
-        if source is not None:
-            s_vertex, path = source
-            if envy.envies(parent, s_vertex):
-                shift([parent] + path[:-1])  # parent envies the source; close the loop
+        shifted = source is not None and envy.envies(parent, source[0])
+        if shifted:
+            shift([parent] + source[1][:-1])  # parent envies the source; close the loop
 
     return envy.alloc, trace
 

@@ -16,7 +16,7 @@ from graphefx import (
     is_efx,
     resolve_cycle,
 )
-from graphefx import allocation
+from graphefx import solvers
 from graphefx.allocation import EnvyGraph, find_envy_cycle, find_source_with_path
 from graphefx.errors import PreconditionError
 from graphefx.generators import VALUATION_KINDS, gen_multitree
@@ -331,7 +331,7 @@ def test_envy_graph_matches_from_scratch_after_every_update():
                 assert envy.in_neighbours(v) == [a for a, w in edges if w == v]
                 assert envy.envies(v, (v + 1) % n) == ((v, (v + 1) % n) in edges)
             reference = Digraph(n, edges)
-            assert envy.find_cycle() == reference_find_envy_cycle(reference, n)
+            assert find_envy_cycle(envy) == reference_find_envy_cycle(reference, n)
             target = rng.randrange(n)
             try:
                 expected = find_source_with_path(reference, target)
@@ -420,10 +420,10 @@ def test_envy_graph_update_validates_changed_bundles():
         EnvyGraph(inst, Allocation(bundles={1: frozenset({9})}))
 
 
-def test_tree_efx_searches_for_a_cycle_only_when_one_exists(monkeypatch):
-    # After a search finds no cycle, the graph stays acyclic until an added
-    # envy edge closes a path back to its tail, and only then does
-    # ``find_cycle`` search again.
+def test_tree_efx_searches_for_a_cycle_only_after_a_shift(monkeypatch):
+    # An attachment that does not end in a shift leaves the envy graph
+    # acyclic, so ``tree_efx`` searches once after each post-attach shift
+    # that another attachment follows, and once more after each cycle found.
     counts = Counter()
 
     def counted(eg):
@@ -432,15 +432,50 @@ def test_tree_efx_searches_for_a_cycle_only_when_one_exists(monkeypatch):
         counts["cycles"] += cycle is not None
         return cycle
 
-    monkeypatch.setattr(allocation, "find_envy_cycle", counted)
-    for kind in VALUATION_KINDS:
-        for seed in range(2):
-            inst, _ = gen_multitree(seed=seed, n=200, max_parallel=3, value_max=10,
-                                    valuation_kind=kind)
-            counts.clear()
-            alloc, _ = tree_efx(inst)
-            assert alloc.is_complete(inst)
-            assert 0 < counts["searches"] <= counts["cycles"] + 1, (kind, seed, counts)
+    monkeypatch.setattr(solvers, "find_envy_cycle", counted)
+    cases = [(kind, seed) for kind in VALUATION_KINDS for seed in range(2)]
+    searched = 0
+    for kind, seed in cases + [("budget_additive", 4)]:
+        inst, _ = gen_multitree(seed=seed, n=200, max_parallel=3, value_max=10,
+                                valuation_kind=kind)
+        counts.clear()
+        alloc, trace = tree_efx(inst)
+        assert alloc.is_complete(inst)
+        kinds = [ev.kind for ev in trace]
+        last_attach = max(i for i, k in enumerate(kinds) if k == "leaf_attached")
+        shifts = [i for i, k in enumerate(kinds)
+                  if k == "cycle_resolved" and kinds[i - 1] == "leaf_attached"]
+        assert counts["searches"] == (sum(i < last_attach for i in shifts)
+                                      + counts["cycles"]), (kind, seed, counts)
+        if (kind, seed) not in cases:  # a tree without a shift makes no search
+            assert not shifts and counts["searches"] == 0
+        searched += counts["searches"]
+    assert searched > 0
+
+
+def _acyclic(inst, snapshot):
+    n = inst.graph.vertex_count
+    edges = reference_envy_edges(inst, Allocation(bundles=snapshot))
+    return reference_find_envy_cycle(Digraph(n, edges), n) is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14), st.integers(1, 5),
+       st.sampled_from(VALUATION_KINDS))
+def test_tree_efx_attachment_without_a_shift_keeps_envy_acyclic(seed, n, max_parallel, kind):
+    # The envy graph is acyclic before every attachment, and after every
+    # attachment that no shift follows: why ``tree_efx`` searches for a
+    # cycle only after a shift.
+    inst, _ = gen_multitree(seed=seed, n=n, max_parallel=max_parallel, value_max=10,
+                            valuation_kind=kind)
+    events = folded(tree_efx(inst)[1])
+    held = {}  # the bundles before the current event
+    for i, ev in enumerate(events):
+        if ev["type"] == "leaf_attached":
+            assert _acyclic(inst, held), (i, held)
+            if i + 1 == len(events) or events[i + 1]["type"] != "cycle_resolved":
+                assert _acyclic(inst, ev["snapshot"]), (i, ev["snapshot"])
+        held = ev["snapshot"]
 
 
 def test_tree_efx_query_count_is_linear():

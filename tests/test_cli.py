@@ -148,7 +148,7 @@ def test_successive_main_calls_match_fresh_processes(b1_file, tmp_path, capsys, 
     for argv in calls:
         try:
             code = main(list(map(str, argv)))
-        except SystemExit as exc:  # argparse exits on --help and on usage errors
+        except SystemExit as exc:  # argparse exits on --help
             code = exc.code
         in_process.append((code, *capsys.readouterr()))
     for argv, seen in zip(calls, in_process):
@@ -161,6 +161,28 @@ def _assert_one_error_line(done):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["frob"], "invalid choice: 'frob'"),
+    (["solve"], "solve needs an instance path or --batch"),
+    (["solve", "--batch", ".", "--jobs", "x"], "graphefx solve: argument --jobs: invalid int"),
+    (["gen", "petersen"], "graphefx gen: the following arguments are required: -o/--out"),
+    (["verify", "a", "b", "c"], "unrecognized arguments: c"),
+])
+def test_usage_error_exit_1(argv, message):
+    done = _run_cli(*argv)
+    _assert_one_error_line(done)
+    assert message in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert done.value.code == EXIT_OK and out.startswith("usage: graphefx") and err == ""
 
 
 def test_verify_bundles_list_exit_1(b1_file, tmp_path):

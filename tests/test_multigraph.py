@@ -275,6 +275,35 @@ def test_find_coloring_matches_exact_search_reference():
     assert found == {None, 1, 2, 3, 4}
 
 
+def _scan_try_color(g, t, vertices):
+    """``MultiGraph._try_color`` as it was with a scan for the largest used
+    color at every node."""
+    colors = {}
+    c = 0
+    while len(colors) < len(vertices):
+        v = vertices[len(colors)]
+        limit = min(t, max(colors.values(), default=-1) + 2)
+        while c < limit and any(colors.get(w) == c for w in g.neighbours(v)):
+            c += 1
+        if c < limit:
+            colors[v] = c
+            c = 0
+        elif colors:
+            c = colors.popitem()[1] + 1
+        else:
+            return None
+    return colors
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10), st.integers(1, 4), st.integers(1, 4))
+def test_try_color_matches_scan_reference(seed, n, p_num, t):
+    rng = random.Random(seed)
+    g = _random_graph(rng, n, p_num, 5)
+    vertices = rng.sample(range(n), rng.randint(1, n))  # any order, not always all
+    assert g._try_color(t, vertices) == _scan_try_color(g, t, vertices)
+
+
 def test_connected_components():
     g = MultiGraph(6, [(0, 1), (2, 3), (2, 3)])
     assert g.connected_components() == [[0, 1], [2, 3], [4], [5]]
