@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
@@ -97,24 +96,18 @@ def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[in
 # any other bundle is worth v_u(empty set) <= v_u(own bundle) by
 # monotonicity, so u can neither envy it nor violate EFX against it.
 
-def _envied(bundles: Mapping[int, frozenset[int]], val: "Valuation", incident: frozenset[int],
-            own: int, others: Iterable[int]) -> list[int]:
-    """The agents in ``others``, in their order, that an agent with valuation
-    ``val``, incident goods ``incident`` and own value ``own`` envies, where
-    ``bundles`` maps each agent that holds goods to its bundle."""
-    return [w for w in others if own < val.value(bundles.get(w, _NOTHING) & incident)]
-
-
 class EnvyGraph:
     """Directed envy relation of an allocation: (u, w) present iff u strictly
     prefers w's bundle.
 
     The graph owns the running allocation: a map from each agent that holds
     goods to its bundle (``bundle(u)`` reads it) and ``holder``, the agent of
-    each held good.  ``EnvyGraph(inst, alloc)`` decides every rival pair
-    once.  After that, ``step(changes)`` replaces the bundles of the agents
-    in ``changes`` in place, computing each one's gained and lost goods once,
-    and re-decides only the pairs that the step can affect:
+    each held good.  It also keeps, per agent u, how many of u's incident
+    goods each rival of u holds; ``step`` updates these counts at both
+    endpoints of each moved good.  ``EnvyGraph(inst, alloc)`` decides every
+    rival pair once.  After that, ``step(changes)`` replaces the bundles of
+    the agents in ``changes`` in place, walking each moved good once, and
+    re-decides only the pairs that the step can affect:
 
     * (z, y) for each changed y and each unchanged z that is an endpoint of
       a good y gained or lost.  Any other unchanged z keeps its own value
@@ -126,10 +119,9 @@ class EnvyGraph:
       with the same bundle can only have vanished.
 
     ``alloc`` is an immutable ``Allocation`` of a copy of the map, built each
-    time it is asked for; it is never a live view of the map.  Each agent's
-    rival set is kept until a good incident to it moves; the agent is
-    one of that good's two endpoints.  Every id in the map has been checked,
-    so the graph's edge and incidence tables are read without range checks.
+    time it is asked for; it is never a live view of the map.  Every id in
+    the map has been checked, so the graph's edge and incidence tables are
+    read without range checks.
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
@@ -140,20 +132,18 @@ class EnvyGraph:
         # good -> the agent holding it; read-only outside the class
         self.holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
-        self._rivals: dict[int, frozenset[int]] = {}  # agent -> its rivals, filled on demand
+        # agent u -> {rival w: how many of u's incident goods w holds}
+        self._count: dict[int, dict[int, int]] = {}
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
-        # Only an endpoint of a held good can have a rival.
-        for u in set(chain.from_iterable(map(inst.graph.edges.__getitem__, holder))):
-            rivals = self.rivals(u)
-            if rivals:
-                val = inst.valuations[u]
-                own = self._own[u] = val.value(self.bundle(u))
-                envied = _envied(self._bundles, val, self._incident[u], own, rivals)
-                if envied:
-                    self._out[u] = set(envied)
-                    for w in envied:
-                        self._in.setdefault(w, set()).add(u)
+        ends = inst.graph.edges
+        for g, w in holder.items():
+            for z in ends[g]:
+                if z != w:
+                    count = self._count.setdefault(z, {})
+                    count[w] = count.get(w, 0) + 1
+        for u, count in self._count.items():
+            self._redecide(u, count)
 
     def bundle(self, u: int) -> frozenset[int]:
         """The bundle ``u`` holds now."""
@@ -184,13 +174,10 @@ class EnvyGraph:
     def envies(self, u: int, w: int) -> bool:
         return w in self._out.get(u, ())
 
-    def rivals(self, u: int) -> frozenset[int]:
-        """The agents other than ``u`` that hold a good incident to ``u``."""
-        rivals = self._rivals.get(u)
-        if rivals is None:
-            held_by = frozenset(map(self.holder.get, self._incident[u]))
-            rivals = self._rivals[u] = held_by - {None, u}
-        return rivals
+    def rivals(self, u: int) -> AbstractSet[int]:
+        """The agents other than ``u`` that hold a good incident to ``u``: a live
+        view, which the next ``step`` may change."""
+        return self._count.setdefault(u, {}).keys()
 
     def step(self, changes: Mapping[int, Iterable[int]]) -> frozenset[int]:
         """Give each agent in ``changes`` its new bundle; return the goods that
@@ -201,43 +188,72 @@ class EnvyGraph:
         an unknown agent or good raises InputError, before any state changes.
         """
         bundles, holder = self._bundles, self.holder
-        new = dict(zip(changes.keys(), map(frozenset, changes.values())))
-        gained = {y: b - bundles.get(y, _NOTHING) for y, b in new.items()}
-        lost = {y: bundles.get(y, _NOTHING) - b for y, b in new.items()}
-        got = frozenset().union(*gained.values())
+        new: dict[int, frozenset[int]] = {}
+        gained: dict[int, int] = {}  # good -> the changed agent that gains it
+        lost: dict[int, int] = {}  # good -> the changed agent that gives it up
+        shrank: set[int] = set()  # the changed agents that give up a good
+        n_gained, n, known = 0, len(self._incident), True
+        for y, b in changes.items():
+            if not 0 <= y < n:
+                known = False
+            b = new[y] = frozenset(b)
+            old = bundles.get(y, _NOTHING)
+            got, gave = b - old, old - b
+            if got:
+                n_gained += len(got)
+                gained.update(dict.fromkeys(got, y))
+            if gave:
+                lost.update(dict.fromkeys(gave, y))
+                shrank.add(y)
         # a good gained twice, or gained while an agent that keeps it holds it
-        if len(got) != sum(map(len, gained.values())) or any(
-                map(holder.__contains__, got.difference(*lost.values()))):
+        if len(gained) != n_gained or not (holder.keys().isdisjoint(gained)
+                                           or holder.keys() & gained.keys() <= lost.keys()):
             _raise_overlap({**bundles, **new})
-        n, m = self.inst.graph.vertex_count, self.inst.graph.edge_count
-        if (new and not (0 <= min(new) and max(new) < n)
-                or got and not (0 <= min(got) and max(got) < m)):
+        ends, counts = self.inst.graph.edges, self._count
+        if not known or gained and not (0 <= min(gained) and max(gained) < len(ends)):
             _validate_bundles(self.inst, new.items())
 
-        for g in chain.from_iterable(lost.values()):
+        touched: dict[int, set[int]] = {}  # unchanged endpoint of a moved good -> who moved it
+        for g, y in lost.items():
             del holder[g]
-        for y, b in gained.items():
-            holder.update(dict.fromkeys(b, y))
-        bundles.update(new)
+            for z in ends[g]:
+                if z != y:
+                    count = counts[z]
+                    if count[y] == 1:
+                        del count[y]
+                    else:
+                        count[y] -= 1
+                    if z not in new:
+                        touched.setdefault(z, set()).add(y)
+        for g, y in gained.items():
+            holder[g] = y
+            for z in ends[g]:
+                if z != y:
+                    count = counts.setdefault(z, {})
+                    count[y] = count.get(y, 0) + 1
+                    if z not in new:
+                        touched.setdefault(z, set()).add(y)
         for y, b in new.items():
-            if not b:
-                del bundles[y]
+            if b:
+                bundles[y] = b
+            else:
+                bundles.pop(y, None)
             self._own.pop(y, None)
 
-        ends = self.inst.graph.edges
-        touched: dict[int, set[int]] = {}  # endpoint of a moved good -> the changed agents it sees
         for y in new:
-            for z in set(chain.from_iterable(map(ends.__getitem__, lost[y] | gained[y]))):
-                touched.setdefault(z, set()).add(y)
-        for z in touched:
-            self._rivals.pop(z, None)
-        changed = set(new)
-        for y in new:
-            self._redecide_rivals(y, None if lost[y] else changed)
+            count = counts.setdefault(y, {})
+            out = self._out.get(y, _NOTHING)
+            stale = [w for w in out if w not in count] if out else ()
+            if y in shrank:
+                self._redecide(y, count, stale)
+            else:  # y's own value did not fall: its envy of an unchanged rival can only end
+                others = count.keys() & new.keys()
+                others |= out
+                others.difference_update(stale)
+                self._redecide(y, others, stale)
         for z, ys in touched.items():
-            if z not in changed:
-                self._redecide(z, ys)
-        return got.union(*lost.values())
+            self._redecide(z, ys)
+        return frozenset(gained).union(lost)
 
     def _own_value(self, u: int) -> int:
         own = self._own.get(u)
@@ -245,23 +261,32 @@ class EnvyGraph:
             own = self._own[u] = self.inst.valuations[u].value(self.bundle(u))
         return own
 
-    def _redecide_rivals(self, u: int, grown_among: Optional[set[int]]) -> None:
-        """Re-decide u against its rivals; when u's bundle only grew, against
-        those it envied and those in ``grown_among``, the changed agents."""
-        out = self._out.get(u, set())
-        rivals = self.rivals(u)
-        for w in out - rivals:
-            self._set(u, w, False)
-        if grown_among is not None:
-            rivals = rivals & (out | grown_among)
-        if rivals:
-            self._redecide(u, rivals)
-
-    def _redecide(self, u: int, others: AbstractSet[int]) -> None:
-        envied = set(_envied(self._bundles, self.inst.valuations[u], self._incident[u],
-                             self._own_value(u), others))
-        for w in others:
-            self._set(u, w, w in envied)
+    def _redecide(self, u: int, others: Iterable[int], stale: Iterable[int] = ()) -> None:
+        """Re-decide the pairs (u, w) for each w in ``others`` by the envy rule,
+        and drop the envy edges (u, w) for each w in ``stale``."""
+        out = self._out.get(u, _NOTHING)
+        flips = stale
+        if others:
+            val, incident, bundles = self.inst.valuations[u], self._incident[u], self._bundles
+            own = self._own_value(u)
+            flips = [w for w in others
+                     if (own < val.value(bundles.get(w, _NOTHING) & incident)) != (w in out)]
+            if stale:
+                flips += stale
+        if not flips:
+            return
+        out, into = self._out.setdefault(u, set()), self._in
+        for w in flips:
+            if w in out:
+                out.remove(w)
+                into[w].remove(u)
+                if not into[w]:
+                    del into[w]
+            else:
+                out.add(w)
+                into.setdefault(w, set()).add(u)
+        if not out:
+            del self._out[u]
 
     def efx_witness(self, u: int, w: int) -> Optional[int]:
         """For an envy edge (u, w): the least good of w's bundle whose removal
@@ -279,17 +304,6 @@ class EnvyGraph:
             if x not in seen or own < val.value(seen - {x}):
                 return x
         return None
-
-    def _set(self, u: int, w: int, envy: bool) -> None:
-        out = self._out.get(u, ())
-        if envy and w not in out:
-            self._out.setdefault(u, set()).add(w)
-            self._in.setdefault(w, set()).add(u)
-        elif not envy and w in out:
-            for adj, a, b in ((self._out, u, w), (self._in, w, u)):
-                adj[a].discard(b)
-                if not adj[a]:
-                    del adj[a]
 
 
 def envy_graph(inst: "Instance", alloc: Allocation) -> EnvyGraph:

@@ -122,10 +122,17 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     whose bundles changed can affect; the report equals that of checking
     every such allocation from scratch:
 
-    * an envy edge's EFX witness depends on its two bundles only;
+    * every envy edge that a step adds or removes has an endpoint whose
+      bundle changed.  An edge's EFX witness depends on its two bundles only,
+      and whether it is stray (not from a resolved root's favourite to that
+      root) changes only when it appears or its head is the event's root.
+      So the stray edges are kept across events, and every one is reported
+      at every event;
     * while no good is withdrawn, the allocated edges only grow, so an
       allocated distance only shrinks and a distance check that passed stays
       passed while its good keeps its holder.  A withdrawal rechecks every good.
+      The adjacency along the allocated edges is brought up to date only
+      when a check needs a search.
       A good held by one of its endpoints that is the good's root or colored
       higher passes all three checks without a search: the good is itself
       an allocated edge joining its endpoints, so the holder is 0 hops from
@@ -154,7 +161,9 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     holder = envy.holder
     ends = inst.graph.edges  # good -> endpoints; every good the audit reads is checked
     unfair: dict[tuple[int, int], int] = {}  # envy edge -> its EFX witness, where it has one
-    adj: dict[int, set[int]] = {}  # skeleton adjacency along the allocated edges
+    stray: set[tuple[int, int]] = set()  # envy edges not from a resolved root's favourite to it
+    adj: dict[int, set[int]] = {}  # skeleton adjacency along the allocated edges, less unlinked
+    unlinked: list[int] = []  # allocated goods not yet in adj, linked before a search
     far_goods: set[int] = set()  # goods whose distance checks failed at the previous event
     union_enviers: set[int] = set()  # agents whose union check failed at the previous event
 
@@ -175,11 +184,15 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         if unfair:
             first = min(unfair)
             localized.append(f"event {idx}: snapshot is not EFX, witness {(*first, unfair[first])}")
-        for a, b in envy.edges:
+        # stray edges: re-decide those at changed agents and into the root (see above)
+        stray = {e for e in stray if changed.isdisjoint(e)}
+        for a, b in touched.union((u, ev.root) for u in envy.in_neighbours(ev.root)):
             if b not in resolved or favourite_of.get(b) != a:
-                localized.append(
-                    f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root"
-                )
+                stray.add((a, b))
+            else:
+                stray.discard((a, b))
+        for a, b in sorted(stray):
+            localized.append(f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root")
 
         # good movement: only root -> favourite, at most once per phase
         moved_in_phase = phase_moved.setdefault(ev.phase, set())
@@ -195,13 +208,10 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         # distances along allocated edges; a good held by one of its endpoints
         # that is its root or colored higher passes all three checks (see above)
         if any(g not in holder for g in moved):
-            adj = {}
-            for g in holder:
-                _connect(adj, *ends[g])
+            adj, unlinked = {}, list(holder)
             recheck = set(holder)
         else:
-            for g in moved:
-                _connect(adj, *ends[g])
+            unlinked.extend(moved)
             recheck = moved | far_goods
         far_goods = set()
         for g in sorted(recheck):
@@ -210,6 +220,9 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             root = a if colors[a] < colors[b] else b
             if (w == a or w == b) and (w == root or colors[w] > colors[root]):
                 continue
+            for h in unlinked:
+                _connect(adj, *ends[h])
+            unlinked = []
             c_w = colors[w] + 1
             for z in (a, b):
                 if not _within(adj, z, w, c_w):

@@ -134,7 +134,7 @@ def load_json(path: Union[str, Path]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -180,7 +180,8 @@ def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
                 line = line.strip()
                 if line:
                     events.append(event_from_json(json.loads(line), len(events), graph, held))
-    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     check_trace(events, graph)
     return events

@@ -304,6 +304,25 @@ def _random_update(rng, inst, alloc):
     return kind, Allocation(bundles=bundles), [h, z]
 
 
+def _assert_rival_counts(envy):
+    """Each agent's rival counts equal a count, from scratch, of the holders
+    of its incident goods, and ``rivals`` names exactly the counted agents."""
+    inst, holder = envy.inst, envy.holder
+    for u in range(inst.graph.vertex_count):
+        want = Counter(holder[g] for g in inst.graph.incident_edges(u)
+                       if g in holder and holder[g] != u)
+        assert envy._count.get(u, {}) == want, u
+        assert envy.rivals(u) == want.keys()
+
+
+def _steps_of_interest(inst, before, after):
+    """Which of (a good held by an agent that is not its endpoint, a bundle
+    the step emptied) ``after`` shows."""
+    held_away = any(w not in inst.graph.endpoints(g) for w, b in after.bundles.items() for g in b)
+    emptied = any(b and not after.bundle(u) for u, b in before.bundles.items())
+    return held_away, emptied
+
+
 def test_envy_graph_matches_from_scratch_after_every_update():
     rng = random.Random(31)
     ops = Counter()
@@ -320,10 +339,15 @@ def test_envy_graph_matches_from_scratch_after_every_update():
         reads = []  # (envy.alloc read before a step, the allocation it was)
         for _ in range(25):
             reads.append((envy.alloc, alloc))
+            before = alloc
             kind, alloc, changed = _random_update(rng, inst, alloc)
             ops[kind] += 1
             envy.step({u: alloc.bundle(u) for u in changed})
             assert envy.alloc == alloc
+            _assert_rival_counts(envy)
+            held_away, emptied = _steps_of_interest(inst, before, alloc)
+            ops["held by a non-endpoint"] += held_away
+            ops["emptied"] += emptied
             edges = reference_envy_edges(inst, alloc)
             assert envy.edges == edges
             for v in range(n):
@@ -342,12 +366,14 @@ def test_envy_graph_matches_from_scratch_after_every_update():
                 assert find_source_with_path(envy, target) == expected
         assert all(read == was for read, was in reads)  # never a live view of the stepped map
     assert families == {"Additive", "UnitDemand", "BudgetAdditive", "Table"}
-    assert min(ops.values()) > 200, ops
+    assert min(ops.values()) > 200, ops  # every kind, goods held away and emptied bundles
 
 
 def _state(envy):
+    # rivals(u) is a live view, so the state holds copies
     n = envy.inst.graph.vertex_count
-    return envy.alloc, envy.edges, dict(envy.holder), [envy.rivals(u) for u in range(n)]
+    return (envy.alloc, envy.edges, dict(envy.holder),
+            [(frozenset(envy.rivals(u)), dict(envy._count.get(u, {}))) for u in range(n)])
 
 
 def _unknown_id_step(rng, inst, envy):
@@ -384,6 +410,7 @@ def test_envy_graph_step_matches_from_scratch(seed):
     inst = random_mixed_instance(rng, n_max=6, m_max=9)
     alloc = random_allocation(rng, inst) if rng.random() < 0.3 else Allocation.empty()
     envy = EnvyGraph(inst, alloc)
+    _assert_rival_counts(envy)
     for _ in range(12):
         if inst.graph.edge_count and rng.random() < 0.25:
             changes = _overlapping_step(rng, inst, envy.alloc)
@@ -404,6 +431,7 @@ def test_envy_graph_step_matches_from_scratch(seed):
         _, alloc, changed = _random_update(rng, inst, envy.alloc)
         held = dict(envy.holder)
         moved = envy.step({u: alloc.bundle(u) for u in changed})
+        _assert_rival_counts(envy)
         assert _state(envy) == _state(EnvyGraph(inst, alloc))
         assert moved == {g for g in range(inst.graph.edge_count)
                          if envy.holder.get(g) != held.get(g)}

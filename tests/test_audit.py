@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphefx import InputError, Instance, MultiGraph
+from graphefx import Additive, InputError, Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace, check_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
@@ -407,6 +407,47 @@ def test_audit_matches_from_scratch_reference():
     assert failing["any"] > 900, failing
     stepped = ("localized_envy", "distance", "unresolved_union")
     assert min(failing[f] for f in stepped) > 300, failing
+
+
+def _path_of_six():
+    """Agents 0-5 on a path, good i joining agents i and i + 1.  Agent 0
+    values good 0, agent 2 values goods 1 and 2, agent 1 values both of its
+    goods a little, and agents 3-5 value nothing."""
+    graph = MultiGraph(6, [(i, i + 1) for i in range(5)])
+    values = [{0: 10}, {0: 1, 1: 1}, {1: 10, 2: 10}, {2: 0, 3: 0}, {3: 0, 4: 0}, {4: 0}]
+    return Instance(graph=graph,
+                    valuations={u: Additive(values=v) for u, v in enumerate(values)})
+
+
+def _stray(idx, a, b):
+    return f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root"
+
+
+@pytest.mark.parametrize("steps, localized", [
+    # 0 envies 1 from event 1 on; the edge is legal once 1 resolves with
+    # favourite 0, although neither bundle changes then
+    ([(3, 4, {1: {0}}), (1, 0, {4: {3}})], [_stray(1, 0, 1)]),
+    # a stray edge that no event touches is reported at every event
+    ([(3, 4, {1: {0}}), (5, 4, {4: {3}}), (4, 3, {5: {4}})],
+     [_stray(1, 0, 1), _stray(2, 0, 1), _stray(3, 0, 1)]),
+    # 2 envies 1 until 2's own bundle grows
+    ([(3, 4, {1: {1}}), (5, 4, {2: {2}}), (4, 3, {5: {4}})], [_stray(1, 2, 1)]),
+    # 0 envies 1 until 1 gives good 0 up, and 2 envies 1 until 1 resolves
+    ([(3, 4, {1: {0, 1}}), (5, 4, {1: {1}}), (1, 2, {4: {3}})],
+     ["event 1: snapshot is not EFX, witness (0, 1, 1)",
+      _stray(1, 0, 1), _stray(1, 2, 1), _stray(2, 2, 1)]),
+])
+def test_audit_keeps_stray_envy_edges_across_events(steps, localized):
+    inst = _path_of_six()
+    trace = [ColoringUsed(colors={v: v % 2 for v in range(6)}, t=2)]
+    trace += [StructureResolved(phase=1, root=root, favourite=favourite, branch=None,
+                                changes={u: frozenset(b) for u, b in changes.items()},
+                                transfers=())
+              for root, favourite, changes in steps]
+    _read_back(trace, inst.graph)
+    report = audit_trace(inst, trace)
+    assert report.results["localized_envy"] == (True, tuple(localized))
+    assert report == reference_audit_trace(inst, trace)
 
 
 def test_audit_distances_match_the_reference_under_any_coloring():

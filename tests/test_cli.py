@@ -317,6 +317,26 @@ def test_non_utf8_file_exit_1(b1_file, tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "audit", "solve --coloring"])
+def test_deeply_nested_json_exit_1(c4_file, tmp_path, capsys, command):
+    # json raises RecursionError, not JSONDecodeError, on a document nested this deep
+    nested = "[" * 100_000 + "]" * 100_000 + "\n"
+    bad = tmp_path / "nested.json"
+    bad.write_text(nested)
+    if command == "audit":  # a real trace with one such line
+        assert main(["solve", str(c4_file), "--trace", str(bad)]) == EXIT_OK
+        capsys.readouterr()
+        with bad.open("a") as fh:
+            fh.write(nested)
+    argv = {"solve": ["solve", bad], "verify": ["verify", c4_file, bad],
+            "audit": ["audit", c4_file, bad],
+            "solve --coloring": ["solve", c4_file, "--coloring", bad]}[command]
+    done = _run_cli(*argv)
+    _assert_one_error_line(done)
+    what = "trace " if command == "audit" else ""
+    assert done.stderr.startswith(f"error: cannot read {what}{bad}: maximum recursion depth")
+
+
 def test_batch_reports_a_non_utf8_instance_and_solves_the_others(b1_instance, tmp_path, capsys):
     for stem in "ac":
         save_instance(b1_instance, ["a", "b", "c"], tmp_path / f"{stem}.instance.json")
