@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, analyze, solve, verify, oracle, audit.
+``solve --batch DIR --jobs J`` solves every instance of a directory on up to
+J processes: the calling process and J - 1 forked children.
 Exit codes: 0 success, 1 usage, input or validation error, 2 unsupported
 instance class, 3 EFX violation.
 """
@@ -11,11 +13,12 @@ import argparse
 import functools
 import json
 import os
+import pickle
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Optional
 
 from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
@@ -106,7 +109,7 @@ def _analysis(inst: Instance) -> dict:
     """Class facts of the whole instance, and per component its chromatic number
     and the solvers ``classify`` accepts."""
     g = inst.graph
-    girth, _ = g.shortest_cycle()
+    girth = g.girth()
     comps = g.connected_components() or [None]  # a graph without vertices is one part
     colorings = [smallest_coloring(g, comp)[0] for comp in comps]
     return {
@@ -170,36 +173,112 @@ def _solve_one(
     return report, code
 
 
+def _solve_batch_instance(path: Path, coloring_path: Optional[str],
+                          trace: bool) -> tuple[str, int, bool]:
+    """Solve one instance of a batch, writing its outputs beside it.
+
+    Returns its line, its exit code and whether the line is an error line.
+    An instance that fails gets an error line; the others still run.
+    """
+    stem = path.name[: -len(".instance.json")]
+    out = path.with_name(stem + ".alloc.json")
+    trace_path = str(path.with_name(stem + ".trace.jsonl")) if trace else None
+    try:
+        report, code = _solve_one(str(path), coloring_path, str(out), trace_path)
+    except GraphEfxError as exc:
+        return f"error: {path}: {exc}", _exit_code(exc), True
+    return json.dumps(report, sort_keys=True), code, False
+
+
+def _solve_share(paths: list[Path], coloring_path: Optional[str],
+                 trace: bool) -> list[tuple[str, int, bool]]:
+    return [_solve_batch_instance(path, coloring_path, trace) for path in paths]
+
+
+def _fork_job(share: list[Path], coloring_path: Optional[str], trace: bool) -> tuple[int, int]:
+    """Fork a child that solves ``share`` and pickles its results, or the
+    exception that stopped it, into a pipe.  Returns (child pid, read end).
+
+    The child ends with ``os._exit``, so it runs no atexit handler and does
+    not flush the stdio buffers it inherited.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, _solve_share(share, coloring_path, trace)))
+        except BaseException as exc:  # raised again in the parent
+            payload = pickle.dumps((False, exc))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _solve_batch(paths: list[Path], jobs: int, coloring_path: Optional[str],
+                 trace: bool) -> list[tuple[str, int, bool]]:
+    """Solve ``paths`` on up to ``jobs`` jobs and return their results in path order.
+
+    Instance i goes to job i % J, for J = min(jobs, len(paths)).  Job 0 runs
+    in this process and each other job in a forked child.  J is 1 when this
+    process cannot fork safely: without ``os.fork``, or with other threads
+    running.  Every child is reaped, even when job 0 raises.  An exception
+    other than a GraphEfxError in any job is raised here with its type.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        jobs = 1
+    jobs = min(jobs, len(paths))
+    shares = [paths[j::jobs] for j in range(jobs)]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_job(share, coloring_path, trace))
+        results = [_solve_share(shares[0], coloring_path, trace)]
+    finally:
+        # Read every pipe to its end first: a child blocks on a full pipe.
+        payloads = []
+        for _, read in children:
+            with open(read, "rb") as pipe:
+                payloads.append(pipe.read())
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for job, (payload, status) in enumerate(zip(payloads, statuses), start=1):
+        if not payload:
+            raise RuntimeError(f"solve --batch job {job} ended without its results"
+                               f" (exit code {os.waitstatus_to_exitcode(status)})")
+        done, result = pickle.loads(payload)
+        if not done:
+            raise result
+        results.append(result)
+    return [results[i % jobs][i // jobs] for i in range(len(paths))]
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.batch:
-        if args.jobs < 1:
-            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-        paths = sorted(Path(args.batch).glob("*.instance.json"))
-        if not paths:
-            raise InputError(f"no *.instance.json files in {args.batch}")
-
-        def run(path: Path) -> tuple[str, int, TextIO]:
-            # An instance that fails is reported on its own line; the others still run.
-            stem = path.name[: -len(".instance.json")]
-            out = path.with_name(stem + ".alloc.json")
-            trace = path.with_name(stem + ".trace.jsonl") if args.trace else None
-            try:
-                report, code = _solve_one(str(path), args.coloring, str(out),
-                                          str(trace) if trace else None)
-            except GraphEfxError as exc:
-                return f"error: {path}: {exc}", _exit_code(exc), sys.stderr
-            return json.dumps(report, sort_keys=True), code, sys.stdout
-
-        worst = EXIT_OK
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for line, code, stream in pool.map(run, paths):
-                print(line, file=stream)
-                worst = max(worst, code)
-        return worst
-
-    report, code = _solve_one(args.instance, args.coloring, args.out, args.trace)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return code
+    if not args.batch:
+        if not args.instance:
+            raise InputError("solve needs an instance path or --batch")
+        report, code = _solve_one(args.instance, args.coloring, args.out, args.trace)
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return code
+    if args.instance:
+        raise InputError(f"solve --batch takes no instance path, got {args.instance}")
+    if args.out:
+        raise InputError("solve --batch takes no -o: it writes each allocation beside its instance")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    paths = sorted(Path(args.batch).glob("*.instance.json"))
+    if not paths:
+        raise InputError(f"no *.instance.json files in {args.batch}")
+    # --trace is a flag here: each trace goes beside its instance.
+    results = _solve_batch(paths, args.jobs, args.coloring, bool(args.trace))
+    worst = EXIT_OK
+    for line, code, failed in results:
+        print(line, file=sys.stderr if failed else sys.stdout)
+        worst = max(worst, code)
+    return worst
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -277,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-o", "--out", default=None, help="allocation output path")
     p_solve.add_argument("--trace", default=None, help="trace output path (JSON-lines)")
     p_solve.add_argument("--batch", default=None, help="solve every *.instance.json in a directory")
-    p_solve.add_argument("--jobs", type=int, default=4)
+    p_solve.add_argument("--jobs", type=int, default=4,
+                         help="processes that solve a --batch (default: 4)")
 
     p_ver = sub.add_parser("verify", help="check an allocation file for EFX")
     p_ver.add_argument("instance")
@@ -296,10 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "solve" and not args.batch and not args.instance:
-            raise InputError("solve needs an instance path or --batch")
-        if args.command == "solve" and args.trace and args.batch:
-            args.trace = True  # batch mode derives per-instance trace paths
         command = {"gen": cmd_gen, "analyze": cmd_analyze, "solve": cmd_solve,
                    "verify": cmd_verify, "oracle": cmd_oracle, "audit": cmd_audit}[args.command]
         return command(args)

@@ -148,10 +148,64 @@ class MultiGraph:
     def girth(self, component: Component = None, limit: Optional[int] = None) -> float:
         """Length of the shortest skeleton cycle; math.inf on a forest.
 
-        With a ``limit``, math.inf also when the girth exceeds it.
+        With a ``limit``, math.inf also when the girth exceeds it, from the
+        bounded search of ``shortest_cycle``.  Without one, from ``_girth``,
+        which finds no cycle and so needs no search from every vertex.
         """
+        if limit is None:
+            return self._memoized("girth", component, self._girth)
         length, _ = self.shortest_cycle(component, limit)
         return length
+
+    def _girth(self, vertices: Sequence[int]) -> float:
+        # BFS from the lowest vertex left, then delete it and peel what is
+        # left to its 2-core; repeat until nothing is left.  A shortest cycle
+        # loses no vertex to peeling, so it is whole at the BFS from its first
+        # deleted vertex, which finds a closed walk through that vertex no
+        # longer than the cycle.  Every closed walk a BFS finds holds a cycle,
+        # so no BFS gives less than the girth.
+        adj = self._adj
+        degree = {v: len(adj[v]) for v in vertices}  # the vertices left, and their degrees
+
+        def delete(stack: list[int]) -> None:
+            while stack:
+                v = stack.pop()
+                if degree.pop(v, None) is None:
+                    continue
+                for y in adj[v]:
+                    if y in degree:
+                        degree[y] -= 1
+                        if degree[y] == 1:
+                            stack.append(y)
+
+        best = math.inf
+        delete([v for v in vertices if degree[v] < 2])
+        for root in vertices:
+            if root not in degree:
+                continue
+            # The BFS stops as _shortest_cycle's does, at the best walk so far.
+            dist = {root: 0}
+            parent = {root: -1}
+            level = [root]
+            depth = 0
+            while level and 2 * depth < best:
+                grow = 2 * depth + 2 < best
+                below = []
+                for x in level:
+                    for y in adj[x]:
+                        if y not in degree:
+                            continue
+                        if y not in dist:
+                            if grow:
+                                dist[y] = depth + 1
+                                parent[y] = x
+                                below.append(y)
+                        elif parent[x] != y:
+                            best = min(best, depth + dist[y] + 1)
+                level = below
+                depth += 1
+            delete([root])
+        return best
 
     def shortest_cycle(self, component: Component = None,
                        limit: Optional[int] = None) -> tuple[float, Optional[list[int]]]:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from graphefx import (
     classify,
     solve,
 )
+from graphefx import cli
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, EXIT_UNSUPPORTED, main
 from graphefx.generators import gen_multicycle, gen_multitree, gen_petersen
 from graphefx.jsonio import (
@@ -123,13 +125,17 @@ def test_verify_partial_allocation(b1_file, tmp_path):
     assert main(["verify", str(b1_file), str(partial)]) == EXIT_OK
 
 
+def _run_cli_env(env=None):
+    """The environment of a fresh interpreter that imports this graphefx."""
+    src = str(Path(graphefx.__file__).resolve().parent.parent)
+    return {**os.environ, **(env or {}),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_cli(*args, env=None):
     """``graphefx`` in a fresh interpreter, so that a traceback reaches stderr."""
-    src = str(Path(graphefx.__file__).resolve().parent.parent)
-    env = {**os.environ, **(env or {}),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "graphefx.cli", *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_run_cli_env(env), capture_output=True, text=True, timeout=120)
 
 
 def test_successive_main_calls_match_fresh_processes(b1_file, tmp_path, capsys, monkeypatch):
@@ -528,6 +534,135 @@ def test_batch_bad_jobs_exit_1(b1_file, capsys):
         err = capsys.readouterr().err
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
     assert not list(b1_file.parent.glob("*.alloc.json"))
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["INSTANCE"], "solve --batch takes no instance path, got "),
+    (["-o", "OUT"], "solve --batch takes no -o: it writes each allocation beside its instance"),
+    (["INSTANCE", "-o", "OUT"], "solve --batch takes no instance path, got "),
+])
+def test_batch_rejects_an_instance_path_or_out(b1_file, tmp_path, extra, message):
+    out = tmp_path / "zz.json"
+    argv = [{"INSTANCE": b1_file, "OUT": out}.get(arg, arg) for arg in extra]
+    done = _run_cli("solve", *argv, "--batch", b1_file.parent)
+    _assert_one_error_line(done)
+    assert message in done.stderr
+    assert not out.exists() and not list(tmp_path.glob("*.alloc.json"))
+
+
+def _mixed_batch(directory):
+    """Eight instances: six that solve, a tripled K4 that exits 2 and a
+    malformed file that exits 1."""
+    directory.mkdir()
+    k4 = MultiGraph(4, [(u, w) for u in range(4) for w in range(u + 1, 4) for _ in range(3)])
+    instances = {"a": gen_multitree(seed=1, n=9), "b": gen_petersen(seed=1),
+                 "c": (additive_instance(k4), ["a0", "a1", "a2", "a3"]),
+                 "d": gen_multicycle(seed=2, length=7), "f": gen_multitree(seed=3, n=5),
+                 "g": gen_petersen(seed=4), "h": gen_multicycle(seed=5, length=6)}
+    for stem, (inst, names) in instances.items():
+        save_instance(inst, names, directory / f"{stem}.instance.json")
+    (directory / "e.instance.json").write_text("{")
+    return directory
+
+
+def _batch_outputs(directory, capsys, jobs, *options):
+    """main's exit code and its stdout lines without wall_time_ms, its stderr
+    and the bytes of every file it wrote, with ``directory`` spelled DIR."""
+    code = main(["solve", "--batch", str(directory), "--jobs", str(jobs), *options])
+    out, err = capsys.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    for report in lines:
+        del report["wall_time_ms"]
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+             if not p.name.endswith(".instance.json")}
+    return code, json.dumps(lines).replace(str(directory), "DIR"), err.replace(
+        str(directory), "DIR"), files
+
+
+def test_batch_outputs_do_not_depend_on_the_jobs(tmp_path, capsys, monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    runs = []
+    for jobs in (1, 2, 3):
+        directory = _mixed_batch(tmp_path / str(jobs))
+        forks.clear()
+        runs.append(_batch_outputs(directory, capsys, jobs, "--trace", "yes"))
+        assert len(forks) == jobs - 1
+    assert runs[0] == runs[1] == runs[2]
+    code, out, err, files = runs[0]
+    assert code == EXIT_UNSUPPORTED and len(json.loads(out)) == 6
+    assert err.startswith("error: DIR/c.instance.json: no solver applies: ")
+    assert "\nerror: DIR/e.instance.json: " in err and err.count("\n") == 2
+    assert len([name for name in files if name.endswith(".trace.jsonl")]) == 6
+
+
+@pytest.mark.parametrize("stem", ["b", "g"])  # job 1's share, job 0's own share
+def test_batch_raises_a_job_s_error_with_its_type_and_leaves_no_child(tmp_path, capsys,
+                                                                     monkeypatch, stem):
+    directory = _mixed_batch(tmp_path / "batch")
+    solve_one = cli._solve_one
+
+    def solve(path, *args):
+        if path.endswith(f"/{stem}.instance.json"):
+            raise RuntimeError(f"broke at {stem}")
+        return solve_one(path, *args)
+
+    monkeypatch.setattr(cli, "_solve_one", solve)
+    with pytest.raises(RuntimeError, match=f"^broke at {stem}$"):
+        main(["solve", "--batch", str(directory), "--jobs", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_batch_names_a_job_that_ends_without_its_results(tmp_path, capsys, monkeypatch):
+    directory = _mixed_batch(tmp_path / "batch")
+    solve_one = cli._solve_one
+    monkeypatch.setattr(cli, "_solve_one", lambda path, *args: (
+        os._exit(7) if path.endswith("d.instance.json") else solve_one(path, *args)))
+    with pytest.raises(RuntimeError, match=r"^solve --batch job 1 ended without its results"
+                                           r" \(exit code 7\)$"):
+        main(["solve", "--batch", str(directory), "--jobs", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_results_larger_than_a_pipe_buffer(tmp_path):
+    # Each of three jobs sends about 300 KB; a fresh interpreter, so that a
+    # deadlock ends in the timeout.
+    for i in range(9):
+        save_instance(*gen_multitree(seed=i, n=4), tmp_path / f"{i}.instance.json")
+    script = (
+        "import sys\n"
+        "from graphefx import cli\n"
+        "cli._solve_batch_instance = lambda path, *args: (path.name + 'x' * 100_000, 0, False)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, "solve", "--batch", str(tmp_path),
+                           "--jobs", "3"], env=_run_cli_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == EXIT_OK and done.stderr == ""
+    assert done.stdout.splitlines() == [f"{i}.instance.json" + "x" * 100_000 for i in range(9)]
+
+
+@pytest.mark.parametrize("why", ["a live thread", "no os.fork"])
+def test_batch_forks_nothing_when_it_cannot_fork_safely(tmp_path, capsys, monkeypatch, why):
+    want = _batch_outputs(_mixed_batch(tmp_path / "one"), capsys, 1)
+    directory = _mixed_batch(tmp_path / "three")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        thread.start()
+    try:
+        assert _batch_outputs(directory, capsys, 3) == want
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
 
 
 def _every_valuation_kind():

@@ -119,6 +119,28 @@ def test_bounded_girth_on_random_multigraphs(g):
     _check_bounded_girth(g)
 
 
+def _union(pieces):
+    """The disjoint union of (n, links) pieces, with each link's copies as
+    parallel edges, and its vertices interleaved across the pieces."""
+    order = [(i, v) for i, (n, _) in enumerate(pieces) for v in range(n)]
+    random.Random(len(order)).shuffle(order)
+    index = {key: k for k, key in enumerate(order)}
+    edges = [(index[i, u], index[i, w]) for i, (_, links) in enumerate(pieces)
+             for u, w, copies in links if u != w for _ in range(copies)]
+    return MultiGraph(len(order), edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+    max_size=14))), min_size=2, max_size=4).map(_union))
+def test_girth_equals_the_reference_on_random_multigraphs(g):
+    assert len(g.connected_components()) >= 2
+    for comp in [None] + g.connected_components():
+        fresh = MultiGraph(g.vertex_count, list(g.edges))
+        assert fresh.girth(comp) == reference_shortest_cycle(g, comp)[0]
+
+
 def test_bounded_girth_below_three_searches_nothing(monkeypatch):
     g = MultiGraph(3, [(0, 1), (1, 2), (2, 0)])
     monkeypatch.setattr(MultiGraph, "_shortest_cycle", lambda *a: pytest.fail("searched"))
