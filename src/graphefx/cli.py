@@ -99,6 +99,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "petersen":
         params = {"parallel_copies": args.parallel_copies, "value_max": args.value_max}
     seed = args.seed if args.seed is not None else _default_seed()
+    if not 0 <= seed < 2 ** 64:
+        source = SEED_ENV_VAR if args.seed is None else "--seed"
+        raise InputError(f"{source} must be in 0..2**64-1, got {seed}")
     inst, names = generate(args.family, seed=seed, valuation_kind=args.valuations, **params)
     save_instance(inst, names, args.out)
     print(f"wrote {args.out}: {inst.graph.vertex_count} agents, {inst.graph.edge_count} goods")
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
     p_gen.add_argument("family", choices=["bipartite", "multitree", "multicycle", "petersen"])
     p_gen.add_argument("--seed", type=int, default=None,
-                       help=f"64-bit seed (default: ${SEED_ENV_VAR} or 0)")
+                       help=f"seed in 0..2**64-1 (default: ${SEED_ENV_VAR} or 0)")
     p_gen.add_argument("--valuations", default="additive", choices=VALUATION_KINDS)
     p_gen.add_argument("--n-left", type=int, default=3)
     p_gen.add_argument("--n-right", type=int, default=3)

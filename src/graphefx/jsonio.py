@@ -81,7 +81,12 @@ def instance_to_json(inst: Instance, names: list[str]) -> dict:
 
 def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
     try:
-        names = list(obj["agents"])
+        names = obj["agents"]
+        if type(names) is not list:
+            raise InputError(f"agents must be a JSON list of strings, got {json.dumps(names)}")
+        bad = [name for name in names if type(name) is not str]
+        if bad:
+            raise InputError(f"agent name {json.dumps(bad[0])} is not a string")
         if len(set(names)) != len(names):
             raise InputError("agent names must be unique")
         index = {name: i for i, name in enumerate(names)}

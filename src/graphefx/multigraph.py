@@ -148,22 +148,32 @@ class MultiGraph:
     def girth(self, component: Component = None, limit: Optional[int] = None) -> float:
         """Length of the shortest skeleton cycle; math.inf on a forest.
 
-        With a ``limit``, math.inf also when the girth exceeds it, from the
-        bounded search of ``shortest_cycle``.  Without one, from ``_girth``,
-        which finds no cycle and so needs no search from every vertex.
+        With a ``limit``, math.inf also when the girth exceeds it.  One
+        ``_girth`` search serves every limit: it is memoized with the limit it
+        searched, so it answers every smaller limit too.
         """
         if limit is None:
-            return self._memoized("girth", component, self._girth)
-        length, _ = self.shortest_cycle(component, limit)
-        return length
+            limit = math.inf
+        elif limit < 3:  # no skeleton cycle is shorter than 3
+            return math.inf
+        vertices = self.vertices(component)
+        key = self._memo_key("girth", vertices)
+        searched, best = self._memo.get(key, (0, math.inf))
+        if best == math.inf and searched < limit:
+            best = self._girth(vertices, limit)
+            self._memo[key] = limit, best
+        return best if best <= limit else math.inf
 
-    def _girth(self, vertices: Sequence[int]) -> float:
+    def _girth(self, vertices: Sequence[int], limit: float = math.inf) -> float:
         # BFS from the lowest vertex left, then delete it and peel what is
         # left to its 2-core; repeat until nothing is left.  A shortest cycle
         # loses no vertex to peeling, so it is whole at the BFS from its first
         # deleted vertex, which finds a closed walk through that vertex no
         # longer than the cycle.  Every closed walk a BFS finds holds a cycle,
-        # so no BFS gives less than the girth.
+        # so no BFS gives less than the girth.  An edge from depth k closes a
+        # walk of at least 2k edges, and only walks shorter than ``best``, the
+        # shortest so far or else limit + 1, count.  So a BFS stops at the
+        # depth k where 2k reaches it, and discovers no vertex when 2k + 2 does.
         adj = self._adj
         degree = {v: len(adj[v]) for v in vertices}  # the vertices left, and their degrees
 
@@ -178,12 +188,11 @@ class MultiGraph:
                         if degree[y] == 1:
                             stack.append(y)
 
-        best = math.inf
+        best = limit + 1
         delete([v for v in vertices if degree[v] < 2])
         for root in vertices:
             if root not in degree:
                 continue
-            # The BFS stops as _shortest_cycle's does, at the best walk so far.
             dist = {root: 0}
             parent = {root: -1}
             level = [root]
@@ -205,57 +214,31 @@ class MultiGraph:
                 level = below
                 depth += 1
             delete([root])
-        return best
+        return best if best <= limit else math.inf
 
-    def shortest_cycle(self, component: Component = None,
-                       limit: Optional[int] = None) -> tuple[float, Optional[list[int]]]:
+    def shortest_cycle(self, component: Component = None) -> tuple[float, Optional[list[int]]]:
         """(girth, one shortest cycle as a vertex list), (inf, None) on forests.
 
         BFS from every vertex on the skeleton; non-tree edges close candidate
-        cycles and the overall minimum is exact.  With a ``limit``, each BFS
-        stops at depth limit // 2 and the answer is (inf, None) when the girth
-        exceeds the limit.  The cycle is then the first one found through its
-        BFS root, the same at every limit it fits in, though it may differ
-        from the cycle found without a limit.  That search costs
-        O(n * maxdeg^(limit//2 + 1)) instead of O(n * m), and one search
-        answers every smaller limit.
+        cycles and the overall minimum is exact.  It costs O(n * m), so only
+        a message that prints the cycle runs it; ``girth`` needs no cycle.
         """
-        if limit is None:
-            best, cycle = self._memoized("shortest_cycle", component, self._shortest_cycle)
-        elif limit < 3:  # no skeleton cycle is shorter than 3
-            return math.inf, None
-        else:
-            vertices = self.vertices(component)
-            key = self._memo_key("bounded_cycle", vertices)
-            searched, best, cycle = self._memo.get(key, (0, math.inf, None))
-            if best == math.inf and searched < limit:
-                best, cycle = self._shortest_cycle(vertices, limit)
-                self._memo[key] = limit, best, cycle
-            if best > limit:
-                return math.inf, None
+        best, cycle = self._memoized("shortest_cycle", component, self._shortest_cycle)
         return best, None if cycle is None else list(cycle)
 
-    def _shortest_cycle(self, vertices: Sequence[int],
-                        limit: float = math.inf) -> tuple[float, Optional[tuple[int, ...]]]:
-        # A non-tree edge (x, y) of a BFS closes a walk of dist[x] + dist[y] + 1
-        # edges through the root, and an edge from depth k closes at least 2k.
-        # Only walks shorter than ``bound``, the best cycle so far or else
-        # limit + 1, can improve the answer, so a BFS stops at the depth k
-        # where 2k reaches it, and from depth k it discovers no vertex when
-        # 2k + 2 does.  The answer is the same as without these stops.
-        # Without a limit, a walk whose paths share a tail counts as the
-        # shorter cycle that is left; with one, only a cycle through the root
-        # counts, and it is found at every limit it fits in.
+    def _shortest_cycle(self, vertices: Sequence[int]) -> tuple[float, Optional[tuple[int, ...]]]:
+        # Each BFS stops as _girth's does, at the best cycle so far.  A
+        # non-tree edge (x, y) closes a walk through the root, and when the
+        # two paths share a tail, the shorter cycle that is left counts.
         best = math.inf
         best_cycle: Optional[list[int]] = None
-        bound = limit + 1
         for start in vertices:
             dist = {start: 0}
             parent = {start: -1}
             level = [start]
             depth = 0
-            while level and 2 * depth < bound:
-                grow = 2 * depth + 2 < bound
+            while level and 2 * depth < best:
+                grow = 2 * depth + 2 < best
                 below = []
                 for x in level:
                     for y in sorted(self._adj[x]):
@@ -264,15 +247,13 @@ class MultiGraph:
                                 dist[y] = depth + 1
                                 parent[y] = x
                                 below.append(y)
-                        elif parent[x] != y:
-                            cand = depth + dist[y] + 1
-                            if cand < bound:
-                                path_x = self._path_to_root(x, parent)
-                                path_y = self._path_to_root(y, parent)
-                                cycle = self._merge_cycle(path_x, path_y)
-                                if len(cycle) < best and (limit == math.inf or len(cycle) == cand):
-                                    best = bound = len(cycle)
-                                    best_cycle = cycle
+                        elif parent[x] != y and depth + dist[y] + 1 < best:
+                            path_x = self._path_to_root(x, parent)
+                            path_y = self._path_to_root(y, parent)
+                            cycle = self._merge_cycle(path_x, path_y)
+                            if len(cycle) < best:
+                                best = len(cycle)
+                                best_cycle = cycle
                 level = below
                 depth += 1
         return best, None if best_cycle is None else tuple(best_cycle)

@@ -65,6 +65,16 @@ def test_gen_deterministic(tmp_path):
     assert p1.read_bytes() != p2.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_gen_seed_range_ends(tmp_path, monkeypatch, seed):
+    p1, p2 = tmp_path / "x.json", tmp_path / "y.json"
+    argv = ["gen", "multitree", "--agents", "5", "-o"]
+    assert main(argv + [str(p1), "--seed", str(seed)]) == EXIT_OK
+    monkeypatch.setenv("GRAPHEFX_SEED", str(seed))
+    assert main(argv + [str(p2)]) == EXIT_OK
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_gen_seed_env_var(tmp_path, monkeypatch):
     p1, p2 = tmp_path / "x.json", tmp_path / "y.json"
     monkeypatch.setenv("GRAPHEFX_SEED", "99")
@@ -253,6 +263,12 @@ def _respell_good(doc, spelling):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(agents=["a", "b", "a"]), "agent names must be unique"),
+    # A string or an object is not read as its characters or keys.
+    (lambda doc: doc.update(agents="abc"), 'agents must be a JSON list of strings, got "abc"'),
+    (lambda doc: doc.update(agents={"a": 0, "b": 1, "c": 2}),
+     'agents must be a JSON list of strings, got {"a": 0, "b": 1, "c": 2}'),
+    (lambda doc: doc.update(agents=[1, "b"]), "agent name 1 is not a string"),
+    (lambda doc: doc.update(agents=[None]), "agent name null is not a string"),
     (lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # good 0 joins a and b
      "valuation of agent 2 supports non-incident edges [0]"),
     # Ids are read as strictly as a trace's: JSON integers, and a key is its integer's own text.
@@ -357,6 +373,11 @@ def test_batch_reports_a_non_utf8_instance_and_solves_the_others(b1_instance, tm
 @pytest.mark.parametrize("option, env, message", [
     ([], {"GRAPHEFX_SEED": "abc"}, "GRAPHEFX_SEED must be an integer, got 'abc'"),
     (["--edge-prob", "a/b"], None, "edge probability must look like P/Q, got 'a/b'"),
+    # random.Random would seed with the absolute value, so -5 would give seed 5's bytes.
+    (["--seed", "-1"], None, "--seed must be in 0..2**64-1, got -1"),
+    (["--seed", str(2 ** 64)], None, f"--seed must be in 0..2**64-1, got {2 ** 64}"),
+    ([], {"GRAPHEFX_SEED": "-1"}, "GRAPHEFX_SEED must be in 0..2**64-1, got -1"),
+    ([], {"GRAPHEFX_SEED": str(2 ** 64)}, f"GRAPHEFX_SEED must be in 0..2**64-1, got {2 ** 64}"),
 ])
 def test_bad_gen_setting_exit_1(tmp_path, option, env, message):
     done = _run_cli("gen", "bipartite", *option, "-o", tmp_path / "x.json", env=env)

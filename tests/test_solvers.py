@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -460,7 +461,8 @@ def test_table_valuation_rejected_before_any_coloring_search(monkeypatch):
 
 
 def test_classify_stops_at_a_multitree(monkeypatch):
-    for meth in ("bipartition", "shortest_cycle", "_shortest_cycle", "girth", "find_coloring"):
+    for meth in ("bipartition", "shortest_cycle", "_shortest_cycle", "girth", "_girth",
+                 "find_coloring"):
         monkeypatch.setattr(MultiGraph, meth, lambda *a: pytest.fail("computed on a tree"))
     inst, _ = gen_multitree(seed=4, n=8, max_parallel=2)
     verdicts = []
@@ -493,9 +495,12 @@ def test_bounded_girth_decides_as_the_exact_girth(monkeypatch):
         return said
 
     bounded = [outcomes(*case) for case in cases]
-    exact = MultiGraph.shortest_cycle
-    monkeypatch.setattr(MultiGraph, "shortest_cycle",
-                        lambda self, component=None, limit=None: exact(self, component))
+
+    def exact_girth(self, component=None, limit=None):
+        length = self.shortest_cycle(component)[0]
+        return length if limit is None or length <= limit else math.inf
+
+    monkeypatch.setattr(MultiGraph, "girth", exact_girth)
     assert [outcomes(*case) for case in cases] == bounded
     said = repr(bounded)
     for text in ("for the 5-coloring hint", "no proper coloring with t <= 3 (girth 5)",
@@ -505,18 +510,30 @@ def test_bounded_girth_decides_as_the_exact_girth(monkeypatch):
 
 def test_long_odd_cycle_solves_without_the_exact_girth_search(monkeypatch):
     want = solve(gen_multicycle(seed=41, length=41, max_parallel=2, value_max=9)[0])
-    search = MultiGraph._shortest_cycle
 
-    def bounded_only(self, vertices, limit=math.inf):
-        assert limit < math.inf, "the exact girth search ran"
-        return search(self, vertices, limit)
+    def no_search(self, vertices):
+        raise AssertionError("the exact cycle search ran")
 
-    monkeypatch.setattr(MultiGraph, "_shortest_cycle", bounded_only)
+    monkeypatch.setattr(MultiGraph, "_shortest_cycle", no_search)
     inst = gen_multicycle(seed=41, length=41, max_parallel=2, value_max=9)[0]
     assert solve(inst) == want and want[1] == "chromatic"
-    with pytest.raises(AssertionError, match="the exact girth search ran"):
+    with pytest.raises(AssertionError, match="the exact cycle search ran"):
         inst.graph.shortest_cycle()
     assert inst.graph.girth() == 41  # the exact length needs no such search
+
+
+def test_long_cycle_hint_rejected_without_the_exact_girth_search(monkeypatch):
+    # One color per agent asks for girth >= 801, which the bounded girth
+    # search refutes from the cycle's first vertex.
+    monkeypatch.setattr(MultiGraph, "_shortest_cycle",
+                        lambda *a: pytest.fail("the exact cycle search ran"))
+    inst = gen_multicycle(seed=3, length=401)[0]
+    hint = Coloring(colors={v: v for v in range(401)}, t=401)
+    reason = "girth 401 < 2*401-1 for the 401-coloring hint"
+    (verdict,) = [v for v in classify(inst, hint) if v.solver == "chromatic"]
+    assert verdict.reason == reason
+    with pytest.raises(UnsupportedClassError, match=re.escape(f"; chromatic: {reason}; ")):
+        solve(inst, hint)
 
 
 def test_girth_rejections_keep_their_text(monkeypatch):
@@ -530,10 +547,9 @@ def test_girth_rejections_keep_their_text(monkeypatch):
     c5 = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert chromatic_reason(c5, Coloring(colors={v: v for v in range(5)}, t=5)) == (
         "girth 5 < 2*5-1 for the 5-coloring hint")
-    # A triangle hangs off agent 0.  The exact search meets it first from
-    # agent 0, the bounded one from agent 3, and the message names the former.
+    # A triangle hangs off agent 0, and the message names it as the exact
+    # search from agent 0 meets it.
     g = MultiGraph(6, [(0, 5), (3, 4), (4, 5), (5, 3), (1, 2), (0, 1)])
-    assert g.shortest_cycle(None, 4) == (3, [4, 3, 5])
     with pytest.raises(PreconditionError) as err:
         chromatic_efx(zero_instance(g), Coloring(colors={0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 2}, t=3))
     assert str(err.value) == "girth 3 < 2*3-1; offending cycle [3, 5, 4]"
