@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
@@ -166,10 +165,6 @@ class EnvyGraph:
     def in_neighbours(self, w: int) -> list[int]:
         """The agents that envy ``w``, ascending."""
         return sorted(self._in.get(w, ()))
-
-    def envious(self) -> list[int]:
-        """The agents with an out-edge, ascending."""
-        return sorted(self._out)
 
     def envies(self, u: int, w: int) -> bool:
         return w in self._out.get(u, ())
@@ -342,63 +337,25 @@ def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
     return _trusted(bundles)
 
 
-def find_envy_cycle(eg: EnvyGraph) -> Optional[list[int]]:
-    """One directed cycle in the envy graph, or None.
-
-    Deterministic DFS with an explicit stack: roots in ascending order,
-    successors in ascending order, and the first edge back onto the current
-    path closes the cycle.  Roots without out-edges are skipped; they could
-    only close a cycle through an out-edge.
-    """
-    done: set[int] = set()
-    on_path: dict[int, int] = {}  # vertex -> its index in path
-    for root in eg.envious():
-        if root in done:
-            continue
-        path = [root]
-        on_path[root] = 0
-        stack = [iter(eg.out_neighbours(root))]
-        while stack:
-            for w in stack[-1]:
-                if w in on_path:
-                    return path[on_path[w]:]
-                if w not in done:
-                    on_path[w] = len(path)
-                    path.append(w)
-                    stack.append(iter(eg.out_neighbours(w)))
-                    break
-            else:
-                stack.pop()
-                v = path.pop()
-                del on_path[v]
-                done.add(v)
-    return None
-
-
 def find_source_with_path(eg: EnvyGraph, target: int) -> Optional[tuple[int, list[int]]]:
     """A source of the envy graph with a directed path to ``target``.
 
-    Returns None when the target is itself a source.  Deterministic: BFS
-    backward from the target, expanding lowest-index predecessors first.
-    Only the target's ancestors are visited.  Raises if the target's
-    ancestry contains a cycle and no source reaches it.
+    Returns None when the target is itself a source.  In ``tree_efx`` every
+    agent has at most one envier (README, the tree lemma), so the target's
+    ancestors form one chain, and the search walks it up from the target to
+    its source.  With several enviers, which only a graph from outside
+    ``tree_efx`` can have, the walk follows the lowest.  Raises if the walk
+    meets a cycle.
     """
-    if not eg.in_neighbours(target):
+    enviers = eg.in_neighbours(target)
+    if not enviers:
         return None
-    succ_on_path = {target: None}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        preds = eg.in_neighbours(v)
-        if not preds and v != target:
-            path = [v]
-            while succ_on_path[path[-1]] is not None:
-                path.append(succ_on_path[path[-1]])
-            return v, path
-        for p in preds:
-            if p not in succ_on_path:
-                succ_on_path[p] = v
-                queue.append(p)
-    raise PreconditionError(
-        f"no source reaches agent {target}: the envy graph ancestry contains a cycle"
-    )
+    walk = {target: None}  # the agents walked so far, in order
+    while enviers:
+        v = enviers[0]
+        if v in walk:
+            raise PreconditionError(f"the walk up the enviers of agent {target} meets a cycle")
+        walk[v] = None
+        enviers = eg.in_neighbours(v)
+    path = list(reversed(walk))
+    return path[0], path

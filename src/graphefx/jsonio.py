@@ -98,16 +98,27 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
             raise InputError("edge ids must be dense 0..m-1")
         pairs = []
         for e in edge_objs:
-            a, b = e["endpoints"]
+            ends = e["endpoints"]
+            if type(ends) is not list or len(ends) != 2:
+                raise InputError(f"edge {e['id']} endpoints must be a JSON list of two agent"
+                                 f" names, got {json.dumps(ends)}")
+            a, b = ends
             if a not in index or b not in index:
                 raise InputError(f"edge {e['id']} references undeclared agent")
             pairs.append((index[a], index[b]))
         graph = MultiGraph(len(names), pairs)
+        val_objs = obj["valuations"]
+        if type(val_objs) is not dict:
+            raise InputError("valuations must be a JSON object keyed by agent names,"
+                             f" got {json.dumps(val_objs)}")
+        stray = next((name for name in val_objs if name not in index), None)
+        if stray is not None:
+            raise InputError(f"valuation for undeclared agent {stray!r}")
         vals = {}
         for name in names:
-            if name not in obj["valuations"]:
+            if name not in val_objs:
                 raise InputError(f"missing valuation for agent {name!r}")
-            vals[index[name]] = _valuation_from_json(obj["valuations"][name], name)
+            vals[index[name]] = _valuation_from_json(val_objs[name], name)
         return Instance(graph=graph, valuations=vals), names
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc

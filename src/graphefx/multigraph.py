@@ -227,36 +227,48 @@ class MultiGraph:
         return best, None if cycle is None else list(cycle)
 
     def _shortest_cycle(self, vertices: Sequence[int]) -> tuple[float, Optional[tuple[int, ...]]]:
-        # Each BFS stops as _girth's does, at the best cycle so far.  A
-        # non-tree edge (x, y) closes a walk through the root, and when the
-        # two paths share a tail, the shorter cycle that is left counts.
+        # The girth search comes first, so the scan stops at the first cycle
+        # that short.  A later root replaces the best cycle only with a
+        # strictly shorter one, so the scan finds the same cycle either way.
+        girth = self._girth(vertices)
         best = math.inf
         best_cycle: Optional[list[int]] = None
         for start in vertices:
-            dist = {start: 0}
-            parent = {start: -1}
-            level = [start]
-            depth = 0
-            while level and 2 * depth < best:
-                grow = 2 * depth + 2 < best
-                below = []
-                for x in level:
-                    for y in sorted(self._adj[x]):
-                        if y not in dist:
-                            if grow:
-                                dist[y] = depth + 1
-                                parent[y] = x
-                                below.append(y)
-                        elif parent[x] != y and depth + dist[y] + 1 < best:
-                            path_x = self._path_to_root(x, parent)
-                            path_y = self._path_to_root(y, parent)
-                            cycle = self._merge_cycle(path_x, path_y)
-                            if len(cycle) < best:
-                                best = len(cycle)
-                                best_cycle = cycle
-                level = below
-                depth += 1
+            if best <= girth:
+                break
+            best, best_cycle = self._cycle_from(start, best, best_cycle)
         return best, None if best_cycle is None else tuple(best_cycle)
+
+    def _cycle_from(self, start: int, best: float,
+                    best_cycle: Optional[list[int]]) -> tuple[float, Optional[list[int]]]:
+        # One BFS from ``start``, stopped as _girth's BFS is, at ``best``: the
+        # shortest cycle it closes if that beats ``best``, else ``best_cycle``.
+        # A non-tree edge (x, y) closes a walk through the root, and when the
+        # two paths share a tail, the shorter cycle that is left counts.
+        dist = {start: 0}
+        parent = {start: -1}
+        level = [start]
+        depth = 0
+        while level and 2 * depth < best:
+            grow = 2 * depth + 2 < best
+            below = []
+            for x in level:
+                for y in sorted(self._adj[x]):
+                    if y not in dist:
+                        if grow:
+                            dist[y] = depth + 1
+                            parent[y] = x
+                            below.append(y)
+                    elif parent[x] != y and depth + dist[y] + 1 < best:
+                        path_x = self._path_to_root(x, parent)
+                        path_y = self._path_to_root(y, parent)
+                        cycle = self._merge_cycle(path_x, path_y)
+                        if len(cycle) < best:
+                            best = len(cycle)
+                            best_cycle = cycle
+            level = below
+            depth += 1
+        return best, best_cycle
 
     @staticmethod
     def _path_to_root(x: int, parent: dict[int, int]) -> list[int]:

@@ -5,7 +5,7 @@ structure per root, phase by phase over the color classes, with the root's
 prior bundle travelling to its favourite neighbour in the keep branch.  A
 bipartition is a 2-coloring, so the paper's bipartite case is the chromatic
 solver at t = 2.  The tree solver attaches leaves recursively and repairs
-envy with cycle resolution.
+envy with at most one cycle shift per attachment.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .allocation import (  # noqa: F401
     Allocation,
     EnvyGraph,
     envy_graph,
-    find_envy_cycle,
     find_source_with_path,
     resolve_cycle,
 )
@@ -173,13 +172,11 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     One ``EnvyGraph`` holds the allocation and is stepped in place with the
     bundles each step changes.
 
-    The envy graph is acyclic before every attachment, and an attachment
-    that does not end in a shift keeps it so.  The leaf envies no one, and
-    only the leaf and the parent value the loop, so the only envy edges an
-    attachment can add leave the parent: one to the leaf, a sink, and one to
-    the source that took the complement, which is what the shift resolves.
-    So ``find_envy_cycle`` searches only after a shift, and each cycle it
-    finds is shifted until none is left.
+    Before every attachment the envy graph is acyclic and every agent has
+    at most one envier, so the parent's enviers form one chain from a
+    source, and ``find_source_with_path`` walks it.  An attachment keeps
+    both invariants, with or without its one shift (the tree lemma in
+    README), so no envy cycle is ever left to search for.
     Given a component, it solves that component alone.
     """
     if not inst.graph.is_multitree(component):
@@ -187,20 +184,7 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
 
     trace: list[TraceEvent] = []
     envy = EnvyGraph(inst, Allocation.empty())
-
-    def shift(cycle: list[int]) -> None:
-        after = resolve_cycle(envy.alloc, cycle)
-        changes = _changed(envy.bundle, {u: after.bundle(u) for u in cycle})
-        envy.step(changes)
-        trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
-
-    shifted = False  # whether the last attachment ended in a shift
     for leaf, parent in _attach_order(inst.graph, component):
-        cycle = find_envy_cycle(envy) if shifted else None
-        while cycle is not None:
-            shift(cycle)
-            cycle = find_envy_cycle(envy)
-
         loop = inst.graph.parallel_edges(leaf, parent)
         leaf_piece, rest, _, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf],
                                                 loop)
@@ -214,9 +198,12 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         envy.step(changes)
         trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
                                   leftover_to=recipient, changes=changes))
-        shifted = source is not None and envy.envies(parent, source[0])
-        if shifted:
-            shift([parent] + source[1][:-1])  # parent envies the source; close the loop
+        if source is not None and envy.envies(parent, recipient):
+            cycle = [parent] + source[1][:-1]  # parent envies the source; close the loop
+            after = resolve_cycle(envy.alloc, cycle)
+            changes = _changed(envy.bundle, {u: after.bundle(u) for u in cycle})
+            envy.step(changes)
+            trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
 
     return envy.alloc, trace
 

@@ -449,9 +449,6 @@ class Digraph:
             for v in adj:
                 adj[v].sort()
 
-    def envious(self):
-        return sorted(self._out)
-
     def out_neighbours(self, u):
         return list(self._out.get(u, ()))
 
@@ -485,6 +482,27 @@ def reference_find_envy_cycle(eg, n):
             if found is not None:
                 return list(found)
     return None
+
+
+def reference_find_source_with_path(eg, target):
+    """The backward BFS for a source with a path to ``target``, lowest
+    enviers first: (source, path), or None when the target is a source."""
+    if not eg.in_neighbours(target):
+        return None
+    succ_on_path = {target: None}
+    queue = [target]
+    for v in queue:
+        preds = eg.in_neighbours(v)
+        if not preds and v != target:
+            path = [v]
+            while succ_on_path[path[-1]] is not None:
+                path.append(succ_on_path[path[-1]])
+            return v, path
+        for p in preds:
+            if p not in succ_on_path:
+                succ_on_path[p] = v
+                queue.append(p)
+    raise PreconditionError(f"no source reaches agent {target}")
 
 
 def random_mixed_instance(rng: random.Random, n_max=5, m_max=7, value_max=10):
@@ -729,10 +747,11 @@ def reference_bipartite_efx(inst, bipart):
 def reference_tree_efx(inst):
     """The tree solver over a mutable set dict, converted to an ``Allocation``
     around every envy-graph build and cycle shift.  The envy graph is built
-    from scratch for every leaf and searched with the recursive DFS."""
+    from scratch for every leaf, searched for a cycle with the recursive DFS
+    and for the parent's source with the backward BFS."""
     import heapq
 
-    from graphefx.allocation import envy_graph, find_source_with_path, resolve_cycle
+    from graphefx.allocation import envy_graph, resolve_cycle
     from graphefx.trace import CycleResolved, LeafAttached
 
     degree = {v: set(inst.graph.neighbours(v)) for v in range(inst.graph.vertex_count)}
@@ -775,7 +794,7 @@ def reference_tree_efx(inst):
                                                  loop)
         leaf_piece, rest = halves[s - 1], halves[2 - s]
         bundles.setdefault(leaf, set()).update(leaf_piece)
-        source = find_source_with_path(eg, parent)
+        source = reference_find_source_with_path(eg, parent)
         recipient = parent if source is None else source[0]
         bundles.setdefault(recipient, set()).update(rest)
         trace.append(_reference_event(LeafAttached, leaf=leaf, parent=parent,

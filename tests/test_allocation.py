@@ -16,8 +16,7 @@ from graphefx import (
     is_efx,
     resolve_cycle,
 )
-from graphefx import solvers
-from graphefx.allocation import EnvyGraph, find_envy_cycle, find_source_with_path
+from graphefx.allocation import EnvyGraph, find_source_with_path
 from graphefx.errors import PreconditionError
 from graphefx.generators import VALUATION_KINDS, gen_multitree
 from graphefx.solvers import tree_efx
@@ -126,7 +125,7 @@ def test_resolve_genuine_cycle_weakly_improves():
         for g in range(m):
             bundles.setdefault(rng.randrange(n), set()).add(g)
         alloc = Allocation(bundles={u: frozenset(b) for u, b in bundles.items()})
-        cycle = find_envy_cycle(envy_graph(inst, alloc))
+        cycle = reference_find_envy_cycle(envy_graph(inst, alloc), n)
         if cycle is None:
             continue
         out = resolve_cycle(alloc, cycle)
@@ -168,6 +167,19 @@ def test_find_source_with_path():
     assert find_source_with_path(single, 2) == (0, [0, 2])
     chain = Digraph(3, ((0, 1), (1, 2)))
     assert find_source_with_path(chain, 2) == (0, [0, 1, 2])
+
+
+def test_find_source_with_path_walks_the_lowest_envier():
+    # Outside tree_efx an agent can have several enviers: the walk takes the
+    # lowest, not the nearest source, and raises when it meets a cycle.
+    two_enviers = Digraph(4, ((0, 1), (1, 3), (2, 3)))
+    assert find_source_with_path(two_enviers, 3) == (0, [0, 1, 3])
+    looped = Digraph(4, ((0, 1), (1, 0), (1, 3), (2, 3)))
+    with pytest.raises(PreconditionError, match="walk up the enviers of agent 3 meets a cycle"):
+        find_source_with_path(looped, 3)
+    n = 3000  # a long chain, walked without recursion
+    chain = Digraph(n, [(i, i + 1) for i in range(n - 1)])
+    assert find_source_with_path(chain, n - 1) == (0, list(range(n)))
 
 
 def test_local_checks_match_all_pairs_reference():
@@ -245,29 +257,6 @@ def test_allocation_pickle_round_trip():
         assert copy == alloc and copy.bundles is not alloc.bundles
         with pytest.raises(TypeError):
             copy.bundles[0] = frozenset()
-
-
-def test_find_envy_cycle_without_recursion():
-    n = 3000
-    path = Digraph(n, [(i, i + 1) for i in range(n - 1)])
-    assert find_envy_cycle(path) is None
-    cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
-    assert find_envy_cycle(cycle) == list(range(n))
-
-
-def test_find_envy_cycle_matches_recursive_reference():
-    rng = random.Random(23)
-    found = 0
-    for _ in range(600):
-        n = rng.randint(1, 12)
-        p = rng.choice((0.05, 0.1, 0.2, 0.4))
-        edges = [(u, w) for u in range(n) for w in range(n) if u != w and rng.random() < p]
-        rng.shuffle(edges)
-        eg = Digraph(n, edges)
-        expected = reference_find_envy_cycle(eg, n)
-        assert find_envy_cycle(eg) == expected
-        found += expected is not None
-    assert 100 < found < 500
 
 
 def _random_update(rng, inst, alloc):
@@ -355,7 +344,6 @@ def test_envy_graph_matches_from_scratch_after_every_update():
                 assert envy.in_neighbours(v) == [a for a, w in edges if w == v]
                 assert envy.envies(v, (v + 1) % n) == ((v, (v + 1) % n) in edges)
             reference = Digraph(n, edges)
-            assert find_envy_cycle(envy) == reference_find_envy_cycle(reference, n)
             target = rng.randrange(n)
             try:
                 expected = find_source_with_path(reference, target)
@@ -448,61 +436,51 @@ def test_envy_graph_update_validates_changed_bundles():
         EnvyGraph(inst, Allocation(bundles={1: frozenset({9})}))
 
 
-def test_tree_efx_searches_for_a_cycle_only_after_a_shift(monkeypatch):
-    # An attachment that does not end in a shift leaves the envy graph
-    # acyclic, so ``tree_efx`` searches once after each post-attach shift
-    # that another attachment follows, and once more after each cycle found.
-    counts = Counter()
-
-    def counted(eg):
-        cycle = find_envy_cycle(eg)
-        counts["searches"] += 1
-        counts["cycles"] += cycle is not None
-        return cycle
-
-    monkeypatch.setattr(solvers, "find_envy_cycle", counted)
-    cases = [(kind, seed) for kind in VALUATION_KINDS for seed in range(2)]
-    searched = 0
-    for kind, seed in cases + [("budget_additive", 4)]:
-        inst, _ = gen_multitree(seed=seed, n=200, max_parallel=3, value_max=10,
-                                valuation_kind=kind)
-        counts.clear()
-        alloc, trace = tree_efx(inst)
-        assert alloc.is_complete(inst)
-        kinds = [ev.kind for ev in trace]
-        last_attach = max(i for i, k in enumerate(kinds) if k == "leaf_attached")
-        shifts = [i for i, k in enumerate(kinds)
-                  if k == "cycle_resolved" and kinds[i - 1] == "leaf_attached"]
-        assert counts["searches"] == (sum(i < last_attach for i in shifts)
-                                      + counts["cycles"]), (kind, seed, counts)
-        if (kind, seed) not in cases:  # a tree without a shift makes no search
-            assert not shifts and counts["searches"] == 0
-        searched += counts["searches"]
-    assert searched > 0
+def test_tree_efx_shifts_only_right_after_an_attachment():
+    # An attachment shifts bundles at most once, right after it, and no
+    # envy cycle is left for a later search to find.
+    shifts = 0
+    for kind in VALUATION_KINDS:
+        for seed in range(2):
+            inst, _ = gen_multitree(seed=seed, n=200, max_parallel=3, value_max=10,
+                                    valuation_kind=kind)
+            alloc, trace = tree_efx(inst)
+            assert alloc.is_complete(inst)
+            kinds = [ev.kind for ev in trace]
+            assert all(i > 0 and kinds[i - 1] == "leaf_attached"
+                       for i, k in enumerate(kinds) if k == "cycle_resolved"), (kind, seed)
+            shifts += kinds.count("cycle_resolved")
+    assert shifts > 0
 
 
-def _acyclic(inst, snapshot):
+def _envy_edges(inst, snapshot):
+    return reference_envy_edges(inst, Allocation(bundles=snapshot))
+
+
+def _acyclic(inst, edges):
     n = inst.graph.vertex_count
-    edges = reference_envy_edges(inst, Allocation(bundles=snapshot))
     return reference_find_envy_cycle(Digraph(n, edges), n) is None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14), st.integers(1, 5),
        st.sampled_from(VALUATION_KINDS))
-def test_tree_efx_attachment_without_a_shift_keeps_envy_acyclic(seed, n, max_parallel, kind):
-    # The envy graph is acyclic before every attachment, and after every
-    # attachment that no shift follows: why ``tree_efx`` searches for a
-    # cycle only after a shift.
+def test_tree_efx_envy_graph_is_a_forest_of_out_trees(seed, n, max_parallel, kind):
+    # The tree lemma (README): every agent has at most one envier after
+    # every event, and the envy graph is acyclic before every attachment
+    # and after every event that no shift follows.
     inst, _ = gen_multitree(seed=seed, n=n, max_parallel=max_parallel, value_max=10,
                             valuation_kind=kind)
     events = folded(tree_efx(inst)[1])
     held = {}  # the bundles before the current event
     for i, ev in enumerate(events):
         if ev["type"] == "leaf_attached":
-            assert _acyclic(inst, held), (i, held)
-            if i + 1 == len(events) or events[i + 1]["type"] != "cycle_resolved":
-                assert _acyclic(inst, ev["snapshot"]), (i, ev["snapshot"])
+            assert _acyclic(inst, _envy_edges(inst, held)), (i, held)
+        edges = _envy_edges(inst, ev["snapshot"])
+        enviers = Counter(w for _, w in edges)
+        assert max(enviers.values(), default=0) <= 1, (i, edges)
+        if i + 1 == len(events) or events[i + 1]["type"] != "cycle_resolved":
+            assert _acyclic(inst, edges), (i, edges)
         held = ev["snapshot"]
 
 

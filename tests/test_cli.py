@@ -269,6 +269,18 @@ def _respell_good(doc, spelling):
      'agents must be a JSON list of strings, got {"a": 0, "b": 1, "c": 2}'),
     (lambda doc: doc.update(agents=[1, "b"]), "agent name 1 is not a string"),
     (lambda doc: doc.update(agents=[None]), "agent name null is not a string"),
+    (lambda doc: doc["edges"][1].update(endpoints="bc"),
+     'edge 1 endpoints must be a JSON list of two agent names, got "bc"'),
+    (lambda doc: doc["edges"][1].update(endpoints={"a": 1, "b": 2}),
+     'edge 1 endpoints must be a JSON list of two agent names, got {"a": 1, "b": 2}'),
+    (lambda doc: doc["edges"][1].update(endpoints=["a", "b", "c"]),
+     'edge 1 endpoints must be a JSON list of two agent names, got ["a", "b", "c"]'),
+    # A valuation must belong to a declared agent, whatever its type.
+    (lambda doc: doc["valuations"].update(ghost={"type": "nonsense"}),
+     "valuation for undeclared agent 'ghost'"),
+    (lambda doc: doc.update(valuations=list(doc["valuations"].values())),
+     'valuations must be a JSON object keyed by agent names, got [{"type": "additive"'),
+    (lambda doc: doc["valuations"].pop("b"), "missing valuation for agent 'b'"),
     (lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # good 0 joins a and b
      "valuation of agent 2 supports non-incident edges [0]"),
     # Ids are read as strictly as a trace's: JSON integers, and a key is its integer's own text.

@@ -81,6 +81,25 @@ def test_shortest_cycle_witness_is_a_cycle():
         assert b in g.neighbours(a)
 
 
+def test_shortest_cycle_stops_at_the_girth(monkeypatch):
+    # The girth is known before the scan, so on a 401-cycle the first root's
+    # BFS finds a cycle that short and no other root is searched; a forest
+    # needs no BFS at all.
+    roots = []
+    cycle_from = MultiGraph._cycle_from
+
+    def counted(self, start, best, best_cycle):
+        roots.append(start)
+        return cycle_from(self, start, best, best_cycle)
+
+    monkeypatch.setattr(MultiGraph, "_cycle_from", counted)
+    length, cycle = MultiGraph(401, [(v, (v + 1) % 401) for v in range(401)]).shortest_cycle()
+    assert length == 401 and sorted(cycle) == list(range(401)) and roots == [0]
+    roots.clear()
+    assert MultiGraph(3, [(0, 1), (1, 2)] * 2).shortest_cycle() == (math.inf, None)
+    assert roots == []
+
+
 def _check_bounded_girth(g):
     """On ``g`` and on each of its components: the exact search equals the
     reference BFS, and at every limit 3..9 the girth is the exact girth when
