@@ -38,6 +38,11 @@ def _non_ints(xs: list) -> list:
     return [] if set(map(type, xs)) <= {int} else [x for x in xs if type(x) is not int]
 
 
+def _twice(goods: list) -> int:
+    """The first good that a list of good ids names a second time."""
+    return next(g for i, g in enumerate(goods) if g in goods[:i])
+
+
 def _valuation_from_json(obj: dict, agent: str) -> Valuation:
     try:
         cls = KINDS.get(obj["type"])
@@ -47,7 +52,17 @@ def _valuation_from_json(obj: dict, agent: str) -> Valuation:
             if bad:
                 raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad[0])},"
                                  " not an integer")
-            return Table(entries={frozenset(g): e["value"] for g, e in zip(sets, obj["entries"])})
+            entries = {}
+            for goods, e in zip(sets, obj["entries"]):
+                key = frozenset(goods)
+                if len(key) != len(goods):
+                    raise InputError(f"valuation of agent {agent!r} names good {_twice(goods)}"
+                                     f" twice in set {json.dumps(goods)}")
+                if key in entries:
+                    raise InputError(f"valuation of agent {agent!r} lists set"
+                                     f" {json.dumps(sorted(key))} twice")
+                entries[key] = e["value"]
+            return Table(entries=entries)
         if cls is not None:
             try:
                 values = {int(g): v for g, v in obj["values"].items()}
@@ -62,6 +77,13 @@ def _valuation_from_json(obj: dict, agent: str) -> Valuation:
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed valuation object: {exc}") from exc
     raise InputError(f"unknown valuation type {obj.get('type')!r}")
+
+
+def _check_version(obj: dict, document: str) -> None:
+    """A document may omit ``version``; if it has one, it must be this format's."""
+    if "version" in obj and obj["version"] != FORMAT_VERSION:
+        raise InputError(f"unknown {document} format version {json.dumps(obj['version'])},"
+                         f" expected {json.dumps(FORMAT_VERSION)}")
 
 
 def instance_to_json(inst: Instance, names: list[str]) -> dict:
@@ -81,6 +103,7 @@ def instance_to_json(inst: Instance, names: list[str]) -> dict:
 
 def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
     try:
+        _check_version(obj, "instance")
         names = obj["agents"]
         if type(names) is not list:
             raise InputError(f"agents must be a JSON list of strings, got {json.dumps(names)}")
@@ -134,6 +157,7 @@ def allocation_to_json(alloc: Allocation, names: list[str]) -> dict:
 def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
     index = {name: i for i, name in enumerate(names)}
     try:
+        _check_version(obj, "allocation")
         bundles = {}
         for name, goods in obj["bundles"].items():
             if name not in index:
@@ -141,6 +165,8 @@ def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
             if not all(isinstance(g, int) and not isinstance(g, bool) for g in goods):
                 raise TypeError(f"good ids of agent {name!r} are not all integers: {goods!r}")
             bundles[index[name]] = frozenset(goods)
+            if len(bundles[index[name]]) != len(goods):
+                raise InputError(f"bundle of agent {name!r} names good {_twice(goods)} twice")
         return Allocation(bundles=bundles)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed allocation document: {exc}") from exc

@@ -149,22 +149,37 @@ class MultiGraph:
         """Length of the shortest skeleton cycle; math.inf on a forest.
 
         With a ``limit``, math.inf also when the girth exceeds it.  One
-        ``_girth`` search serves every limit: it is memoized with the limit it
-        searched, so it answers every smaller limit too.
+        ``_girth`` search serves every limit and ``shortest_cycle``: it is
+        memoized with the limit it searched and the cycle it found, so it
+        answers every smaller limit too.
         """
-        if limit is None:
-            limit = math.inf
-        elif limit < 3:  # no skeleton cycle is shorter than 3
-            return math.inf
+        best = self._girth_memo(component, math.inf if limit is None else limit)[1]
+        return best if limit is None or best <= limit else math.inf
+
+    def shortest_cycle(self, component: Component = None) -> tuple[float, Optional[list[int]]]:
+        """(girth, one shortest cycle as a vertex list), (inf, None) on forests.
+
+        The cycle is the one the girth search closed when it found the
+        girth, so it costs nothing beyond ``girth(component)``.
+        """
+        _, best, cycle = self._girth_memo(component, math.inf)
+        return best, None if cycle is None else list(cycle)
+
+    def _girth_memo(self, component: Component,
+                    limit: float) -> tuple[float, float, Optional[tuple[int, ...]]]:
+        # (limit searched, girth or inf, a shortest cycle or None), searched
+        # again only when no cycle was found and the limit grows
+        if limit < 3:  # no skeleton cycle is shorter than 3
+            return limit, math.inf, None
         vertices = self.vertices(component)
         key = self._memo_key("girth", vertices)
-        searched, best = self._memo.get(key, (0, math.inf))
-        if best == math.inf and searched < limit:
-            best = self._girth(vertices, limit)
-            self._memo[key] = limit, best
-        return best if best <= limit else math.inf
+        found = self._memo.get(key, (0, math.inf, None))
+        if found[1] == math.inf and found[0] < limit:
+            found = self._memo[key] = (limit, *self._girth(vertices, limit))
+        return found
 
-    def _girth(self, vertices: Sequence[int], limit: float = math.inf) -> float:
+    def _girth(self, vertices: Sequence[int],
+               limit: float) -> tuple[float, Optional[tuple[int, ...]]]:
         # BFS from the lowest vertex left, then delete it and peel what is
         # left to its 2-core; repeat until nothing is left.  A shortest cycle
         # loses no vertex to peeling, so it is whole at the BFS from its first
@@ -174,6 +189,9 @@ class MultiGraph:
         # walk of at least 2k edges, and only walks shorter than ``best``, the
         # shortest so far or else limit + 1, count.  So a BFS stops at the
         # depth k where 2k reaches it, and discovers no vertex when 2k + 2 does.
+        # The walk root -> x, y -> root that sets the final ``best`` is a
+        # shortest cycle: were its two tree paths to meet below the root, it
+        # would hold a cycle shorter than the girth.
         adj = self._adj
         degree = {v: len(adj[v]) for v in vertices}  # the vertices left, and their degrees
 
@@ -189,6 +207,7 @@ class MultiGraph:
                             stack.append(y)
 
         best = limit + 1
+        walk = None  # (parent, x, y) of the shortest closed walk so far
         delete([v for v in vertices if degree[v] < 2])
         for root in vertices:
             if root not in degree:
@@ -209,84 +228,20 @@ class MultiGraph:
                                 dist[y] = depth + 1
                                 parent[y] = x
                                 below.append(y)
-                        elif parent[x] != y:
-                            best = min(best, depth + dist[y] + 1)
+                        elif parent[x] != y and depth + dist[y] + 1 < best:
+                            best = depth + dist[y] + 1
+                            walk = parent, x, y
                 level = below
                 depth += 1
             delete([root])
-        return best if best <= limit else math.inf
-
-    def shortest_cycle(self, component: Component = None) -> tuple[float, Optional[list[int]]]:
-        """(girth, one shortest cycle as a vertex list), (inf, None) on forests.
-
-        BFS from every vertex on the skeleton; non-tree edges close candidate
-        cycles and the overall minimum is exact.  It costs O(n * m), so only
-        a message that prints the cycle runs it; ``girth`` needs no cycle.
-        """
-        best, cycle = self._memoized("shortest_cycle", component, self._shortest_cycle)
-        return best, None if cycle is None else list(cycle)
-
-    def _shortest_cycle(self, vertices: Sequence[int]) -> tuple[float, Optional[tuple[int, ...]]]:
-        # The girth search comes first, so the scan stops at the first cycle
-        # that short.  A later root replaces the best cycle only with a
-        # strictly shorter one, so the scan finds the same cycle either way.
-        girth = self._girth(vertices)
-        best = math.inf
-        best_cycle: Optional[list[int]] = None
-        for start in vertices:
-            if best <= girth:
-                break
-            best, best_cycle = self._cycle_from(start, best, best_cycle)
-        return best, None if best_cycle is None else tuple(best_cycle)
-
-    def _cycle_from(self, start: int, best: float,
-                    best_cycle: Optional[list[int]]) -> tuple[float, Optional[list[int]]]:
-        # One BFS from ``start``, stopped as _girth's BFS is, at ``best``: the
-        # shortest cycle it closes if that beats ``best``, else ``best_cycle``.
-        # A non-tree edge (x, y) closes a walk through the root, and when the
-        # two paths share a tail, the shorter cycle that is left counts.
-        dist = {start: 0}
-        parent = {start: -1}
-        level = [start]
-        depth = 0
-        while level and 2 * depth < best:
-            grow = 2 * depth + 2 < best
-            below = []
-            for x in level:
-                for y in sorted(self._adj[x]):
-                    if y not in dist:
-                        if grow:
-                            dist[y] = depth + 1
-                            parent[y] = x
-                            below.append(y)
-                    elif parent[x] != y and depth + dist[y] + 1 < best:
-                        path_x = self._path_to_root(x, parent)
-                        path_y = self._path_to_root(y, parent)
-                        cycle = self._merge_cycle(path_x, path_y)
-                        if len(cycle) < best:
-                            best = len(cycle)
-                            best_cycle = cycle
-            level = below
-            depth += 1
-        return best, best_cycle
-
-    @staticmethod
-    def _path_to_root(x: int, parent: dict[int, int]) -> list[int]:
-        path = [x]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        return path
-
-    @staticmethod
-    def _merge_cycle(path_x: list[int], path_y: list[int]) -> list[int]:
-        # Drop the shared tail (towards the BFS root).  A candidate edge never
-        # joins a vertex to its BFS parent or child, so the two paths then leave
-        # their lowest common ancestor through different children, share no
-        # other vertex, and close a simple cycle of length >= 3.
-        while len(path_x) > 1 and len(path_y) > 1 and path_x[-2] == path_y[-2]:
-            path_x = path_x[:-1]
-            path_y = path_y[:-1]
-        return path_x[:-1] + list(reversed(path_y))
+        if walk is None:  # a forest, or no cycle within the limit
+            return math.inf, None
+        parent, x, y = walk
+        path_x, path_y = [x], [y]
+        for path in (path_x, path_y):
+            while parent[path[-1]] != -1:
+                path.append(parent[path[-1]])
+        return best, tuple(path_x + path_y[-2::-1])
 
     def validate_coloring(self, col: Coloring, component: Component = None) -> tuple[bool, Optional[int]]:
         """(True, None) if proper, else (False, lowest violating edge id)."""

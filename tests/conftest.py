@@ -564,9 +564,9 @@ def reference_shortest_cycle(graph, component=None):
     """(girth, one shortest cycle) by a BFS to the end from every vertex of
     ``component`` (every vertex when None); (inf, None) on a forest.
 
-    The exact search without its depth bounds: a non-tree edge (x, y) closes
-    the tree paths from x and y, less the tail they share, and the first
-    cycle shorter than every earlier one is kept.
+    It shares no code with ``MultiGraph``'s girth search: a non-tree edge
+    (x, y) closes the tree paths from x and y, less the tail they share, and
+    the first cycle shorter than every earlier one is kept.
     """
     best, best_cycle = float("inf"), None
     for start in graph.vertices(component):

@@ -209,6 +209,19 @@ def test_verify_bundles_list_exit_1(b1_file, tmp_path):
     assert "malformed allocation document" in done.stderr
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"version": "1", "bundles": {"b": [0, 0]}}, "bundle of agent 'b' names good 0 twice"),
+    ({"version": "2", "bundles": {"b": [0]}}, 'unknown allocation format version "2", expected "1"'),
+    ({"version": 1, "bundles": {"b": [0]}}, 'unknown allocation format version 1, expected "1"'),
+])
+def test_verify_reinterpreted_allocation_exit_1(b1_file, tmp_path, capsys, doc, message):
+    # each of these once loaded as b holding good 0, which verify passed as EFX
+    bad = tmp_path / "bad.alloc.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(b1_file), str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("good", [1.5, True, None, "1"])
 def test_verify_non_integer_good_exit_1(b1_file, tmp_path, capsys, good):
     bad = tmp_path / "float.alloc.json"
@@ -296,6 +309,18 @@ def _respell_good(doc, spelling):
         {"goods": [], "value": 0}, {"goods": [0], "value": 3}, {"goods": [True], "value": 3},
         {"goods": [0, 1], "value": 6}]}),
      "valuation of agent 'b' names good true, not an integer"),
+    # A table names each set once, and each good of a set once; a version is the format's.
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": [], "value": 0}, {"goods": [0], "value": 1}, {"goods": [0], "value": 2}]}),
+     "valuation of agent 'b' lists set [0] twice"),
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": [], "value": 0}, {"goods": [0, 1], "value": 1}, {"goods": [1, 0], "value": 1}]}),
+     "valuation of agent 'b' lists set [0, 1] twice"),
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": [], "value": 0}, {"goods": [0, 0], "value": 1}]}),
+     "valuation of agent 'b' names good 0 twice in set [0, 0]"),
+    (lambda doc: doc.update(version="2"), 'unknown instance format version "2", expected "1"'),
+    (lambda doc: doc.update(version=1), 'unknown instance format version 1, expected "1"'),
 ])
 def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
     doc = instance_to_json(b1_instance, ["a", "b", "c"])

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from graphefx import InputError, Instance, MultiGraph, Table, UnitDemand, solve
 from graphefx.generators import gen_multitree
 from graphefx.jsonio import (
+    allocation_from_json,
     allocation_to_json,
+    instance_from_json,
     instance_to_json,
     load_allocation,
     load_instance,
@@ -140,6 +142,13 @@ LOADERS = {
 def test_the_documents_cover_every_event_kind():
     assert {ev["type"] for ev in DOCS["trace"]} == {
         "coloring_used", "structure_resolved", "leaf_attached", "cycle_resolved"}
+
+
+def test_a_document_without_a_version_loads():
+    instance = {k: v for k, v in DOCS["instance"].items() if k != "version"}
+    allocation = {k: v for k, v in DOCS["allocation"].items() if k != "version"}
+    assert instance_to_json(*instance_from_json(instance)) == DOCS["instance"]
+    assert allocation_to_json(allocation_from_json(allocation, NAMES), NAMES) == DOCS["allocation"]
 
 
 @pytest.mark.parametrize("kind", sorted(DOCS))

@@ -82,33 +82,50 @@ def test_shortest_cycle_witness_is_a_cycle():
 
 
 def test_shortest_cycle_stops_at_the_girth(monkeypatch):
-    # The girth is known before the scan, so on a 401-cycle the first root's
-    # BFS finds a cycle that short and no other root is searched; a forest
-    # needs no BFS at all.
-    roots = []
-    cycle_from = MultiGraph._cycle_from
+    # The cycle is the girth search's own: on a 401-cycle one search answers
+    # shortest_cycle, and a shortest_cycle after girth searches nothing more.
+    limits = []
+    girth = MultiGraph._girth
 
-    def counted(self, start, best, best_cycle):
-        roots.append(start)
-        return cycle_from(self, start, best, best_cycle)
+    def counted(self, vertices, limit):
+        limits.append(limit)
+        return girth(self, vertices, limit)
 
-    monkeypatch.setattr(MultiGraph, "_cycle_from", counted)
-    length, cycle = MultiGraph(401, [(v, (v + 1) % 401) for v in range(401)]).shortest_cycle()
-    assert length == 401 and sorted(cycle) == list(range(401)) and roots == [0]
-    roots.clear()
+    monkeypatch.setattr(MultiGraph, "_girth", counted)
+    pairs = [(v, (v + 1) % 401) for v in range(401)]
+    length, cycle = MultiGraph(401, pairs).shortest_cycle()
+    assert length == 401 and sorted(cycle) == list(range(401)) and limits == [math.inf]
+    _assert_shortest_cycle(MultiGraph(401, pairs), None, length, cycle)
+    for asked in (None, 401):
+        limits.clear()
+        g = MultiGraph(401, pairs)
+        assert g.girth(None, asked) == 401 and g.shortest_cycle() == (length, cycle)
+        assert len(limits) == 1
     assert MultiGraph(3, [(0, 1), (1, 2)] * 2).shortest_cycle() == (math.inf, None)
-    assert roots == []
+
+
+def _assert_shortest_cycle(g, comp, length, cycle):
+    """``cycle`` is a simple cycle of the skeleton within ``comp`` with
+    ``length`` vertices, the reference girth; None when that is inf."""
+    assert length == reference_shortest_cycle(g, comp)[0]
+    if length == math.inf:
+        assert cycle is None
+        return
+    assert len(cycle) == len(set(cycle)) == length >= 3
+    assert set(cycle) <= set(g.vertices(comp))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert b in g.neighbours(a)
 
 
 def _check_bounded_girth(g):
-    """On ``g`` and on each of its components: the exact search equals the
-    reference BFS, and at every limit 3..9 the girth is the exact girth when
-    it is at most the limit and inf otherwise.  Each limit is asked of a
-    fresh graph and of one graph that is asked every limit up, then down,
-    and then no limit."""
+    """On ``g`` and on each of its components: the exact search gives the
+    reference girth and a shortest cycle, and at every limit 3..9 the girth
+    is the exact girth when it is at most the limit and inf otherwise.  Each
+    limit is asked of a fresh graph and of one graph that is asked every
+    limit up, then down, and then no limit."""
     for comp in [None] + g.connected_components():
         exact = g.shortest_cycle(comp)
-        assert exact == reference_shortest_cycle(g, comp)
+        _assert_shortest_cycle(g, comp, *exact)
         warm = MultiGraph(g.vertex_count, list(g.edges))
         for limit in [*range(3, 10), *range(9, 2, -1)]:
             fresh = MultiGraph(g.vertex_count, list(g.edges))
@@ -142,15 +159,31 @@ def _union(pieces):
     return MultiGraph(len(order), edges)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(st.lists(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+_unions = st.lists(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
-    max_size=14))), min_size=2, max_size=4).map(_union))
+    max_size=14))), min_size=2, max_size=4).map(_union)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_unions)
 def test_girth_equals_the_reference_on_random_multigraphs(g):
     assert len(g.connected_components()) >= 2
     for comp in [None] + g.connected_components():
         fresh = MultiGraph(g.vertex_count, list(g.edges))
         assert fresh.girth(comp) == reference_shortest_cycle(g, comp)[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_unions)
+def test_shortest_cycle_does_not_depend_on_an_earlier_bounded_girth(g):
+    # so the offending-cycle message never depends on what was asked before
+    for comp in [None] + g.connected_components():
+        want = MultiGraph(g.vertex_count, list(g.edges)).shortest_cycle(comp)
+        _assert_shortest_cycle(g, comp, *want)
+        for limit in range(3, 10):
+            warm = MultiGraph(g.vertex_count, list(g.edges))
+            warm.girth(comp, limit)
+            assert warm.shortest_cycle(comp) == want
 
 
 def test_bounded_girth_below_three_searches_nothing(monkeypatch):

@@ -58,6 +58,7 @@ from .conftest import (
     reference_bipartite_efx,
     reference_chromatic,
     reference_chromatic_efx,
+    reference_shortest_cycle,
     reference_tree_efx,
     unfolded,
     zero_instance,
@@ -461,8 +462,7 @@ def test_table_valuation_rejected_before_any_coloring_search(monkeypatch):
 
 
 def test_classify_stops_at_a_multitree(monkeypatch):
-    for meth in ("bipartition", "shortest_cycle", "_shortest_cycle", "girth", "_girth",
-                 "find_coloring"):
+    for meth in ("bipartition", "shortest_cycle", "girth", "_girth", "find_coloring"):
         monkeypatch.setattr(MultiGraph, meth, lambda *a: pytest.fail("computed on a tree"))
     inst, _ = gen_multitree(seed=4, n=8, max_parallel=2)
     verdicts = []
@@ -497,7 +497,7 @@ def test_bounded_girth_decides_as_the_exact_girth(monkeypatch):
     bounded = [outcomes(*case) for case in cases]
 
     def exact_girth(self, component=None, limit=None):
-        length = self.shortest_cycle(component)[0]
+        length = reference_shortest_cycle(self, component)[0]
         return length if limit is None or length <= limit else math.inf
 
     monkeypatch.setattr(MultiGraph, "girth", exact_girth)
@@ -508,25 +508,33 @@ def test_bounded_girth_decides_as_the_exact_girth(monkeypatch):
         assert text in said
 
 
+def _girth_searches(monkeypatch):
+    """The limit of each ``_girth`` search from now on, in order."""
+    limits = []
+    search = MultiGraph._girth
+
+    def counted(self, vertices, limit):
+        limits.append(limit)
+        return search(self, vertices, limit)
+
+    monkeypatch.setattr(MultiGraph, "_girth", counted)
+    return limits
+
+
 def test_long_odd_cycle_solves_without_the_exact_girth_search(monkeypatch):
     want = solve(gen_multicycle(seed=41, length=41, max_parallel=2, value_max=9)[0])
-
-    def no_search(self, vertices):
-        raise AssertionError("the exact cycle search ran")
-
-    monkeypatch.setattr(MultiGraph, "_shortest_cycle", no_search)
+    limits = _girth_searches(monkeypatch)
     inst = gen_multicycle(seed=41, length=41, max_parallel=2, value_max=9)[0]
     assert solve(inst) == want and want[1] == "chromatic"
-    with pytest.raises(AssertionError, match="the exact cycle search ran"):
-        inst.graph.shortest_cycle()
-    assert inst.graph.girth() == 41  # the exact length needs no such search
+    assert limits == [7]  # the dispatcher's one search, bounded at 2*4-1
+    assert inst.graph.girth() == 41 and limits == [7, math.inf]  # the exact length searches on
+    assert inst.graph.shortest_cycle()[0] == 41 and limits == [7, math.inf]
 
 
 def test_long_cycle_hint_rejected_without_the_exact_girth_search(monkeypatch):
     # One color per agent asks for girth >= 801, which the bounded girth
     # search refutes from the cycle's first vertex.
-    monkeypatch.setattr(MultiGraph, "_shortest_cycle",
-                        lambda *a: pytest.fail("the exact cycle search ran"))
+    limits = _girth_searches(monkeypatch)
     inst = gen_multicycle(seed=3, length=401)[0]
     hint = Coloring(colors={v: v for v in range(401)}, t=401)
     reason = "girth 401 < 2*401-1 for the 401-coloring hint"
@@ -534,6 +542,7 @@ def test_long_cycle_hint_rejected_without_the_exact_girth_search(monkeypatch):
     assert verdict.reason == reason
     with pytest.raises(UnsupportedClassError, match=re.escape(f"; chromatic: {reason}; ")):
         solve(inst, hint)
+    assert limits == [800]
 
 
 def test_girth_rejections_keep_their_text(monkeypatch):
@@ -547,12 +556,13 @@ def test_girth_rejections_keep_their_text(monkeypatch):
     c5 = MultiGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert chromatic_reason(c5, Coloring(colors={v: v for v in range(5)}, t=5)) == (
         "girth 5 < 2*5-1 for the 5-coloring hint")
-    # A triangle hangs off agent 0, and the message names it as the exact
-    # search from agent 0 meets it.
+    # A triangle hangs off agent 0.  The girth search peels agents 2, 1 and 0,
+    # and its BFS from agent 3 closes the triangle by the edge from 4 to 5: the
+    # message lists 4, its tree path to the root 3, and then 5.
     g = MultiGraph(6, [(0, 5), (3, 4), (4, 5), (5, 3), (1, 2), (0, 1)])
     with pytest.raises(PreconditionError) as err:
         chromatic_efx(zero_instance(g), Coloring(colors={0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 2}, t=3))
-    assert str(err.value) == "girth 3 < 2*3-1; offending cycle [3, 5, 4]"
+    assert str(err.value) == "girth 3 < 2*3-1; offending cycle [4, 3, 5]"
     # the exact girth, beyond the bound of the search that decides, when no coloring is found
     monkeypatch.setattr(MultiGraph, "find_coloring", lambda self, t_max, component=None: None)
     c9 = MultiGraph(9, [(i, (i + 1) % 9) for i in range(9)])
