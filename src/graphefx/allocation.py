@@ -1,4 +1,4 @@
-"""Allocations, the envy graph, the EFX verifier and envy-cycle machinery."""
+"""Allocations, the envy graph, the EFX verifier and a bundle shift along a cycle."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 if TYPE_CHECKING:
     from .solvers import Instance
@@ -321,7 +321,11 @@ def is_efx(inst: "Instance", alloc: Allocation) -> EfxVerdict:
 
 
 def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
-    """Shift bundles one step along ``cycle``: each agent takes its successor's."""
+    """Shift bundles one step along ``cycle``: each agent takes its successor's.
+
+    A library helper: no solver calls it, since ``tree_efx`` shifts bundles
+    on its ``EnvyGraph`` with ``step``.
+    """
     if len(cycle) < 2:
         raise InputError("cycle must contain at least 2 agents")
     if len(set(cycle)) != len(cycle):
@@ -336,26 +340,3 @@ def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
             bundles.pop(u, None)
     return _trusted(bundles)
 
-
-def find_source_with_path(eg: EnvyGraph, target: int) -> Optional[tuple[int, list[int]]]:
-    """A source of the envy graph with a directed path to ``target``.
-
-    Returns None when the target is itself a source.  In ``tree_efx`` every
-    agent has at most one envier (README, the tree lemma), so the target's
-    ancestors form one chain, and the search walks it up from the target to
-    its source.  With several enviers, which only a graph from outside
-    ``tree_efx`` can have, the walk follows the lowest.  Raises if the walk
-    meets a cycle.
-    """
-    enviers = eg.in_neighbours(target)
-    if not enviers:
-        return None
-    walk = {target: None}  # the agents walked so far, in order
-    while enviers:
-        v = enviers[0]
-        if v in walk:
-            raise PreconditionError(f"the walk up the enviers of agent {target} meets a cycle")
-        walk[v] = None
-        enviers = eg.in_neighbours(v)
-    path = list(reversed(walk))
-    return path[0], path

@@ -83,21 +83,9 @@ def _parse_prob(text: str) -> tuple[int, int]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = {}
-    if args.family == "bipartite":
-        params = {
-            "n_left": args.n_left,
-            "n_right": args.n_right,
-            "edge_prob": _parse_prob(args.edge_prob),
-            "max_parallel": args.max_parallel,
-            "value_max": args.value_max,
-        }
-    elif args.family == "multitree":
-        params = {"n": args.agents, "max_parallel": args.max_parallel, "value_max": args.value_max}
-    elif args.family == "multicycle":
-        params = {"length": args.length, "max_parallel": args.max_parallel, "value_max": args.value_max}
-    elif args.family == "petersen":
-        params = {"parallel_copies": args.parallel_copies, "value_max": args.value_max}
+    # the family's own options, and --value-max, are its generator's parameters
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "family", "seed", "valuations", "out")}
     seed = args.seed if args.seed is not None else _default_seed()
     if not 0 <= seed < 2 ** 64:
         source = SEED_ENV_VAR if args.seed is None else "--seed"
@@ -335,20 +323,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    shared = argparse.ArgumentParser(add_help=False)  # the options of every family
+    shared.add_argument("--seed", type=int, default=None,
+                        help=f"seed in 0..2**64-1 (default: ${SEED_ENV_VAR} or 0)")
+    shared.add_argument("--valuations", default="additive", choices=VALUATION_KINDS)
+    shared.add_argument("--value-max", type=int, default=100)
+    shared.add_argument("-o", "--out", required=True)
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
-    p_gen.add_argument("family", choices=["bipartite", "multitree", "multicycle", "petersen"])
-    p_gen.add_argument("--seed", type=int, default=None,
-                       help=f"seed in 0..2**64-1 (default: ${SEED_ENV_VAR} or 0)")
-    p_gen.add_argument("--valuations", default="additive", choices=VALUATION_KINDS)
-    p_gen.add_argument("--n-left", type=int, default=3)
-    p_gen.add_argument("--n-right", type=int, default=3)
-    p_gen.add_argument("--edge-prob", default="1/2", help="integer rational P/Q")
-    p_gen.add_argument("--agents", type=int, default=5)
-    p_gen.add_argument("--length", type=int, default=5)
-    p_gen.add_argument("--parallel-copies", type=int, default=2)
-    p_gen.add_argument("--max-parallel", type=int, default=3)
-    p_gen.add_argument("--value-max", type=int, default=100)
-    p_gen.add_argument("-o", "--out", required=True)
+    families = p_gen.add_subparsers(dest="family", required=True)
+    p_fam = families.add_parser("bipartite", parents=[shared])
+    p_fam.add_argument("--n-left", type=int, default=3)
+    p_fam.add_argument("--n-right", type=int, default=3)
+    p_fam.add_argument("--edge-prob", type=_parse_prob, default=(1, 2),
+                       help="integer rational P/Q (default: 1/2)")
+    p_fam.add_argument("--max-parallel", type=int, default=3)
+    p_fam = families.add_parser("multitree", parents=[shared])
+    p_fam.add_argument("--agents", dest="n", type=int, default=5)
+    p_fam.add_argument("--max-parallel", type=int, default=3)
+    p_fam = families.add_parser("multicycle", parents=[shared])
+    p_fam.add_argument("--length", type=int, default=5)
+    p_fam.add_argument("--max-parallel", type=int, default=3)
+    p_fam = families.add_parser("petersen", parents=[shared])
+    p_fam.add_argument("--parallel-copies", type=int, default=2)
 
     p_an = sub.add_parser("analyze", help="report instance class and eligible solvers")
     p_an.add_argument("instance")

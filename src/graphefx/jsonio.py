@@ -48,6 +48,10 @@ def _valuation_from_json(obj: dict, agent: str) -> Valuation:
         cls = KINDS.get(obj["type"])
         if cls is Table:
             sets = [e["goods"] for e in obj["entries"]]
+            shape = [goods for goods in sets if type(goods) is not list]
+            if shape:
+                raise InputError(f"valuation of agent {agent!r} gives set {json.dumps(shape[0])},"
+                                 " not a JSON list of goods")
             bad = _non_ints(list(chain.from_iterable(sets)))
             if bad:
                 raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad[0])},"
@@ -113,10 +117,14 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
         if len(set(names)) != len(names):
             raise InputError("agent names must be unique")
         index = {name: i for i, name in enumerate(names)}
-        bad = _non_ints([e["id"] for e in obj["edges"]])
+        edge_objs = obj["edges"]
+        if type(edge_objs) is not list:
+            raise InputError("edges must be a JSON list of edge objects,"
+                             f" got {json.dumps(edge_objs)}")
+        bad = _non_ints([e["id"] for e in edge_objs])
         if bad:
             raise InputError(f"edge id {json.dumps(bad[0])} is not an integer")
-        edge_objs = sorted(obj["edges"], key=lambda e: e["id"])
+        edge_objs = sorted(edge_objs, key=lambda e: e["id"])
         if [e["id"] for e in edge_objs] != list(range(len(edge_objs))):
             raise InputError("edge ids must be dense 0..m-1")
         pairs = []
@@ -162,6 +170,9 @@ def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
         for name, goods in obj["bundles"].items():
             if name not in index:
                 raise InputError(f"allocation references unknown agent {name!r}")
+            if type(goods) is not list:
+                raise InputError(f"bundle of agent {name!r} must be a JSON list of good ids,"
+                                 f" got {json.dumps(goods)}")
             if not all(isinstance(g, int) and not isinstance(g, bool) for g in goods):
                 raise TypeError(f"good ids of agent {name!r} are not all integers: {goods!r}")
             bundles[index[name]] = frozenset(goods)
@@ -172,11 +183,21 @@ def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
         raise InputError(f"malformed allocation document: {exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; raises ValueError when a key repeats, which
+    would otherwise silently keep its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"key {json.dumps(_twice([k for k, _ in pairs]))} appears twice"
+                         " in one object")
+    return obj
+
+
 def load_json(path: Union[str, Path]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:  # a JSON or UTF-8 error is a ValueError
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -221,7 +242,8 @@ def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
             for line in fh:
                 line = line.strip()
                 if line:
-                    events.append(event_from_json(json.loads(line), len(events), graph, held))
+                    obj = json.loads(line, object_pairs_hook=_unique_keys)
+                    events.append(event_from_json(obj, len(events), graph, held))
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
             RecursionError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc

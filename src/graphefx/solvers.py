@@ -15,13 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
-from .allocation import (  # noqa: F401
-    Allocation,
-    EnvyGraph,
-    envy_graph,
-    find_source_with_path,
-    resolve_cycle,
-)
+from .allocation import Allocation, EnvyGraph, envy_graph  # noqa: F401
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
 from .multigraph import Coloring, Component, MultiGraph
 from .oracle import first_efx_allocation
@@ -173,10 +167,10 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     bundles each step changes.
 
     Before every attachment the envy graph is acyclic and every agent has
-    at most one envier, so the parent's enviers form one chain from a
-    source, and ``find_source_with_path`` walks it.  An attachment keeps
-    both invariants, with or without its one shift (the tree lemma in
-    README), so no envy cycle is ever left to search for.
+    at most one envier, so the parent's enviers form one chain up to a
+    source, which the attachment walks.  An attachment keeps both
+    invariants, with or without its one shift along that chain (the tree
+    lemma in README), so no envy cycle is ever left to search for.
     Given a component, it solves that component alone.
     """
     if not inst.graph.is_multitree(component):
@@ -188,20 +182,22 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
         loop = inst.graph.parallel_edges(leaf, parent)
         leaf_piece, rest, _, _ = cut_and_choose(inst.valuations[parent], inst.valuations[leaf],
                                                 loop)
-        # The complement goes to the parent, or to an envy-graph source of it.
-        # None of the leaf's goods is allocated yet, so the leaf holds nothing,
-        # envies no one and is never that source.
-        source = find_source_with_path(envy, parent)
-        recipient = parent if source is None else source[0]
+        # The complement goes to the source atop the parent's chain of enviers.  The
+        # leaf holds none of its goods yet, so it envies no one and is not on the chain.
+        chain = [parent]  # the parent, its envier, that agent's envier, ..., the source
+        while enviers := envy.in_neighbours(chain[-1]):
+            if len(chain) > inst.graph.vertex_count:
+                raise PreconditionError(f"the walk up the enviers of agent {parent} meets a cycle")
+            chain.append(enviers[0])
+        recipient = chain[-1]
         changes = _changed(envy.bundle, {leaf: leaf_piece,
                                          recipient: envy.bundle(recipient) | rest})
         envy.step(changes)
         trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
                                   leftover_to=recipient, changes=changes))
-        if source is not None and envy.envies(parent, recipient):
-            cycle = [parent] + source[1][:-1]  # parent envies the source; close the loop
-            after = resolve_cycle(envy.alloc, cycle)
-            changes = _changed(envy.bundle, {u: after.bundle(u) for u in cycle})
+        if envy.envies(parent, recipient):  # so the recipient is a source above the parent
+            cycle = [parent] + chain[:0:-1]  # each agent envies its successor and takes its bundle
+            changes = {u: envy.bundle(w) for u, w in zip(cycle, cycle[1:] + cycle[:1])}
             envy.step(changes)
             trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
 

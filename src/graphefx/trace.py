@@ -113,12 +113,17 @@ def _key(k: str) -> Union[int, str]:
     return n if str(n) == k else k
 
 
+class _NotShape(Exception):
+    """A JSON value that is not the list or the object its field's type needs."""
+
+
 def _read(tp, x, checks: dict):
     """``x``, a value read from JSON, as a value of type ``tp``, each id or name
     of role r passed through ``checks[r]``.
 
-    A dict key is read as an int, and a fixed-length tuple of the wrong
-    length raises ValueError.
+    A dict must be a JSON object and a set or a tuple a JSON list, or
+    _NotShape is raised.  A dict key is read as an int, and a fixed-length
+    tuple of the wrong length raises ValueError.
     """
     origin, args = _shape(tp)
     if origin is None:  # an id or a name, checked by its role
@@ -126,7 +131,11 @@ def _read(tp, x, checks: dict):
     if origin is Union:  # Optional[T]
         return None if x is None else _read(args[0], x, checks)
     if origin is dict:
+        if type(x) is not dict:
+            raise _NotShape(f"{json.dumps(x)}, not a JSON object")
         return {_read(args[0], _key(k), checks): _read(args[1], v, checks) for k, v in x.items()}
+    if type(x) is not list:
+        raise _NotShape(f"{json.dumps(x)}, not a JSON list")
     if origin is frozenset:  # a set of ids: check them without a recursive call per id
         return frozenset(map(checks[args[0]], x))
     if args[-1] is Ellipsis:
@@ -214,12 +223,13 @@ def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> Trace
 
     Each field is read as its declared type: each agent id must be in
     0..n-1, each good id in 0..m-1, each color, t and phase a nonnegative
-    integer, and a branch one of BRANCHES or null.  ``held`` is the snapshot
-    before the event, agent -> bundle: a reader passes one dict for a whole
-    trace, and it becomes the snapshot on a step event's line.  That event's
-    ``changes`` are the agents whose bundle differs between the two, in the
-    line's order, then the agents the line leaves out.  Two bundles of a
-    snapshot that meet raise what ``Allocation`` raises on the line.
+    integer, a branch one of BRANCHES or null, a dict a JSON object, and a
+    set or a tuple a JSON list.  ``held`` is the snapshot before the event,
+    agent -> bundle: a reader passes one dict for a whole trace, and it
+    becomes the snapshot on a step event's line.  That event's ``changes``
+    are the agents whose bundle differs between the two, in the line's
+    order, then the agents the line leaves out.  Two bundles of a snapshot
+    that meet raise what ``Allocation`` raises on the line.
     """
     kind = obj.get("type")
     cls = EVENT_KINDS.get(kind)
@@ -229,8 +239,13 @@ def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> Trace
               Good: _id_check(i, "good", graph.edge_count),
               Count: _id_check(i, "count", None),
               Branch: _branch_check(i)}
-    fields = {f: _read(ft, obj["snapshot" if f == "changes" else f], checks)
-              for f, ft in _FIELDS[cls]}
+    fields = {}
+    for f, ft in _FIELDS[cls]:
+        key = "snapshot" if f == "changes" else f
+        try:
+            fields[f] = _read(ft, obj[key], checks)
+        except _NotShape as exc:
+            raise InputError(f"trace event {i} gives {key} {exc}") from None
     if "changes" in fields:
         snapshot = Allocation(bundles=fields["changes"]).bundles
         changes = {u: b for u, b in snapshot.items() if held.get(u) != b}

@@ -16,10 +16,10 @@ from graphefx import (
     is_efx,
     resolve_cycle,
 )
-from graphefx.allocation import EnvyGraph, find_source_with_path
+from graphefx.allocation import EnvyGraph
 from graphefx.errors import PreconditionError
 from graphefx.generators import VALUATION_KINDS, gen_multitree
-from graphefx.solvers import tree_efx
+from graphefx.solvers import _attach_order, tree_efx
 
 from .conftest import (
     CountingValuation,
@@ -158,28 +158,6 @@ def test_ef_implies_efx():
         alloc = Allocation(bundles={u: frozenset(b) for u, b in bundles.items()})
         if not envy_graph(inst, alloc).edges:
             assert is_efx(inst, alloc).ok
-
-
-def test_find_source_with_path():
-    edgeless = Digraph(3, ())
-    assert find_source_with_path(edgeless, 1) is None
-    single = Digraph(3, ((0, 2),))
-    assert find_source_with_path(single, 2) == (0, [0, 2])
-    chain = Digraph(3, ((0, 1), (1, 2)))
-    assert find_source_with_path(chain, 2) == (0, [0, 1, 2])
-
-
-def test_find_source_with_path_walks_the_lowest_envier():
-    # Outside tree_efx an agent can have several enviers: the walk takes the
-    # lowest, not the nearest source, and raises when it meets a cycle.
-    two_enviers = Digraph(4, ((0, 1), (1, 3), (2, 3)))
-    assert find_source_with_path(two_enviers, 3) == (0, [0, 1, 3])
-    looped = Digraph(4, ((0, 1), (1, 0), (1, 3), (2, 3)))
-    with pytest.raises(PreconditionError, match="walk up the enviers of agent 3 meets a cycle"):
-        find_source_with_path(looped, 3)
-    n = 3000  # a long chain, walked without recursion
-    chain = Digraph(n, [(i, i + 1) for i in range(n - 1)])
-    assert find_source_with_path(chain, n - 1) == (0, list(range(n)))
 
 
 def test_local_checks_match_all_pairs_reference():
@@ -343,15 +321,6 @@ def test_envy_graph_matches_from_scratch_after_every_update():
                 assert envy.out_neighbours(v) == [w for a, w in edges if a == v]
                 assert envy.in_neighbours(v) == [a for a, w in edges if w == v]
                 assert envy.envies(v, (v + 1) % n) == ((v, (v + 1) % n) in edges)
-            reference = Digraph(n, edges)
-            target = rng.randrange(n)
-            try:
-                expected = find_source_with_path(reference, target)
-            except PreconditionError:
-                with pytest.raises(PreconditionError):
-                    find_source_with_path(envy, target)
-            else:
-                assert find_source_with_path(envy, target) == expected
         assert all(read == was for read, was in reads)  # never a live view of the stepped map
     assert families == {"Additive", "UnitDemand", "BudgetAdditive", "Table"}
     assert min(ops.values()) > 200, ops  # every kind, goods held away and emptied bundles
@@ -451,6 +420,21 @@ def test_tree_efx_shifts_only_right_after_an_attachment():
                        for i, k in enumerate(kinds) if k == "cycle_resolved"), (kind, seed)
             shifts += kinds.count("cycle_resolved")
     assert shifts > 0
+
+
+@pytest.mark.parametrize("enviers", [
+    lambda n, w: [(w + 1) % n],  # a loop through every agent, the parent too
+    lambda n, w: [n - 1] if w != n - 1 else [n - 2],  # a loop of two agents above the parent
+])
+def test_tree_efx_raises_when_the_enviers_loop(monkeypatch, enviers):
+    # A broken tree lemma must raise, not walk the loop forever.
+    inst, _ = gen_multitree(seed=0, n=8, max_parallel=2, value_max=10)
+    _, parent = _attach_order(inst.graph, None)[0]
+    assert parent < 6  # so the second loop is above it
+    monkeypatch.setattr(EnvyGraph, "in_neighbours", lambda self, w: enviers(8, w))
+    with pytest.raises(PreconditionError,
+                       match=f"^the walk up the enviers of agent {parent} meets a cycle$"):
+        tree_efx(inst)
 
 
 def _envy_edges(inst, snapshot):

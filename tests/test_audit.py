@@ -216,6 +216,22 @@ def test_trace_line_format(event, line):
     assert event_line(event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5), {}), {}) == text
 
 
+@pytest.mark.parametrize("line, message", [
+    ({"type": "cycle_resolved", "cycle": {}, "snapshot": {}}, "gives cycle {}, not a JSON list"),
+    ({"type": "leaf_attached", "leaf": 1, "parent": 0, "pieces": [{}, []], "leftover_to": 0,
+      "snapshot": {}}, "gives pieces {}, not a JSON list"),
+    ({"type": "structure_resolved", "phase": 1, "root": 0, "favourite": None, "branch": None,
+      "snapshot": {}, "transfers": {}}, "gives transfers {}, not a JSON list"),
+    ({"type": "coloring_used", "colors": [], "t": 2}, "gives colors [], not a JSON object"),
+    ({"type": "cycle_resolved", "cycle": [0, 1], "snapshot": [["0", [1]]]},
+     'gives snapshot [["0", [1]]], not a JSON object'),
+])
+def test_trace_reader_requires_lists_and_objects(line, message):
+    # a string or an object where a list belongs was once read as empty
+    with pytest.raises(InputError, match=f"^trace event 0 {re.escape(message)}$"):
+        event_from_json(line, 0, MultiGraph(3, [(0, 1)] * 2), {})
+
+
 def test_solver_events_round_trip_through_json():
     # A tree trace that resolves an envy cycle, then a Petersen trace in which
     # one root has no right neighbour and another passes its prior bundle on.
@@ -539,6 +555,8 @@ def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
     (lambda line: {**line, "snapshot": {(" 3 " if k == "3" else k): b
                                         for k, b in line["snapshot"].items()}},
      "names agent ' 3 ', not a nonnegative integer"),
+    # a string is not read as an empty list
+    (lambda line: {**line, "transfers": ""}, 'gives transfers "", not a JSON list'),
 ])
 def test_audit_rejects_a_branch_or_key_that_is_not_one(tmp_path, capsys, edit, message):
     inst, names = gen_petersen(seed=4, parallel_copies=2)
@@ -553,6 +571,21 @@ def test_audit_rejects_a_branch_or_key_that_is_not_one(tmp_path, capsys, edit, m
     capsys.readouterr()
     assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
     assert capsys.readouterr() == ("", f"error: trace event {i} {message}\n")
+
+
+def test_audit_rejects_a_repeated_key(tmp_path, capsys):
+    # a repeated key once silently kept its last value
+    inst, names = gen_petersen(seed=4, parallel_copies=2)
+    instance_path = tmp_path / "p.instance.json"
+    save_instance(inst, names, instance_path)
+    path = tmp_path / "p.trace.jsonl"
+    save_trace(solve(inst)[2], path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3][:-1] + ', "root": 0}'
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f'error: cannot read trace {path}: key "root" appears twice in one object\n')
 
 
 def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys):

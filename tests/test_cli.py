@@ -184,13 +184,25 @@ def _assert_one_error_line(done):
     (["frob"], "invalid choice: 'frob'"),
     (["solve"], "solve needs an instance path or --batch"),
     (["solve", "--batch", ".", "--jobs", "x"], "graphefx solve: argument --jobs: invalid int"),
-    (["gen", "petersen"], "graphefx gen: the following arguments are required: -o/--out"),
+    (["gen", "petersen"], "graphefx gen petersen: the following arguments are required: -o/--out"),
     (["verify", "a", "b", "c"], "unrecognized arguments: c"),
 ])
 def test_usage_error_exit_1(argv, message):
     done = _run_cli(*argv)
     _assert_one_error_line(done)
     assert message in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "multicycle", "--agents", "50", "--n-left", "9"],
+    ["gen", "petersen", "--length", "40", "--max-parallel", "7"],
+])
+def test_gen_option_of_another_family_exit_1(tmp_path, argv):
+    # each family takes only its own options, which once were silently ignored
+    done = _run_cli(*argv, "-o", tmp_path / "x.json")
+    _assert_one_error_line(done)
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in done.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
@@ -213,13 +225,32 @@ def test_verify_bundles_list_exit_1(b1_file, tmp_path):
     ({"version": "1", "bundles": {"b": [0, 0]}}, "bundle of agent 'b' names good 0 twice"),
     ({"version": "2", "bundles": {"b": [0]}}, 'unknown allocation format version "2", expected "1"'),
     ({"version": 1, "bundles": {"b": [0]}}, 'unknown allocation format version 1, expected "1"'),
+    ({"bundles": {"b": ""}}, "bundle of agent 'b' must be a JSON list of good ids, got \"\""),
+    ({"bundles": {"b": {}}}, "bundle of agent 'b' must be a JSON list of good ids, got {}"),
 ])
 def test_verify_reinterpreted_allocation_exit_1(b1_file, tmp_path, capsys, doc, message):
-    # each of these once loaded as b holding good 0, which verify passed as EFX
+    # each of these once loaded as b holding good 0, or the last two as b
+    # holding nothing, which verify passed as EFX
     bad = tmp_path / "bad.alloc.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", str(b1_file), str(bad)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, old, new, key", [
+    ("verify", None, '{"bundles": {"a": [0], "a": []}}', "a"),  # verify passed it as EFX
+    ("solve", '"c": {', '"b": {', "b"),  # a second valuation of agent b, none of c
+    ("solve", '"1": 3', '"0": 3', "0"),  # agent b values good 0 twice
+])
+def test_repeated_key_exit_1(b1_file, tmp_path, capsys, command, old, new, key):
+    # a repeated key once silently kept its last value
+    bad = tmp_path / "repeated.json"
+    text = b1_file.read_text(encoding="utf-8")
+    bad.write_text(new if old is None else text.replace(old, new), encoding="utf-8")
+    argv = ["verify", str(b1_file), str(bad)] if command == "verify" else ["solve", str(bad)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f'error: cannot read {bad}: key "{key}" appears twice in one object\n')
 
 
 @pytest.mark.parametrize("good", [1.5, True, None, "1"])
@@ -319,6 +350,17 @@ def _respell_good(doc, spelling):
     (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": [], "value": 0}, {"goods": [0, 0], "value": 1}]}),
      "valuation of agent 'b' names good 0 twice in set [0, 0]"),
+    # A string or an object is not read as an empty edge list or set.
+    (lambda doc: doc.update(edges=""), 'edges must be a JSON list of edge objects, got ""'),
+    (lambda doc: doc.update(edges={}), "edges must be a JSON list of edge objects, got {}"),
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": {}, "value": 0}, {"goods": [0], "value": 3}, {"goods": [1], "value": 3},
+        {"goods": [0, 1], "value": 6}]}),
+     "valuation of agent 'b' gives set {}, not a JSON list of goods"),
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": "", "value": 0}, {"goods": [0], "value": 3}, {"goods": [1], "value": 3},
+        {"goods": [0, 1], "value": 6}]}),
+     "valuation of agent 'b' gives set \"\", not a JSON list of goods"),
     (lambda doc: doc.update(version="2"), 'unknown instance format version "2", expected "1"'),
     (lambda doc: doc.update(version=1), 'unknown instance format version 1, expected "1"'),
 ])
