@@ -1,6 +1,6 @@
 """EFX allocation toolkit for fair division on multi-graphs."""
 
-from .allocation import Allocation, EfxVerdict, EnvyGraph, envy_graph, is_efx, resolve_cycle
+from .allocation import Allocation, EfxVerdict, EnvyGraph, envy_graph, is_efx
 from .errors import (
     CapacityError,
     GraphEfxError,
@@ -50,7 +50,6 @@ __all__ = [
     "first_efx_allocation",
     "is_cancellable_bruteforce",
     "is_efx",
-    "resolve_cycle",
     "solve",
     "tree_efx",
 ]

@@ -1,4 +1,4 @@
-"""Allocations, the envy graph, the EFX verifier and a bundle shift along a cycle."""
+"""Allocations, the envy graph and the EFX verifier."""
 
 from __future__ import annotations
 
@@ -63,13 +63,6 @@ class Allocation:
         return Allocation(bundles={})
 
 
-def _trusted(bundles: dict[int, frozenset[int]]) -> Allocation:
-    """The Allocation of ``bundles``, nonempty and disjoint, without checking it again."""
-    alloc = object.__new__(Allocation)
-    object.__setattr__(alloc, "bundles", MappingProxyType(bundles))
-    return alloc
-
-
 @dataclass(frozen=True)
 class EfxVerdict:
     ok: bool
@@ -117,10 +110,10 @@ class EnvyGraph:
       are monotone, so y's own value did not fall, and its envy of a rival
       with the same bundle can only have vanished.
 
-    ``alloc`` is an immutable ``Allocation`` of a copy of the map, built each
-    time it is asked for; it is never a live view of the map.  Every id in
-    the map has been checked, so the graph's edge and incidence tables are
-    read without range checks.
+    ``alloc`` builds an ``Allocation`` of the map each time it is asked for.
+    Its constructor checks the map again and copies it, so the result is
+    never a live view of the map.  Every id in the map has been checked, so
+    the graph's edge and incidence tables are read without range checks.
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
@@ -150,8 +143,8 @@ class EnvyGraph:
 
     @property
     def alloc(self) -> Allocation:
-        """The current allocation, built from a copy of the bundle map."""
-        return _trusted(self._bundles.copy())
+        """The current allocation, checked and copied from the bundle map."""
+        return Allocation(bundles=self._bundles)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -318,25 +311,4 @@ def is_efx(inst: "Instance", alloc: Allocation) -> EfxVerdict:
         if x is not None:
             return EfxVerdict(ok=False, witness=(u, w, x))
     return EfxVerdict(ok=True, witness=None)
-
-
-def resolve_cycle(alloc: Allocation, cycle: list[int]) -> Allocation:
-    """Shift bundles one step along ``cycle``: each agent takes its successor's.
-
-    A library helper: no solver calls it, since ``tree_efx`` shifts bundles
-    on its ``EnvyGraph`` with ``step``.
-    """
-    if len(cycle) < 2:
-        raise InputError("cycle must contain at least 2 agents")
-    if len(set(cycle)) != len(cycle):
-        raise InputError("cycle must not repeat agents")
-    # A shift of distinct agents permutes disjoint bundles, so it needs no check.
-    bundles = alloc.bundles.copy()
-    for u, w in zip(cycle, cycle[1:] + cycle[:1]):
-        b = alloc.bundle(w)
-        if b:
-            bundles[u] = b
-        else:
-            bundles.pop(u, None)
-    return _trusted(bundles)
 

@@ -36,6 +36,7 @@ from .jsonio import (
 from .multigraph import Coloring
 from .oracle import brute_force_efx
 from .solvers import Instance, classify, smallest_coloring, solve
+from .trace import _stray_key
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,6 +63,8 @@ def _load_coloring(path: str, names: list[str]) -> Coloring:
     try:
         index = {name: i for i, name in enumerate(names)}
         colors, t = obj["colors"], obj["t"]
+        if len(obj) != 2:
+            _stray_key(obj, ("colors", "t"), f"coloring file {path}")
         # Each color and t must be a JSON integer; a bool is not one.
         bad = next((name for name, c in colors.items() if type(c) is not int), None)
         if bad is not None:
@@ -308,7 +311,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise InputError, which ``main`` reports
-    in one line with exit code 1."""
+    in one line with exit code 1.
+
+    ``gen`` sets ``order``, its usage with the family first: its options all
+    belong to the families, so an option given before the family is named
+    as misplaced, rather than its value as an invalid family.
+    """
+
+    order: Optional[str] = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.order and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            raise InputError(f"{self.prog}: option {args[0].partition('=')[0]} comes before"
+                             f" the family; the order is {self.order}")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")
@@ -330,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--value-max", type=int, default=100)
     shared.add_argument("-o", "--out", required=True)
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")
+    p_gen.order = "graphefx gen FAMILY [options]"
     families = p_gen.add_subparsers(dest="family", required=True)
     p_fam = families.add_parser("bipartite", parents=[shared])
     p_fam.add_argument("--n-left", type=int, default=3)

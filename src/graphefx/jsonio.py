@@ -17,10 +17,12 @@ from .audit import check_trace
 from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
-from .trace import TraceEvent, _key, event_from_json, event_line
+from .trace import TraceEvent, _key, _stray_key, event_from_json, event_line
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
+# The keys of each valuation type's object: its tag and its fields.
+_VALUATION_KEYS = {cls: ("type", *(f.name for f in fields(cls))) for cls in KINDS.values()}
 
 
 def _valuation_to_json(val: Valuation) -> dict:
@@ -46,6 +48,8 @@ def _twice(goods: list) -> int:
 def _valuation_from_json(obj: dict, agent: str) -> Valuation:
     try:
         cls = KINDS.get(obj["type"])
+        if cls is not None and len(obj) != len(_VALUATION_KEYS[cls]):
+            _stray_key(obj, _VALUATION_KEYS[cls], f"valuation of agent {agent!r}")
         if cls is Table:
             sets = [e["goods"] for e in obj["entries"]]
             shape = [goods for goods in sets if type(goods) is not list]
@@ -57,7 +61,10 @@ def _valuation_from_json(obj: dict, agent: str) -> Valuation:
                 raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad[0])},"
                                  " not an integer")
             entries = {}
-            for goods, e in zip(sets, obj["entries"]):
+            for j, (goods, e) in enumerate(zip(sets, obj["entries"])):
+                if len(e) != 2:
+                    _stray_key(e, ("goods", "value"),
+                               f"entry {j} of the valuation of agent {agent!r}")
                 key = frozenset(goods)
                 if len(key) != len(goods):
                     raise InputError(f"valuation of agent {agent!r} names good {_twice(goods)}"
@@ -109,6 +116,8 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
     try:
         _check_version(obj, "instance")
         names = obj["agents"]
+        if len(obj) != 3 + ("version" in obj):
+            _stray_key(obj, ("version", "agents", "edges", "valuations"), "instance document")
         if type(names) is not list:
             raise InputError(f"agents must be a JSON list of strings, got {json.dumps(names)}")
         bad = [name for name in names if type(name) is not str]
@@ -129,6 +138,8 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
             raise InputError("edge ids must be dense 0..m-1")
         pairs = []
         for e in edge_objs:
+            if len(e) != 2:
+                _stray_key(e, ("id", "endpoints"), f"edge {e['id']}")
             ends = e["endpoints"]
             if type(ends) is not list or len(ends) != 2:
                 raise InputError(f"edge {e['id']} endpoints must be a JSON list of two agent"
@@ -166,8 +177,11 @@ def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
     index = {name: i for i, name in enumerate(names)}
     try:
         _check_version(obj, "allocation")
+        bundle_objs = obj["bundles"]
+        if len(obj) != 1 + ("version" in obj):
+            _stray_key(obj, ("version", "bundles"), "allocation document")
         bundles = {}
-        for name, goods in obj["bundles"].items():
+        for name, goods in bundle_objs.items():
             if name not in index:
                 raise InputError(f"allocation references unknown agent {name!r}")
             if type(goods) is not list:

@@ -92,9 +92,12 @@ class CycleResolved:
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
 
-# The ``type`` tag of each event on a trace line, and each event's fields and their types.
+# The ``type`` tag of each event on a trace line, each event's fields and their
+# types, and the keys of its line.
 EVENT_KINDS = {cls.kind: cls for cls in get_args(TraceEvent)}
 _FIELDS = {cls: tuple(get_type_hints(cls).items()) for cls in EVENT_KINDS.values()}
+_LINE_KEYS = {cls: ("type", *("snapshot" if f == "changes" else f for f, _ in fields))
+              for cls, fields in _FIELDS.items()}
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +114,15 @@ def _key(k: str) -> Union[int, str]:
     except ValueError:
         return k
     return n if str(n) == k else k
+
+
+def _stray_key(obj: dict, known: tuple[str, ...], place: str) -> None:
+    """Raise InputError naming the first key of ``obj`` outside ``known``, if
+    it has one.  A reader calls it only when ``obj`` does not have the size
+    that its known keys give it, so a well-formed object costs one ``len``."""
+    stray = next((k for k in obj if k not in known), None)
+    if stray is not None:
+        raise InputError(f"{place} has unknown key {json.dumps(stray)}")
 
 
 class _NotShape(Exception):
@@ -221,7 +233,8 @@ def event_line(ev: TraceEvent, held: dict) -> str:
 def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:
     """Event ``i`` of a trace on ``graph``, from its line.
 
-    Each field is read as its declared type: each agent id must be in
+    The line holds ``type`` and the event's fields and no other key.  Each
+    field is read as its declared type: each agent id must be in
     0..n-1, each good id in 0..m-1, each color, t and phase a nonnegative
     integer, a branch one of BRANCHES or null, a dict a JSON object, and a
     set or a tuple a JSON list.  ``held`` is the snapshot before the event,
@@ -235,6 +248,8 @@ def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> Trace
     cls = EVENT_KINDS.get(kind)
     if cls is None:
         raise InputError(f"unknown trace event type {kind!r}")
+    if len(obj) != len(_LINE_KEYS[cls]):
+        _stray_key(obj, _LINE_KEYS[cls], f"trace event {i}")
     checks = {Agent: _id_check(i, "agent", graph.vertex_count),
               Good: _id_check(i, "good", graph.edge_count),
               Count: _id_check(i, "count", None),

@@ -746,12 +746,13 @@ def reference_bipartite_efx(inst, bipart):
 
 def reference_tree_efx(inst):
     """The tree solver over a mutable set dict, converted to an ``Allocation``
-    around every envy-graph build and cycle shift.  The envy graph is built
-    from scratch for every leaf, searched for a cycle with the recursive DFS
-    and for the parent's source with the backward BFS."""
+    around every envy-graph build and shifted along a cycle in place.  The
+    envy graph is built from scratch for every leaf, searched for a cycle
+    with the recursive DFS and for the parent's source with the backward
+    BFS."""
     import heapq
 
-    from graphefx.allocation import envy_graph, resolve_cycle
+    from graphefx.allocation import envy_graph
     from graphefx.trace import CycleResolved, LeafAttached
 
     degree = {v: set(inst.graph.neighbours(v)) for v in range(inst.graph.vertex_count)}
@@ -775,16 +776,15 @@ def reference_tree_efx(inst):
     def current():
         return Allocation(bundles=_reference_snapshot(bundles))
 
-    def apply(alloc):
-        bundles.clear()
-        for v, b in alloc.bundles.items():
-            bundles[v] = set(b)
+    def shift(cycle):  # each agent of the cycle takes its successor's bundle
+        taken = [bundles.get(w, set()) for w in cycle[1:] + cycle[:1]]
+        bundles.update(zip(cycle, taken))
 
     for leaf, parent in reversed(order):
         eg = envy_graph(inst, current())
         cycle = reference_find_envy_cycle(eg, inst.graph.vertex_count)
         while cycle is not None:
-            apply(resolve_cycle(current(), cycle))
+            shift(cycle)
             trace.append(_reference_event(CycleResolved, cycle=tuple(cycle),
                                           snapshot=_reference_snapshot(bundles)))
             eg = envy_graph(inst, current())
@@ -805,7 +805,7 @@ def reference_tree_efx(inst):
             v_p = inst.valuations[parent]
             if v_p.value(bundles.get(parent, set())) < v_p.value(bundles.get(s_vertex, set())):
                 cyc = [parent] + path[:-1]
-                apply(resolve_cycle(current(), cyc))
+                shift(cyc)
                 trace.append(_reference_event(CycleResolved, cycle=tuple(cyc),
                                               snapshot=_reference_snapshot(bundles)))
     return current(), trace

@@ -557,6 +557,8 @@ def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
      "names agent ' 3 ', not a nonnegative integer"),
     # a string is not read as an empty list
     (lambda line: {**line, "transfers": ""}, 'gives transfers "", not a JSON list'),
+    # a key the writer does not write, which was once silently ignored
+    (lambda line: {**line, "changes": {}}, 'has unknown key "changes"'),
 ])
 def test_audit_rejects_a_branch_or_key_that_is_not_one(tmp_path, capsys, edit, message):
     inst, names = gen_petersen(seed=4, parallel_copies=2)

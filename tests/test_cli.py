@@ -205,6 +205,20 @@ def test_gen_option_of_another_family_exit_1(tmp_path, argv):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["gen", "--seed", "3", "multitree", "-o", "OUT"], "--seed"),
+    (["gen", "-o", "OUT", "multitree"], "-o"),
+    (["gen", "--valuations", "table", "multitree", "-o", "OUT"], "--valuations"),
+])
+def test_gen_option_before_the_family_exit_1(tmp_path, argv, option):
+    # each of these once named the option's value as an invalid family
+    done = _run_cli(*[tmp_path / "x.json" if a == "OUT" else a for a in argv])
+    _assert_one_error_line(done)
+    assert done.stderr == (f"error: graphefx gen: option {option} comes before the family;"
+                           " the order is graphefx gen FAMILY [options]\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
 def test_help_exit_0(argv, capsys):
     with pytest.raises(SystemExit) as done:
@@ -227,6 +241,8 @@ def test_verify_bundles_list_exit_1(b1_file, tmp_path):
     ({"version": 1, "bundles": {"b": [0]}}, 'unknown allocation format version 1, expected "1"'),
     ({"bundles": {"b": ""}}, "bundle of agent 'b' must be a JSON list of good ids, got \"\""),
     ({"bundles": {"b": {}}}, "bundle of agent 'b' must be a JSON list of good ids, got {}"),
+    ({"version": "1", "bundles": {"b": [0]}, "owner": "c"},
+     'allocation document has unknown key "owner"'),
 ])
 def test_verify_reinterpreted_allocation_exit_1(b1_file, tmp_path, capsys, doc, message):
     # each of these once loaded as b holding good 0, or the last two as b
@@ -363,6 +379,14 @@ def _respell_good(doc, spelling):
      "valuation of agent 'b' gives set \"\", not a JSON list of goods"),
     (lambda doc: doc.update(version="2"), 'unknown instance format version "2", expected "1"'),
     (lambda doc: doc.update(version=1), 'unknown instance format version 1, expected "1"'),
+    # A key the writer does not write, which was once silently ignored.
+    (lambda doc: doc["valuations"]["b"].update(cap=1),
+     'valuation of agent \'b\' has unknown key "cap"'),
+    (lambda doc: doc["edges"][1].update(weight=9), 'edge 1 has unknown key "weight"'),
+    (lambda doc: doc.update(colour="red"), 'instance document has unknown key "colour"'),
+    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+        {"goods": [], "value": 0}, {"goods": [0], "value": 3, "weight": 1}]}),
+     'entry 1 of the valuation of agent \'b\' has unknown key "weight"'),
 ])
 def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
     doc = instance_to_json(b1_instance, ["a", "b", "c"])
@@ -374,13 +398,17 @@ def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
     assert message in done.stderr
 
 
-@pytest.mark.parametrize("colors", [{"a": 0, "b": "x", "c": 1}, {"z": 0}])
-def test_bad_coloring_file_exit_1(b1_file, tmp_path, colors):
+@pytest.mark.parametrize("colors, extra, message", [
+    ({"a": 0, "b": "x", "c": 1}, {}, "malformed coloring file"),
+    ({"z": 0}, {}, "malformed coloring file"),
+    ({"a": 0, "b": 1, "c": 1}, {"hue": 1}, 'has unknown key "hue"'),
+], ids=["colors0", "colors1", "unknown_key"])
+def test_bad_coloring_file_exit_1(b1_file, tmp_path, colors, extra, message):
     path = tmp_path / "bad.coloring.json"
-    path.write_text(json.dumps({"colors": colors, "t": 2}))
+    path.write_text(json.dumps({"colors": colors, "t": 2, **extra}))
     done = _run_cli("solve", b1_file, "--coloring", path)
     _assert_one_error_line(done)
-    assert "malformed coloring file" in done.stderr
+    assert message in done.stderr
 
 
 @pytest.mark.parametrize("colors, t, named", [
