@@ -18,7 +18,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Optional
 
 from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
@@ -36,7 +36,7 @@ from .jsonio import (
 from .multigraph import Coloring
 from .oracle import brute_force_efx
 from .solvers import Instance, classify, smallest_coloring, solve
-from .trace import _stray_key
+from .trace import Name, Record, read_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,20 +58,18 @@ def _default_seed() -> int:
         raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+# A --coloring file: agent name -> color, and t.
+_COLORING = Record(None, {
+    "colors": dict[Name, Annotated[int, "malformed {place}: the color of agent {key!r} is {x},"
+                                        " not an integer"]],
+    "t": Annotated[int, "malformed {place}: t is {x}, not an integer"]})
+
+
 def _load_coloring(path: str, names: list[str]) -> Coloring:
     obj = load_json(path)
     try:
         index = {name: i for i, name in enumerate(names)}
-        colors, t = obj["colors"], obj["t"]
-        if len(obj) != 2:
-            _stray_key(obj, ("colors", "t"), f"coloring file {path}")
-        # Each color and t must be a JSON integer; a bool is not one.
-        bad = next((name for name, c in colors.items() if type(c) is not int), None)
-        if bad is not None:
-            raise TypeError(f"the color of agent {bad!r} is {json.dumps(colors[bad])},"
-                            " not an integer")
-        if type(t) is not int:
-            raise TypeError(f"t is {json.dumps(t)}, not an integer")
+        colors, t = read_json(_COLORING, obj, f"coloring file {path}", {Name: index})
         return Coloring(colors={index[name]: c for name, c in colors.items()}, t=t)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed coloring file {path}: {exc}") from exc
@@ -313,17 +311,20 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise InputError, which ``main`` reports
     in one line with exit code 1.
 
-    ``gen`` sets ``order``, its usage with the family first: its options all
-    belong to the families, so an option given before the family is named
-    as misplaced, rather than its value as an invalid family.
+    The top-level parser and ``gen`` set ``order``, their usage with the
+    command or the family first: their options all belong to the commands
+    or the families, so an option given before the word in capitals is
+    named as misplaced, rather than its value as an invalid choice.
     """
 
     order: Optional[str] = None
 
     def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
         if self.order and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            word = next(w for w in self.order.split() if w.isupper()).lower()
             raise InputError(f"{self.prog}: option {args[0].partition('=')[0]} comes before"
-                             f" the family; the order is {self.order}")
+                             f" the {word}; the order is {self.order}")
         return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
@@ -337,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="graphefx", description="EFX allocation toolkit for multi-graph fair division"
     )
+    parser.order = "graphefx COMMAND [options]"
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = argparse.ArgumentParser(add_help=False)  # the options of every family

@@ -9,20 +9,51 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Union
+from typing import Annotated, Literal, Union
 
 from .allocation import Allocation
 from .audit import check_trace
 from .errors import InputError
 from .multigraph import MultiGraph
 from .solvers import Instance
-from .trace import TraceEvent, _key, _stray_key, event_from_json, event_line
+from .trace import Good, Name, Record, TraceEvent, event_from_json, event_line, read_json
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
-# The keys of each valuation type's object: its tag and its fields.
-_VALUATION_KEYS = {cls: ("type", *(f.name for f in fields(cls))) for cls in KINDS.values()}
+
+# The shapes of the documents, as ``trace.read_json`` reads them.  A sentence
+# beside a shape words its error where tests name the older wording.
+_ENTRY = Record("entry {key} of the {place}", {
+    "goods": Annotated[list[Good], "{place} gives set {x}, not a JSON list of goods"],
+    "value": int})
+_VALUE_SHAPES = {"values": dict[Good, int], "cap": int, "entries": list[_ENTRY]}
+# Each valuation type's object: its tag and the fields of its class.
+_VALUATION = Record("valuation of agent {key!r}", {
+    kind: {f.name: _VALUE_SHAPES[f.name] for f in fields(cls)} for kind, cls in KINDS.items()},
+    noun="valuation")
+_EDGE = Record("edge {id}", {
+    "id": Annotated[int, "edge id {x} is not an integer"],
+    "endpoints": Annotated[tuple[str, str],
+                           "{place} endpoints must be a JSON list of two agent names, got {x}"]})
+# Valuations are keyed by agent names, so they are read once the agents are known.
+_INSTANCE = Record(None, {
+    "version": Annotated[Literal[FORMAT_VERSION], f"unknown instance format version {{x}},"
+                                                  f" expected {json.dumps(FORMAT_VERSION)}"],
+    "agents": Annotated[list[Annotated[str, "agent name {x} is not a string"]],
+                        "agents must be a JSON list of strings, got {x}"],
+    "edges": Annotated[list[_EDGE], "edges must be a JSON list of edge objects, got {x}"],
+    "valuations": object,
+}, {"version": FORMAT_VERSION})
+_VALUATIONS = Annotated[dict[Annotated[Name, "valuation for undeclared agent {x}"], _VALUATION],
+                        "valuations must be a JSON object keyed by agent names, got {x}"]
+_ALLOCATION = Record(None, {
+    "version": Annotated[Literal[FORMAT_VERSION], f"unknown allocation format version {{x}},"
+                                                  f" expected {json.dumps(FORMAT_VERSION)}"],
+    "bundles": dict[Name, Annotated[
+        list[Good], "bundle of agent {key!r} must be a JSON list of good ids, got {x}"]],
+}, {"version": FORMAT_VERSION})
 
 
 def _valuation_to_json(val: Valuation) -> dict:
@@ -35,66 +66,27 @@ def _valuation_to_json(val: Valuation) -> dict:
     return {"type": val.kind, **vars(val), "values": values}
 
 
-def _non_ints(xs: list) -> list:
-    """The items of ``xs`` that are not JSON integers (a bool is not one), after a C-level screen."""
-    return [] if set(map(type, xs)) <= {int} else [x for x in xs if type(x) is not int]
-
-
 def _twice(goods: list) -> int:
     """The first good that a list of good ids names a second time."""
     return next(g for i, g in enumerate(goods) if g in goods[:i])
 
 
-def _valuation_from_json(obj: dict, agent: str) -> Valuation:
-    try:
-        cls = KINDS.get(obj["type"])
-        if cls is not None and len(obj) != len(_VALUATION_KEYS[cls]):
-            _stray_key(obj, _VALUATION_KEYS[cls], f"valuation of agent {agent!r}")
-        if cls is Table:
-            sets = [e["goods"] for e in obj["entries"]]
-            shape = [goods for goods in sets if type(goods) is not list]
-            if shape:
-                raise InputError(f"valuation of agent {agent!r} gives set {json.dumps(shape[0])},"
-                                 " not a JSON list of goods")
-            bad = _non_ints(list(chain.from_iterable(sets)))
-            if bad:
-                raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad[0])},"
-                                 " not an integer")
-            entries = {}
-            for j, (goods, e) in enumerate(zip(sets, obj["entries"])):
-                if len(e) != 2:
-                    _stray_key(e, ("goods", "value"),
-                               f"entry {j} of the valuation of agent {agent!r}")
-                key = frozenset(goods)
-                if len(key) != len(goods):
-                    raise InputError(f"valuation of agent {agent!r} names good {_twice(goods)}"
-                                     f" twice in set {json.dumps(goods)}")
-                if key in entries:
-                    raise InputError(f"valuation of agent {agent!r} lists set"
-                                     f" {json.dumps(sorted(key))} twice")
-                entries[key] = e["value"]
-            return Table(entries=entries)
-        if cls is not None:
-            try:
-                values = {int(g): v for g, v in obj["values"].items()}
-            except ValueError:
-                values = None
-            if values is None or list(map(str, values)) != list(obj["values"]):
-                bad = next(k for k in obj["values"] if _key(k) == k)
-                raise InputError(f"valuation of agent {agent!r} names good {json.dumps(bad)},"
-                                 " not an integer's own text")
-            rest = {f.name: obj[f.name] for f in fields(cls) if f.name != "values"}
-            return cls(values=values, **rest)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"malformed valuation object: {exc}") from exc
-    raise InputError(f"unknown valuation type {obj.get('type')!r}")
-
-
-def _check_version(obj: dict, document: str) -> None:
-    """A document may omit ``version``; if it has one, it must be this format's."""
-    if "version" in obj and obj["version"] != FORMAT_VERSION:
-        raise InputError(f"unknown {document} format version {json.dumps(obj['version'])},"
-                         f" expected {json.dumps(FORMAT_VERSION)}")
+def _valuation_from_json(row: tuple, agent: str) -> Valuation:
+    """The valuation of ``agent`` that ``read_json`` read as ``_VALUATION``."""
+    tag, *fields = row
+    if tag != Table.kind:
+        return KINDS[tag](*fields)
+    entries = {}
+    for goods, value in fields[0]:
+        key = frozenset(goods)
+        if len(key) != len(goods):
+            raise InputError(f"valuation of agent {agent!r} names good {_twice(goods)}"
+                             f" twice in set {json.dumps(goods)}")
+        if key in entries:
+            raise InputError(f"valuation of agent {agent!r} lists set"
+                             f" {json.dumps(sorted(key))} twice")
+        entries[key] = value
+    return Table(entries=entries)
 
 
 def instance_to_json(inst: Instance, names: list[str]) -> dict:
@@ -114,53 +106,24 @@ def instance_to_json(inst: Instance, names: list[str]) -> dict:
 
 def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
     try:
-        _check_version(obj, "instance")
-        names = obj["agents"]
-        if len(obj) != 3 + ("version" in obj):
-            _stray_key(obj, ("version", "agents", "edges", "valuations"), "instance document")
-        if type(names) is not list:
-            raise InputError(f"agents must be a JSON list of strings, got {json.dumps(names)}")
-        bad = [name for name in names if type(name) is not str]
-        if bad:
-            raise InputError(f"agent name {json.dumps(bad[0])} is not a string")
+        _, names, edges, val_objs = read_json(_INSTANCE, obj, "instance document")
         if len(set(names)) != len(names):
             raise InputError("agent names must be unique")
         index = {name: i for i, name in enumerate(names)}
-        edge_objs = obj["edges"]
-        if type(edge_objs) is not list:
-            raise InputError("edges must be a JSON list of edge objects,"
-                             f" got {json.dumps(edge_objs)}")
-        bad = _non_ints([e["id"] for e in edge_objs])
-        if bad:
-            raise InputError(f"edge id {json.dumps(bad[0])} is not an integer")
-        edge_objs = sorted(edge_objs, key=lambda e: e["id"])
-        if [e["id"] for e in edge_objs] != list(range(len(edge_objs))):
+        edges = sorted(edges)
+        if list(map(itemgetter(0), edges)) != list(range(len(edges))):
             raise InputError("edge ids must be dense 0..m-1")
-        pairs = []
-        for e in edge_objs:
-            if len(e) != 2:
-                _stray_key(e, ("id", "endpoints"), f"edge {e['id']}")
-            ends = e["endpoints"]
-            if type(ends) is not list or len(ends) != 2:
-                raise InputError(f"edge {e['id']} endpoints must be a JSON list of two agent"
-                                 f" names, got {json.dumps(ends)}")
-            a, b = ends
-            if a not in index or b not in index:
-                raise InputError(f"edge {e['id']} references undeclared agent")
-            pairs.append((index[a], index[b]))
-        graph = MultiGraph(len(names), pairs)
-        val_objs = obj["valuations"]
-        if type(val_objs) is not dict:
-            raise InputError("valuations must be a JSON object keyed by agent names,"
-                             f" got {json.dumps(val_objs)}")
-        stray = next((name for name in val_objs if name not in index), None)
-        if stray is not None:
-            raise InputError(f"valuation for undeclared agent {stray!r}")
-        vals = {}
-        for name in names:
-            if name not in val_objs:
-                raise InputError(f"missing valuation for agent {name!r}")
-            vals[index[name]] = _valuation_from_json(val_objs[name], name)
+        val_objs = read_json(_VALUATIONS, val_objs, "instance document", {Name: index})
+        missing = next((name for name in names if name not in val_objs), None)
+        if missing is not None:
+            raise InputError(f"missing valuation for agent {missing!r}")
+        vals = {index[name]: _valuation_from_json(val_objs[name], name) for name in names}
+        try:
+            ends = list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1), edges))))
+        except KeyError:
+            bad = next(eid for eid, pair in edges if not index.keys() >= set(pair))
+            raise InputError(f"edge {bad} references undeclared agent") from None
+        graph = MultiGraph(len(names), list(zip(ends[::2], ends[1::2])))
         return Instance(graph=graph, valuations=vals), names
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance document: {exc}") from exc
@@ -176,19 +139,9 @@ def allocation_to_json(alloc: Allocation, names: list[str]) -> dict:
 def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
     index = {name: i for i, name in enumerate(names)}
     try:
-        _check_version(obj, "allocation")
-        bundle_objs = obj["bundles"]
-        if len(obj) != 1 + ("version" in obj):
-            _stray_key(obj, ("version", "bundles"), "allocation document")
+        _, bundle_objs = read_json(_ALLOCATION, obj, "allocation document", {Name: index})
         bundles = {}
         for name, goods in bundle_objs.items():
-            if name not in index:
-                raise InputError(f"allocation references unknown agent {name!r}")
-            if type(goods) is not list:
-                raise InputError(f"bundle of agent {name!r} must be a JSON list of good ids,"
-                                 f" got {json.dumps(goods)}")
-            if not all(isinstance(g, int) and not isinstance(g, bool) for g in goods):
-                raise TypeError(f"good ids of agent {name!r} are not all integers: {goods!r}")
             bundles[index[name]] = frozenset(goods)
             if len(bundles[index[name]]) != len(goods):
                 raise InputError(f"bundle of agent {name!r} names good {_twice(goods)} twice")

@@ -1,24 +1,29 @@
-"""Per-iteration solver trace events, used for step-by-step invariant auditing.
+"""Per-iteration solver trace events, and the one schema walk that reads every file.
 
 Traces serialize to JSON-lines, one event per line.  The field types below are
 the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
-marks colors, t and phases, and ``Branch`` a branch name.  The JSON reader is
-generic over them, and checks each id and name where it reads it.
+marks colors, t and phases, and ``Branch`` a branch name.
 
 A step event (all but ``ColoringUsed``) holds ``changes``, the bundles its
 step changed, as ``StructureResolved`` describes.  Its line holds ``snapshot``
 instead, every bundle after the step: the writer folds the events' changes
 into a running snapshot, and the reader diffs each snapshot line against the
 one before it.  This module is the only one that knows the file's form.
+
+``read_json`` reads these lines, the instance and allocation documents of
+``jsonio`` and the ``--coloring`` file of ``cli``, each by a declared shape.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NewType, Optional, Union
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Annotated, Callable, Literal, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .allocation import Allocation
@@ -31,6 +36,7 @@ Agent = NewType("Agent", int)
 Good = NewType("Good", int)
 Count = NewType("Count", int)
 Branch = NewType("Branch", str)
+Name = NewType("Name", str)  # a declared agent name in a document
 
 BRANCH_SAME_KEEP = "same_bundle_keep"
 BRANCH_SAME_LEFTOVERS = "same_bundle_leftovers"
@@ -92,95 +98,204 @@ class CycleResolved:
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
 
-# The ``type`` tag of each event on a trace line, each event's fields and their
-# types, and the keys of its line.
 EVENT_KINDS = {cls.kind: cls for cls in get_args(TraceEvent)}
-_FIELDS = {cls: tuple(get_type_hints(cls).items()) for cls in EVENT_KINDS.values()}
-_LINE_KEYS = {cls: ("type", *("snapshot" if f == "changes" else f for f, _ in fields))
-              for cls, fields in _FIELDS.items()}
 
 
-@lru_cache(maxsize=None)
-def _shape(tp) -> tuple:
-    """(origin, args) of a field type; origin None for an id or a name."""
-    return get_origin(tp), get_args(tp)
+class Record:
+    """A JSON object with exactly the keys of ``fields`` (key -> shape), read as
+    the tuple of their values; a key of ``defaults`` may be left out.  With
+    ``noun``, ``fields`` maps each "type" tag to the fields after the tag.  In
+    a dict or list its place is ``place`` formatted with the place around it,
+    its key or index, and its "id" (else that index) as {place}, {key}, {id}."""
+
+    def __init__(self, place: Optional[str], fields: dict, defaults: Optional[dict] = None,
+                 noun: Optional[str] = None):
+        self.place, self.fields, self.noun, self.defaults = place, fields, noun, defaults or {}
+        self.allowed = frozenset(fields)
+        self.required = self.allowed - frozenset(self.defaults)
+        self.kinds = noun and {tag: Record(place, {"type": object, **tag_fields})
+                               for tag, tag_fields in fields.items()}
+
+
+# A trace line: an event's type tag and its fields, ``snapshot`` in place of ``changes``.
+_LINE = Record(None, {
+    kind: {"snapshot" if f == "changes" else f: tp for f, tp in get_type_hints(cls).items()}
+    for kind, cls in EVENT_KINDS.items()}, noun="trace event")
+_INTS = (int, Agent, Good, Count)
+_NOUNS = {Agent: "agent", Good: "good", Count: "count", Branch: "branch", Name: "agent"}
+_FREE = object()  # the bound of a role that ``roles`` leaves out
 
 
 def _key(k: str) -> Union[int, str]:
-    """A JSON object key as the integer it spells, when it is that integer's own
-    text; otherwise the key itself, which no id check accepts."""
+    """The integer a JSON object key spells if it is that integer's own text; else the key."""
     try:
-        n = int(k)
+        return int(k) if str(int(k)) == k else k
     except ValueError:
         return k
-    return n if str(n) == k else k
 
 
-def _stray_key(obj: dict, known: tuple[str, ...], place: str) -> None:
-    """Raise InputError naming the first key of ``obj`` outside ``known``, if
-    it has one.  A reader calls it only when ``obj`` does not have the size
-    that its known keys give it, so a well-formed object costs one ``len``."""
-    stray = next((k for k in obj if k not in known), None)
-    if stray is not None:
-        raise InputError(f"{place} has unknown key {json.dumps(stray)}")
+def _screen(role, xs, roles: dict) -> bool:
+    """Whether every one of ``xs`` is a value of leaf ``role``, by C-level loops."""
+    bound = roles.get(role, _FREE)
+    if role in _INTS:
+        return set(map(type, xs)) <= {int} and (bound is _FREE or not xs or min(xs) >= 0 and (
+            bound is None or max(xs) < bound))
+    return set(map(type, xs)) <= {str} and (bound is _FREE or all(map(bound.__contains__, xs)))
 
 
-class _NotShape(Exception):
-    """A JSON value that is not the list or the object its field's type needs."""
+def _fail(at: tuple, shown: str, expected: str, say: Optional[str], verb: Optional[str] = None):
+    """Raise InputError: the value ``shown`` at ``at`` is not ``expected``."""
+    place, field, key = at
+    if say is not None:
+        raise InputError(say.format(place=place, key=key, x=shown))
+    raise InputError(f"{place} {verb or ('is' if field is None else f'gives {field}')} {shown},"
+                     f" not {expected}")
 
 
-def _read(tp, x, checks: dict):
-    """``x``, a value read from JSON, as a value of type ``tp``, each id or name
-    of role r passed through ``checks[r]``.
+def _bad_leaf(role, xs: list, where: Callable, roles: dict, say: Optional[str],
+              is_key: bool = False):
+    """Raise InputError naming the first of ``xs`` that is not a value of ``role``."""
+    j = next(j for j, x in enumerate(xs) if not _screen(role, [x], roles))
+    x, bound = xs[j], roles.get(role, _FREE)
+    if role in _INTS and bound is _FREE:
+        expected = "an integer's own text" if is_key else "an integer"
+    elif role in _INTS:
+        expected = f"in 0..{bound - 1}" if type(x) is int and x >= 0 else "a nonnegative integer"
+    else:
+        expected = ("a string" if bound is _FREE else "a declared agent name" if role is Name
+                    else f"{', '.join(BRANCHES)} or null")
+    noun = _NOUNS.get(role)
+    _fail(where(j), json.dumps(x) if bound is _FREE else repr(x), expected, say,
+          noun and f"names {noun}")
 
-    A dict must be a JSON object and a set or a tuple a JSON list, or
-    _NotShape is raised.  A dict key is read as an int, and a fixed-length
-    tuple of the wrong length raises ValueError.
-    """
-    origin, args = _shape(tp)
-    if origin is None:  # an id or a name, checked by its role
-        return checks[tp](x)
+
+def _place(rec: Record, x, at: tuple) -> str:
+    """The place of the JSON value ``x`` that ``rec`` reads at ``at``."""
+    outer, _, key = at
+    if key is None or rec.place is None:
+        return outer
+    return rec.place.format(place=outer, key=key, id=x.get("id", key) if type(x) is dict else key)
+
+
+@lru_cache(maxsize=None)
+def _shape(shape) -> tuple:
+    """(the shape without its sentence, the sentence or None, origin, args)."""
+    say = None
+    if get_origin(shape) is Annotated:
+        shape, say = get_args(shape)
+    return shape, say, get_origin(shape), get_args(shape)
+
+
+def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
+    """Each of ``xs`` read as ``shape`` by C-level loops over them all.  Only to
+    word an error, ``where(j)`` gives (place, field, key) of ``xs[j]``: the
+    place of the object around it, that object's key holding it (None for
+    the object itself), and its own key or index."""
+    tp, say, origin, args = _shape(shape)
+    if tp is object:
+        return xs
+    if origin is None and not isinstance(tp, Record):  # a leaf role
+        if not _screen(tp, xs, roles):
+            _bad_leaf(tp, xs, where, roles, say)
+        return xs
+    if origin is Literal:  # one of the values ``args``
+        j = next((j for j, x in enumerate(xs) if x not in args), None)
+        if j is not None:
+            _fail(where(j), json.dumps(xs[j]), " or ".join(map(json.dumps, args)), say)
+        return xs
     if origin is Union:  # Optional[T]
-        return None if x is None else _read(args[0], x, checks)
+        js = [j for j, x in enumerate(xs) if x is not None]
+        values = iter(_read(args[0], [xs[j] for j in js], lambda i: where(js[i]), roles))
+        return [None if x is None else next(values) for x in xs]
+    container = dict if origin is dict or isinstance(tp, Record) else list
+    length = len(args) if origin is tuple and args[-1] is not Ellipsis else None
+    if not set(map(type, xs)) <= {container} or length and set(map(len, xs)) - {length}:
+        j = next(j for j, x in enumerate(xs)
+                 if type(x) is not container or length and len(x) != length)
+        at = (_place(tp, xs[j], where(j)), None, None) if isinstance(tp, Record) else where(j)
+        _fail(at, json.dumps(xs[j]), "a JSON object" if container is dict
+              else f"a JSON list of {length} items" if length else "a JSON list", say)
+    if isinstance(tp, Record) and tp.kinds:  # read the objects of each tag together
+        tags = list(map(dict.get, xs, repeat("type")))
+        j = next((j for j, t in enumerate(tags) if type(t) is not str or t not in tp.kinds), None)
+        if j is not None:
+            raise InputError(f"unknown {tp.noun} type {tags[j]!r}" if "type" in xs[j] else
+                             f'{_place(tp, xs[j], where(j))} has no key "type"')
+        if len(set(tags)) == 1:
+            return _read(tp.kinds[tags[0]], xs, where, roles)
+        out = list(xs)
+        for tag in set(tags):
+            js = [j for j, t in enumerate(tags) if t == tag]
+            part = _read(tp.kinds[tag], [xs[j] for j in js], lambda i: where(js[i]), roles)
+            deque(map(out.__setitem__, js, part), maxlen=0)
+        return out
+    if isinstance(tp, Record):  # read key by key
+        def place(j):
+            return _place(tp, xs[j], where(j))
+
+        try:  # a required key missing raises KeyError; then, or with a key too many, say which
+            columns = [list(map(itemgetter(k), xs)) if k in tp.required
+                       else list(map(dict.get, xs, repeat(k), repeat(tp.defaults[k])))
+                       for k in tp.fields]
+        except KeyError:
+            columns = None
+        if columns is None or not (all(map(tp.allowed.issuperset, xs)) if tp.defaults
+                                   else set(map(len, xs)) <= {len(tp.fields)}):
+            j = next(j for j, x in enumerate(xs) if not tp.required <= x.keys() <= tp.allowed)
+            stray = next((k for k in xs[j] if k not in tp.allowed), None)
+            missing = next((k for k in tp.fields if k not in xs[j]), None)
+            raise InputError(f"{place(j)} has unknown key {json.dumps(stray)}" if stray is not None
+                             else f"{place(j)} has no key {json.dumps(missing)}")
+        return list(zip(*[_read(value_shape, column, lambda i: (place(i), k, None), roles)
+                          for (k, value_shape), column in zip(tp.fields.items(), columns)]))
+    if length:  # a fixed-length tuple, read position by position
+        return list(zip(*[_read(a, list(c), where, roles) for a, c in zip(args, zip(*xs))]))
+
+    def owner(i):  # the list or dict of xs holding item i of them all, and i's index in it
+        starts = list(accumulate(map(len, xs), initial=0))
+        j = bisect_right(starts, i) - 1
+        return j, i - starts[j]
+
+    texts = items = list(chain.from_iterable(xs))  # the items of lists, the keys of dicts
     if origin is dict:
-        if type(x) is not dict:
-            raise _NotShape(f"{json.dumps(x)}, not a JSON object")
-        return {_read(args[0], _key(k), checks): _read(args[1], v, checks) for k, v in x.items()}
-    if type(x) is not list:
-        raise _NotShape(f"{json.dumps(x)}, not a JSON list")
-    if origin is frozenset:  # a set of ids: check them without a recursive call per id
-        return frozenset(map(checks[args[0]], x))
-    if args[-1] is Ellipsis:
-        return tuple(_read(args[0], v, checks) for v in x)
-    if len(x) != len(args):
-        raise ValueError(f"expected {len(args)} items, got {len(x)}")
-    return tuple(_read(a, v, checks) for a, v in zip(args, x))
+        role, key_say = _shape(args[0])[:2]
+        if role in _INTS:
+            try:
+                items = list(map(int, texts))
+            except ValueError:
+                items = None
+            items = items if items is not None and list(map(str, items)) == texts else None
+        if items is None or not _screen(role, items, roles):
+            _bad_leaf(role, list(map(_key, texts)) if role in _INTS else texts,
+                      lambda i: where(owner(i)[0]), roles, key_say, is_key=True)
+        keys, items = items, list(chain.from_iterable(map(dict.values, xs)))
+    values = _read(args[1] if origin is dict else args[0], items, lambda i: (
+        *where(owner(i)[0])[:2], texts[i] if origin is dict else owner(i)[1]), roles)
+    if values is items and (origin is not dict or keys is texts):  # no item changed
+        return xs if origin in (list, dict) else list(map(origin, xs))
+    lens, values = list(map(len, xs)), iter(values)
+    if origin is not dict:
+        return list(map(origin, map(islice, repeat(values), lens)))
+    keys = iter(keys)
+    return list(map(dict, map(zip, map(islice, repeat(keys), lens),
+                              map(islice, repeat(values), lens))))
 
 
-def _id_check(i: int, kind: str, bound: Optional[int]) -> Callable[[int], int]:
-    """The identity on ids in 0..bound-1 (any nonnegative integer when ``bound``
-    is None); raises InputError naming event ``i`` otherwise."""
+def read_json(shape, x, place: str, roles: Optional[dict] = None):
+    """``x``, a value read from JSON, read as ``shape``; an error names ``place``.
 
-    def check(x):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise InputError(f"trace event {i} names {kind} {x!r}, not a nonnegative integer")
-        if bound is not None and x >= bound:
-            raise InputError(f"trace event {i} names {kind} {x!r}, not in 0..{bound - 1}")
-        return x
-
-    return check
-
-
-def _branch_check(i: int) -> Callable[[str], str]:
-    """The identity on the names in BRANCHES; raises InputError naming event ``i`` otherwise."""
-
-    def check(x):
-        if x not in BRANCHES:
-            raise InputError(f"trace event {i} names branch {x!r}, not {', '.join(BRANCHES)}"
-                             " or null")
-        return x
-
-    return check
+    A shape is a leaf role (``object``, any value; ``int``; ``str``; ``Name``;
+    an id role); ``Literal[v, ...]``, one of those values; ``list[T]``,
+    ``frozenset[T]`` or ``tuple[T, ...]``, a JSON list; ``tuple[A, B]``, one
+    of that length; ``dict[K, V]``, a JSON object whose keys are read as K
+    (an integer's key is its own text: "3", not "03"); ``Optional[T]``; a
+    ``Record``; or ``Annotated[T, sentence]``, T with its own error
+    sentence.  ``roles`` bounds roles: an id role to ids below its bound
+    (None: any nonnegative one), ``Branch`` and ``Name`` to a collection,
+    whose bad values are shown as Python shows them; others take any JSON
+    integer or string.  The result may share parts of ``x``.
+    """
+    return _read(shape, [x], lambda j: (place, None, None), roles or {})[0]
 
 
 def _text(x) -> str:
@@ -231,38 +346,18 @@ def event_line(ev: TraceEvent, held: dict) -> str:
 
 
 def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:
-    """Event ``i`` of a trace on ``graph``, from its line.
-
-    The line holds ``type`` and the event's fields and no other key.  Each
-    field is read as its declared type: each agent id must be in
-    0..n-1, each good id in 0..m-1, each color, t and phase a nonnegative
-    integer, a branch one of BRANCHES or null, a dict a JSON object, and a
-    set or a tuple a JSON list.  ``held`` is the snapshot before the event,
-    agent -> bundle: a reader passes one dict for a whole trace, and it
-    becomes the snapshot on a step event's line.  That event's ``changes``
-    are the agents whose bundle differs between the two, in the line's
-    order, then the agents the line leaves out.  Two bundles of a snapshot
-    that meet raise what ``Allocation`` raises on the line.
-    """
-    kind = obj.get("type")
-    cls = EVENT_KINDS.get(kind)
-    if cls is None:
-        raise InputError(f"unknown trace event type {kind!r}")
-    if len(obj) != len(_LINE_KEYS[cls]):
-        _stray_key(obj, _LINE_KEYS[cls], f"trace event {i}")
-    checks = {Agent: _id_check(i, "agent", graph.vertex_count),
-              Good: _id_check(i, "good", graph.edge_count),
-              Count: _id_check(i, "count", None),
-              Branch: _branch_check(i)}
-    fields = {}
-    for f, ft in _FIELDS[cls]:
-        key = "snapshot" if f == "changes" else f
-        try:
-            fields[f] = _read(ft, obj[key], checks)
-        except _NotShape as exc:
-            raise InputError(f"trace event {i} gives {key} {exc}") from None
-    if "changes" in fields:
-        snapshot = Allocation(bundles=fields["changes"]).bundles
+    """Event ``i`` of a trace on ``graph``, from its line.  ``held`` is the
+    snapshot before the event, agent -> bundle: a reader passes one dict for
+    a whole trace, and it becomes the snapshot on a step event's line.  That
+    event's ``changes`` are the agents whose bundle differs between the two,
+    in the line's order, then the agents the line leaves out.  Two bundles
+    of a snapshot that meet raise what ``Allocation`` raises on the line."""
+    row = read_json(_LINE, obj, f"trace event {i}", {
+        Agent: graph.vertex_count, Good: graph.edge_count, Count: None, Branch: BRANCHES})
+    fields = dict(zip(_LINE.kinds[row[0]].fields, row))
+    cls = EVENT_KINDS[fields.pop("type")]
+    if "snapshot" in fields:
+        snapshot = Allocation(bundles=fields.pop("snapshot")).bundles
         changes = {u: b for u, b in snapshot.items() if held.get(u) != b}
         changes.update((u, frozenset()) for u in held if u not in snapshot)
         held.clear()

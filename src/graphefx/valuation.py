@@ -36,10 +36,13 @@ class PerGood(Valuation):
     values: dict[int, int]
 
     def __post_init__(self):
-        for eid, v in self.values.items():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InputError(f"value for edge {eid} must be a nonnegative integer")
-        object.__setattr__(self, "values", dict(self.values))
+        values = dict(self.values)
+        # A C-level screen passes exact nonnegative ints; anything else is checked one by one.
+        if not (set(map(type, values.values())) <= {int} and min(values.values(), default=0) >= 0):
+            for eid, v in values.items():
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    raise InputError(f"value for edge {eid} must be a nonnegative integer")
+        object.__setattr__(self, "values", values)
 
     @property
     def support(self) -> frozenset[int]:

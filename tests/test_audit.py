@@ -225,6 +225,9 @@ def test_trace_line_format(event, line):
     ({"type": "coloring_used", "colors": [], "t": 2}, "gives colors [], not a JSON object"),
     ({"type": "cycle_resolved", "cycle": [0, 1], "snapshot": [["0", [1]]]},
      'gives snapshot [["0", [1]]], not a JSON object'),
+    # a missing key was once named only by Python's KeyError text
+    ({"type": "leaf_attached", "leaf": 1, "parent": 0, "pieces": [[], []], "snapshot": {}},
+     'has no key "leftover_to"'),
 ])
 def test_trace_reader_requires_lists_and_objects(line, message):
     # a string or an object where a list belongs was once read as empty

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphefx import InputError, Instance, MultiGraph, Table, UnitDemand, solve
+from graphefx.cli import _load_coloring
 from graphefx.generators import gen_multitree
 from graphefx.jsonio import (
     allocation_from_json,
@@ -126,10 +127,13 @@ DOCS = {
     "instance": instance_to_json(INSTANCE, NAMES),
     "allocation": allocation_to_json(ALLOCATION, NAMES),
     "trace": [json.loads(line) for line in _lines(TRACE)],
+    "coloring": {"colors": {name: i % 3 for i, name in enumerate(NAMES)}, "t": 3},
 }
 # Per document: how to load a file, how to save what was read, and its
 # encoding.  A trace that is read, saved and read again must encode the same.
 LOADERS = {
+    "coloring": (lambda path: _load_coloring(str(path), NAMES), None,
+                 lambda got: {"colors": {NAMES[u]: c for u, c in got.colors.items()}, "t": got.t}),
     "instance": (load_instance, lambda got, path: save_instance(*got, path),
                  lambda got: instance_to_json(*got)),
     "allocation": (lambda path: load_allocation(path, NAMES),
@@ -146,7 +150,10 @@ def canonical(kind, doc):
     the goods of each table set and each bundle sorted, the table entries
     sorted by (size, goods), and empty bundles dropped.  Nothing else may
     differ, so a reader that ignores or reinterprets a part of ``doc``
-    fails the comparison."""
+    fails the comparison.  A ``--coloring`` file has no version and no
+    normalisation: it is ``doc`` itself."""
+    if kind == "coloring":
+        return doc
     doc = {"version": "1", **copy.deepcopy(doc)}
     if kind == "allocation":
         doc["bundles"] = {name: sorted(b) for name, b in doc["bundles"].items() if b}
@@ -179,8 +186,8 @@ def test_a_document_without_a_version_loads():
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_a_mutated_document_round_trips_or_raises_input_error(tmp_path_factory, kind, data):
-    # An instance or an allocation that loads must read as its canonical
-    # form.  A trace must read back as it was read, and may also hold an
+    # An instance, an allocation or a coloring file that loads must read as
+    # its canonical form.  A trace must read back as it was read, and may also hold an
     # edit that only a lax reader accepts, which must raise InputError too.
     doc = DOCS[kind]
     if kind == "trace" and data.draw(st.booleans()):
