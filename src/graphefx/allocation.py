@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
 from .errors import InputError
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .solvers import Instance
@@ -25,8 +25,7 @@ def _raise_overlap(bundles: Mapping[int, frozenset[int]]) -> None:
         seen |= b
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Frozen):
     """A (possibly partial) partition of edges among agents.
 
     Agents absent from ``bundles`` hold the empty bundle.  ``bundles`` is a
@@ -36,9 +35,9 @@ class Allocation:
 
     bundles: Mapping[int, frozenset[int]]
 
-    def __post_init__(self):
+    def __init__(self, bundles: Mapping[int, Iterable[int]]):
         # The full check runs in C-level loops.
-        clean = dict(zip(self.bundles.keys(), map(frozenset, self.bundles.values())))
+        clean = dict(zip(bundles.keys(), map(frozenset, bundles.values())))
         if not all(clean.values()):
             clean = {u: b for u, b in clean.items() if b}
         if len(frozenset().union(*clean.values())) != sum(map(len, clean.values())):
@@ -63,10 +62,13 @@ class Allocation:
         return Allocation(bundles={})
 
 
-@dataclass(frozen=True)
-class EfxVerdict:
+class EfxVerdict(Frozen):
     ok: bool
     witness: Optional[tuple[int, int, int]]  # (envier, envied, good whose removal fails)
+
+    def __init__(self, ok: bool, witness: Optional[tuple[int, int, int]]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
 
 def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[int]]]) -> None:

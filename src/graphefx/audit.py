@@ -19,11 +19,11 @@ applicable on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .allocation import Allocation, EnvyGraph
 from .errors import InputError
+from .frozen import Frozen
 from .trace import ColoringUsed, StructureResolved, TraceEvent
 
 if TYPE_CHECKING:
@@ -33,10 +33,12 @@ if TYPE_CHECKING:
 FAMILIES = ("localized_envy", "good_movement", "distance", "unresolved_union")
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Frozen):
     # family -> (applicable, violation messages)
     results: dict[str, tuple[bool, tuple[str, ...]]]
+
+    def __init__(self, results: dict[str, tuple[bool, tuple[str, ...]]]):
+        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import pickle
 import sys
 import threading
 import time
@@ -23,7 +22,6 @@ from typing import Annotated, Optional
 from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
 from .errors import GraphEfxError, InputError, UnsupportedClassError
-from .generators import VALUATION_KINDS, generate
 from .jsonio import (
     load_allocation,
     load_instance,
@@ -37,6 +35,7 @@ from .multigraph import Coloring
 from .oracle import brute_force_efx
 from .solvers import Instance, classify, smallest_coloring, solve
 from .trace import Name, Record, read_json
+from .valuation import KINDS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -84,6 +83,8 @@ def _parse_prob(text: str) -> tuple[int, int]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import generate  # only gen generates: solving never imports it
+
     # the family's own options, and --value-max, are its generator's parameters
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "family", "seed", "valuations", "out")}
@@ -194,6 +195,8 @@ def _fork_job(share: list[Path], coloring_path: Optional[str], trace: bool) -> t
     The child ends with ``os._exit``, so it runs no atexit handler and does
     not flush the stdio buffers it inherited.
     """
+    import pickle  # only a forked job pickles
+
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -209,6 +212,20 @@ def _fork_job(share: list[Path], coloring_path: Optional[str], trace: bool) -> t
             pipe.write(payload)
     finally:
         os._exit(0)
+
+
+def _job_result(job: int, payload: bytes, status: int) -> list[tuple[str, int, bool]]:
+    """The results that forked job ``job`` pickled; the exception it pickled,
+    or a RuntimeError when it pickled nothing, is raised."""
+    import pickle  # only a forked job pickles
+
+    if not payload:
+        raise RuntimeError(f"solve --batch job {job} ended without its results"
+                           f" (exit code {os.waitstatus_to_exitcode(status)})")
+    done, result = pickle.loads(payload)
+    if not done:
+        raise result
+    return result
 
 
 def _solve_batch(paths: list[Path], jobs: int, coloring_path: Optional[str],
@@ -237,14 +254,7 @@ def _solve_batch(paths: list[Path], jobs: int, coloring_path: Optional[str],
             with open(read, "rb") as pipe:
                 payloads.append(pipe.read())
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for job, (payload, status) in enumerate(zip(payloads, statuses), start=1):
-        if not payload:
-            raise RuntimeError(f"solve --batch job {job} ended without its results"
-                               f" (exit code {os.waitstatus_to_exitcode(status)})")
-        done, result = pickle.loads(payload)
-        if not done:
-            raise result
-        results.append(result)
+    results += map(_job_result, range(1, jobs), payloads, statuses)
     return [results[i % jobs][i // jobs] for i in range(len(paths))]
 
 
@@ -344,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)  # the options of every family
     shared.add_argument("--seed", type=int, default=None,
                         help=f"seed in 0..2**64-1 (default: ${SEED_ENV_VAR} or 0)")
-    shared.add_argument("--valuations", default="additive", choices=VALUATION_KINDS)
+    shared.add_argument("--valuations", default="additive", choices=tuple(KINDS))
     shared.add_argument("--value-max", type=int, default=100)
     shared.add_argument("-o", "--out", required=True)
     p_gen = sub.add_parser("gen", help="generate a benchmark instance")

@@ -7,7 +7,6 @@ stable name -> index mapping given by declaration order.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -31,7 +30,7 @@ _ENTRY = Record("entry {key} of the {place}", {
 _VALUE_SHAPES = {"values": dict[Good, int], "cap": int, "entries": list[_ENTRY]}
 # Each valuation type's object: its tag and the fields of its class.
 _VALUATION = Record("valuation of agent {key!r}", {
-    kind: {f.name: _VALUE_SHAPES[f.name] for f in fields(cls)} for kind, cls in KINDS.items()},
+    kind: {f: _VALUE_SHAPES[f] for f in cls.fields} for kind, cls in KINDS.items()},
     noun="valuation")
 _EDGE = Record("edge {id}", {
     "id": Annotated[int, "edge id {x} is not an integer"],

@@ -9,21 +9,24 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError
+from .frozen import Frozen
 
 # One connected component's sorted vertex list; None stands for every vertex.
 Component = Optional[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Frozen):
     """Vertex -> color map using colors 0..t-1.  Properness is not implied."""
 
     colors: dict[int, int]
     t: int
+
+    def __init__(self, colors: dict[int, int], t: int):
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "t", t)
 
 
 class MultiGraph:

@@ -7,11 +7,11 @@ orientation-only search would be wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .allocation import Allocation
 from .errors import CapacityError
+from .frozen import Frozen
 from .multigraph import Component
 
 if TYPE_CHECKING:
@@ -20,11 +20,15 @@ if TYPE_CHECKING:
 BRUTE_FORCE_MAX = 10 ** 7
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Frozen):
     efx_count: int
     sample: Optional[Allocation]  # lexicographically first EFX allocation
     searched: int  # n^m, the size of the space
+
+    def __init__(self, efx_count: int, sample: Optional[Allocation], searched: int):
+        object.__setattr__(self, "efx_count", efx_count)
+        object.__setattr__(self, "sample", sample)
+        object.__setattr__(self, "searched", searched)
 
 
 def _efx_masks(inst: "Instance", agents: Sequence[int], goods: Sequence[int]) -> Iterator[list[int]]:

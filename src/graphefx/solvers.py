@@ -11,12 +11,12 @@ envy with at most one cycle shift per attachment.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import Allocation, EnvyGraph, envy_graph  # noqa: F401
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
+from .frozen import Frozen, replace
 from .multigraph import Coloring, Component, MultiGraph
 from .oracle import first_efx_allocation
 from .partition import TABLE_CUT_MAX, cut_and_choose
@@ -38,22 +38,23 @@ BRUTE_FORCE_AGENT_MAX = 4
 BRUTE_FORCE_GOOD_MAX = 8  # 4 ** 8 = 65,536 allocations, within oracle.BRUTE_FORCE_MAX
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """A fair-division problem: a multi-graph plus one valuation per vertex."""
 
     graph: MultiGraph
     valuations: dict[int, Valuation]
 
-    def __post_init__(self):
-        for u in range(self.graph.vertex_count):
-            if u not in self.valuations:
+    def __init__(self, graph: MultiGraph, valuations: dict[int, Valuation]):
+        for u in range(graph.vertex_count):
+            if u not in valuations:
                 raise InputError(f"missing valuation for agent {u}")
-            extra = self.valuations[u].support - self.graph.incident_edges(u)
+            extra = valuations[u].support - graph.incident_edges(u)
             if extra:
                 raise InputError(
                     f"valuation of agent {u} supports non-incident edges {sorted(extra)}"
                 )
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "valuations", valuations)
 
 
 def _table_agent(inst: Instance, agents: Sequence[int]) -> Optional[int]:
@@ -236,14 +237,19 @@ def _component_hint(hint: Coloring, component: Sequence[int]) -> Coloring:
     return Coloring(colors={v: dense[hint.colors[v]] for v in component}, t=len(dense))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Whether one solver applies to an instance, and why not when it does not."""
 
     solver: str  # tree | bipartite | chromatic | brute_force
-    reason: Optional[str] = None  # None: the solver applies
+    reason: Optional[str]  # None: the solver applies
     # The coloring a phase-based solver runs on: for bipartite, the bipartition's.
-    structure: Optional[Coloring] = None
+    structure: Optional[Coloring]
+
+    def __init__(self, solver: str, reason: Optional[str] = None,
+                 structure: Optional[Coloring] = None):
+        object.__setattr__(self, "solver", solver)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "structure", structure)
 
     @property
     def applies(self) -> bool:

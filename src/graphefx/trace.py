@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
@@ -28,6 +27,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .allocation import Allocation
 from .errors import InputError
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .multigraph import MultiGraph
@@ -44,17 +44,19 @@ BRANCH_DIFFERENT = "different_bundles"
 BRANCHES = (BRANCH_SAME_KEEP, BRANCH_SAME_LEFTOVERS, BRANCH_DIFFERENT)
 
 
-@dataclass(frozen=True)
-class ColoringUsed:
+class ColoringUsed(Frozen):
     """First event of a phase-based run: the vertex coloring driving the phases."""
 
     kind = "coloring_used"
     colors: dict[Agent, Count]
     t: Count
 
+    def __init__(self, colors: dict[Agent, Count], t: Count):
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "t", t)
 
-@dataclass(frozen=True)
-class StructureResolved:
+
+class StructureResolved(Frozen):
     """One root's star of right-neighbour edge loops was fully assigned.
 
     ``changes`` maps each agent whose bundle the step changed to its new
@@ -74,9 +76,18 @@ class StructureResolved:
     changes: dict[Agent, frozenset[Good]]
     transfers: tuple[tuple[Good, Agent, Agent], ...]
 
+    def __init__(self, phase: Count, root: Agent, favourite: Optional[Agent],
+                 branch: Optional[Branch], changes: dict[Agent, frozenset[Good]],
+                 transfers: tuple[tuple[Good, Agent, Agent], ...]):
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "favourite", favourite)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "changes", changes)
+        object.__setattr__(self, "transfers", transfers)
 
-@dataclass(frozen=True)
-class LeafAttached:
+
+class LeafAttached(Frozen):
     """Tree solver: a leaf took its piece of the leaf-parent edge loop."""
 
     kind = "leaf_attached"
@@ -86,14 +97,26 @@ class LeafAttached:
     leftover_to: Agent
     changes: dict[Agent, frozenset[Good]]
 
+    def __init__(self, leaf: Agent, parent: Agent,
+                 pieces: tuple[frozenset[Good], frozenset[Good]], leftover_to: Agent,
+                 changes: dict[Agent, frozenset[Good]]):
+        object.__setattr__(self, "leaf", leaf)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "leftover_to", leftover_to)
+        object.__setattr__(self, "changes", changes)
 
-@dataclass(frozen=True)
-class CycleResolved:
+
+class CycleResolved(Frozen):
     """Bundles were shifted one step along a directed envy cycle."""
 
     kind = "cycle_resolved"
     cycle: tuple[Agent, ...]
     changes: dict[Agent, frozenset[Good]]
+
+    def __init__(self, cycle: tuple[Agent, ...], changes: dict[Agent, frozenset[Good]]):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "changes", changes)
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
@@ -271,12 +294,22 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
         keys, items = items, list(chain.from_iterable(map(dict.values, xs)))
     values = _read(args[1] if origin is dict else args[0], items, lambda i: (
         *where(owner(i)[0])[:2], texts[i] if origin is dict else owner(i)[1]), roles)
-    if values is items and (origin is not dict or keys is texts):  # no item changed
-        return xs if origin in (list, dict) else list(map(origin, xs))
-    lens, values = list(map(len, xs)), iter(values)
     if origin is not dict:
-        return list(map(origin, map(islice, repeat(values), lens)))
-    keys = iter(keys)
+        if values is items and origin is list:  # no item changed
+            return xs
+        out = list(map(origin, xs if values is items
+                       else map(islice, repeat(iter(values)), map(len, xs))))
+        if origin is frozenset and sum(map(len, out)) != len(items):  # an item named twice
+            j = next(j for j, (s, x) in enumerate(zip(out, xs)) if len(s) != len(x))
+            place, field, key = where(j)
+            path = (field or "") + ("" if key is None else f"[{json.dumps(key)}]")
+            x = next(x for i, x in enumerate(xs[j]) if x in xs[j][:i])
+            raise InputError(f"{place} names {_NOUNS.get(_shape(args[0])[0], 'item')}"
+                             f" {json.dumps(x)} twice" + (path and f" in {path}"))
+        return out
+    if values is items and keys is texts:  # no item changed
+        return xs
+    lens, keys, values = list(map(len, xs)), iter(keys), iter(values)
     return list(map(dict, map(zip, map(islice, repeat(keys), lens),
                               map(islice, repeat(values), lens))))
 
@@ -286,14 +319,15 @@ def read_json(shape, x, place: str, roles: Optional[dict] = None):
 
     A shape is a leaf role (``object``, any value; ``int``; ``str``; ``Name``;
     an id role); ``Literal[v, ...]``, one of those values; ``list[T]``,
-    ``frozenset[T]`` or ``tuple[T, ...]``, a JSON list; ``tuple[A, B]``, one
-    of that length; ``dict[K, V]``, a JSON object whose keys are read as K
-    (an integer's key is its own text: "3", not "03"); ``Optional[T]``; a
-    ``Record``; or ``Annotated[T, sentence]``, T with its own error
-    sentence.  ``roles`` bounds roles: an id role to ids below its bound
-    (None: any nonnegative one), ``Branch`` and ``Name`` to a collection,
-    whose bad values are shown as Python shows them; others take any JSON
-    integer or string.  The result may share parts of ``x``.
+    ``frozenset[T]`` or ``tuple[T, ...]``, a JSON list, which for a frozenset
+    names no item twice; ``tuple[A, B]``, one of that length; ``dict[K, V]``,
+    a JSON object whose keys are read as K (an integer's key is its own text:
+    "3", not "03"); ``Optional[T]``; a ``Record``; or ``Annotated[T,
+    sentence]``, T with its own error sentence.  ``roles`` bounds roles: an
+    id role to ids below its bound (None: any nonnegative one), ``Branch``
+    and ``Name`` to a collection, whose bad values are shown as Python shows
+    them; others take any JSON integer or string.  The result may share
+    parts of ``x``.
     """
     return _read(shape, [x], lambda j: (place, None, None), roles or {})[0]
 

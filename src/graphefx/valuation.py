@@ -8,10 +8,10 @@ ignored, which is what lets solvers pass whole bundles around without filtering.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError
+from .frozen import Frozen
 
 CANCELLABLE_CHECK_MAX = 12
 
@@ -29,14 +29,13 @@ class Valuation(ABC):
         """Edge ids that can carry nonzero marginal value."""
 
 
-@dataclass(frozen=True)
-class PerGood(Valuation):
+class PerGood(Frozen, Valuation):
     """Base of the valuations given by one nonnegative value per good."""
 
     values: dict[int, int]
 
-    def __post_init__(self):
-        values = dict(self.values)
+    def __init__(self, values: dict[int, int]):
+        values = dict(values)
         # A C-level screen passes exact nonnegative ints; anything else is checked one by one.
         if not (set(map(type, values.values())) <= {int} and min(values.values(), default=0) >= 0):
             for eid, v in values.items():
@@ -63,22 +62,21 @@ class UnitDemand(PerGood):
         return max((self.values.get(g, 0) for g in bundle), default=0)
 
 
-@dataclass(frozen=True)
 class BudgetAdditive(PerGood):
     kind = "budget_additive"
     cap: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 0:
+    def __init__(self, values: dict[int, int], cap: int):
+        super().__init__(values)
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise InputError("cap must be a nonnegative integer")
+        object.__setattr__(self, "cap", cap)
 
     def value(self, bundle: Iterable[int]) -> int:
         return min(self.cap, sum(self.values.get(g, 0) for g in bundle))
 
 
-@dataclass(frozen=True)
-class Table(Valuation):
+class Table(Frozen, Valuation):
     """Explicit monotone set function, given as one entry per subset.
 
     Entries must cover every subset of the support, include the empty set with
@@ -89,8 +87,8 @@ class Table(Valuation):
     kind = "table"
     entries: dict[frozenset[int], int]
 
-    def __post_init__(self):
-        entries = {frozenset(k): v for k, v in self.entries.items()}
+    def __init__(self, entries: dict[frozenset[int], int]):
+        entries = {frozenset(k): v for k, v in entries.items()}
         support = frozenset().union(*entries) if entries else frozenset()
         goods = sorted(support)
         if len(entries) != 2 ** len(goods):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import deque
 from itertools import product
@@ -19,6 +18,7 @@ from graphefx import (
     UnsupportedValuationError,
     Valuation,
 )
+from graphefx.frozen import replace
 from graphefx.generators import PETERSEN_EDGES, VALUATION_KINDS, _make_valuation
 from graphefx.oracle import BRUTE_FORCE_MAX, OracleReport
 
@@ -91,8 +91,6 @@ def tamper_trace(inst, trace, family):
     Returns None when no edit of this trace can demonstrably break the family
     (callers then try another instance).
     """
-    import dataclasses
-
     from graphefx.audit import audit_trace
     from graphefx.trace import StructureResolved
 
@@ -105,7 +103,7 @@ def tamper_trace(inst, trace, family):
     for i in indices:
         ev = trace[i]
         if family == "good_movement":
-            bad = dataclasses.replace(ev, transfers=((0, ev.root, ev.root),))
+            bad = replace(ev, transfers=((0, ev.root, ev.root),))
             candidate = trace[:i] + [bad] + trace[i + 1:]
             if fails(candidate):
                 return candidate
@@ -928,7 +926,7 @@ def _moved_valuation(val, good):
     """``val`` with every good id mapped by ``good``."""
     if isinstance(val, Table):
         return Table(entries={frozenset(map(good, s)): v for s, v in val.entries.items()})
-    return dataclasses.replace(val, values={good(g): v for g, v in val.values.items()})
+    return replace(val, values={good(g): v for g, v in val.values.items()})
 
 
 def moved_event(ev, agent, good):
@@ -942,7 +940,7 @@ def moved_event(ev, agent, good):
     if isinstance(ev, ColoringUsed):
         return ColoringUsed(colors={agent(u): c for u, c in ev.colors.items()}, t=ev.t)
     if isinstance(ev, StructureResolved):
-        return dataclasses.replace(
+        return replace(
             ev, root=agent(ev.root), changes=bundles(ev.changes),
             favourite=None if ev.favourite is None else agent(ev.favourite),
             transfers=tuple((good(g), agent(a), agent(b)) for g, a, b in ev.transfers))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from graphefx import Additive, InputError, Instance, MultiGraph
 from graphefx.audit import FAMILIES, audit_trace, check_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
+from graphefx.frozen import replace
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
 from graphefx.jsonio import load_trace, save_instance, save_trace
 from graphefx.solvers import chromatic_efx, solve, tree_efx
@@ -288,7 +288,7 @@ def test_writer_matches_reference_encoder(tmp_path):
     # The union's structure events again, each also emptying every bundle
     # that is empty before and after it.
     structures = [ev for ev in union if isinstance(ev, StructureResolved)]
-    padded = [dataclasses.replace(ev, changes={**{u: frozenset() for u in range(12)
+    padded = [replace(ev, changes={**{u: frozenset() for u in range(12)
                                                   if not snapshot["snapshot"].get(u)},
                                                **ev.changes})
               for ev, snapshot in zip(structures, folded(structures))]
@@ -346,7 +346,7 @@ def test_writer_matches_reference_for_every_event_kind(steps):
     for ev, withdraws in steps:
         if not isinstance(ev, ColoringUsed):
             if withdraws:
-                ev = dataclasses.replace(ev, changes={**dict.fromkeys(held, frozenset()),
+                ev = replace(ev, changes={**dict.fromkeys(held, frozenset()),
                                                       **ev.changes})
             held = {u: b for u, b in {**held, **ev.changes}.items() if b}
         trace.append(ev)
@@ -482,7 +482,7 @@ def test_audit_distances_match_the_reference_under_any_coloring():
     for _ in range(300):
         inst, trace = rng.choice(small)
         colors = {v: rng.randrange(3) for v in range(inst.graph.vertex_count)}
-        recolored = [dataclasses.replace(ev, colors=colors) if isinstance(ev, ColoringUsed) else ev
+        recolored = [replace(ev, colors=colors) if isinstance(ev, ColoringUsed) else ev
                      for ev in trace]
         report = audit_trace(inst, recolored)
         assert report == reference_audit_trace(inst, recolored)
@@ -497,7 +497,7 @@ def test_audit_names_an_improperly_colored_good_its_holder_shares(b1_instance):
     # agent 1 the root, one hop from the holder, beyond a bound of 0.
     _, trace = chromatic_efx(b1_instance, b1_instance.graph.bipartition())
     assert 0 in trace[-1].changes[0]
-    same = [dataclasses.replace(ev, colors={0: 0, 1: 0, 2: 1}) if isinstance(ev, ColoringUsed)
+    same = [replace(ev, colors={0: 0, 1: 0, 2: 1}) if isinstance(ev, ColoringUsed)
             else ev for ev in trace]
     report = audit_trace(b1_instance, same)
     assert report.results["distance"] == (
@@ -576,6 +576,33 @@ def test_audit_rejects_a_branch_or_key_that_is_not_one(tmp_path, capsys, edit, m
     capsys.readouterr()
     assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
     assert capsys.readouterr() == ("", f"error: trace event {i} {message}\n")
+
+
+def test_audit_rejects_a_snapshot_bundle_that_names_a_good_twice(tmp_path, capsys):
+    # a repeated good once read as one good, and the audit passed
+    inst, names = gen_multicycle(seed=3, length=5)
+    instance_path = tmp_path / "c5.instance.json"
+    save_instance(inst, names, instance_path)
+    path = tmp_path / "c5.trace.jsonl"
+    save_trace(solve(inst)[2], path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    i, line = next((i, line) for i, line in enumerate(lines) if "snapshot" in line)
+    agent, bundle = next(iter(line["snapshot"].items()))
+    bundle.insert(0, bundle[-1])
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", f'error: trace event {i} names good {bundle[0]} twice in snapshot["{agent}"]\n')
+
+
+def test_a_leaf_s_pieces_that_name_a_good_twice_are_rejected():
+    graph = MultiGraph(2, [(0, 1), (0, 1)])
+    line = {"type": "leaf_attached", "leaf": 1, "parent": 0, "pieces": [[1], [0, 1, 0]],
+            "leftover_to": 0, "snapshot": {"0": [0, 1]}}
+    with pytest.raises(InputError, match=r"^trace event 3 names good 0 twice in pieces$"):
+        event_from_json(line, 3, graph, {})
+    line["pieces"] = [[1], [0]]
+    assert event_from_json(line, 3, graph, {}).pieces == (frozenset({1}), frozenset({0}))
 
 
 def test_audit_rejects_a_repeated_key(tmp_path, capsys):

@@ -205,6 +205,16 @@ def test_gen_option_of_another_family_exit_1(tmp_path, argv):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_gen_rejects_an_unknown_valuation_kind_exit_1(tmp_path):
+    # the choices come from the valuation module; generators is imported only to generate
+    done = _run_cli("gen", "multitree", "--valuations", "convex", "-o", tmp_path / "x.json")
+    _assert_one_error_line(done)
+    assert done.stderr == ("error: graphefx gen multitree: argument --valuations: invalid"
+                           " choice: 'convex' (choose from 'additive', 'unit_demand',"
+                           " 'budget_additive', 'table')\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["gen", "--seed", "3", "multitree", "-o", "OUT"], "--seed"),
     (["gen", "-o", "OUT", "multitree"], "-o"),
@@ -739,6 +749,24 @@ def test_batch_outputs_do_not_depend_on_the_jobs(tmp_path, capsys, monkeypatch):
     assert code == EXIT_UNSUPPORTED and len(json.loads(out)) == 6
     assert err.startswith("error: DIR/c.instance.json: no solver applies: ")
     assert "\nerror: DIR/e.instance.json: " in err and err.count("\n") == 2
+    assert len([name for name in files if name.endswith(".trace.jsonl")]) == 6
+
+
+def test_batch_processes_give_the_same_outputs_on_one_job_and_two(tmp_path):
+    # fresh interpreters: the forked job and the parent import pickle themselves
+    runs = []
+    for jobs in (1, 2):
+        directory = _mixed_batch(tmp_path / str(jobs))
+        done = _run_cli("solve", "--batch", directory, "--jobs", jobs, "--trace", "yes")
+        reports = [json.loads(line) for line in done.stdout.splitlines()]
+        for report in reports:
+            del report["wall_time_ms"]
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        runs.append((done.returncode, json.dumps(reports).replace(str(directory), "DIR"),
+                     done.stderr.replace(str(directory), "DIR"), files))
+    assert runs[0] == runs[1]
+    code, reports, err, files = runs[0]
+    assert code == EXIT_UNSUPPORTED and len(json.loads(reports)) == 6 and err.count("\n") == 2
     assert len([name for name in files if name.endswith(".trace.jsonl")]) == 6
 
 
