@@ -17,24 +17,22 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Annotated, Optional
+from typing import Optional
 
 from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
 from .errors import GraphEfxError, InputError, UnsupportedClassError
 from .jsonio import (
     load_allocation,
+    load_coloring,
     load_instance,
-    load_json,
     load_trace,
     save_allocation,
     save_instance,
     save_trace,
 )
-from .multigraph import Coloring
 from .oracle import brute_force_efx
 from .solvers import Instance, classify, smallest_coloring, solve
-from .trace import Name, Record, read_json
 from .valuation import KINDS
 
 EXIT_OK = 0
@@ -55,23 +53,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError as exc:
         raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-
-
-# A --coloring file: agent name -> color, and t.
-_COLORING = Record(None, {
-    "colors": dict[Name, Annotated[int, "malformed {place}: the color of agent {key!r} is {x},"
-                                        " not an integer"]],
-    "t": Annotated[int, "malformed {place}: t is {x}, not an integer"]})
-
-
-def _load_coloring(path: str, names: list[str]) -> Coloring:
-    obj = load_json(path)
-    try:
-        index = {name: i for i, name in enumerate(names)}
-        colors, t = read_json(_COLORING, obj, f"coloring file {path}", {Name: index})
-        return Coloring(colors={index[name]: c for name, c in colors.items()}, t=t)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"malformed coloring file {path}: {exc}") from exc
 
 
 def _parse_prob(text: str) -> tuple[int, int]:
@@ -139,7 +120,7 @@ def _solve_one(
     trace_path: Optional[str],
 ) -> tuple[dict, int]:
     inst, names = load_instance(instance_path)
-    hint = _load_coloring(coloring_path, names) if coloring_path else None
+    hint = load_coloring(coloring_path, names) if coloring_path else None
     start = time.monotonic_ns()
     verdicts: list = []
     alloc, method, trace = solve(inst, hint, verdicts)
@@ -258,10 +239,36 @@ def _solve_batch(paths: list[Path], jobs: int, coloring_path: Optional[str],
     return [results[i % jobs][i // jobs] for i in range(len(paths))]
 
 
+def _file_key(path: str) -> object:
+    """Equal for any two paths to one file: the file's device and inode, or for
+    a file not made yet, those of its directory and its name."""
+    head, name = os.path.split(path)
+    for target, rest in ((path, ()), (head or ".", (name,))):
+        try:
+            st = os.stat(target)
+            return (st.st_dev, st.st_ino, *rest)
+        except OSError:
+            pass
+    return path  # in a missing directory, which writing reports
+
+
+def _refuse_clashes(paths: dict[str, Optional[str]]) -> None:
+    """Raise InputError when an output, -o or --trace, names the same file as
+    a path given before it in ``paths``."""
+    seen: dict = {}
+    for option, path in paths.items():
+        if path:
+            first = seen.setdefault(_file_key(path), option)
+            if first != option and option in ("-o", "--trace"):
+                raise InputError(f"{first} and {option} name the same file: {path}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     if not args.batch:
         if not args.instance:
             raise InputError("solve needs an instance path or --batch")
+        _refuse_clashes({"the instance": args.instance, "--coloring": args.coloring,
+                         "-o": args.out, "--trace": args.trace})
         report, code = _solve_one(args.instance, args.coloring, args.out, args.trace)
         print(json.dumps(report, indent=2, sort_keys=True))
         return code

@@ -1,4 +1,5 @@
-"""JSON encodings: instance documents, allocation files and JSON-lines traces.
+"""JSON encodings: instance documents, allocation files, ``--coloring`` files
+and JSON-lines traces.  Every file the package reads is read here.
 
 Files speak in agent names; the core library speaks in integer indices with a
 stable name -> index mapping given by declaration order.
@@ -10,49 +11,33 @@ import json
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Annotated, Literal, Union
+from typing import Literal, Union
 
 from .allocation import Allocation
 from .audit import check_trace
 from .errors import InputError
-from .multigraph import MultiGraph
+from .multigraph import Coloring, MultiGraph
 from .solvers import Instance
 from .trace import Good, Name, Record, TraceEvent, event_from_json, event_line, read_json
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
 
-# The shapes of the documents, as ``trace.read_json`` reads them.  A sentence
-# beside a shape words its error where tests name the older wording.
-_ENTRY = Record("entry {key} of the {place}", {
-    "goods": Annotated[list[Good], "{place} gives set {x}, not a JSON list of goods"],
-    "value": int})
+# The shapes of the documents, as ``trace.read_json`` reads them.
+_ENTRY = Record("entry {key} of the {place}", {"goods": frozenset[Good], "value": int})
 _VALUE_SHAPES = {"values": dict[Good, int], "cap": int, "entries": list[_ENTRY]}
 # Each valuation type's object: its tag and the fields of its class.
 _VALUATION = Record("valuation of agent {key!r}", {
-    kind: {f: _VALUE_SHAPES[f] for f in cls.fields} for kind, cls in KINDS.items()},
-    noun="valuation")
-_EDGE = Record("edge {id}", {
-    "id": Annotated[int, "edge id {x} is not an integer"],
-    "endpoints": Annotated[tuple[str, str],
-                           "{place} endpoints must be a JSON list of two agent names, got {x}"]})
-# Valuations are keyed by agent names, so they are read once the agents are known.
-_INSTANCE = Record(None, {
-    "version": Annotated[Literal[FORMAT_VERSION], f"unknown instance format version {{x}},"
-                                                  f" expected {json.dumps(FORMAT_VERSION)}"],
-    "agents": Annotated[list[Annotated[str, "agent name {x} is not a string"]],
-                        "agents must be a JSON list of strings, got {x}"],
-    "edges": Annotated[list[_EDGE], "edges must be a JSON list of edge objects, got {x}"],
-    "valuations": object,
-}, {"version": FORMAT_VERSION})
-_VALUATIONS = Annotated[dict[Annotated[Name, "valuation for undeclared agent {x}"], _VALUATION],
-                        "valuations must be a JSON object keyed by agent names, got {x}"]
-_ALLOCATION = Record(None, {
-    "version": Annotated[Literal[FORMAT_VERSION], f"unknown allocation format version {{x}},"
-                                                  f" expected {json.dumps(FORMAT_VERSION)}"],
-    "bundles": dict[Name, Annotated[
-        list[Good], "bundle of agent {key!r} must be a JSON list of good ids, got {x}"]],
-}, {"version": FORMAT_VERSION})
+    kind: {f: _VALUE_SHAPES[f] for f in cls.fields} for kind, cls in KINDS.items()}, tagged=True)
+_EDGE = Record("edge {id}", {"id": int, "endpoints": tuple[Name, Name]})
+# An instance is read twice: its agent names, then the parts that name agents.
+_AGENTS = Record(None, {"version": Literal[FORMAT_VERSION], "agents": list[str],
+                        "edges": object, "valuations": object}, {"version": FORMAT_VERSION})
+_NAMED = Record(None, {"version": object, "agents": object, "edges": list[_EDGE],
+                       "valuations": dict[Name, _VALUATION]}, {"version": FORMAT_VERSION})
+_ALLOCATION = Record(None, {"version": Literal[FORMAT_VERSION],
+                            "bundles": dict[Name, frozenset[Good]]}, {"version": FORMAT_VERSION})
+_COLORING = Record(None, {"colors": dict[Name, int], "t": int})
 
 
 def _valuation_to_json(val: Valuation) -> dict:
@@ -65,9 +50,10 @@ def _valuation_to_json(val: Valuation) -> dict:
     return {"type": val.kind, **vars(val), "values": values}
 
 
-def _twice(goods: list) -> int:
-    """The first good that a list of good ids names a second time."""
-    return next(g for i, g in enumerate(goods) if g in goods[:i])
+def _twice(items) -> object:
+    """The first of ``items`` that equals an earlier one."""
+    seen: set = set()
+    return next(x for x in items if x in seen or seen.add(x))
 
 
 def _valuation_from_json(row: tuple, agent: str) -> Valuation:
@@ -75,16 +61,10 @@ def _valuation_from_json(row: tuple, agent: str) -> Valuation:
     tag, *fields = row
     if tag != Table.kind:
         return KINDS[tag](*fields)
-    entries = {}
-    for goods, value in fields[0]:
-        key = frozenset(goods)
-        if len(key) != len(goods):
-            raise InputError(f"valuation of agent {agent!r} names good {_twice(goods)}"
-                             f" twice in set {json.dumps(goods)}")
-        if key in entries:
-            raise InputError(f"valuation of agent {agent!r} lists set"
-                             f" {json.dumps(sorted(key))} twice")
-        entries[key] = value
+    entries = dict(fields[0])
+    if len(entries) != len(fields[0]):
+        twice = sorted(_twice(map(itemgetter(0), fields[0])))
+        raise InputError(f"valuation of agent {agent!r} lists set {json.dumps(twice)} twice")
     return Table(entries=entries)
 
 
@@ -103,29 +83,26 @@ def instance_to_json(inst: Instance, names: list[str]) -> dict:
     }
 
 
+def _index(names: list[str]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
+
+
 def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
-    try:
-        _, names, edges, val_objs = read_json(_INSTANCE, obj, "instance document")
-        if len(set(names)) != len(names):
-            raise InputError("agent names must be unique")
-        index = {name: i for i, name in enumerate(names)}
-        edges = sorted(edges)
-        if list(map(itemgetter(0), edges)) != list(range(len(edges))):
-            raise InputError("edge ids must be dense 0..m-1")
-        val_objs = read_json(_VALUATIONS, val_objs, "instance document", {Name: index})
-        missing = next((name for name in names if name not in val_objs), None)
-        if missing is not None:
-            raise InputError(f"missing valuation for agent {missing!r}")
-        vals = {index[name]: _valuation_from_json(val_objs[name], name) for name in names}
-        try:
-            ends = list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1), edges))))
-        except KeyError:
-            bad = next(eid for eid, pair in edges if not index.keys() >= set(pair))
-            raise InputError(f"edge {bad} references undeclared agent") from None
-        graph = MultiGraph(len(names), list(zip(ends[::2], ends[1::2])))
-        return Instance(graph=graph, valuations=vals), names
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed instance document: {exc}") from exc
+    names = read_json(_AGENTS, obj, "instance document")[1]
+    if len(set(names)) != len(names):
+        raise InputError("agent names must be unique")
+    index = _index(names)
+    _, _, edges, val_objs = read_json(_NAMED, obj, "instance document", {Name: index})
+    edges = sorted(edges)
+    if list(map(itemgetter(0), edges)) != list(range(len(edges))):
+        raise InputError("edge ids must be dense 0..m-1")
+    if len(val_objs) != len(names):
+        missing = next(name for name in names if name not in val_objs)
+        raise InputError(f"missing valuation for agent {missing!r}")
+    vals = {index[name]: _valuation_from_json(val_objs[name], name) for name in names}
+    ends = list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1), edges))))
+    graph = MultiGraph(len(names), list(zip(ends[::2], ends[1::2])))
+    return Instance(graph=graph, valuations=vals), names
 
 
 def allocation_to_json(alloc: Allocation, names: list[str]) -> dict:
@@ -136,17 +113,9 @@ def allocation_to_json(alloc: Allocation, names: list[str]) -> dict:
 
 
 def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
-    index = {name: i for i, name in enumerate(names)}
-    try:
-        _, bundle_objs = read_json(_ALLOCATION, obj, "allocation document", {Name: index})
-        bundles = {}
-        for name, goods in bundle_objs.items():
-            bundles[index[name]] = frozenset(goods)
-            if len(bundles[index[name]]) != len(goods):
-                raise InputError(f"bundle of agent {name!r} names good {_twice(goods)} twice")
-        return Allocation(bundles=bundles)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"malformed allocation document: {exc}") from exc
+    index = _index(names)
+    bundles = read_json(_ALLOCATION, obj, "allocation document", {Name: index})[1]
+    return Allocation(bundles=dict(zip(map(index.__getitem__, bundles), bundles.values())))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -154,7 +123,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     would otherwise silently keep its last value."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        raise ValueError(f"key {json.dumps(_twice([k for k, _ in pairs]))} appears twice"
+        raise ValueError(f"key {json.dumps(_twice(map(itemgetter(0), pairs)))} appears twice"
                          " in one object")
     return obj
 
@@ -191,6 +160,13 @@ def load_allocation(path: Union[str, Path], names: list[str]) -> Allocation:
     return allocation_from_json(load_json(path), names)
 
 
+def load_coloring(path: Union[str, Path], names: list[str]) -> Coloring:
+    """A ``--coloring`` file: declared agent name -> color, and t."""
+    index = _index(names)
+    colors, t = read_json(_COLORING, load_json(path), f"coloring file {path}", {Name: index})
+    return Coloring(colors=dict(zip(map(index.__getitem__, colors), colors.values())), t=t)
+
+
 def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path]) -> None:
     dump_json(allocation_to_json(alloc, names), path)
 
@@ -210,8 +186,7 @@ def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
                 if line:
                     obj = json.loads(line, object_pairs_hook=_unique_keys)
                     events.append(event_from_json(obj, len(events), graph, held))
-    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
-            RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     check_trace(events, graph)
     return events

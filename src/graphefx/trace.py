@@ -10,8 +10,8 @@ instead, every bundle after the step: the writer folds the events' changes
 into a running snapshot, and the reader diffs each snapshot line against the
 one before it.  This module is the only one that knows the file's form.
 
-``read_json`` reads these lines, the instance and allocation documents of
-``jsonio`` and the ``--coloring`` file of ``cli``, each by a declared shape.
+``read_json`` reads these lines, and the instance, allocation and
+``--coloring`` documents of ``jsonio``, each by a declared shape.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Annotated, Callable, Literal, NewType, Optional, Union
+from typing import TYPE_CHECKING, Callable, Literal, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .allocation import Allocation
@@ -127,23 +127,25 @@ EVENT_KINDS = {cls.kind: cls for cls in get_args(TraceEvent)}
 class Record:
     """A JSON object with exactly the keys of ``fields`` (key -> shape), read as
     the tuple of their values; a key of ``defaults`` may be left out.  With
-    ``noun``, ``fields`` maps each "type" tag to the fields after the tag.  In
+    ``tagged``, ``fields`` maps each "type" tag to the fields after the tag.  In
     a dict or list its place is ``place`` formatted with the place around it,
-    its key or index, and its "id" (else that index) as {place}, {key}, {id}."""
+    its key or index, and its integer "id" (else that index) as {place}, {key},
+    {id}; a Record without a place is a whole document."""
 
     def __init__(self, place: Optional[str], fields: dict, defaults: Optional[dict] = None,
-                 noun: Optional[str] = None):
-        self.place, self.fields, self.noun, self.defaults = place, fields, noun, defaults or {}
+                 tagged: bool = False):
+        self.place, self.fields, self.defaults = place, fields, defaults or {}
         self.allowed = frozenset(fields)
         self.required = self.allowed - frozenset(self.defaults)
-        self.kinds = noun and {tag: Record(place, {"type": object, **tag_fields})
-                               for tag, tag_fields in fields.items()}
+        self.kinds = tagged and {tag: Record(place, {"type": object, **tag_fields})
+                                 for tag, tag_fields in fields.items()}
+        self.tag = tagged and Literal[tuple(fields)]
 
 
 # A trace line: an event's type tag and its fields, ``snapshot`` in place of ``changes``.
 _LINE = Record(None, {
     kind: {"snapshot" if f == "changes" else f: tp for f, tp in get_type_hints(cls).items()}
-    for kind, cls in EVENT_KINDS.items()}, noun="trace event")
+    for kind, cls in EVENT_KINDS.items()}, tagged=True)
 _INTS = (int, Agent, Good, Count)
 _NOUNS = {Agent: "agent", Good: "good", Count: "count", Branch: "branch", Name: "agent"}
 _FREE = object()  # the bound of a role that ``roles`` leaves out
@@ -166,17 +168,29 @@ def _screen(role, xs, roles: dict) -> bool:
     return set(map(type, xs)) <= {str} and (bound is _FREE or all(map(bound.__contains__, xs)))
 
 
-def _fail(at: tuple, shown: str, expected: str, say: Optional[str], verb: Optional[str] = None):
-    """Raise InputError: the value ``shown`` at ``at`` is not ``expected``."""
-    place, field, key = at
-    if say is not None:
-        raise InputError(say.format(place=place, key=key, x=shown))
-    raise InputError(f"{place} {verb or ('is' if field is None else f'gives {field}')} {shown},"
-                     f" not {expected}")
+# The walk's errors, one wording per kind.  ``at`` is (place, path, key): the
+# place, such as "edge 3", the path inside it, such as 'values["2"]' (empty
+# for the place itself), and the key or index of the value in its container.
+def _fail(at: tuple, x, expected: str, noun: Optional[str] = None):
+    """Raise InputError: the JSON value ``x`` at ``at`` is not ``expected``: a
+    wrong container, leaf or literal, or, with the ``noun`` of what ``x``
+    names, an id, agent name or branch that is wrong or not declared."""
+    place, path, _ = at
+    shown = json.dumps(x)
+    if noun:
+        raise InputError(f"{place} names {noun} {shown}{path and f' in {path}'}, not {expected}")
+    raise InputError(f"{place} {f'gives {path}' if path else 'is'} {shown}, not {expected}")
 
 
-def _bad_leaf(role, xs: list, where: Callable, roles: dict, say: Optional[str],
-              is_key: bool = False):
+def _bad_keys(place: str, x: dict, allowed, wanted):
+    """Raise InputError naming a key of ``x`` not in ``allowed``, else one of ``wanted`` it lacks."""
+    stray = next((k for k in x if k not in allowed), None)
+    if stray is not None:
+        raise InputError(f"{place} has unknown key {json.dumps(stray)}")
+    raise InputError(f"{place} has no key {json.dumps(next(k for k in wanted if k not in x))}")
+
+
+def _bad_leaf(role, xs: list, where: Callable, roles: dict, is_key: bool = False):
     """Raise InputError naming the first of ``xs`` that is not a value of ``role``."""
     j = next(j for j, x in enumerate(xs) if not _screen(role, [x], roles))
     x, bound = xs[j], roles.get(role, _FREE)
@@ -187,9 +201,7 @@ def _bad_leaf(role, xs: list, where: Callable, roles: dict, say: Optional[str],
     else:
         expected = ("a string" if bound is _FREE else "a declared agent name" if role is Name
                     else f"{', '.join(BRANCHES)} or null")
-    noun = _NOUNS.get(role)
-    _fail(where(j), json.dumps(x) if bound is _FREE else repr(x), expected, say,
-          noun and f"names {noun}")
+    _fail(where(j), x, expected, _NOUNS.get(role))
 
 
 def _place(rec: Record, x, at: tuple) -> str:
@@ -197,82 +209,83 @@ def _place(rec: Record, x, at: tuple) -> str:
     outer, _, key = at
     if key is None or rec.place is None:
         return outer
-    return rec.place.format(place=outer, key=key, id=x.get("id", key) if type(x) is dict else key)
+    eid = x.get("id") if type(x) is dict else None
+    return rec.place.format(place=outer, key=key, id=eid if type(eid) is int else key)
+
+
+def _inside(at: tuple, key) -> tuple:
+    """``at`` of the item at ``key`` (a dict's key or a list's index) of the value at ``at``."""
+    place, path, _ = at
+    return place, f"{path}[{json.dumps(key)}]", key
 
 
 @lru_cache(maxsize=None)
 def _shape(shape) -> tuple:
-    """(the shape without its sentence, the sentence or None, origin, args)."""
-    say = None
-    if get_origin(shape) is Annotated:
-        shape, say = get_args(shape)
-    return shape, say, get_origin(shape), get_args(shape)
+    """(origin, args) of a shape."""
+    return get_origin(shape), get_args(shape)
 
 
 def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
     """Each of ``xs`` read as ``shape`` by C-level loops over them all.  Only to
-    word an error, ``where(j)`` gives (place, field, key) of ``xs[j]``: the
-    place of the object around it, that object's key holding it (None for
-    the object itself), and its own key or index."""
-    tp, say, origin, args = _shape(shape)
-    if tp is object:
+    word an error, ``where(j)`` gives ``at`` of ``xs[j]``, as ``_fail`` reads it."""
+    origin, args = _shape(shape)
+    if shape is object:
         return xs
-    if origin is None and not isinstance(tp, Record):  # a leaf role
-        if not _screen(tp, xs, roles):
-            _bad_leaf(tp, xs, where, roles, say)
+    if origin is None and not isinstance(shape, Record):  # a leaf role
+        if not _screen(shape, xs, roles):
+            _bad_leaf(shape, xs, where, roles)
         return xs
     if origin is Literal:  # one of the values ``args``
-        j = next((j for j, x in enumerate(xs) if x not in args), None)
-        if j is not None:
-            _fail(where(j), json.dumps(xs[j]), " or ".join(map(json.dumps, args)), say)
+        if not all(map(args.__contains__, xs)):
+            j = next(j for j, x in enumerate(xs) if x not in args)
+            _fail(where(j), xs[j], " or ".join(map(json.dumps, args)))
         return xs
     if origin is Union:  # Optional[T]
         js = [j for j, x in enumerate(xs) if x is not None]
         values = iter(_read(args[0], [xs[j] for j in js], lambda i: where(js[i]), roles))
         return [None if x is None else next(values) for x in xs]
-    container = dict if origin is dict or isinstance(tp, Record) else list
+    container = dict if origin is dict or isinstance(shape, Record) else list
     length = len(args) if origin is tuple and args[-1] is not Ellipsis else None
     if not set(map(type, xs)) <= {container} or length and set(map(len, xs)) - {length}:
         j = next(j for j, x in enumerate(xs)
                  if type(x) is not container or length and len(x) != length)
-        at = (_place(tp, xs[j], where(j)), None, None) if isinstance(tp, Record) else where(j)
-        _fail(at, json.dumps(xs[j]), "a JSON object" if container is dict
-              else f"a JSON list of {length} items" if length else "a JSON list", say)
-    if isinstance(tp, Record) and tp.kinds:  # read the objects of each tag together
-        tags = list(map(dict.get, xs, repeat("type")))
-        j = next((j for j, t in enumerate(tags) if type(t) is not str or t not in tp.kinds), None)
-        if j is not None:
-            raise InputError(f"unknown {tp.noun} type {tags[j]!r}" if "type" in xs[j] else
-                             f'{_place(tp, xs[j], where(j))} has no key "type"')
-        if len(set(tags)) == 1:
-            return _read(tp.kinds[tags[0]], xs, where, roles)
-        out = list(xs)
-        for tag in set(tags):
-            js = [j for j, t in enumerate(tags) if t == tag]
-            part = _read(tp.kinds[tag], [xs[j] for j in js], lambda i: where(js[i]), roles)
-            deque(map(out.__setitem__, js, part), maxlen=0)
-        return out
-    if isinstance(tp, Record):  # read key by key
+        at = (_place(shape, xs[j], where(j)), "", None) if isinstance(shape, Record) else where(j)
+        _fail(at, xs[j], "a JSON object" if container is dict
+              else f"a JSON list of {length} items" if length else "a JSON list")
+    if isinstance(shape, Record):
         def place(j):
-            return _place(tp, xs[j], where(j))
+            return _place(shape, xs[j], where(j))
 
-        try:  # a required key missing raises KeyError; then, or with a key too many, say which
-            columns = [list(map(itemgetter(k), xs)) if k in tp.required
-                       else list(map(dict.get, xs, repeat(k), repeat(tp.defaults[k])))
-                       for k in tp.fields]
+        if shape.kinds:  # read the objects of each tag together
+            if not all(map(dict.__contains__, xs, repeat("type"))):  # name it missing
+                j = next(j for j, x in enumerate(xs) if "type" not in x)
+                _bad_keys(place(j), xs[j], xs[j].keys(), ("type",))
+            tags = _read(shape.tag, list(map(itemgetter("type"), xs)),
+                         lambda j: (place(j), "type", "type"), roles)
+            if len(set(tags)) == 1:
+                return _read(shape.kinds[tags[0]], xs, where, roles)
+            out = list(xs)
+            for tag in set(tags):
+                js = [j for j, t in enumerate(tags) if t == tag]
+                part = _read(shape.kinds[tag], [xs[j] for j in js], lambda i: where(js[i]), roles)
+                deque(map(out.__setitem__, js, part), maxlen=0)
+            return out
+        try:  # a required key missing raises KeyError
+            columns = [list(map(itemgetter(k), xs)) if k in shape.required
+                       else list(map(dict.get, xs, repeat(k), repeat(shape.defaults[k])))
+                       for k in shape.fields]
         except KeyError:
             columns = None
-        if columns is None or not (all(map(tp.allowed.issuperset, xs)) if tp.defaults
-                                   else set(map(len, xs)) <= {len(tp.fields)}):
-            j = next(j for j, x in enumerate(xs) if not tp.required <= x.keys() <= tp.allowed)
-            stray = next((k for k in xs[j] if k not in tp.allowed), None)
-            missing = next((k for k in tp.fields if k not in xs[j]), None)
-            raise InputError(f"{place(j)} has unknown key {json.dumps(stray)}" if stray is not None
-                             else f"{place(j)} has no key {json.dumps(missing)}")
-        return list(zip(*[_read(value_shape, column, lambda i: (place(i), k, None), roles)
-                          for (k, value_shape), column in zip(tp.fields.items(), columns)]))
+        if columns is None or not (all(map(shape.allowed.issuperset, xs)) if shape.defaults
+                                   else set(map(len, xs)) <= {len(shape.fields)}):
+            j = next(j for j, x in enumerate(xs)
+                     if not shape.required <= x.keys() <= shape.allowed)
+            _bad_keys(place(j), xs[j], shape.allowed, shape.fields)
+        return list(zip(*[_read(value_shape, column, lambda i, k=k: (place(i), k, k), roles)
+                          for (k, value_shape), column in zip(shape.fields.items(), columns)]))
     if length:  # a fixed-length tuple, read position by position
-        return list(zip(*[_read(a, list(c), where, roles) for a, c in zip(args, zip(*xs))]))
+        return list(zip(*[_read(a, list(c), lambda j, p=p: _inside(where(j), p), roles)
+                          for p, (a, c) in enumerate(zip(args, zip(*xs)))]))
 
     def owner(i):  # the list or dict of xs holding item i of them all, and i's index in it
         starts = list(accumulate(map(len, xs), initial=0))
@@ -281,7 +294,7 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
 
     texts = items = list(chain.from_iterable(xs))  # the items of lists, the keys of dicts
     if origin is dict:
-        role, key_say = _shape(args[0])[:2]
+        role = args[0]
         if role in _INTS:
             try:
                 items = list(map(int, texts))
@@ -290,10 +303,10 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
             items = items if items is not None and list(map(str, items)) == texts else None
         if items is None or not _screen(role, items, roles):
             _bad_leaf(role, list(map(_key, texts)) if role in _INTS else texts,
-                      lambda i: where(owner(i)[0]), roles, key_say, is_key=True)
+                      lambda i: where(owner(i)[0]), roles, is_key=True)
         keys, items = items, list(chain.from_iterable(map(dict.values, xs)))
-    values = _read(args[1] if origin is dict else args[0], items, lambda i: (
-        *where(owner(i)[0])[:2], texts[i] if origin is dict else owner(i)[1]), roles)
+    values = _read(args[1] if origin is dict else args[0], items, lambda i: _inside(
+        where(owner(i)[0]), texts[i] if origin is dict else owner(i)[1]), roles)
     if origin is not dict:
         if values is items and origin is list:  # no item changed
             return xs
@@ -301,11 +314,10 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
                        else map(islice, repeat(iter(values)), map(len, xs))))
         if origin is frozenset and sum(map(len, out)) != len(items):  # an item named twice
             j = next(j for j, (s, x) in enumerate(zip(out, xs)) if len(s) != len(x))
-            place, field, key = where(j)
-            path = (field or "") + ("" if key is None else f"[{json.dumps(key)}]")
+            place, path, _ = where(j)
             x = next(x for i, x in enumerate(xs[j]) if x in xs[j][:i])
-            raise InputError(f"{place} names {_NOUNS.get(_shape(args[0])[0], 'item')}"
-                             f" {json.dumps(x)} twice" + (path and f" in {path}"))
+            raise InputError(f"{place} names {_NOUNS.get(args[0], 'item')} {json.dumps(x)}"
+                             f" twice{path and f' in {path}'}")
         return out
     if values is items and keys is texts:  # no item changed
         return xs
@@ -315,21 +327,20 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
 
 
 def read_json(shape, x, place: str, roles: Optional[dict] = None):
-    """``x``, a value read from JSON, read as ``shape``; an error names ``place``.
+    """``x``, a value read from JSON, read as ``shape``; an error names ``place``
+    and the path inside it.
 
     A shape is a leaf role (``object``, any value; ``int``; ``str``; ``Name``;
     an id role); ``Literal[v, ...]``, one of those values; ``list[T]``,
     ``frozenset[T]`` or ``tuple[T, ...]``, a JSON list, which for a frozenset
     names no item twice; ``tuple[A, B]``, one of that length; ``dict[K, V]``,
     a JSON object whose keys are read as K (an integer's key is its own text:
-    "3", not "03"); ``Optional[T]``; a ``Record``; or ``Annotated[T,
-    sentence]``, T with its own error sentence.  ``roles`` bounds roles: an
-    id role to ids below its bound (None: any nonnegative one), ``Branch``
-    and ``Name`` to a collection, whose bad values are shown as Python shows
-    them; others take any JSON integer or string.  The result may share
-    parts of ``x``.
+    "3", not "03"); ``Optional[T]``; or a ``Record``.  ``roles`` bounds roles:
+    an id role to ids below its bound (None: any nonnegative one), ``Branch``
+    and ``Name`` to a collection; others take any JSON integer or string.
+    The result may share parts of ``x``.
     """
-    return _read(shape, [x], lambda j: (place, None, None), roles or {})[0]
+    return _read(shape, [x], lambda j: (place, "", None), roles or {})[0]
 
 
 def _text(x) -> str:

@@ -149,32 +149,42 @@ def test_check_trace_accepts_solver_traces():
         assert _read_back(trace, inst.graph) == trace
 
 
-# Each edit is made to the second line of a trace, as read from JSON.
+# Each edit is made to the second line of a trace, as read from JSON.  Each
+# id names the id or branch at fault, as Python shows it.
 @pytest.mark.parametrize("edit, message", [
-    (lambda line: {**line, "root": 99}, "agent 99"),
-    (lambda line: {**line, "favourite": "a"}, "agent 'a'"),
-    (lambda line: {**line, "snapshot": {"0": ["x"]}}, "good 'x'"),
-    (lambda line: {**line, "transfers": [[0, 1, -1]]}, "agent -1"),
-    (lambda line: {**line, "phase": None}, "count None"),
+    # only an id too large for the graph is out of range; the others are not ids at all
+    pytest.param(lambda line: {**line, "root": 99}, "agent 99 in root, not in 0..2",
+                 id="<lambda>-agent 99"),
+    pytest.param(lambda line: {**line, "favourite": "a"},
+                 'agent "a" in favourite, not a nonnegative integer', id="<lambda>-agent 'a'"),
+    pytest.param(lambda line: {**line, "snapshot": {"0": ["x"]}},
+                 'good "x" in snapshot["0"][0], not a nonnegative integer', id="<lambda>-good 'x'"),
+    pytest.param(lambda line: {**line, "transfers": [[0, 1, -1]]},
+                 "agent -1 in transfers[0][2], not a nonnegative integer", id="<lambda>-agent -1"),
+    pytest.param(lambda line: {**line, "phase": None},
+                 "count null in phase, not a nonnegative integer", id="<lambda>-count None"),
     # a dict key is an id only when it is the text of that integer
-    (lambda line: {**line, "snapshot": {" 1 ": [0]}}, "agent ' 1 '"),
-    (lambda line: {**line, "snapshot": {"01": [0]}}, "agent '01'"),
-    (lambda line: {**line, "snapshot": {"-2": [0]}}, "agent -2"),
-    (lambda line: {**line, "branch": [5, {"x": 1}]}, "branch [5, {'x': 1}]"),
-    (lambda line: {**line, "branch": "keep"}, "branch 'keep'"),
+    pytest.param(lambda line: {**line, "snapshot": {" 1 ": [0]}},
+                 'agent " 1 " in snapshot, not a nonnegative integer', id="<lambda>-agent ' 1 '"),
+    pytest.param(lambda line: {**line, "snapshot": {"01": [0]}},
+                 'agent "01" in snapshot, not a nonnegative integer', id="<lambda>-agent '01'"),
+    pytest.param(lambda line: {**line, "snapshot": {"-2": [0]}},
+                 "agent -2 in snapshot, not a nonnegative integer", id="<lambda>-agent -2"),
+    pytest.param(lambda line: {**line, "branch": [5, {"x": 1}]},
+                 'branch [5, {"x": 1}] in branch, not same_bundle_keep, same_bundle_leftovers,'
+                 " different_bundles or null", id="<lambda>-branch [5, {'x': 1}]"),
+    pytest.param(lambda line: {**line, "branch": "keep"},
+                 'branch "keep" in branch, not same_bundle_keep, same_bundle_leftovers,'
+                 " different_bundles or null", id="<lambda>-branch 'keep'"),
 ])
 def test_check_trace_rejects_bad_ids(b1_instance, edit, message):
     texts = {}
     lines = [json.loads(event_line(ev, texts))
              for ev in chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]]
     lines[1] = edit(lines[1])
-    with pytest.raises(InputError, match=re.escape(f"trace event 1 names {message}, not ")) as err:
+    with pytest.raises(InputError, match=f"^trace event 1 names {re.escape(message)}$"):
         held = {}
         [event_from_json(line, i, b1_instance.graph, held) for i, line in enumerate(lines)]
-    # only an id too large for the graph is out of range; the others are not ids at all
-    assert str(err.value).endswith(
-        "not in 0..2" if message == "agent 99"
-        else " or null" if message.startswith("branch") else "not a nonnegative integer")
 
 
 def test_check_trace_rejects_uncolored_holders(b1_instance):
@@ -218,8 +228,9 @@ def test_trace_line_format(event, line):
 
 @pytest.mark.parametrize("line, message", [
     ({"type": "cycle_resolved", "cycle": {}, "snapshot": {}}, "gives cycle {}, not a JSON list"),
-    ({"type": "leaf_attached", "leaf": 1, "parent": 0, "pieces": [{}, []], "leftover_to": 0,
-      "snapshot": {}}, "gives pieces {}, not a JSON list"),
+    pytest.param({"type": "leaf_attached", "leaf": 1, "parent": 0, "pieces": [{}, []],
+                  "leftover_to": 0, "snapshot": {}}, "gives pieces[0] {}, not a JSON list",
+                 id="line1-gives pieces {}, not a JSON list"),  # the id it had before paths
     ({"type": "structure_resolved", "phase": 1, "root": 0, "favourite": None, "branch": None,
       "snapshot": {}, "transfers": {}}, "gives transfers {}, not a JSON list"),
     ({"type": "coloring_used", "colors": [], "t": 2}, "gives colors [], not a JSON object"),
@@ -551,13 +562,18 @@ def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
         assert capsys.readouterr().out == _audit_output(report)
 
 
+# A case with an explicit id keeps the id it had when the message showed a
+# value as Python shows it, and named no path.
 @pytest.mark.parametrize("edit, message", [
-    (lambda line: {**line, "branch": [5, {"x": 1}]},
-     "names branch [5, {'x': 1}], not same_bundle_keep, same_bundle_leftovers,"
-     " different_bundles or null"),
-    (lambda line: {**line, "snapshot": {(" 3 " if k == "3" else k): b
-                                        for k, b in line["snapshot"].items()}},
-     "names agent ' 3 ', not a nonnegative integer"),
+    pytest.param(lambda line: {**line, "branch": [5, {"x": 1}]},
+                 'names branch [5, {"x": 1}] in branch, not same_bundle_keep, same_bundle_leftovers,'
+                 " different_bundles or null",
+                 id="<lambda>-names branch [5, {'x': 1}], not same_bundle_keep,"
+                    " same_bundle_leftovers, different_bundles or null"),
+    pytest.param(lambda line: {**line, "snapshot": {(" 3 " if k == "3" else k): b
+                                                    for k, b in line["snapshot"].items()}},
+                 'names agent " 3 " in snapshot, not a nonnegative integer',
+                 id="<lambda>-names agent ' 3 ', not a nonnegative integer"),
     # a string is not read as an empty list
     (lambda line: {**line, "transfers": ""}, 'gives transfers "", not a JSON list'),
     # a key the writer does not write, which was once silently ignored
@@ -599,7 +615,7 @@ def test_a_leaf_s_pieces_that_name_a_good_twice_are_rejected():
     graph = MultiGraph(2, [(0, 1), (0, 1)])
     line = {"type": "leaf_attached", "leaf": 1, "parent": 0, "pieces": [[1], [0, 1, 0]],
             "leftover_to": 0, "snapshot": {"0": [0, 1]}}
-    with pytest.raises(InputError, match=r"^trace event 3 names good 0 twice in pieces$"):
+    with pytest.raises(InputError, match=r"^trace event 3 names good 0 twice in pieces\[1\]$"):
         event_from_json(line, 3, graph, {})
     line["pieces"] = [[1], [0]]
     assert event_from_json(line, 3, graph, {}).pieces == (frozenset({1}), frozenset({0}))

@@ -254,12 +254,21 @@ def test_verify_bundles_list_exit_1(b1_file, tmp_path):
     assert done.stderr == "error: allocation document gives bundles [1, 2], not a JSON object\n"
 
 
+# A case with an explicit id keeps the id it had when the reader worded its
+# error in a sentence of its own, which the id still gives.
 @pytest.mark.parametrize("doc, message", [
-    ({"version": "1", "bundles": {"b": [0, 0]}}, "bundle of agent 'b' names good 0 twice"),
-    ({"version": "2", "bundles": {"b": [0]}}, 'unknown allocation format version "2", expected "1"'),
-    ({"version": 1, "bundles": {"b": [0]}}, 'unknown allocation format version 1, expected "1"'),
-    ({"bundles": {"b": ""}}, "bundle of agent 'b' must be a JSON list of good ids, got \"\""),
-    ({"bundles": {"b": {}}}, "bundle of agent 'b' must be a JSON list of good ids, got {}"),
+    pytest.param({"version": "1", "bundles": {"b": [0, 0]}},
+                 'allocation document names good 0 twice in bundles["b"]',
+                 id="doc0-bundle of agent 'b' names good 0 twice"),
+    pytest.param({"version": "2", "bundles": {"b": [0]}},
+                 'allocation document gives version "2", not "1"',
+                 id='doc1-unknown allocation format version "2", expected "1"'),
+    pytest.param({"version": 1, "bundles": {"b": [0]}}, 'allocation document gives version 1, not "1"',
+                 id='doc2-unknown allocation format version 1, expected "1"'),
+    pytest.param({"bundles": {"b": ""}}, 'allocation document gives bundles["b"] "", not a JSON list',
+                 id="doc3-bundle of agent 'b' must be a JSON list of good ids, got \"\""),
+    pytest.param({"bundles": {"b": {}}}, 'allocation document gives bundles["b"] {}, not a JSON list',
+                 id="doc4-bundle of agent 'b' must be a JSON list of good ids, got {}"),
     ({"version": "1", "bundles": {"b": [0]}, "owner": "c"},
      'allocation document has unknown key "owner"'),
     ({"version": "1"}, 'allocation document has no key "bundles"'),
@@ -295,7 +304,8 @@ def test_verify_non_integer_good_exit_1(b1_file, tmp_path, capsys, good):
     bad.write_text(json.dumps({"version": "1", "bundles": {"b": [good]}}))
     assert main(["verify", str(b1_file), str(bad)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
-        f"error: allocation document names good {json.dumps(good)}, not an integer\n")
+        f'error: allocation document names good {json.dumps(good)} in bundles["b"][0],'
+        ' not an integer\n')
 
 
 def test_gen_negative_value_max_exit_1(tmp_path):
@@ -343,39 +353,66 @@ def _respell_good(doc, spelling):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(agents=["a", "b", "a"]), "agent names must be unique"),
-    # A string or an object is not read as its characters or keys.
-    (lambda doc: doc.update(agents="abc"), 'agents must be a JSON list of strings, got "abc"'),
-    (lambda doc: doc.update(agents={"a": 0, "b": 1, "c": 2}),
-     'agents must be a JSON list of strings, got {"a": 0, "b": 1, "c": 2}'),
-    (lambda doc: doc.update(agents=[1, "b"]), "agent name 1 is not a string"),
-    (lambda doc: doc.update(agents=[None]), "agent name null is not a string"),
-    (lambda doc: doc["edges"][1].update(endpoints="bc"),
-     'edge 1 endpoints must be a JSON list of two agent names, got "bc"'),
-    (lambda doc: doc["edges"][1].update(endpoints={"a": 1, "b": 2}),
-     'edge 1 endpoints must be a JSON list of two agent names, got {"a": 1, "b": 2}'),
-    (lambda doc: doc["edges"][1].update(endpoints=["a", "b", "c"]),
-     'edge 1 endpoints must be a JSON list of two agent names, got ["a", "b", "c"]'),
-    # A valuation must belong to a declared agent, whatever its type.
-    (lambda doc: doc["valuations"].update(ghost={"type": "nonsense"}),
-     "valuation for undeclared agent 'ghost'"),
-    (lambda doc: doc.update(valuations=list(doc["valuations"].values())),
-     'valuations must be a JSON object keyed by agent names, got [{"type": "additive"'),
+    # A string or an object is not read as its characters or keys.  A case with an
+    # explicit id keeps the id it had when the reader worded its error in a
+    # sentence of its own, which the id still gives.
+    pytest.param(lambda doc: doc.update(agents="abc"),
+                 'instance document gives agents "abc", not a JSON list',
+                 id='<lambda>-agents must be a JSON list of strings, got "abc"'),
+    pytest.param(lambda doc: doc.update(agents={"a": 0, "b": 1, "c": 2}),
+                 'instance document gives agents {"a": 0, "b": 1, "c": 2}, not a JSON list',
+                 id='<lambda>-agents must be a JSON list of strings, got {"a": 0, "b": 1, "c": 2}'),
+    pytest.param(lambda doc: doc.update(agents=[1, "b"]),
+                 "instance document gives agents[0] 1, not a string",
+                 id="<lambda>-agent name 1 is not a string"),
+    pytest.param(lambda doc: doc.update(agents=[None]),
+                 "instance document gives agents[0] null, not a string",
+                 id="<lambda>-agent name null is not a string"),
+    pytest.param(lambda doc: doc["edges"][1].update(endpoints="bc"),
+                 'edge 1 gives endpoints "bc", not a JSON list of 2 items',
+                 id='<lambda>-edge 1 endpoints must be a JSON list of two agent names, got "bc"'),
+    pytest.param(lambda doc: doc["edges"][1].update(endpoints={"a": 1, "b": 2}),
+                 'edge 1 gives endpoints {"a": 1, "b": 2}, not a JSON list of 2 items',
+                 id='<lambda>-edge 1 endpoints must be a JSON list of two agent names,'
+                    ' got {"a": 1, "b": 2}'),
+    pytest.param(lambda doc: doc["edges"][1].update(endpoints=["a", "b", "c"]),
+                 'edge 1 gives endpoints ["a", "b", "c"], not a JSON list of 2 items',
+                 id='<lambda>-edge 1 endpoints must be a JSON list of two agent names,'
+                    ' got ["a", "b", "c"]'),
+    # An edge joins declared agents, and a valuation belongs to one, whatever its type.
+    (lambda doc: doc["edges"][1].update(endpoints=["b", "x"]),
+     'edge 1 names agent "x" in endpoints[1], not a declared agent name'),
+    pytest.param(lambda doc: doc["valuations"].update(ghost={"type": "nonsense"}),
+                 'instance document names agent "ghost" in valuations, not a declared agent name',
+                 id="<lambda>-valuation for undeclared agent 'ghost'"),
+    pytest.param(lambda doc: doc.update(valuations=list(doc["valuations"].values())),
+                 'instance document gives valuations [{"type": "additive"',
+                 id='<lambda>-valuations must be a JSON object keyed by agent names,'
+                    ' got [{"type": "additive"'),
     (lambda doc: doc["valuations"].pop("b"), "missing valuation for agent 'b'"),
     (lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # good 0 joins a and b
      "valuation of agent 2 supports non-incident edges [0]"),
     # Ids are read as strictly as a trace's: JSON integers, and a key is its integer's own text.
-    (lambda doc: doc["edges"][1].update(id=1.0), "edge id 1.0 is not an integer"),
-    (lambda doc: doc["edges"][1].update(id=True), "edge id true is not an integer"),
-    (lambda doc: _respell_good(doc, " 1 "),
-     "valuation of agent 'b' names good \" 1 \", not an integer's own text"),
-    (lambda doc: _respell_good(doc, "1_0"),
-     "valuation of agent 'b' names good \"1_0\", not an integer's own text"),
-    (lambda doc: _respell_good(doc, "01"),
-     "valuation of agent 'b' names good \"01\", not an integer's own text"),
-    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+    pytest.param(lambda doc: doc["edges"][1].update(id=1.0), "edge 1 gives id 1.0, not an integer",
+                 id="<lambda>-edge id 1.0 is not an integer"),
+    pytest.param(lambda doc: doc["edges"][1].update(id=True), "edge 1 gives id true, not an integer",
+                 id="<lambda>-edge id true is not an integer"),
+    pytest.param(lambda doc: _respell_good(doc, " 1 "),
+                 "valuation of agent 'b' names good \" 1 \" in values, not an integer's own text",
+                 id="<lambda>-valuation of agent 'b' names good \" 1 \", not an integer's own text"),
+    pytest.param(lambda doc: _respell_good(doc, "1_0"),
+                 "valuation of agent 'b' names good \"1_0\" in values, not an integer's own text",
+                 id="<lambda>-valuation of agent 'b' names good \"1_0\", not an integer's own text"),
+    pytest.param(lambda doc: _respell_good(doc, "01"),
+                 "valuation of agent 'b' names good \"01\" in values, not an integer's own text",
+                 id="<lambda>-valuation of agent 'b' names good \"01\", not an integer's own text"),
+    pytest.param(lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": [], "value": 0}, {"goods": [0], "value": 3}, {"goods": [True], "value": 3},
         {"goods": [0, 1], "value": 6}]}),
-     "valuation of agent 'b' names good true, not an integer"),
+                 "entry 2 of the valuation of agent 'b' names good true in goods[0], not an integer",
+                 id="<lambda>-valuation of agent 'b' names good true, not an integer"),
+    (lambda doc: doc["valuations"]["b"]["values"].update({"1": "3"}),
+     'valuation of agent \'b\' gives values["1"] "3", not an integer'),
     # A table names each set once, and each good of a set once; a version is the format's.
     (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": [], "value": 0}, {"goods": [0], "value": 1}, {"goods": [0], "value": 2}]}),
@@ -383,22 +420,29 @@ def _respell_good(doc, spelling):
     (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": [], "value": 0}, {"goods": [0, 1], "value": 1}, {"goods": [1, 0], "value": 1}]}),
      "valuation of agent 'b' lists set [0, 1] twice"),
-    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+    pytest.param(lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": [], "value": 0}, {"goods": [0, 0], "value": 1}]}),
-     "valuation of agent 'b' names good 0 twice in set [0, 0]"),
+                 "entry 1 of the valuation of agent 'b' names good 0 twice in goods",
+                 id="<lambda>-valuation of agent 'b' names good 0 twice in set [0, 0]"),
     # A string or an object is not read as an empty edge list or set.
-    (lambda doc: doc.update(edges=""), 'edges must be a JSON list of edge objects, got ""'),
-    (lambda doc: doc.update(edges={}), "edges must be a JSON list of edge objects, got {}"),
-    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+    pytest.param(lambda doc: doc.update(edges=""), 'instance document gives edges "", not a JSON list',
+                 id='<lambda>-edges must be a JSON list of edge objects, got ""'),
+    pytest.param(lambda doc: doc.update(edges={}), "instance document gives edges {}, not a JSON list",
+                 id="<lambda>-edges must be a JSON list of edge objects, got {}"),
+    pytest.param(lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": {}, "value": 0}, {"goods": [0], "value": 3}, {"goods": [1], "value": 3},
         {"goods": [0, 1], "value": 6}]}),
-     "valuation of agent 'b' gives set {}, not a JSON list of goods"),
-    (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+                 "entry 0 of the valuation of agent 'b' gives goods {}, not a JSON list",
+                 id="<lambda>-valuation of agent 'b' gives set {}, not a JSON list of goods"),
+    pytest.param(lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": "", "value": 0}, {"goods": [0], "value": 3}, {"goods": [1], "value": 3},
         {"goods": [0, 1], "value": 6}]}),
-     "valuation of agent 'b' gives set \"\", not a JSON list of goods"),
-    (lambda doc: doc.update(version="2"), 'unknown instance format version "2", expected "1"'),
-    (lambda doc: doc.update(version=1), 'unknown instance format version 1, expected "1"'),
+                 "entry 0 of the valuation of agent 'b' gives goods \"\", not a JSON list",
+                 id="<lambda>-valuation of agent 'b' gives set \"\", not a JSON list of goods"),
+    pytest.param(lambda doc: doc.update(version="2"), 'instance document gives version "2", not "1"',
+                 id='<lambda>-unknown instance format version "2", expected "1"'),
+    pytest.param(lambda doc: doc.update(version=1), 'instance document gives version 1, not "1"',
+                 id='<lambda>-unknown instance format version 1, expected "1"'),
     # A key the writer does not write, which was once silently ignored.
     (lambda doc: doc["valuations"]["b"].update(cap=1),
      'valuation of agent \'b\' has unknown key "cap"'),
@@ -423,9 +467,8 @@ def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
 
 
 @pytest.mark.parametrize("colors, extra, message", [
-    ({"a": 0, "b": "x", "c": 1}, {},
-     "malformed coloring file {path}: the color of agent 'b' is \"x\", not an integer"),
-    ({"z": 0}, {}, "coloring file {path} names agent 'z', not a declared agent name"),
+    ({"a": 0, "b": "x", "c": 1}, {}, 'coloring file {path} gives colors["b"] "x", not an integer'),
+    ({"z": 0}, {}, 'coloring file {path} names agent "z" in colors, not a declared agent name'),
     ({"a": 0, "b": 1, "c": 1}, {"hue": 1}, 'coloring file {path} has unknown key "hue"'),
     ({"a": 0, "b": 1, "c": 1}, {"t": None}, 'coloring file {path} has no key "t"'),
 ], ids=["colors0", "colors1", "unknown_key", "missing_key"])
@@ -438,14 +481,19 @@ def test_bad_coloring_file_exit_1(b1_file, tmp_path, colors, extra, message):
     assert done.stderr == f"error: {message.format(path=path)}\n"
 
 
+# Each id keeps the words of the sentence that once reported its case.
 @pytest.mark.parametrize("colors, t, named", [
-    ({"a": 0.9, "b": 1.2, "c": 1.7}, 2, "the color of agent 'a' is 0.9"),
-    ({"a": 0, "b": 1, "c": 1}, 2.5, "t is 2.5"),
-    ({"a": 0, "b": 1.0, "c": 1}, 2, "the color of agent 'b' is 1.0"),
-    ({"a": True, "b": False, "c": False}, 2, "the color of agent 'a' is true"),
-    ({"a": 0, "b": 1, "c": "1"}, 2, "the color of agent 'c' is \"1\""),
-    ({"a": 0, "b": 1, "c": 1}, "2", "t is \"2\""),
-    ({"a": 0, "b": 1, "c": 1}, True, "t is true"),
+    pytest.param({"a": 0.9, "b": 1.2, "c": 1.7}, 2, 'gives colors["a"] 0.9',
+                 id="colors0-2-the color of agent 'a' is 0.9"),
+    pytest.param({"a": 0, "b": 1, "c": 1}, 2.5, "gives t 2.5", id="colors1-2.5-t is 2.5"),
+    pytest.param({"a": 0, "b": 1.0, "c": 1}, 2, 'gives colors["b"] 1.0',
+                 id="colors2-2-the color of agent 'b' is 1.0"),
+    pytest.param({"a": True, "b": False, "c": False}, 2, 'gives colors["a"] true',
+                 id="colors3-2-the color of agent 'a' is true"),
+    pytest.param({"a": 0, "b": 1, "c": "1"}, 2, 'gives colors["c"] "1"',
+                 id="colors4-2-the color of agent 'c' is \"1\""),
+    pytest.param({"a": 0, "b": 1, "c": 1}, "2", 'gives t "2"', id='colors5-2-t is "2"'),
+    pytest.param({"a": 0, "b": 1, "c": 1}, True, "gives t true", id="colors6-True-t is true"),
 ])
 def test_non_integer_coloring_exit_1(b1_file, tmp_path, capsys, colors, t, named):
     # b1 is a tree, so a coloring the reader truncated would go unused and the solve succeed.
@@ -453,7 +501,148 @@ def test_non_integer_coloring_exit_1(b1_file, tmp_path, capsys, colors, t, named
     path.write_text(json.dumps({"colors": colors, "t": t}))
     assert main(["solve", str(b1_file), "--coloring", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
-        f"error: malformed coloring file {path}: {named}, not an integer\n")
+        f"error: coloring file {path} {named}, not an integer\n")
+
+
+# One error of each kind for each kind of file the readers read.  Each edit
+# changes a valid file: the b1 instance, an allocation and a coloring of it,
+# or the c4 instance's trace, at its line i, the first with a non-empty
+# snapshot.  A coloring file holds no set, so its repeated item is a repeated
+# key, which the JSON parser's hook rejects before the walk runs.
+READER_ERRORS = {
+    "instance": {
+        "wrong container": (lambda doc: doc["valuations"]["b"].update(values=[1]),
+                            "valuation of agent 'b' gives values [1], not a JSON object"),
+        "wrong leaf": (lambda doc: doc["valuations"]["b"]["values"].update({"1": "3"}),
+                       'valuation of agent \'b\' gives values["1"] "3", not an integer'),
+        "undeclared name": (lambda doc: doc["edges"][1].update(endpoints=["a", "x"]),
+                            'edge 1 names agent "x" in endpoints[1], not a declared agent name'),
+        "unknown key": (lambda doc: doc["edges"][1].update(weight=9),
+                        'edge 1 has unknown key "weight"'),
+        "missing key": (lambda doc: doc["edges"][1].pop("endpoints"),
+                        'edge 1 has no key "endpoints"'),
+        "repeated item": (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
+            {"goods": [], "value": 0}, {"goods": [1, 0, 1], "value": 1}]}),
+                          "entry 1 of the valuation of agent 'b' names good 1 twice in goods"),
+    },
+    "allocation": {
+        "wrong container": (lambda doc: doc["bundles"].update(b=5),
+                            'allocation document gives bundles["b"] 5, not a JSON list'),
+        "wrong leaf": (lambda doc: doc.update(version=1),
+                       'allocation document gives version 1, not "1"'),
+        "undeclared name": (lambda doc: doc["bundles"].update(z=[2]),
+                            'allocation document names agent "z" in bundles,'
+                            ' not a declared agent name'),
+        "unknown key": (lambda doc: doc.update(owner="c"),
+                        'allocation document has unknown key "owner"'),
+        "missing key": (lambda doc: doc.pop("bundles"),
+                        'allocation document has no key "bundles"'),
+        "repeated item": (lambda doc: doc["bundles"]["b"].append(0),
+                          'allocation document names good 0 twice in bundles["b"]'),
+    },
+    "coloring": {
+        "wrong container": (lambda doc: doc.update(colors=[0, 1, 1]),
+                            "coloring file {path} gives colors [0, 1, 1], not a JSON object"),
+        "wrong leaf": (lambda doc: doc["colors"].update(c=1.0),
+                       'coloring file {path} gives colors["c"] 1.0, not an integer'),
+        "undeclared name": (lambda doc: doc["colors"].update(z=0),
+                            'coloring file {path} names agent "z" in colors,'
+                            ' not a declared agent name'),
+        "unknown key": (lambda doc: doc.update(hue=1), 'coloring file {path} has unknown key "hue"'),
+        "missing key": (lambda doc: doc.pop("t"), 'coloring file {path} has no key "t"'),
+        "repeated item": (lambda doc: json.dumps(doc).replace('"c": 1', '"c": 1, "a": 0'),
+                          'cannot read {path}: key "a" appears twice in one object'),
+    },
+    "trace": {
+        "wrong container": (lambda line: line.update(transfers=[[0, 1]]),
+                            "trace event {i} gives transfers[0] [0, 1], not a JSON list of 3 items"),
+        "wrong leaf": (lambda line: line.update(type="leaf"),
+                       'trace event {i} gives type "leaf", not "coloring_used" or'
+                       ' "structure_resolved" or "leaf_attached" or "cycle_resolved"'),
+        "out-of-range id": (lambda line: line.update(root=4),
+                            "trace event {i} names agent 4 in root, not in 0..3"),
+        "unknown key": (lambda line: line.update(changes={}),
+                        'trace event {i} has unknown key "changes"'),
+        "missing key": (lambda line: line.pop("root"), 'trace event {i} has no key "root"'),
+        "repeated item": (lambda line: line["snapshot"]["0"].append(line["snapshot"]["0"][0]),
+                          'trace event {i} names good {good} twice in snapshot["0"]'),
+    },
+}
+
+
+@pytest.mark.parametrize("file, kind", [(file, kind) for file, kinds in READER_ERRORS.items()
+                                        for kind in kinds])
+def test_each_kind_of_reader_error_has_one_wording(b1_file, c4_file, tmp_path, capsys, file, kind):
+    edit, message = READER_ERRORS[file][kind]
+    path = tmp_path / f"bad.{file}.json"
+    if file == "trace":
+        assert main(["solve", str(c4_file), "--trace", str(path)]) == EXIT_OK
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        i = next(i for i, line in enumerate(lines) if line.get("snapshot", {}).get("0"))
+        good = lines[i]["snapshot"]["0"][0]
+        edit(lines[i])
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        argv, message = ["audit", c4_file, path], message.format(i=i, good=good)
+    else:
+        doc = {"instance": lambda: json.loads(b1_file.read_text(encoding="utf-8")),
+               "allocation": lambda: {"version": "1", "bundles": {"a": [2], "b": [0, 1]}},
+               "coloring": lambda: {"colors": {"a": 0, "b": 1, "c": 1}, "t": 2}}[file]()
+        text = edit(doc)
+        path.write_text(text if isinstance(text, str) else json.dumps(doc), encoding="utf-8")
+        argv = {"instance": ["solve", path], "allocation": ["verify", b1_file, path],
+                "coloring": ["solve", b1_file, "--coloring", path]}[file]
+    capsys.readouterr()
+    assert main(list(map(str, argv))) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("the instance", "-o"), ("the instance", "--trace"), ("--coloring", "-o"),
+    ("--coloring", "--trace"), ("-o", "--trace")])
+def test_solve_refuses_an_output_that_names_another_file_of_the_run(b1_file, tmp_path, capsys,
+                                                                    first, second):
+    # each of these once overwrote the instance, the coloring or the allocation and exited 0
+    coloring = tmp_path / "b1.coloring.json"
+    coloring.write_text(json.dumps({"colors": {"a": 0, "b": 1, "c": 1}, "t": 2}))
+    paths = {"the instance": b1_file, "--coloring": coloring,
+             "-o": tmp_path / "b1.alloc.json", "--trace": tmp_path / "b1.trace.jsonl"}
+    (tmp_path / "sub").mkdir()
+    paths[second] = tmp_path / "sub" / ".." / paths[first].name  # the same file, spelled otherwise
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv = ["solve", paths["the instance"]] + [
+        arg for option in ("--coloring", "-o", "--trace") for arg in (option, paths[option])]
+    assert main(list(map(str, argv))) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", f"error: {first} and {second} name the same file: {paths[second]}\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("link", [os.link, os.symlink])
+def test_solve_refuses_an_output_linked_to_the_instance(b1_file, tmp_path, capsys, link):
+    linked = tmp_path / "linked.json"
+    link(b1_file, linked)
+    before = b1_file.read_bytes()
+    assert main(["solve", str(b1_file), "--trace", str(linked)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", f"error: the instance and --trace name the same file: {linked}\n")
+    assert b1_file.read_bytes() == before
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_a_value_of_at_most_4300_digits_is_read(b1_file, tmp_path, capsys, digits):
+    # CPython's bound on the digits of an integer it parses: lifting it would let
+    # one value cost time quadratic in its length
+    text = b1_file.read_text(encoding="utf-8")
+    path = tmp_path / "long.instance.json"
+    path.write_text(text.replace('"0": 3', '"0": 1' + "0" * (digits - 1), 1), encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    code = main(["solve", str(path)])
+    out, err = capsys.readouterr()
+    if digits <= 4300:
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)["efx"]
+    else:
+        assert (code, out) == (EXIT_INPUT, "") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {path}: Exceeds the limit (4300 digits)")
 
 
 def _non_utf8(path):
@@ -870,7 +1059,8 @@ def test_instance_json_round_trip(b1_instance, tmp_path):
 def test_unknown_valuation_type_rejected(b1_instance):
     doc = instance_to_json(b1_instance, ["a", "b", "c"])
     doc["valuations"]["b"] = {"type": "xor", "values": {"0": 3}}
-    with pytest.raises(InputError, match="^unknown valuation type 'xor'$"):
+    with pytest.raises(InputError, match="^valuation of agent 'b' gives type \"xor\", not"
+                       ' "additive" or "unit_demand" or "budget_additive" or "table"$'):
         instance_from_json(doc)
 
 
@@ -930,7 +1120,7 @@ def _edit_first_structure(lines, kind="structure_resolved", **fields):
 def test_audit_short_transfer_exit_1(c4_file, tmp_path, capsys):
     err = _hostile_audit(c4_file, tmp_path, capsys,
                          lambda lines: _edit_first_structure(lines, transfers=[[1, 2]]))
-    assert err == "error: trace event 1 gives transfers [1, 2], not a JSON list of 3 items\n"
+    assert err == "error: trace event 1 gives transfers[0] [1, 2], not a JSON list of 3 items\n"
 
 
 def test_audit_short_pieces_exit_1(b1_file, tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphefx import InputError, Instance, MultiGraph, Table, UnitDemand, solve
-from graphefx.cli import _load_coloring
 from graphefx.generators import gen_multitree
 from graphefx.jsonio import (
     allocation_from_json,
@@ -14,6 +13,7 @@ from graphefx.jsonio import (
     instance_from_json,
     instance_to_json,
     load_allocation,
+    load_coloring,
     load_instance,
     load_trace,
     save_allocation,
@@ -132,7 +132,7 @@ DOCS = {
 # Per document: how to load a file, how to save what was read, and its
 # encoding.  A trace that is read, saved and read again must encode the same.
 LOADERS = {
-    "coloring": (lambda path: _load_coloring(str(path), NAMES), None,
+    "coloring": (lambda path: load_coloring(path, NAMES), None,
                  lambda got: {"colors": {NAMES[u]: c for u, c in got.colors.items()}, "t": got.t}),
     "instance": (load_instance, lambda got, path: save_instance(*got, path),
                  lambda got: instance_to_json(*got)),
