@@ -42,7 +42,7 @@ class Allocation(Frozen):
             clean = {u: b for u, b in clean.items() if b}
         if len(frozenset().union(*clean.values())) != sum(map(len, clean.values())):
             _raise_overlap(clean)
-        object.__setattr__(self, "bundles", MappingProxyType(clean))
+        self._set(MappingProxyType(clean))
 
     def __reduce__(self):
         return Allocation, (self.bundles.copy(),)
@@ -67,8 +67,7 @@ class EfxVerdict(Frozen):
     witness: Optional[tuple[int, int, int]]  # (envier, envied, good whose removal fails)
 
     def __init__(self, ok: bool, witness: Optional[tuple[int, int, int]]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
+        self._set(ok, witness)
 
 
 def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[int]]]) -> None:

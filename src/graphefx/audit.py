@@ -38,7 +38,7 @@ class AuditReport(Frozen):
     results: dict[str, tuple[bool, tuple[str, ...]]]
 
     def __init__(self, results: dict[str, tuple[bool, tuple[str, ...]]]):
-        object.__setattr__(self, "results", results)
+        self._set(results)
 
     @property
     def ok(self) -> bool:

@@ -292,7 +292,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst, names = load_instance(args.instance)
-    alloc = load_allocation(args.allocation, names)
+    alloc = load_allocation(args.allocation, names, inst.graph.edge_count)
     verdict = is_efx(inst, alloc)
     if verdict.ok:
         print("EFX: ok")

@@ -7,12 +7,13 @@ class Frozen:
     """An immutable value.
 
     A subclass annotates its fields; ``fields`` lists them, a base class's
-    first, in the order of the subclass's ``__init__`` parameters, which
-    sets each with ``object.__setattr__``.  An object equals another of its
-    own class with equal fields, hashes as the tuple of its fields (so a
-    dict field makes it unhashable), shows as ``Class(field=value, ...)``
-    and refuses every assignment and deletion.  Pickling restores the
-    ``__dict__`` without calling ``__init__``.
+    first, in the order of the subclass's ``__init__`` parameters.  That
+    ``__init__`` checks its arguments and passes the fields' values in this
+    order to ``_set``, which sets as many fields as it is given values.  An
+    object equals another of its own class with equal fields, hashes as the
+    tuple of its fields (so a dict field makes it unhashable), shows as
+    ``Class(field=value, ...)`` and refuses every assignment and deletion.
+    Pickling restores the ``__dict__`` without calling ``__init__``.
     """
 
     fields = ()  # not annotated: an annotation would make it a field
@@ -21,6 +22,11 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls.fields = tuple(dict.fromkeys(
             f for c in reversed(cls.__mro__) for f in vars(c).get("__annotations__", ())))
+
+    def _set(self, *values) -> None:
+        # not through ``self.__dict__``, which would cost every later attribute read
+        for f, v in zip(self.fields, values):
+            object.__setattr__(self, f, v)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.fields)

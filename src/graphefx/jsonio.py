@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Literal, Union
 
@@ -18,14 +18,15 @@ from .audit import check_trace
 from .errors import InputError
 from .multigraph import Coloring, MultiGraph
 from .solvers import Instance
-from .trace import Good, Name, Record, TraceEvent, event_from_json, event_line, read_json
+from .trace import (Good, Name, Natural, Record, TraceEvent, event_from_json, event_line,
+                    read_json)
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
 
 # The shapes of the documents, as ``trace.read_json`` reads them.
-_ENTRY = Record("entry {key} of the {place}", {"goods": frozenset[Good], "value": int})
-_VALUE_SHAPES = {"values": dict[Good, int], "cap": int, "entries": list[_ENTRY]}
+_ENTRY = Record("entry {key} of the {place}", {"goods": frozenset[Good], "value": Natural})
+_VALUE_SHAPES = {"values": dict[Good, Natural], "cap": Natural, "entries": list[_ENTRY]}
 # Each valuation type's object: its tag and the fields of its class.
 _VALUATION = Record("valuation of agent {key!r}", {
     kind: {f: _VALUE_SHAPES[f] for f in cls.fields} for kind, cls in KINDS.items()}, tagged=True)
@@ -37,7 +38,9 @@ _NAMED = Record(None, {"version": object, "agents": object, "edges": list[_EDGE]
                        "valuations": dict[Name, _VALUATION]}, {"version": FORMAT_VERSION})
 _ALLOCATION = Record(None, {"version": Literal[FORMAT_VERSION],
                             "bundles": dict[Name, frozenset[Good]]}, {"version": FORMAT_VERSION})
-_COLORING = Record(None, {"colors": dict[Name, int], "t": int})
+# A --coloring file is read twice: its t, then the colors that t bounds.
+_COLORS = Record(None, {"colors": object, "t": Natural})
+_COLORING = Record(None, {"colors": dict[Name, Natural], "t": object})
 
 
 def _valuation_to_json(val: Valuation) -> dict:
@@ -65,7 +68,10 @@ def _valuation_from_json(row: tuple, agent: str) -> Valuation:
     if len(entries) != len(fields[0]):
         twice = sorted(_twice(map(itemgetter(0), fields[0])))
         raise InputError(f"valuation of agent {agent!r} lists set {json.dumps(twice)} twice")
-    return Table(entries=entries)
+    try:
+        return Table(entries=entries)
+    except InputError as exc:
+        raise InputError(f"valuation of agent {agent!r}: {exc}") from None
 
 
 def instance_to_json(inst: Instance, names: list[str]) -> dict:
@@ -92,7 +98,8 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
     if len(set(names)) != len(names):
         raise InputError("agent names must be unique")
     index = _index(names)
-    _, _, edges, val_objs = read_json(_NAMED, obj, "instance document", {Name: index})
+    _, _, edges, val_objs = read_json(_NAMED, obj, "instance document",
+                                      {Name: index, Natural: None})
     edges = sorted(edges)
     if list(map(itemgetter(0), edges)) != list(range(len(edges))):
         raise InputError("edge ids must be dense 0..m-1")
@@ -101,7 +108,16 @@ def instance_from_json(obj: dict) -> tuple[Instance, list[str]]:
         raise InputError(f"missing valuation for agent {missing!r}")
     vals = {index[name]: _valuation_from_json(val_objs[name], name) for name in names}
     ends = list(map(index.__getitem__, chain.from_iterable(map(itemgetter(1), edges))))
-    graph = MultiGraph(len(names), list(zip(ends[::2], ends[1::2])))
+    firsts, seconds = ends[::2], ends[1::2]
+    if any(map(eq, firsts, seconds)):
+        eid, (name, _) = next(e for e in edges if e[1][0] == e[1][1])
+        raise InputError(f"edge {eid} names agent {json.dumps(name)} twice in endpoints")
+    graph = MultiGraph(len(names), list(zip(firsts, seconds)))
+    for u, val in vals.items():
+        stray = val.support - graph.incident_edges(u)
+        if stray:
+            raise InputError(f"valuation of agent {names[u]!r} names good {min(stray)},"
+                             " not an incident good")
     return Instance(graph=graph, valuations=vals), names
 
 
@@ -112,9 +128,10 @@ def allocation_to_json(alloc: Allocation, names: list[str]) -> dict:
     }
 
 
-def allocation_from_json(obj: dict, names: list[str]) -> Allocation:
+def allocation_from_json(obj: dict, names: list[str], edge_count: int) -> Allocation:
     index = _index(names)
-    bundles = read_json(_ALLOCATION, obj, "allocation document", {Name: index})[1]
+    bundles = read_json(_ALLOCATION, obj, "allocation document",
+                        {Name: index, Good: edge_count})[1]
     return Allocation(bundles=dict(zip(map(index.__getitem__, bundles), bundles.values())))
 
 
@@ -156,14 +173,19 @@ def save_instance(inst: Instance, names: list[str], path: Union[str, Path]) -> N
     dump_json(instance_to_json(inst, names), path)
 
 
-def load_allocation(path: Union[str, Path], names: list[str]) -> Allocation:
-    return allocation_from_json(load_json(path), names)
+def load_allocation(path: Union[str, Path], names: list[str], edge_count: int) -> Allocation:
+    return allocation_from_json(load_json(path), names, edge_count)
 
 
 def load_coloring(path: Union[str, Path], names: list[str]) -> Coloring:
-    """A ``--coloring`` file: declared agent name -> color, and t."""
-    index = _index(names)
-    colors, t = read_json(_COLORING, load_json(path), f"coloring file {path}", {Name: index})
+    """A ``--coloring`` file: declared agent name -> color in 0..t-1 for every
+    agent, and t."""
+    obj, index, place = load_json(path), _index(names), f"coloring file {path}"
+    t = read_json(_COLORS, obj, place, {Natural: None})[1]
+    colors = read_json(_COLORING, obj, place, {Name: index, Natural: t})[0]
+    if len(colors) != len(names):
+        missing = next(name for name in names if name not in colors)
+        raise InputError(f"{place} has no key {json.dumps(missing)} in colors")
     return Coloring(colors=dict(zip(map(index.__getitem__, colors), colors.values())), t=t)
 
 

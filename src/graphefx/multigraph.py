@@ -25,8 +25,7 @@ class Coloring(Frozen):
     t: int
 
     def __init__(self, colors: dict[int, int], t: int):
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "t", t)
+        self._set(colors, t)
 
 
 class MultiGraph:

@@ -26,9 +26,7 @@ class OracleReport(Frozen):
     searched: int  # n^m, the size of the space
 
     def __init__(self, efx_count: int, sample: Optional[Allocation], searched: int):
-        object.__setattr__(self, "efx_count", efx_count)
-        object.__setattr__(self, "sample", sample)
-        object.__setattr__(self, "searched", searched)
+        self._set(efx_count, sample, searched)
 
 
 def _efx_masks(inst: "Instance", agents: Sequence[int], goods: Sequence[int]) -> Iterator[list[int]]:

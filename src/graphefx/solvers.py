@@ -53,8 +53,7 @@ class Instance(Frozen):
                 raise InputError(
                     f"valuation of agent {u} supports non-incident edges {sorted(extra)}"
                 )
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "valuations", valuations)
+        self._set(graph, valuations)
 
 
 def _table_agent(inst: Instance, agents: Sequence[int]) -> Optional[int]:
@@ -247,9 +246,7 @@ class Verdict(Frozen):
 
     def __init__(self, solver: str, reason: Optional[str] = None,
                  structure: Optional[Coloring] = None):
-        object.__setattr__(self, "solver", solver)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "structure", structure)
+        self._set(solver, reason, structure)
 
     @property
     def applies(self) -> bool:

@@ -2,7 +2,8 @@
 
 Traces serialize to JSON-lines, one event per line.  The field types below are
 the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
-marks colors, t and phases, and ``Branch`` a branch name.
+marks colors, t and phases, and ``Branch`` a branch name.  ``Natural`` marks
+a nonnegative integer that names nothing, such as a value in an instance.
 
 A step event (all but ``ColoringUsed``) holds ``changes``, the bundles its
 step changed, as ``StructureResolved`` describes.  Its line holds ``snapshot``
@@ -25,7 +26,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Literal, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
 
-from .allocation import Allocation
 from .errors import InputError
 from .frozen import Frozen
 
@@ -37,6 +37,7 @@ Good = NewType("Good", int)
 Count = NewType("Count", int)
 Branch = NewType("Branch", str)
 Name = NewType("Name", str)  # a declared agent name in a document
+Natural = NewType("Natural", int)
 
 BRANCH_SAME_KEEP = "same_bundle_keep"
 BRANCH_SAME_LEFTOVERS = "same_bundle_leftovers"
@@ -52,8 +53,7 @@ class ColoringUsed(Frozen):
     t: Count
 
     def __init__(self, colors: dict[Agent, Count], t: Count):
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "t", t)
+        self._set(colors, t)
 
 
 class StructureResolved(Frozen):
@@ -79,12 +79,7 @@ class StructureResolved(Frozen):
     def __init__(self, phase: Count, root: Agent, favourite: Optional[Agent],
                  branch: Optional[Branch], changes: dict[Agent, frozenset[Good]],
                  transfers: tuple[tuple[Good, Agent, Agent], ...]):
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "favourite", favourite)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "changes", changes)
-        object.__setattr__(self, "transfers", transfers)
+        self._set(phase, root, favourite, branch, changes, transfers)
 
 
 class LeafAttached(Frozen):
@@ -100,11 +95,7 @@ class LeafAttached(Frozen):
     def __init__(self, leaf: Agent, parent: Agent,
                  pieces: tuple[frozenset[Good], frozenset[Good]], leftover_to: Agent,
                  changes: dict[Agent, frozenset[Good]]):
-        object.__setattr__(self, "leaf", leaf)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "leftover_to", leftover_to)
-        object.__setattr__(self, "changes", changes)
+        self._set(leaf, parent, pieces, leftover_to, changes)
 
 
 class CycleResolved(Frozen):
@@ -115,8 +106,7 @@ class CycleResolved(Frozen):
     changes: dict[Agent, frozenset[Good]]
 
     def __init__(self, cycle: tuple[Agent, ...], changes: dict[Agent, frozenset[Good]]):
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "changes", changes)
+        self._set(cycle, changes)
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
@@ -146,7 +136,7 @@ class Record:
 _LINE = Record(None, {
     kind: {"snapshot" if f == "changes" else f: tp for f, tp in get_type_hints(cls).items()}
     for kind, cls in EVENT_KINDS.items()}, tagged=True)
-_INTS = (int, Agent, Good, Count)
+_INTS = (int, Agent, Good, Count, Natural)
 _NOUNS = {Agent: "agent", Good: "good", Count: "count", Branch: "branch", Name: "agent"}
 _FREE = object()  # the bound of a role that ``roles`` leaves out
 
@@ -180,6 +170,12 @@ def _fail(at: tuple, x, expected: str, noun: Optional[str] = None):
     if noun:
         raise InputError(f"{place} names {noun} {shown}{path and f' in {path}'}, not {expected}")
     raise InputError(f"{place} {f'gives {path}' if path else 'is'} {shown}, not {expected}")
+
+
+def _repeated(at: tuple, x, noun: str):
+    """Raise InputError: the value at ``at`` names ``x``, a ``noun``, a second time."""
+    place, path, _ = at
+    raise InputError(f"{place} names {noun} {json.dumps(x)} twice{path and f' in {path}'}")
 
 
 def _bad_keys(place: str, x: dict, allowed, wanted):
@@ -314,11 +310,19 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
                        else map(islice, repeat(iter(values)), map(len, xs))))
         if origin is frozenset and sum(map(len, out)) != len(items):  # an item named twice
             j = next(j for j, (s, x) in enumerate(zip(out, xs)) if len(s) != len(x))
-            place, path, _ = where(j)
-            x = next(x for i, x in enumerate(xs[j]) if x in xs[j][:i])
-            raise InputError(f"{place} names {_NOUNS.get(args[0], 'item')} {json.dumps(x)}"
-                             f" twice{path and f' in {path}'}")
+            _repeated(where(j), next(x for i, x in enumerate(xs[j]) if x in xs[j][:i]),
+                      _NOUNS.get(args[0], "item"))
         return out
+    set_of, set_args = _shape(args[1])
+    if set_of is frozenset and len(frozenset().union(*values)) != sum(map(len, values)):
+        sets = iter(values)  # the sets of one dict meet: name the first item named twice
+        for j, x in enumerate(xs):
+            seen: set = set()
+            for k, s in zip(x, sets):
+                if not seen.isdisjoint(s):
+                    _repeated(_inside(where(j), k), next(i for i in x[k] if i in seen),
+                              _NOUNS.get(set_args[0], "item"))
+                seen |= s
     if values is items and keys is texts:  # no item changed
         return xs
     lens, keys, values = list(map(len, xs)), iter(keys), iter(values)
@@ -335,9 +339,11 @@ def read_json(shape, x, place: str, roles: Optional[dict] = None):
     ``frozenset[T]`` or ``tuple[T, ...]``, a JSON list, which for a frozenset
     names no item twice; ``tuple[A, B]``, one of that length; ``dict[K, V]``,
     a JSON object whose keys are read as K (an integer's key is its own text:
-    "3", not "03"); ``Optional[T]``; or a ``Record``.  ``roles`` bounds roles:
-    an id role to ids below its bound (None: any nonnegative one), ``Branch``
-    and ``Name`` to a collection; others take any JSON integer or string.
+    "3", not "03") and whose sets, for V a frozenset, name no item twice
+    between them; ``Optional[T]``; or a ``Record``.  ``roles`` bounds roles:
+    an id role or ``Natural`` to integers below its bound (None: any
+    nonnegative one), ``Branch`` and ``Name`` to a collection; others take
+    any JSON integer or string.
     The result may share parts of ``x``.
     """
     return _read(shape, [x], lambda j: (place, "", None), roles or {})[0]
@@ -395,14 +401,14 @@ def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> Trace
     snapshot before the event, agent -> bundle: a reader passes one dict for
     a whole trace, and it becomes the snapshot on a step event's line.  That
     event's ``changes`` are the agents whose bundle differs between the two,
-    in the line's order, then the agents the line leaves out.  Two bundles
-    of a snapshot that meet raise what ``Allocation`` raises on the line."""
+    in the line's order, then the agents the line leaves out.  ``read_json``
+    rejects a snapshot that names one good in two bundles."""
     row = read_json(_LINE, obj, f"trace event {i}", {
         Agent: graph.vertex_count, Good: graph.edge_count, Count: None, Branch: BRANCHES})
     fields = dict(zip(_LINE.kinds[row[0]].fields, row))
     cls = EVENT_KINDS[fields.pop("type")]
     if "snapshot" in fields:
-        snapshot = Allocation(bundles=fields.pop("snapshot")).bundles
+        snapshot = {u: b for u, b in fields.pop("snapshot").items() if b}
         changes = {u: b for u, b in snapshot.items() if held.get(u) != b}
         changes.update((u, frozenset()) for u in held if u not in snapshot)
         held.clear()

@@ -41,7 +41,7 @@ class PerGood(Frozen, Valuation):
             for eid, v in values.items():
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise InputError(f"value for edge {eid} must be a nonnegative integer")
-        object.__setattr__(self, "values", values)
+        self._set(values)
 
     @property
     def support(self) -> frozenset[int]:
@@ -70,7 +70,7 @@ class BudgetAdditive(PerGood):
         super().__init__(values)
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise InputError("cap must be a nonnegative integer")
-        object.__setattr__(self, "cap", cap)
+        self._set(self.values, cap)
 
     def value(self, bundle: Iterable[int]) -> int:
         return min(self.cap, sum(self.values.get(g, 0) for g in bundle))
@@ -104,7 +104,7 @@ class Table(Frozen, Valuation):
                     raise InputError(
                         f"table is not monotone: adding {g} to {sorted(s)} decreases value"
                     )
-        object.__setattr__(self, "entries", entries)
+        self._set(entries)
         object.__setattr__(self, "_support", support)
 
     def value(self, bundle: Iterable[int]) -> int:

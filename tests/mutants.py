@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 READER_KINDS = "tests/test_cli.py::test_each_kind_of_reader_error_has_one_wording"
+NAMED = "tests/test_cli.py::test_a_file_error_names_its_place_and_agent[%s]"
 
 MUTANTS = [
     # one per kind of reader error
@@ -59,6 +60,39 @@ MUTANTS = [
     Mutant("repeated item: a set that names an item twice is read as the set",
            "trace.py", "if origin is frozenset and sum(map(len, out)) != len(items):",
            "if origin is frozenset and sum(map(len, out)) > len(items):", (READER_KINDS,)),
+    # the file rules that name their place and agent
+    Mutant("an allocation may give one good to two agents",
+           "trace.py", "len(frozenset().union(*values)) != sum(map(len, values))",
+           "len(frozenset().union(*values)) > sum(map(len, values))",
+           (NAMED % "overlapping bundles",)),
+    Mutant("an allocation may name a good the instance does not have",
+           "jsonio.py", "{Name: index, Good: edge_count}", "{Name: index}",
+           (NAMED % "good out of range",)),
+    Mutant("a coloring file may give a color of t or more",
+           "jsonio.py", "{Name: index, Natural: t}", "{Name: index, Natural: None}",
+           (NAMED % "color out of range",)),
+    Mutant("a coloring file may leave an agent out",
+           "jsonio.py", "if len(colors) != len(names):", "if False:", (NAMED % "uncolored agent",)),
+    Mutant("a coloring file's t may be negative",
+           "jsonio.py", '"t": Natural})', '"t": int})', (NAMED % "negative t",)),
+    Mutant("an instance's values may be negative",
+           "jsonio.py", "{Name: index, Natural: None})", "{Name: index})",
+           (NAMED % "negative value",)),
+    Mutant("an edge may join an agent to itself",
+           "jsonio.py", "if any(map(eq, firsts, seconds)):", "if False:", (NAMED % "self-loop",)),
+    Mutant("a valuation may value a good that is not incident to its agent",
+           "jsonio.py", "        if stray:\n", "        if False:\n", (NAMED % "non-incident good",)),
+    Mutant("a table's own error leaves out its agent",
+           "jsonio.py", "    except InputError as exc:\n", "    except KeyError as exc:\n",
+           (NAMED % "non-monotone table",)),
+    # the one field setter
+    Mutant("StructureResolved passes root and favourite to its setter swapped",
+           "trace.py", "self._set(phase, root, favourite, branch, changes, transfers)",
+           "self._set(phase, favourite, root, branch, changes, transfers)",
+           ("tests/test_golden.py",)),
+    Mutant("the field setter drops a sixth field: StructureResolved's transfers",
+           "frozen.py", "zip(self.fields, values)", "zip(self.fields, values[:5])",
+           ("tests/test_package.py",)),
     # solve's outputs
     Mutant("solve --trace may name the instance, the coloring or the allocation",
            "cli.py", 'option in ("-o", "--trace")', 'option == "-o"',

@@ -638,7 +638,7 @@ def test_audit_rejects_a_repeated_key(tmp_path, capsys):
 
 def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys):
     # A snapshot gives one good of agent 9 to agent 10 as well.  The file
-    # lists agent "10" before "9", so checking that snapshot names agent 9.
+    # lists agent "10" before "9", so the reader names the good in agent 9's bundle.
     inst, names = gen_bipartite(seed=2, n_left=6, n_right=6)
     instance_path = tmp_path / "b6.instance.json"
     save_instance(inst, names, instance_path)
@@ -652,4 +652,5 @@ def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys)
     save_trace(unfolded(events[:i] + [{**events[i], "snapshot": snapshot}] + events[i + 1:]), path)
     capsys.readouterr()
     assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
-    assert capsys.readouterr() == ("", "error: bundles are not disjoint at agent 9\n")
+    assert capsys.readouterr() == (
+        "", f'error: trace event {i} names good {min(snapshot[9])} twice in snapshot["9"]\n')

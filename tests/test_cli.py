@@ -113,7 +113,7 @@ def test_solve_b1(b1_file, tmp_path, capsys):
     # the B1 skeleton is a star, so dispatch rule 1 picks the tree solver
     assert report["method_used"] == "tree"
     assert report["efx"] is True and report["complete"] is True
-    alloc = allocation_from_json(json.loads(alloc_path.read_text()), ["a", "b", "c"])
+    alloc = allocation_from_json(json.loads(alloc_path.read_text()), ["a", "b", "c"], 4)
     assert alloc.assigned_edges == {0, 1, 2, 3}
     assert len(load_trace(trace_path, load_instance(b1_file)[0].graph)) >= 1
 
@@ -305,7 +305,7 @@ def test_verify_non_integer_good_exit_1(b1_file, tmp_path, capsys, good):
     assert main(["verify", str(b1_file), str(bad)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         f'error: allocation document names good {json.dumps(good)} in bundles["b"][0],'
-        ' not an integer\n')
+        ' not a nonnegative integer\n')
 
 
 def test_gen_negative_value_max_exit_1(tmp_path):
@@ -390,8 +390,9 @@ def _respell_good(doc, spelling):
                  id='<lambda>-valuations must be a JSON object keyed by agent names,'
                     ' got [{"type": "additive"'),
     (lambda doc: doc["valuations"].pop("b"), "missing valuation for agent 'b'"),
-    (lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # good 0 joins a and b
-     "valuation of agent 2 supports non-incident edges [0]"),
+    pytest.param(lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),  # joins a and b
+                 "valuation of agent 'c' names good 0, not an incident good",
+                 id="<lambda>-valuation of agent 2 supports non-incident edges [0]"),
     # Ids are read as strictly as a trace's: JSON integers, and a key is its integer's own text.
     pytest.param(lambda doc: doc["edges"][1].update(id=1.0), "edge 1 gives id 1.0, not an integer",
                  id="<lambda>-edge id 1.0 is not an integer"),
@@ -411,8 +412,9 @@ def _respell_good(doc, spelling):
         {"goods": [0, 1], "value": 6}]}),
                  "entry 2 of the valuation of agent 'b' names good true in goods[0], not an integer",
                  id="<lambda>-valuation of agent 'b' names good true, not an integer"),
-    (lambda doc: doc["valuations"]["b"]["values"].update({"1": "3"}),
-     'valuation of agent \'b\' gives values["1"] "3", not an integer'),
+    pytest.param(lambda doc: doc["valuations"]["b"]["values"].update({"1": "3"}),
+                 'valuation of agent \'b\' gives values["1"] "3", not a nonnegative integer',
+                 id='<lambda>-valuation of agent \'b\' gives values["1"] "3", not an integer'),
     # A table names each set once, and each good of a set once; a version is the format's.
     (lambda doc: doc["valuations"].update(b={"type": "table", "entries": [
         {"goods": [], "value": 0}, {"goods": [0], "value": 1}, {"goods": [0], "value": 2}]}),
@@ -467,7 +469,8 @@ def test_bad_instance_exit_1(b1_instance, tmp_path, edit, message):
 
 
 @pytest.mark.parametrize("colors, extra, message", [
-    ({"a": 0, "b": "x", "c": 1}, {}, 'coloring file {path} gives colors["b"] "x", not an integer'),
+    ({"a": 0, "b": "x", "c": 1}, {},
+     'coloring file {path} gives colors["b"] "x", not a nonnegative integer'),
     ({"z": 0}, {}, 'coloring file {path} names agent "z" in colors, not a declared agent name'),
     ({"a": 0, "b": 1, "c": 1}, {"hue": 1}, 'coloring file {path} has unknown key "hue"'),
     ({"a": 0, "b": 1, "c": 1}, {"t": None}, 'coloring file {path} has no key "t"'),
@@ -501,7 +504,7 @@ def test_non_integer_coloring_exit_1(b1_file, tmp_path, capsys, colors, t, named
     path.write_text(json.dumps({"colors": colors, "t": t}))
     assert main(["solve", str(b1_file), "--coloring", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
-        f"error: coloring file {path} {named}, not an integer\n")
+        f"error: coloring file {path} {named}, not a nonnegative integer\n")
 
 
 # One error of each kind for each kind of file the readers read.  Each edit
@@ -514,7 +517,7 @@ READER_ERRORS = {
         "wrong container": (lambda doc: doc["valuations"]["b"].update(values=[1]),
                             "valuation of agent 'b' gives values [1], not a JSON object"),
         "wrong leaf": (lambda doc: doc["valuations"]["b"]["values"].update({"1": "3"}),
-                       'valuation of agent \'b\' gives values["1"] "3", not an integer'),
+                       'valuation of agent \'b\' gives values["1"] "3", not a nonnegative integer'),
         "undeclared name": (lambda doc: doc["edges"][1].update(endpoints=["a", "x"]),
                             'edge 1 names agent "x" in endpoints[1], not a declared agent name'),
         "unknown key": (lambda doc: doc["edges"][1].update(weight=9),
@@ -544,7 +547,7 @@ READER_ERRORS = {
         "wrong container": (lambda doc: doc.update(colors=[0, 1, 1]),
                             "coloring file {path} gives colors [0, 1, 1], not a JSON object"),
         "wrong leaf": (lambda doc: doc["colors"].update(c=1.0),
-                       'coloring file {path} gives colors["c"] 1.0, not an integer'),
+                       'coloring file {path} gives colors["c"] 1.0, not a nonnegative integer'),
         "undeclared name": (lambda doc: doc["colors"].update(z=0),
                             'coloring file {path} names agent "z" in colors,'
                             ' not a declared agent name'),
@@ -594,6 +597,59 @@ def test_each_kind_of_reader_error_has_one_wording(b1_file, c4_file, tmp_path, c
     capsys.readouterr()
     assert main(list(map(str, argv))) == EXIT_INPUT
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+# Files that break a rule the library checks as well.  The reader's error
+# names its place and the agent's declared name, in the walk's words.
+_NON_MONOTONE = [{"goods": [], "value": 0}, {"goods": [0], "value": 2}, {"goods": [1], "value": 1},
+          {"goods": [0, 1], "value": 1}]
+NAMED_ERRORS = {
+    "overlapping bundles": ("allocation", {"a": [0], "b": [0]},
+                            'allocation document names good 0 twice in bundles["b"]'),
+    "good out of range": ("allocation", {"a": [2, 7]},
+                          'allocation document names good 7 in bundles["a"][1], not in 0..3'),
+    "negative good": ("allocation", {"b": [-1]}, 'allocation document names good -1 in'
+                      ' bundles["b"][0], not a nonnegative integer'),
+    "color out of range": ("coloring", {"colors": {"a": 0, "b": 5, "c": 1}, "t": 2},
+                           'coloring file {path} gives colors["b"] 5, not in 0..1'),
+    "uncolored agent": ("coloring", {"colors": {"a": 0, "b": 1}, "t": 2},
+                        'coloring file {path} has no key "c" in colors'),
+    "negative t": ("coloring", {"colors": {"a": 0, "b": 1, "c": 1}, "t": -1},
+                   "coloring file {path} gives t -1, not a nonnegative integer"),
+    "self-loop": ("instance", lambda doc: doc["edges"][0].update(endpoints=["a", "a"]),
+                  'edge 0 names agent "a" twice in endpoints'),
+    "non-incident good": ("instance",
+                          lambda doc: doc["valuations"]["c"]["values"].update({"0": 1}),
+                          "valuation of agent 'c' names good 0, not an incident good"),
+    "negative value": ("instance", lambda doc: doc["valuations"]["a"]["values"].update({"0": -1}),
+                       'valuation of agent \'a\' gives values["0"] -1, not a nonnegative integer'),
+    "negative cap": ("instance",
+                     lambda doc: doc["valuations"]["b"].update(type="budget_additive", cap=-3),
+                     "valuation of agent 'b' gives cap -3, not a nonnegative integer"),
+    "non-monotone table": ("instance", lambda doc: doc["valuations"].update(
+        b={"type": "table", "entries": _NON_MONOTONE}),
+        "valuation of agent 'b': table is not monotone: adding 1 to [0] decreases value"),
+    "negative table value": ("instance", lambda doc: doc["valuations"].update(
+        b={"type": "table", "entries": [{"goods": [], "value": 0}, {"goods": [0], "value": -1}]}),
+        "entry 1 of the valuation of agent 'b' gives value -1, not a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize("file, content, message", NAMED_ERRORS.values(), ids=NAMED_ERRORS)
+def test_a_file_error_names_its_place_and_agent(b1_file, tmp_path, file, content, message):
+    path = tmp_path / f"bad.{file}.json"
+    if file == "instance":
+        doc = json.loads(b1_file.read_text(encoding="utf-8"))
+        content(doc)
+        content = doc
+    elif file == "allocation":
+        content = {"version": "1", "bundles": content}
+    path.write_text(json.dumps(content), encoding="utf-8")
+    argv = {"instance": ["solve", path], "allocation": ["verify", b1_file, path],
+            "coloring": ["solve", b1_file, "--coloring", path]}[file]
+    done = _run_cli(*argv)
+    _assert_one_error_line(done)
+    assert done.stderr == f"error: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize("first, second", [
@@ -1069,7 +1125,7 @@ def test_allocation_json_round_trip(b1_instance):
 
     alloc = Allocation(bundles={0: frozenset({0, 3}), 2: frozenset({2})})
     doc = allocation_to_json(alloc, ["a", "b", "c"])
-    assert allocation_from_json(doc, ["a", "b", "c"]) == alloc
+    assert allocation_from_json(doc, ["a", "b", "c"], 4) == alloc
 
 
 def test_table_valuation_round_trip(noncancellable_table, tmp_path):
@@ -1172,11 +1228,15 @@ def test_solve_reports_dispatch_verdicts(tmp_path, capsys):
 HINT = [0, 1, 1, 0, 1, 0, 1, 2]
 
 
-@pytest.mark.parametrize("colors, message", [
-    (HINT[:7], "coloring is missing vertex 7"),
-    (HINT[:7] + [9], "vertex 7 has color outside 0..2"),
+# The library names a vertex by its index; the coloring file's reader names the
+# agent's declared name and its place in the file.
+@pytest.mark.parametrize("colors, message, read", [
+    pytest.param(HINT[:7], "coloring is missing vertex 7", 'has no key "a7" in colors',
+                 id="colors0-coloring is missing vertex 7"),
+    pytest.param(HINT[:7] + [9], "vertex 7 has color outside 0..2",
+                 'gives colors["a7"] 9, not in 0..2', id="colors1-vertex 7 has color outside 0..2"),
 ])
-def test_bad_coloring_hint_on_disconnected_instance(tmp_path, capsys, colors, message):
+def test_bad_coloring_hint_on_disconnected_instance(tmp_path, capsys, colors, message, read):
     inst, path = _star_and_five_cycle(tmp_path)
     with pytest.raises(InputError, match=f"^{message}$"):
         solve(inst, Coloring(colors=dict(enumerate(colors)), t=3))
@@ -1184,12 +1244,13 @@ def test_bad_coloring_hint_on_disconnected_instance(tmp_path, capsys, colors, me
     hint.write_text(json.dumps({"colors": {f"a{i}": c for i, c in enumerate(colors)}, "t": 3}))
     assert main(["solve", str(path), "--coloring", str(hint)]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert captured.out == "" and captured.err == f"error: coloring file {hint} {read}\n"
 
 
 @pytest.mark.parametrize("colors, message", [
-    ({"a0": 0}, "coloring is missing vertex 1"),
-    ({"a0": 0, "a1": 1, "a2": 1, "a3": 1, "a4": 9}, "vertex 4 has color outside 0..2"),
+    pytest.param({"a0": 0}, 'has no key "a1" in colors', id="colors0-coloring is missing vertex 1"),
+    pytest.param({"a0": 0, "a1": 1, "a2": 1, "a3": 1, "a4": 9}, 'gives colors["a4"] 9, not in 0..2',
+                 id="colors1-vertex 4 has color outside 0..2"),
 ])
 def test_bad_coloring_hint_on_connected_instance(tmp_path, capsys, colors, message):
     # the tree solver applies, so the hint would never reach the chromatic verdict
@@ -1199,7 +1260,7 @@ def test_bad_coloring_hint_on_connected_instance(tmp_path, capsys, colors, messa
     hint.write_text(json.dumps({"colors": colors, "t": 3}))
     assert main(["solve", str(path), "--coloring", str(hint)]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert captured.out == "" and captured.err == f"error: coloring file {hint} {message}\n"
 
 
 def test_valid_coloring_hint_on_disconnected_instance(tmp_path, capsys):

@@ -136,7 +136,7 @@ LOADERS = {
                  lambda got: {"colors": {NAMES[u]: c for u, c in got.colors.items()}, "t": got.t}),
     "instance": (load_instance, lambda got, path: save_instance(*got, path),
                  lambda got: instance_to_json(*got)),
-    "allocation": (lambda path: load_allocation(path, NAMES),
+    "allocation": (lambda path: load_allocation(path, NAMES, INSTANCE.graph.edge_count),
                    lambda got, path: save_allocation(got, NAMES, path),
                    lambda got: allocation_to_json(got, NAMES)),
     "trace": (lambda path: load_trace(path, INSTANCE.graph), save_trace, _lines),
@@ -179,7 +179,8 @@ def test_a_document_without_a_version_loads():
     instance = {k: v for k, v in DOCS["instance"].items() if k != "version"}
     allocation = {k: v for k, v in DOCS["allocation"].items() if k != "version"}
     assert instance_to_json(*instance_from_json(instance)) == DOCS["instance"]
-    assert allocation_to_json(allocation_from_json(allocation, NAMES), NAMES) == DOCS["allocation"]
+    alloc = allocation_from_json(allocation, NAMES, INSTANCE.graph.edge_count)
+    assert allocation_to_json(alloc, NAMES) == DOCS["allocation"]
 
 
 @pytest.mark.parametrize("kind", sorted(DOCS))

@@ -47,6 +47,18 @@ def test_import_cli_loads_the_solve_path_and_nothing_else():
     assert not loaded & set(OFF_THE_SOLVE_PATH)
 
 
+def test_import_graphefx_loads_nothing_off_the_solve_path():
+    # the package imports its exports eagerly, each from a module the CLI loads anyway
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import graphefx\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_run_cli_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "graphefx.solvers" in loaded and not loaded & set(OFF_THE_SOLVE_PATH)
+
+
 def test_every_exported_name_imports_and_is_listed():
     for name in graphefx.__all__:
         namespace = {}
