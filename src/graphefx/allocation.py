@@ -107,9 +107,10 @@ class EnvyGraph:
       and sees the same part of y's bundle among its incident goods, where
       its whole support lies, so its verdict on y stands.
     * (y, w) for each changed y and each rival w of y.  When y's bundle only
-      grew, just its current out-edges and its changed rivals: valuations
-      are monotone, so y's own value did not fall, and its envy of a rival
-      with the same bundle can only have vanished.
+      grew, just its current out-edges and the rivals that gained or lost a
+      good incident to y: valuations are monotone, so y's own value did not
+      fall, and its envy of a rival whose part among y's goods is the same
+      can only have vanished.
 
     ``alloc`` builds an ``Allocation`` of the map each time it is asked for.
     Its constructor checks the map again and copies it, so the result is
@@ -168,9 +169,9 @@ class EnvyGraph:
         view, which the next ``step`` may change."""
         return self._count.setdefault(u, {}).keys()
 
-    def step(self, changes: Mapping[int, Iterable[int]]) -> frozenset[int]:
+    def step(self, changes: Mapping[int, Iterable[int]]) -> tuple[frozenset[int], set[int]]:
         """Give each agent in ``changes`` its new bundle; return the goods that
-        changed hands.
+        changed hands and the agents that gave one up.
 
         Only the goods an agent gains are checked.  An overlap raises what
         ``Allocation(bundles={**self.alloc.bundles, **changes})`` raises, and
@@ -202,7 +203,7 @@ class EnvyGraph:
         if not known or gained and not (0 <= min(gained) and max(gained) < len(ends)):
             _validate_bundles(self.inst, new.items())
 
-        touched: dict[int, set[int]] = {}  # unchanged endpoint of a moved good -> who moved it
+        touched: dict[int, set[int]] = {}  # endpoint of a moved good -> the others who moved it
         for g, y in lost.items():
             del holder[g]
             for z in ends[g]:
@@ -212,16 +213,14 @@ class EnvyGraph:
                         del count[y]
                     else:
                         count[y] -= 1
-                    if z not in new:
-                        touched.setdefault(z, set()).add(y)
+                    touched.setdefault(z, set()).add(y)
         for g, y in gained.items():
             holder[g] = y
             for z in ends[g]:
                 if z != y:
                     count = counts.setdefault(z, {})
                     count[y] = count.get(y, 0) + 1
-                    if z not in new:
-                        touched.setdefault(z, set()).add(y)
+                    touched.setdefault(z, set()).add(y)
         for y, b in new.items():
             if b:
                 bundles[y] = b
@@ -233,18 +232,19 @@ class EnvyGraph:
             count = counts.setdefault(y, {})
             out = self._out.get(y, _NOTHING)
             stale = [w for w in out if w not in count] if out else ()
+            movers = touched.pop(y, set())
             if y in shrank:
                 self._redecide(y, count, stale)
-            else:  # y's own value did not fall: its envy of an unchanged rival can only end
-                others = count.keys() & new.keys()
-                others |= out
-                others.difference_update(stale)
-                self._redecide(y, others, stale)
-        for z, ys in touched.items():
+            else:  # y's own value did not fall: a new envy edge needs a rival that moved y's goods
+                movers |= out
+                movers.difference_update(stale)
+                self._redecide(y, movers, stale)
+        for z, ys in touched.items():  # the unchanged endpoints: the loop above took the rest
             self._redecide(z, ys)
-        return frozenset(gained).union(lost)
+        return frozenset(gained).union(lost), shrank
 
-    def _own_value(self, u: int) -> int:
+    def own_value(self, u: int) -> int:
+        """The value ``u`` puts on its own bundle; asked of its valuation once per bundle."""
         own = self._own.get(u)
         if own is None:
             own = self._own[u] = self.inst.valuations[u].value(self.bundle(u))
@@ -257,7 +257,7 @@ class EnvyGraph:
         flips = stale
         if others:
             val, incident, bundles = self.inst.valuations[u], self._incident[u], self._bundles
-            own = self._own_value(u)
+            own = self.own_value(u)
             flips = [w for w in others
                      if (own < val.value(bundles.get(w, _NOTHING) & incident)) != (w in out)]
             if stale:
@@ -286,7 +286,7 @@ class EnvyGraph:
         envy intact, so that good is a witness without a query.
         """
         val = self.inst.valuations[u]
-        own = self._own_value(u)
+        own = self.own_value(u)
         other = self.bundle(w)
         seen = other & self._incident[u]
         for x in sorted(other):

@@ -98,17 +98,28 @@ def _connect(adj: dict[int, set[int]], a: int, b: int) -> None:
 
 
 def _within(adj: dict[int, set[int]], src: int, dst: int, depth: int) -> bool:
-    """Whether ``dst`` is at most ``depth`` hops from ``src`` along ``adj``."""
+    """Whether ``dst`` is at most ``depth`` hops from ``src`` along ``adj``.
+
+    Balls grow from both ends, the one with the smaller frontier first, and
+    each of the ``depth`` steps grows one of them by a hop.  The balls are
+    disjoint until a new frontier meets the other ball's frontier, and then
+    the ends are exactly as many hops apart as there were steps.
+    """
     if src == dst:
         return depth >= 0
     if dst in adj.get(src, ()):
         return depth >= 1
-    seen = frontier = {src}
+    near, far = {src}, {dst}  # the frontiers
+    seen_near, seen_far = {src}, {dst}  # the balls
     for _ in range(depth):
-        frontier = set().union(*(adj.get(x, ()) for x in frontier)) - seen
-        if dst in frontier:
+        if len(far) < len(near):
+            near, far, seen_near, seen_far = far, near, seen_far, seen_near
+        near = set().union(*(adj.get(x, ()) for x in near)) - seen_near
+        if not near:
+            return False
+        if not near.isdisjoint(far):
             return True
-        seen = seen | frontier
+        seen_near |= near
     return False
 
 
@@ -141,9 +152,12 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
       itself and 1 from the other endpoint, within the valuers' bounds of
       color + 1 >= 1 and the root's bound of color(holder) - color(root);
     * an unresolved agent z values only its incident goods, so its union
-      check depends only on their holders and on which holders are resolved.
-      Resolving one more root can only shrink the union, so a check that
-      passed can fail only when one of those goods changed holder.
+      check depends only on its own value and on the holders of those goods
+      and which of them are resolved.  Resolving one more root, or moving
+      one of those goods to z, to a resolved root or off the allocation,
+      can only shrink the union.  So a check that passed can fail only when
+      z gives up a good, and its own value may fall, or when one of its
+      goods moves to another unresolved agent, and the union may grow.
     Checks that failed at the previous structure event are always made again.
     """
     colors = _merged_colors(trace)
@@ -172,7 +186,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     for idx, ev, changes in _structure_steps(trace):
         resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
-        moved = envy.step(changes)
+        moved, shrank = envy.step(changes)
         changed = changes.keys()
 
         # localized envy: the allocation is EFX, envy only favourite -> resolved root
@@ -241,10 +255,14 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                 )
 
         # unresolved union: z values only its incident goods, so the union of
-        # the other unresolved bundles is worth what z's incident goods in it are
-        suspects = set(union_enviers)
+        # the other unresolved bundles is worth what z's incident goods in it
+        # are; recheck z when it gives up a good or its goods reach another
+        # unresolved agent (see above)
+        suspects = union_enviers.union(shrank)
         for g in moved:
-            suspects.update(ends[g])
+            w = holder.get(g)
+            if w is not None and w not in resolved:
+                suspects.update(z for z in ends[g] if z != w)
         union_enviers = set()
         for z in sorted(suspects - resolved):
             incident = inst.graph.incident_edges(z)
@@ -252,8 +270,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             if not others:
                 continue
             rest = frozenset().union(*(envy.bundle(w) & incident for w in others))
-            v_z = inst.valuations[z]
-            if v_z.value(envy.bundle(z)) < v_z.value(rest):
+            if envy.own_value(z) < inst.valuations[z].value(rest):
                 union_enviers.add(z)
                 union.append(
                     f"event {idx}: unresolved agent {z} envies the union of unresolved bundles"

@@ -139,6 +139,7 @@ _LINE = Record(None, {
 _INTS = (int, Agent, Good, Count, Natural)
 _NOUNS = {Agent: "agent", Good: "good", Count: "count", Branch: "branch", Name: "agent"}
 _FREE = object()  # the bound of a role that ``roles`` leaves out
+_BOUNDS = {Agent: "n", Good: "m", Natural: "t"}  # the letter of a bounded role's bound
 
 
 def _key(k: str) -> Union[int, str]:
@@ -193,7 +194,9 @@ def _bad_leaf(role, xs: list, where: Callable, roles: dict, is_key: bool = False
     if role in _INTS and bound is _FREE:
         expected = "an integer's own text" if is_key else "an integer"
     elif role in _INTS:
-        expected = f"in 0..{bound - 1}" if type(x) is int and x >= 0 else "a nonnegative integer"
+        expected = ("a nonnegative integer" if type(x) is not int or x < 0
+                    else f"in 0..{bound - 1}" if bound  # 0..-1 would read as a typo
+                    else f"in 0..{_BOUNDS[role]}-1: {_BOUNDS[role]} is 0")
     else:
         expected = ("a string" if bound is _FREE else "a declared agent name" if role is Name
                     else f"{', '.join(BRANCHES)} or null")

@@ -171,7 +171,7 @@ def _reference_allocated_adjacency(inst, holder_of):
     return adj
 
 
-def _reference_distances_within(adj, src, depth):
+def reference_distances_within(adj, src, depth):
     """BFS hop distances from ``src``, for the vertices at most ``depth`` hops away."""
     dist = {src: 0}
     queue = deque([src])
@@ -253,7 +253,7 @@ def reference_audit_trace(inst, trace):
 
         def dist_from(src):
             if src not in dist_cache:
-                dist_cache[src] = _reference_distances_within(adj, src, depth)
+                dist_cache[src] = reference_distances_within(adj, src, depth)
             return dist_cache[src]
 
         for g, w in sorted(holder_of.items()):

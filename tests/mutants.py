@@ -101,6 +101,21 @@ MUTANTS = [
     Mutant("EnvyGraph.step re-decides every rival of an agent whose bundle only grew",
            "allocation.py", "            if y in shrank:\n", "            if True:\n",
            ("tests/test_growth.py",)),
+    Mutant("EnvyGraph.step re-decides an agent whose bundle only grew against every changed rival",
+           "allocation.py", "                movers |= out\n",
+           "                movers |= out | (count.keys() & new.keys())\n",
+           ("tests/test_growth.py",)),
+    Mutant("the unresolved-union family suspects both endpoints of every moved good",
+           "audit.py", "            w = holder.get(g)\n"
+           "            if w is not None and w not in resolved:\n"
+           "                suspects.update(z for z in ends[g] if z != w)\n",
+           "            suspects.update(ends[g])\n",
+           ("tests/test_audit.py::test_unit_demand_audit_rechecks_only_what_moved_goods_change",)),
+    # the audit's searches
+    Mutant("_within tests the meeting one expansion late: one hop past the bound passes",
+           "audit.py", "    for _ in range(depth):\n", "    for _ in range(depth + 1):\n",
+           ("tests/test_audit.py::test_audit_matches_from_scratch_reference",
+            "tests/test_audit.py::test_within_meets_in_the_middle_as_a_bfs_would")),
 ]
 
 

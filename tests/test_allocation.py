@@ -348,11 +348,12 @@ def test_envy_graph_step_matches_from_scratch(seed):
             continue
         _, alloc, changed = _random_update(rng, inst, envy.alloc)
         held = dict(envy.holder)
-        moved = envy.step({u: alloc.bundle(u) for u in changed})
+        moved, shrank = envy.step({u: alloc.bundle(u) for u in changed})
         _assert_rival_counts(envy)
         assert _state(envy) == _state(EnvyGraph(inst, alloc))
         assert moved == {g for g in range(inst.graph.edge_count)
                          if envy.holder.get(g) != held.get(g)}
+        assert shrank == {held[g] for g in moved if g in held}
 
 
 def test_envy_graph_update_validates_changed_bundles():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphefx import Additive, InputError, Instance, MultiGraph
-from graphefx.audit import FAMILIES, audit_trace, check_trace
+from graphefx.audit import FAMILIES, _connect, _within, audit_trace, check_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
 from graphefx.frozen import replace
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
@@ -29,6 +29,7 @@ from .conftest import (
     folded,
     random_family_valuation,
     reference_audit_trace,
+    reference_distances_within,
     reference_event_to_json,
     tamper_trace,
     unfolded,
@@ -529,6 +530,34 @@ def test_audit_query_count_is_linear():
             u: CountingValuation(v, counter) for u, v in plain.valuations.items()})
         assert audit_trace(inst, trace).ok
         assert 0 < counter[0] <= 3 * (plain.graph.vertex_count + plain.graph.edge_count)
+
+
+def test_unit_demand_audit_rechecks_only_what_moved_goods_change():
+    # In the keep branch a root's favourite takes goods incident to other
+    # agents.  Re-deciding a grown agent against every changed rival, and
+    # rechecking the union at both ends of every moved good, made 1,721
+    # queries on this trace; the rules that follow the moved goods make 861.
+    plain = gen_bipartite(seed=7, n_left=24, n_right=24, valuation_kind="unit_demand")[0]
+    trace = solve(plain)[2]
+    counter = [0]
+    inst = Instance(graph=plain.graph, valuations={
+        u: CountingValuation(v, counter) for u, v in plain.valuations.items()})
+    assert audit_trace(inst, trace).ok
+    assert 0 < counter[0] <= 900
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+    st.integers(0, n - 1), st.integers(0, n - 1))), st.integers(-1, 6))
+def test_within_meets_in_the_middle_as_a_bfs_would(graph, depth):
+    pairs, src, dst = graph
+    adj = {}
+    for a, b in pairs:
+        if a != b:
+            _connect(adj, a, b)
+    near = reference_distances_within(adj, src, depth)
+    assert _within(adj, src, dst, depth) == (depth >= 0 and dst in near)
 
 
 def _audit_output(report):

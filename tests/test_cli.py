@@ -616,6 +616,8 @@ NAMED_ERRORS = {
                         'coloring file {path} has no key "c" in colors'),
     "negative t": ("coloring", {"colors": {"a": 0, "b": 1, "c": 1}, "t": -1},
                    "coloring file {path} gives t -1, not a nonnegative integer"),
+    "t of 0": ("coloring", {"colors": {"a": 0, "b": 0, "c": 0}, "t": 0},
+               'coloring file {path} gives colors["a"] 0, not in 0..t-1: t is 0'),
     "self-loop": ("instance", lambda doc: doc["edges"][0].update(endpoints=["a", "a"]),
                   'edge 0 names agent "a" twice in endpoints'),
     "non-incident good": ("instance",
@@ -1261,6 +1263,17 @@ def test_bad_coloring_hint_on_connected_instance(tmp_path, capsys, colors, messa
     assert main(["solve", str(path), "--coloring", str(hint)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: coloring file {hint} {message}\n"
+
+
+def test_a_good_on_an_instance_without_goods_names_the_empty_range(tmp_path, capsys):
+    # "not in 0..-1" read as a typo, as a color below t = 0 did
+    path, alloc = tmp_path / "empty.instance.json", tmp_path / "a.json"
+    save_instance(Instance(graph=MultiGraph(2, []), valuations={
+        u: Additive(values={}) for u in range(2)}), ["a0", "a1"], path)
+    alloc.write_text(json.dumps({"bundles": {"a0": [0]}}))
+    assert main(["verify", str(path), str(alloc)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", 'error: allocation document names good 0 in'
+                                       ' bundles["a0"][0], not in 0..m-1: m is 0\n')
 
 
 def test_valid_coloring_hint_on_disconnected_instance(tmp_path, capsys):
