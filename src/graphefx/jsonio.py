@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Literal, Union
@@ -190,7 +191,17 @@ def load_coloring(path: Union[str, Path], names: list[str]) -> Coloring:
 
 
 def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path]) -> None:
-    dump_json(allocation_to_json(alloc, names), path)
+    """Write the bytes ``dump_json(allocation_to_json(alloc, names), path)``
+    writes, by C-level joins: ``json.dumps`` serves ``indent`` only from its
+    pure-Python encoder.  Rows are sorted by the raw agent name, as
+    ``sort_keys`` sorts them, and each name is quoted by the C function that
+    ``json.dumps`` quotes with.  A bundle is never empty."""
+    rows = sorted(zip(map(names.__getitem__, alloc.bundles), alloc.bundles.values()),
+                  key=itemgetter(0))
+    bundles = ",\n".join(["    " + encode_basestring_ascii(name) + ": [\n      "
+                          + ",\n      ".join(map(str, sorted(b))) + "\n    ]" for name, b in rows])
+    _write(path, ['{\n  "bundles": ' + ("{\n" + bundles + "\n  }" if rows else "{}")
+                  + ',\n  "version": ' + encode_basestring_ascii(FORMAT_VERSION) + "\n}\n"])
 
 
 def save_trace(trace: list[TraceEvent], path: Union[str, Path]) -> None:

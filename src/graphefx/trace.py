@@ -22,6 +22,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Literal, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
@@ -352,26 +353,60 @@ def read_json(shape, x, place: str, roles: Optional[dict] = None):
     return _read(shape, [x], lambda j: (place, "", None), roles or {})[0]
 
 
-def _text(x) -> str:
-    """``x`` as JSON: an id, null, a branch name, a set of ids as a sorted list,
-    a tuple of these as a list, and a dict with string keys sorted."""
-    if x is None:
-        return "null"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, frozenset):
-        return "[" + ", ".join(map(str, sorted(x))) + "]"
-    if isinstance(x, tuple):
-        return "[" + ", ".join(map(_text, x)) + "]"
-    if isinstance(x, dict):  # ColoringUsed.colors
-        return json.dumps({str(k): v for k, v in x.items()}, sort_keys=True)
-    return json.dumps(x)
+def _ids(xs) -> str:
+    """A set of ids as its sorted JSON list."""
+    return f"[{', '.join(map(str, sorted(xs)))}]"
+
+
+def _snapshot(changes: dict, held: dict) -> str:
+    """The text of the running snapshot ``held`` after ``changes``; see ``event_line``."""
+    snapshot = held.setdefault(None, [])
+    for u, b in changes.items():
+        old = held.pop(u, None)
+        if old is not None:
+            del snapshot[bisect_left(snapshot, old)]
+        if b:
+            held[u] = new = f'"{u}": {_ids(b)}'
+            insort(snapshot, new)
+    return "{" + ", ".join(snapshot) + "}"
+
+
+# One template per event class, its keys in sorted order.
+def _coloring_line(ev: ColoringUsed, held: dict) -> str:
+    colors = json.dumps({str(u): c for u, c in ev.colors.items()}, sort_keys=True)
+    return f'{{"colors": {colors}, "t": {ev.t}, "type": "{ev.kind}"}}'
+
+
+def _structure_line(ev: StructureResolved, held: dict) -> str:
+    favourite = "null" if ev.favourite is None else ev.favourite
+    branch = "null" if ev.branch is None else encode_basestring_ascii(ev.branch)
+    transfers = ", ".join([f"[{g}, {u}, {v}]" for g, u, v in ev.transfers])
+    return (f'{{"branch": {branch}, "favourite": {favourite}, "phase": {ev.phase}, '
+            f'"root": {ev.root}, "snapshot": {_snapshot(ev.changes, held)}, '
+            f'"transfers": [{transfers}], "type": "{ev.kind}"}}')
+
+
+def _leaf_line(ev: LeafAttached, held: dict) -> str:
+    piece, complement = ev.pieces
+    return (f'{{"leaf": {ev.leaf}, "leftover_to": {ev.leftover_to}, "parent": {ev.parent}, '
+            f'"pieces": [{_ids(piece)}, {_ids(complement)}], '
+            f'"snapshot": {_snapshot(ev.changes, held)}, "type": "{ev.kind}"}}')
+
+
+def _cycle_line(ev: CycleResolved, held: dict) -> str:
+    return (f'{{"cycle": [{", ".join(map(str, ev.cycle))}], '
+            f'"snapshot": {_snapshot(ev.changes, held)}, "type": "{ev.kind}"}}')
+
+
+_TEMPLATES = {ColoringUsed: _coloring_line, StructureResolved: _structure_line,
+              LeafAttached: _leaf_line, CycleResolved: _cycle_line}
 
 
 def event_line(ev: TraceEvent, held: dict) -> str:
     """One trace line: the event as a JSON object with sorted keys, its ``type``
     tag beside its fields, a dict with string keys, a set as a sorted list and
-    a tuple as a list.
+    a tuple as a list.  Each event class has its own template, which writes
+    the bytes ``json.dumps(..., sort_keys=True)`` writes for that object.
 
     A step event's ``changes`` are written as its ``snapshot``, every
     non-empty bundle after the step.  ``held`` is that running snapshot: a
@@ -382,21 +417,7 @@ def event_line(ev: TraceEvent, held: dict) -> str:
     changed agent.  A '"' sorts before every digit, so sorting the texts
     sorts them by their agent strings.
     """
-    texts = {"type": f'"{ev.kind}"'}
-    for f, v in vars(ev).items():
-        if f == "changes":
-            snapshot = held.setdefault(None, [])
-            for u, b in v.items():
-                old = held.pop(u, None)
-                if old is not None:
-                    del snapshot[bisect_left(snapshot, old)]
-                if b:
-                    held[u] = new = f'"{u}": [{", ".join(map(str, sorted(b)))}]'
-                    insort(snapshot, new)
-            texts["snapshot"] = "{" + ", ".join(snapshot) + "}"
-        else:
-            texts[f] = _text(v)
-    return "{" + ", ".join(f'"{f}": {text}' for f, text in sorted(texts.items())) + "}"
+    return _TEMPLATES[ev.__class__](ev, held)
 
 
 def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 READER_KINDS = "tests/test_cli.py::test_each_kind_of_reader_error_has_one_wording"
 NAMED = "tests/test_cli.py::test_a_file_error_names_its_place_and_agent[%s]"
+ALLOCATION_WRITER = "tests/test_jsonio.py::test_the_allocation_writer_writes_what_json_dumps_writes"
 
 MUTANTS = [
     # one per kind of reader error
@@ -116,6 +117,46 @@ MUTANTS = [
            "audit.py", "    for _ in range(depth):\n", "    for _ in range(depth + 1):\n",
            ("tests/test_audit.py::test_audit_matches_from_scratch_reference",
             "tests/test_audit.py::test_within_meets_in_the_middle_as_a_bfs_would")),
+    # the cut's tie rules
+    Mutant("the greedy cut ties goods to the highest id",
+           "partition.py", "if marginal > best_marginal:", "if marginal >= best_marginal:",
+           ("tests/test_partition.py::test_cac_greedy_ties_goods_to_the_lowest_id",)),
+    Mutant("the greedy cut extends piece2 when the pieces tie in value",
+           "partition.py", "(p1, v1) if v1 <= v2 else (p2, v2)", "(p1, v1) if v1 < v2 else (p2, v2)",
+           ("tests/test_partition.py::test_cac_greedy_extends_piece1_on_a_value_tie",)),
+    Mutant("under double indifference the chooser takes piece1",
+           "partition.py", "vc1 == vc2 and v1 < v2", "vc1 == vc2 and v1 <= v2",
+           ("tests/test_partition.py::test_cut_and_choose_gives_piece2_under_double_indifference",)),
+    # the solvers, valuations, graph queries and oracle on the solve path
+    Mutant("a root whose favourite piece ties with prior | rest | leftover keeps it",
+           "solvers.py", "elif s_value > v_u.value(prior | rest | leftover):",
+           "elif s_value >= v_u.value(prior | rest | leftover):",
+           ("tests/test_solvers.py::test_bipartite_efx_matches_reference_root_loop",
+            "tests/test_solvers.py::test_chromatic_efx_matches_set_dict_reference")),
+    Mutant("a budget-additive value is at least its cap instead of at most",
+           "valuation.py", "return min(self.cap, ", "return max(self.cap, ",
+           ("tests/test_valuation.py::test_budget_additive_cap_binds",)),
+    Mutant("a coloring may give a vertex the color t",
+           "multigraph.py", "if not (0 <= col.colors[v] < col.t):",
+           "if not (0 <= col.colors[v] <= col.t):",
+           ("tests/test_multigraph.py::test_validate_coloring_rejects_a_color_outside_0_to_t_minus_1",)),
+    Mutant("the oracle lets an envied rival of a closed agent gain later goods",
+           "oracle.py", "bar |= 1 << w  # rule (b)", "pass  # rule (b)",
+           ("tests/test_oracle.py::test_count_agrees_with_naive_predicate",)),
+    # the writers of solve's outputs
+    Mutant("allocation rows sorted by the quoted name, not the raw one",
+           "jsonio.py", "key=itemgetter(0))", "key=lambda row: encode_basestring_ascii(row[0]))",
+           (ALLOCATION_WRITER,)),
+    Mutant("an allocation's bundle written in set order, not sorted",
+           "jsonio.py", r'",\n      ".join(map(str, sorted(b)))', r'",\n      ".join(map(str, b))',
+           (ALLOCATION_WRITER,)),
+    Mutant("a trace line's set written in set order, not sorted",
+           "trace.py", "', '.join(map(str, sorted(xs)))", "', '.join(map(str, xs))",
+           ("tests/test_audit.py::test_writer_folds_any_changes",)),
+    Mutant("the leaf_attached template writes parent before leftover_to",
+           "trace.py", '"leftover_to": {ev.leftover_to}, "parent": {ev.parent}, ',
+           '"parent": {ev.parent}, "leftover_to": {ev.leftover_to}, ',
+           ("tests/test_audit.py::test_writer_matches_reference_for_every_event_kind",)),
 ]
 
 

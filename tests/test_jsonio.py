@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphefx import InputError, Instance, MultiGraph, Table, UnitDemand, solve
+from graphefx import Allocation, InputError, Instance, MultiGraph, Table, UnitDemand, solve
 from graphefx.generators import gen_multitree
 from graphefx.jsonio import (
     allocation_from_json,
@@ -209,3 +209,31 @@ def test_a_mutated_document_round_trips_or_raises_input_error(tmp_path_factory, 
     assert not _lax(lines)
     save(got, again)
     assert key(load(again)) == key(got)
+
+
+# Names with quotes, backslashes, control and non-ASCII characters.  Raw and
+# quoted order differ for "é" and "z", since "é" is quoted as "\u00e9", and
+# for 'a"' and "a#", since 'a"' is quoted as "a\"".
+_NAMES = st.lists(st.sampled_from(("é", "z", 'a"', "a#", "\\", "\x00")) | st.text(max_size=4),
+                  unique=True, max_size=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_NAMES, st.data())
+def test_the_allocation_writer_writes_what_json_dumps_writes(tmp_path_factory, names, data):
+    # Each of up to 40 goods goes to an agent or to no one, so an allocation
+    # may be empty and a bundle may hold one good.  Goods above 7 make a
+    # set's iteration order differ from its sorted order.
+    holders = data.draw(st.lists(st.none() | st.integers(0, len(names) - 1), max_size=40)
+                        if names else st.just([]))
+    bundles: dict = {}
+    for g, u in enumerate(holders):
+        if u is not None:
+            bundles.setdefault(u, set()).add(g)
+    alloc = Allocation(bundles=bundles)
+    path = tmp_path_factory.mktemp("allocation") / "a.json"
+    save_allocation(alloc, names, path)
+    want = json.dumps(allocation_to_json(alloc, names), indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+    assert load_allocation(path, names, len(holders)) == alloc

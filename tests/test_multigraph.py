@@ -210,6 +210,13 @@ def test_validate_coloring_missing_vertex():
         g.validate_coloring(Coloring(colors={0: 0}, t=2))
 
 
+@pytest.mark.parametrize("color", [-1, 2])
+def test_validate_coloring_rejects_a_color_outside_0_to_t_minus_1(color):
+    g = MultiGraph(2, [(0, 1)])
+    with pytest.raises(InputError, match="^vertex 1 has color outside 0..1$"):
+        g.validate_coloring(Coloring(colors={0: 0, 1: color}, t=2))
+
+
 def test_find_coloring_cycles():
     c5 = MultiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     col = c5.find_coloring(3)

@@ -17,6 +17,30 @@ def test_cac_greedy_example():
     assert (v1, v2) == (8, 7) == (val.value(p1), val.value(p2))
 
 
+# The three tie rules of the module docstring, one test each.
+def test_cac_greedy_ties_goods_to_the_lowest_id():
+    # Every good is worth 1, so at every step all remaining goods tie: the
+    # poorer piece takes the lowest remaining id.
+    val = Additive(values=dict.fromkeys((1, 4, 6, 9), 1))
+    assert _cac_greedy(val, frozenset({1, 4, 6, 9})) == (frozenset({1, 6}), frozenset({4, 9}), 2, 2)
+
+
+def test_cac_greedy_extends_piece1_on_a_value_tie():
+    # Goods have distinct values.  Both pieces are worth 0 before the first
+    # good and 5 before the last, and piece1 takes the good both times.
+    val = Additive(values={0: 5, 1: 3, 2: 2, 3: 1})
+    assert _cac_greedy(val, frozenset({0, 1, 2, 3})) == (frozenset({0, 3}), frozenset({1, 2}), 6, 5)
+
+
+def test_cut_and_choose_gives_piece2_under_double_indifference():
+    # The cutter splits {0, 1, 2} into {0} and {1, 2}, both worth 4 to it,
+    # and the chooser values both pieces at 2.
+    cutter = Additive(values={0: 4, 1: 3, 2: 1})
+    chooser = Additive(values={0: 2, 1: 1, 2: 1})
+    assert _cac_greedy(cutter, frozenset({0, 1, 2}))[:2] == (frozenset({0}), frozenset({1, 2}))
+    assert cut_and_choose(cutter, chooser, {0, 1, 2}) == (frozenset({1, 2}), frozenset({0}), False, 2)
+
+
 def test_cac_singleton_and_empty():
     val = Additive(values={0: 3})
     assert _cac_greedy(val, frozenset({0})) == (frozenset({0}), frozenset(), 3, 0)

@@ -32,6 +32,7 @@ from graphefx.generators import (
     gen_multitree,
     gen_petersen,
 )
+from graphefx.oracle import first_efx_allocation
 from graphefx.solvers import (
     BRUTE_FORCE_AGENT_MAX,
     BRUTE_FORCE_GOOD_MAX,
@@ -55,7 +56,9 @@ from .conftest import (
     mycielski_graph,
     naive_is_efx,
     random_family_valuation,
+    random_mixed_instance,
     reference_bipartite_efx,
+    reference_brute_force_efx,
     reference_chromatic,
     reference_chromatic_efx,
     reference_shortest_cycle,
@@ -678,3 +681,32 @@ def test_resolve_structure_takes_the_roots_values_from_its_cuts():
             sides = Coloring(colors={v: int(v >= 7) for v in range(14)}, t=2)
             assert Allocation(bundles=bundles) == chromatic_efx(plain, sides)[0]
     assert len(branches) == 3, branches  # keep, leftovers and different
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=False))
+def test_every_solver_that_applies_gives_a_complete_efx_allocation(rng):
+    # ``solve`` runs only the first solver that applies; here each one whose
+    # verdict applies runs on the whole instance.  Within the brute-force
+    # guard, the full census must agree with what they found.
+    inst = random_mixed_instance(rng)
+    runs = {}
+    for verdict in classify(inst):
+        if not verdict.applies:
+            continue
+        if verdict.solver == "tree":
+            runs["tree"] = tree_efx(inst)[0]
+        elif verdict.solver in ("bipartite", "chromatic"):
+            runs[verdict.solver] = chromatic_efx(inst, verdict.structure)[0]
+        else:
+            runs["brute_force"] = first_efx_allocation(inst)
+    census = reference_brute_force_efx(inst) if "brute_force" in runs else None
+    if census is not None:
+        assert runs["brute_force"] == census.sample
+    for solver, alloc in runs.items():
+        if alloc is None:  # brute force found no EFX allocation
+            assert census is None or census.efx_count == 0
+            continue
+        assert alloc.is_complete(inst), solver
+        assert naive_is_efx(inst, alloc), solver
+        assert census is None or census.efx_count >= 1
