@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
@@ -81,13 +82,13 @@ def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[in
                     raise InputError(f"allocation references unknown edge {g}")
 
 
-# The envy rule of ``EnvyGraph``, both when it is built and when it is
-# stepped.  Agent u is compared only with its rivals, the other holders of
-# goods incident to u, and values only the part of a rival's bundle among
-# those goods.  Both are exact because every valuation's support lies within
-# the agent's incident edges: the rest of a bundle is worth nothing to u, and
-# any other bundle is worth v_u(empty set) <= v_u(own bundle) by
-# monotonicity, so u can neither envy it nor violate EFX against it.
+# The envy rule of ``EnvyGraph.step``, the graph's only builder.  Agent u is
+# compared only with its rivals, the other holders of goods incident to u,
+# and values only the part of a rival's bundle among those goods.  Both are
+# exact because every valuation's support lies within the agent's incident
+# edges: the rest of a bundle is worth nothing to u, and any other bundle is
+# worth v_u(empty set) <= v_u(own bundle) by monotonicity, so u can neither
+# envy it nor violate EFX against it.
 
 class EnvyGraph:
     """Directed envy relation of an allocation: (u, w) present iff u strictly
@@ -97,8 +98,7 @@ class EnvyGraph:
     goods to its bundle (``bundle(u)`` reads it) and ``holder``, the agent of
     each held good.  It also keeps, per agent u, how many of u's incident
     goods each rival of u holds; ``step`` updates these counts at both
-    endpoints of each moved good.  ``EnvyGraph(inst, alloc)`` decides every
-    rival pair once.  After that, ``step(changes)`` replaces the bundles of
+    endpoints of each moved good.  ``step(changes)`` replaces the bundles of
     the agents in ``changes`` in place, walking each moved good once, and
     re-decides only the pairs that the step can affect:
 
@@ -112,6 +112,9 @@ class EnvyGraph:
       fall, and its envy of a rival whose part among y's goods is the same
       can only have vanished.
 
+    ``EnvyGraph(inst, alloc)`` is a step from the empty allocation, where
+    every holder only gains: it decides each rival pair once.
+
     ``alloc`` builds an ``Allocation`` of the map each time it is asked for.
     Its constructor checks the map again and copies it, so the result is
     never a live view of the map.  Every id in the map has been checked, so
@@ -119,25 +122,17 @@ class EnvyGraph:
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
-        _validate_bundles(inst, alloc.bundles.items())
         self.inst = inst
         self._incident = inst.graph._incident  # agent -> its incident goods
-        self._bundles = dict(alloc.bundles)  # agent -> its bundle, nonempty only
+        self._bundles: dict[int, frozenset[int]] = {}  # agent -> its bundle, nonempty only
         # good -> the agent holding it; read-only outside the class
-        self.holder = holder = {g: w for w, b in alloc.bundles.items() for g in b}
+        self.holder: dict[int, int] = {}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
         # agent u -> {rival w: how many of u's incident goods w holds}
-        self._count: dict[int, dict[int, int]] = {}
+        self._count: defaultdict[int, dict[int, int]] = defaultdict(dict)
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
-        ends = inst.graph.edges
-        for g, w in holder.items():
-            for z in ends[g]:
-                if z != w:
-                    count = self._count.setdefault(z, {})
-                    count[w] = count.get(w, 0) + 1
-        for u, count in self._count.items():
-            self._redecide(u, count)
+        self.step(alloc.bundles)
 
     def bundle(self, u: int) -> frozenset[int]:
         """The bundle ``u`` holds now."""
@@ -167,7 +162,7 @@ class EnvyGraph:
     def rivals(self, u: int) -> AbstractSet[int]:
         """The agents other than ``u`` that hold a good incident to ``u``: a live
         view, which the next ``step`` may change."""
-        return self._count.setdefault(u, {}).keys()
+        return self._count[u].keys()
 
     def step(self, changes: Mapping[int, Iterable[int]]) -> tuple[frozenset[int], set[int]]:
         """Give each agent in ``changes`` its new bundle; return the goods that
@@ -187,8 +182,8 @@ class EnvyGraph:
             if not 0 <= y < n:
                 known = False
             b = new[y] = frozenset(b)
-            old = bundles.get(y, _NOTHING)
-            got, gave = b - old, old - b
+            old = bundles.get(y)
+            got, gave = (b - old, old - b) if old else (b, _NOTHING)
             if got:
                 n_gained += len(got)
                 gained.update(dict.fromkeys(got, y))
@@ -203,7 +198,7 @@ class EnvyGraph:
         if not known or gained and not (0 <= min(gained) and max(gained) < len(ends)):
             _validate_bundles(self.inst, new.items())
 
-        touched: dict[int, set[int]] = {}  # endpoint of a moved good -> the others who moved it
+        touched = defaultdict(set)  # endpoint of a moved good -> the others who moved it
         for g, y in lost.items():
             del holder[g]
             for z in ends[g]:
@@ -213,14 +208,14 @@ class EnvyGraph:
                         del count[y]
                     else:
                         count[y] -= 1
-                    touched.setdefault(z, set()).add(y)
+                    touched[z].add(y)
         for g, y in gained.items():
             holder[g] = y
             for z in ends[g]:
                 if z != y:
-                    count = counts.setdefault(z, {})
+                    count = counts[z]
                     count[y] = count.get(y, 0) + 1
-                    touched.setdefault(z, set()).add(y)
+                    touched[z].add(y)
         for y, b in new.items():
             if b:
                 bundles[y] = b
@@ -229,7 +224,7 @@ class EnvyGraph:
             self._own.pop(y, None)
 
         for y in new:
-            count = counts.setdefault(y, {})
+            count = counts[y]
             out = self._out.get(y, _NOTHING)
             stale = [w for w in out if w not in count] if out else ()
             movers = touched.pop(y, set())

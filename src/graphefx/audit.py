@@ -6,8 +6,10 @@ traces:
 * localized envy      -- every allocation a structure event leaves is EFX, and
                          any envy edge points from a resolved root's favourite
                          neighbour to that root;
-* good movement       -- goods only ever move from a structure's root to its
-                         favourite, and at most once per phase;
+* good movement       -- each transfer a structure event lists goes from its
+                         root to its favourite, and no good is listed twice in
+                         one phase; a good whose holder changes without a
+                         listed transfer is not seen by this family;
 * allocated distances -- an agent valuing a held good is within color-bounded
                          hop distance of the holder, along allocated edges;
 * unresolved union    -- an unresolved agent never envies the union of all

@@ -23,6 +23,7 @@ from .allocation import is_efx
 from .audit import FAMILIES, audit_trace
 from .errors import GraphEfxError, InputError, UnsupportedClassError
 from .jsonio import (
+    allocation_to_json,
     load_allocation,
     load_coloring,
     load_instance,
@@ -308,7 +309,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"searched: {report.searched}")
     print(f"efx_count: {report.efx_count}")
     if report.sample is not None:
-        sample = {names[u]: sorted(b) for u, b in sorted(report.sample.bundles.items())}
+        sample = allocation_to_json(report.sample, names)["bundles"]
         print(f"sample: {json.dumps(sample, sort_keys=True)}")
     return EXIT_OK
 

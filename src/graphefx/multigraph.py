@@ -8,7 +8,6 @@ simple skeleton (parallel multiplicity never matters for them).
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -114,37 +113,50 @@ class MultiGraph:
             return range(len(self.edges))
         return sorted(frozenset().union(*map(self._incident.__getitem__, component)))
 
+    def _skeleton(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], frozenset[int]]:
+        """One breadth-first search of the whole skeleton, memoized: the
+        components as sorted vertex tuples ordered by minimum vertex, each
+        vertex's side (0 at its component's lowest vertex) and the vertices of
+        the components with an edge between equal sides, an odd cycle's mark."""
+        if "skeleton" not in self._memo:
+            side = [-1] * self.vertex_count
+            comps, odd = [], set()
+            for start in range(self.vertex_count):
+                if side[start] >= 0:
+                    continue
+                side[start] = 0
+                comp, clash = [start], False
+                for x in comp:  # the list grows as the search reaches new vertices
+                    for y in self._adj[x]:
+                        if side[y] < 0:
+                            side[y] = 1 - side[x]
+                            comp.append(y)
+                        elif side[y] == side[x]:
+                            clash = True
+                comps.append(tuple(sorted(comp)))
+                if clash:
+                    odd.update(comp)
+            self._memo["skeleton"] = tuple(comps), tuple(side), frozenset(odd)
+        return self._memo["skeleton"]
+
     def bipartition(self, component: Component = None) -> Optional[Coloring]:
         """Proper 2-coloring of the skeleton, or None.
 
         The lowest-indexed vertex of each connected component gets color 0,
-        and the colors are keyed in ascending vertex order.  Each call returns
-        a new ``Coloring``, so a caller cannot change the cached one.
+        and the colors are keyed in ascending vertex order.  A connected
+        bipartite skeleton has one such coloring, so the search's sides are
+        it.  Each call returns a new ``Coloring``.
         """
-        colors = self._memoized("bipartition", component, self._bipartition)
-        return None if colors is None else Coloring(colors=dict(colors), t=2)
-
-    def _bipartition(self, vertices: Sequence[int]) -> Optional[tuple[tuple[int, int], ...]]:
-        side: dict[int, int] = {}
-        for start in vertices:
-            if start in side:
-                continue
-            side[start] = 0
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in sorted(self._adj[x]):
-                    if y not in side:
-                        side[y] = 1 - side[x]
-                        queue.append(y)
-                    elif side[y] == side[x]:
-                        return None
-        return tuple((v, side[v]) for v in vertices)
+        _, side, odd = self._skeleton()
+        vertices = self.vertices(component)
+        if not odd.isdisjoint(vertices):
+            return None
+        return Coloring(colors={v: side[v] for v in vertices}, t=2)
 
     def is_multitree(self, component: Component = None) -> bool:
         """True iff the simple skeleton is a forest: each component has one
         vertex more than its skeleton edges."""
-        parts = self._components() if component is None else (component,)
+        parts = self._skeleton()[0] if component is None else (component,)
         return all(sum(map(len, map(self._adj.__getitem__, p))) == 2 * len(p) - 2 for p in parts)
 
     def girth(self, component: Component = None, limit: Optional[int] = None) -> float:
@@ -312,30 +324,7 @@ class MultiGraph:
 
     def connected_components(self) -> list[list[int]]:
         """Skeleton components as sorted vertex lists, ordered by minimum vertex."""
-        return [list(comp) for comp in self._components()]
-
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        """Skeleton components as sorted vertex tuples, ordered by minimum vertex."""
-        return self._memoized("components", None, self._find_components)
-
-    def _find_components(self, vertices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.vertex_count
-        comps = []
-        for start in vertices:
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        queue.append(y)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return [list(comp) for comp in self._skeleton()[0]]
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.vertex_count}, m={len(self.edges)})"

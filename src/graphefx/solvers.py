@@ -377,9 +377,9 @@ def solve(
     own ids, starting from an empty allocation, and its trace follows the
     previous component's.  So that the bundles held after each event are
     those of the component being solved, the first step event of each later
-    component also empties every bundle the trace has given so far.  On a
-    disconnected instance each component takes
-    its part of the hint, with its colors made dense.  When ``verdicts`` is
+    component also empties every bundle the trace has given so far.  Each
+    component takes its part of the hint, with its colors made dense, so a
+    component's verdict does not depend on the others.  When ``verdicts`` is
     a list, one list per component is appended to it: the verdicts of the
     solvers tried, in order, ending with the one that ran.
     """
@@ -393,7 +393,7 @@ def solve(
     methods: list[str] = []
     held: set[int] = set()  # the agents that hold goods after the trace so far
     for comp in comps:
-        sub_hint = hint if hint is None or len(comps) == 1 else _component_hint(hint, comp)
+        sub_hint = hint if hint is None or comp is None else _component_hint(hint, comp)
         alloc, method, sub_trace, tried = _dispatch_component(inst, sub_hint, comp)
         verdicts.append(tried)
         bundles.update(alloc.bundles)

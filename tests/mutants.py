@@ -143,6 +143,39 @@ MUTANTS = [
     Mutant("the oracle lets an envied rival of a closed agent gain later goods",
            "oracle.py", "bar |= 1 << w  # rule (b)", "pass  # rule (b)",
            ("tests/test_oracle.py::test_count_agrees_with_naive_predicate",)),
+    # the one builder of the envy graph, and the one search of the skeleton
+    Mutant("EnvyGraph.step decides an agent whose bundle only grew against its out-edges alone,"
+           " so a built graph's holders envy no one",
+           "allocation.py", "                movers |= out\n", "                movers = set(out)\n",
+           ("tests/test_allocation.py::test_local_checks_match_all_pairs_reference",)),
+    Mutant("EnvyGraph.step re-decides an unchanged endpoint only against the rivals it envied,"
+           " so a built graph's agents without goods envy no one",
+           "allocation.py", "            self._redecide(z, ys)\n",
+           "            self._redecide(z, ys & self._out.get(z, _NOTHING))\n",
+           ("tests/test_allocation.py::test_local_checks_match_all_pairs_reference",)),
+    Mutant("the skeleton search carries a component's odd-cycle mark over to the next component",
+           "multigraph.py", "            comps, odd = [], set()\n"
+           "            for start in range(self.vertex_count):\n"
+           "                if side[start] >= 0:\n"
+           "                    continue\n"
+           "                side[start] = 0\n"
+           "                comp, clash = [start], False\n",
+           "            comps, odd, clash = [], set(), False\n"
+           "            for start in range(self.vertex_count):\n"
+           "                if side[start] >= 0:\n"
+           "                    continue\n"
+           "                side[start] = 0\n"
+           "                comp = [start]\n",
+           ("tests/test_multigraph.py::test_bipartition_agrees_with_exhaustive_two_coloring",)),
+    # the generators
+    Mutant("the bipartite generator joins agents of the left side to each other",
+           "generators.py", "for w in range(n_left, n_left + n_right):",
+           "for w in range(u + 1, n_left + n_right):",
+           ("tests/test_acceptance.py::test_criterion_1_bipartite_correctness",)),
+    Mutant("a generated table may lose value when a good is added",
+           "generators.py", "floor = max(entries[subset - {g}] for g in subset)",
+           "floor = min(entries[subset - {g}] for g in subset)",
+           ("tests/test_acceptance.py::test_criterion_2_tree_correctness",)),
     # the writers of solve's outputs
     Mutant("allocation rows sorted by the quoted name, not the raw one",
            "jsonio.py", "key=itemgetter(0))", "key=lambda row: encode_basestring_ascii(row[0]))",

@@ -269,20 +269,42 @@ def test_parallel_edge_groups_partition_edge_set():
         assert seen == set(range(g.edge_count))
 
 
+def _exhaustive_two_colorings(g, vertices):
+    """Every proper 2-coloring of the skeleton on ``vertices`` with the first
+    vertex at 0, found by trying all the assignments."""
+    inside = set(vertices)
+    links = [(a, b) for a, b in set(g.edges) if a in inside and b in inside]
+    found = []
+    for assign in range(0, 1 << len(vertices), 2):
+        colors = {v: assign >> i & 1 for i, v in enumerate(vertices)}
+        if all(colors[a] != colors[b] for a, b in links):
+            found.append(colors)
+    return found
+
+
 def test_bipartition_agrees_with_exhaustive_two_coloring():
-    # independent oracle: try all 2^n color assignments
+    # independent oracle: try all 2^n color assignments, of the whole graph
+    # and of each component, also on unions of odd and even components
     rng = random.Random(23)
-    for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 10), 1, 3)
-        n = g.vertex_count
-        exists = any(
-            all(
-                (assign >> a & 1) != (assign >> b & 1)
-                for a, b in set(g.edges)
-            )
-            for assign in range(1 << n)
-        )
-        assert (g.bipartition() is not None) == exists
+    graphs = [_random_graph(rng, rng.randint(1, 10), 1, 3) for _ in range(40)]
+    unions = [_union([(n, [(a, b, rng.randint(1, 2)) for a, b in itertools.combinations(range(n), 2)
+                           if rng.randrange(3) == 0])
+                      for n in (rng.randint(1, 7) for _ in range(rng.randint(2, 4)))])
+              for _ in range(60)]
+    mixed = 0
+    for g in graphs + unions:
+        if g.vertex_count <= 10:
+            assert (g.bipartition() is not None) == bool(
+                _exhaustive_two_colorings(g, range(g.vertex_count)))
+        comps = g.connected_components()
+        sides = [_exhaustive_two_colorings(g, comp) for comp in comps]
+        for comp, found in zip(comps, sides):
+            assert len(found) <= 1  # connected: the first vertex's color fixes the rest
+            assert g.bipartition(comp) == (Coloring(colors=found[0], t=2) if found else None)
+        whole = {v: c for found in sides if found for v, c in found[0].items()}
+        assert g.bipartition() == (Coloring(colors=whole, t=2) if all(sides) else None)
+        mixed += 0 < sum(map(bool, sides)) < len(comps)
+    assert mixed >= 10
 
 
 def test_multitree_iff_infinite_girth():

@@ -398,6 +398,24 @@ def test_interleaved_union_solves_like_its_parts(hinted):
         assert is_efx(union, alloc).ok and alloc.is_complete(union)
 
 
+def test_a_hint_is_made_dense_whether_or_not_the_instance_is_connected():
+    # A proper hint using colors 0..2 of a declared t = 4: t = 4 would need
+    # girth >= 7, while the 5-cycle's dense t = 3 needs girth >= 5.
+    cycle, _ = gen_multicycle(seed=1, length=5)
+    hint = Coloring(colors={0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, t=4)
+    alone, method, _ = solve(cycle, hint)
+    assert method == "chromatic"
+    isolated = Instance(MultiGraph(6, list(cycle.graph.edges)),
+                        {**cycle.valuations, 5: Additive(values={})})
+    verdicts = []
+    beside, method, _ = solve(isolated, Coloring(colors={**hint.colors, 5: 0}, t=4), verdicts)
+    assert method == "componentwise(chromatic,tree)"
+    assert verdicts[0][-1].structure == Coloring(colors={0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, t=3)
+    assert beside.bundles == alone.bundles
+    # an instance without agents is one part, which keeps the hint as given
+    assert solve(Instance(MultiGraph(0, []), {}), Coloring(colors={}, t=4))[1] == "tree"
+
+
 def test_solve_outputs_in_oracle_set():
     rng = random.Random(67)
     checked = 0
