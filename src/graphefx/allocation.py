@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .errors import InputError
 from .frozen import Frozen
@@ -96,11 +96,9 @@ class EnvyGraph:
 
     The graph owns the running allocation: a map from each agent that holds
     goods to its bundle (``bundle(u)`` reads it) and ``holder``, the agent of
-    each held good.  It also keeps, per agent u, how many of u's incident
-    goods each rival of u holds; ``step`` updates these counts at both
-    endpoints of each moved good.  ``step(changes)`` replaces the bundles of
-    the agents in ``changes`` in place, walking each moved good once, and
-    re-decides only the pairs that the step can affect:
+    each held good.  ``step(changes)`` replaces the bundles of the agents in
+    ``changes`` in place, walking each moved good once, and re-decides only
+    the pairs that the step can affect:
 
     * (z, y) for each changed y and each unchanged z that is an endpoint of
       a good y gained or lost.  Any other unchanged z keeps its own value
@@ -128,8 +126,6 @@ class EnvyGraph:
         # good -> the agent holding it; read-only outside the class
         self.holder: dict[int, int] = {}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
-        # agent u -> {rival w: how many of u's incident goods w holds}
-        self._count: defaultdict[int, dict[int, int]] = defaultdict(dict)
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
         self.step(alloc.bundles)
@@ -158,11 +154,6 @@ class EnvyGraph:
 
     def envies(self, u: int, w: int) -> bool:
         return w in self._out.get(u, ())
-
-    def rivals(self, u: int) -> AbstractSet[int]:
-        """The agents other than ``u`` that hold a good incident to ``u``: a live
-        view, which the next ``step`` may change."""
-        return self._count[u].keys()
 
     def step(self, changes: Mapping[int, Iterable[int]]) -> tuple[frozenset[int], set[int]]:
         """Give each agent in ``changes`` its new bundle; return the goods that
@@ -194,7 +185,7 @@ class EnvyGraph:
         if len(gained) != n_gained or not (holder.keys().isdisjoint(gained)
                                            or holder.keys() & gained.keys() <= lost.keys()):
             _raise_overlap({**bundles, **new})
-        ends, counts = self.inst.graph.edges, self._count
+        ends, incident = self.inst.graph.edges, self._incident
         if not known or gained and not (0 <= min(gained) and max(gained) < len(ends)):
             _validate_bundles(self.inst, new.items())
 
@@ -203,18 +194,11 @@ class EnvyGraph:
             del holder[g]
             for z in ends[g]:
                 if z != y:
-                    count = counts[z]
-                    if count[y] == 1:
-                        del count[y]
-                    else:
-                        count[y] -= 1
                     touched[z].add(y)
         for g, y in gained.items():
             holder[g] = y
             for z in ends[g]:
                 if z != y:
-                    count = counts[z]
-                    count[y] = count.get(y, 0) + 1
                     touched[z].add(y)
         for y, b in new.items():
             if b:
@@ -224,12 +208,13 @@ class EnvyGraph:
             self._own.pop(y, None)
 
         for y in new:
-            count = counts[y]
             out = self._out.get(y, _NOTHING)
-            stale = [w for w in out if w not in count] if out else ()
+            # the agents y envied that no longer hold any of y's incident goods
+            stale = ([w for w in out if bundles.get(w, _NOTHING).isdisjoint(incident[y])]
+                     if out else ())
             movers = touched.pop(y, set())
             if y in shrank:
-                self._redecide(y, count, stale)
+                self._redecide(y, set(map(holder.get, incident[y])) - {y, None}, stale)
             else:  # y's own value did not fall: a new envy edge needs a rival that moved y's goods
                 movers |= out
                 movers.difference_update(stale)

@@ -173,7 +173,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     union: list[str] = []
 
     favourite_of: dict[int, Optional[int]] = {}
-    resolved: set[int] = set()
+    resolved = favourite_of.keys()  # the roots resolved so far
     phase_moved: dict[int, set[int]] = {}
     envy = EnvyGraph(inst, Allocation.empty())
     holder = envy.holder
@@ -186,7 +186,6 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     union_enviers: set[int] = set()  # agents whose union check failed at the previous event
 
     for idx, ev, changes in _structure_steps(trace):
-        resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
         moved, shrank = envy.step(changes)
         changed = changes.keys()
@@ -266,12 +265,12 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             if w is not None and w not in resolved:
                 suspects.update(z for z in ends[g] if z != w)
         union_enviers = set()
-        for z in sorted(suspects - resolved):
-            incident = inst.graph.incident_edges(z)
-            others = envy.rivals(z) - resolved
-            if not others:
+        # filtered, not `suspects - resolved`, which walks every resolved root
+        for z in sorted(z for z in suspects if z not in resolved):
+            rest = [g for g in inst.graph.incident_edges(z)
+                    if holder.get(g, z) != z and holder[g] not in resolved]
+            if not rest:
                 continue
-            rest = frozenset().union(*(envy.bundle(w) & incident for w in others))
             if envy.own_value(z) < inst.valuations[z].value(rest):
                 union_enviers.add(z)
                 union.append(

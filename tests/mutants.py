@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ class Mutant(NamedTuple):
 READER_KINDS = "tests/test_cli.py::test_each_kind_of_reader_error_has_one_wording"
 NAMED = "tests/test_cli.py::test_a_file_error_names_its_place_and_agent[%s]"
 ALLOCATION_WRITER = "tests/test_jsonio.py::test_the_allocation_writer_writes_what_json_dumps_writes"
+STEP_PROPERTY = "tests/test_allocation.py::test_envy_graph_step_matches_from_scratch"
 
 MUTANTS = [
     # one per kind of reader error
@@ -104,7 +106,8 @@ MUTANTS = [
            ("tests/test_growth.py",)),
     Mutant("EnvyGraph.step re-decides an agent whose bundle only grew against every changed rival",
            "allocation.py", "                movers |= out\n",
-           "                movers |= out | (count.keys() & new.keys())\n",
+           "                movers |= out | ((set(map(holder.get, incident[y])) - {y, None})"
+           " & new.keys())\n",
            ("tests/test_growth.py",)),
     Mutant("the unresolved-union family suspects both endpoints of every moved good",
            "audit.py", "            w = holder.get(g)\n"
@@ -153,6 +156,23 @@ MUTANTS = [
            "allocation.py", "            self._redecide(z, ys)\n",
            "            self._redecide(z, ys & self._out.get(z, _NOTHING))\n",
            ("tests/test_allocation.py::test_local_checks_match_all_pairs_reference",)),
+    # rivals read from holder
+    Mutant("EnvyGraph.step re-decides an agent that gave a good up only against the agents it"
+           " envied",
+           "allocation.py",
+           "self._redecide(y, set(map(holder.get, incident[y])) - {y, None}, stale)",
+           "self._redecide(y, set(out), stale)",
+           (STEP_PROPERTY,)),
+    Mutant("EnvyGraph.step never drops an envy edge to an agent that no longer holds a rival good",
+           "allocation.py",
+           "            stale = ([w for w in out if bundles.get(w, _NOTHING).isdisjoint(incident[y])]\n"
+           "                     if out else ())\n",
+           "            stale = ()\n",
+           (STEP_PROPERTY,)),
+    Mutant("the unresolved-union family also counts the goods that resolved roots hold",
+           "audit.py", "if holder.get(g, z) != z and holder[g] not in resolved]",
+           "if holder.get(g, z) != z]",
+           ("tests/test_audit.py::test_audit_matches_from_scratch_reference",)),
     Mutant("the skeleton search carries a component's odd-cycle mark over to the next component",
            "multigraph.py", "            comps, odd = [], set()\n"
            "            for start in range(self.vertex_count):\n"
@@ -176,6 +196,11 @@ MUTANTS = [
            "generators.py", "floor = max(entries[subset - {g}] for g in subset)",
            "floor = min(entries[subset - {g}] for g in subset)",
            ("tests/test_acceptance.py::test_criterion_2_tree_correctness",)),
+    # the error hierarchy
+    Mutant("UnsupportedClassError is not a GraphEfxError, so the CLI does not catch it",
+           "errors.py", "class UnsupportedClassError(GraphEfxError):",
+           "class UnsupportedClassError(Exception):",
+           ("tests/test_cli.py::test_unsupported_class_exit_2",)),
     # the writers of solve's outputs
     Mutant("allocation rows sorted by the quoted name, not the raw one",
            "jsonio.py", "key=itemgetter(0))", "key=lambda row: encode_basestring_ascii(row[0]))",
@@ -213,13 +238,15 @@ def run(mutant: Mutant, work: Path) -> str:
 
 
 def main() -> int:
+    start = time.monotonic()
     with tempfile.TemporaryDirectory() as work:
         bad = 0
         for mutant in MUTANTS:
             outcome = run(mutant, Path(work))
             bad += outcome != "killed"
             print(f"{outcome}: {mutant.file}: {mutant.defect}", flush=True)
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed"
+          f" in {time.monotonic() - start:.0f} s")
     return 1 if bad else 0
 
 

@@ -232,17 +232,6 @@ def _random_update(rng, inst, alloc):
     return kind, Allocation(bundles=bundles), [h, z]
 
 
-def _assert_rival_counts(envy):
-    """Each agent's rival counts equal a count, from scratch, of the holders
-    of its incident goods, and ``rivals`` names exactly the counted agents."""
-    inst, holder = envy.inst, envy.holder
-    for u in range(inst.graph.vertex_count):
-        want = Counter(holder[g] for g in inst.graph.incident_edges(u)
-                       if g in holder and holder[g] != u)
-        assert envy._count.get(u, {}) == want, u
-        assert envy.rivals(u) == want.keys()
-
-
 def _steps_of_interest(inst, before, after):
     """Which of (a good held by an agent that is not its endpoint, a bundle
     the step emptied) ``after`` shows."""
@@ -272,7 +261,6 @@ def test_envy_graph_matches_from_scratch_after_every_update():
             ops[kind] += 1
             envy.step({u: alloc.bundle(u) for u in changed})
             assert envy.alloc == alloc
-            _assert_rival_counts(envy)
             held_away, emptied = _steps_of_interest(inst, before, alloc)
             ops["held by a non-endpoint"] += held_away
             ops["emptied"] += emptied
@@ -288,10 +276,8 @@ def test_envy_graph_matches_from_scratch_after_every_update():
 
 
 def _state(envy):
-    # rivals(u) is a live view, so the state holds copies
-    n = envy.inst.graph.vertex_count
-    return (envy.alloc, envy.edges, dict(envy.holder),
-            [(frozenset(envy.rivals(u)), dict(envy._count.get(u, {}))) for u in range(n)])
+    # holder is stepped in place, so the state holds a copy
+    return envy.alloc, envy.edges, dict(envy.holder)
 
 
 def _unknown_id_step(rng, inst, envy):
@@ -328,7 +314,6 @@ def test_envy_graph_step_matches_from_scratch(seed):
     inst = random_mixed_instance(rng, n_max=6, m_max=9)
     alloc = random_allocation(rng, inst) if rng.random() < 0.3 else Allocation.empty()
     envy = EnvyGraph(inst, alloc)
-    _assert_rival_counts(envy)
     for _ in range(12):
         if inst.graph.edge_count and rng.random() < 0.25:
             changes = _overlapping_step(rng, inst, envy.alloc)
@@ -349,7 +334,6 @@ def test_envy_graph_step_matches_from_scratch(seed):
         _, alloc, changed = _random_update(rng, inst, envy.alloc)
         held = dict(envy.holder)
         moved, shrank = envy.step({u: alloc.bundle(u) for u in changed})
-        _assert_rival_counts(envy)
         assert _state(envy) == _state(EnvyGraph(inst, alloc))
         assert moved == {g for g in range(inst.graph.edge_count)
                          if envy.holder.get(g) != held.get(g)}
