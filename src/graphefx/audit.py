@@ -17,6 +17,10 @@ traces:
 
 Tree traces carry none of these obligations, so every family reports as not
 applicable on them.
+
+The distance family looks up the colors of each good's endpoints and holder,
+and raises InputError at the first structure event that involves an agent the
+trace's colorings leave uncolored.  The trace readers do not check colors.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .frozen import Frozen
 from .trace import ColoringUsed, StructureResolved, TraceEvent
 
 if TYPE_CHECKING:
-    from .multigraph import MultiGraph
     from .solvers import Instance
 
 FAMILIES = ("localized_envy", "good_movement", "distance", "unresolved_union")
@@ -77,21 +80,6 @@ def _structure_steps(trace: list[TraceEvent]
             if isinstance(ev, StructureResolved):
                 yield i, ev, changes
                 changes = {}
-
-
-def check_trace(trace: list[TraceEvent], graph: "MultiGraph") -> None:
-    """Raise InputError unless, when ``trace`` colors vertices, every holder of a
-    bundle that a structure event changes and both endpoints of each good it
-    holds have a color."""
-    colors = _merged_colors(trace)
-    if colors is None:
-        return
-    for i, _, changes in _structure_steps(trace):
-        for w, bundle in changes.items():
-            if bundle:
-                for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
-                    if v not in colors:
-                        raise InputError(f"trace event {i} involves agent {v}, which has no color")
 
 
 def _connect(adj: dict[int, set[int]], a: int, b: int) -> None:
@@ -234,20 +222,27 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         for g in sorted(recheck):
             w = holder[g]
             a, b = ends[g]
-            root = a if colors[a] < colors[b] else b
-            if (w == a or w == b) and (w == root or colors[w] > colors[root]):
+            # every good a changed bundle holds was moved, and so looked up here, at that
+            # event or earlier: a missing color is met at the first event that involves it
+            try:  # a trace read from a file may leave an agent it involves uncolored
+                c_a, c_b, c_w = colors[a], colors[b], colors[w]
+            except KeyError as missing:
+                raise InputError(f"trace event {idx} involves agent {missing.args[0]},"
+                                 " which has no color") from None
+            root, c_root = (a, c_a) if c_a < c_b else (b, c_b)
+            if (w == a or w == b) and (w == root or c_w > c_root):
                 continue
             for h in unlinked:
                 _connect(adj, *ends[h])
             unlinked = []
-            c_w = colors[w] + 1
+            c_w += 1
             for z in (a, b):
                 if not _within(adj, z, w, c_w):
                     far_goods.add(g)
                     distance.append(
                         f"event {idx}: valuer {z} of good {g} is farther than {c_w} from holder {w}"
                     )
-            bound = c_w - (colors[root] + 1)
+            bound = c_w - (c_root + 1)
             if not _within(adj, root, w, bound):
                 far_goods.add(g)
                 distance.append(

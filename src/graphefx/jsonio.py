@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Literal, Union
 
 from .allocation import Allocation
-from .audit import check_trace
 from .errors import InputError
 from .multigraph import Coloring, MultiGraph
 from .solvers import Instance
@@ -221,5 +220,4 @@ def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
                     events.append(event_from_json(obj, len(events), graph, held))
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
-    check_trace(events, graph)
     return events

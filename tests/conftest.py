@@ -298,6 +298,27 @@ def reference_audit_trace(inst, trace):
     )
 
 
+def reference_check_trace(trace, graph):
+    """Raise InputError unless, when ``trace`` colors vertices, every holder of a
+    bundle that a structure event changes and both endpoints of each good it
+    holds have a color.
+
+    The separate pass that ``load_trace`` once made before any audit;
+    ``audit_trace`` must reject a trace at the same event."""
+    from graphefx.audit import _merged_colors, _structure_steps
+    from graphefx.errors import InputError
+
+    colors = _merged_colors(trace)
+    if colors is None:
+        return
+    for i, _, changes in _structure_steps(trace):
+        for w, bundle in changes.items():
+            if bundle:
+                for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
+                    if v not in colors:
+                        raise InputError(f"trace event {i} involves agent {v}, which has no color")
+
+
 def naive_is_efx(inst, alloc):
     """Independent EFX predicate: plain double loop, no early exits, no sharing."""
     n = inst.graph.vertex_count

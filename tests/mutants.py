@@ -40,6 +40,8 @@ READER_KINDS = "tests/test_cli.py::test_each_kind_of_reader_error_has_one_wordin
 NAMED = "tests/test_cli.py::test_a_file_error_names_its_place_and_agent[%s]"
 ALLOCATION_WRITER = "tests/test_jsonio.py::test_the_allocation_writer_writes_what_json_dumps_writes"
 STEP_PROPERTY = "tests/test_allocation.py::test_envy_graph_step_matches_from_scratch"
+LIBRARY_CHECKS = ("tests/test_package.py::"
+                  "test_a_bad_input_built_through_the_library_raises_input_error[%s]")
 
 MUTANTS = [
     # one per kind of reader error
@@ -173,6 +175,17 @@ MUTANTS = [
            "audit.py", "if holder.get(g, z) != z and holder[g] not in resolved]",
            "if holder.get(g, z) != z]",
            ("tests/test_audit.py::test_audit_matches_from_scratch_reference",)),
+    Mutant("the distance family looks colors up unchecked: an uncolored agent raises KeyError",
+           "audit.py",
+           "            try:  # a trace read from a file may leave an agent it involves uncolored\n"
+           "                c_a, c_b, c_w = colors[a], colors[b], colors[w]\n"
+           "            except KeyError as missing:\n"
+           "                raise InputError(f\"trace event {idx} involves agent {missing.args[0]},\"\n"
+           "                                 \" which has no color\") from None\n",
+           "            c_a, c_b, c_w = colors[a], colors[b], colors[w]\n",
+           ("tests/test_audit.py::test_check_trace_rejects_uncolored_holders",
+            "tests/test_audit.py::"
+            "test_the_audit_rejects_an_uncolored_agent_where_the_reference_check_does")),
     Mutant("the skeleton search carries a component's odd-cycle mark over to the next component",
            "multigraph.py", "            comps, odd = [], set()\n"
            "            for start in range(self.vertex_count):\n"
@@ -187,6 +200,15 @@ MUTANTS = [
            "                side[start] = 0\n"
            "                comp = [start]\n",
            ("tests/test_multigraph.py::test_bipartition_agrees_with_exhaustive_two_coloring",)),
+    # the library's own checks, which the file readers' checks precede on every command
+    Mutant("an Instance may give an agent a valuation of goods not incident to it",
+           "solvers.py",
+           "            if extra:\n", "            if False:\n",
+           (LIBRARY_CHECKS % "instance-non-incident-support",)),
+    Mutant("a MultiGraph may have an edge whose endpoint is not a vertex",
+           "multigraph.py",
+           "if not (0 <= u < vertex_count) or not (0 <= w < vertex_count):", "if False:",
+           (LIBRARY_CHECKS % "graph-endpoint-out-of-range",)),
     # the generators
     Mutant("the bipartite generator joins agents of the left side to each other",
            "generators.py", "for w in range(n_left, n_left + n_right):",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphefx import Additive, InputError, Instance, MultiGraph
-from graphefx.audit import FAMILIES, _connect, _within, audit_trace, check_trace
+from graphefx.audit import FAMILIES, _connect, _structure_steps, _within, audit_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
 from graphefx.frozen import replace
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
@@ -27,8 +27,10 @@ from graphefx.trace import (
 from .conftest import (
     CountingValuation,
     folded,
+    interleaved_union,
     random_family_valuation,
     reference_audit_trace,
+    reference_check_trace,
     reference_distances_within,
     reference_event_to_json,
     tamper_trace,
@@ -135,10 +137,8 @@ def _read_back(trace, graph):
     """``trace`` written line by line and read back as ``load_trace`` reads a
     file on ``graph``."""
     texts, held = {}, {}
-    events = [event_from_json(json.loads(event_line(ev, texts)), i, graph, held)
-              for i, ev in enumerate(trace)]
-    check_trace(events, graph)
-    return events
+    return [event_from_json(json.loads(event_line(ev, texts)), i, graph, held)
+            for i, ev in enumerate(trace)]
 
 
 def test_check_trace_accepts_solver_traces():
@@ -191,10 +191,67 @@ def test_check_trace_rejects_bad_ids(b1_instance, edit, message):
 def test_check_trace_rejects_uncolored_holders(b1_instance):
     _, event = chromatic_efx(b1_instance, b1_instance.graph.bipartition())[1]
     with pytest.raises(InputError, match="trace event 1 involves agent 2, which has no color"):
-        _read_back([ColoringUsed(colors={0: 0, 1: 1}, t=2), event], b1_instance.graph)
+        audit_trace(b1_instance, [ColoringUsed(colors={0: 0, 1: 1}, t=2), event])
     # an empty coloring colors no agent; the audit would look the holders' colors up
     with pytest.raises(InputError, match="trace event 1 involves agent 0, which has no color"):
-        _read_back([ColoringUsed(colors={}, t=2), event], b1_instance.graph)
+        audit_trace(b1_instance, [ColoringUsed(colors={}, t=2), event])
+
+
+def _uncolored_sources(rng):
+    """Instances whose solver traces color agents: bipartite, an odd
+    multi-cycle, the Petersen graph, and a union of a multi-tree, a
+    multi-cycle and a bipartite piece."""
+    kind = rng.choice(("additive", "unit_demand", "budget_additive"))
+    seed = rng.randrange(10**6)
+    yield gen_bipartite(seed=seed, n_left=4, n_right=4, valuation_kind=kind)[0]
+    yield gen_multicycle(seed=seed, length=rng.choice((5, 7)), valuation_kind=kind)[0]
+    yield gen_petersen(seed=seed, valuation_kind=kind)[0]
+    parts = [gen_multitree(seed=seed, n=4)[0], gen_multicycle(seed=seed, length=5)[0],
+             gen_bipartite(seed=seed, n_left=3, n_right=3, edge_prob=(2, 3),
+                           valuation_kind=kind)[0]]
+    yield interleaved_union(rng, parts)[0]
+
+
+def _event_involved(trace, idx, graph):
+    """The agents that structure event ``idx`` involves: the holders of the
+    bundles it changes and the endpoints of the goods they hold."""
+    changes = next(changes for i, _, changes in _structure_steps(trace) if i == idx)
+    return {v for w, bundle in changes.items() if bundle
+            for v in {w}.union(*(graph.endpoints(g) for g in bundle))}
+
+
+def _input_error(check, *args):
+    try:
+        check(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_audit_rejects_an_uncolored_agent_where_the_reference_check_does():
+    rng = random.Random(38)
+    pattern = re.compile(r"trace event (\d+) involves agent \d+, which has no color")
+    rejected = single = 0
+    for _ in range(40):
+        for inst in _uncolored_sources(rng):
+            solved = solve(inst)[2]
+            for keep in (7, 3, 1):  # each color stays with odds keep : 1
+                trace = [ColoringUsed(colors={v: c for v, c in ev.colors.items()
+                                              if rng.randrange(keep + 1)}, t=ev.t)
+                         if isinstance(ev, ColoringUsed) else ev for ev in solved]
+                expected = _input_error(reference_check_trace, trace, inst.graph)
+                got = _input_error(audit_trace, inst, trace)
+                assert (got is None) == (expected is None), (expected, got)
+                if expected is None:
+                    continue
+                rejected += 1
+                idx = int(pattern.fullmatch(expected).group(1))
+                assert pattern.fullmatch(got).group(1) == str(idx), (expected, got)
+                colors = {v for ev in trace if isinstance(ev, ColoringUsed) for v in ev.colors}
+                if len(_event_involved(trace, idx, inst.graph) - colors) == 1:
+                    single += 1
+                    assert got == expected
+    assert rejected >= 200 and single >= 100, (rejected, single)
 
 
 # Each event beside its trace line; the bundle of agent 5 is empty, so it is not written.

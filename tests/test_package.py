@@ -23,6 +23,7 @@ from graphefx import (
 )
 from graphefx.audit import AuditReport
 from graphefx.frozen import replace
+from graphefx.jsonio import instance_to_json
 from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
 
 from .test_cli import _run_cli_env
@@ -178,3 +179,42 @@ def test_replace_builds_the_copy_with_its_class_s_checks():
         replace(Allocation({0: {0}}), bundles={0: {0}, 1: {0}})
     with pytest.raises(TypeError, match="BudgetAdditive has no field 'values_'"):
         replace(val, values_={})
+
+
+class Custom(Additive):
+    """A valuation of a kind that the instance format does not know."""
+
+    kind = "custom"
+
+
+# Checks that the file readers make first on every command, kept for direct
+# callers: each bad input built through the library, and its message.
+LIBRARY_CHECKS = [
+    pytest.param(lambda: Instance(G, {0: Additive({0: 1})}), "missing valuation for agent 1",
+                 id="instance-missing-valuation"),
+    pytest.param(lambda: Instance(MultiGraph(3, [(0, 1), (1, 2)]),
+                                  {0: Additive({0: 1, 1: 2}), 1: Additive({}), 2: Additive({})}),
+                 "valuation of agent 0 supports non-incident edges [1]",
+                 id="instance-non-incident-support"),
+    pytest.param(lambda: MultiGraph(-1, []), "vertex_count must be nonnegative",
+                 id="graph-negative-vertex-count"),
+    pytest.param(lambda: MultiGraph(2, [(0, 1), (0, 2)]), "edge 1 has endpoint outside 0..1",
+                 id="graph-endpoint-out-of-range"),
+    pytest.param(lambda: G.endpoints(2), "unknown edge id 2", id="graph-unknown-edge"),
+    pytest.param(lambda: G.find_coloring(0), "t_max must be at least 1",
+                 id="graph-coloring-t-max-0"),
+    pytest.param(lambda: Table({frozenset(): 0, frozenset({0}): -1}),
+                 "table values must be nonnegative integers", id="table-negative-value"),
+    pytest.param(lambda: Table({frozenset(): 0, frozenset({0}): 1.5}),
+                 "table values must be nonnegative integers", id="table-non-integer-value"),
+    pytest.param(lambda: instance_to_json(Instance(G, {0: Custom({0: 1}), 1: Additive({})}),
+                                          ["a", "b"]),
+                 "cannot serialize valuation Custom(values={0: 1})", id="json-unknown-kind"),
+]
+
+
+@pytest.mark.parametrize("make, message", LIBRARY_CHECKS)
+def test_a_bad_input_built_through_the_library_raises_input_error(make, message):
+    with pytest.raises(InputError) as info:
+        make()
+    assert str(info.value) == message
