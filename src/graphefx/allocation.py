@@ -67,9 +67,6 @@ class EfxVerdict(Frozen):
     ok: bool
     witness: Optional[tuple[int, int, int]]  # (envier, envied, good whose removal fails)
 
-    def __init__(self, ok: bool, witness: Optional[tuple[int, int, int]]):
-        self._set(ok, witness)
-
 
 def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[int]]]) -> None:
     n, m = inst.graph.vertex_count, inst.graph.edge_count

@@ -42,9 +42,6 @@ class AuditReport(Frozen):
     # family -> (applicable, violation messages)
     results: dict[str, tuple[bool, tuple[str, ...]]]
 
-    def __init__(self, results: dict[str, tuple[bool, tuple[str, ...]]]):
-        self._set(results)
-
     @property
     def ok(self) -> bool:
         return all(not msgs for _, msgs in self.results.values())

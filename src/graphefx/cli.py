@@ -148,6 +148,13 @@ def _solve_one(
     return report, code
 
 
+def _batch_output_paths(path: Path, trace: bool) -> dict[str, Optional[str]]:
+    """The files a batch writes for the instance at ``path``, beside it, by what they hold."""
+    stem = path.name[: -len(".instance.json")]
+    return {"allocation": str(path.with_name(stem + ".alloc.json")),
+            "trace": str(path.with_name(stem + ".trace.jsonl")) if trace else None}
+
+
 def _solve_batch_instance(path: Path, coloring_path: Optional[str],
                           trace: bool) -> tuple[str, int, bool]:
     """Solve one instance of a batch, writing its outputs beside it.
@@ -155,11 +162,9 @@ def _solve_batch_instance(path: Path, coloring_path: Optional[str],
     Returns its line, its exit code and whether the line is an error line.
     An instance that fails gets an error line; the others still run.
     """
-    stem = path.name[: -len(".instance.json")]
-    out = path.with_name(stem + ".alloc.json")
-    trace_path = str(path.with_name(stem + ".trace.jsonl")) if trace else None
+    outputs = _batch_output_paths(path, trace)
     try:
-        report, code = _solve_one(str(path), coloring_path, str(out), trace_path)
+        report, code = _solve_one(str(path), coloring_path, outputs["allocation"], outputs["trace"])
     except GraphEfxError as exc:
         return f"error: {path}: {exc}", _exit_code(exc), True
     return json.dumps(report, sort_keys=True), code, False
@@ -282,6 +287,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     paths = sorted(Path(args.batch).glob("*.instance.json"))
     if not paths:
         raise InputError(f"no *.instance.json files in {args.batch}")
+    if args.coloring:  # checked before any instance is solved, as one solve checks its own
+        coloring = _file_key(args.coloring)
+        for path in paths:
+            for output, out_path in _batch_output_paths(path, bool(args.trace)).items():
+                if out_path and _file_key(out_path) == coloring:
+                    raise InputError(f"--coloring and the {output} of {path.name}"
+                                     f" name the same file: {out_path}")
     # --trace is a flag here: each trace goes beside its instance.
     results = _solve_batch(paths, args.jobs, args.coloring, bool(args.trace))
     worst = EXIT_OK

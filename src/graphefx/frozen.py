@@ -7,13 +7,17 @@ class Frozen:
     """An immutable value.
 
     A subclass annotates its fields; ``fields`` lists them, a base class's
-    first, in the order of the subclass's ``__init__`` parameters.  That
-    ``__init__`` checks its arguments and passes the fields' values in this
-    order to ``_set``, which sets as many fields as it is given values.  An
-    object equals another of its own class with equal fields, hashes as the
-    tuple of its fields (so a dict field makes it unhashable), shows as
-    ``Class(field=value, ...)`` and refuses every assignment and deletion.
-    Pickling restores the ``__dict__`` without calling ``__init__``.
+    first.  A plain record, a subclass that neither defines nor inherits an
+    ``__init__``, gets one built from ``fields``: one parameter per field in
+    this order, defaulting to the field's class-level value if it has one,
+    passed on to ``_set``.  A class that checks its arguments writes its own
+    ``__init__``, with the fields as its parameters in this order, and passes
+    their values in this order to ``_set``, which sets as many fields as it
+    is given values.  An object equals another of its own class with equal
+    fields, hashes as the tuple of its fields (so a dict field makes it
+    unhashable), shows as ``Class(field=value, ...)`` and refuses every
+    assignment and deletion.  Pickling restores the ``__dict__`` without
+    calling ``__init__``.
     """
 
     fields = ()  # not annotated: an annotation would make it a field
@@ -22,6 +26,12 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls.fields = tuple(dict.fromkeys(
             f for c in reversed(cls.__mro__) for f in vars(c).get("__annotations__", ())))
+        if cls.__init__ is object.__init__:  # a plain record: its fields are its parameters
+            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in vars(cls) else f for f in cls.fields)
+            scope = {"_defaults": vars(cls)}
+            exec(f"def __init__(self, {params}):\n    self._set({', '.join(cls.fields)})", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _set(self, *values) -> None:
         # not through ``self.__dict__``, which would cost every later attribute read

@@ -19,7 +19,7 @@ from .errors import InputError
 from .multigraph import Coloring, MultiGraph
 from .solvers import Instance
 from .trace import (Good, Name, Natural, Record, TraceEvent, event_from_json, event_line,
-                    read_json)
+                    read_json, twice)
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
@@ -53,12 +53,6 @@ def _valuation_to_json(val: Valuation) -> dict:
     return {"type": val.kind, **vars(val), "values": values}
 
 
-def _twice(items) -> object:
-    """The first of ``items`` that equals an earlier one."""
-    seen: set = set()
-    return next(x for x in items if x in seen or seen.add(x))
-
-
 def _valuation_from_json(row: tuple, agent: str) -> Valuation:
     """The valuation of ``agent`` that ``read_json`` read as ``_VALUATION``."""
     tag, *fields = row
@@ -66,8 +60,8 @@ def _valuation_from_json(row: tuple, agent: str) -> Valuation:
         return KINDS[tag](*fields)
     entries = dict(fields[0])
     if len(entries) != len(fields[0]):
-        twice = sorted(_twice(map(itemgetter(0), fields[0])))
-        raise InputError(f"valuation of agent {agent!r} lists set {json.dumps(twice)} twice")
+        repeated = sorted(twice(map(itemgetter(0), fields[0])))
+        raise InputError(f"valuation of agent {agent!r} lists set {json.dumps(repeated)} twice")
     try:
         return Table(entries=entries)
     except InputError as exc:
@@ -140,7 +134,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     would otherwise silently keep its last value."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        raise ValueError(f"key {json.dumps(_twice(map(itemgetter(0), pairs)))} appears twice"
+        raise ValueError(f"key {json.dumps(twice(map(itemgetter(0), pairs)))} appears twice"
                          " in one object")
     return obj
 

@@ -23,9 +23,6 @@ class Coloring(Frozen):
     colors: dict[int, int]
     t: int
 
-    def __init__(self, colors: dict[int, int], t: int):
-        self._set(colors, t)
-
 
 class MultiGraph:
     """Immutable multi-graph.  Edge ids are dense: edge i is ``edges[i]``.

@@ -25,9 +25,6 @@ class OracleReport(Frozen):
     sample: Optional[Allocation]  # lexicographically first EFX allocation
     searched: int  # n^m, the size of the space
 
-    def __init__(self, efx_count: int, sample: Optional[Allocation], searched: int):
-        self._set(efx_count, sample, searched)
-
 
 def _efx_masks(inst: "Instance", agents: Sequence[int], goods: Sequence[int]) -> Iterator[list[int]]:
     """The bundle masks of every EFX assignment of ``goods``, the edges of

@@ -240,13 +240,9 @@ class Verdict(Frozen):
     """Whether one solver applies to an instance, and why not when it does not."""
 
     solver: str  # tree | bipartite | chromatic | brute_force
-    reason: Optional[str]  # None: the solver applies
+    reason: Optional[str] = None  # None: the solver applies
     # The coloring a phase-based solver runs on: for bipartite, the bipartition's.
-    structure: Optional[Coloring]
-
-    def __init__(self, solver: str, reason: Optional[str] = None,
-                 structure: Optional[Coloring] = None):
-        self._set(solver, reason, structure)
+    structure: Optional[Coloring] = None
 
     @property
     def applies(self) -> bool:

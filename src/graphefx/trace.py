@@ -53,9 +53,6 @@ class ColoringUsed(Frozen):
     colors: dict[Agent, Count]
     t: Count
 
-    def __init__(self, colors: dict[Agent, Count], t: Count):
-        self._set(colors, t)
-
 
 class StructureResolved(Frozen):
     """One root's star of right-neighbour edge loops was fully assigned.
@@ -77,11 +74,6 @@ class StructureResolved(Frozen):
     changes: dict[Agent, frozenset[Good]]
     transfers: tuple[tuple[Good, Agent, Agent], ...]
 
-    def __init__(self, phase: Count, root: Agent, favourite: Optional[Agent],
-                 branch: Optional[Branch], changes: dict[Agent, frozenset[Good]],
-                 transfers: tuple[tuple[Good, Agent, Agent], ...]):
-        self._set(phase, root, favourite, branch, changes, transfers)
-
 
 class LeafAttached(Frozen):
     """Tree solver: a leaf took its piece of the leaf-parent edge loop."""
@@ -93,11 +85,6 @@ class LeafAttached(Frozen):
     leftover_to: Agent
     changes: dict[Agent, frozenset[Good]]
 
-    def __init__(self, leaf: Agent, parent: Agent,
-                 pieces: tuple[frozenset[Good], frozenset[Good]], leftover_to: Agent,
-                 changes: dict[Agent, frozenset[Good]]):
-        self._set(leaf, parent, pieces, leftover_to, changes)
-
 
 class CycleResolved(Frozen):
     """Bundles were shifted one step along a directed envy cycle."""
@@ -105,9 +92,6 @@ class CycleResolved(Frozen):
     kind = "cycle_resolved"
     cycle: tuple[Agent, ...]
     changes: dict[Agent, frozenset[Good]]
-
-    def __init__(self, cycle: tuple[Agent, ...], changes: dict[Agent, frozenset[Good]]):
-        self._set(cycle, changes)
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
@@ -172,6 +156,12 @@ def _fail(at: tuple, x, expected: str, noun: Optional[str] = None):
     if noun:
         raise InputError(f"{place} names {noun} {shown}{path and f' in {path}'}, not {expected}")
     raise InputError(f"{place} {f'gives {path}' if path else 'is'} {shown}, not {expected}")
+
+
+def twice(items) -> object:
+    """The first of ``items``, all hashable, that equals an earlier one."""
+    seen: set = set()
+    return next(x for x in items if x in seen or seen.add(x))
 
 
 def _repeated(at: tuple, x, noun: str):
@@ -314,8 +304,7 @@ def _read(shape, xs: list, where: Callable[[int], tuple], roles: dict) -> list:
                        else map(islice, repeat(iter(values)), map(len, xs))))
         if origin is frozenset and sum(map(len, out)) != len(items):  # an item named twice
             j = next(j for j, (s, x) in enumerate(zip(out, xs)) if len(s) != len(x))
-            _repeated(where(j), next(x for i, x in enumerate(xs[j]) if x in xs[j][:i]),
-                      _NOUNS.get(args[0], "item"))
+            _repeated(where(j), twice(xs[j]), _NOUNS.get(args[0], "item"))
         return out
     set_of, set_args = _shape(args[1])
     if set_of is frozenset and len(frozenset().union(*values)) != sum(map(len, values)):

@@ -90,11 +90,19 @@ MUTANTS = [
     Mutant("a table's own error leaves out its agent",
            "jsonio.py", "    except InputError as exc:\n", "    except KeyError as exc:\n",
            (NAMED % "non-monotone table",)),
-    # the one field setter
-    Mutant("StructureResolved passes root and favourite to its setter swapped",
-           "trace.py", "self._set(phase, root, favourite, branch, changes, transfers)",
-           "self._set(phase, favourite, root, branch, changes, transfers)",
-           ("tests/test_golden.py",)),
+    # the one field setter, and the __init__ that Frozen builds for a plain record
+    Mutant("a built __init__ passes its parameters to the setter in reverse field order",
+           "frozen.py", "self._set({', '.join(cls.fields)})",
+           "self._set({', '.join(cls.fields[::-1])})", ("tests/test_package.py",)),
+    Mutant("a built __init__ ignores its fields' defaults, so Verdict(solver) is refused",
+           "frozen.py", "if f in vars(cls) else f", "if False else f",
+           ("tests/test_solvers.py::test_dispatch_prefers_tree",)),
+    Mutant("Additive and UnitDemand get a built __init__ that skips PerGood's value check",
+           "frozen.py", "if cls.__init__ is object.__init__:", 'if "__init__" not in vars(cls):',
+           ("tests/test_valuation.py::test_negative_values_rejected",)),
+    Mutant("a built __init__ refuses a bad call as __init__(), not by its class's name",
+           "frozen.py", '            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"\n',
+           "", ("tests/test_package.py::test_a_value_class_s_fields_are_its_init_parameters",)),
     Mutant("the field setter drops a sixth field: StructureResolved's transfers",
            "frozen.py", "zip(self.fields, values)", "zip(self.fields, values[:5])",
            ("tests/test_package.py",)),
@@ -102,6 +110,9 @@ MUTANTS = [
     Mutant("solve --trace may name the instance, the coloring or the allocation",
            "cli.py", 'option in ("-o", "--trace")', 'option == "-o"',
            ("tests/test_cli.py::test_solve_refuses_an_output_that_names_another_file_of_the_run",)),
+    Mutant("solve --batch writes an instance's output over the --coloring file",
+           "cli.py", "if out_path and _file_key(out_path) == coloring:", "if False:",
+           ("tests/test_cli.py::test_batch_refuses_a_coloring_it_would_overwrite",)),
     # growth laws
     Mutant("EnvyGraph.step re-decides every rival of an agent whose bundle only grew",
            "allocation.py", "            if y in shrank:\n", "            if True:\n",

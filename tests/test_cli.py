@@ -926,6 +926,23 @@ def test_batch_reports_a_failing_instance_and_solves_the_others(tmp_path, capsys
     assert list(written[0]) == ["b.alloc.json", "c.alloc.json"] and written[0] == written[1]
 
 
+@pytest.mark.parametrize("output, suffix, options", [
+    ("allocation", ".alloc.json", []), ("trace", ".trace.jsonl", ["--trace", "yes"])])
+def test_batch_refuses_a_coloring_it_would_overwrite(tmp_path, capsys, output, suffix, options):
+    # the batch once wrote c1's allocation over the coloring, then failed c2 on reading it
+    for stem, seed in (("c1", 1), ("c2", 2)):
+        save_instance(*gen_multicycle(seed=seed, length=5), tmp_path / f"{stem}.instance.json")
+    names = load_instance(tmp_path / "c1.instance.json")[1]
+    coloring = tmp_path / f"c1{suffix}"
+    coloring.write_text(json.dumps({"colors": dict(zip(names, [0, 1, 0, 1, 2])), "t": 3}))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = ["solve", "--batch", str(tmp_path), "--coloring", str(coloring), "--jobs", "1", *options]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: --coloring and the {output} of c1.instance.json"
+                                       f" name the same file: {coloring}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_batch_empty_dir_exit_1(tmp_path):
     assert main(["solve", "--batch", str(tmp_path)]) == EXIT_INPUT
 

@@ -1,7 +1,9 @@
 import inspect
 import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -151,7 +153,19 @@ def test_a_value_class_compares_hashes_shows_and_refuses_changes_by_its_fields(
 @pytest.mark.parametrize("cls", sorted({type(make()) for make, *_ in VALUES}, key=str))
 def test_a_value_class_s_fields_are_its_init_parameters(cls):
     # the readers build objects from fields by position (valuations) and by name (events)
-    assert cls.fields == tuple(inspect.signature(cls).parameters)
+    params = inspect.signature(cls).parameters
+    assert cls.fields == tuple(params)
+    # a bad call names the class whose __init__ refuses it, whether Frozen built it or not
+    sample = next(make() for make, *_ in VALUES if type(make()) is cls)
+    given = dict(zip(cls.fields, sample._values()))
+    required = [f for f in cls.fields if params[f].default is params[f].empty]
+    owner = next(c for c in cls.__mro__ if "__init__" in vars(c)).__qualname__
+    with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) missing 1 required"
+                                        rf" positional argument: '{required[-1]}'$"):
+        cls(**{f: v for f, v in given.items() if f != required[-1]})
+    with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) got an unexpected"
+                                        r" keyword argument 'other'$"):
+        cls(**given, other=None)
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
@@ -218,3 +232,14 @@ def test_a_bad_input_built_through_the_library_raises_input_error(make, message)
     with pytest.raises(InputError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_the_scale_pins_name_each_large_solve_s_outputs_once():
+    # CI checks its six large solves' outputs against this file with sha256sum --check --strict
+    lines = Path(__file__).with_name("scale_pins.sha256").read_text().splitlines()
+    pins = [re.fullmatch(r"([0-9a-f]{64})  (\S+)", line) for line in lines]
+    assert all(pins)
+    solves = ("bipartite", "multicycle", "tree_additive", "tree_budget_additive", "tree_table",
+              "tree_unit_demand")
+    assert sorted(pin[2] for pin in pins) == sorted(
+        f"{name}{suffix}" for name in solves for suffix in (".alloc.json", ".trace.jsonl"))
