@@ -15,12 +15,16 @@ traces:
 * unresolved union    -- an unresolved agent never envies the union of all
                          other unresolved agents' bundles.
 
-Tree traces carry none of these obligations, so every family reports as not
+The families apply to a trace that holds a structure event.  Tree traces hold
+none and carry none of these obligations, so every family reports as not
 applicable on them.
 
-The distance family looks up the colors of each good's endpoints and holder,
-and raises InputError at the first structure event that involves an agent the
-trace's colorings leave uncolored.  The trace readers do not check colors.
+The colors are one map, merged over the trace's coloring events: a
+component-wise solve emits one per phase-based component, on disjoint
+vertices, and a trace without one colors no agent.  The distance family looks
+up the colors of each good's endpoints and holder, and raises InputError at
+the first structure event that involves an agent the map leaves uncolored.
+The trace readers do not check colors.
 """
 
 from __future__ import annotations
@@ -50,16 +54,6 @@ class AuditReport(Frozen):
         """"n/a" when ``family`` does not apply to the trace, else "pass" or "fail"."""
         applicable, msgs = self.results[family]
         return "n/a" if not applicable else ("pass" if not msgs else "fail")
-
-
-def _merged_colors(trace: list[TraceEvent]) -> Optional[dict[int, int]]:
-    """Vertex colors over every ColoringUsed event, or None when there is none.
-
-    A component-wise solve emits one event per phase-based component; the
-    components have disjoint vertices, so their colorings merge.
-    """
-    colorings = [ev.colors for ev in trace if isinstance(ev, ColoringUsed)]
-    return {v: c for colors in colorings for v, c in colors.items()} if colorings else None
 
 
 def _structure_steps(trace: list[TraceEvent]
@@ -147,15 +141,11 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
       goods moves to another unresolved agent, and the union may grow.
     Checks that failed at the previous structure event are always made again.
     """
-    colors = _merged_colors(trace)
-    applicable = colors is not None and any(isinstance(ev, StructureResolved) for ev in trace)
-    if not applicable:
+    if not any(isinstance(ev, StructureResolved) for ev in trace):
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
-
-    localized: list[str] = []
-    movement: list[str] = []
-    distance: list[str] = []
-    union: list[str] = []
+    colors = {v: c for ev in trace if isinstance(ev, ColoringUsed) for v, c in ev.colors.items()}
+    found: dict[str, list[str]] = {f: [] for f in FAMILIES}  # family -> violation messages
+    localized, movement, distance, union = found.values()  # in the order of FAMILIES
 
     favourite_of: dict[int, Optional[int]] = {}
     resolved = favourite_of.keys()  # the roots resolved so far
@@ -269,11 +259,4 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                     f"event {idx}: unresolved agent {z} envies the union of unresolved bundles"
                 )
 
-    return AuditReport(
-        results={
-            "localized_envy": (True, tuple(localized)),
-            "good_movement": (True, tuple(movement)),
-            "distance": (True, tuple(distance)),
-            "unresolved_union": (True, tuple(union)),
-        }
-    )
+    return AuditReport(results={f: (True, tuple(msgs)) for f, msgs in found.items()})

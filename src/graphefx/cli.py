@@ -258,14 +258,15 @@ def _file_key(path: str) -> object:
     return path  # in a missing directory, which writing reports
 
 
-def _refuse_clashes(paths: dict[str, Optional[str]]) -> None:
-    """Raise InputError when an output, -o or --trace, names the same file as
-    a path given before it in ``paths``."""
+def _refuse_clashes(inputs: dict[str, Optional[str]], outputs: dict[str, Optional[str]]) -> None:
+    """Raise InputError when an output names the same file as any path before it:
+    an input, or an output listed earlier.  Each map takes what a path is, as the
+    message names it, to the path, or to None when it is not given."""
     seen: dict = {}
-    for option, path in paths.items():
+    for option, path in (*inputs.items(), *outputs.items()):
         if path:
             first = seen.setdefault(_file_key(path), option)
-            if first != option and option in ("-o", "--trace"):
+            if first != option and option in outputs:
                 raise InputError(f"{first} and {option} name the same file: {path}")
 
 
@@ -273,8 +274,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not args.batch:
         if not args.instance:
             raise InputError("solve needs an instance path or --batch")
-        _refuse_clashes({"the instance": args.instance, "--coloring": args.coloring,
-                         "-o": args.out, "--trace": args.trace})
+        _refuse_clashes({"the instance": args.instance, "--coloring": args.coloring},
+                        {"-o": args.out, "--trace": args.trace})
         report, code = _solve_one(args.instance, args.coloring, args.out, args.trace)
         print(json.dumps(report, indent=2, sort_keys=True))
         return code
@@ -288,12 +289,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not paths:
         raise InputError(f"no *.instance.json files in {args.batch}")
     if args.coloring:  # checked before any instance is solved, as one solve checks its own
-        coloring = _file_key(args.coloring)
         for path in paths:
-            for output, out_path in _batch_output_paths(path, bool(args.trace)).items():
-                if out_path and _file_key(out_path) == coloring:
-                    raise InputError(f"--coloring and the {output} of {path.name}"
-                                     f" name the same file: {out_path}")
+            outputs = _batch_output_paths(path, bool(args.trace)).items()
+            _refuse_clashes({"--coloring": args.coloring},
+                            {f"the {output} of {path.name}": out for output, out in outputs})
     # --trace is a flag here: each trace goes beside its instance.
     results = _solve_batch(paths, args.jobs, args.coloring, bool(args.trace))
     worst = EXIT_OK

@@ -46,20 +46,15 @@ def _random_table(rng: random.Random, goods: list[int], value_max: int) -> Table
 def _make_valuation(
     rng: random.Random, kind: str, incident: list[int], value_max: int
 ) -> Valuation:
-    if kind == "additive":
-        return Additive(values={g: rng.randint(0, value_max) for g in incident})
-    if kind == "unit_demand":
-        return UnitDemand(values={g: rng.randint(0, value_max) for g in incident})
+    if kind not in KINDS:
+        raise InputError(f"unknown valuation kind {kind!r}")
+    if kind == "table" and len(incident) <= TABLE_SUPPORT_MAX:
+        return _random_table(rng, sorted(incident), value_max)
+    values = {g: rng.randint(0, value_max) for g in incident}
     if kind == "budget_additive":
-        values = {g: rng.randint(0, value_max) for g in incident}
-        cap = rng.randint(1, max(1, sum(values.values())))
-        return BudgetAdditive(values=values, cap=cap)
-    if kind == "table":
-        if len(incident) <= TABLE_SUPPORT_MAX:
-            return _random_table(rng, sorted(incident), value_max)
-        # tables are capped at a small support; high-degree agents fall back
-        return Additive(values={g: rng.randint(0, value_max) for g in incident})
-    raise InputError(f"unknown valuation kind {kind!r}")
+        return BudgetAdditive(values=values, cap=rng.randint(1, max(1, sum(values.values()))))
+    # tables are capped at a small support: a table agent above it gets additive values
+    return (UnitDemand if kind == "unit_demand" else Additive)(values=values)
 
 
 def _finish(

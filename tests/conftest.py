@@ -186,6 +186,18 @@ def reference_distances_within(adj, src, depth):
     return dist
 
 
+def reference_colors(trace):
+    """Every agent's color, merged over the trace's coloring events one by one;
+    an agent no event colors is left out."""
+    from graphefx.trace import ColoringUsed
+
+    colors = {}
+    for ev in trace:
+        if isinstance(ev, ColoringUsed):
+            colors.update(ev.colors)
+    return colors
+
+
 def reference_audit_trace(inst, trace):
     """The audit that checks every snapshot from scratch: one envy graph,
     one ``is_efx``, one allocated adjacency with a BFS per valuer and one
@@ -195,15 +207,14 @@ def reference_audit_trace(inst, trace):
     because every valuation's support lies within the agent's incident edges.
     """
     from graphefx.allocation import envy_graph, is_efx
-    from graphefx.audit import FAMILIES, AuditReport, _merged_colors
+    from graphefx.audit import FAMILIES, AuditReport
     from graphefx.trace import StructureResolved
 
-    colors = _merged_colors(trace)
+    colors = reference_colors(trace)
     structure_events = [
         (i, ev) for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)
     ]
-    applicable = colors is not None and bool(structure_events)
-    if not applicable:
+    if not structure_events:
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
 
     # 0-based color classes; claims use 1-based, so +1.  No distance bound
@@ -299,18 +310,15 @@ def reference_audit_trace(inst, trace):
 
 
 def reference_check_trace(trace, graph):
-    """Raise InputError unless, when ``trace`` colors vertices, every holder of a
-    bundle that a structure event changes and both endpoints of each good it
-    holds have a color.
+    """Raise InputError unless every holder of a bundle that a structure event
+    changes and both endpoints of each good it holds have a color.
 
     The separate pass that ``load_trace`` once made before any audit;
     ``audit_trace`` must reject a trace at the same event."""
-    from graphefx.audit import _merged_colors, _structure_steps
+    from graphefx.audit import _structure_steps
     from graphefx.errors import InputError
 
-    colors = _merged_colors(trace)
-    if colors is None:
-        return
+    colors = reference_colors(trace)
     for i, _, changes in _structure_steps(trace):
         for w, bundle in changes.items():
             if bundle:

@@ -108,10 +108,11 @@ MUTANTS = [
            ("tests/test_package.py",)),
     # solve's outputs
     Mutant("solve --trace may name the instance, the coloring or the allocation",
-           "cli.py", 'option in ("-o", "--trace")', 'option == "-o"',
+           "cli.py", "if first != option and option in outputs:",
+           'if first != option and option in outputs and option != "--trace":',
            ("tests/test_cli.py::test_solve_refuses_an_output_that_names_another_file_of_the_run",)),
     Mutant("solve --batch writes an instance's output over the --coloring file",
-           "cli.py", "if out_path and _file_key(out_path) == coloring:", "if False:",
+           "cli.py", '{f"the {output} of {path.name}": out for output, out in outputs}', "{}",
            ("tests/test_cli.py::test_batch_refuses_a_coloring_it_would_overwrite",)),
     # growth laws
     Mutant("EnvyGraph.step re-decides every rival of an agent whose bundle only grew",
@@ -186,6 +187,11 @@ MUTANTS = [
            "audit.py", "if holder.get(g, z) != z and holder[g] not in resolved]",
            "if holder.get(g, z) != z]",
            ("tests/test_audit.py::test_audit_matches_from_scratch_reference",)),
+    Mutant("the audit passes a trace that holds no coloring event without checking it",
+           "audit.py", "    if not any(isinstance(ev, StructureResolved) for ev in trace):\n",
+           "    if not any(isinstance(ev, StructureResolved) for ev in trace)"
+           " or not any(isinstance(ev, ColoringUsed) for ev in trace):\n",
+           ("tests/test_audit.py::test_a_trace_without_its_coloring_is_rejected",)),
     Mutant("the distance family looks colors up unchecked: an uncolored agent raises KeyError",
            "audit.py",
            "            try:  # a trace read from a file may leave an agent it involves uncolored\n"
@@ -221,6 +227,10 @@ MUTANTS = [
            "if not (0 <= u < vertex_count) or not (0 <= w < vertex_count):", "if False:",
            (LIBRARY_CHECKS % "graph-endpoint-out-of-range",)),
     # the generators
+    Mutant("the multicycle generator makes a cycle of length 2",
+           "generators.py", "if length < 3 or max_parallel < 1:",
+           "if length < 2 or max_parallel < 1:",
+           ("tests/test_cli.py::test_gen_refuses_what_its_family_cannot_make_exit_1",)),
     Mutant("the bipartite generator joins agents of the left side to each other",
            "generators.py", "for w in range(n_left, n_left + n_right):",
            "for w in range(u + 1, n_left + n_right):",

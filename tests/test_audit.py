@@ -254,6 +254,41 @@ def test_the_audit_rejects_an_uncolored_agent_where_the_reference_check_does():
     assert rejected >= 200 and single >= 100, (rejected, single)
 
 
+def _phase_based_sources(seed):
+    """A bipartite instance, an odd multi-cycle, and a union of a bipartite and
+    an odd multi-cycle, each solved by the phase-based solver."""
+    rng = random.Random(seed)
+    kind = rng.choice(("additive", "unit_demand", "budget_additive"))
+    yield gen_bipartite(seed=seed, n_left=4, n_right=4, valuation_kind=kind)[0]
+    yield gen_multicycle(seed=seed, length=rng.choice((5, 7)), valuation_kind=kind)[0]
+    yield _cycle_union(rng, (4, 5), kind)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_trace_without_its_coloring_is_rejected(tmp_path, capsys, seed):
+    # with no coloring event the audit once skipped every family and passed
+    pattern = re.compile(r"trace event (\d+) involves agent (\d+), which has no color")
+    for inst in _phase_based_sources(seed):
+        solved = solve(inst)[2]
+        trace = [ev for ev in solved if not isinstance(ev, ColoringUsed)]
+        assert len(trace) < len(solved)
+        first = next(i for i, _, changes in _structure_steps(trace) if any(changes.values()))
+        got = _input_error(audit_trace, inst, trace)
+        expected = _input_error(reference_check_trace, trace, inst.graph)
+        assert got is not None and expected is not None, (got, expected)
+        idx, agent = map(int, pattern.fullmatch(got).groups())
+        assert idx == first == int(pattern.fullmatch(expected).group(1))
+        assert agent in _event_involved(trace, idx, inst.graph)
+
+        instance_path = tmp_path / "inst.instance.json"
+        save_instance(inst, [f"a{v}" for v in range(inst.graph.vertex_count)], instance_path)
+        path = tmp_path / "stripped.trace.jsonl"
+        save_trace(trace, path)
+        capsys.readouterr()
+        assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {got}\n")
+
+
 # Each event beside its trace line; the bundle of agent 5 is empty, so it is not written.
 EVENT_LINES = [
     (ColoringUsed(colors={1: 0, 0: 2}, t=3),

@@ -215,6 +215,33 @@ def test_gen_rejects_an_unknown_valuation_kind_exit_1(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+TABLE_REFUSAL = "table valuations are only generated for multi-trees"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bipartite", "--n-right", "0"],
+                 "bipartite generator needs n_left, n_right, max_parallel >= 1",
+                 id="bipartite-sizes"),
+    pytest.param(["bipartite", "--edge-prob", "3/2"],
+                 "edge probability must be a rational p/q with 0 <= p <= q",
+                 id="bipartite-edge-prob"),
+    pytest.param(["bipartite", "--valuations", "table"], TABLE_REFUSAL, id="bipartite-table"),
+    pytest.param(["multicycle", "--valuations", "table"], TABLE_REFUSAL, id="multicycle-table"),
+    pytest.param(["petersen", "--valuations", "table"], TABLE_REFUSAL, id="petersen-table"),
+    pytest.param(["multitree", "--agents", "1"],
+                 "multitree generator needs n >= 2 and max_parallel >= 1", id="multitree-sizes"),
+    pytest.param(["multicycle", "--length", "2"],
+                 "multicycle generator needs length >= 3 and max_parallel >= 1",
+                 id="multicycle-sizes"),
+    pytest.param(["petersen", "--parallel-copies", "0"],
+                 "petersen generator needs parallel_copies >= 1", id="petersen-sizes"),
+])
+def test_gen_refuses_what_its_family_cannot_make_exit_1(tmp_path, capsys, argv, message):
+    assert main(["gen", *argv, "-o", str(tmp_path / "x.json")]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, option", [
     (["gen", "--seed", "3", "multitree", "-o", "OUT"], "--seed"),
     (["gen", "-o", "OUT", "multitree"], "-o"),

@@ -25,6 +25,7 @@ from graphefx import (
 )
 from graphefx.audit import AuditReport
 from graphefx.frozen import replace
+from graphefx.generators import generate
 from graphefx.jsonio import instance_to_json
 from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
 
@@ -201,8 +202,9 @@ class Custom(Additive):
     kind = "custom"
 
 
-# Checks that the file readers make first on every command, kept for direct
-# callers: each bad input built through the library, and its message.
+# Checks that the file readers, or the command line's choices, make first on
+# every command, kept for direct callers: each bad input built through the
+# library, and its message.
 LIBRARY_CHECKS = [
     pytest.param(lambda: Instance(G, {0: Additive({0: 1})}), "missing valuation for agent 1",
                  id="instance-missing-valuation"),
@@ -224,6 +226,11 @@ LIBRARY_CHECKS = [
     pytest.param(lambda: instance_to_json(Instance(G, {0: Custom({0: 1}), 1: Additive({})}),
                                           ["a", "b"]),
                  "cannot serialize valuation Custom(values={0: 1})", id="json-unknown-kind"),
+    pytest.param(lambda: generate("grid", seed=0),
+                 "unknown family 'grid'; expected one of"
+                 " ['bipartite', 'multicycle', 'multitree', 'petersen']", id="gen-unknown-family"),
+    pytest.param(lambda: generate("multitree", seed=0, valuation_kind="convex", n=3),
+                 "unknown valuation kind 'convex'", id="gen-unknown-valuation-kind"),
 ]
 
 
