@@ -10,6 +10,7 @@ instance class, 3 EFX violation.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -425,10 +426,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         command = {"gen": cmd_gen, "analyze": cmd_analyze, "solve": cmd_solve,
                    "verify": cmd_verify, "oracle": cmd_oracle, "audit": cmd_audit}[args.command]
-        return command(args)
+        code = command(args)
+        print(end="", flush=True)  # flushes stdout, if there is one: a failed write raises here
+        return code
     except GraphEfxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:
+        if exc.errno not in (errno.EPIPE, errno.ENOSPC):  # files and forks fail otherwise
+            raise
+        # point standard output at devnull, so that the exit-time flush fails no second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

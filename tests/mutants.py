@@ -114,6 +114,10 @@ MUTANTS = [
     Mutant("solve --batch writes an instance's output over the --coloring file",
            "cli.py", '{f"the {output} of {path.name}": out for output, out in outputs}', "{}",
            ("tests/test_cli.py::test_batch_refuses_a_coloring_it_would_overwrite",)),
+    Mutant("a buffered report that cannot be written fails at exit, with a traceback",
+           "cli.py", 'print(end="", flush=True)', 'print(end="")',
+           ("tests/test_cli.py::test_analyze_into_a_closed_pipe_exits_1_with_one_line[buffered]",
+            "tests/test_cli.py::test_solve_into_a_full_device_exits_1_with_one_line[buffered]")),
     # growth laws
     Mutant("EnvyGraph.step re-decides every rival of an agent whose bundle only grew",
            "allocation.py", "            if y in shrank:\n", "            if True:\n",

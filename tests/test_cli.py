@@ -142,10 +142,11 @@ def _run_cli_env(env=None):
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _run_cli(*args, env=None):
+def _run_cli(*args, env=None, stdout=subprocess.PIPE):
     """``graphefx`` in a fresh interpreter, so that a traceback reaches stderr."""
     return subprocess.run([sys.executable, "-m", "graphefx.cli", *map(str, args)],
-                          env=_run_cli_env(env), capture_output=True, text=True, timeout=120)
+                          env=_run_cli_env(env), stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
 
 
 def test_successive_main_calls_match_fresh_processes(b1_file, tmp_path, capsys, monkeypatch):
@@ -170,6 +171,42 @@ def test_successive_main_calls_match_fresh_processes(b1_file, tmp_path, capsys, 
     for argv, seen in zip(calls, in_process):
         done = _run_cli(*argv)
         assert seen == (done.returncode, done.stdout, done.stderr), argv
+
+
+# Standard output buffered, so that the final flush fails, and unbuffered, so that print does.
+BUFFERING = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+def test_solve_into_a_full_device_exits_1_with_one_line(b1_file, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        done = _run_cli("solve", b1_file, env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+    assert (done.returncode, done.stderr) == (
+        EXIT_INPUT, "error: cannot write standard output: No space left on device\n")
+
+
+@BUFFERING
+def test_analyze_into_a_closed_pipe_exits_1_with_one_line(tmp_path, unbuffered):
+    path = tmp_path / "cycle.instance.json"
+    save_instance(*gen_multicycle(seed=3, length=1601), path)
+    read, write = os.pipe()
+    os.close(read)  # closed before graphefx starts, so its first write fails
+    try:
+        done = _run_cli("analyze", path, env={"PYTHONUNBUFFERED": unbuffered}, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (
+        EXIT_INPUT, "error: cannot write standard output: Broken pipe\n")
+
+
+def test_a_command_whose_standard_output_is_closed_still_runs(b1_file):
+    # fd 1 closed at startup leaves sys.stdout None, and print writes nothing
+    done = subprocess.run([sys.executable, "-m", "graphefx.cli", "analyze", str(b1_file)],
+                          env=_run_cli_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
 
 
 def _assert_one_error_line(done):
