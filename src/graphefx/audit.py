@@ -132,6 +132,13 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
       an allocated edge joining its endpoints, so the holder is 0 hops from
       itself and 1 from the other endpoint, within the valuers' bounds of
       color + 1 >= 1 and the root's bound of color(holder) - color(root);
+    * a good held by the favourite w of one of its endpoints e, where a good
+      of the (e, w) loop is held, passes all three checks without a search
+      when color(w) >= 1 and color(w) - color(root) is at least 1 if e is
+      the good's root, else 2: the held loop good puts w 1 hop from e, and
+      the good itself puts w at most 2 hops from its other endpoint.  This
+      is the keep branch's case, where a root's favourite takes goods that
+      are not incident to it;
     * an unresolved agent z values only its incident goods, so its union
       check depends only on its own value and on the holders of those goods
       and which of them are resolved.  Resolving one more root, or moving
@@ -198,7 +205,9 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
             moved_in_phase.add(g)
 
         # distances along allocated edges; a good held by one of its endpoints
-        # that is its root or colored higher passes all three checks (see above)
+        # that is its root or colored higher passes all three checks, and so
+        # does one held by an endpoint's favourite that a held good of their
+        # loop joins to it, within the color bounds (see above)
         if any(g not in holder for g in moved):
             adj, unlinked = {}, list(holder)
             recheck = set(holder)
@@ -217,7 +226,13 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                 raise InputError(f"trace event {idx} involves agent {missing.args[0]},"
                                  " which has no color") from None
             root, c_root = (a, c_a) if c_a < c_b else (b, c_b)
-            if (w == a or w == b) and (w == root or c_w > c_root):
+            if w == a or w == b:
+                if w == root or c_w > c_root:
+                    continue
+            elif c_w >= 1 and any(
+                    favourite_of.get(e) == w and c_w - c_root >= 1 + (e != root)
+                    and not holder.keys().isdisjoint(inst.graph.parallel_edges(e, w))
+                    for e in (a, b)):
                 continue
             for h in unlinked:
                 _connect(adj, *ends[h])

