@@ -34,7 +34,7 @@ from .jsonio import (
     save_trace,
 )
 from .oracle import brute_force_efx
-from .solvers import Instance, classify, smallest_coloring, solve
+from .solvers import classify, solve
 from .valuation import KINDS
 
 EXIT_OK = 0
@@ -81,37 +81,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis(inst: Instance) -> dict:
-    """Class facts of the whole instance, and per component its chromatic number
-    and the solvers ``classify`` accepts."""
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """Print the whole instance's class facts, then per component, split as
+    ``solve`` splits it, each verdict of ``classify``, marking the solver
+    ``solve`` runs."""
+    inst, names = load_instance(args.instance)
     g = inst.graph
     girth = g.girth()
-    comps = g.connected_components() or [None]  # a graph without vertices is one part
-    colorings = [smallest_coloring(g, comp)[0] for comp in comps]
-    return {
-        "agents": g.vertex_count,
-        "goods": g.edge_count,
-        "multitree": g.is_multitree(),
-        "bipartite": g.bipartition() is not None,
-        "girth": None if girth == float("inf") else int(girth),
-        "chromatic_number": [None if col is None else col.t for col in colorings],
-        "eligible": [[v.solver for v in classify(inst, None, comp) if v.applies] for comp in comps],
-    }
-
-
-def _per_component(items: list) -> str:
-    """One item as itself; one item per component as componentwise(a; b; ...)."""
-    return str(items[0]) if len(items) == 1 else f"componentwise({'; '.join(map(str, items))})"
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    inst, _ = load_instance(args.instance)
-    report = _analysis(inst)
-    for key in ("agents", "goods", "multitree", "bipartite", "girth"):
-        print(f"{key}: {report[key]}")
-    print("chromatic_number: " + _per_component(report["chromatic_number"]))
-    lists = [", ".join(solvers) or "none" for solvers in report["eligible"]]
-    print("eligible: " + _per_component(lists))
+    for key, value in (("agents", g.vertex_count), ("goods", g.edge_count),
+                       ("multitree", g.is_multitree()), ("bipartite", g.bipartition() is not None),
+                       ("girth", None if girth == float("inf") else int(girth))):
+        print(f"{key}: {value}")
+    for comp in g.connected_components() or [None]:  # a graph without vertices is one part
+        print(f"component {json.dumps(names[comp[0]])}:" if comp else "component without agents:")
+        verdicts = list(classify(inst, None, comp))
+        runs = next((v for v in verdicts if v.applies), None)
+        for v in verdicts:
+            t = f" (t = {v.structure.t})" if v.structure is not None else ""
+            print(f"  {v.solver}: {v.reason or 'applies'}{t}"
+                  + ("; solve runs this" if v is runs else ""))
     return EXIT_OK
 
 
@@ -272,6 +260,8 @@ def _refuse_clashes(inputs: dict[str, Optional[str]], outputs: dict[str, Optiona
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     if not args.batch:
         if not args.instance:
             raise InputError("solve needs an instance path or --batch")
@@ -284,8 +274,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise InputError(f"solve --batch takes no instance path, got {args.instance}")
     if args.out:
         raise InputError("solve --batch takes no -o: it writes each allocation beside its instance")
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     paths = sorted(Path(args.batch).glob("*.instance.json"))
     if not paths:
         raise InputError(f"no *.instance.json files in {args.batch}")
@@ -395,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = families.add_parser("petersen", parents=[shared])
     p_fam.add_argument("--parallel-copies", type=int, default=2)
 
-    p_an = sub.add_parser("analyze", help="report instance class and eligible solvers")
+    p_an = sub.add_parser("analyze", help="report instance class and solver verdicts per component")
     p_an.add_argument("instance")
 
     p_solve = sub.add_parser("solve", help="solve an instance and verify the result")

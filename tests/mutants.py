@@ -118,6 +118,12 @@ MUTANTS = [
            "cli.py", 'print(end="", flush=True)', 'print(end="")',
            ("tests/test_cli.py::test_analyze_into_a_closed_pipe_exits_1_with_one_line[buffered]",
             "tests/test_cli.py::test_solve_into_a_full_device_exits_1_with_one_line[buffered]")),
+    # analyze's verdicts
+    Mutant("analyze marks the last solver that applies, not the first",
+           "cli.py", "next((v for v in verdicts if v.applies), None)",
+           "next((v for v in verdicts[::-1] if v.applies), None)",
+           ("tests/test_cli.py::"
+            "test_analyze_and_solve_give_the_same_verdicts_on_the_golden_corpus",)),
     # growth laws
     Mutant("EnvyGraph.step re-decides every rival of an agent whose bundle only grew",
            "allocation.py", "            if y in shrank:\n", "            if True:\n",

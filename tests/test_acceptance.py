@@ -21,7 +21,6 @@ from graphefx import (
     tree_efx,
 )
 from graphefx.audit import FAMILIES, audit_trace
-from graphefx.cli import _analysis
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
 from graphefx.partition import _is_efx_pair
 
@@ -122,8 +121,7 @@ def test_criterion_3_chromatic_correctness(chromatic_runs):
     runs, elapsed = chromatic_runs
     failures = []
     for i, (inst, alloc, _) in enumerate(runs):
-        analysis = _analysis(inst)
-        girth_ok = analysis["girth"] is not None and analysis["girth"] >= 2 * 3 - 1
+        girth_ok = 2 * 3 - 1 <= inst.graph.girth() < float("inf")
         if not (girth_ok and alloc.is_complete(inst) and is_efx(inst, alloc).ok):
             failures.append(i)
     ok = not failures and len(runs) == 200 and elapsed < 10.0

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -46,6 +48,7 @@ from .conftest import (
     star_graph,
     zero_instance,
 )
+from .test_golden import _cases as _golden_cases
 
 
 @pytest.fixture
@@ -83,16 +86,50 @@ def test_gen_seed_env_var(tmp_path, monkeypatch):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+SOLVE_RUNS = "; solve runs this"
+
+
+def _blocks(out: list[str]) -> list[tuple[str, list[str]]]:
+    """The component blocks of ``analyze``'s output lines ``out``: each header
+    with its verdict lines, unindented."""
+    blocks: list[tuple[str, list[str]]] = []
+    for line in out[5:]:  # after the five whole-instance facts
+        if line.startswith("  "):
+            blocks[-1][1].append(line[2:])
+        else:
+            blocks.append((line, []))
+    return blocks
+
+
+def _chromatic_t(verdicts: list[str]) -> int | None:
+    """The t that a component's chromatic verdict shows, or None when it does not apply."""
+    (line,) = [v for v in verdicts if v.startswith("chromatic: ")]
+    found = re.fullmatch(rf"chromatic: applies \(t = (\d+)\)(?:{SOLVE_RUNS})?", line)
+    return found and int(found[1])
+
+
+def _applying(verdicts: list[str]) -> list[str]:
+    """The solvers that apply to a component, in order; the first, and only
+    it, is marked as the one ``solve`` runs."""
+    applying = [v.split(":")[0] for v in verdicts if ": applies" in v]
+    assert [v.split(":")[0] for v in verdicts if v.endswith(SOLVE_RUNS)] == applying[:1]
+    return applying
+
+
 def test_analyze_petersen(tmp_path, capsys):
     path = tmp_path / "p.instance.json"
     assert main(["gen", "petersen", "--seed", "1", "--parallel-copies", "2",
                  "-o", str(path)]) == EXIT_OK
     capsys.readouterr()
     assert main(["analyze", str(path)]) == EXIT_OK
-    out = capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
     assert "girth: 5" in out
-    assert "chromatic_number: 3" in out
-    assert "chromatic" in out.splitlines()[-1]
+    assert _blocks(out) == [('component "a0":', [
+        "tree: not a multi-tree",
+        "bipartite: not bipartite",
+        "chromatic: applies (t = 3)" + SOLVE_RUNS,
+        "brute_force: too large (needs <= 4 agents, <= 8 goods)",
+    ])]
 
 
 def test_analyze_multicycle_4_bipartite(tmp_path, capsys):
@@ -875,9 +912,12 @@ def test_unsupported_class_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no solver applies: ") and "girth 3 < 5" in err
     assert main(["analyze", str(path)]) == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert "chromatic_number: None" in out  # girth 3: no coloring is searched
-    assert out[-1] == "eligible: none"
+    [(header, verdicts)] = _blocks(capsys.readouterr().out.splitlines())
+    assert header == 'component "a":'
+    # girth 3: no coloring is searched, and no solver applies
+    assert "chromatic: girth 3 < 5, and a non-bipartite graph needs t >= 3" in verdicts
+    assert _applying(verdicts) == []
+    assert err == "error: no solver applies: " + "; ".join(verdicts) + "\n"
 
 
 @pytest.mark.parametrize("table_agent", [0, 1])
@@ -900,7 +940,9 @@ def test_table_cutter_on_a_loop_over_the_cut_limit_exits_2(tmp_path, capsys, tab
         " chromatic: agent 0 has a table valuation; brute_force: too large (needs <= 4 agents,"
         " <= 8 goods)\n")
     assert main(["analyze", str(path)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[-1] == "eligible: none"
+    [(_, verdicts)] = _blocks(capsys.readouterr().out.splitlines())
+    assert _applying(verdicts) == []
+    assert err == "error: no solver applies: " + "; ".join(verdicts) + "\n"
 
 
 def test_oracle_command(b1_file, capsys):
@@ -1012,10 +1054,11 @@ def test_batch_empty_dir_exit_1(tmp_path):
 
 
 def test_batch_bad_jobs_exit_1(b1_file, capsys):
-    for jobs in ("0", "-3"):
-        assert main(["solve", "--batch", str(b1_file.parent), "--jobs", jobs]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+    # a single-instance solve refuses the value as a batch does
+    for argv in (["--batch", str(b1_file.parent)], [str(b1_file)]):
+        for jobs in ("0", "-3"):
+            assert main(["solve", *argv, "--jobs", jobs]) == EXIT_INPUT
+            assert capsys.readouterr() == ("", f"error: --jobs must be at least 1, got {jobs}\n")
     assert not list(b1_file.parent.glob("*.alloc.json"))
 
 
@@ -1384,8 +1427,53 @@ def test_analyze_searches_no_coloring_outside_the_girth_bound(tmp_path, capsys, 
     monkeypatch.setattr(MultiGraph, "find_coloring", lambda *a: pytest.fail("searched a coloring"))
     assert main(["analyze", str(path)]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
-    assert "girth: 3" in out and "chromatic_number: None" in out
-    assert out[-1] == "eligible: none"
+    [(_, verdicts)] = _blocks(out)
+    assert "girth: 3" in out and _chromatic_t(verdicts) is None
+    assert _applying(verdicts) == []
+
+
+def test_analyze_searches_no_coloring_for_a_table_valued_component(tmp_path, capsys, monkeypatch):
+    # the chromatic verdict rejects a table before any search; gen makes tables
+    # only on multi-trees, so the Petersen graph's agents get theirs here
+    graph = gen_petersen(seed=1, parallel_copies=1)[0].graph
+    tables = {}
+    for u in range(graph.vertex_count):
+        goods = sorted(graph.incident_edges(u))
+        tables[u] = Table(entries={frozenset(s): len(s) for k in range(len(goods) + 1)
+                                   for s in itertools.combinations(goods, k)})
+    path = tmp_path / "pt.instance.json"
+    save_instance(Instance(graph=graph, valuations=tables), [f"a{u}" for u in range(10)], path)
+    monkeypatch.setattr(MultiGraph, "find_coloring", lambda *a: pytest.fail("searched a coloring"))
+    assert main(["analyze", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    [(_, verdicts)] = _blocks(out)
+    assert "girth: 5" in out
+    assert "chromatic: agent 0 has a table valuation" in verdicts
+    assert _applying(verdicts) == []
+
+
+def test_analyze_and_solve_give_the_same_verdicts_on_the_golden_corpus(tmp_path, capsys):
+    # per component, the verdicts up to the marked one are solve's dispatch
+    # entries; where solve exits 2, the first unmarked block is its message
+    for name, (inst, names) in _golden_cases().items():
+        path = tmp_path / f"{name}.instance.json"
+        save_instance(inst, names, path)
+        assert main(["analyze", str(path)]) == EXIT_OK
+        blocks = [verdicts for _, verdicts in _blocks(capsys.readouterr().out.splitlines())]
+        code = main(["solve", str(path)])
+        out, err = capsys.readouterr()
+        if code == EXIT_UNSUPPORTED:
+            refused = next(verdicts for verdicts in blocks if not _applying(verdicts))
+            assert err == "error: no solver applies: " + "; ".join(refused) + "\n", name
+            continue
+        assert code == EXIT_OK, name
+        dispatch = json.loads(out)["dispatch"]
+        assert len(dispatch) == len(blocks), name
+        for tried, verdicts in zip(dispatch, blocks):
+            runs = len(tried) - 1
+            assert verdicts[runs].startswith(f"{tried[runs]['solver']}: applies"), name
+            assert verdicts[runs].endswith(SOLVE_RUNS), name
+            assert verdicts[:runs] == [f"{v['solver']}: {v['result']}" for v in tried[:runs]], name
 
 
 def _union_file(tmp_path, parts):
@@ -1413,47 +1501,65 @@ MULTI_TRIANGLE = (3, [(0, 1), (1, 2), (2, 0)] * 3)
                      " tree, bipartite, chromatic, brute_force)"),
 ])
 def test_analyze_lists_solvers_per_component(tmp_path, capsys, parts, eligible):
+    # ``eligible`` lists the solvers that apply, per component
+    lists = [solvers.split(", ") for solvers in eligible[len("componentwise("):-1].split("; ")]
     path = _union_file(tmp_path, parts)
     assert main(["analyze", str(path)]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines()[-1] == f"eligible: {eligible}"
+    blocks = _blocks(capsys.readouterr().out.splitlines())
+    assert [_applying(verdicts) for _, verdicts in blocks] == lists
     assert main(["solve", str(path)]) == EXIT_OK
     applied = [[v["solver"] for v in tried if v["result"] == "applied"]
                for tried in json.loads(capsys.readouterr().out)["dispatch"]]
-    lists = eligible[len("componentwise("):-1].split("; ")
-    assert applied == [[solvers.split(", ")[0]] for solvers in lists]
+    assert applied == [[solvers[0]] for solvers in lists]
 
 
 def test_analyze_prints_chromatic_number_per_component(tmp_path, capsys):
     # a 4-cycle beside a 5-cycle: solve colors them with t = 2 and t = 3
     path = _union_file(tmp_path, [C4, C5])
     assert main(["analyze", str(path)]) == EXIT_OK
-    assert "chromatic_number: componentwise(2; 3)" in capsys.readouterr().out.splitlines()
+    blocks = _blocks(capsys.readouterr().out.splitlines())
+    assert [_chromatic_t(verdicts) for _, verdicts in blocks] == [2, 3]
     assert main(["solve", str(path), "--trace", str(tmp_path / "u.trace.jsonl")]) == EXIT_OK
+    capsys.readouterr()
     trace = load_trace(tmp_path / "u.trace.jsonl", load_instance(path)[0].graph)
     assert [ev.t for ev in trace if isinstance(ev, ColoringUsed)] == [2, 3]
     path = _union_file(tmp_path, [C5, MULTI_TRIANGLE])
     assert main(["analyze", str(path)]) == EXIT_OK
-    assert "chromatic_number: componentwise(3; None)" in capsys.readouterr().out.splitlines()
+    blocks = _blocks(capsys.readouterr().out.splitlines())
+    assert [_chromatic_t(verdicts) for _, verdicts in blocks] == [3, None]
 
 
 def test_analyze_interleaved_components(tmp_path, capsys):
     path = tmp_path / "u.instance.json"
     save_instance(c5_path_and_isolated_agent(), [f"a{i}" for i in range(9)], path)
     assert main(["analyze", str(path)]) == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert out[-2:] == [
-        "chromatic_number: componentwise(3; 2; 1)",
-        "eligible: componentwise(chromatic; tree, bipartite, chromatic, brute_force;"
-        " tree, bipartite, chromatic, brute_force)",
-    ]
+    blocks = _blocks(capsys.readouterr().out.splitlines())
+    # in order of lowest agent: the cycle, the path and the isolated agent
+    assert [header for header, _ in blocks] == [
+        'component "a0":', 'component "a1":', 'component "a7":']
+    assert [_chromatic_t(verdicts) for _, verdicts in blocks] == [3, 2, 1]
+    assert [_applying(verdicts) for _, verdicts in blocks] == [
+        ["chromatic"], ["tree", "bipartite", "chromatic", "brute_force"],
+        ["tree", "bipartite", "chromatic", "brute_force"]]
+
+
+def test_analyze_prints_one_block_for_an_instance_without_agents(tmp_path, capsys):
+    path = tmp_path / "empty.instance.json"
+    save_instance(Instance(graph=MultiGraph(0, []), valuations={}), [], path)
+    assert main(["analyze", str(path)]) == EXIT_OK
+    [(header, verdicts)] = _blocks(capsys.readouterr().out.splitlines())
+    assert header == "component without agents:"
+    assert _applying(verdicts) == ["tree", "bipartite", "chromatic", "brute_force"]
 
 
 def test_analyze_prints_none_for_a_component_no_solver_accepts(tmp_path, capsys):
     path = _union_file(tmp_path, [STAR, MULTI_TRIANGLE])
     assert main(["analyze", str(path)]) == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert out[-1] == "eligible: componentwise(tree, bipartite, chromatic, brute_force; none)"
+    (_, star), (_, triangle) = _blocks(capsys.readouterr().out.splitlines())
+    assert _applying(star) == ["tree", "bipartite", "chromatic", "brute_force"]
+    assert _applying(triangle) == []
     assert main(["solve", str(path)]) == EXIT_UNSUPPORTED
+    assert capsys.readouterr().err == "error: no solver applies: " + "; ".join(triangle) + "\n"
 
 
 def _no_coloring_search_below_three(monkeypatch):
@@ -1468,8 +1574,8 @@ def _no_coloring_search_below_three(monkeypatch):
 
 
 def test_analyze_searches_each_component_coloring_once(tmp_path, capsys, monkeypatch):
-    # analyze reports each component's smallest coloring, and classify needs
-    # it again for the chromatic verdict: one t = 3 search per Petersen copy
+    # analyze shows the t of each component's chromatic verdict, which takes
+    # one t = 3 search per Petersen copy
     try_color = MultiGraph._try_color
     searched = []
 
@@ -1485,8 +1591,8 @@ def test_analyze_searches_each_component_coloring_once(tmp_path, capsys, monkeyp
         save_instance(union, [f"a{i}" for i in range(union.graph.vertex_count)], path)
         searched.clear()
         assert main(["analyze", str(path)]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[-2] == "chromatic_number: " + (
-            "3" if copies == 1 else "componentwise(3; 3)")
+        blocks = _blocks(capsys.readouterr().out.splitlines())
+        assert [_chromatic_t(verdicts) for _, verdicts in blocks] == [3] * copies
         assert searched == want
 
 
@@ -1496,9 +1602,9 @@ def test_analyze_multi_tree_without_two_coloring_search(tmp_path, capsys, monkey
     path = tmp_path / "s20.instance.json"
     save_instance(additive_instance(star_graph(20)), [f"a{i}" for i in range(61)], path)
     assert main(["analyze", str(path)]) == EXIT_OK
-    out = capsys.readouterr().out.splitlines()
-    assert "chromatic_number: 2" in out
-    assert out[-1] == "eligible: tree, bipartite, chromatic"
+    [(_, verdicts)] = _blocks(capsys.readouterr().out.splitlines())
+    assert _chromatic_t(verdicts) == 2
+    assert _applying(verdicts) == ["tree", "bipartite", "chromatic"]
 
 
 def test_solve_girth_five_graph_without_two_coloring_search(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,6 @@ from graphefx import (
     solve,
     tree_efx,
 )
-from graphefx.cli import _analysis
 from graphefx.generators import (
     VALUATION_KINDS,
     gen_bipartite,
@@ -638,7 +637,8 @@ def _multi_triangle():
 ])
 def test_analyze_lists_exactly_what_solve_accepts(make, eligible):
     inst = make()
-    assert _analysis(inst)["eligible"] == [eligible]  # one component
+    assert len(inst.graph.connected_components()) == 1
+    assert [v.solver for v in classify(inst) if v.applies] == eligible
     assert eligible == _accepted_by_solvers(inst)
     if eligible:
         assert solve(inst)[1] == eligible[0]
