@@ -11,19 +11,8 @@ from .frozen import Frozen
 
 if TYPE_CHECKING:
     from .solvers import Instance
-    from .valuation import Valuation
 
 _NOTHING: frozenset[int] = frozenset()  # the empty bundle, shared
-
-
-def _raise_overlap(bundles: Mapping[int, frozenset[int]]) -> None:
-    """Raise InputError naming the first agent, in mapping order, whose bundle
-    meets an earlier one; return when there is none."""
-    seen: set[int] = set()
-    for u, b in bundles.items():
-        if seen & b:
-            raise InputError(f"bundles are not disjoint at agent {u}")
-        seen |= b
 
 
 class Allocation(Frozen):
@@ -42,7 +31,11 @@ class Allocation(Frozen):
         if not all(clean.values()):
             clean = {u: b for u, b in clean.items() if b}
         if len(frozenset().union(*clean.values())) != sum(map(len, clean.values())):
-            _raise_overlap(clean)
+            seen: set[int] = set()  # name the first agent whose bundle meets an earlier one
+            for u, b in clean.items():
+                if seen & b:
+                    raise InputError(f"bundles are not disjoint at agent {u}")
+                seen |= b
         self._set(MappingProxyType(clean))
 
     def __reduce__(self):
@@ -68,17 +61,6 @@ class EfxVerdict(Frozen):
     witness: Optional[tuple[int, int, int]]  # (envier, envied, good whose removal fails)
 
 
-def _validate_bundles(inst: "Instance", bundles: Iterable[tuple[int, Iterable[int]]]) -> None:
-    n, m = inst.graph.vertex_count, inst.graph.edge_count
-    for u, bundle in bundles:
-        if not (0 <= u < n):
-            raise InputError(f"allocation references unknown agent {u}")
-        if bundle and not (0 <= min(bundle) and max(bundle) < m):  # a C-level screen first
-            for g in bundle:
-                if not (0 <= g < m):
-                    raise InputError(f"allocation references unknown edge {g}")
-
-
 # The envy rule of ``EnvyGraph.step``, the graph's only builder.  Agent u is
 # compared only with its rivals, the other holders of goods incident to u,
 # and values only the part of a rival's bundle among those goods.  Both are
@@ -92,10 +74,10 @@ class EnvyGraph:
     prefers w's bundle.
 
     The graph owns the running allocation: a map from each agent that holds
-    goods to its bundle (``bundle(u)`` reads it) and ``holder``, the agent of
-    each held good.  ``step(changes)`` replaces the bundles of the agents in
-    ``changes`` in place, walking each moved good once, and re-decides only
-    the pairs that the step can affect:
+    goods to the set of its goods (``bundle(u)`` reads a copy) and
+    ``holder``, the agent of each held good.  ``step(moves)`` gives each
+    moved good its new holder in place, walking each moved good once, and
+    re-decides only the pairs that the step can affect:
 
     * (z, y) for each changed y and each unchanged z that is an endpoint of
       a good y gained or lost.  Any other unchanged z keeps its own value
@@ -107,33 +89,33 @@ class EnvyGraph:
       fall, and its envy of a rival whose part among y's goods is the same
       can only have vanished.
 
-    ``EnvyGraph(inst, alloc)`` is a step from the empty allocation, where
-    every holder only gains: it decides each rival pair once.
+    ``EnvyGraph(inst, alloc)`` steps from the empty allocation by the
+    allocation's goods, so every holder only gains: it decides each rival
+    pair once.
 
-    ``alloc`` builds an ``Allocation`` of the map each time it is asked for.
-    Its constructor checks the map again and copies it, so the result is
-    never a live view of the map.  Every id in the map has been checked, so
-    the graph's edge and incidence tables are read without range checks.
+    ``alloc`` copies the map into a new ``Allocation`` each time it is asked
+    for.  Every id in the map has been checked, so the graph's edge and
+    incidence tables are read without range checks.
     """
 
     def __init__(self, inst: "Instance", alloc: Allocation):
         self.inst = inst
         self._incident = inst.graph._incident  # agent -> its incident goods
-        self._bundles: dict[int, frozenset[int]] = {}  # agent -> its bundle, nonempty only
+        self._bundles: dict[int, set[int]] = {}  # agent -> its goods, nonempty only
         # good -> the agent holding it; read-only outside the class
         self.holder: dict[int, int] = {}
         self._own: dict[int, int] = {}  # agent -> value of its bundle, filled on demand
         self._out: dict[int, set[int]] = {}  # only agents with an out-edge
         self._in: dict[int, set[int]] = {}  # only agents with an in-edge
-        self.step(alloc.bundles)
+        self.step({g: u for u, b in alloc.bundles.items() for g in b})
 
     def bundle(self, u: int) -> frozenset[int]:
         """The bundle ``u`` holds now."""
-        return self._bundles.get(u, _NOTHING)
+        return frozenset(self._bundles.get(u, _NOTHING))
 
     @property
     def alloc(self) -> Allocation:
-        """The current allocation, checked and copied from the bundle map."""
+        """The current allocation, copied from the bundle map."""
         return Allocation(bundles=self._bundles)
 
     @property
@@ -152,59 +134,53 @@ class EnvyGraph:
     def envies(self, u: int, w: int) -> bool:
         return w in self._out.get(u, ())
 
-    def step(self, changes: Mapping[int, Iterable[int]]) -> tuple[frozenset[int], set[int]]:
-        """Give each agent in ``changes`` its new bundle; return the goods that
-        changed hands and the agents that gave one up.
+    def step(self, moves: Mapping[int, Optional[int]]) -> tuple[set[int], set[int]]:
+        """Give each good in ``moves`` to its new holder, or to no one for None;
+        return the goods that changed hands and the agents that gave one up.
 
-        Only the goods an agent gains are checked.  An overlap raises what
-        ``Allocation(bundles={**self.alloc.bundles, **changes})`` raises, and
-        an unknown agent or good raises InputError, before any state changes.
+        A move to the good's holder, or of a good no one holds to None, does
+        nothing.  An unknown good or agent raises InputError before any state
+        changes.
         """
         bundles, holder = self._bundles, self.holder
-        new: dict[int, frozenset[int]] = {}
-        gained: dict[int, int] = {}  # good -> the changed agent that gains it
-        lost: dict[int, int] = {}  # good -> the changed agent that gives it up
-        shrank: set[int] = set()  # the changed agents that give up a good
-        n_gained, n, known = 0, len(self._incident), True
-        for y, b in changes.items():
-            if not 0 <= y < n:
-                known = False
-            b = new[y] = frozenset(b)
-            old = bundles.get(y)
-            got, gave = (b - old, old - b) if old else (b, _NOTHING)
-            if got:
-                n_gained += len(got)
-                gained.update(dict.fromkeys(got, y))
-            if gave:
-                lost.update(dict.fromkeys(gave, y))
-                shrank.add(y)
-        # a good gained twice, or gained while an agent that keeps it holds it
-        if len(gained) != n_gained or not (holder.keys().isdisjoint(gained)
-                                           or holder.keys() & gained.keys() <= lost.keys()):
-            _raise_overlap({**bundles, **new})
         ends, incident = self.inst.graph.edges, self._incident
-        if not known or gained and not (0 <= min(gained) and max(gained) < len(ends)):
-            _validate_bundles(self.inst, new.items())
+        for g, y in moves.items():  # every id, before any state changes
+            if y is not None and not 0 <= y < len(incident):
+                raise InputError(f"allocation references unknown agent {y}")
+            if not 0 <= g < len(ends):
+                raise InputError(f"allocation references unknown edge {g}")
 
+        # the goods that change hands, the agents that give one up, all whose bundles change
+        moved, shrank, changed = set(), set(), set()
         touched = defaultdict(set)  # endpoint of a moved good -> the others who moved it
-        for g, y in lost.items():
-            del holder[g]
-            for z in ends[g]:
-                if z != y:
-                    touched[z].add(y)
-        for g, y in gained.items():
+        for g, y in moves.items():
+            x = holder.get(g)
+            if x == y:
+                continue
+            moved.add(g)
+            a, b = ends[g]
+            if x is not None:
+                bundles[x].remove(g)
+                if not bundles[x]:
+                    del bundles[x]
+                shrank.add(x)
+                if a != x:
+                    touched[a].add(x)
+                if b != x:
+                    touched[b].add(x)
+            if y is None:
+                del holder[g]
+                continue
             holder[g] = y
-            for z in ends[g]:
-                if z != y:
-                    touched[z].add(y)
-        for y, b in new.items():
-            if b:
-                bundles[y] = b
-            else:
-                bundles.pop(y, None)
+            bundles.setdefault(y, set()).add(g)
+            changed.add(y)
+            if a != y:
+                touched[a].add(y)
+            if b != y:
+                touched[b].add(y)
+        changed |= shrank
+        for y in changed:
             self._own.pop(y, None)
-
-        for y in new:
             out = self._out.get(y, _NOTHING)
             # the agents y envied that no longer hold any of y's incident goods
             stale = ([w for w in out if bundles.get(w, _NOTHING).isdisjoint(incident[y])]
@@ -218,13 +194,13 @@ class EnvyGraph:
                 self._redecide(y, movers, stale)
         for z, ys in touched.items():  # the unchanged endpoints: the loop above took the rest
             self._redecide(z, ys)
-        return frozenset(gained).union(lost), shrank
+        return moved, shrank
 
     def own_value(self, u: int) -> int:
         """The value ``u`` puts on its own bundle; asked of its valuation once per bundle."""
         own = self._own.get(u)
         if own is None:
-            own = self._own[u] = self.inst.valuations[u].value(self.bundle(u))
+            own = self._own[u] = self.inst.valuations[u].value(self._bundles.get(u, _NOTHING))
         return own
 
     def _redecide(self, u: int, others: Iterable[int], stale: Iterable[int] = ()) -> None:
@@ -264,7 +240,7 @@ class EnvyGraph:
         """
         val = self.inst.valuations[u]
         own = self.own_value(u)
-        other = self.bundle(w)
+        other = self._bundles.get(w, _NOTHING)
         seen = other & self._incident[u]
         for x in sorted(other):
             if x not in seen or own < val.value(seen - {x}):

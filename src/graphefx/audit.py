@@ -6,10 +6,9 @@ traces:
 * localized envy      -- every allocation a structure event leaves is EFX, and
                          any envy edge points from a resolved root's favourite
                          neighbour to that root;
-* good movement       -- each transfer a structure event lists goes from its
-                         root to its favourite, and no good is listed twice in
-                         one phase; a good whose holder changes without a
-                         listed transfer is not seen by this family;
+* good movement       -- each transfer of a structure event, its move of a good
+                         held before it, goes from its root to its favourite,
+                         and no good is transferred twice in one phase;
 * allocated distances -- an agent valuing a held good is within color-bounded
                          hop distance of the holder, along allocated edges;
 * unresolved union    -- an unresolved agent never envies the union of all
@@ -24,7 +23,8 @@ component-wise solve emits one per phase-based component, on disjoint
 vertices, and a trace without one colors no agent.  The distance family looks
 up the colors of each good's endpoints and holder, and raises InputError at
 the first structure event that involves an agent the map leaves uncolored.
-The trace readers do not check colors.
+The trace readers do not check colors.  Events hold ``moves``; a file keeps
+them as ``snapshot`` and ``transfers``, and its reader checks the two agree.
 """
 
 from __future__ import annotations
@@ -57,20 +57,20 @@ class AuditReport(Frozen):
 
 
 def _structure_steps(trace: list[TraceEvent]
-                     ) -> Iterator[tuple[int, StructureResolved, dict[int, frozenset[int]]]]:
-    """(index, event, changes) for each StructureResolved event of ``trace``.
+                     ) -> Iterator[tuple[int, StructureResolved, dict[int, Optional[int]]]]:
+    """(index, event, moves) for each StructureResolved event of ``trace``.
 
-    The changes are the event's own on top of those of the tree events since
+    The moves are the event's own on top of those of the tree events since
     the previous structure event, which the audit does not read: from one
     structure event's allocation to the next.
     """
-    changes: dict[int, frozenset[int]] = {}
+    moves: dict[int, Optional[int]] = {}
     for i, ev in enumerate(trace):
         if not isinstance(ev, ColoringUsed):
-            changes.update(ev.changes)
+            moves.update(ev.moves)
             if isinstance(ev, StructureResolved):
-                yield i, ev, changes
-                changes = {}
+                yield i, ev, moves
+                moves = {}
 
 
 def _connect(adj: dict[int, set[int]], a: int, b: int) -> None:
@@ -112,7 +112,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     because every valuation's support lies within the agent's incident edges.
 
     The audit steps one ``EnvyGraph`` in place by each structure event's
-    changes, reads the bundles from it, and rechecks only what the agents
+    moves, reads the bundles from it, and rechecks only what the agents
     whose bundles changed can affect; the report equals that of checking
     every such allocation from scratch:
 
@@ -167,10 +167,12 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     far_goods: set[int] = set()  # goods whose distance checks failed at the previous event
     union_enviers: set[int] = set()  # agents whose union check failed at the previous event
 
-    for idx, ev, changes in _structure_steps(trace):
+    for idx, ev, moves in _structure_steps(trace):
         favourite_of[ev.root] = ev.favourite
-        moved, shrank = envy.step(changes)
-        changed = changes.keys()
+        transfers = sorted((g, holder[g], to) for g, to in moves.items()
+                           if to is not None and holder.get(g, to) != to)
+        moved, shrank = envy.step(moves)
+        changed = shrank.union(map(holder.get, moved)) - {None}
 
         # localized envy: the allocation is EFX, envy only favourite -> resolved root
         unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
@@ -195,7 +197,7 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
 
         # good movement: only root -> favourite, at most once per phase
         moved_in_phase = phase_moved.setdefault(ev.phase, set())
-        for g, frm, to in ev.transfers:
+        for g, frm, to in transfers:
             if frm != ev.root or to != ev.favourite:
                 movement.append(
                     f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"

@@ -198,13 +198,13 @@ def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path])
 
 
 def save_trace(trace: list[TraceEvent], path: Union[str, Path]) -> None:
-    held: dict = {}  # agent -> its bundle's text in the running snapshot
+    held: dict = {}  # the running snapshot, as ``event_line`` keeps it
     _write(path, (event_line(ev, held) + "\n" for ev in trace))
 
 
 def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
     events = []
-    held: dict = {}  # agent -> its bundle in the running snapshot
+    held: dict = {}  # good -> its agent in the running snapshot
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:

@@ -11,7 +11,7 @@ envy with at most one cycle shift per attachment.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import Allocation, EnvyGraph, envy_graph  # noqa: F401
@@ -61,49 +61,39 @@ def _table_agent(inst: Instance, agents: Sequence[int]) -> Optional[int]:
     return next((u for u in agents if isinstance(inst.valuations[u], Table)), None)
 
 
-def _changed(bundle: Callable[[int], frozenset[int]],
-             changes: Mapping[int, frozenset[int]]) -> dict[int, frozenset[int]]:
-    """The entries of ``changes`` that give an agent another bundle than ``bundle`` says it holds."""
-    return {u: b for u, b in changes.items() if b != bundle(u)}
-
-
 def _resolve_structure(
-    inst: Instance, bundles: dict[int, frozenset[int]], u: int, right: list[int], phase: int
+    inst: Instance, bundles: dict[int, set[int]], u: int, right: list[int], phase: int
 ) -> StructureResolved:
     """Resolve the structure rooted at ``u`` over its right neighbours (ascending).
 
     Each right neighbour w cuts its edge loop with u and u chooses.
-    ``bundles`` maps agents to the bundles they hold (absent: none) and is
-    updated in place to the allocation after the step.  Returns the step's
-    StructureResolved event.
+    ``bundles`` maps agents to the sets of goods they hold (absent: none)
+    and is updated in place to the allocation after the step.  Returns the
+    step's StructureResolved event.
     """
     if not right:
-        return StructureResolved(phase=phase, root=u, favourite=None, branch=None,
-                                 changes={}, transfers=())
-
-    def held(v: int) -> frozenset[int]:
-        return bundles.get(v, frozenset())
+        return StructureResolved(phase=phase, root=u, favourite=None, branch=None, moves={})
 
     v_u = inst.valuations[u]
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
             for w in right}
     fav = max(right, key=lambda w: (cuts[w][3], -w))  # u's value of its piece, from the cut
-    changes: dict[int, frozenset[int]] = {}
+    moves: dict[int, Optional[int]] = {}
 
-    def give(v: int, goods: frozenset[int]) -> None:
-        changes[v] = changes.get(v, held(v)) | goods
+    def give(v: int, goods) -> None:
+        moves.update(dict.fromkeys(goods, v))
 
-    leftover: frozenset[int] = frozenset()
+    lefts = []
     for w in right:
         if w != fav:
             s_piece, rest, same_pref, _ = cuts[w]
             w_piece, left = (s_piece, rest) if same_pref else (rest, s_piece)
             give(w, w_piece)
-            leftover |= left
+            lefts.append(left)
+    leftover = frozenset().union(*lefts)
 
     s_piece, rest, same_pref, s_value = cuts[fav]
-    prior = held(u)
-    transfers: tuple[tuple[int, int, int], ...] = ()
+    prior = bundles.get(u, frozenset())
     if not same_pref:
         branch = BRANCH_DIFFERENT
         give(u, s_piece | leftover)
@@ -111,17 +101,16 @@ def _resolve_structure(
     elif s_value > v_u.value(prior | rest | leftover):
         branch = BRANCH_SAME_KEEP
         give(fav, prior | rest | leftover)
-        changes[u] = s_piece
-        transfers = tuple((g, u, fav) for g in sorted(prior))
+        give(u, s_piece)
+        bundles.pop(u, None)  # u's prior bundle goes to fav
     else:
         branch = BRANCH_SAME_LEFTOVERS
         give(u, rest | leftover)
         give(fav, s_piece)
 
-    changes = _changed(held, changes)
-    bundles.update(changes)
-    return StructureResolved(phase=phase, root=u, favourite=fav, branch=branch,
-                             changes=changes, transfers=transfers)
+    for g, v in moves.items():
+        bundles.setdefault(v, set()).add(g)
+    return StructureResolved(phase=phase, root=u, favourite=fav, branch=branch, moves=moves)
 
 
 def chromatic_efx(inst: Instance, col: Coloring,
@@ -149,11 +138,11 @@ def chromatic_efx(inst: Instance, col: Coloring,
                                         f" agent {table} has a table valuation")
 
     trace: list[TraceEvent] = [ColoringUsed(colors=dict(col.colors), t=col.t)]
-    bundles: dict[int, frozenset[int]] = {}
-    for phase in range(1, col.t):
-        for u in (v for v in agents if col.colors[v] == phase - 1):
-            right = sorted(w for w in inst.graph.neighbours(u) if col.colors[w] > col.colors[u])
-            trace.append(_resolve_structure(inst, bundles, u, right, phase))
+    bundles: dict[int, set[int]] = {}
+    for u in sorted(agents, key=col.colors.__getitem__):  # stable: by color, then in order
+        if (c := col.colors[u]) < col.t - 1:  # phase c + 1 roots the agents of color c
+            right = sorted(w for w in inst.graph.neighbours(u) if col.colors[w] > c)
+            trace.append(_resolve_structure(inst, bundles, u, right, c + 1))
     return Allocation(bundles=bundles), trace
 
 
@@ -164,7 +153,7 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
     then each leaf is re-attached: its parent cuts the leaf loop, the leaf
     picks, and the complement goes to the parent or to an envy-graph source.
     One ``EnvyGraph`` holds the allocation and is stepped in place with the
-    bundles each step changes.
+    goods each step moves.
 
     Before every attachment the envy graph is acyclic and every agent has
     at most one envier, so the parent's enviers form one chain up to a
@@ -190,16 +179,15 @@ def tree_efx(inst: Instance, component: Component = None) -> tuple[Allocation, l
                 raise PreconditionError(f"the walk up the enviers of agent {parent} meets a cycle")
             chain.append(enviers[0])
         recipient = chain[-1]
-        changes = _changed(envy.bundle, {leaf: leaf_piece,
-                                         recipient: envy.bundle(recipient) | rest})
-        envy.step(changes)
+        moves = {**dict.fromkeys(leaf_piece, leaf), **dict.fromkeys(rest, recipient)}
+        envy.step(moves)
         trace.append(LeafAttached(leaf=leaf, parent=parent, pieces=(leaf_piece, rest),
-                                  leftover_to=recipient, changes=changes))
+                                  leftover_to=recipient, moves=moves))
         if envy.envies(parent, recipient):  # so the recipient is a source above the parent
             cycle = [parent] + chain[:0:-1]  # each agent envies its successor and takes its bundle
-            changes = {u: envy.bundle(w) for u, w in zip(cycle, cycle[1:] + cycle[:1])}
-            envy.step(changes)
-            trace.append(CycleResolved(cycle=tuple(cycle), changes=changes))
+            moves = {g: u for u, w in zip(cycle, cycle[1:] + cycle[:1]) for g in envy.bundle(w)}
+            envy.step(moves)
+            trace.append(CycleResolved(cycle=tuple(cycle), moves=moves))
 
     return envy.alloc, trace
 
@@ -373,7 +361,7 @@ def solve(
     own ids, starting from an empty allocation, and its trace follows the
     previous component's.  So that the bundles held after each event are
     those of the component being solved, the first step event of each later
-    component also empties every bundle the trace has given so far.  Each
+    component also moves every good the trace holds so far to no holder.  Each
     component takes its part of the hint, with its colors made dense, so a
     component's verdict does not depend on the others.  When ``verdicts`` is
     a list, one list per component is appended to it: the verdicts of the
@@ -387,7 +375,7 @@ def solve(
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
     methods: list[str] = []
-    held: set[int] = set()  # the agents that hold goods after the trace so far
+    held: frozenset[int] = frozenset()  # the goods held after the trace so far
     for comp in comps:
         sub_hint = hint if hint is None or comp is None else _component_hint(hint, comp)
         alloc, method, sub_trace, tried = _dispatch_component(inst, sub_hint, comp)
@@ -395,10 +383,9 @@ def solve(
         bundles.update(alloc.bundles)
         first = next((i for i, ev in enumerate(sub_trace) if not isinstance(ev, ColoringUsed)), None)
         if first is not None:
-            withdrawn = dict.fromkeys(sorted(held), frozenset())
             sub_trace[first] = replace(sub_trace[first],
-                                       changes={**withdrawn, **sub_trace[first].changes})
-            held = set(alloc.bundles)  # the component's last step leaves its allocation
+                                       moves={**dict.fromkeys(held), **sub_trace[first].moves})
+            held = alloc.assigned_edges  # the component's last step leaves its allocation
         trace += sub_trace
         methods.append(method)
     method = methods[0] if len(set(methods)) == 1 else "componentwise(" + ",".join(methods) + ")"

@@ -5,11 +5,11 @@ the one description of every event: ``Agent`` and ``Good`` mark ids, ``Count``
 marks colors, t and phases, and ``Branch`` a branch name.  ``Natural`` marks
 a nonnegative integer that names nothing, such as a value in an instance.
 
-A step event (all but ``ColoringUsed``) holds ``changes``, the bundles its
-step changed, as ``StructureResolved`` describes.  Its line holds ``snapshot``
-instead, every bundle after the step: the writer folds the events' changes
-into a running snapshot, and the reader diffs each snapshot line against the
-one before it.  This module is the only one that knows the file's form.
+A step event (all but ``ColoringUsed``) holds ``moves``, as ``StructureResolved``
+describes.  Its line holds ``snapshot`` instead, every bundle after the step, and
+a structure line also ``transfers``: the writer folds the moves into a running
+snapshot, and the reader diffs each snapshot into moves and checks the transfers
+against them.  This module is the only one that knows the file's form.
 
 ``read_json`` reads these lines, and the instance, allocation and
 ``--coloring`` documents of ``jsonio``, each by a declared shape.
@@ -57,13 +57,13 @@ class ColoringUsed(Frozen):
 class StructureResolved(Frozen):
     """One root's star of right-neighbour edge loops was fully assigned.
 
-    ``changes`` maps each agent whose bundle the step changed to its new
-    bundle, empty for a bundle that was emptied.  The first step event of a
-    later component in a component-wise solve also empties every bundle of
-    the earlier ones, so the bundles held after an event are those of the
-    component being solved.  ``transfers`` lists goods that moved from an
-    existing bundle, as (good, from_agent, to_agent).  ``favourite`` is None
-    for a root with no unallocated right-neighbour edges.
+    ``moves`` maps each good whose holder the step changed to its new holder,
+    None for no holder.  The first step event of a later component in a
+    component-wise solve also moves every good of the earlier ones to None, so
+    the bundles held after an event are those of the component being solved.
+    Its transfers, the moves of goods held before it, come only from the keep
+    branch: the root's prior bundle goes to its favourite.  ``favourite`` is
+    None for a root with no unallocated right-neighbour edges.
     """
 
     kind = "structure_resolved"
@@ -71,8 +71,7 @@ class StructureResolved(Frozen):
     root: Agent
     favourite: Optional[Agent]
     branch: Optional[Branch]  # one of BRANCHES
-    changes: dict[Agent, frozenset[Good]]
-    transfers: tuple[tuple[Good, Agent, Agent], ...]
+    moves: dict[Good, Optional[Agent]]
 
 
 class LeafAttached(Frozen):
@@ -83,7 +82,7 @@ class LeafAttached(Frozen):
     parent: Agent
     pieces: tuple[frozenset[Good], frozenset[Good]]  # (leaf's piece, complement)
     leftover_to: Agent
-    changes: dict[Agent, frozenset[Good]]
+    moves: dict[Good, Optional[Agent]]
 
 
 class CycleResolved(Frozen):
@@ -91,7 +90,7 @@ class CycleResolved(Frozen):
 
     kind = "cycle_resolved"
     cycle: tuple[Agent, ...]
-    changes: dict[Agent, frozenset[Good]]
+    moves: dict[Good, Optional[Agent]]
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
@@ -117,10 +116,18 @@ class Record:
         self.tag = tagged and Literal[tuple(fields)]
 
 
-# A trace line: an event's type tag and its fields, ``snapshot`` in place of ``changes``.
-_LINE = Record(None, {
-    kind: {"snapshot" if f == "changes" else f: tp for f, tp in get_type_hints(cls).items()}
-    for kind, cls in EVENT_KINDS.items()}, tagged=True)
+def _line_fields(cls) -> dict:
+    """The fields of a line of ``cls`` after its type tag: the event's own, with
+    ``snapshot`` for ``moves``, and on a structure line ``transfers`` as (good, from, to)."""
+    fields = {f: tp for f, tp in get_type_hints(cls).items() if f != "moves"}
+    if "moves" in cls.fields:
+        fields["snapshot"] = dict[Agent, frozenset[Good]]
+    if cls is StructureResolved:
+        fields["transfers"] = tuple[tuple[Good, Agent, Agent], ...]
+    return fields
+
+
+_LINE = Record(None, {kind: _line_fields(cls) for kind, cls in EVENT_KINDS.items()}, tagged=True)
 _INTS = (int, Agent, Good, Count, Natural)
 _NOUNS = {Agent: "agent", Good: "good", Count: "count", Branch: "branch", Name: "agent"}
 _FREE = object()  # the bound of a role that ``roles`` leaves out
@@ -347,17 +354,36 @@ def _ids(xs) -> str:
     return f"[{', '.join(map(str, sorted(xs)))}]"
 
 
-def _snapshot(changes: dict, held: dict) -> str:
-    """The text of the running snapshot ``held`` after ``changes``; see ``event_line``."""
-    snapshot = held.setdefault(None, [])
-    for u, b in changes.items():
-        old = held.pop(u, None)
+def _snapshot(moves: dict, held: dict) -> tuple[str, list[tuple[int, int, int]]]:
+    """The text of the running snapshot ``held`` after ``moves``, and the
+    transfers those moves make; see ``event_line``."""
+    holder, bundles, texts, ordered = held.setdefault(None, ({}, {}, {}, []))
+    changed, transfers = set(), []
+    for g, y in moves.items():
+        x = holder.get(g)
+        if x == y:
+            continue
+        if x is not None:
+            bundles[x].remove(g)
+            changed.add(x)
+            if y is not None:
+                transfers.append((g, x, y))
+        if y is None:
+            del holder[g]
+        else:
+            holder[g] = y
+            bundles.setdefault(y, set()).add(g)
+            changed.add(y)
+    for u in changed:
+        old = texts.pop(u, None)
         if old is not None:
-            del snapshot[bisect_left(snapshot, old)]
-        if b:
-            held[u] = new = f'"{u}": {_ids(b)}'
-            insort(snapshot, new)
-    return "{" + ", ".join(snapshot) + "}"
+            del ordered[bisect_left(ordered, old)]
+        if bundles[u]:
+            texts[u] = new = f'"{u}": {_ids(bundles[u])}'
+            insort(ordered, new)
+        else:
+            del bundles[u]
+    return "{" + ", ".join(ordered) + "}", transfers
 
 
 # One template per event class, its keys in sorted order.
@@ -369,9 +395,10 @@ def _coloring_line(ev: ColoringUsed, held: dict) -> str:
 def _structure_line(ev: StructureResolved, held: dict) -> str:
     favourite = "null" if ev.favourite is None else ev.favourite
     branch = "null" if ev.branch is None else encode_basestring_ascii(ev.branch)
-    transfers = ", ".join([f"[{g}, {u}, {v}]" for g, u, v in ev.transfers])
+    snapshot, transfers = _snapshot(ev.moves, held)
+    transfers = ", ".join([f"[{g}, {x}, {y}]" for g, x, y in sorted(transfers)])
     return (f'{{"branch": {branch}, "favourite": {favourite}, "phase": {ev.phase}, '
-            f'"root": {ev.root}, "snapshot": {_snapshot(ev.changes, held)}, '
+            f'"root": {ev.root}, "snapshot": {snapshot}, '
             f'"transfers": [{transfers}], "type": "{ev.kind}"}}')
 
 
@@ -379,12 +406,12 @@ def _leaf_line(ev: LeafAttached, held: dict) -> str:
     piece, complement = ev.pieces
     return (f'{{"leaf": {ev.leaf}, "leftover_to": {ev.leftover_to}, "parent": {ev.parent}, '
             f'"pieces": [{_ids(piece)}, {_ids(complement)}], '
-            f'"snapshot": {_snapshot(ev.changes, held)}, "type": "{ev.kind}"}}')
+            f'"snapshot": {_snapshot(ev.moves, held)[0]}, "type": "{ev.kind}"}}')
 
 
 def _cycle_line(ev: CycleResolved, held: dict) -> str:
     return (f'{{"cycle": [{", ".join(map(str, ev.cycle))}], '
-            f'"snapshot": {_snapshot(ev.changes, held)}, "type": "{ev.kind}"}}')
+            f'"snapshot": {_snapshot(ev.moves, held)[0]}, "type": "{ev.kind}"}}')
 
 
 _TEMPLATES = {ColoringUsed: _coloring_line, StructureResolved: _structure_line,
@@ -397,34 +424,41 @@ def event_line(ev: TraceEvent, held: dict) -> str:
     a tuple as a list.  Each event class has its own template, which writes
     the bytes ``json.dumps(..., sort_keys=True)`` writes for that object.
 
-    A step event's ``changes`` are written as its ``snapshot``, every
-    non-empty bundle after the step.  ``held`` is that running snapshot: a
-    writer passes one empty dict for a whole trace, and each call applies
-    the event's changes to it.  It maps each agent holding goods to its
-    bundle's text, ``"agent": [goods]``, and None to the list of those texts
-    in sorted order, which is kept with one removal and one insertion per
-    changed agent.  A '"' sorts before every digit, so sorting the texts
-    sorts them by their agent strings.
+    A step event's ``moves`` are written as its ``snapshot``, every non-empty
+    bundle after the step, and a structure event's also as its ``transfers``.
+    ``held`` is that running snapshot: a writer passes one empty dict for a
+    whole trace, and each call applies the event's moves to it.  Its None
+    entry holds each good's holder, each holding agent's goods and bundle
+    text, ``"agent": [goods]``, and those texts sorted, which is by agent
+    string, since a '"' sorts before every digit.
     """
     return _TEMPLATES[ev.__class__](ev, held)
 
 
 def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:
-    """Event ``i`` of a trace on ``graph``, from its line.  ``held`` is the
-    snapshot before the event, agent -> bundle: a reader passes one dict for
-    a whole trace, and it becomes the snapshot on a step event's line.  That
-    event's ``changes`` are the agents whose bundle differs between the two,
-    in the line's order, then the agents the line leaves out.  ``read_json``
-    rejects a snapshot that names one good in two bundles."""
+    """Event ``i`` of a trace on ``graph``, from its line.  ``held`` maps each
+    good of the snapshot before the event to its agent: a reader passes one
+    dict for a whole trace, and it becomes the snapshot on a step event's
+    line.  That event's ``moves`` are the goods whose holder differs between
+    the two, in the line's order, then the goods the line leaves out, to
+    None.  A structure line's ``transfers``, as a set, must be its moves of
+    goods held before it to an agent.  ``read_json`` rejects a snapshot that
+    names one good in two bundles."""
     row = read_json(_LINE, obj, f"trace event {i}", {
         Agent: graph.vertex_count, Good: graph.edge_count, Count: None, Branch: BRANCHES})
     fields = dict(zip(_LINE.kinds[row[0]].fields, row))
     cls = EVENT_KINDS[fields.pop("type")]
     if "snapshot" in fields:
-        snapshot = {u: b for u, b in fields.pop("snapshot").items() if b}
-        changes = {u: b for u, b in snapshot.items() if held.get(u) != b}
-        changes.update((u, frozenset()) for u in held if u not in snapshot)
+        holder = {g: u for u, b in fields.pop("snapshot").items() for g in b}
+        moves = {g: u for g, u in holder.items() if held.get(g) != u}
+        moves.update((g, None) for g in held if g not in holder)
+        if "transfers" in fields:
+            listed = set(fields.pop("transfers"))
+            made = {(g, held[g], u) for g, u in holder.items() if held.get(g, u) != u}
+            if listed != made:
+                raise InputError(f"trace event {i} gives transfers that its snapshot does not"
+                                 f" make, first at good {min(listed ^ made)[0]}")
         held.clear()
-        held.update(snapshot)
-        fields["changes"] = changes
+        held.update(holder)
+        fields["moves"] = moves
     return cls(**fields)

@@ -112,13 +112,6 @@ def tamper_trace(inst, trace, family):
     events = folded(trace)
     indices = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
     for i in indices:
-        ev = trace[i]
-        if family == "good_movement":
-            bad = replace(ev, transfers=((0, ev.root, ev.root),))
-            candidate = trace[:i] + [bad] + trace[i + 1:]
-            if fails(candidate):
-                return candidate
-            continue
         snapshot = events[i]["snapshot"]
         holders = sorted(snapshot)
         for holder in holders:
@@ -137,37 +130,49 @@ def tamper_trace(inst, trace, family):
 
 
 def folded(trace):
-    """Each event of ``trace`` as a dict of its ``type`` and its fields, where a
-    step event's ``changes`` are folded into its ``snapshot``: the non-empty
-    bundles held after it, from the start of the trace."""
-    held, events = {}, []
+    """Each event of ``trace`` as a dict of its ``type`` and its fields, in the
+    file's form: a step event's ``moves`` are folded into its ``snapshot``,
+    the non-empty bundles held after it, from the start of the trace.  A
+    structure event also gets its ``transfers``, (good, from, to) for each
+    good held before it that it gives to another agent, by good."""
+    from graphefx.trace import StructureResolved
+
+    holder, events = {}, []
     for ev in trace:
         fields = {"type": ev.kind, **vars(ev)}
-        changes = fields.pop("changes", None)
-        if changes is not None:
-            held = {**held, **changes}
-            held = {u: b for u, b in held.items() if b}
-            fields["snapshot"] = held
+        moves = fields.pop("moves", None)
+        if moves is not None:
+            before, holder = holder, {**holder, **moves}
+            holder = {g: u for g, u in holder.items() if u is not None}
+            snapshot = {}
+            for g, u in holder.items():
+                snapshot.setdefault(u, set()).add(g)
+            fields["snapshot"] = {u: frozenset(b) for u, b in snapshot.items()}
+            if isinstance(ev, StructureResolved):
+                fields["transfers"] = tuple(sorted((g, before[g], u) for g, u in holder.items()
+                                                   if before.get(g, u) != u))
         events.append(fields)
     return events
 
 
 def unfolded(events):
-    """The trace whose ``folded`` form is ``events``: each step event changes
-    exactly the bundles that differ from the snapshot before it."""
+    """The trace whose ``folded`` form is ``events``, less the ``transfers`` they
+    list: each step event moves exactly the goods whose holder differs from
+    the snapshot before it, a good the snapshot leaves out to None."""
     from graphefx.trace import EVENT_KINDS
 
     held, trace = {}, []
     for fields in events:
         fields = dict(fields)
         cls = EVENT_KINDS[fields.pop("type")]
+        fields.pop("transfers", None)
         snapshot = fields.pop("snapshot", None)
         if snapshot is not None:
-            snapshot = {u: frozenset(b) for u, b in snapshot.items() if b}
-            changes = {u: b for u, b in snapshot.items() if held.get(u) != b}
-            changes.update((u, frozenset()) for u in held if u not in snapshot)
-            fields["changes"] = changes
-            held = snapshot
+            holder = {g: u for u, b in snapshot.items() for g in b}
+            moves = {g: u for g, u in holder.items() if held.get(g) != u}
+            moves.update((g, None) for g in held if g not in holder)
+            fields["moves"] = moves
+            held = holder
         trace.append(cls(**fields))
     return trace
 
@@ -258,7 +263,7 @@ def reference_audit_trace(inst, trace):
 
         # good movement: only root -> favourite, at most once per phase
         moved = phase_moved.setdefault(ev.phase, set())
-        for g, frm, to in ev.transfers:
+        for g, frm, to in events[idx]["transfers"]:
             if frm != ev.root or to != ev.favourite:
                 movement.append(
                     f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"
@@ -321,19 +326,22 @@ def reference_audit_trace(inst, trace):
 
 
 def reference_check_trace(trace, graph):
-    """Raise InputError unless every holder of a bundle that a structure event
-    changes and both endpoints of each good it holds have a color.
+    """Raise InputError unless every agent that a structure event gives a good
+    to and both endpoints of that good have a color.
 
-    The separate pass that ``load_trace`` once made before any audit;
-    ``audit_trace`` must reject a trace at the same event."""
+    The separate pass that ``load_trace`` once made before any audit, on
+    moves.  A good an agent holds reached it by a move, so an uncolored
+    agent is met at the first event that involves it, as the old pass met
+    it in the bundles each event changed.  ``audit_trace`` must reject a
+    trace at the same event."""
     from graphefx.audit import _structure_steps
     from graphefx.errors import InputError
 
     colors = reference_colors(trace)
-    for i, _, changes in _structure_steps(trace):
-        for w, bundle in changes.items():
-            if bundle:
-                for v in {w}.union(*(graph.endpoints(g) for g in bundle)):
+    for i, _, moves in _structure_steps(trace):
+        for g, w in moves.items():
+            if w is not None:
+                for v in (w, *graph.endpoints(g)):
                     if v not in colors:
                         raise InputError(f"trace event {i} involves agent {v}, which has no color")
 
@@ -974,22 +982,21 @@ def moved_event(ev, agent, good):
     good id by ``good``; colors, t and phases are kept."""
     from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
 
-    def bundles(changes):
-        return {agent(u): frozenset(map(good, b)) for u, b in changes.items()}
+    def moves(moved):
+        return {good(g): None if u is None else agent(u) for g, u in moved.items()}
 
     if isinstance(ev, ColoringUsed):
         return ColoringUsed(colors={agent(u): c for u, c in ev.colors.items()}, t=ev.t)
     if isinstance(ev, StructureResolved):
         return replace(
-            ev, root=agent(ev.root), changes=bundles(ev.changes),
-            favourite=None if ev.favourite is None else agent(ev.favourite),
-            transfers=tuple((good(g), agent(a), agent(b)) for g, a, b in ev.transfers))
+            ev, root=agent(ev.root), moves=moves(ev.moves),
+            favourite=None if ev.favourite is None else agent(ev.favourite))
     if isinstance(ev, LeafAttached):
         return LeafAttached(leaf=agent(ev.leaf), parent=agent(ev.parent),
                             pieces=tuple(frozenset(map(good, p)) for p in ev.pieces),
-                            leftover_to=agent(ev.leftover_to), changes=bundles(ev.changes))
+                            leftover_to=agent(ev.leftover_to), moves=moves(ev.moves))
     assert isinstance(ev, CycleResolved)
-    return CycleResolved(cycle=tuple(map(agent, ev.cycle)), changes=bundles(ev.changes))
+    return CycleResolved(cycle=tuple(map(agent, ev.cycle)), moves=moves(ev.moves))
 
 
 def interleaved_union(rng: random.Random, parts):

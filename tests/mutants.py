@@ -103,8 +103,8 @@ MUTANTS = [
     Mutant("a built __init__ refuses a bad call as __init__(), not by its class's name",
            "frozen.py", '            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"\n',
            "", ("tests/test_package.py::test_a_value_class_s_fields_are_its_init_parameters",)),
-    Mutant("the field setter drops a sixth field: StructureResolved's transfers",
-           "frozen.py", "zip(self.fields, values)", "zip(self.fields, values[:5])",
+    Mutant("the field setter drops a fifth field: the moves of StructureResolved and LeafAttached",
+           "frozen.py", "zip(self.fields, values)", "zip(self.fields, values[:4])",
            ("tests/test_package.py",)),
     # solve's outputs
     Mutant("solve --trace may name the instance, the coloring or the allocation",
@@ -131,7 +131,7 @@ MUTANTS = [
     Mutant("EnvyGraph.step re-decides an agent whose bundle only grew against every changed rival",
            "allocation.py", "                movers |= out\n",
            "                movers |= out | ((set(map(holder.get, incident[y])) - {y, None})"
-           " & new.keys())\n",
+           " & changed)\n",
            ("tests/test_growth.py",)),
     Mutant("the unresolved-union family suspects both endpoints of every moved good",
            "audit.py", "            w = holder.get(g)\n"
@@ -174,6 +174,15 @@ MUTANTS = [
            "valuation.py", "            if v > best:\n                best = v\n",
            "            best = v\n",
            ("tests/test_valuation.py::test_per_good_value_matches_the_generator_formulas",)),
+    Mutant("a shift's moves drop one good of each bundle, which stays with its holder",
+           "solvers.py", "for g in envy.bundle(w)}", "for g in sorted(envy.bundle(w))[1:]}",
+           ("tests/test_solvers.py::test_tree_efx_matches_set_dict_reference",
+            "tests/test_solvers.py::"
+            "test_folding_the_moves_gives_the_reference_bundles_after_every_event")),
+    Mutant("the trace reader accepts a structure line whose transfers its snapshot does not make",
+           "trace.py", "            if listed != made:\n", "            if False:\n",
+           ("tests/test_audit.py::"
+            "test_a_structure_line_must_list_the_transfers_its_snapshot_makes",)),
     Mutant("a coloring may give a vertex the color t",
            "multigraph.py", "if not (0 <= col.colors[v] < col.t):",
            "if not (0 <= col.colors[v] <= col.t):",

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -214,11 +215,10 @@ def _uncolored_sources(rng):
 
 
 def _event_involved(trace, idx, graph):
-    """The agents that structure event ``idx`` involves: the holders of the
-    bundles it changes and the endpoints of the goods they hold."""
-    changes = next(changes for i, _, changes in _structure_steps(trace) if i == idx)
-    return {v for w, bundle in changes.items() if bundle
-            for v in {w}.union(*(graph.endpoints(g) for g in bundle))}
+    """The agents that structure event ``idx`` involves: the agents it gives
+    goods to and the endpoints of those goods."""
+    moves = next(moves for i, _, moves in _structure_steps(trace) if i == idx)
+    return {v for g, w in moves.items() if w is not None for v in (w, *graph.endpoints(g))}
 
 
 def _input_error(check, *args):
@@ -273,7 +273,8 @@ def test_a_trace_without_its_coloring_is_rejected(tmp_path, capsys, seed):
         solved = solve(inst)[2]
         trace = [ev for ev in solved if not isinstance(ev, ColoringUsed)]
         assert len(trace) < len(solved)
-        first = next(i for i, _, changes in _structure_steps(trace) if any(changes.values()))
+        first = next(i for i, _, moves in _structure_steps(trace)
+                     if any(w is not None for w in moves.values()))
         got = _input_error(audit_trace, inst, trace)
         expected = _input_error(reference_check_trace, trace, inst.graph)
         assert got is not None and expected is not None, (got, expected)
@@ -290,34 +291,44 @@ def test_a_trace_without_its_coloring_is_rejected(tmp_path, capsys, seed):
         assert capsys.readouterr() == ("", f"error: {got}\n")
 
 
-# Each event beside its trace line; the bundle of agent 5 is empty, so it is not written.
+# The holders before each event below: agent 1 holds goods 0 and 2.
+HELD = {0: 1, 2: 1}
+# Each event beside its trace line after HELD.  A good moved to None is not
+# written, and a move of a good held before a structure event is a transfer.
 EVENT_LINES = [
     (ColoringUsed(colors={1: 0, 0: 2}, t=3),
      {"type": "coloring_used", "colors": {"0": 2, "1": 0}, "t": 3}),
     (StructureResolved(phase=2, root=1, favourite=3, branch="same_bundle_keep",
-                       changes={3: frozenset({2, 0}), 1: frozenset({4}), 5: frozenset()},
-                       transfers=((2, 1, 3), (0, 1, 3))),
+                       moves={2: 3, 0: 3, 4: 1}),
      {"type": "structure_resolved", "phase": 2, "root": 1, "favourite": 3,
       "branch": "same_bundle_keep", "snapshot": {"1": [4], "3": [0, 2]},
-      "transfers": [[2, 1, 3], [0, 1, 3]]}),
-    (StructureResolved(phase=1, root=0, favourite=None, branch=None, changes={}, transfers=()),
+      "transfers": [[0, 1, 3], [2, 1, 3]]}),
+    (StructureResolved(phase=1, root=0, favourite=None, branch=None, moves={}),
      {"type": "structure_resolved", "phase": 1, "root": 0, "favourite": None, "branch": None,
-      "snapshot": {}, "transfers": []}),
+      "snapshot": {"1": [0, 2]}, "transfers": []}),
     (LeafAttached(leaf=2, parent=0, pieces=(frozenset({3, 1}), frozenset()), leftover_to=0,
-                  changes={2: frozenset({1, 3})}),
+                  moves={3: 2, 1: 2, 0: None}),
      {"type": "leaf_attached", "leaf": 2, "parent": 0, "pieces": [[1, 3], []],
-      "leftover_to": 0, "snapshot": {"2": [1, 3]}}),
-    (CycleResolved(cycle=(2, 0, 1), changes={0: frozenset({1})}),
-     {"type": "cycle_resolved", "cycle": [2, 0, 1], "snapshot": {"0": [1]}}),
+      "leftover_to": 0, "snapshot": {"1": [2], "2": [1, 3]}}),
+    (CycleResolved(cycle=(0, 1), moves={0: 0, 2: 0}),
+     {"type": "cycle_resolved", "cycle": [0, 1], "snapshot": {"0": [0, 2]}}),
 ]
+
+
+def _written_after_held(ev):
+    """The line of ``ev`` written after a line that leaves HELD."""
+    held = {}
+    event_line(CycleResolved(cycle=(), moves=HELD), held)
+    return event_line(ev, held)
 
 
 @pytest.mark.parametrize("event, line", EVENT_LINES)
 def test_trace_line_format(event, line):
     text = json.dumps(line, sort_keys=True)
-    assert event_line(event, {}) == text
+    assert _written_after_held(event) == text
     # the lines name agents up to 5 and goods up to 4
-    assert event_line(event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5), {}), {}) == text
+    read = event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5), dict(HELD))
+    assert read == event and _written_after_held(read) == text
 
 
 @pytest.mark.parametrize("line, message", [
@@ -351,7 +362,7 @@ def test_solver_events_round_trip_through_json():
                                           CycleResolved}
     structures = [ev for ev in trace if isinstance(ev, StructureResolved)]
     assert any(ev.favourite is None for ev in structures)
-    assert any(ev.transfers for ev in structures)
+    assert any(ev.get("transfers") for ev in folded(traces[1][1]))
     for graph, events in traces:
         assert _read_back(events, graph) == events
 
@@ -389,13 +400,14 @@ def test_writer_matches_reference_encoder(tmp_path):
     tree = tree_efx(gen_multitree(seed=1, n=6, max_parallel=2)[0])[1]
     bipartite = solve(gen_bipartite(seed=3, n_left=8, n_right=8)[0])[2]
     chromatic = solve(gen_petersen(seed=4, parallel_copies=2)[0])[2]
-    union = solve(_cycle_union(random.Random(17), (5, 7), "additive"))[2]
-    # The union's structure events again, each also emptying every bundle
-    # that is empty before and after it.
+    cycles = _cycle_union(random.Random(17), (5, 7), "additive")
+    union = solve(cycles)[2]
+    # The union's structure events again, each also moving to None every
+    # good that no one holds before and after it.
     structures = [ev for ev in union if isinstance(ev, StructureResolved)]
-    padded = [replace(ev, changes={**{u: frozenset() for u in range(12)
-                                                  if not snapshot["snapshot"].get(u)},
-                                               **ev.changes})
+    padded = [replace(ev, moves={**{g: None for g in range(cycles.graph.edge_count)
+                                    if all(g not in b for b in snapshot["snapshot"].values())},
+                                 **ev.moves})
               for ev, snapshot in zip(structures, folded(structures))]
     assert any(isinstance(ev, CycleResolved) for ev in tree)
     # "10" is written before "9"
@@ -411,15 +423,13 @@ def test_writer_matches_reference_encoder(tmp_path):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.lists(st.frozensets(st.integers(0, 30), max_size=4), min_size=1, max_size=4),
-       st.lists(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=9),
+@given(st.lists(st.dictionaries(st.integers(0, 30), st.none() | st.integers(0, 12), max_size=9),
                 min_size=1, max_size=6))
-def test_writer_folds_any_changes(pool, steps):
-    # Changes take their bundles from a few frozenset objects, so one object
-    # is held by several agents in one snapshot and across snapshots, and a
-    # change may empty a bundle that is already empty or leave one as it is.
-    trace = [CycleResolved(cycle=(0, 1), changes={u: pool[i % len(pool)] for u, i in step})
-             for step in steps]
+def test_writer_folds_any_changes(steps):
+    # A few goods among a few agents, so a move may give a good to its
+    # holder, move a good no one holds to None, empty a bundle or leave one
+    # as it is, and goods above 7 make a set's order differ from its sorted order.
+    trace = [CycleResolved(cycle=(0, 1), moves=moves) for moves in steps]
     assert _written(trace) == _reference_lines(trace)
 
 
@@ -427,33 +437,31 @@ def test_writer_folds_any_changes(pool, steps):
 # a bundle of up to four goods, or an emptied one.
 _AGENTS = st.integers(0, 25)
 _GOODS = st.frozensets(st.integers(0, 40), max_size=4)
-_CHANGES = st.dictionaries(_AGENTS, st.just(frozenset()) | _GOODS, max_size=6)
+_MOVES = st.dictionaries(st.integers(0, 40), st.none() | _AGENTS, max_size=6)
 _EVENTS = st.one_of(
     st.builds(ColoringUsed, colors=st.dictionaries(_AGENTS, st.integers(0, 12), max_size=14),
               t=st.integers(0, 13)),
     st.builds(StructureResolved, phase=st.integers(0, 12), root=_AGENTS,
               favourite=st.none() | _AGENTS, branch=st.none() | st.sampled_from(BRANCHES),
-              changes=_CHANGES,
-              transfers=st.lists(st.tuples(st.integers(0, 40), _AGENTS, _AGENTS),
-                                 max_size=3).map(tuple)),
+              moves=_MOVES),
     st.builds(LeafAttached, leaf=_AGENTS, parent=_AGENTS, pieces=st.tuples(_GOODS, _GOODS),
-              leftover_to=_AGENTS, changes=_CHANGES),
-    st.builds(CycleResolved, cycle=st.lists(_AGENTS, max_size=5).map(tuple), changes=_CHANGES),
+              leftover_to=_AGENTS, moves=_MOVES),
+    st.builds(CycleResolved, cycle=st.lists(_AGENTS, max_size=5).map(tuple), moves=_MOVES),
 )
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(st.lists(st.tuples(_EVENTS, st.booleans()), max_size=14))
 def test_writer_matches_reference_for_every_event_kind(steps):
-    # A step event marked True also empties every bundle held before it, as
-    # the first step event of a later component in a component-wise solve does.
-    trace, held = [], {}
+    # A step event marked True also moves every good held before it to None,
+    # as the first step event of a later component in a component-wise solve does.
+    trace, held = [], set()
     for ev, withdraws in steps:
         if not isinstance(ev, ColoringUsed):
             if withdraws:
-                ev = replace(ev, changes={**dict.fromkeys(held, frozenset()),
-                                                      **ev.changes})
-            held = {u: b for u, b in {**held, **ev.changes}.items() if b}
+                ev = replace(ev, moves={**dict.fromkeys(held), **ev.moves})
+            held = {g for g, u in {**dict.fromkeys(held, 0), **ev.moves}.items()
+                    if u is not None}
         trace.append(ev)
     assert _written(trace) == _reference_lines(trace)
 
@@ -506,6 +514,72 @@ def _tampered(rng, inst, trace):
                     snapshot[to] = snapshot.get(to, frozenset()) | {g}
                 trace[j] = {**trace[j], "snapshot": snapshot}
     return unfolded(trace), kinds
+
+
+def test_a_structure_line_must_list_the_transfers_its_snapshot_makes(tmp_path, capsys):
+    # Copies of a trace whose last structure line gives one good, up to three
+    # of each bundle, to the good's other endpoint, with the line's transfers
+    # as written.  All 144 passed the audit when the reader did not check the
+    # transfers.  A copy that moves a good held before the line makes a
+    # transfer the line does not list, and fails at read.  The 3 that move a
+    # good the line first allocates make no transfer, and read.
+    inst, names = gen_bipartite(seed=1, n_left=24, n_right=24)
+    instance_path = tmp_path / "b24.instance.json"
+    save_instance(inst, names, instance_path)
+    lines = [json.loads(line) for line in _written(solve(inst)[2])]
+    i = max(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind)
+    before = {g for b in lines[i - 1]["snapshot"].values() for g in b}
+    path = tmp_path / "copy.trace.jsonl"
+    failed = read = 0
+    for agent, bundle in lines[i]["snapshot"].items():
+        for g in sorted(bundle)[:3]:
+            copy = json.loads(json.dumps(lines))
+            to = next(str(v) for v in inst.graph.endpoints(g) if str(v) != agent)
+            copy[i]["snapshot"][agent].remove(g)
+            copy[i]["snapshot"].setdefault(to, []).append(g)
+            path.write_text("".join(json.dumps(line) + "\n" for line in copy), encoding="utf-8")
+            if g not in before:
+                load_trace(path, inst.graph)
+                read += 1
+                continue
+            with pytest.raises(InputError) as err:
+                load_trace(path, inst.graph)
+            assert str(err.value) == (f"trace event {i} gives transfers that its snapshot does"
+                                      f" not make, first at good {g}")
+            failed += 1
+    assert (failed, read) == (141, 3)
+    capsys.readouterr()
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"trace event {i} gives transfers" in err
+
+
+def test_a_held_good_given_to_another_agent_fails_at_read():
+    # A structure line of a solver trace that gives a good held before it to
+    # an agent that held it neither before nor after the line, with the
+    # line's transfers as written, fails at that line.
+    rng = random.Random(23)
+    tampered = 0
+    for inst, trace in _phase_based_traces():
+        lines = [json.loads(line) for line in _written(trace)]
+        steps = [i for i, line in enumerate(lines) if "snapshot" in line]
+        for _ in range(20):
+            j = rng.randrange(1, len(steps))
+            i, before = steps[j], lines[steps[j - 1]]["snapshot"]
+            if lines[i]["type"] != StructureResolved.kind or not any(before.values()):
+                continue
+            g = rng.choice(sorted(g for b in before.values() for g in b))
+            copy = json.loads(json.dumps(lines))
+            snapshot = {u: [h for h in b if h != g] for u, b in copy[i]["snapshot"].items()}
+            holders = {u for u, b in chain(before.items(), copy[i]["snapshot"].items()) if g in b}
+            to = rng.choice([str(v) for v in range(inst.graph.vertex_count) if str(v) not in holders])
+            copy[i]["snapshot"] = {**snapshot, to: snapshot.get(to, []) + [g]}
+            held = {}
+            with pytest.raises(InputError, match=f"^trace event {i} gives transfers"):
+                for k, line in enumerate(copy):
+                    event_from_json(line, k, inst.graph, held)
+            tampered += 1
+    assert tampered > 100, tampered
 
 
 def test_audit_matches_from_scratch_reference():
@@ -563,11 +637,12 @@ def _stray(idx, a, b):
 ])
 def test_audit_keeps_stray_envy_edges_across_events(steps, localized):
     inst = _path_of_six()
-    trace = [ColoringUsed(colors={v: v % 2 for v in range(6)}, t=2)]
-    trace += [StructureResolved(phase=1, root=root, favourite=favourite, branch=None,
-                                changes={u: frozenset(b) for u, b in changes.items()},
-                                transfers=())
-              for root, favourite, changes in steps]
+    events, held = [], {}
+    for root, favourite, changes in steps:  # each gives the agents in changes their new bundles
+        held = {**held, **{u: frozenset(b) for u, b in changes.items()}}
+        events.append({"type": StructureResolved.kind, "phase": 1, "root": root,
+                       "favourite": favourite, "branch": None, "snapshot": held})
+    trace = [ColoringUsed(colors={v: v % 2 for v in range(6)}, t=2)] + unfolded(events)
     _read_back(trace, inst.graph)
     report = audit_trace(inst, trace)
     assert report.results["localized_envy"] == (True, tuple(localized))
@@ -601,7 +676,7 @@ def test_audit_names_an_improperly_colored_good_its_holder_shares(b1_instance):
     # good 0, whose other endpoint, agent 1, has agent 0's color.  That makes
     # agent 1 the root, one hop from the holder, beyond a bound of 0.
     _, trace = chromatic_efx(b1_instance, b1_instance.graph.bipartition())
-    assert 0 in trace[-1].changes[0]
+    assert trace[-1].moves[0] == 0
     same = [replace(ev, colors={0: 0, 1: 0, 2: 1}) if isinstance(ev, ColoringUsed)
             else ev for ev in trace]
     report = audit_trace(b1_instance, same)
@@ -805,15 +880,16 @@ def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys)
     inst, names = gen_bipartite(seed=2, n_left=6, n_right=6)
     instance_path = tmp_path / "b6.instance.json"
     save_instance(inst, names, instance_path)
-    trace = solve(inst)[2]
-    events = folded(trace)
-    i = next(i for i, ev in enumerate(events) if ev["type"] == StructureResolved.kind
-             and ev["snapshot"].get(9) and ev["snapshot"].get(10))
-    snapshot = dict(events[i]["snapshot"])
-    snapshot[10] = snapshot[10] | {min(snapshot[9])}
     path = tmp_path / "overlap.trace.jsonl"
-    save_trace(unfolded(events[:i] + [{**events[i], "snapshot": snapshot}] + events[i + 1:]), path)
+    save_trace(solve(inst)[2], path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    i = next(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind
+             and line["snapshot"].get("9") and line["snapshot"].get("10"))
+    good = min(lines[i]["snapshot"]["9"])
+    lines[i]["snapshot"]["10"].append(good)
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines),
+                    encoding="utf-8")
     capsys.readouterr()
     assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
     assert capsys.readouterr() == (
-        "", f'error: trace event {i} names good {min(snapshot[9])} twice in snapshot["9"]\n')
+        "", f'error: trace event {i} names good {good} twice in snapshot["9"]\n')

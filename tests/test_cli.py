@@ -981,16 +981,19 @@ def test_audit_tree_trace_not_applicable(b1_file, tmp_path, capsys):
 
 
 def test_audit_tampered_exit_3(c4_file, tmp_path, capsys):
+    # The last line hands a good that agent 0 holds to agent 1 and lists that
+    # transfer, so the file reads, and the transfer is not root -> favourite.
     trace_path = tmp_path / "c4.trace.jsonl"
     assert main(["solve", str(c4_file), "--trace", str(trace_path)]) == EXIT_OK
-    lines = trace_path.read_text().splitlines()
-    tampered = []
-    for line in lines:
-        obj = json.loads(line)
-        if obj["type"] == "structure_resolved":
-            obj["transfers"] = [[0, obj["root"], obj["root"]]]
-        tampered.append(json.dumps(obj))
-    trace_path.write_text("\n".join(tampered) + "\n")
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    before, last = lines[-2]["snapshot"], lines[-1]
+    assert last["type"] == "structure_resolved" and last["transfers"] == []
+    assert (last["root"], last["favourite"]) != (0, 1)
+    good = min(before["0"])
+    last["snapshot"]["0"].remove(good)
+    last["snapshot"]["1"] = sorted(last["snapshot"]["1"] + [good])
+    last["transfers"] = [[good, 0, 1]]
+    trace_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     capsys.readouterr()
     assert main(["audit", str(c4_file), str(trace_path)]) == EXIT_NOT_EFX
     assert "good_movement: fail" in capsys.readouterr().out

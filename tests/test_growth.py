@@ -5,21 +5,50 @@ the next, every count may grow by at most ``LAW`` times the growth of n + m.
 So a layer that turns superlinear fails here on a count, on any host, without
 reading a clock.  The counts are the valuation queries of ``solve``,
 ``is_efx`` and ``audit_trace``, counted on the four valuation classes so that
-each keeps its own code paths, and the number of trace events.
+each keeps its own code paths, the number of trace events, and the goods
+that the step events' moves name.
+
+Beside the generators' families, two hub shapes: a star multi-tree, whose
+hub takes every leaf's leftover, and K_{2,n}, whose two roots each resolve a
+structure of n right neighbours.
 
 Left out, because they grow faster today (ROADMAP item 15): the bytes of a
 trace file and the queries of a cut on a loop of many goods.
 """
 
+import random
+
 import pytest
 
-from graphefx import is_efx, solve
+from graphefx import Additive, Instance, MultiGraph, is_efx, solve
 from graphefx.audit import audit_trace
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree
+from graphefx.trace import ColoringUsed
 from graphefx.valuation import KINDS
 
 LAW = 1.15
 SEEDS = (1, 3, 7)
+
+
+def _additive(rng, pairs, n):
+    """The multi-graph of ``pairs`` on n agents, with additive values 0..100."""
+    graph = MultiGraph(n, pairs)
+    return Instance(graph=graph, valuations={u: Additive(values={
+        g: rng.randint(0, 100) for g in sorted(graph.incident_edges(u))}) for u in range(n)}), None
+
+
+def star(seed, n):
+    """The star multi-tree on n agents with hub 0, 1-3 parallel goods per edge."""
+    rng = random.Random(seed)
+    return _additive(rng, [(0, v) for v in range(1, n) for _ in range(rng.randint(1, 3))], n)
+
+
+def k2n(seed, n):
+    """K_{2,n}: agents 0 and 1 joined to each of agents 2..n+1 by 1-2 parallel goods."""
+    rng = random.Random(seed)
+    return _additive(rng, [(a, b) for b in range(2, n + 2) for a in (0, 1)
+                           for _ in range(rng.randint(1, 2))], n + 2)
+
 
 # ladder -> (instance of a seed and a rung, the rungs)
 LADDERS = {
@@ -30,6 +59,8 @@ LADDERS = {
     **{f"bipartite-{kind}": (lambda seed, k, kind=kind: gen_bipartite(
         seed=seed, n_left=k, n_right=k, valuation_kind=kind), (15, 30, 60))
        for kind in ("additive", "budget_additive", "unit_demand")},
+    "star": (star, (500, 1000, 2000)),
+    "k2n": (k2n, (250, 500, 1000)),
 }
 
 
@@ -60,6 +91,7 @@ def _counts(inst, queries) -> dict[str, int]:
     assert audit_trace(inst, trace).ok
     counts["audit_trace"] = queries[0]
     counts["trace events"] = len(trace)
+    counts["moved goods"] = sum(len(ev.moves) for ev in trace if not isinstance(ev, ColoringUsed))
     return counts
 
 
@@ -78,5 +110,5 @@ def test_counts_grow_linearly_in_the_instance(queries, ladder, seed):
         for i in range(1, len(rungs)):
             growth = counts[i][count] / counts[i - 1][count]
             assert growth <= LAW * sizes[i] / sizes[i - 1], (
-                f"{count}: {counts[i - 1][count]} -> {counts[i][count]} queries or events"
+                f"{count}: {counts[i - 1][count]} -> {counts[i][count]} queries, events or goods"
                 f" while n + m went {sizes[i - 1]} -> {sizes[i]}")

@@ -106,18 +106,18 @@ VALUES = [
     (lambda: ColoringUsed(colors={0: 0, 1: 1}, t=2), ColoringUsed(colors={0: 0, 1: 1}, t=3),
      False, "ColoringUsed(colors={0: 0, 1: 1}, t=2)"),
     (lambda: StructureResolved(phase=1, root=0, favourite=1, branch="different_bundles",
-                               changes={1: frozenset({0})}, transfers=((1, 0, 1),)),
-     StructureResolved(1, 0, None, None, {1: frozenset({0})}, ((1, 0, 1),)), False,
+                               moves={0: 1}),
+     StructureResolved(1, 0, None, None, {0: 1}), False,
      "StructureResolved(phase=1, root=0, favourite=1, branch='different_bundles',"
-     " changes={1: frozenset({0})}, transfers=((1, 0, 1),))"),
+     " moves={0: 1})"),
     (lambda: LeafAttached(leaf=1, parent=0, pieces=(frozenset({0}), frozenset({1})),
-                          leftover_to=0, changes={0: frozenset({1}), 1: frozenset({0})}),
+                          leftover_to=0, moves={0: 1, 1: 0}),
      LeafAttached(1, 0, (frozenset({0}), frozenset({1})), 1, {}), False,
      "LeafAttached(leaf=1, parent=0, pieces=(frozenset({0}), frozenset({1})), leftover_to=0,"
-     " changes={0: frozenset({1}), 1: frozenset({0})})"),
-    (lambda: CycleResolved(cycle=(0, 1), changes={0: frozenset(), 1: frozenset({0})}),
-     CycleResolved((1, 0), {0: frozenset(), 1: frozenset({0})}), False,
-     "CycleResolved(cycle=(0, 1), changes={0: frozenset(), 1: frozenset({0})})"),
+     " moves={0: 1, 1: 0})"),
+    (lambda: CycleResolved(cycle=(0, 1), moves={0: 1, 1: None}),
+     CycleResolved((1, 0), {0: 1, 1: None}), False,
+     "CycleResolved(cycle=(0, 1), moves={0: 1, 1: None})"),
     (lambda: Additive(values={0: 1, 1: 0}), UnitDemand(values={0: 1, 1: 0}), False,
      "Additive(values={0: 1, 1: 0})"),
     (lambda: UnitDemand({1: 5}), UnitDemand({1: 4}), False, "UnitDemand(values={1: 5})"),
