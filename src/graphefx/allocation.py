@@ -134,18 +134,17 @@ class EnvyGraph:
     def envies(self, u: int, w: int) -> bool:
         return w in self._out.get(u, ())
 
-    def step(self, moves: Mapping[int, Optional[int]]) -> tuple[set[int], set[int]]:
-        """Give each good in ``moves`` to its new holder, or to no one for None;
-        return the goods that changed hands and the agents that gave one up.
+    def step(self, moves: Mapping[int, int]) -> tuple[set[int], set[int]]:
+        """Give each good in ``moves`` to its new holder; return the goods that
+        changed hands and the agents that gave one up.
 
-        A move to the good's holder, or of a good no one holds to None, does
-        nothing.  An unknown good or agent raises InputError before any state
-        changes.
+        A move to the good's holder does nothing.  An unknown good or agent
+        raises InputError before any state changes.
         """
         bundles, holder = self._bundles, self.holder
         ends, incident = self.inst.graph.edges, self._incident
         for g, y in moves.items():  # every id, before any state changes
-            if y is not None and not 0 <= y < len(incident):
+            if not 0 <= y < len(incident):
                 raise InputError(f"allocation references unknown agent {y}")
             if not 0 <= g < len(ends):
                 raise InputError(f"allocation references unknown edge {g}")
@@ -168,9 +167,6 @@ class EnvyGraph:
                     touched[a].add(x)
                 if b != x:
                     touched[b].add(x)
-            if y is None:
-                del holder[g]
-                continue
             holder[g] = y
             bundles.setdefault(y, set()).add(g)
             changed.add(y)

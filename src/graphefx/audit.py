@@ -7,16 +7,20 @@ traces:
                          any envy edge points from a resolved root's favourite
                          neighbour to that root;
 * good movement       -- each transfer of a structure event, its move of a good
-                         held before it, goes from its root to its favourite,
-                         and no good is transferred twice in one phase;
+                         held before it, goes from its root to its favourite in
+                         the keep branch, and no good is transferred twice in
+                         one phase; each good it first allocates lies on a loop
+                         from its root to a higher-colored neighbour, and goes
+                         to the root, that neighbour or the favourite;
 * allocated distances -- an agent valuing a held good is within color-bounded
                          hop distance of the holder, along allocated edges;
 * unresolved union    -- an unresolved agent never envies the union of all
                          other unresolved agents' bundles.
 
-The families apply to a trace that holds a structure event.  Tree traces hold
-none and carry none of these obligations, so every family reports as not
-applicable on them.
+The families apply to a trace that holds a structure event, and read each
+structure event with its own moves.  Tree traces hold none and carry none of
+these obligations, so every family reports as not applicable on them, and the
+tree components of a component-wise trace change nothing the families read.
 
 The colors are one map, merged over the trace's coloring events: a
 component-wise solve emits one per phase-based component, on disjoint
@@ -29,12 +33,12 @@ them as ``snapshot`` and ``transfers``, and its reader checks the two agree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .allocation import Allocation, EnvyGraph
 from .errors import InputError
 from .frozen import Frozen
-from .trace import ColoringUsed, StructureResolved, TraceEvent
+from .trace import BRANCH_SAME_KEEP, ColoringUsed, StructureResolved, TraceEvent
 
 if TYPE_CHECKING:
     from .solvers import Instance
@@ -54,23 +58,6 @@ class AuditReport(Frozen):
         """"n/a" when ``family`` does not apply to the trace, else "pass" or "fail"."""
         applicable, msgs = self.results[family]
         return "n/a" if not applicable else ("pass" if not msgs else "fail")
-
-
-def _structure_steps(trace: list[TraceEvent]
-                     ) -> Iterator[tuple[int, StructureResolved, dict[int, Optional[int]]]]:
-    """(index, event, moves) for each StructureResolved event of ``trace``.
-
-    The moves are the event's own on top of those of the tree events since
-    the previous structure event, which the audit does not read: from one
-    structure event's allocation to the next.
-    """
-    moves: dict[int, Optional[int]] = {}
-    for i, ev in enumerate(trace):
-        if not isinstance(ev, ColoringUsed):
-            moves.update(ev.moves)
-            if isinstance(ev, StructureResolved):
-                yield i, ev, moves
-                moves = {}
 
 
 def _connect(adj: dict[int, set[int]], a: int, b: int) -> None:
@@ -122,11 +109,10 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
       root) changes only when it appears or its head is the event's root.
       So the stray edges are kept across events, and every one is reported
       at every event;
-    * while no good is withdrawn, the allocated edges only grow, so an
+    * every move names a holder, so the allocated edges only grow, an
       allocated distance only shrinks and a distance check that passed stays
-      passed while its good keeps its holder.  A withdrawal rechecks every good.
-      The adjacency along the allocated edges is brought up to date only
-      when a check needs a search.
+      passed while its good keeps its holder.  The adjacency along the
+      allocated edges is brought up to date only when a check needs a search.
       A good held by one of its endpoints that is the good's root or colored
       higher passes all three checks without a search: the good is itself
       an allocated edge joining its endpoints, so the holder is 0 hops from
@@ -142,13 +128,14 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     * an unresolved agent z values only its incident goods, so its union
       check depends only on its own value and on the holders of those goods
       and which of them are resolved.  Resolving one more root, or moving
-      one of those goods to z, to a resolved root or off the allocation,
-      can only shrink the union.  So a check that passed can fail only when
-      z gives up a good, and its own value may fall, or when one of its
-      goods moves to another unresolved agent, and the union may grow.
+      one of those goods to z or to a resolved root, can only shrink the
+      union.  So a check that passed can fail only when z gives up a good,
+      and its own value may fall, or when one of its goods moves to another
+      unresolved agent, and the union may grow.
     Checks that failed at the previous structure event are always made again.
     """
-    if not any(isinstance(ev, StructureResolved) for ev in trace):
+    structures = [(i, ev) for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
+    if not structures:
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
     colors = {v: c for ev in trace if isinstance(ev, ColoringUsed) for v, c in ev.colors.items()}
     found: dict[str, list[str]] = {f: [] for f in FAMILIES}  # family -> violation messages
@@ -167,12 +154,12 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     far_goods: set[int] = set()  # goods whose distance checks failed at the previous event
     union_enviers: set[int] = set()  # agents whose union check failed at the previous event
 
-    for idx, ev, moves in _structure_steps(trace):
+    for idx, ev in structures:
         favourite_of[ev.root] = ev.favourite
-        transfers = sorted((g, holder[g], to) for g, to in moves.items()
-                           if to is not None and holder.get(g, to) != to)
-        moved, shrank = envy.step(moves)
-        changed = shrank.union(map(holder.get, moved)) - {None}
+        transfers = sorted((g, holder[g], to) for g, to in ev.moves.items()
+                           if holder.get(g, to) != to)
+        moved, shrank = envy.step(ev.moves)
+        changed = shrank.union(map(holder.get, moved))
 
         # localized envy: the allocation is EFX, envy only favourite -> resolved root
         unfair = {e: x for e, x in unfair.items() if changed.isdisjoint(e)}
@@ -195,27 +182,12 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
         for a, b in sorted(stray):
             localized.append(f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root")
 
-        # good movement: only root -> favourite, at most once per phase
-        moved_in_phase = phase_moved.setdefault(ev.phase, set())
-        for g, frm, to in transfers:
-            if frm != ev.root or to != ev.favourite:
-                movement.append(
-                    f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"
-                )
-            if g in moved_in_phase:
-                movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
-            moved_in_phase.add(g)
-
         # distances along allocated edges; a good held by one of its endpoints
         # that is its root or colored higher passes all three checks, and so
         # does one held by an endpoint's favourite that a held good of their
         # loop joins to it, within the color bounds (see above)
-        if any(g not in holder for g in moved):
-            adj, unlinked = {}, list(holder)
-            recheck = set(holder)
-        else:
-            unlinked.extend(moved)
-            recheck = moved | far_goods
+        unlinked.extend(moved)
+        recheck = moved | far_goods
         far_goods = set()
         for g in sorted(recheck):
             w = holder[g]
@@ -254,14 +226,42 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
                     f" {bound} from holder {w}"
                 )
 
+        # good movement: a transfer only root -> favourite in the keep branch,
+        # at most once per phase; a good first allocated only from a loop of
+        # the root with a higher-colored neighbour w, to the root, w or the
+        # favourite.  The distances above looked up every moved good's colors.
+        moved_in_phase = phase_moved.setdefault(ev.phase, set())
+        for g, frm, to in transfers:
+            if frm != ev.root or to != ev.favourite:
+                movement.append(
+                    f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"
+                )
+            if ev.branch != BRANCH_SAME_KEEP:
+                movement.append(f"event {idx}: good {g} moved {frm}->{to} in branch"
+                                f" {ev.branch}, not {BRANCH_SAME_KEEP}")
+            if g in moved_in_phase:
+                movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
+            moved_in_phase.add(g)
+        root = ev.root
+        for g in sorted(moved.difference([g for g, _, _ in transfers])):
+            to = holder[g]
+            a, b = ends[g]
+            w = b if a == root else a
+            if root not in (a, b) or colors[w] <= colors[root]:
+                movement.append(f"event {idx}: good {g} given to {to} is on no loop of root"
+                                f" {root} with a higher-colored neighbour")
+            elif to not in (root, w, ev.favourite):
+                movement.append(f"event {idx}: good {g} given to {to}, not to root {root},"
+                                f" its neighbour {w} or favourite {ev.favourite}")
+
         # unresolved union: z values only its incident goods, so the union of
         # the other unresolved bundles is worth what z's incident goods in it
         # are; recheck z when it gives up a good or its goods reach another
         # unresolved agent (see above)
         suspects = union_enviers.union(shrank)
         for g in moved:
-            w = holder.get(g)
-            if w is not None and w not in resolved:
+            w = holder[g]
+            if w not in resolved:
                 suspects.update(z for z in ends[g] if z != w)
         union_enviers = set()
         # filtered, not `suspects - resolved`, which walks every resolved root

@@ -132,7 +132,7 @@ def _solve_one(
     if out_path:
         save_allocation(alloc, names, out_path)
     if trace_path:
-        save_trace(trace, trace_path)
+        save_trace(trace, trace_path, inst.graph)
     code = EXIT_OK if verdict.ok else EXIT_NOT_EFX
     return report, code
 

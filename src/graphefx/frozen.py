@@ -1,4 +1,4 @@
-"""The base of the package's immutable value classes, and ``replace``."""
+"""The base of the package's immutable value classes."""
 
 from __future__ import annotations
 
@@ -58,12 +58,3 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def replace(obj: Frozen, **changes):
-    """A copy of ``obj`` with the fields in ``changes`` replaced, built by its
-    class's ``__init__``, so its checks run again."""
-    unknown = changes.keys() - set(obj.fields)
-    if unknown:
-        raise TypeError(f"{type(obj).__qualname__} has no field {min(unknown)!r}")
-    return type(obj)(**{**dict(zip(obj.fields, obj._values())), **changes})

@@ -18,8 +18,8 @@ from .allocation import Allocation
 from .errors import InputError
 from .multigraph import Coloring, MultiGraph
 from .solvers import Instance
-from .trace import (Good, Name, Natural, Record, TraceEvent, event_from_json, event_line,
-                    read_json, twice)
+from .trace import (Good, Name, Natural, Record, TraceEvent, event_from_json, read_json,
+                    trace_lines, twice)
 from .valuation import KINDS, Table, Valuation
 
 FORMAT_VERSION = "1"
@@ -197,14 +197,13 @@ def save_allocation(alloc: Allocation, names: list[str], path: Union[str, Path])
                   + ',\n  "version": ' + encode_basestring_ascii(FORMAT_VERSION) + "\n}\n"])
 
 
-def save_trace(trace: list[TraceEvent], path: Union[str, Path]) -> None:
-    held: dict = {}  # the running snapshot, as ``event_line`` keeps it
-    _write(path, (event_line(ev, held) + "\n" for ev in trace))
+def save_trace(trace: list[TraceEvent], path: Union[str, Path], graph: MultiGraph) -> None:
+    _write(path, (line + "\n" for line in trace_lines(trace, graph)))
 
 
 def load_trace(path: Union[str, Path], graph: MultiGraph) -> list[TraceEvent]:
     events = []
-    held: dict = {}  # good -> its agent in the running snapshot
+    held: dict = {}  # component index -> good -> its agent in the component's running snapshot
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:

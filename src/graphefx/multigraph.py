@@ -110,13 +110,16 @@ class MultiGraph:
             return range(len(self.edges))
         return sorted(frozenset().union(*map(self._incident.__getitem__, component)))
 
-    def _skeleton(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], frozenset[int]]:
+    def _skeleton(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...],
+                                 frozenset[int]]:
         """One breadth-first search of the whole skeleton, memoized: the
         components as sorted vertex tuples ordered by minimum vertex, each
-        vertex's side (0 at its component's lowest vertex) and the vertices of
-        the components with an edge between equal sides, an odd cycle's mark."""
+        vertex's index among them and side (0 at its component's lowest
+        vertex), and the vertices of the components with an edge between
+        equal sides, an odd cycle's mark."""
         if "skeleton" not in self._memo:
             side = [-1] * self.vertex_count
+            index = [-1] * self.vertex_count
             comps, odd = [], set()
             for start in range(self.vertex_count):
                 if side[start] >= 0:
@@ -124,6 +127,7 @@ class MultiGraph:
                 side[start] = 0
                 comp, clash = [start], False
                 for x in comp:  # the list grows as the search reaches new vertices
+                    index[x] = len(comps)
                     for y in self._adj[x]:
                         if side[y] < 0:
                             side[y] = 1 - side[x]
@@ -133,8 +137,19 @@ class MultiGraph:
                 comps.append(tuple(sorted(comp)))
                 if clash:
                     odd.update(comp)
-            self._memo["skeleton"] = tuple(comps), tuple(side), frozenset(odd)
+            self._memo["skeleton"] = tuple(comps), tuple(index), tuple(side), frozenset(odd)
         return self._memo["skeleton"]
+
+    def component(self, u: int) -> tuple[int, frozenset[int], frozenset[int]]:
+        """The index of ``u``'s component in ``connected_components()``, and
+        its vertices and edges as sets, made once per component."""
+        self._check_vertex(u)
+        c = self._skeleton()[1][u]
+        if ("component", c) not in self._memo:
+            comp = self._skeleton()[0][c]
+            edges = frozenset().union(*map(self._incident.__getitem__, comp))
+            self._memo["component", c] = c, frozenset(comp), edges
+        return self._memo["component", c]
 
     def bipartition(self, component: Component = None) -> Optional[Coloring]:
         """Proper 2-coloring of the skeleton, or None.
@@ -144,7 +159,7 @@ class MultiGraph:
         bipartite skeleton has one such coloring, so the search's sides are
         it.  Each call returns a new ``Coloring``.
         """
-        _, side, odd = self._skeleton()
+        _, _, side, odd = self._skeleton()
         vertices = self.vertices(component)
         if not odd.isdisjoint(vertices):
             return None

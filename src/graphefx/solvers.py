@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 # envy_graph is not called here, but perfbench's tracer test reads solvers.envy_graph.
 from .allocation import Allocation, EnvyGraph, envy_graph  # noqa: F401
 from .errors import InputError, PreconditionError, UnsupportedClassError, UnsupportedValuationError
-from .frozen import Frozen, replace
+from .frozen import Frozen
 from .multigraph import Coloring, Component, MultiGraph
 from .oracle import first_efx_allocation
 from .partition import TABLE_CUT_MAX, cut_and_choose
@@ -78,7 +78,7 @@ def _resolve_structure(
     cuts = {w: cut_and_choose(inst.valuations[w], v_u, inst.graph.parallel_edges(u, w))
             for w in right}
     fav = max(right, key=lambda w: (cuts[w][3], -w))  # u's value of its piece, from the cut
-    moves: dict[int, Optional[int]] = {}
+    moves: dict[int, int] = {}
 
     def give(v: int, goods) -> None:
         moves.update(dict.fromkeys(goods, v))
@@ -359,9 +359,7 @@ def solve(
     Agents value only their incident goods, so the union of EFX allocations
     of the components is EFX.  Each component is solved on the instance's
     own ids, starting from an empty allocation, and its trace follows the
-    previous component's.  So that the bundles held after each event are
-    those of the component being solved, the first step event of each later
-    component also moves every good the trace holds so far to no holder.  Each
+    previous component's: its events move only its own goods.  Each
     component takes its part of the hint, with its colors made dense, so a
     component's verdict does not depend on the others.  When ``verdicts`` is
     a list, one list per component is appended to it: the verdicts of the
@@ -375,17 +373,11 @@ def solve(
     bundles: dict[int, frozenset[int]] = {}
     trace: list[TraceEvent] = []
     methods: list[str] = []
-    held: frozenset[int] = frozenset()  # the goods held after the trace so far
     for comp in comps:
         sub_hint = hint if hint is None or comp is None else _component_hint(hint, comp)
         alloc, method, sub_trace, tried = _dispatch_component(inst, sub_hint, comp)
         verdicts.append(tried)
         bundles.update(alloc.bundles)
-        first = next((i for i, ev in enumerate(sub_trace) if not isinstance(ev, ColoringUsed)), None)
-        if first is not None:
-            sub_trace[first] = replace(sub_trace[first],
-                                       moves={**dict.fromkeys(held), **sub_trace[first].moves})
-            held = alloc.assigned_edges  # the component's last step leaves its allocation
         trace += sub_trace
         methods.append(method)
     method = methods[0] if len(set(methods)) == 1 else "componentwise(" + ",".join(methods) + ")"

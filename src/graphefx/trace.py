@@ -6,10 +6,11 @@ marks colors, t and phases, and ``Branch`` a branch name.  ``Natural`` marks
 a nonnegative integer that names nothing, such as a value in an instance.
 
 A step event (all but ``ColoringUsed``) holds ``moves``, as ``StructureResolved``
-describes.  Its line holds ``snapshot`` instead, every bundle after the step, and
-a structure line also ``transfers``: the writer folds the moves into a running
-snapshot, and the reader diffs each snapshot into moves and checks the transfers
-against them.  This module is the only one that knows the file's form.
+describes.  Its line holds ``snapshot`` instead, every bundle of its component
+after the step, and a structure line also ``transfers``: the writer folds the
+moves into one running snapshot per component, and the reader diffs each
+snapshot into moves and checks the transfers against them.  This module is the
+only one that knows the file's form.
 
 ``read_json`` reads these lines, and the instance, allocation and
 ``--coloring`` documents of ``jsonio``, each by a declared shape.
@@ -24,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Literal, NewType, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Literal, NewType, Optional, Union
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import InputError
@@ -57,13 +58,12 @@ class ColoringUsed(Frozen):
 class StructureResolved(Frozen):
     """One root's star of right-neighbour edge loops was fully assigned.
 
-    ``moves`` maps each good whose holder the step changed to its new holder,
-    None for no holder.  The first step event of a later component in a
-    component-wise solve also moves every good of the earlier ones to None, so
-    the bundles held after an event are those of the component being solved.
+    ``moves`` maps each good whose holder the step changed to its new holder.
     Its transfers, the moves of goods held before it, come only from the keep
-    branch: the root's prior bundle goes to its favourite.  ``favourite`` is
-    None for a root with no unallocated right-neighbour edges.
+    branch: the root's prior bundle goes to its favourite.  Every other move
+    gives a good of a loop between the root and a higher-colored right
+    neighbour w to the root, to w or to the favourite.  ``favourite`` is None
+    for a root with no unallocated right-neighbour edges.
     """
 
     kind = "structure_resolved"
@@ -71,7 +71,7 @@ class StructureResolved(Frozen):
     root: Agent
     favourite: Optional[Agent]
     branch: Optional[Branch]  # one of BRANCHES
-    moves: dict[Good, Optional[Agent]]
+    moves: dict[Good, Agent]
 
 
 class LeafAttached(Frozen):
@@ -82,7 +82,7 @@ class LeafAttached(Frozen):
     parent: Agent
     pieces: tuple[frozenset[Good], frozenset[Good]]  # (leaf's piece, complement)
     leftover_to: Agent
-    moves: dict[Good, Optional[Agent]]
+    moves: dict[Good, Agent]
 
 
 class CycleResolved(Frozen):
@@ -90,7 +90,7 @@ class CycleResolved(Frozen):
 
     kind = "cycle_resolved"
     cycle: tuple[Agent, ...]
-    moves: dict[Good, Optional[Agent]]
+    moves: dict[Good, Agent]
 
 
 TraceEvent = Union[ColoringUsed, StructureResolved, LeafAttached, CycleResolved]
@@ -366,14 +366,10 @@ def _snapshot(moves: dict, held: dict) -> tuple[str, list[tuple[int, int, int]]]
         if x is not None:
             bundles[x].remove(g)
             changed.add(x)
-            if y is not None:
-                transfers.append((g, x, y))
-        if y is None:
-            del holder[g]
-        else:
-            holder[g] = y
-            bundles.setdefault(y, set()).add(g)
-            changed.add(y)
+            transfers.append((g, x, y))
+        holder[g] = y
+        bundles.setdefault(y, set()).add(g)
+        changed.add(y)
     for u in changed:
         old = texts.pop(u, None)
         if old is not None:
@@ -426,8 +422,8 @@ def event_line(ev: TraceEvent, held: dict) -> str:
 
     A step event's ``moves`` are written as its ``snapshot``, every non-empty
     bundle after the step, and a structure event's also as its ``transfers``.
-    ``held`` is that running snapshot: a writer passes one empty dict for a
-    whole trace, and each call applies the event's moves to it.  Its None
+    ``held`` is that running snapshot: a writer passes one empty dict for
+    each component, and each call applies the event's moves to it.  Its None
     entry holds each good's holder, each holding agent's goods and bundle
     text, ``"agent": [goods]``, and those texts sorted, which is by agent
     string, since a '"' sorts before every digit.
@@ -435,30 +431,58 @@ def event_line(ev: TraceEvent, held: dict) -> str:
     return _TEMPLATES[ev.__class__](ev, held)
 
 
+def _component(fields: dict, graph: "MultiGraph") -> Optional[tuple]:
+    """``graph.component`` of a line's own agent, a structure's root, a leaf or
+    a cycle's first agent; None for a coloring line or an empty cycle."""
+    own = fields.get("root", fields.get("leaf", next(iter(fields.get("cycle", ())), None)))
+    return None if own is None else graph.component(own)
+
+
+def trace_lines(trace: list[TraceEvent], graph: "MultiGraph") -> Iterator[str]:
+    """The lines of ``trace`` on ``graph``, one running snapshot per component."""
+    held: dict = {}  # component index -> its running snapshot
+    for ev in trace:
+        component = _component(vars(ev), graph)
+        yield event_line(ev, held.setdefault(component and component[0], {}))
+
+
 def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:
     """Event ``i`` of a trace on ``graph``, from its line.  ``held`` maps each
-    good of the snapshot before the event to its agent: a reader passes one
-    dict for a whole trace, and it becomes the snapshot on a step event's
-    line.  That event's ``moves`` are the goods whose holder differs between
-    the two, in the line's order, then the goods the line leaves out, to
-    None.  A structure line's ``transfers``, as a set, must be its moves of
-    goods held before it to an agent.  ``read_json`` rejects a snapshot that
-    names one good in two bundles."""
+    component's index to its snapshot before the event, good -> agent: a
+    reader passes one dict for a whole trace, and a step line's snapshot
+    becomes its component's.  The event's ``moves`` are the goods whose holder
+    differs between the two, in the line's order.  A step line names only its
+    component's agents and goods and keeps every good that component held,
+    and a structure line's ``transfers``, as a set, are its moves of goods
+    held before it.  ``read_json`` rejects a snapshot naming a good twice."""
     row = read_json(_LINE, obj, f"trace event {i}", {
         Agent: graph.vertex_count, Good: graph.edge_count, Count: None, Branch: BRANCHES})
     fields = dict(zip(_LINE.kinds[row[0]].fields, row))
     cls = EVENT_KINDS[fields.pop("type")]
     if "snapshot" in fields:
-        holder = {g: u for u, b in fields.pop("snapshot").items() for g in b}
-        moves = {g: u for g, u in holder.items() if held.get(g) != u}
-        moves.update((g, None) for g in held if g not in holder)
+        component = _component(fields, graph)
+        if component is None:
+            raise InputError(f"trace event {i} gives an empty cycle, which is in no component")
+        snapshot = fields.pop("snapshot")
+        holder = {g: u for u, b in snapshot.items() for g in b}
+        agents = {fields.get(f) for f in ("favourite", "parent", "leftover_to")} - {None}
+        named = {"agent": [*snapshot, *fields.get("cycle", ()), *agents],
+                 "good": [*holder, *chain(*fields.get("pieces", ()))]}
+        for (noun, ids), part in zip(named.items(), component[1:]):
+            if not part.issuperset(ids):
+                stray = next(x for x in ids if x not in part)
+                raise InputError(f"trace event {i} names {noun} {stray}, which is not in the"
+                                 " line's component")
+        before = held.get(component[0], {})
+        if not holder.keys() >= before.keys():
+            raise InputError(f"trace event {i} drops good {min(before.keys() - holder.keys())},"
+                             " which its component held")
         if "transfers" in fields:
             listed = set(fields.pop("transfers"))
-            made = {(g, held[g], u) for g, u in holder.items() if held.get(g, u) != u}
+            made = {(g, before[g], u) for g, u in holder.items() if before.get(g, u) != u}
             if listed != made:
                 raise InputError(f"trace event {i} gives transfers that its snapshot does not"
                                  f" make, first at good {min(listed ^ made)[0]}")
-        held.clear()
-        held.update(holder)
-        fields["moves"] = moves
+        held[component[0]] = holder
+        fields["moves"] = {g: u for g, u in holder.items() if before.get(g) != u}
     return cls(**fields)

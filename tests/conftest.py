@@ -18,7 +18,6 @@ from graphefx import (
     UnsupportedValuationError,
     Valuation,
 )
-from graphefx.frozen import replace
 from graphefx.generators import PETERSEN_EDGES, VALUATION_KINDS, _make_valuation
 from graphefx.oracle import BRUTE_FORCE_MAX, OracleReport
 
@@ -96,6 +95,15 @@ def random_instance(rng: random.Random, n_max=4, m_max=6, value_max=10):
     return Instance(graph=g, valuations=vals)
 
 
+def replace(obj, **changes):
+    """A copy of the value ``obj`` with the fields in ``changes`` replaced,
+    built by its class's ``__init__``, so its checks run again."""
+    unknown = changes.keys() - set(obj.fields)
+    if unknown:
+        raise TypeError(f"{type(obj).__qualname__} has no field {min(unknown)!r}")
+    return type(obj)(**{**dict(zip(obj.fields, obj._values())), **changes})
+
+
 def tamper_trace(inst, trace, family):
     """A copy of ``trace`` with one event edited so ``family`` must fail.
 
@@ -109,7 +117,8 @@ def tamper_trace(inst, trace, family):
         applicable, msgs = audit_trace(inst, candidate).results[family]
         return applicable and msgs
 
-    events = folded(trace)
+    events = folded(trace, inst.graph)
+    component = _reference_component(inst.graph)
     indices = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
     for i in indices:
         snapshot = events[i]["snapshot"]
@@ -117,33 +126,52 @@ def tamper_trace(inst, trace, family):
         for holder in holders:
             for g in sorted(snapshot[holder]):
                 for target in range(inst.graph.vertex_count):
-                    if target == holder:
+                    if target == holder or component({"root": target}) != component(events[i]):
                         continue
                     snap = {u: set(b) for u, b in snapshot.items()}
                     snap[holder].discard(g)
                     snap.setdefault(target, set()).add(g)
                     bad = {**events[i], "snapshot": {u: frozenset(b) for u, b in snap.items() if b}}
-                    candidate = unfolded(events[:i] + [bad] + events[i + 1:])
+                    candidate = unfolded(events[:i] + [bad] + events[i + 1:], inst.graph)
                     if fails(candidate):
                         return candidate
     return None
 
 
-def folded(trace):
+def _reference_component(graph):
+    """The component of a step event from its fields: the index among
+    ``graph.connected_components()`` of its own agent's, which is a
+    structure's root, a leaf or a cycle's first agent; None for an empty
+    cycle.  Without a graph, every event is in one component."""
+    if graph is None:
+        return lambda fields: None
+    index = {v: i for i, comp in enumerate(graph.connected_components()) for v in comp}
+
+    def component(fields):
+        own = fields.get("root", fields.get("leaf", next(iter(fields.get("cycle", ())), None)))
+        return None if own is None else index[own]
+
+    return component
+
+
+def folded(trace, graph=None):
     """Each event of ``trace`` as a dict of its ``type`` and its fields, in the
     file's form: a step event's ``moves`` are folded into its ``snapshot``,
-    the non-empty bundles held after it, from the start of the trace.  A
+    the non-empty bundles held after it in its component on ``graph``, from
+    the start of the trace; without a graph the trace is one component.  A
     structure event also gets its ``transfers``, (good, from, to) for each
     good held before it that it gives to another agent, by good."""
     from graphefx.trace import StructureResolved
 
-    holder, events = {}, []
+    component = _reference_component(graph)
+    holders, events = {}, []  # component -> good -> its agent
     for ev in trace:
         fields = {"type": ev.kind, **vars(ev)}
         moves = fields.pop("moves", None)
         if moves is not None:
-            before, holder = holder, {**holder, **moves}
-            holder = {g: u for g, u in holder.items() if u is not None}
+            key = component(fields)
+            before = holders.get(key, {})
+            holder = holders[key] = {**before, **moves}
             snapshot = {}
             for g, u in holder.items():
                 snapshot.setdefault(u, set()).add(g)
@@ -155,24 +183,26 @@ def folded(trace):
     return events
 
 
-def unfolded(events):
-    """The trace whose ``folded`` form is ``events``, less the ``transfers`` they
-    list: each step event moves exactly the goods whose holder differs from
-    the snapshot before it, a good the snapshot leaves out to None."""
+def unfolded(events, graph=None):
+    """The trace whose ``folded`` form on ``graph`` is ``events``, less the
+    ``transfers`` they list: each step event moves exactly the goods whose
+    holder differs from its component's snapshot before it, and keeps every
+    good that snapshot holds."""
     from graphefx.trace import EVENT_KINDS
 
-    held, trace = {}, []
+    component = _reference_component(graph)
+    held, trace = {}, []  # component -> good -> its agent
     for fields in events:
         fields = dict(fields)
         cls = EVENT_KINDS[fields.pop("type")]
         fields.pop("transfers", None)
         snapshot = fields.pop("snapshot", None)
         if snapshot is not None:
-            holder = {g: u for u, b in snapshot.items() for g in b}
-            moves = {g: u for g, u in holder.items() if held.get(g) != u}
-            moves.update((g, None) for g in held if g not in holder)
-            fields["moves"] = moves
-            held = holder
+            key = component(fields)
+            before = held.get(key, {})
+            holder = held[key] = {g: u for u, b in snapshot.items() for g in b}
+            assert before.keys() <= holder.keys(), "a snapshot drops a good its component held"
+            fields["moves"] = {g: u for g, u in holder.items() if before.get(g) != u}
         trace.append(cls(**fields))
     return trace
 
@@ -215,16 +245,18 @@ def reference_colors(trace):
 
 
 def reference_audit_trace(inst, trace):
-    """The audit that checks every snapshot from scratch: one envy graph,
+    """The audit that checks every allocation from scratch: one envy graph,
     one ``is_efx``, one allocated adjacency with a BFS per valuer and one
-    union check per agent for each snapshot.
+    union check per agent for each structure event.  The allocation after
+    one is the union of each component's snapshot on the last structure
+    line of that component, in the ``folded`` form.
 
     Envy is only checked between agents that share a good, which is exact
     because every valuation's support lies within the agent's incident edges.
     """
     from graphefx.allocation import envy_graph, is_efx
     from graphefx.audit import FAMILIES, AuditReport
-    from graphefx.trace import StructureResolved
+    from graphefx.trace import BRANCH_SAME_KEEP, StructureResolved
 
     colors = reference_colors(trace)
     structure_events = [
@@ -242,13 +274,20 @@ def reference_audit_trace(inst, trace):
     favourite_of = {}
     resolved = set()
     phase_moved = {}
-    events = folded(trace)
+    events = folded(trace, inst.graph)
+    component = _reference_component(inst.graph)
+    snapshots = {}  # component -> its snapshot on its last structure line so far
+    holder_of = {}
 
     for idx, ev in structure_events:
         resolved.add(ev.root)
         favourite_of[ev.root] = ev.favourite
-        snapshot = events[idx]["snapshot"]
-        alloc = Allocation(bundles=dict(snapshot))
+        snapshots[component(events[idx])] = events[idx]["snapshot"]
+        before = holder_of
+        holder_of = {g: w for snapshot in snapshots.values()
+                     for w, b in snapshot.items() for g in b}
+        alloc = Allocation(bundles={w: b for snapshot in snapshots.values()
+                                    for w, b in snapshot.items()})
 
         # localized envy: snapshot EFX, envy only favourite -> resolved root
         envy = envy_graph(inst, alloc)
@@ -261,20 +300,33 @@ def reference_audit_trace(inst, trace):
                     f"event {idx}: envy edge {a}->{b} is not favourite-to-resolved-root"
                 )
 
-        # good movement: only root -> favourite, at most once per phase
+        # good movement: a transfer only root -> favourite in the keep branch, at
+        # most once per phase; a good first allocated only from a loop of the
+        # root with a higher-colored neighbour w, to the root, w or the favourite
         moved = phase_moved.setdefault(ev.phase, set())
         for g, frm, to in events[idx]["transfers"]:
             if frm != ev.root or to != ev.favourite:
                 movement.append(
                     f"event {idx}: good {g} moved {frm}->{to}, expected root->favourite"
                 )
+            if ev.branch != BRANCH_SAME_KEEP:
+                movement.append(f"event {idx}: good {g} moved {frm}->{to} in branch"
+                                f" {ev.branch}, not {BRANCH_SAME_KEEP}")
             if g in moved:
                 movement.append(f"event {idx}: good {g} transferred twice in phase {ev.phase}")
             moved.add(g)
+        for g in sorted(holder_of.keys() - before.keys()):
+            to, ends = holder_of[g], inst.graph.endpoints(g)
+            w = next((e for e in ends if e != ev.root), None) if ev.root in ends else None
+            if w is None or colors[w] <= colors[ev.root]:
+                movement.append(f"event {idx}: good {g} given to {to} is on no loop of root"
+                                f" {ev.root} with a higher-colored neighbour")
+            elif to not in (ev.root, w, ev.favourite):
+                movement.append(f"event {idx}: good {g} given to {to}, not to root {ev.root},"
+                                f" its neighbour {w} or favourite {ev.favourite}")
 
         # distances along allocated edges; each BFS stops at ``depth``, beyond
         # every bound, so a vertex it does not reach reads as ``far``
-        holder_of = {g: w for w, b in snapshot.items() for g in b}
         adj = _reference_allocated_adjacency(inst, holder_of)
         dist_cache = {}
 
@@ -330,17 +382,17 @@ def reference_check_trace(trace, graph):
     to and both endpoints of that good have a color.
 
     The separate pass that ``load_trace`` once made before any audit, on
-    moves.  A good an agent holds reached it by a move, so an uncolored
-    agent is met at the first event that involves it, as the old pass met
-    it in the bundles each event changed.  ``audit_trace`` must reject a
-    trace at the same event."""
-    from graphefx.audit import _structure_steps
+    each structure event's moves.  A good an agent holds reached it by a
+    move, so an uncolored agent is met at the first event that involves it,
+    as the old pass met it in the bundles each event changed.
+    ``audit_trace`` must reject a trace at the same event."""
     from graphefx.errors import InputError
+    from graphefx.trace import StructureResolved
 
     colors = reference_colors(trace)
-    for i, _, moves in _structure_steps(trace):
-        for g, w in moves.items():
-            if w is not None:
+    for i, ev in enumerate(trace):
+        if isinstance(ev, StructureResolved):
+            for g, w in ev.moves.items():
                 for v in (w, *graph.endpoints(g)):
                     if v not in colors:
                         raise InputError(f"trace event {i} involves agent {v}, which has no color")
@@ -983,7 +1035,7 @@ def moved_event(ev, agent, good):
     from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
 
     def moves(moved):
-        return {good(g): None if u is None else agent(u) for g, u in moved.items()}
+        return {good(g): agent(u) for g, u in moved.items()}
 
     if isinstance(ev, ColoringUsed):
         return ColoringUsed(colors={agent(u): c for u, c in ev.colors.items()}, t=ev.t)

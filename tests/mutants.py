@@ -42,6 +42,7 @@ ALLOCATION_WRITER = "tests/test_jsonio.py::test_the_allocation_writer_writes_wha
 STEP_PROPERTY = "tests/test_allocation.py::test_envy_graph_step_matches_from_scratch"
 LIBRARY_CHECKS = ("tests/test_package.py::"
                   "test_a_bad_input_built_through_the_library_raises_input_error[%s]")
+MOVEMENT_RULES = "tests/test_audit.py::test_good_movement_names_each_broken_rule"
 
 MUTANTS = [
     # one per kind of reader error
@@ -134,8 +135,8 @@ MUTANTS = [
            " & changed)\n",
            ("tests/test_growth.py",)),
     Mutant("the unresolved-union family suspects both endpoints of every moved good",
-           "audit.py", "            w = holder.get(g)\n"
-           "            if w is not None and w not in resolved:\n"
+           "audit.py", "            w = holder[g]\n"
+           "            if w not in resolved:\n"
            "                suspects.update(z for z in ends[g] if z != w)\n",
            "            suspects.update(ends[g])\n",
            ("tests/test_audit.py::test_unit_demand_audit_rechecks_only_what_moved_goods_change",)),
@@ -183,6 +184,16 @@ MUTANTS = [
            "trace.py", "            if listed != made:\n", "            if False:\n",
            ("tests/test_audit.py::"
             "test_a_structure_line_must_list_the_transfers_its_snapshot_makes",)),
+    # the file form: each step line shows its own agent's component
+    Mutant("the writer keeps one running snapshot for all components",
+           "trace.py", "held.setdefault(component and component[0], {})",
+           "held.setdefault(None, {})",
+           ("tests/test_audit.py::"
+            "test_a_tree_between_phase_based_components_writes_reads_and_audits",)),
+    Mutant("the trace reader accepts a step line that drops a good its component held",
+           "trace.py", "        if not holder.keys() >= before.keys():\n", "        if False:\n",
+           ("tests/test_audit.py::test_a_step_line_keeps_within_its_component_and_keeps_its_goods"
+            "[_drop_a_held_good]",)),
     Mutant("a coloring may give a vertex the color t",
            "multigraph.py", "if not (0 <= col.colors[v] < col.t):",
            "if not (0 <= col.colors[v] <= col.t):",
@@ -213,14 +224,40 @@ MUTANTS = [
            "                     if out else ())\n",
            "            stale = ()\n",
            (STEP_PROPERTY,)),
+    # the audit reads each structure event's own moves, and the rules they keep
+    Mutant("the audit folds the moves of tree events into the next structure event",
+           "audit.py", "    for idx, ev in structures:\n"
+           "        favourite_of[ev.root] = ev.favourite\n"
+           "        transfers = sorted((g, holder[g], to) for g, to in ev.moves.items()\n"
+           "                           if holder.get(g, to) != to)\n"
+           "        moved, shrank = envy.step(ev.moves)\n",
+           "    pending: dict = {}\n"
+           "    for idx, ev in enumerate(trace):\n"
+           "        if not isinstance(ev, StructureResolved):\n"
+           "            pending.update(getattr(ev, 'moves', {}))\n"
+           "            continue\n"
+           "        moves, pending = {**pending, **ev.moves}, {}\n"
+           "        favourite_of[ev.root] = ev.favourite\n"
+           "        transfers = sorted((g, holder[g], to) for g, to in moves.items()\n"
+           "                           if holder.get(g, to) != to)\n"
+           "        moved, shrank = envy.step(moves)\n",
+           ("tests/test_audit.py::"
+            "test_a_tree_between_phase_based_components_writes_reads_and_audits",
+            "tests/test_audit.py::test_unions_of_every_solver_s_parts_write_read_and_audit")),
+    Mutant("good movement lets a structure event transfer a held good outside the keep branch",
+           "audit.py", "            if ev.branch != BRANCH_SAME_KEEP:\n", "            if False:\n",
+           (MOVEMENT_RULES,)),
+    Mutant("good movement lets a structure event first give a good anywhere",
+           "audit.py", "        for g in sorted(moved.difference([g for g, _, _ in transfers])):\n",
+           "        for g in ():\n",
+           (MOVEMENT_RULES,)),
     Mutant("the unresolved-union family also counts the goods that resolved roots hold",
            "audit.py", "if holder.get(g, z) != z and holder[g] not in resolved]",
            "if holder.get(g, z) != z]",
            ("tests/test_audit.py::test_audit_matches_from_scratch_reference",)),
     Mutant("the audit passes a trace that holds no coloring event without checking it",
-           "audit.py", "    if not any(isinstance(ev, StructureResolved) for ev in trace):\n",
-           "    if not any(isinstance(ev, StructureResolved) for ev in trace)"
-           " or not any(isinstance(ev, ColoringUsed) for ev in trace):\n",
+           "audit.py", "    if not structures:\n",
+           "    if not structures or not any(isinstance(ev, ColoringUsed) for ev in trace):\n",
            ("tests/test_audit.py::test_a_trace_without_its_coloring_is_rejected",)),
     Mutant("the distance family looks colors up unchecked: an uncolored agent raises KeyError",
            "audit.py",

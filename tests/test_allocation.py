@@ -204,7 +204,7 @@ def _random_update(rng, inst, alloc):
     """
     n, m = inst.graph.vertex_count, inst.graph.edge_count
     holder = {g: w for w, b in alloc.bundles.items() for g in b}
-    kind = rng.choice(("leaf", "cycle", "hand", "withdraw"))
+    kind = rng.choice(("leaf", "cycle", "hand"))
     bundles = dict(alloc.bundles)
     if kind == "leaf" or not holder:
         # up to two agents take unallocated goods incident to them
@@ -222,8 +222,6 @@ def _random_update(rng, inst, alloc):
     g = rng.choice(sorted(holder))
     h = holder[g]
     bundles[h] = alloc.bundle(h) - {g}
-    if kind == "withdraw":
-        return kind, Allocation(bundles=bundles)
     # hand g to an agent that is not one of its endpoints when there is one
     others = [z for z in range(n) if z not in inst.graph.endpoints(g)] or [
         z for z in range(n) if z != h]
@@ -233,13 +231,12 @@ def _random_update(rng, inst, alloc):
 
 
 def _moves(rng, inst, before, after):
-    """The moves that take allocation ``before`` to ``after``, in random order,
-    with some that do nothing: a good given to its holder, or a good no one
-    holds moved to None."""
+    """The moves that take allocation ``before`` to ``after``, which holds
+    every good ``before`` holds, in random order, with some that do nothing:
+    a good given to its holder."""
     held = {g: u for u, b in before.bundles.items() for g in b}
     holder = {g: u for u, b in after.bundles.items() for g in b}
-    moves = [(g, holder.get(g)) for g in range(inst.graph.edge_count)
-             if held.get(g) != holder.get(g) or rng.random() < 0.2]
+    moves = [(g, u) for g, u in holder.items() if held.get(g) != u or rng.random() < 0.2]
     rng.shuffle(moves)
     return dict(moves)
 
@@ -298,7 +295,7 @@ def _unknown_id_step(rng, inst, envy):
     n, m = inst.graph.vertex_count, inst.graph.edge_count
     u = rng.randrange(n)
     return rng.choice((({**dict.fromkeys(envy.bundle(u), u), 0: n}, f"unknown agent {n}"),
-                       ({**dict.fromkeys(envy.bundle(u)), 0: -1}, "unknown agent -1"),
+                       ({**dict.fromkeys(envy.bundle(u), u), 0: -1}, "unknown agent -1"),
                        ({**dict.fromkeys(envy.bundle(u), u), m: u}, f"unknown edge {m}"),
                        ({-2: u}, "unknown edge -2")))
 

@@ -5,17 +5,18 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphefx import Additive, InputError, Instance, MultiGraph
-from graphefx.audit import FAMILIES, _connect, _structure_steps, _within, audit_trace
+from graphefx import Additive, Coloring, InputError, Instance, MultiGraph
+from graphefx.audit import FAMILIES, _connect, _within, audit_trace
 from graphefx.cli import EXIT_INPUT, EXIT_NOT_EFX, EXIT_OK, main
-from graphefx.frozen import replace
 from graphefx.generators import gen_bipartite, gen_multicycle, gen_multitree, gen_petersen
 from graphefx.jsonio import load_trace, save_instance, save_trace
 from graphefx.solvers import chromatic_efx, solve, tree_efx
 from graphefx.trace import (
+    BRANCH_DIFFERENT,
+    BRANCH_SAME_KEEP,
     BRANCHES,
     ColoringUsed,
     CycleResolved,
@@ -23,6 +24,7 @@ from graphefx.trace import (
     StructureResolved,
     event_from_json,
     event_line,
+    trace_lines,
 )
 
 from .conftest import (
@@ -35,9 +37,11 @@ from .conftest import (
     reference_colors,
     reference_distances_within,
     reference_event_to_json,
+    replace,
     tamper_trace,
     unfolded,
 )
+from .test_solvers import UNION_PARTS
 
 
 def test_bipartite_traces_pass(b1_instance):
@@ -138,9 +142,9 @@ def _phase_tree_phase_union(rng, kind):
 def _read_back(trace, graph):
     """``trace`` written line by line and read back as ``load_trace`` reads a
     file on ``graph``."""
-    texts, held = {}, {}
-    return [event_from_json(json.loads(event_line(ev, texts)), i, graph, held)
-            for i, ev in enumerate(trace)]
+    held = {}
+    return [event_from_json(json.loads(line), i, graph, held)
+            for i, line in enumerate(trace_lines(trace, graph))]
 
 
 def test_check_trace_accepts_solver_traces():
@@ -217,8 +221,7 @@ def _uncolored_sources(rng):
 def _event_involved(trace, idx, graph):
     """The agents that structure event ``idx`` involves: the agents it gives
     goods to and the endpoints of those goods."""
-    moves = next(moves for i, _, moves in _structure_steps(trace) if i == idx)
-    return {v for g, w in moves.items() if w is not None for v in (w, *graph.endpoints(g))}
+    return {v for g, w in trace[idx].moves.items() for v in (w, *graph.endpoints(g))}
 
 
 def _input_error(check, *args):
@@ -273,8 +276,8 @@ def test_a_trace_without_its_coloring_is_rejected(tmp_path, capsys, seed):
         solved = solve(inst)[2]
         trace = [ev for ev in solved if not isinstance(ev, ColoringUsed)]
         assert len(trace) < len(solved)
-        first = next(i for i, _, moves in _structure_steps(trace)
-                     if any(w is not None for w in moves.values()))
+        first = next(i for i, ev in enumerate(trace)
+                     if isinstance(ev, StructureResolved) and ev.moves)
         got = _input_error(audit_trace, inst, trace)
         expected = _input_error(reference_check_trace, trace, inst.graph)
         assert got is not None and expected is not None, (got, expected)
@@ -285,7 +288,7 @@ def test_a_trace_without_its_coloring_is_rejected(tmp_path, capsys, seed):
         instance_path = tmp_path / "inst.instance.json"
         save_instance(inst, [f"a{v}" for v in range(inst.graph.vertex_count)], instance_path)
         path = tmp_path / "stripped.trace.jsonl"
-        save_trace(trace, path)
+        save_trace(trace, path, inst.graph)
         capsys.readouterr()
         assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
         assert capsys.readouterr() == ("", f"error: {got}\n")
@@ -293,8 +296,8 @@ def test_a_trace_without_its_coloring_is_rejected(tmp_path, capsys, seed):
 
 # The holders before each event below: agent 1 holds goods 0 and 2.
 HELD = {0: 1, 2: 1}
-# Each event beside its trace line after HELD.  A good moved to None is not
-# written, and a move of a good held before a structure event is a transfer.
+# Each event beside its trace line after HELD.  A move of a good held before a
+# structure event is a transfer.
 EVENT_LINES = [
     (ColoringUsed(colors={1: 0, 0: 2}, t=3),
      {"type": "coloring_used", "colors": {"0": 2, "1": 0}, "t": 3}),
@@ -307,9 +310,9 @@ EVENT_LINES = [
      {"type": "structure_resolved", "phase": 1, "root": 0, "favourite": None, "branch": None,
       "snapshot": {"1": [0, 2]}, "transfers": []}),
     (LeafAttached(leaf=2, parent=0, pieces=(frozenset({3, 1}), frozenset()), leftover_to=0,
-                  moves={3: 2, 1: 2, 0: None}),
+                  moves={3: 2, 1: 2, 0: 2}),
      {"type": "leaf_attached", "leaf": 2, "parent": 0, "pieces": [[1, 3], []],
-      "leftover_to": 0, "snapshot": {"1": [2], "2": [1, 3]}}),
+      "leftover_to": 0, "snapshot": {"1": [2], "2": [0, 1, 3]}}),
     (CycleResolved(cycle=(0, 1), moves={0: 0, 2: 0}),
      {"type": "cycle_resolved", "cycle": [0, 1], "snapshot": {"0": [0, 2]}}),
 ]
@@ -326,8 +329,9 @@ def _written_after_held(ev):
 def test_trace_line_format(event, line):
     text = json.dumps(line, sort_keys=True)
     assert _written_after_held(event) == text
-    # the lines name agents up to 5 and goods up to 4
-    read = event_from_json(line, 0, MultiGraph(6, [(0, 1)] * 5), dict(HELD))
+    # the lines name agents up to 5 and goods up to 4, all of one component
+    read = event_from_json(line, 0, MultiGraph(6, [(v, v + 1) for v in range(5)]),
+                           {0: dict(HELD)})
     assert read == event and _written_after_held(read) == text
 
 
@@ -378,57 +382,66 @@ def test_a_tree_between_phase_based_components_writes_reads_and_audits(tmp_path)
             structures = [i for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
             assert structures[0] < leaves[0] and leaves[-1] < structures[-1]
             path = tmp_path / "u.trace.jsonl"
-            save_trace(trace, path)
-            want = "".join(line + "\n" for line in _reference_lines(trace))
+            save_trace(trace, path, inst.graph)
+            want = "".join(line + "\n" for line in _reference_lines(trace, inst.graph))
             assert path.read_text(encoding="utf-8") == want
             assert load_trace(path, inst.graph) == trace
             report = audit_trace(inst, trace)
             assert report.ok and report == reference_audit_trace(inst, trace)
 
 
-def _written(trace):
-    """The writer's line for each event, with one running snapshot for the whole trace."""
+def _written(trace, graph=None):
+    """The writer's line for each event: with one running snapshot for each
+    component of ``graph``, or without a graph for the whole trace."""
+    if graph is not None:
+        return list(trace_lines(trace, graph))
     texts = {}
     return [event_line(ev, texts) for ev in trace]
 
 
-def _reference_lines(trace):
-    return [json.dumps(reference_event_to_json(ev), sort_keys=True) for ev in folded(trace)]
+def _reference_lines(trace, graph=None):
+    return [json.dumps(reference_event_to_json(ev), sort_keys=True) for ev in folded(trace, graph)]
 
 
 def test_writer_matches_reference_encoder(tmp_path):
-    tree = tree_efx(gen_multitree(seed=1, n=6, max_parallel=2)[0])[1]
-    bipartite = solve(gen_bipartite(seed=3, n_left=8, n_right=8)[0])[2]
-    chromatic = solve(gen_petersen(seed=4, parallel_copies=2)[0])[2]
+    tree = gen_multitree(seed=1, n=6, max_parallel=2)[0]
+    bipartite = gen_bipartite(seed=3, n_left=8, n_right=8)[0]
+    chromatic = gen_petersen(seed=4, parallel_copies=2)[0]
     cycles = _cycle_union(random.Random(17), (5, 7), "additive")
     union = solve(cycles)[2]
-    # The union's structure events again, each also moving to None every
-    # good that no one holds before and after it.
-    structures = [ev for ev in union if isinstance(ev, StructureResolved)]
-    padded = [replace(ev, moves={**{g: None for g in range(cycles.graph.edge_count)
-                                    if all(g not in b for b in snapshot["snapshot"].values())},
-                                 **ev.moves})
-              for ev, snapshot in zip(structures, folded(structures))]
-    assert any(isinstance(ev, CycleResolved) for ev in tree)
+    # The union's events again, each also giving every good that its
+    # component held before it to that good's holder, which moves nothing.
+    component = {v: i for i, comp in enumerate(cycles.graph.connected_components()) for v in comp}
+    held, padded = {}, []
+    for ev in union:
+        if isinstance(ev, StructureResolved):
+            mine = held.setdefault(component[ev.root], {})
+            padded.append(replace(ev, moves={**mine, **ev.moves}))
+            mine.update(ev.moves)
+        else:
+            padded.append(ev)
+    traces = [(tree.graph, tree_efx(tree)[1]), (bipartite.graph, solve(bipartite)[2]),
+              (chromatic.graph, solve(chromatic)[2]), (cycles.graph, union),
+              (cycles.graph, padded)]
+    assert any(isinstance(ev, CycleResolved) for ev in traces[0][1])
     # "10" is written before "9"
-    assert any(ev["snapshot"].keys() >= {9, 10} for ev in folded(padded))
-    for trace in (tree, bipartite, chromatic, union, padded):
-        assert _written(trace) == _reference_lines(trace)
-    assert _written(padded) == _written(structures)
-    path = tmp_path / "all.trace.jsonl"
-    everything = tree + bipartite + chromatic + union + padded
-    save_trace(everything, path)
-    want = "".join(line + "\n" for line in _reference_lines(everything))
-    assert path.read_text(encoding="utf-8") == want
+    assert any(ev.get("snapshot", {}).keys() >= {9, 10} for ev in folded(union, cycles.graph))
+    path = tmp_path / "t.trace.jsonl"
+    for graph, trace in traces:
+        assert _written(trace, graph) == _reference_lines(trace, graph)
+        save_trace(trace, path, graph)
+        want = "".join(line + "\n" for line in _reference_lines(trace, graph))
+        assert path.read_text(encoding="utf-8") == want
+    assert _written(padded, cycles.graph) == _written(union, cycles.graph)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.lists(st.dictionaries(st.integers(0, 30), st.none() | st.integers(0, 12), max_size=9),
+@given(st.lists(st.dictionaries(st.integers(0, 30), st.integers(0, 12), max_size=9),
                 min_size=1, max_size=6))
 def test_writer_folds_any_changes(steps):
     # A few goods among a few agents, so a move may give a good to its
-    # holder, move a good no one holds to None, empty a bundle or leave one
-    # as it is, and goods above 7 make a set's order differ from its sorted order.
+    # holder, empty a bundle or leave one as it is, and goods above 7 make a
+    # set's order differ from its sorted order.
     trace = [CycleResolved(cycle=(0, 1), moves=moves) for moves in steps]
     assert _written(trace) == _reference_lines(trace)
 
@@ -437,7 +450,7 @@ def test_writer_folds_any_changes(steps):
 # a bundle of up to four goods, or an emptied one.
 _AGENTS = st.integers(0, 25)
 _GOODS = st.frozensets(st.integers(0, 40), max_size=4)
-_MOVES = st.dictionaries(st.integers(0, 40), st.none() | _AGENTS, max_size=6)
+_MOVES = st.dictionaries(st.integers(0, 40), _AGENTS, max_size=6)
 _EVENTS = st.one_of(
     st.builds(ColoringUsed, colors=st.dictionaries(_AGENTS, st.integers(0, 12), max_size=14),
               t=st.integers(0, 13)),
@@ -450,20 +463,17 @@ _EVENTS = st.one_of(
 )
 
 
+# Agents 0-25 in four components: 0-6, 7-13, 14-20 and 21-25.
+_COMPONENTS = MultiGraph(26, [(v, v + 1) for v in range(25) if v % 7 != 6])
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.lists(st.tuples(_EVENTS, st.booleans()), max_size=14))
-def test_writer_matches_reference_for_every_event_kind(steps):
-    # A step event marked True also moves every good held before it to None,
-    # as the first step event of a later component in a component-wise solve does.
-    trace, held = [], set()
-    for ev, withdraws in steps:
-        if not isinstance(ev, ColoringUsed):
-            if withdraws:
-                ev = replace(ev, moves={**dict.fromkeys(held), **ev.moves})
-            held = {g for g, u in {**dict.fromkeys(held, 0), **ev.moves}.items()
-                    if u is not None}
-        trace.append(ev)
+@given(st.lists(_EVENTS, max_size=14))
+def test_writer_matches_reference_for_every_event_kind(trace):
+    # One running snapshot for the whole trace, and one for each component of
+    # its own agent's, so a trace interleaves the snapshots of four components.
     assert _written(trace) == _reference_lines(trace)
+    assert _written(trace, _COMPONENTS) == _reference_lines(trace, _COMPONENTS)
 
 
 def _phase_based_traces():
@@ -482,38 +492,38 @@ def _phase_based_traces():
 
 
 def _tampered(rng, inst, trace):
-    """A copy of ``trace`` with one to three random edits.
+    """A copy of ``trace`` with one to three random edits, each within the
+    component of the event it edits.
 
     An edit moves one held good to its other endpoint, hands it to an agent
-    that is not an endpoint, withdraws it, or names another root.  A good's
-    edit holds in one event or in that event and all later ones.  Returns
+    that is not an endpoint, or names another root.  A good's edit holds in
+    one event or in that event and all later ones of its component.  Returns
     the copy and the kinds of its edits.
     """
-    trace = folded(trace)
+    trace = folded(trace, inst.graph)
     structures = [i for i, ev in enumerate(trace) if ev["type"] == StructureResolved.kind]
-    n = inst.graph.vertex_count
     kinds = []
     for _ in range(rng.randint(1, 3)):
         i = rng.choice(structures)
+        comp = next(c for c in inst.graph.connected_components() if trace[i]["root"] in c)
         held = {g: u for u, b in trace[i]["snapshot"].items() for g in b}
-        kind = rng.choice(("move", "hand", "withdraw", "root")) if held else "root"
+        kind = rng.choice(("move", "hand", "root")) if held else "root"
         kinds.append(kind)
         if kind == "root":
-            trace[i] = {**trace[i], "root": rng.randrange(n)}
+            trace[i] = {**trace[i], "root": rng.choice(comp)}
             continue
         g = rng.choice(sorted(held))
         ends = inst.graph.endpoints(g)
         to = {"move": next((e for e in ends if e != held[g]), ends[0]),
-              "hand": rng.choice([u for u in range(n) if u not in ends]),
-              "withdraw": None}[kind]
-        last = i if rng.random() < 0.5 else structures[-1]
-        for j in structures:
+              "hand": rng.choice([u for u in comp if u not in ends])}[kind]
+        same = [j for j in structures if trace[j]["root"] in comp]
+        last = i if rng.random() < 0.5 else same[-1]
+        for j in same:
             if i <= j <= last:
                 snapshot = {u: b - {g} for u, b in trace[j]["snapshot"].items()}
-                if to is not None:
-                    snapshot[to] = snapshot.get(to, frozenset()) | {g}
+                snapshot[to] = snapshot.get(to, frozenset()) | {g}
                 trace[j] = {**trace[j], "snapshot": snapshot}
-    return unfolded(trace), kinds
+    return unfolded(trace, inst.graph), kinds
 
 
 def test_a_structure_line_must_list_the_transfers_its_snapshot_makes(tmp_path, capsys):
@@ -561,18 +571,20 @@ def test_a_held_good_given_to_another_agent_fails_at_read():
     rng = random.Random(23)
     tampered = 0
     for inst, trace in _phase_based_traces():
-        lines = [json.loads(line) for line in _written(trace)]
+        lines = [json.loads(line) for line in _written(trace, inst.graph)]
         steps = [i for i, line in enumerate(lines) if "snapshot" in line]
         for _ in range(20):
             j = rng.randrange(1, len(steps))
             i, before = steps[j], lines[steps[j - 1]]["snapshot"]
-            if lines[i]["type"] != StructureResolved.kind or not any(before.values()):
+            comp = next(c for c in inst.graph.connected_components() if lines[i]["root"] in c)
+            if (lines[i]["type"] != StructureResolved.kind or not any(before.values())
+                    or lines[steps[j - 1]]["root"] not in comp):
                 continue
             g = rng.choice(sorted(g for b in before.values() for g in b))
             copy = json.loads(json.dumps(lines))
             snapshot = {u: [h for h in b if h != g] for u, b in copy[i]["snapshot"].items()}
             holders = {u for u, b in chain(before.items(), copy[i]["snapshot"].items()) if g in b}
-            to = rng.choice([str(v) for v in range(inst.graph.vertex_count) if str(v) not in holders])
+            to = rng.choice([str(v) for v in comp if str(v) not in holders])
             copy[i]["snapshot"] = {**snapshot, to: snapshot.get(to, []) + [g]}
             held = {}
             with pytest.raises(InputError, match=f"^trace event {i} gives transfers"):
@@ -580,6 +592,179 @@ def test_a_held_good_given_to_another_agent_fails_at_read():
                     event_from_json(line, k, inst.graph, held)
             tampered += 1
     assert tampered > 100, tampered
+
+
+def _union_lines(tmp_path):
+    """A 5-cycle, a multi-tree and a 4-cycle on agents 0-4, 5-10 and 11-14,
+    its instance file and its trace's lines."""
+    inst = _phase_tree_phase_union(random.Random(19), "additive")
+    instance_path = tmp_path / "u.instance.json"
+    save_instance(inst, [f"a{v}" for v in range(inst.graph.vertex_count)], instance_path)
+    return inst, instance_path, [json.loads(line) for line in _written(solve(inst)[2], inst.graph)]
+
+
+def _drop_a_held_good(lines, graph):
+    i = max(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind)
+    good = min(g for b in lines[i - 1]["snapshot"].values() for g in b)
+    lines[i]["snapshot"] = {u: [g for g in b if g != good] for u, b in lines[i]["snapshot"].items()}
+    return f"trace event {i} drops good {good}, which its component held"
+
+
+def _favour_an_agent_of_another_component(lines, graph):
+    i = max(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind)
+    lines[i]["favourite"] = 0
+    return f"trace event {i} names agent 0, which is not in the line's component"
+
+
+def _give_a_good_of_another_component(lines, graph):
+    i = max(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind)
+    root = lines[i]["root"]
+    good = min(graph.incident_edges(0))
+    lines[i]["snapshot"][str(root)] = lines[i]["snapshot"].get(str(root), []) + [good]
+    return f"trace event {i} names good {good}, which is not in the line's component"
+
+
+def _leave_a_leaf_s_goods_in_another_component(lines, graph):
+    i = next(i for i, line in enumerate(lines) if line["type"] == LeafAttached.kind)
+    lines[i]["leftover_to"] = 14
+    return f"trace event {i} names agent 14, which is not in the line's component"
+
+
+def _shift_along_an_empty_cycle(lines, graph):
+    i = next(i for i, line in enumerate(lines) if line["type"] == LeafAttached.kind)
+    lines[i] = {"type": CycleResolved.kind, "cycle": [], "snapshot": lines[i]["snapshot"]}
+    return f"trace event {i} gives an empty cycle, which is in no component"
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_a_held_good, _favour_an_agent_of_another_component, _give_a_good_of_another_component,
+    _leave_a_leaf_s_goods_in_another_component, _shift_along_an_empty_cycle])
+def test_a_step_line_keeps_within_its_component_and_keeps_its_goods(tmp_path, capsys, edit):
+    # Each step line shows its own agent's component: a line that drops a
+    # good its component held, or names an agent or a good of another
+    # component, or a cycle line without an agent, exits 1 with one line.
+    # Before the reader knew components, the first four read: a dropped good
+    # as a move to no holder, and the others as bundles of their component.
+    inst, instance_path, lines = _union_lines(tmp_path)
+    message = edit(lines, inst.graph)
+    path = tmp_path / "edited.trace.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# A union part that each solver runs on: a multi-tree, a bipartite graph, an
+# odd multi-cycle and a doubled triangle.
+SOLVER_PARTS = {"tree": "tree", "bipartite": "bipartite", "chromatic": "odd multi-cycle",
+                "brute_force": "doubled triangle"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.permutations(sorted(SOLVER_PARTS)),
+       st.integers(1, len(SOLVER_PARTS)), st.booleans())
+def test_unions_of_every_solver_s_parts_write_read_and_audit(tmp_path_factory, seed, order, count,
+                                                             hinted):
+    # A component's events name only its own agents and goods and never a
+    # holder of None, whatever components come before it.
+    rng, kinds = random.Random(seed), order[:count]
+    parts = [UNION_PARTS[SOLVER_PARTS[kind]](rng.randrange(100)) for kind in kinds]
+    union, agents, _ = interleaved_union(rng, parts)
+    hint = None
+    if hinted:  # each part's colors c spread to 2c + (p % 2): not dense within a part
+        hint = Coloring(colors={agents[p][v]: 2 * c + p % 2 for p, part in enumerate(parts)
+                                for v, c in part.graph.find_coloring(4).colors.items()}, t=8)
+    _, method, trace = solve(union, hint)
+    assert sorted(method.removeprefix("componentwise(").rstrip(")").split(",")) == sorted(kinds)
+    assert all(u is not None for ev in trace if not isinstance(ev, ColoringUsed)
+               for u in ev.moves.values())
+    report = audit_trace(union, trace)
+    assert report.ok and report == reference_audit_trace(union, trace)
+    path = tmp_path_factory.mktemp("union") / "u.trace.jsonl"
+    save_trace(trace, path, union.graph)
+    assert load_trace(path, union.graph) == trace
+    want = "".join(line + "\n" for line in _reference_lines(trace, union.graph))
+    assert path.read_text(encoding="utf-8") == want
+
+
+def _first_allocations(events, graph):
+    """(event index, good, its holder) for each good a structure event of
+    ``events``, in ``folded`` form, holds that its component did not hold
+    before; and each event's index -> its component's holders before it."""
+    component = {v: k for k, comp in enumerate(graph.connected_components()) for v in comp}
+    held, before, first = {}, {}, []
+    for i, ev in enumerate(events):
+        if ev["type"] == StructureResolved.kind:
+            k = component[ev["root"]]
+            before[i] = held.get(k, {})
+            held[k] = {g: u for u, b in ev["snapshot"].items() for g in b}
+            first += [(i, g, u) for g, u in sorted(held[k].items()) if g not in before[i]]
+    return first, before
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("keep branch", "recipient", "loop")))
+def test_good_movement_names_each_broken_rule(seed, rule):
+    # One structure event of a solved bipartite or multi-cycle trace breaks
+    # one rule of good movement, and the reader still reads the trace: a
+    # transfer outside the keep branch; a good first given to an agent that
+    # is not its root, its other endpoint or the favourite; or a good first
+    # given at an event whose root is not the lower-colored end of its loop.
+    rng = random.Random(seed)
+    kind = rng.choice(("additive", "unit_demand", "budget_additive"))
+    if rng.random() < 0.5:
+        inst = gen_bipartite(seed=seed, n_left=rng.randint(2, 5), n_right=rng.randint(2, 5),
+                             valuation_kind=kind)[0]
+    else:
+        inst = gen_multicycle(seed=seed, length=rng.randint(4, 9), valuation_kind=kind)[0]
+    trace = solve(inst)[2]
+    events = folded(trace, inst.graph)
+    first, before = _first_allocations(events, inst.graph)
+    comp = {v: c for c in inst.graph.connected_components() for v in c}
+
+    def give(i, g, to):
+        snapshot = {u: b - {g} for u, b in events[i]["snapshot"].items()}
+        events[i] = {**events[i], "snapshot": {**snapshot, to: snapshot.get(to, frozenset()) | {g}}}
+
+    if rule == "keep branch":
+        held = [(i, g) for i in sorted(before) for g in sorted(before[i])]
+        assume(held)
+        i, g = rng.choice(held)
+        ev, frm = events[i], before[i][g]
+        to = rng.choice([u for u in comp[ev["root"]] if u != frm])
+        branch = ev["branch"] if ev["branch"] != BRANCH_SAME_KEEP else BRANCH_DIFFERENT
+        events[i] = {**ev, "branch": branch}
+        give(i, g, to)
+        expected = (f"event {i}: good {g} moved {frm}->{to} in branch {branch},"
+                    f" not {BRANCH_SAME_KEEP}")
+    elif rule == "recipient":
+        assume(first)
+        i, g, _ = rng.choice(first)
+        root, favourite = events[i]["root"], events[i]["favourite"]
+        w = next(e for e in inst.graph.endpoints(g) if e != root)
+        others = [u for u in comp[root] if u not in (root, w, favourite)]
+        assume(others)
+        to = rng.choice(others)
+        give(i, g, to)
+        expected = (f"event {i}: good {g} given to {to}, not to root {root}, its neighbour {w}"
+                    f" or favourite {favourite}")
+    else:
+        assume(first)
+        j, g, _ = rng.choice(first)
+        root = events[j]["root"]
+        earlier = [i for i in before if i < j and comp[events[i]["root"]] == comp[root]]
+        assume(earlier)
+        i, to = rng.choice(earlier), rng.choice(comp[root])
+        for k in earlier:
+            if k >= i:
+                give(k, g, to)
+        expected = (f"event {i}: good {g} given to {to} is on no loop of root"
+                    f" {events[i]['root']} with a higher-colored neighbour")
+    bad = unfolded(events, inst.graph)
+    assert _read_back(bad, inst.graph) == bad
+    report = audit_trace(inst, bad)
+    assert expected in report.results["good_movement"][1], (expected, report.results)
+    assert report == reference_audit_trace(inst, bad)
 
 
 def test_audit_matches_from_scratch_reference():
@@ -630,8 +815,8 @@ def _stray(idx, a, b):
      [_stray(1, 0, 1), _stray(2, 0, 1), _stray(3, 0, 1)]),
     # 2 envies 1 until 2's own bundle grows
     ([(3, 4, {1: {1}}), (5, 4, {2: {2}}), (4, 3, {5: {4}})], [_stray(1, 2, 1)]),
-    # 0 envies 1 until 1 gives good 0 up, and 2 envies 1 until 1 resolves
-    ([(3, 4, {1: {0, 1}}), (5, 4, {1: {1}}), (1, 2, {4: {3}})],
+    # 0 envies 1 until 1 gives good 0 up, to 0, and 2 envies 1 until 1 resolves
+    ([(3, 4, {1: {0, 1}}), (5, 4, {1: {1}, 0: {0}}), (1, 2, {4: {3}})],
      ["event 1: snapshot is not EFX, witness (0, 1, 1)",
       _stray(1, 0, 1), _stray(1, 2, 1), _stray(2, 2, 1)]),
 ])
@@ -642,7 +827,7 @@ def test_audit_keeps_stray_envy_edges_across_events(steps, localized):
         held = {**held, **{u: frozenset(b) for u, b in changes.items()}}
         events.append({"type": StructureResolved.kind, "phase": 1, "root": root,
                        "favourite": favourite, "branch": None, "snapshot": held})
-    trace = [ColoringUsed(colors={v: v % 2 for v in range(6)}, t=2)] + unfolded(events)
+    trace = [ColoringUsed(colors={v: v % 2 for v in range(6)}, t=2)] + unfolded(events, inst.graph)
     _read_back(trace, inst.graph)
     report = audit_trace(inst, trace)
     assert report.results["localized_envy"] == (True, tuple(localized))
@@ -737,17 +922,20 @@ def test_the_distance_shortcut_needs_a_held_good_of_the_favourite_s_loop():
     # In the keep branch a root's favourite w takes goods that are not
     # incident to it.  Such a good passes the distance checks without a
     # search while a held good of the loop joins w to the good's root.  The
-    # tampered trace withdraws every good of that loop at one event, and on a
-    # bipartite skeleton the root and w are then an odd number of hops
-    # apart, at least 3: beyond a valuer's bound of color(w) + 1 = 2.
+    # tampered trace allocates every good of that loop one event later than
+    # the event that gives w the good, and on a bipartite skeleton the root
+    # and w are then an odd number of hops apart, at least 3: beyond a
+    # valuer's bound of color(w) + 1 = 2.
     plain = gen_bipartite(seed=7, n_left=24, n_right=24, valuation_kind="unit_demand")[0]
     trace = solve(plain)[2]
     assert audit_trace(plain, trace).ok
     i, g, root, w = next(_held_through_a_loop(plain, trace))
-    events = folded(trace)
+    events = folded(trace, plain.graph)
     loop = plain.graph.parallel_edges(root, w)
+    assert all(loop.isdisjoint(b) for b in events[i - 1].get("snapshot", {}).values())
     snapshot = {u: b - loop for u, b in events[i]["snapshot"].items()}
-    bad = unfolded(events[:i] + [{**events[i], "snapshot": snapshot}] + events[i + 1:])
+    bad = unfolded(events[:i] + [{**events[i], "snapshot": snapshot}] + events[i + 1:],
+                   plain.graph)
     _read_back(bad, plain.graph)
     report = audit_trace(plain, bad)
     assert (f"event {i}: valuer {root} of good {g} is farther than 2 from holder {w}"
@@ -791,7 +979,7 @@ def test_audit_of_a_trace_read_from_file_matches_in_process(tmp_path, capsys):
             break
     for i, events in enumerate((trace, tampered)):
         path = tmp_path / f"{i}.trace.jsonl"
-        save_trace(events, path)
+        save_trace(events, path, inst.graph)
         assert load_trace(path, inst.graph) == events
         report = audit_trace(inst, events)
         capsys.readouterr()
@@ -822,7 +1010,7 @@ def test_audit_rejects_a_branch_or_key_that_is_not_one(tmp_path, capsys, edit, m
     instance_path = tmp_path / "p.instance.json"
     save_instance(inst, names, instance_path)
     path = tmp_path / "p.trace.jsonl"
-    save_trace(solve(inst)[2], path)
+    save_trace(solve(inst)[2], path, inst.graph)
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     i = next(i for i, line in enumerate(lines) if "3" in line.get("snapshot", ()))
     lines[i] = edit(lines[i])
@@ -838,7 +1026,7 @@ def test_audit_rejects_a_snapshot_bundle_that_names_a_good_twice(tmp_path, capsy
     instance_path = tmp_path / "c5.instance.json"
     save_instance(inst, names, instance_path)
     path = tmp_path / "c5.trace.jsonl"
-    save_trace(solve(inst)[2], path)
+    save_trace(solve(inst)[2], path, inst.graph)
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     i, line = next((i, line) for i, line in enumerate(lines) if "snapshot" in line)
     agent, bundle = next(iter(line["snapshot"].items()))
@@ -865,7 +1053,7 @@ def test_audit_rejects_a_repeated_key(tmp_path, capsys):
     instance_path = tmp_path / "p.instance.json"
     save_instance(inst, names, instance_path)
     path = tmp_path / "p.trace.jsonl"
-    save_trace(solve(inst)[2], path)
+    save_trace(solve(inst)[2], path, inst.graph)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[3] = lines[3][:-1] + ', "root": 0}'
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -881,7 +1069,7 @@ def test_audit_names_an_overlap_in_the_order_of_the_trace_file(tmp_path, capsys)
     instance_path = tmp_path / "b6.instance.json"
     save_instance(inst, names, instance_path)
     path = tmp_path / "overlap.trace.jsonl"
-    save_trace(solve(inst)[2], path)
+    save_trace(solve(inst)[2], path, inst.graph)
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     i = next(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind
              and line["snapshot"].get("9") and line["snapshot"].get("10"))

@@ -27,9 +27,10 @@ from pathlib import Path
 
 from graphefx import Instance, MultiGraph, Table
 from graphefx.cli import EXIT_UNSUPPORTED, main
-from graphefx.frozen import replace
 from graphefx.generators import generate
 from graphefx.jsonio import save_instance
+
+from .conftest import replace
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_corpus.json"

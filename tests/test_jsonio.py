@@ -20,7 +20,7 @@ from graphefx.jsonio import (
     save_instance,
     save_trace,
 )
-from graphefx.trace import BRANCHES, event_line
+from graphefx.trace import BRANCHES, trace_lines
 
 from .conftest import additive_instance
 
@@ -103,9 +103,8 @@ def _lax(lines):
 
 
 def _lines(trace):
-    """Each event's trace line, written with one running snapshot."""
-    texts = {}
-    return [event_line(ev, texts) for ev in trace]
+    """Each event's trace line on ``INSTANCE``, with one running snapshot per component."""
+    return list(trace_lines(trace, INSTANCE.graph))
 
 
 def _instance():
@@ -139,7 +138,8 @@ LOADERS = {
     "allocation": (lambda path: load_allocation(path, NAMES, INSTANCE.graph.edge_count),
                    lambda got, path: save_allocation(got, NAMES, path),
                    lambda got: allocation_to_json(got, NAMES)),
-    "trace": (lambda path: load_trace(path, INSTANCE.graph), save_trace, _lines),
+    "trace": (lambda path: load_trace(path, INSTANCE.graph),
+              lambda got, path: save_trace(got, path, INSTANCE.graph), _lines),
 }
 
 

@@ -22,11 +22,11 @@ from graphefx import (
     Verdict,
 )
 from graphefx.audit import AuditReport
-from graphefx.frozen import replace
 from graphefx.generators import generate
 from graphefx.jsonio import instance_to_json
 from graphefx.trace import ColoringUsed, CycleResolved, LeafAttached, StructureResolved
 
+from .conftest import replace
 from .test_cli import _run_cli_env
 
 # The modules of perfbench/tracing.py's LAYERS: its tracer reads each from

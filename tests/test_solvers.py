@@ -39,7 +39,8 @@ from graphefx.solvers import (
     classify,
     smallest_coloring,
 )
-from graphefx.trace import BRANCH_DIFFERENT, ColoringUsed, CycleResolved, StructureResolved
+from graphefx.trace import (BRANCH_DIFFERENT, ColoringUsed, CycleResolved, LeafAttached,
+                            StructureResolved)
 
 from .conftest import (
     K4_PLUS_TWO,
@@ -313,24 +314,28 @@ def _reference_snapshots(inst):
 def test_folding_the_moves_gives_the_reference_bundles_after_every_event(rng, kinds):
     # Each solver's trace, alone and in an interleaved union with others.
     # After every step event, folding the moves from the start of the trace
-    # gives the whole bundles that the set-dict reference solvers hold, each
-    # component's from its own start, so a later component's first event
-    # withdraws the earlier goods.  Each move gives its good another holder.
+    # gives, in the component of the event's own agent, the whole bundles
+    # that the set-dict reference solvers hold, each component's from its
+    # own start.  Each move gives its good another holder.
     parts = [REFERENCE_PARTS[kind](rng.randrange(100)) for kind in kinds]
     union, agents, goods = interleaved_union(rng, parts)
     expected = []
     for p in sorted(range(len(parts)), key=lambda p: agents[p][0]):
         expected += [{agents[p][u]: frozenset(goods[p][g] for g in b) for u, b in snapshot.items()}
                      for snapshot in _reference_snapshots(parts[p])]
+    component = {v: i for i, comp in enumerate(union.graph.connected_components()) for v in comp}
     holder, got = {}, []
     for ev in solve(union)[2]:
         if isinstance(ev, ColoringUsed):
             continue
         assert all(holder.get(g) != u for g, u in ev.moves.items()), ev
-        holder = {g: u for g, u in {**holder, **ev.moves}.items() if u is not None}
+        holder.update(ev.moves)
+        own = (ev.root if isinstance(ev, StructureResolved) else
+               ev.leaf if isinstance(ev, LeafAttached) else ev.cycle[0])
         bundles = {}
         for g, u in holder.items():
-            bundles.setdefault(u, set()).add(g)
+            if component[u] == component[own]:
+                bundles.setdefault(u, set()).add(g)
         got.append({u: frozenset(b) for u, b in bundles.items()})
     assert got == expected, kinds
 
@@ -436,14 +441,14 @@ UNION_PARTS = {
 
 def _parts_solved_and_mapped(parts, agents, goods, hints):
     """``solve``'s result on the union of ``parts``, from each part solved alone
-    and mapped into the union, in the order of the parts' lowest agents."""
+    and mapped into the union, in the order of the parts' lowest agents: the
+    parts' traces one after another."""
     bundles, trace, methods, verdicts = {}, [], [], []
     for p in sorted(range(len(parts)), key=lambda p: agents[p][0]):
         tried = []
         alloc, method, events = solve(parts[p], hints[p], tried)
         bundles.update({agents[p][u]: frozenset(goods[p][g] for g in b) for u, b in alloc.bundles.items()})
-        trace += folded([moved_event(ev, agents[p].__getitem__, goods[p].__getitem__)
-                         for ev in events])
+        trace += [moved_event(ev, agents[p].__getitem__, goods[p].__getitem__) for ev in events]
         methods.append(method)
         verdicts.append([(v.solver, v.reason) for v in tried[0]])
     method = methods[0] if len(set(methods)) == 1 else f"componentwise({','.join(methods)})"
@@ -464,8 +469,7 @@ def test_interleaved_union_solves_like_its_parts(hinted):
                                     for v, c in col.colors.items()}, t=8)
         verdicts = []
         alloc, method, trace = solve(union, hint, verdicts)
-        got = (alloc, method, folded(trace),
-               [[(v.solver, v.reason) for v in tried] for tried in verdicts])
+        got = (alloc, method, trace, [[(v.solver, v.reason) for v in tried] for tried in verdicts])
         assert got == _parts_solved_and_mapped(parts, agents, goods, hints), kinds
         assert is_efx(union, alloc).ok and alloc.is_complete(union)
 
