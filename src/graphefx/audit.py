@@ -21,6 +21,8 @@ The families apply to a trace that holds a structure event, and read each
 structure event with its own moves.  Tree traces hold none and carry none of
 these obligations, so every family reports as not applicable on them, and the
 tree components of a component-wise trace change nothing the families read.
+A tree event that moves a good of a component with a structure event raises
+InputError, since no family would see that move.
 
 The colors are one map, merged over the trace's coloring events: a
 component-wise solve emits one per phase-based component, on disjoint
@@ -38,7 +40,8 @@ from typing import TYPE_CHECKING, Optional
 from .allocation import Allocation, EnvyGraph
 from .errors import InputError
 from .frozen import Frozen
-from .trace import BRANCH_SAME_KEEP, ColoringUsed, StructureResolved, TraceEvent
+from .trace import (BRANCH_SAME_KEEP, ColoringUsed, CycleResolved, LeafAttached,
+                    StructureResolved, TraceEvent)
 
 if TYPE_CHECKING:
     from .solvers import Instance
@@ -137,6 +140,13 @@ def audit_trace(inst: "Instance", trace: list[TraceEvent]) -> AuditReport:
     structures = [(i, ev) for i, ev in enumerate(trace) if isinstance(ev, StructureResolved)]
     if not structures:
         return AuditReport(results={f: (False, ()) for f in FAMILIES})
+    # the families read structure events alone, so no other step event may move their goods
+    phased = frozenset().union(*{inst.graph.component(ev.root)[2] for _, ev in structures})
+    for i, ev in enumerate(trace):
+        if isinstance(ev, (LeafAttached, CycleResolved)) and not phased.isdisjoint(ev.moves):
+            raise InputError(f"trace event {i} is a {ev.kind} event that moves good"
+                             f" {min(phased.intersection(ev.moves))}, of a component with"
+                             " structure events")
     colors = {v: c for ev in trace if isinstance(ev, ColoringUsed) for v, c in ev.colors.items()}
     found: dict[str, list[str]] = {f: [] for f in FAMILIES}  # family -> violation messages
     localized, movement, distance, union = found.values()  # in the order of FAMILIES

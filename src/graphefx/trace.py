@@ -446,6 +446,15 @@ def trace_lines(trace: list[TraceEvent], graph: "MultiGraph") -> Iterator[str]:
         yield event_line(ev, held.setdefault(component and component[0], {}))
 
 
+def _inside_component(i: int, noun: str, part: frozenset, *groups) -> None:
+    """Raise InputError unless ``part``, trace event ``i``'s component's agents
+    or goods, holds every id of ``groups``; name the first that it does not."""
+    if not part.issuperset(chain(*groups)):
+        stray = next(x for x in chain(*groups) if x not in part)
+        raise InputError(f"trace event {i} names {noun} {stray}, which is not in the line's"
+                         " component")
+
+
 def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> TraceEvent:
     """Event ``i`` of a trace on ``graph``, from its line.  ``held`` maps each
     component's index to its snapshot before the event, good -> agent: a
@@ -465,24 +474,24 @@ def event_from_json(obj: dict, i: int, graph: "MultiGraph", held: dict) -> Trace
             raise InputError(f"trace event {i} gives an empty cycle, which is in no component")
         snapshot = fields.pop("snapshot")
         holder = {g: u for u, b in snapshot.items() for g in b}
-        agents = {fields.get(f) for f in ("favourite", "parent", "leftover_to")} - {None}
-        named = {"agent": [*snapshot, *fields.get("cycle", ()), *agents],
-                 "good": [*holder, *chain(*fields.get("pieces", ()))]}
-        for (noun, ids), part in zip(named.items(), component[1:]):
-            if not part.issuperset(ids):
-                stray = next(x for x in ids if x not in part)
-                raise InputError(f"trace event {i} names {noun} {stray}, which is not in the"
-                                 " line's component")
-        before = held.get(component[0], {})
-        if not holder.keys() >= before.keys():
+        index, agents, goods = component
+        others = {fields.get(f) for f in ("favourite", "parent", "leftover_to")} - {None}
+        _inside_component(i, "agent", agents, snapshot, fields.get("cycle", ()), others)
+        before = held.get(index, {})
+        moves = {g: u for g, u in holder.items() if before.get(g) != u}
+        # a snapshot good outside ``moves`` has its holder in ``before``, so it is
+        # the component's; the goods the snapshot keeps of ``before`` are its
+        # goods less the new ones
+        _inside_component(i, "good", goods, moves, *fields.get("pieces", ()))
+        if len(holder) - len(moves.keys() - before.keys()) < len(before):
             raise InputError(f"trace event {i} drops good {min(before.keys() - holder.keys())},"
                              " which its component held")
         if "transfers" in fields:
             listed = set(fields.pop("transfers"))
-            made = {(g, before[g], u) for g, u in holder.items() if before.get(g, u) != u}
+            made = {(g, before[g], u) for g, u in moves.items() if g in before}
             if listed != made:
                 raise InputError(f"trace event {i} gives transfers that its snapshot does not"
                                  f" make, first at good {min(listed ^ made)[0]}")
-        held[component[0]] = holder
-        fields["moves"] = {g: u for g, u in holder.items() if before.get(g) != u}
+        held[index] = holder
+        fields["moves"] = moves
     return cls(**fields)

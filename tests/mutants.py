@@ -191,7 +191,8 @@ MUTANTS = [
            ("tests/test_audit.py::"
             "test_a_tree_between_phase_based_components_writes_reads_and_audits",)),
     Mutant("the trace reader accepts a step line that drops a good its component held",
-           "trace.py", "        if not holder.keys() >= before.keys():\n", "        if False:\n",
+           "trace.py", "        if len(holder) - len(moves.keys() - before.keys()) < len(before):\n",
+           "        if False:\n",
            ("tests/test_audit.py::test_a_step_line_keeps_within_its_component_and_keeps_its_goods"
             "[_drop_a_held_good]",)),
     Mutant("a coloring may give a vertex the color t",
@@ -244,6 +245,11 @@ MUTANTS = [
            ("tests/test_audit.py::"
             "test_a_tree_between_phase_based_components_writes_reads_and_audits",
             "tests/test_audit.py::test_unions_of_every_solver_s_parts_write_read_and_audit")),
+    Mutant("the audit reads a trace whose tree event moves a good of a phase-based component",
+           "audit.py", "if isinstance(ev, (LeafAttached, CycleResolved)) and not phased",
+           "if False and not phased",
+           ("tests/test_audit.py::"
+            "test_a_tree_line_that_moves_a_good_of_a_phase_based_component_fails_the_audit",)),
     Mutant("good movement lets a structure event transfer a held good outside the keep branch",
            "audit.py", "            if ev.branch != BRANCH_SAME_KEEP:\n", "            if False:\n",
            (MOVEMENT_RULES,)),

@@ -654,6 +654,40 @@ def test_a_step_line_keeps_within_its_component_and_keeps_its_goods(tmp_path, ca
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("kind", [CycleResolved.kind, LeafAttached.kind])
+def test_a_tree_line_that_moves_a_good_of_a_phase_based_component_fails_the_audit(
+        tmp_path, capsys, kind):
+    # The audit reads structure lines alone.  A tree line inserted before the
+    # 4-cycle's last structure line gives one of its held goods to another
+    # agent, and that line keeps the good there, so the file reads and no
+    # structure line transfers the good.  Without the audit's check this file
+    # passed all four families, on an allocation that is not the file's.
+    inst, instance_path, lines = _union_lines(tmp_path)
+    i, j = sorted(i for i, line in enumerate(lines) if line["type"] == StructureResolved.kind)[-2:]
+    comp = next(c for c in inst.graph.connected_components() if lines[i]["root"] in c)
+    assert lines[j]["root"] in comp
+    listed = {g for g, _, _ in lines[j]["transfers"]}
+    x, good = min((int(u), g) for u, b in lines[i]["snapshot"].items() for g in b
+                  if g not in listed)
+    to = min(v for v in comp if v != x)
+
+    def moved(snapshot):
+        out = {u: [g for g in b if g != good] for u, b in snapshot.items()}
+        return {**out, str(to): out.get(str(to), []) + [good]}
+
+    line = ({"type": kind, "cycle": [to]} if kind == CycleResolved.kind else
+            {"type": kind, "leaf": to, "parent": x, "leftover_to": to, "pieces": [[good], []]})
+    lines[j]["snapshot"] = moved(lines[j]["snapshot"])
+    lines.insert(j, {**line, "snapshot": moved(lines[i]["snapshot"])})
+    path = tmp_path / "edited.trace.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert load_trace(path, inst.graph)[j].moves == {good: to}
+    capsys.readouterr()
+    assert main(["audit", str(instance_path), str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: trace event {j} is a {kind} event that moves"
+                                       f" good {good}, of a component with structure events\n")
+
+
 # A union part that each solver runs on: a multi-tree, a bipartite graph, an
 # odd multi-cycle and a doubled triangle.
 SOLVER_PARTS = {"tree": "tree", "bipartite": "bipartite", "chromatic": "odd multi-cycle",
